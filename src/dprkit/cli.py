@@ -19,7 +19,6 @@ import numpy as np
 from . import clustering, pipeline, regression
 from .clustering import ClusterModel, DbscanParams, dbscan, scan_params, suggest_params
 from .errors import ConvergenceError, NumericalError, ValidationError
-from ._backend import BACKEND
 from .panel import (
     MIX_MODES,
     NO_NORMALIZATION,
@@ -363,7 +362,7 @@ def _cmd_fit(args) -> int:
     model = _fit_once(dm, kind, lam, alpha)
     if not model.diagnostics["converged"]:
         raise ConvergenceError(
-            f"fit did not converge in {model.diagnostics['iterations']} sweeps"
+            f"fit did not converge in {model.diagnostics['iterations']} steps"
         )
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -394,7 +393,6 @@ def _cmd_fit(args) -> int:
         mse=d["mse"],
         sparsity=d["sparsity"],
         iterations=d["iterations"],
-        backend=BACKEND,
     )
     return 0
 
@@ -467,7 +465,7 @@ def _cmd_path(args) -> int:
             for lam, m in zip(lams, models)
         ],
     )
-    _ok("path", points=len(lams), columns=dm.p, backend=BACKEND)
+    _ok("path", points=len(lams), columns=dm.p)
     return 0
 
 
@@ -623,7 +621,7 @@ def _cmd_run(args) -> int:
     report = pipeline.run_dpr(panel, config, split)
     if not report.model.diagnostics["converged"]:
         raise ConvergenceError(
-            f"final fit did not converge in {report.model.diagnostics['iterations']} sweeps"
+            f"final fit did not converge in {report.model.diagnostics['iterations']} steps"
         )
     report.write(args.output_dir)
     if args.plots:
@@ -638,7 +636,6 @@ def _cmd_run(args) -> int:
         best_alpha=report.chosen.alpha,
         train_r2=report.metrics["train"]["r2"],
         test_mse=test_mse,
-        backend=report.backend,
     )
     return 0
 

@@ -30,7 +30,6 @@ from .clustering import (
     suggest_params,
 )
 from .errors import NumericalError, ValidationError
-from ._backend import BACKEND
 from .panel import (
     PER_FEATURE_MAX,
     PanelDataset,
@@ -295,9 +294,10 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
     Folds are contiguous blocks of the row order (or of the period order when
     ``fold_mode='periods'``).  Within a fold chain the lambda grid is walked
     descending with warm starts.  The winner minimizes mean validation MSE;
-    exact ties break toward the larger lambda, then the larger alpha.  Ridge
-    cells that hit a rank-deficient system (lambda=0 on collinear columns)
-    are recorded with NA metrics and never win.
+    exact ties break toward the larger lambda, then the larger alpha.  A cell
+    with a failed fold fit -- a ridge fit on a rank-deficient system (lambda=0
+    on collinear columns), or a lasso/elastic-net fit that hit ``max_iter``
+    -- is recorded with NA metrics and never wins.
     """
     if kind not in PENALTY_KINDS:
         raise ValidationError(f"unknown penalty kind {kind!r}")
@@ -353,7 +353,10 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
             for lam in lam_desc:
                 m = fit_elastic_net(sub, lam, a, tol=tol, max_iter=max_iter, warm_start=warm)
                 warm = m.coefficients
-                out[(lam, alpha)] = _cell_metrics(m, Xv, yv)
+                if m.diagnostics["converged"]:
+                    out[(lam, alpha)] = _cell_metrics(m, Xv, yv)
+                else:
+                    out[(lam, alpha)] = (math.nan, math.nan)
         return out
 
     chains = [(alpha, block) for alpha in alphas for block in blocks]
@@ -386,7 +389,10 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
             ):
                 best = cell
     if best is None:
-        raise NumericalError("every cross-validation cell failed; no usable hyperparameters")
+        raise NumericalError(
+            "every cross-validation cell failed (rank-deficient or unconverged fits); "
+            "no usable hyperparameters"
+        )
     return CvResult(
         best_lambda=best.lam,
         best_alpha=best.alpha,
@@ -530,7 +536,6 @@ def _dummy_block(dummy_names: list[str], labels: np.ndarray) -> np.ndarray:
 class RunReport:
     """Everything one run produced; ``write`` lays it out as a directory."""
 
-    backend: str
     split: SplitSpec
     penalty_kind: str
     cluster_params: DbscanParams
@@ -771,7 +776,6 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         }
 
         return RunReport(
-            backend=BACKEND,
             split=split,
             penalty_kind=config.penalty_kind,
             cluster_params=params,
@@ -914,7 +918,6 @@ def write_report(report: RunReport, out_dir) -> None:
         "fit": {
             "iterations": report.model.diagnostics.get("iterations"),
             "converged": report.model.diagnostics.get("converged"),
-            "backend": report.backend,
         },
         "split": {
             "train_periods": list(report.split.train_periods),

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from dprkit._backend import available_backends
 from dprkit.errors import RankDeficiencyError, ValidationError
 from dprkit.regression import (
     DesignMatrix,
@@ -186,6 +185,94 @@ def test_warm_path_equals_cold_fits():
         )
 
 
+def _assert_kkt(dm, model, lam, alpha, atol=1e-9):
+    g, bound = kkt_residuals(dm.X, dm.y, model.intercept, model.coefficients, lam, alpha)
+    active = model.coefficients != 0
+    assert np.all(np.abs(g[~active]) <= bound + atol)
+    np.testing.assert_allclose(
+        g[active], bound * np.sign(model.coefficients[active]), rtol=0, atol=atol
+    )
+
+
+def _assert_reference_optimal(dm, model, lam, alpha):
+    ours = enet_objective(dm.X, dm.y, model.intercept, model.coefficients, lam, alpha)
+    _, _, ref = reference_objective_min(
+        dm.X, dm.y, PenaltySpec(kind="elastic_net", lam=lam, alpha=alpha)
+    )
+    assert ours <= ref + 1e-9
+
+
+def _collinear_design(rng, n=60):
+    base = rng.normal(size=(n, 4))
+    y = 1.0 + base @ np.array([1.0, 0.5, 0.3, 0.0]) + 0.1 * rng.normal(size=n)
+    return base, y
+
+
+def test_near_duplicate_columns_reach_the_optimum():
+    rng = np.random.default_rng(16)
+    base, y = _collinear_design(rng)
+    twin = 0.999 * base[:, 0] + math.sqrt(1 - 0.999**2) * rng.normal(size=base.shape[0])
+    dm = standardize(np.column_stack([base[:, 0], twin, base[:, 1:]]), y)
+    assert np.corrcoef(dm.X[:, 0], dm.X[:, 1])[0, 1] > 0.998
+    for alpha in (0.3, 1.0):
+        for lam in (1e-4, 1e-2, 0.1):
+            model = fit_elastic_net(dm, lam, alpha, tol=1e-10, debug=True)
+            assert model.diagnostics["converged"]
+            _assert_kkt(dm, model, lam, alpha)
+            _assert_reference_optimal(dm, model, lam, alpha)
+
+
+def test_exactly_collinear_columns_at_alpha_one():
+    rng = np.random.default_rng(17)
+    base, y = _collinear_design(rng)
+    duplicate = np.column_stack([base[:, 0], base[:, 0], base[:, 1:]])
+    summed = np.column_stack([base[:, 0], base[:, 1], base[:, 0] + base[:, 1], base[:, 3]])
+    for X in (duplicate, summed):
+        dm = standardize(X, y)
+        for lam in (1e-4, 1e-2, 0.1):
+            # cold, and warm from a support holding every collinear column
+            # with mixed signs, so that the support system is singular
+            warm = np.array([1.0, -2.0, 0.5, 0.0] + [0.0] * (dm.p - 4))
+            for start in (None, warm):
+                model = fit_lasso(dm, lam, tol=1e-10, warm_start=start, debug=True)
+                assert model.diagnostics["converged"]
+                _assert_kkt(dm, model, lam, 1.0)
+                _assert_reference_optimal(dm, model, lam, 1.0)
+
+
+def test_wide_design_with_singleton_dummies():
+    # the shape of a run with many noise rows: a few correlated log features,
+    # cluster dummies and one singleton dummy per noise row, p near 200
+    rng = np.random.default_rng(18)
+    n, n_feat, n_noise = 400, 20, 170
+    latent = rng.normal(size=(n, 3))
+    feats = latent @ rng.normal(size=(3, n_feat)) + 0.3 * rng.normal(size=(n, n_feat))
+    cluster = rng.integers(0, 8, size=n)
+    clusters = (cluster[:, None] == np.arange(1, 8)).astype(float)
+    noise_rows = rng.choice(n, size=n_noise, replace=False)
+    singletons = np.zeros((n, n_noise))
+    singletons[noise_rows, np.arange(n_noise)] = 1.0
+    X = np.column_stack([feats, clusters, singletons])
+    y = feats[:, :5] @ rng.normal(size=5) + 0.5 * cluster + 0.2 * rng.normal(size=n)
+    dm = standardize(X, y)
+    assert dm.p == 197
+    lams = [float(v) for v in np.logspace(-1, -2.5, 6)]
+    for lam, model in zip(lams, regularization_path(dm, lams, 1.0, tol=1e-10)):
+        assert model.diagnostics["converged"]
+        _assert_kkt(dm, model, lam, 1.0)
+
+
+def test_warm_start_at_the_solution_takes_no_steps():
+    rng = np.random.default_rng(19)
+    dm = _random_design(rng, n=60, p=8)
+    for alpha in (0.0, 0.5, 1.0):
+        model = fit_elastic_net(dm, 0.01, alpha)
+        again = fit_elastic_net(dm, 0.01, alpha, warm_start=model.coefficients)
+        assert again.diagnostics["iterations"] == 0
+        assert again.diagnostics["converged"]
+        np.testing.assert_array_equal(again.coefficients, model.coefficients)
+
+
 def test_path_requires_descending_lambdas():
     rng = np.random.default_rng(8)
     dm = _random_design(rng)
@@ -193,21 +280,6 @@ def test_path_requires_descending_lambdas():
         regularization_path(dm, [0.01, 0.1], 1.0)
     with pytest.raises(ValidationError):
         regularization_path(dm, [0.1, 0.1], 1.0)
-
-
-def test_backends_agree():
-    kernels = available_backends()
-    if len(kernels) < 2:
-        pytest.skip("compiled kernel not built")
-    rng = np.random.default_rng(9)
-    dm = _random_design(rng, n=80, p=10)
-    fits = {
-        name: fit_elastic_net(dm, 0.02, 0.5, tol=1e-12, kernel=kern)
-        for name, kern in kernels.items()
-    }
-    a, b = fits["pure"], fits["compiled"]
-    np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-12)
-    assert a.intercept == pytest.approx(b.intercept, abs=1e-12)
 
 
 def test_debug_mode_checks_objective_monotonicity():

@@ -182,6 +182,31 @@ def test_cv_rank_deficient_ridge_cells_become_na():
         cross_validate(dm, 2, "ridge", [0.0])
 
 
+def test_cv_unconverged_cells_become_na():
+    panel, _ = _panel(n_entities=10, n_periods=6, n_features=4, noise_sd=0.03)
+    logged = log_transform(panel, TransformSpec(normalize_mode=NO_NORMALIZATION))
+    dm0 = design_from_panel(logged)
+    dm = standardize(dm0.X, dm0.y, dm0.column_names, source_rows=dm0.source_rows)
+    grid = [10.0, 1.0, 1e-2, 1e-4]
+    # the large lambdas converge within one active-set step (0 steps above
+    # lambda_max); the small ones need more than one on every fold
+    res = cross_validate(dm, 4, "lasso", grid, max_iter=1)
+    cells = {c.lam: c for c in res.table}
+    assert not math.isnan(cells[10.0].mean_mse) and not math.isnan(cells[1.0].mean_mse)
+    assert math.isnan(cells[1e-2].mean_mse) and math.isnan(cells[1e-4].mean_mse)
+    assert res.best_lambda in (10.0, 1.0)
+    # with room to converge, a small lambda wins
+    assert cross_validate(dm, 4, "lasso", grid).best_lambda < 1.0
+
+
+def test_run_with_every_cv_cell_unconverged_names_stage_cv():
+    panel, _ = _panel(n_entities=10, n_periods=8, n_features=5, n_clusters=3, seed=2)
+    split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
+    cfg = _default_config(lambda_grid=(1e-4, 1e-3), max_iter=1)
+    with pytest.raises(NumericalError, match="stage cv"):
+        run_dpr(panel, cfg, split)
+
+
 def test_cv_fold_size_validation():
     dm = _toy_design(4)
     dmS = standardize(dm.X, dm.y, dm.column_names)
