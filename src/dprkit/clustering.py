@@ -1,13 +1,23 @@
 """Density-based clustering with silhouette and SSE scoring.
 
-DBSCAN over Euclidean distance, brute-force O(n^2); no spatial index.  A
-point is core when its closed eps-neighborhood (itself included) holds at
-least ``min_pts`` points; ``core_strict=True`` switches the rule to strictly
-more than ``min_pts``.  Clusters are the connected components of the core
-points under the eps relation; a non-core point within eps of one or more
-core points joins the cluster of the claiming core with the smallest row
-index, everything else is noise.  Cluster ids are canonical: numbered by the
-first row at which each cluster appears.
+DBSCAN over Euclidean distance.  A point is core when its closed
+eps-neighborhood (itself included) holds at least ``min_pts`` points;
+``core_strict=True`` switches the rule to strictly more than ``min_pts``.
+Clusters are the connected components of the core points under the eps
+relation; a non-core point within eps of one or more core points joins the
+cluster of the claiming core with the smallest row index, everything else is
+noise.  Cluster ids are canonical: numbered by the first row at which each
+cluster appears.
+
+The labelling works on one list of neighbour pairs ``i < j`` with their
+distances, read from the dense distance matrix: neighbourhood counts are
+bincounts over it, clusters are ``scipy.sparse.csgraph.connected_components``
+on its core-core edges, and border claims are a minimum per row (Ester et
+al., KDD 1996; Schubert et al., TODS 2017).  A parameter scan builds that
+list once at the largest eps and thresholds it per cell.  Scoring never
+copies the n x n matrix, and new rows are assigned to their nearest core
+through a k-d tree.  scipy is imported at first use, so importing this
+module stays cheap.
 """
 
 from __future__ import annotations
@@ -23,6 +33,9 @@ from .errors import ValidationError
 NOISE = -1
 
 EUCLIDEAN = "euclidean"
+
+# elements per block of temporaries in pairwise_distances and _pairs_within
+_CHUNK = 262_144
 
 
 @dataclass(frozen=True)
@@ -69,14 +82,14 @@ def _as_points(points) -> np.ndarray:
 def pairwise_distances(points) -> np.ndarray:
     """Full Euclidean distance matrix, computed from explicit differences.
 
-    Chunked so memory stays ~O(n d) per block; the difference form avoids the
-    cancellation of the expanded-norm shortcut, so coincident points get an
-    exact zero.
+    Chunked so each block's temporaries stay near ``_CHUNK`` elements; the
+    difference form avoids the cancellation of the expanded-norm shortcut, so
+    coincident points get an exact zero.
     """
     pts = _as_points(points)
     n = pts.shape[0]
     out = np.empty((n, n), dtype=np.float64)
-    step = max(1, int(2_000_000 // max(1, n * pts.shape[1])))
+    step = max(1, _CHUNK // max(1, n * pts.shape[1]))
     for start in range(0, n, step):
         stop = min(n, start + step)
         diff = pts[start:stop, None, :] - pts[None, :, :]
@@ -97,15 +110,79 @@ def region_query(points, i: int, eps: float) -> set[int]:
 
 
 def _canonical_relabel(labels: np.ndarray) -> tuple[np.ndarray, int]:
-    out = np.full_like(labels, NOISE)
-    mapping: dict[int, int] = {}
-    for i, lab in enumerate(labels):
-        if lab == NOISE:
-            continue
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out[i] = mapping[lab]
-    return out, len(mapping)
+    out = np.full(labels.shape, NOISE, dtype=np.intp)
+    member = labels != NOISE
+    ids, first, inverse = np.unique(
+        labels[member], return_index=True, return_inverse=True
+    )
+    rank = np.empty(ids.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(ids.size)
+    out[member] = rank[inverse]
+    return out, int(ids.size)
+
+
+def _pairs_within(D: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs ``i < j`` with ``D[i, j] <= radius``: int32 rows, int32 columns, distances.
+
+    Pairs come in row-major order.  Blocks of rows keep the boolean masks
+    near ``_CHUNK`` elements.
+    """
+    n = D.shape[0]
+    step = max(1, _CHUNK // n)
+    rows, cols, dists = [], [], []
+    for start in range(0, n, step):
+        block = D[start:start + step, start:]
+        r, c = np.nonzero(np.triu(block <= radius, 1))
+        rows.append((r + start).astype(np.int32))
+        cols.append((c + start).astype(np.int32))
+        dists.append(block[r, c])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(dists)
+
+
+def _label_pairs(
+    n: int, i: np.ndarray, j: np.ndarray, d: np.ndarray, params: DbscanParams
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """DBSCAN labels, cluster count and core mask from the pairs within eps.
+
+    ``i``, ``j``, ``d`` may hold pairs beyond eps (a list built at a larger
+    radius); they are dropped here.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    keep = d <= params.eps
+    i, j = i[keep], j[keep]
+    counts = 1 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+    core = counts > params.min_pts if params.core_strict else counts >= params.min_pts
+
+    core_i, core_j = core[i], core[j]
+    both = core_i & core_j
+    graph = coo_matrix(
+        (np.ones(int(both.sum()), dtype=np.int8), (i[both], j[both])), shape=(n, n)
+    )
+    _, comp = connected_components(graph, directed=False)
+
+    # a border point joins the cluster of its smallest-index claiming core
+    claim = np.full(n, n, dtype=np.intp)
+    np.minimum.at(claim, j[core_i & ~core_j], i[core_i & ~core_j])
+    np.minimum.at(claim, i[core_j & ~core_i], j[core_j & ~core_i])
+    border = claim < n
+
+    labels = np.full(n, NOISE, dtype=np.intp)
+    labels[core] = comp[core]
+    labels[border] = comp[claim[border]]
+    labels, k = _canonical_relabel(labels)
+    return labels, k, core
+
+
+def _score(
+    pts: np.ndarray, D: np.ndarray, labels: np.ndarray, k: int
+) -> tuple[float | None, float]:
+    """(sc, sse) of one labelling; sc is None when the silhouette is undefined."""
+    sc = None
+    if k >= 2 and np.bincount(labels[labels != NOISE], minlength=k).max() >= 2:
+        sc = _silhouette_from_distances(D, labels, k)
+    return sc, sse(pts, labels)
 
 
 def dbscan(points, params: DbscanParams, distances: np.ndarray | None = None) -> ClusterModel:
@@ -116,65 +193,22 @@ def dbscan(points, params: DbscanParams, distances: np.ndarray | None = None) ->
     noise contributes zero.
     """
     pts = _as_points(points)
-    n = pts.shape[0]
     D = pairwise_distances(pts) if distances is None else distances
-    neigh = D <= params.eps
-    counts = neigh.sum(axis=1)
-    if params.core_strict:
-        core = counts > params.min_pts
-    else:
-        core = counts >= params.min_pts
-
-    labels = np.full(n, NOISE, dtype=np.intp)
-    comp = np.full(n, NOISE, dtype=np.intp)
-    cid = 0
-    for seed in range(n):
-        if not core[seed] or comp[seed] != NOISE:
-            continue
-        comp[seed] = cid
-        queue = [seed]
-        while queue:
-            i = queue.pop()
-            for j in np.flatnonzero(neigh[i] & core):
-                if comp[j] == NOISE:
-                    comp[j] = cid
-                    queue.append(int(j))
-        cid += 1
-    labels[core] = comp[core]
-
-    core_rows = np.flatnonzero(core)
-    for i in np.flatnonzero(~core):
-        claimants = core_rows[neigh[i, core_rows]]
-        if claimants.size:
-            labels[i] = comp[claimants[0]]  # smallest-index core claims the border point
-
-    labels, k = _canonical_relabel(labels)
-
-    sc = None
-    if k >= 2:
-        sizes = np.bincount(labels[labels != NOISE], minlength=k)
-        if sizes.max() >= 2:
-            sc = _silhouette_from_distances(D, labels, k)
-    return ClusterModel(
-        params=params,
-        labels=labels,
-        k=k,
-        sc=sc,
-        sse=sse(pts, labels),
-        core_mask=core,
-    )
+    labels, k, core = _label_pairs(pts.shape[0], *_pairs_within(D, params.eps), params)
+    sc, total = _score(pts, D, labels, k)
+    return ClusterModel(params=params, labels=labels, k=k, sc=sc, sse=total, core_mask=core)
 
 
 def _silhouette_from_distances(D: np.ndarray, labels: np.ndarray, k: int) -> float:
     member = labels != NOISE
     idx = np.flatnonzero(member)
     lab = labels[idx]
-    sub = D[np.ix_(idx, idx)]
     counts = np.bincount(lab, minlength=k).astype(np.float64)
-    # per-point sums of distance into each cluster
-    sums = np.zeros((idx.size, k))
-    for c in range(k):
-        sums[:, c] = sub[:, lab == c].sum(axis=1)
+    # per-point sums of distance into each cluster; noise rows of onehot are
+    # zero, so D is multiplied whole rather than copied down to the members
+    onehot = np.zeros((labels.size, k))
+    onehot[idx, lab] = 1.0
+    sums = (D @ onehot)[idx]
 
     own = counts[lab]
     s = np.zeros(idx.size)
@@ -234,9 +268,8 @@ def k_distance_profile(points, k: int) -> np.ndarray:
     if int(k) != k or not 1 <= k < n:
         raise ValidationError(f"k must be an integer in [1, {n - 1}], got {k}")
     D = pairwise_distances(pts)
-    ordered = np.sort(D, axis=1)
-    kth = ordered[:, int(k)]  # position 0 is the self-distance 0
-    return np.sort(kth)[::-1].copy()
+    D.partition(int(k), axis=1)  # D is this call's own; position 0 holds a self-distance 0
+    return np.sort(D[:, int(k)])[::-1].copy()
 
 
 @dataclass(frozen=True)
@@ -258,29 +291,37 @@ def scan_params(
     """Evaluate dbscan over the full eps x min_pts grid.
 
     One row per combination, eps varying slowest, in grid order.  Rows where
-    the silhouette is undefined carry ``sc=None``.  Cells are independent, so
+    the silhouette is undefined carry ``sc=None``.  The neighbour pairs are
+    found once, at the largest eps, and every cell thresholds them; cells
+    that yield the same labels are scored once.  Cells are independent, so
     they may be evaluated concurrently; assembly order is fixed by the grid.
     """
     pts = _as_points(points)
     if len(eps_grid) == 0 or len(minpts_grid) == 0:
         raise ValidationError("scan grids must be non-empty")
-    D = pairwise_distances(pts)
     cells = [
         DbscanParams(eps=float(e), min_pts=int(m), core_strict=core_strict)
         for e in eps_grid
         for m in minpts_grid
     ]
+    D = pairwise_distances(pts)
+    pairs = _pairs_within(D, max(p.eps for p in cells))
 
-    def _cell(p: DbscanParams) -> ScanRow:
-        model = dbscan(pts, p, distances=D)
-        return ScanRow(p.eps, p.min_pts, model.k, model.sc, model.sse)
+    def _evaluate(run) -> list[ScanRow]:
+        labelled = list(run(lambda p: _label_pairs(pts.shape[0], *pairs, p)[:2], cells))
+        distinct = {labels.tobytes(): (labels, k) for labels, k in labelled}
+        scores = dict(zip(distinct, run(lambda lk: _score(pts, D, *lk), distinct.values())))
+        return [
+            ScanRow(p.eps, p.min_pts, k, *scores[labels.tobytes()])
+            for p, (labels, k) in zip(cells, labelled)
+        ]
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(_cell, cells))
-    return [_cell(p) for p in cells]
+            return _evaluate(ex.map)
+    return _evaluate(map)
 
 
 def suggest_params(rows: Sequence[ScanRow]) -> ScanRow | None:
@@ -300,6 +341,8 @@ def assign_by_nearest_core(train_points, model: ClusterModel, new_points) -> np.
     Each new row takes the label of its nearest core point when that core is
     within eps, and NOISE otherwise.  Ties go to the smallest core row index.
     """
+    from scipy.spatial import cKDTree
+
     train = _as_points(train_points)
     new = _as_points(new_points)
     if train.shape[0] != model.labels.shape[0]:
@@ -311,10 +354,18 @@ def assign_by_nearest_core(train_points, model: ClusterModel, new_points) -> np.
     if cores.size == 0:
         return out
     core_pts = train[cores]
-    for i in range(new.shape[0]):
+    nearest = np.zeros(new.shape[0], dtype=np.intp)
+    tied = np.zeros(new.shape[0], dtype=bool)
+    if cores.size > 1:
+        dist, idx = cKDTree(core_pts).query(new, k=2)
+        nearest = idx[:, 0]
+        # near-equal runners-up may be exact ties in the difference form below
+        tied = dist[:, 1] - dist[:, 0] <= 1e-9 * dist[:, 1]
+    for i in np.flatnonzero(tied):
         diff = core_pts - new[i]
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        j = int(np.argmin(dist))  # first minimum = smallest core row index
-        if dist[j] <= model.params.eps:
-            out[i] = model.labels[cores[j]]
+        dist_i = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        nearest[i] = np.argmin(dist_i)  # first minimum = smallest core row index
+    diff = core_pts[nearest] - new
+    within = np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= model.params.eps
+    out[within] = model.labels[cores[nearest[within]]]
     return out

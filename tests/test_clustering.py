@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dprkit.clustering import (
     NOISE,
@@ -243,3 +245,119 @@ def test_params_validation():
         DbscanParams(eps=1.0, min_pts=0)
     with pytest.raises(ValidationError):
         DbscanParams(eps=1.0, min_pts=2, metric="manhattan")
+
+
+def _lattice_with_ties():
+    # multiples of 0.5 with repeated rows; 3-4-5 offsets make 2.5 an exact
+    # distance, so eps values below land exactly on pairwise distances
+    xy = [(0, 0), (0, 0), (0.5, 0), (1, 0), (1.5, 0), (1.5, 2), (3, 0), (3, 0),
+          (3.5, 0), (4, 0), (4, 0.5), (4, 1), (6.5, 0), (7, 0), (7, 0), (7.5, 0),
+          (9, 2), (10.5, 4), (12, 6), (12.5, 6), (13, 6), (13, 6)]
+    return np.asarray(xy, dtype=np.float64)
+
+
+def test_shared_pair_list_matches_per_cell_runs_and_oracle():
+    from dprkit.clustering import _label_pairs, _pairs_within
+
+    pts = _lattice_with_ties()
+    eps_grid = [0.5, 1.0, 1.5, 2.5]
+    minpts_grid = [1, 2, 3, 4]
+    for strict in (False, True):
+        rows = scan_params(pts, eps_grid, minpts_grid, core_strict=strict)
+        pairs = _pairs_within(pairwise_distances(pts), max(eps_grid))
+        for row in rows:
+            params = DbscanParams(row.eps, row.min_pts, core_strict=strict)
+            solo = dbscan(pts, params)
+            assert (row.k, row.sc, row.sse) == (solo.k, solo.sc, solo.sse)
+            labels, _, core = _label_pairs(pts.shape[0], *pairs, params)
+            np.testing.assert_array_equal(labels, brute_force_dbscan(pts, params))
+            np.testing.assert_array_equal(core, solo.core_mask)
+
+
+def test_assign_by_nearest_core_with_a_single_core():
+    train = _col([0.0, 0.5, 1.0])
+    model = dbscan(train, DbscanParams(eps=0.5, min_pts=3))
+    np.testing.assert_array_equal(model.core_mask, [False, True, False])
+    labels = assign_by_nearest_core(train, model, _col([0.0, 1.0, 1.5, 0.5]))
+    np.testing.assert_array_equal(labels, [0, 0, NOISE, 0])
+
+
+def test_dbscan_and_silhouette_copy_no_distance_matrix():
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    centers = rng.uniform(-50, 50, size=(10, 2))
+    pts = np.vstack([c + rng.normal(scale=0.5, size=(150, 2)) for c in centers])
+    D = pairwise_distances(pts)
+    params = DbscanParams(eps=0.3, min_pts=3)
+    dbscan(pts[:20], params)  # the first call imports scipy; keep that out of the trace
+    tracemalloc.start()
+    try:
+        model = dbscan(pts, params, distances=D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.k >= 2 and model.sc is not None  # the silhouette ran
+    assert peak < D.nbytes / 4, f"peak {peak} bytes against an n x n matrix of {D.nbytes}"
+
+
+def _lattice(step, size, min_size=1, max_size=40):
+    # small integer grids scaled by a power of two: exact coordinates, many
+    # repeated rows and many pairwise distances equal to each other and to eps
+    cell = st.tuples(st.integers(0, size), st.integers(0, size))
+    return st.lists(cell, min_size=min_size, max_size=max_size).map(
+        lambda xy: np.asarray(xy, dtype=np.float64) * step
+    )
+
+
+_EPS = st.sampled_from([0.5, 0.75, 1.0, 1.5])
+
+
+@settings(max_examples=150, deadline=None)
+@given(pts=_lattice(0.5, 8, min_size=2), eps=_EPS, min_pts=st.integers(1, 5),
+       strict=st.booleans(), data=st.data())
+def test_partition_invariant_under_row_permutation(pts, eps, min_pts, strict, data):
+    params = DbscanParams(eps=eps, min_pts=min_pts, core_strict=strict)
+    perm = np.asarray(data.draw(st.permutations(range(pts.shape[0]))))
+    base = dbscan(pts, params)
+    moved = dbscan(pts[perm], params)
+    before = base.labels[perm]
+    core = moved.core_mask
+    np.testing.assert_array_equal(base.core_mask[perm], core)
+    assert moved.k == base.k
+    # the core points' partition is the same: cluster ids correspond one to one
+    ids = set(zip(before[core].tolist(), moved.labels[core].tolist()))
+    assert len(ids) == len({a for a, _ in ids}) == len({b for _, b in ids}) == moved.k
+    renamed = dict(ids)
+    # a border point keeps its cluster unless cores of several clusters claim
+    # it: then the smallest claiming row, which the order decides, picks one
+    within = pairwise_distances(pts[perm]) <= eps
+    for x in np.flatnonzero(~core):
+        claims = set(moved.labels[within[x] & core].tolist())
+        if claims:
+            assert {renamed[before[x]], moved.labels[x]} <= claims
+        else:
+            assert before[x] == moved.labels[x] == NOISE
+
+
+def _nearest_core_by_loop(train, model, new):
+    cores = np.flatnonzero(model.core_mask)
+    out = np.full(new.shape[0], NOISE, dtype=np.intp)
+    for i in range(new.shape[0] if cores.size else 0):
+        diff = train[cores] - new[i]
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        j = int(np.argmin(dist))
+        if dist[j] <= model.params.eps:
+            out[i] = model.labels[cores[j]]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(train=_lattice(0.5, 6), new=_lattice(0.25, 12), eps=_EPS,
+       min_pts=st.integers(1, 4))
+def test_assign_by_nearest_core_matches_the_per_row_argmin(train, new, eps, min_pts):
+    model = dbscan(train, DbscanParams(eps=eps, min_pts=min_pts))
+    np.testing.assert_array_equal(
+        assign_by_nearest_core(train, model, new),
+        _nearest_core_by_loop(train, model, new),
+    )
