@@ -289,10 +289,7 @@ def _cmd_cluster(args) -> int:
     write_table(
         out / "clusters.csv",
         ["entity", "period", "label", "core"],
-        [
-            [e, p, int(l), int(c)]
-            for (e, p), l, c in zip(panel.row_keys(), model.labels, model.core_mask)
-        ],
+        [*panel.key_columns(), model.labels.astype(np.intp), model.core_mask.astype(np.intp)],
     )
     bundle = _cluster_bundle(panel, model, points, args.mix)
     (out / "cluster_model.json").write_text(
@@ -312,11 +309,7 @@ def _cmd_scan(args) -> int:
         core_strict=args.core_strict,
         threads=args.threads,
     )
-    write_table(
-        Path(args.output),
-        ["eps", "min_pts", "k", "sc", "sse"],
-        [[r.eps, r.min_pts, r.k, r.sc, r.sse] for r in rows],
-    )
+    pipeline.write_scan_table(rows, Path(args.output))
     best = suggest_params(rows)
     if best is None:
         _ok("scan", cells=len(rows), best_eps=None, best_min_pts=None)
@@ -366,17 +359,7 @@ def _cmd_fit(args) -> int:
         )
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    src = model.source_coefficients
-    rows = [["(intercept)", model.intercept, model.source_intercept, 0]]
-    for j, name in enumerate(model.column_names):
-        rows.append(
-            [name, float(model.coefficients[j]), float(src[j]), int(model.zero_variance[j])]
-        )
-    write_table(
-        out / "coefficients.csv",
-        ["name", "standardized", "source_scale", "forced_zero"],
-        rows,
-    )
+    pipeline.write_coefficients(model, out / "coefficients.csv")
     (out / "model.json").write_text(
         json.dumps(
             {"format": "dprkit-fit-v1", "regression": model.to_dict()},
@@ -419,14 +402,7 @@ def _cmd_cv(args) -> int:
         period_of_row=period_of_row,
         threads=args.threads,
     )
-    write_table(
-        Path(args.output),
-        ["lambda", "alpha", "mean_mse", "mean_r2"],
-        [
-            [c.lam, c.alpha, pipeline._nan_none(c.mean_mse), pipeline._nan_none(c.mean_r2)]
-            for c in result.table
-        ],
-    )
+    pipeline.write_cv_table(result, Path(args.output))
     winner = next(
         c for c in result.table
         if c.lam == result.best_lambda and c.alpha == result.best_alpha
@@ -457,14 +433,7 @@ def _cmd_path(args) -> int:
     )
     lams = sorted(set(_parse_grid(args.lambda_grid)), reverse=True)
     models = regression.regularization_path(dm, lams, alpha)
-    write_table(
-        Path(args.output),
-        ["lambda", "intercept"] + list(dm.column_names),
-        [
-            [lam, m.intercept] + [float(v) for v in m.coefficients]
-            for lam, m in zip(lams, models)
-        ],
-    )
+    _write_path_table(Path(args.output), lams, models)
     _ok("path", points=len(lams), columns=dm.p)
     return 0
 
@@ -661,19 +630,11 @@ def _cmd_forecast(args) -> int:
         )
 
     clus = bundle["clustering"]
-    mode = transform.normalize_mode
-    if mode == "perfeaturemax":
-        maxima = bundle.get("entity_maxima") or {}
-        points = np.zeros_like(panel.features)
-        for e, name in enumerate(panel.entities):
-            rows = np.flatnonzero(panel.entity_idx == e)
-            if rows.size == 0:
-                continue
-            mx = np.asarray(maxima.get(name, panel.features[rows].max(axis=0)), dtype=np.float64)
-            pos = np.flatnonzero(mx > 0)
-            points[np.ix_(rows, pos)] = panel.features[np.ix_(rows, pos)] / mx[pos]
-    else:
-        points, _ = energy_mix_features(panel, mode)
+    maxima = {
+        name: np.asarray(mx, dtype=np.float64)
+        for name, mx in (bundle.get("entity_maxima") or {}).items()
+    }
+    points = pipeline.mix_for_new_rows(panel, transform.normalize_mode, maxima)
 
     core_points = np.asarray(clus["core_points"], dtype=np.float64)
     core_labels = np.asarray(clus["core_labels"], dtype=np.intp)
@@ -697,20 +658,7 @@ def _cmd_forecast(args) -> int:
     result = pipeline.forecast_report(
         model, panel, transform, extra_columns=block, extra_labels=labels
     )
-    write_table(
-        Path(args.output),
-        [
-            "entity", "period", "cluster", "noise_row", "actual_log", "predicted_log",
-            "actual_source", "predicted_source", "relative_error_source",
-        ],
-        [
-            [
-                r.entity, r.period, r.cluster, int(r.is_noise), r.actual_log,
-                r.predicted_log, r.actual_source, r.predicted_source, r.relative_error,
-            ]
-            for r in result.rows
-        ],
-    )
+    pipeline.write_forecast(result, Path(args.output))
     _ok(
         "forecast",
         rows=len(result.rows),
@@ -725,26 +673,28 @@ def emit_plot_data(report: pipeline.RunReport, out_dir) -> None:
     """Plain tables a plotting tool can consume; no rendering here."""
     plots = Path(out_dir) / "plots"
     plots.mkdir(parents=True, exist_ok=True)
-    write_table(
-        plots / "path_trajectories.csv",
-        ["lambda", "intercept"] + list(report.model.column_names),
-        [
-            [lam, m.intercept] + [float(v) for v in m.coefficients]
-            for lam, m in zip(report.path_lambdas, report.path_models)
-        ],
-    )
+    _write_path_table(plots / "path_trajectories.csv", report.path_lambdas,
+                      report.path_models)
     write_table(
         plots / "fit_scatter.csv",
         ["actual_log", "predicted_log"],
-        [
-            [float(a), float(p)]
-            for a, p in zip(report.fitted_actual, report.fitted_predicted)
-        ],
+        [report.fitted_actual, report.fitted_predicted],
     )
+    k_dist = np.asarray(report.k_distance, dtype=np.float64)
     write_table(
         plots / "k_distance.csv",
         ["rank", "distance"],
-        [[i + 1, float(d)] for i, d in enumerate(report.k_distance)],
+        [np.arange(1, k_dist.size + 1), k_dist],
+    )
+
+
+def _write_path_table(dest, lams: list[float], models: list[FittedModel]) -> None:
+    """Intercept and coefficients of each fit of a coefficient path, one row per lambda."""
+    coefs = np.array([m.coefficients for m in models], dtype=np.float64)
+    write_table(
+        dest,
+        ["lambda", "intercept"] + list(models[0].column_names),
+        [list(lams), [m.intercept for m in models], *coefs.T],
     )
 
 

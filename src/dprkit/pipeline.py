@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -401,7 +402,7 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForecastRow:
     entity: str
     period: object
@@ -414,15 +415,78 @@ class ForecastRow:
     relative_error: float | None
 
 
+def _none_for_nan(v: float) -> float | None:
+    return None if math.isnan(v) else v
+
+
+class _ForecastRows(Sequence):
+    """Read-only row view of a :class:`ForecastResult`; rows are built on access."""
+
+    def __init__(self, result: "ForecastResult") -> None:
+        self._r = result
+
+    def __len__(self) -> int:
+        return len(self._r.entity)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        r = self._r
+        return ForecastRow(
+            entity=r.entity[i],
+            period=r.period[i],
+            cluster=int(r.cluster[i]),
+            is_noise=bool(r.cluster[i] == NOISE),
+            actual_log=_none_for_nan(float(r.actual_log[i])),
+            predicted_log=float(r.predicted_log[i]),
+            actual_source=_none_for_nan(float(r.actual_source[i])),
+            predicted_source=float(r.predicted_source[i]),
+            relative_error=_none_for_nan(float(r.relative_error[i])),
+        )
+
+
 @dataclass
 class ForecastResult:
-    rows: list[ForecastRow]
+    """Forecast of every row, by column; NaN marks a row without a target."""
+
+    entity: list[str]
+    period: list
+    cluster: np.ndarray
+    actual_log: np.ndarray
+    predicted_log: np.ndarray
+    actual_source: np.ndarray
+    predicted_source: np.ndarray
+    relative_error: np.ndarray
     mean_error: float | None
     error_variance: float | None
 
     @property
+    def rows(self) -> Sequence[ForecastRow]:
+        return _ForecastRows(self)
+
+    @property
+    def is_noise(self) -> np.ndarray:
+        return self.cluster == NOISE
+
+    @property
     def n_noise_rows(self) -> int:
-        return sum(1 for r in self.rows if r.is_noise)
+        return int(np.count_nonzero(self.is_noise))
+
+
+def write_forecast(result: ForecastResult, dest) -> None:
+    """The forecast table (``forecast.csv``) that ``run`` and ``forecast`` write."""
+    write_table(
+        dest,
+        [
+            "entity", "period", "cluster", "noise_row", "actual_log", "predicted_log",
+            "actual_source", "predicted_source", "relative_error_source",
+        ],
+        [
+            result.entity, result.period, result.cluster,
+            result.is_noise.astype(np.intp), result.actual_log, result.predicted_log,
+            result.actual_source, result.predicted_source, result.relative_error,
+        ],
+    )
 
 
 def forecast_report(model: FittedModel, test: PanelDataset, transform: TransformSpec,
@@ -462,64 +526,67 @@ def forecast_report(model: FittedModel, test: PanelDataset, transform: Transform
         else np.asarray(extra_labels, dtype=np.intp)
     )
 
-    rows: list[ForecastRow] = []
-    errors: list[float] = []
-    keys = test.row_keys()
-    for i, (entity, period) in enumerate(keys):
-        y = float(test_log.targets[i])
-        have = not math.isnan(y)
-        pred_src = float(invert_log(np.array(yhat[i]), transform))
-        if have:
-            rel = abs(math.exp(yhat[i]) - math.exp(y)) / math.exp(y)
-            errors.append(float(yhat[i]) - y)
-        rows.append(
-            ForecastRow(
-                entity=entity,
-                period=period,
-                cluster=int(labels[i]),
-                is_noise=bool(labels[i] == NOISE),
-                actual_log=y if have else None,
-                predicted_log=float(yhat[i]),
-                actual_source=float(invert_log(np.array(y), transform)) if have else None,
-                predicted_source=pred_src,
-                relative_error=rel if have else None,
-            )
-        )
-    if errors:
-        e = np.asarray(errors)
+    y = test_log.targets
+    have = ~np.isnan(y)
+    # math.exp, not np.exp: the two differ in the last digit for some inputs
+    exp_y = np.fromiter(map(math.exp, y[have].tolist()), dtype=np.float64)
+    exp_yhat = np.fromiter(map(math.exp, yhat[have].tolist()), dtype=np.float64)
+    relative_error = np.full(test.n_obs, math.nan)
+    relative_error[have] = np.abs(exp_yhat - exp_y) / exp_y
+    if have.any():
+        e = yhat[have] - y[have]
         mean_error = float(e.mean())
         error_variance = float(np.mean((e - e.mean()) ** 2))
     else:
         mean_error = None
         error_variance = None
-    return ForecastResult(rows=rows, mean_error=mean_error, error_variance=error_variance)
+    entity, period = test.key_columns()
+    return ForecastResult(
+        entity=entity,
+        period=period,
+        cluster=labels,
+        actual_log=y,
+        predicted_log=yhat,
+        actual_source=invert_log(y, transform),
+        predicted_source=invert_log(yhat, transform),
+        relative_error=relative_error,
+        mean_error=mean_error,
+        error_variance=error_variance,
+    )
 
 
-def _mix_for_new_rows(train: PanelDataset, new: PanelDataset, mode: str) -> np.ndarray:
+def entity_maxima(data: PanelDataset) -> dict[str, np.ndarray]:
+    """Each entity's per-feature maxima over its rows, for entities with rows."""
+    out: dict[str, np.ndarray] = {}
+    for e, name in enumerate(data.entities):
+        rows = np.flatnonzero(data.entity_idx == e)
+        if rows.size:
+            out[name] = data.features[rows].max(axis=0)
+    return out
+
+
+def mix_for_new_rows(new: PanelDataset, mode: str,
+                     maxima: dict[str, np.ndarray]) -> np.ndarray:
     """Mix features for unseen rows using train-derived statistics.
 
     Row shares and the identity mode are row-local, so nothing leaks either
-    way.  Per-feature-max divides by the entity's training-period maxima;
-    entities absent from training fall back to their own maxima.
+    way.  Per-feature-max divides by the entity's training-period ``maxima``
+    (:func:`entity_maxima` of the training panel); entities absent from
+    training fall back to their own maxima.
     """
     if mode != PER_FEATURE_MAX:
         matrix, _ = energy_mix_features(new, mode)
         return matrix
-    train_max: dict[str, np.ndarray] = {}
-    for e, name in enumerate(train.entities):
-        rows = np.flatnonzero(train.entity_idx == e)
-        if rows.size:
-            train_max[name] = train.features[rows].max(axis=0)
     out = np.zeros_like(new.features)
     for e, name in enumerate(new.entities):
         rows = np.flatnonzero(new.entity_idx == e)
         if rows.size == 0:
             continue
-        maxima = train_max.get(name)
-        if maxima is None:
-            maxima = new.features[rows].max(axis=0)
-        pos = np.flatnonzero(maxima > 0)
-        out[np.ix_(rows, pos)] = new.features[np.ix_(rows, pos)] / maxima[pos]
+        mx = maxima.get(name)
+        if mx is None:
+            mx = new.features[rows].max(axis=0)
+        pos = np.flatnonzero(mx > 0)
+        out[np.ix_(rows, pos)] = new.features[np.ix_(rows, pos)] / mx[pos]
     return out
 
 
@@ -700,7 +767,8 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
             holdout_metrics = _metrics_block(dmS.y[hold_rows], yhat_h)
 
     with _stage("forecast"):
-        mix_test = _mix_for_new_rows(train_p, test_p, mode)
+        train_max = entity_maxima(train_p) if mode == PER_FEATURE_MAX else {}
+        mix_test = mix_for_new_rows(test_p, mode, train_max)
         test_labels = assign_by_nearest_core(mix_train, cmodel, mix_test)
         dummy_names = list(dmS.column_names[len(train_log.feature_names):])
         block = _dummy_block(dummy_names, test_labels)
@@ -712,12 +780,12 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
     with _stage("report"):
         yhat_train = _predict_standardized(model, dmS.X)
         train_metrics = dict(model.diagnostics)
-        have_test = [i for i, r in enumerate(fres.rows) if r.actual_log is not None]
+        have_test = ~np.isnan(fres.actual_log)
         test_metrics = None
-        if have_test:
-            y_t = np.array([fres.rows[i].actual_log for i in have_test])
-            yh_t = np.array([fres.rows[i].predicted_log for i in have_test])
-            test_metrics = _metrics_block(y_t, yh_t)
+        if have_test.any():
+            test_metrics = _metrics_block(
+                fres.actual_log[have_test], fres.predicted_log[have_test]
+            )
         winner = next(
             c for c in cv.table
             if c.lam == cv.best_lambda and c.alpha == cv.best_alpha
@@ -764,12 +832,7 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
                 "dummy_names": dummy_names,
             },
             "entity_maxima": (
-                {
-                    e: [float(v) for v in train_p.features[
-                        np.flatnonzero(train_p.entity_idx == i)].max(axis=0)]
-                    for i, e in enumerate(train_p.entities)
-                    if np.any(train_p.entity_idx == i)
-                }
+                {e: mx.tolist() for e, mx in train_max.items()}
                 if mode == PER_FEATURE_MAX
                 else None
             ),
@@ -820,77 +883,43 @@ def write_report(report: RunReport, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    for (entity, period), lab, is_core in zip(
-        report.train_keys, report.train_labels, report.core_mask
-    ):
-        rows.append([entity, period, "train", int(lab), int(is_core)])
-    for (entity, period), lab in zip(report.test_keys, report.test_labels):
-        rows.append([entity, period, "test", int(lab), None])
-    write_table(out / "clusters.csv", ["entity", "period", "split", "label", "core"], rows)
+    keys = report.train_keys + report.test_keys
+    entity, period = [e for e, _ in keys], [p for _, p in keys]
+    n_train, n_test = len(report.train_keys), len(report.test_keys)
+    write_table(
+        out / "clusters.csv",
+        ["entity", "period", "split", "label", "core"],
+        [
+            entity,
+            period,
+            ["train"] * n_train + ["test"] * n_test,
+            np.concatenate([report.train_labels, report.test_labels]).astype(np.intp),
+            report.core_mask.astype(np.intp).tolist() + [None] * n_test,
+        ],
+    )
 
     if report.full_labels is not None:
-        keys = report.train_keys + report.test_keys
         write_table(
             out / "clusters_full.csv",
             ["entity", "period", "label"],
-            [[e, p, int(l)] for (e, p), l in zip(keys, report.full_labels)],
+            [entity, period, report.full_labels.astype(np.intp)],
         )
 
     if report.scan_rows is not None:
-        write_table(
-            out / "scan.csv",
-            ["eps", "min_pts", "k", "sc", "sse"],
-            [[r.eps, r.min_pts, r.k, r.sc, r.sse] for r in report.scan_rows],
-        )
+        write_scan_table(report.scan_rows, out / "scan.csv")
+    write_cv_table(report.cv, out / "cv_table.csv")
 
-    write_table(
-        out / "cv_table.csv",
-        ["lambda", "alpha", "mean_mse", "mean_r2"],
-        [
-            [c.lam, c.alpha, _nan_none(c.mean_mse), _nan_none(c.mean_r2)]
-            for c in report.cv.table
-        ],
-    )
+    write_coefficients(report.model, out / "coefficients.csv")
 
-    m = report.model
-    coef_rows = [["(intercept)", m.intercept, m.source_intercept, 0]]
-    src = m.source_coefficients
-    for j, name in enumerate(m.column_names):
-        coef_rows.append(
-            [name, float(m.coefficients[j]), float(src[j]), int(m.zero_variance[j])]
-        )
-    write_table(
-        out / "coefficients.csv",
-        ["name", "standardized", "source_scale", "forced_zero"],
-        coef_rows,
-    )
-
+    a, f = report.fitted_actual, report.fitted_predicted
     write_table(
         out / "fitted.csv",
         ["entity", "period", "actual_log", "predicted_log", "residual"],
-        [
-            [e, p, float(a), float(f), float(a) - float(f)]
-            for (e, p), a, f in zip(
-                report.fitted_keys, report.fitted_actual, report.fitted_predicted
-            )
-        ],
+        [[e for e, _ in report.fitted_keys], [p for _, p in report.fitted_keys],
+         a, f, a - f],
     )
 
-    write_table(
-        out / "forecast.csv",
-        [
-            "entity", "period", "cluster", "noise_row", "actual_log", "predicted_log",
-            "actual_source", "predicted_source", "relative_error_source",
-        ],
-        [
-            [
-                r.entity, r.period, r.cluster, int(r.is_noise), r.actual_log,
-                r.predicted_log, r.actual_source, r.predicted_source, r.relative_error,
-            ]
-            for r in report.forecast.rows
-        ],
-    )
+    write_forecast(report.forecast, out / "forecast.csv")
 
     summary = {
         "chosen": {
@@ -927,7 +956,8 @@ def write_report(report: RunReport, out_dir) -> None:
         "flagged": {
             "zero_mix_rows": [[e, p] for e, p in report.zero_mix_rows],
             "test_noise_rows": [
-                [r.entity, r.period] for r in report.forecast.rows if r.is_noise
+                [report.forecast.entity[i], report.forecast.period[i]]
+                for i in np.flatnonzero(report.forecast.is_noise).tolist()
             ],
         },
     }
@@ -940,5 +970,36 @@ def write_report(report: RunReport, out_dir) -> None:
     )
 
 
-def _nan_none(v: float):
-    return None if isinstance(v, float) and math.isnan(v) else v
+def write_scan_table(rows: list[ScanRow], dest) -> None:
+    """The parameter scan table (``scan.csv``) that ``run`` and ``scan`` write."""
+    write_table(
+        dest,
+        ["eps", "min_pts", "k", "sc", "sse"],
+        [[r.eps for r in rows], [r.min_pts for r in rows], [r.k for r in rows],
+         [r.sc for r in rows], [r.sse for r in rows]],
+    )
+
+
+def write_cv_table(cv: CvResult, dest) -> None:
+    """The cross-validation table (``cv_table.csv``) that ``run`` and ``cv`` write."""
+    cells = cv.table
+    write_table(
+        dest,
+        ["lambda", "alpha", "mean_mse", "mean_r2"],
+        [[c.lam for c in cells], [c.alpha for c in cells],
+         [c.mean_mse for c in cells], [c.mean_r2 for c in cells]],
+    )
+
+
+def write_coefficients(model: FittedModel, dest) -> None:
+    """The coefficient table (``coefficients.csv``) that ``run`` and ``fit`` write."""
+    write_table(
+        dest,
+        ["name", "standardized", "source_scale", "forced_zero"],
+        [
+            ["(intercept)"] + list(model.column_names),
+            np.concatenate([[model.intercept], model.coefficients]),
+            np.concatenate([[model.source_intercept], model.source_coefficients]),
+            np.concatenate([[0], model.zero_variance]).astype(np.intp),
+        ],
+    )

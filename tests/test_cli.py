@@ -1,12 +1,14 @@
 import csv
 import json
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dprkit import testkit
 from dprkit.cli import _parse_grid, _parse_periods, main
 from dprkit.errors import ValidationError
+from dprkit.panel import load_panel, write_panel
 
 
 def run_cli(capsys, *argv):
@@ -207,22 +209,72 @@ def test_run_and_forecast_round_trip(capsys, tmp_path):
     assert (outdir / "plots" / "k_distance.csv").exists()
     assert (outdir / "plots" / "fit_scatter.csv").exists()
 
-    # standalone forecast from the saved bundle reproduces the run's test rows
+    # standalone forecast of the run's test rows from the saved bundle
+    # reproduces the run's forecast.csv byte for byte
+    loaded = load_panel(panel)
+    test_rows = tmp_path / "test_rows.csv"
+    write_panel(loaded.subset_by_periods(loaded.periods[6:]), test_rows)
     code, out, _ = run_cli(
-        capsys, "forecast", "--input", str(panel), "--model", str(outdir / "model.json"),
+        capsys, "forecast", "--input", str(test_rows), "--model", str(outdir / "model.json"),
         "--output", str(tmp_path / "fc.csv"),
     )
     assert code == 0 and "forecast ok" in out
+    assert (tmp_path / "fc.csv").read_bytes() == (outdir / "forecast.csv").read_bytes()
 
-    def read_rows(path):
-        with Path(path).open() as fh:
-            return {(r["entity"], r["period"]): r for r in csv.DictReader(fh)}
 
-    run_fc = read_rows(outdir / "forecast.csv")
-    solo_fc = read_rows(tmp_path / "fc.csv")
-    assert set(run_fc) <= set(solo_fc)
-    for key, row in run_fc.items():
-        assert solo_fc[key]["predicted_log"] == row["predicted_log"]
+def test_forecast_round_trip_with_training_maxima(capsys, tmp_path):
+    # perfeaturemax divides the test rows by the training maxima, which
+    # forecast reads back from model.json
+    panel = _synth(capsys, tmp_path, seed=6)
+    outdir = tmp_path / "run"
+    code, _, _ = run_cli(
+        capsys, "run", "--input", str(panel), "--output-dir", str(outdir),
+        "--eps", "0.2", "--min-pts", "3", "--penalty", "lasso", "--mix", "perfeaturemax",
+        "--lambda-grid", "logspace:-3:-1:3", "--train-count", "6", "--folds", "3",
+    )
+    assert code == 0
+    loaded = load_panel(panel)
+    test_rows = tmp_path / "test_rows.csv"
+    write_panel(loaded.subset_by_periods(loaded.periods[6:]), test_rows)
+    code, _, _ = run_cli(
+        capsys, "forecast", "--input", str(test_rows), "--model", str(outdir / "model.json"),
+        "--output", str(tmp_path / "fc.csv"),
+    )
+    assert code == 0
+    assert (tmp_path / "fc.csv").read_bytes() == (outdir / "forecast.csv").read_bytes()
+
+
+def test_forecast_memory_stays_bounded(capsys, tmp_path):
+    """Peak traced allocation of `dprkit forecast` on a 20,000-row panel.
+
+    The forecast holds a few float arrays per row and formats and writes
+    its table in row blocks: ~10 MiB here, where a forecast that builds a
+    Python object per row and per cell peaks at ~17 MiB.
+    """
+    spec = dict(n_features=6, n_clusters=6)
+    fit_panel, _ = testkit.generate_panel(
+        testkit.SyntheticSpec(n_entities=46, n_periods=20, seed=3, **spec))
+    write_panel(fit_panel, tmp_path / "fit.csv")
+    code, _, _ = run_cli(
+        capsys, "run", "--input", str(tmp_path / "fit.csv"), "--output-dir",
+        str(tmp_path / "run"), "--eps", "0.15", "--min-pts", "4", "--penalty", "lasso",
+        "--lambda-grid", "logspace:-3:-1:3", "--train-count", "13", "--folds", "3",
+    )
+    assert code == 0
+    batch, _ = testkit.generate_panel(
+        testkit.SyntheticSpec(n_entities=1000, n_periods=20, seed=4, **spec))
+    write_panel(batch, tmp_path / "batch.csv")
+    argv = ["forecast", "--input", str(tmp_path / "batch.csv"),
+            "--model", str(tmp_path / "run" / "model.json"), "--output", str(tmp_path / "fc.csv")]
+    assert run_cli(capsys, *argv)[0] == 0  # loads what a first call loads
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 12 * 2**20, f"forecast peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_run_is_reproducible_byte_for_byte(capsys, tmp_path):

@@ -1,15 +1,21 @@
+import csv
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dprkit import panel as panel_module
 from dprkit.errors import ValidationError
 from dprkit.panel import (
     NO_NORMALIZATION,
     PER_FEATURE_MAX,
     RAW_SHARES,
     EmissionFactorTable,
+    PanelDataset,
     PanelSchema,
     TransformSpec,
     compute_emissions,
@@ -214,3 +220,164 @@ def test_no_normalization_mode_is_identity():
     mix, flagged = energy_mix_features(panel, NO_NORMALIZATION)
     np.testing.assert_array_equal(mix, panel.features)
     assert flagged == []
+
+
+# ---------------------------------------------------------------- round trips
+
+key_text = st.text(alphabet='AB ,"\nx\'', min_size=1, max_size=5).filter(lambda s: s == s.strip())
+nonneg = st.floats(min_value=0.0, max_value=1e300, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def panels(draw):
+    if draw(st.booleans()):
+        period_values = st.integers(-3000, 3000)
+    else:
+        period_values = st.from_regex(r"[0-9]{1,4}Q[1-4]", fullmatch=True)
+    keys = draw(st.lists(st.tuples(key_text, period_values), min_size=1, max_size=12,
+                         unique=True))
+    entities = sorted({e for e, _ in keys})
+    periods = sorted({p for _, p in keys})
+    keys.sort(key=lambda k: (entities.index(k[0]), periods.index(k[1])))
+    n, nf = len(keys), draw(st.integers(1, 3))
+    features = draw(st.lists(nonneg, min_size=n * nf, max_size=n * nf))
+    targets = draw(st.lists(st.one_of(st.just(math.nan), nonneg), min_size=n, max_size=n))
+    return PanelDataset(
+        entities=entities, periods=periods, feature_names=[f"f{j}" for j in range(nf)],
+        entity_idx=[entities.index(e) for e, _ in keys],
+        period_idx=[periods.index(p) for _, p in keys],
+        features=np.reshape(features, (n, nf)), targets=targets,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(panel=panels(), block=st.sampled_from([1, 2, 4096]))
+def test_write_then_load_round_trips_any_panel(panel, block):
+    buf = io.StringIO()
+    write_panel(panel, buf)
+    text = buf.getvalue()
+    with mock.patch.object(panel_module, "_BLOCK_ROWS", block):
+        again = load_panel(io.StringIO(text, newline=""), PanelSchema())
+    assert again == panel
+    # a missing target is an empty cell, not NA
+    assert ",NA," not in text
+    buf = io.StringIO()
+    write_panel(again, buf)
+    assert buf.getvalue() == text
+
+
+# ---------------------------------------------------------------- load faults
+
+HEADER = ["entity", "period", "target", "coal", "gas"]
+
+
+def _reference_error(text: str) -> str | None:
+    """The first fault of a canonical panel file, checked one row and one cell at a time."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    width = len(next(reader))
+    first_line: dict = {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(c.strip() == "" for c in row):
+            continue
+        if len(row) != width:
+            return f"line {lineno}: expected {width} cells, found {len(row)}"
+        key = (row[0].strip(), row[1].strip())
+        if key in first_line:
+            return (f"line {lineno}: duplicate observation for entity {key[0]!r}, "
+                    f"period {key[1]!r} (first seen on line {first_line[key]})")
+        first_line[key] = lineno
+        for name, cell in zip(HEADER[3:] + HEADER[2:3], row[3:] + row[2:3]):
+            cell = cell.strip()
+            if name == "target" and cell in ("", "NA"):
+                continue
+            try:
+                v = float(cell)
+            except ValueError:
+                return f"line {lineno}, column {name!r}: non-numeric value {cell!r}"
+            if not math.isfinite(v):
+                return f"line {lineno}, column {name!r}: non-finite value {cell!r}"
+            if v < 0:
+                return f"line {lineno}, column {name!r}: negative value {v}"
+    return None
+
+
+CELLS = ["1.5", "0", " 2 ", "-0.0", "1e-300", "", "NA", "nan", "inf", "-inf", "-1", "abc"]
+
+
+@st.composite
+def panel_lines(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "spaces", "commas",
+                                     "short", "long"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append("  ")
+        elif kind == "commas":
+            lines.append(",,,,")
+        else:
+            row = [draw(st.sampled_from(["A", "B", " C"])),
+                   draw(st.sampled_from(["2000", "2001", "2002 "]))]
+            good = draw(st.booleans())
+            for _ in range(3):
+                row.append(draw(st.sampled_from(CELLS[:5] if good else CELLS)))
+            if kind == "short":
+                row.pop()
+            elif kind == "long":
+                row.append("1")
+            lines.append(",".join(row))
+    return "\n".join([",".join(HEADER)] + lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=panel_lines())
+def test_load_reports_the_first_fault_in_file_order(text):
+    expected = _reference_error(text)
+    loaded = []
+    for block in (1, 2, 3, 4096):
+        with mock.patch.object(panel_module, "_BLOCK_ROWS", block):
+            try:
+                loaded.append(load_panel(io.StringIO(text, newline=""), PanelSchema()))
+            except ValidationError as exc:
+                if expected is None:
+                    assert "no data rows" in str(exc)
+                else:
+                    assert str(exc) == expected
+                continue
+        assert expected is None
+    assert all(p == loaded[0] for p in loaded)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["A,2000,1,inf,1"], "line 2, column 'coal': non-finite value 'inf'"),
+        (["A,2000,1,1,nan"], "line 2, column 'gas': non-finite value 'nan'"),
+        (["A,2000,-inf,1,1"], "line 2, column 'target': non-finite value '-inf'"),
+        (["A,2000,1,1"], "line 2: expected 5 cells, found 4"),
+        (["A,2000,1,1,1,1"], "line 2: expected 5 cells, found 6"),
+        (["A,2000,lots,1,1"], "line 2, column 'target': non-numeric value 'lots'"),
+        (["A,2000,-2.5,1,1"], "line 2, column 'target': negative value -2.5"),
+        (["", "  ", ",,,,", "A,2000,1,1,x"], "line 5, column 'gas': non-numeric value 'x'"),
+        # two faults: the first in file order wins, whichever kind it is
+        (["A,2000,1,1,-1", "A,2001,1,1,x"], "line 2, column 'gas': negative value -1.0"),
+        (["A,2000,1,1", "A,2001,1,1,x"], "line 2: expected 5 cells, found 4"),
+        (["A,2000,1,1,1", "A,2000,1,1,1", "A,2001,1,-1,1"],
+         "line 3: duplicate observation for entity 'A', period '2000' (first seen on line 2)"),
+        (["A,2000,1,1,1", "A,2001,1,-1,1", "A,2000,1,1,1"],
+         "line 3, column 'coal': negative value -1.0"),
+        # a duplicate across blocks comes before a fault in a later block
+        (["A,2000,1,1,1", "A,2001,1,1,1", "A,2000,1,1,1", "B,2000,1,1,1", "B,2001,1,1,x"],
+         "line 4: duplicate observation for entity 'A', period '2000' (first seen on line 2)"),
+        (["A,2000,1,1,1", "B,2000,1,1,1", "", "A,2000,1,1,1"],
+         "line 5: duplicate observation for entity 'A', period '2000' (first seen on line 2)"),
+    ],
+)
+@pytest.mark.parametrize("block", [1, 2, 4096])
+def test_load_fault_messages(rows, message, block):
+    text = "\n".join([",".join(HEADER)] + rows) + "\n"
+    with mock.patch.object(panel_module, "_BLOCK_ROWS", block):
+        with pytest.raises(ValidationError) as info:
+            load_panel(io.StringIO(text, newline=""), PanelSchema())
+    assert str(info.value) == message

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -11,18 +12,20 @@ from dprkit.panel import (
     PER_FEATURE_MAX,
     PanelDataset,
     TransformSpec,
+    invert_log,
     log_transform,
 )
 from dprkit.pipeline import (
     DprConfig,
     SplitSpec,
     _fold_blocks,
-    _mix_for_new_rows,
     augment_with_dummies,
     chronological_split,
     cross_validate,
     design_from_panel,
+    entity_maxima,
     forecast_report,
+    mix_for_new_rows,
     run_dpr,
     write_report,
 )
@@ -354,6 +357,38 @@ def test_forecast_report_missing_targets_excluded_from_summary():
     assert res.error_variance == 0.0
 
 
+def test_forecast_columns_match_the_row_formulas():
+    """Every column equals the one-row-at-a-time formula, to the last bit."""
+    panel, _ = _panel(n_entities=100, n_periods=20, n_features=3, seed=5)
+    targets = panel.targets.copy()
+    targets[::7] = math.nan
+    panel = dataclasses.replace(panel, targets=targets)
+    spec = TransformSpec(log_offset=0.5)
+    rng = np.random.default_rng(0)
+    model = FittedModel(
+        intercept=0.3, coefficients=rng.normal(size=3),
+        penalty=PenaltySpec(kind="ridge", lam=0.1), column_names=["a", "b", "c"],
+        column_means=rng.normal(size=3), column_stds=rng.uniform(0.5, 2.0, size=3),
+        zero_variance=np.zeros(3, dtype=bool), diagnostics={},
+    )
+    labels = rng.integers(-1, 3, size=panel.n_obs)
+    res = forecast_report(model, panel, spec, extra_labels=labels)
+    y = np.log(targets + 0.5)
+    assert len(res.rows) == panel.n_obs
+    for i, (row, key) in enumerate(zip(res.rows, panel.row_keys())):
+        yhat = res.predicted_log[i]
+        assert (row.entity, row.period) == key
+        assert row.cluster == labels[i] and row.is_noise == (labels[i] == NOISE)
+        assert row.predicted_log == yhat
+        assert row.predicted_source == float(invert_log(np.array(yhat), spec))
+        if math.isnan(y[i]):
+            assert row.actual_log is row.actual_source is row.relative_error is None
+            continue
+        assert row.actual_log == y[i]
+        assert row.actual_source == float(invert_log(np.array(y[i]), spec))
+        assert row.relative_error == abs(math.exp(yhat) - math.exp(y[i])) / math.exp(y[i])
+
+
 def test_mix_for_new_rows_uses_train_maxima():
     def make(panel_targets, values, periods):
         n = len(values)
@@ -367,7 +402,7 @@ def test_mix_for_new_rows_uses_train_maxima():
 
     train = make([1.0, 1.0], [[5.0], [10.0]], [2000, 2001])
     test = make([1.0], [[20.0]], [2002])
-    out = _mix_for_new_rows(train, test, PER_FEATURE_MAX)
+    out = mix_for_new_rows(test, PER_FEATURE_MAX, entity_maxima(train))
     assert out[0, 0] == 2.0  # ratio to the train maximum, not its own
 
 

@@ -1,0 +1,73 @@
+import csv
+import io
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dprkit import tables
+from dprkit.tables import fmt, write_table
+
+
+def _reference(header, rows, na) -> str:
+    """The row-at-a-time writer: one csv.writer row per row, every cell through fmt."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt(c, na) for c in row])
+    return buf.getvalue()
+
+
+SPECIAL = [math.nan, -0.0, 0.0, 1e-300, -1e-300, 5e-324, 1e300, math.inf, -math.inf, 0.1]
+floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL))
+names = st.text(
+    alphabet=st.one_of(st.sampled_from(',"\n\r \'; '), st.characters(blacklist_categories=("Cs",))),
+    max_size=8,
+)
+mixed = st.one_of(st.none(), floats, st.integers(-10**20, 10**20), names)
+
+
+@st.composite
+def tables_of(draw):
+    n = draw(st.integers(0, 12))
+    return (
+        draw(st.lists(names, min_size=n, max_size=n)),
+        np.array(draw(st.lists(st.integers(-2**62, 2**62), min_size=n, max_size=n)),
+                 dtype=np.int64),
+        np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=np.float64),
+        draw(st.lists(mixed, min_size=n, max_size=n)),
+        draw(st.lists(st.integers(1990, 2030), min_size=n, max_size=n)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=tables_of(), block=st.sampled_from([1, 5, 4096]), na=st.sampled_from(["NA", ""]))
+def test_columns_match_the_row_writer(table, block, na):
+    name, ints, flts, mix, years = table
+    header = ["name", "count", "value", "mixed", "year"]
+    # the reference sees numpy scalars for array cells, as row-built tables did
+    rows = [[name[i], ints[i], flts[i], mix[i], years[i]] for i in range(len(name))]
+    buf = io.StringIO()
+    with mock.patch.object(tables, "BLOCK_ROWS", block):
+        write_table(buf, header, [name, ints, flts, mix, years], na=na)
+    assert buf.getvalue() == _reference(header, rows, na)
+
+
+def test_float_cells_keep_every_bit(tmp_path):
+    values = np.array([0.1, 1 / 3, -0.0, 1e-300, 5e-324, 2.0**0.5 * 1e17])
+    path = tmp_path / "t.csv"
+    write_table(path, ["v"], [values])
+    back = [float(line) for line in path.read_text().splitlines()[1:]]
+    assert [math.copysign(1, v) for v in back] == [math.copysign(1, v) for v in values]
+    np.testing.assert_array_equal(back, values)
+
+
+def test_columns_must_match_the_header_and_each_other():
+    with pytest.raises(ValueError, match="header"):
+        write_table(io.StringIO(), ["a", "b"], [[1]])
+    with pytest.raises(ValueError, match="length"):
+        write_table(io.StringIO(), ["a", "b"], [[1, 2], np.zeros(3)])
