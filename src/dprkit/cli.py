@@ -433,6 +433,12 @@ def _cmd_path(args) -> int:
     )
     lams = sorted(set(_parse_grid(args.lambda_grid)), reverse=True)
     models = regression.regularization_path(dm, lams, alpha)
+    for lam, m in zip(lams, models):
+        if not m.diagnostics["converged"]:
+            raise ConvergenceError(
+                f"path fit at lambda={fmt(lam)} did not converge in "
+                f"{m.diagnostics['iterations']} steps"
+            )
     _write_path_table(Path(args.output), lams, models)
     _ok("path", points=len(lams), columns=dm.p)
     return 0
@@ -596,6 +602,7 @@ def _cmd_run(args) -> int:
     if args.plots:
         emit_plot_data(report, args.output_dir)
     test_mse = report.metrics["test"]["mse"] if report.metrics["test"] else None
+    unconverged = sum(not m.diagnostics["converged"] for m in report.path_models)
     _ok(
         "run",
         k=report.cluster_k,
@@ -605,6 +612,7 @@ def _cmd_run(args) -> int:
         best_alpha=report.chosen.alpha,
         train_r2=report.metrics["train"]["r2"],
         test_mse=test_mse,
+        **({"unconverged_path_fits": unconverged} if unconverged else {}),
     )
     return 0
 

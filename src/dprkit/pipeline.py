@@ -15,7 +15,7 @@ import json
 import math
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -293,7 +293,7 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
     """Grid search by deterministic contiguous-block cross-validation.
 
     Folds are contiguous blocks of the row order (or of the period order when
-    ``fold_mode='periods'``).  Within a fold chain the lambda grid is walked
+    ``fold_mode='periods'``).  Within a fold, each alpha walks the lambda grid
     descending with warm starts.  The winner minimizes mean validation MSE;
     exact ties break toward the larger lambda, then the larger alpha.  A cell
     with a failed fold fit -- a ridge fit on a rank-deficient system (lambda=0
@@ -333,10 +333,9 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
     all_rows = np.arange(dm.n)
     lam_desc = sorted(set(lams), reverse=True)
 
-    def _chain(work) -> dict:
-        alpha, block = work
-        train_rows = np.setdiff1d(all_rows, block)
-        sub = dm.subset_rows(train_rows)
+    def _fold(block) -> dict:
+        # one training subset per fold, so every chain of the fold shares its Gram
+        sub = dm.subset_rows(np.setdiff1d(all_rows, block))
         Xv = dm.X[block]
         yv = dm.y[block]
         out: dict[tuple[float, float | None], tuple[float, float]] = {}
@@ -348,7 +347,8 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
                     out[(lam, None)] = (math.nan, math.nan)
                     continue
                 out[(lam, None)] = _cell_metrics(m, Xv, yv)
-        else:
+            return out
+        for alpha in alphas:
             warm = None
             a = 1.0 if kind == LASSO else float(alpha)
             for lam in lam_desc:
@@ -360,17 +360,13 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
                     out[(lam, alpha)] = (math.nan, math.nan)
         return out
 
-    chains = [(alpha, block) for alpha in alphas for block in blocks]
-    results = _pmap(_chain, chains, threads)
+    results = _pmap(_fold, blocks, threads)
 
     table: list[CvCell] = []
     best: CvCell | None = None
     for lam in lams:
         for alpha in alphas:
-            per_fold = []
-            for (chain_alpha, _), res in zip(chains, results):
-                if chain_alpha == alpha:
-                    per_fold.append(res[(lam, alpha)])
+            per_fold = [res[(lam, alpha)] for res in results]
             mean_mse = float(np.mean([m for m, _ in per_fold]))
             mean_r2 = float(np.mean([r for _, r in per_fold]))
             cell = CvCell(lam, alpha, mean_mse, mean_r2)
@@ -656,8 +652,10 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
     Stages: chronological split, clustering features from the source-unit
     training panel, dbscan (given parameters or the SC-maximizing scan cell),
     log transform, dummy augmentation, standardization, cross-validated
-    hyperparameter choice, final fit, a coefficient path at the chosen
-    mixing, and test-period forecasting with nearest-core cluster assignment.
+    hyperparameter choice, a coefficient path at the chosen mixing, the
+    final fit (for lasso and elastic net, the path's fit at the chosen
+    lambda; ridge in closed form), and test-period forecasting with
+    nearest-core cluster assignment.
     Any stage failure aborts with the stage named in the error.
     """
     if data.transform is not None:
@@ -724,22 +722,21 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
             tol=config.tol, max_iter=config.max_iter,
         )
 
-    with _stage("fit"):
-        if config.penalty_kind == RIDGE:
-            model = fit_ridge(dmS, cv.best_lambda)
-        elif config.penalty_kind == LASSO:
-            model = fit_lasso(dmS, cv.best_lambda, tol=config.tol, max_iter=config.max_iter)
-        else:
-            model = fit_elastic_net(
-                dmS, cv.best_lambda, cv.best_alpha, tol=config.tol, max_iter=config.max_iter
-            )
-
     with _stage("path"):
         path_alpha = {RIDGE: 0.0, LASSO: 1.0}.get(config.penalty_kind, cv.best_alpha)
         path_lams = sorted(set(float(l) for l in config.lambda_grid), reverse=True)
         path_models = regularization_path(
             dmS, path_lams, path_alpha, tol=config.tol, max_iter=config.max_iter
         )
+
+    with _stage("fit"):
+        # lasso and elastic net: the path already solved the chosen cell
+        if config.penalty_kind == RIDGE:
+            model = fit_ridge(dmS, cv.best_lambda)
+        else:
+            model = path_models[path_lams.index(cv.best_lambda)]
+            if config.penalty_kind == LASSO:
+                model = replace(model, penalty=PenaltySpec(LASSO, model.penalty.lam))
 
     with _stage("holdout"):
         holdout_metrics = None

@@ -20,13 +20,15 @@ as glmnet's covariance updates do (Friedman, Hastie & Tibshirani, JSS 2010).
 Each step adds the worst-violating zero coefficient, solves the support's
 linear system and line-searches the sign changes on the way, so the
 solutions carry exact zeros and warm starts along a lambda path reuse the
-previous support.
+previous support.  The support's Cholesky factor grows by one bordered column
+per added coefficient, and all fits of one design share its centred Gram.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -124,6 +126,24 @@ class DesignMatrix:
     @property
     def p(self) -> int:
         return self.X.shape[1]
+
+    @cached_property
+    def gram(self) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
+        """(active, means, ybar, Xc'Xc, Xc'yc) of the centred active columns.
+
+        Centering is done on the rows actually being fit, so subsets of a
+        standardized matrix (CV folds) are handled exactly: the intercept is
+        recovered as ybar - means . beta afterwards.  Columns constant on
+        these rows (e.g. a singleton dummy whose row fell out of the fold) are
+        dropped from the update set; their coefficients stay zero.  Every fit
+        of this design reads the result, so X and y must not change after.
+        """
+        active = ~self.zero_variance & ~_constant_columns(self.X)
+        Xa = self.X[:, active]
+        means = Xa.mean(axis=0)
+        Xc = Xa - means
+        ybar = float(self.y.mean())
+        return active, means, ybar, Xc.T @ Xc, Xc.T @ (self.y - ybar)
 
     def subset_rows(self, rows) -> "DesignMatrix":
         """Row subset sharing the parent's column stats and flags (used by CV)."""
@@ -271,24 +291,6 @@ def _check_fit_inputs(dm: DesignMatrix, lam: float) -> None:
         raise ValidationError(f"fit needs >= 2 rows, got {dm.n}")
 
 
-def _centered_active(dm: DesignMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
-    """Active (non-flagged, non-degenerate) centered columns for the fit rows.
-
-    Centering is done on the rows actually being fit, so subsets of a
-    standardized matrix (CV folds) are handled exactly: the intercept is
-    recovered as ybar - means . beta afterwards.  Columns constant on these
-    rows (e.g. a singleton dummy whose row fell out of the fold) are dropped
-    from the update set; their coefficients stay zero.
-    """
-    active = ~dm.zero_variance & ~_constant_columns(dm.X)
-    Xa = dm.X[:, active]
-    means = Xa.mean(axis=0)
-    Xc = Xa - means
-    ybar = float(dm.y.mean())
-    yc = dm.y - ybar
-    return Xc, yc, means, ybar, active
-
-
 def _diagnostics(dm: DesignMatrix, intercept: float, beta: np.ndarray,
                  iterations: int, converged: bool, zv: np.ndarray) -> dict:
     yhat = intercept + dm.X @ beta
@@ -315,18 +317,18 @@ def fit_ridge(dm: DesignMatrix, lam: float) -> FittedModel:
     squares solutions.
     """
     _check_fit_inputs(dm, lam)
-    Xc, yc, means, ybar, active = _centered_active(dm)
-    n, pa = Xc.shape
+    active, means, ybar, XtX, Xty = dm.gram
+    pa = means.size
     beta = np.zeros(dm.p)
     if pa > 0:
-        if lam == 0.0 and np.linalg.matrix_rank(Xc) < pa:
+        if lam == 0.0 and np.linalg.matrix_rank(dm.X[:, active] - means) < pa:
             raise RankDeficiencyError(
                 "ridge with lambda=0 on rank-deficient columns; "
                 "use lambda > 0 or drop collinear columns"
             )
-        G = Xc.T @ Xc + n * lam * np.eye(pa)
+        G = XtX + dm.n * lam * np.eye(pa)
         try:
-            ba = np.linalg.solve(G, Xc.T @ yc)
+            ba = np.linalg.solve(G, Xty)
         except np.linalg.LinAlgError as exc:
             raise RankDeficiencyError(f"normal equations are singular: {exc}") from None
         beta[active] = ba
@@ -370,6 +372,11 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
     Ng, NIPS 2006).  Coefficients that reach zero leave the support.  Every
     step lowers the objective, so no support repeats and the search ends.
 
+    The upper factor R (R'R = H_AA, in A's order) is kept between steps: an
+    added column borders it with one triangular solve, r = R^-T H_Aj and
+    pivot sqrt(H_jj - r.r), which is the column Cholesky itself computes, so
+    adds do not drift; after a coefficient leaves, R is refactored.
+
     A (nearly) singular H_AA, which needs alpha=1 and (nearly) collinear
     support columns, gets a damped Newton direction instead, followed up to
     the first sign change or the minimizer along it.  Should no candidate
@@ -383,10 +390,14 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
     """
     # imported here: scipy.linalg takes longer to load than commands that
     # do not fit take to run
-    from scipy.linalg.lapack import dposv
+    from scipy.linalg.lapack import dposv, dpotrf, dtrtrs
 
     A = np.flatnonzero(b)
-    grad = c - H[:, A] @ b[A]
+    grad = c - H @ b
+    # R[:k, :k] factors H_AA (k = A.size) when ``factored`` is True; False
+    # means H_AA has a nonpositive pivot, None that R must be recomputed
+    R = np.zeros(H.shape, order="F")
+    factored = True if A.size == 0 else None
     on_support = False
     prev = math.inf if objective is None else objective(b)
     steps = 0
@@ -402,30 +413,45 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
         if steps >= max_iter:
             return b, steps, False
         signs = np.sign(b[A])
+        k = A.size
         if on_support:
+            if factored:
+                r = dtrtrs(R[:, :k], H[A, j], trans=1)[0]
+                pivot = H[j, j] - r @ r
+                R[:k, k] = r
+                R[k, k] = math.sqrt(max(pivot, 0.0))
+                factored = pivot > 0.0
             A = np.append(A, j)
             signs = np.append(signs, math.copysign(1.0, grad[j]))
-        HA = H[np.ix_(A, A)]
+            k += 1
+        if factored is None:
+            R[:k, :k], info = dpotrf(H[np.ix_(A, A)])
+            factored = info == 0
         bA = b[A]
         rhs = c[A] - t * signs
-        factor, x, info = dposv(HA, rhs)
-        exact = info == 0 and np.diagonal(factor).min() ** 2 > _SINGULAR * HA.diagonal().max()
+        exact = factored and R.diagonal()[:k].min() ** 2 > _SINGULAR * H.diagonal()[A].max()
         if exact:
+            x = dtrtrs(R[:, :k], dtrtrs(R[:, :k], rhs, trans=1)[0])[0]
             on_support = bool(np.all(signs * x >= 0.0))
             d, top = x - bA, 1.0
+            if not on_support:
+                Rd = R[:k, :k] @ d
+                curv = float(Rd @ Rd)
         else:
             # a (nearly) singular support, only at alpha=1 with (nearly)
             # collinear columns: take a damped Newton direction, which also
             # descends along the flat directions, to the minimizer of the
             # signed objective on it
             on_support = False
+            HA = H[np.ix_(A, A)]
             slope = HA @ bA - rhs
-            damped = HA + _SINGULAR * HA.diagonal().max() * np.eye(A.size)
+            damped = HA + _SINGULAR * HA.diagonal().max() * np.eye(k)
             d = -dposv(damped, slope)[1]
             curv = float(d @ HA @ d)
             top = -float(slope @ d) / curv if curv > 0.0 else math.inf
-        new = x
-        if not on_support:
+        if on_support:
+            new = x
+        else:
             # step lengths where a coefficient crosses zero, then the minimizer
             cross = np.flatnonzero(bA * d < 0.0)
             at = -bA[cross] / d[cross]
@@ -439,17 +465,19 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
                 step = step[:1]
             points = bA + step[:, None] * d
             # objective change at each candidate, relative to the current point
-            change = (-step * (d @ grad[A]) + 0.5 * step * step * (d @ HA @ d)
+            change = (-step * (d @ grad[A]) + 0.5 * step * step * curv
                       + t * (np.abs(points) - np.abs(bA)).sum(axis=1))
             if not step.size or change.min() >= 0.0:
                 # only roundoff keeps the objective from falling: stop here
                 return b, steps, False
-            k = int(np.argmin(change))
-            new = points[k]
-            new[cross[at == step[k]]] = 0.0
+            i = int(np.argmin(change))
+            new = points[i]
+            new[cross[at == step[i]]] = 0.0
         b[A] = new
-        A = A[new != 0.0]
-        grad = c - H[:, A] @ b[A]
+        if not new.all():
+            A = A[new != 0.0]
+            factored = None
+        grad = c - H @ b
         steps += 1
         if objective is not None:
             obj = objective(b)
@@ -471,8 +499,8 @@ def _fit_active_set(dm: DesignMatrix, lam: float, alpha: float, kind: str,
     if int(max_iter) != max_iter or max_iter < 1:
         raise ValidationError(f"max_iter must be an integer >= 1, got {max_iter}")
 
-    Xc, yc, means, ybar, active = _centered_active(dm)
-    n, pa = Xc.shape
+    active, means, ybar, XtX, Xty = dm.gram
+    n, pa = dm.n, means.size
     beta_full = np.zeros(dm.p)
     steps = 0
     converged = True
@@ -485,11 +513,13 @@ def _fit_active_set(dm: DesignMatrix, lam: float, alpha: float, kind: str,
                     f"warm start has shape {ws.shape}, expected ({dm.p},)"
                 )
             ba[:] = ws[active]
-        H = Xc.T @ Xc / n
+        H = XtX / n
         H[np.diag_indices(pa)] += lam * (1.0 - alpha)
-        c = Xc.T @ yc / n
+        c = Xty / n
         objective = None
         if debug:
+            Xc, yc = dm.X[:, active] - means, dm.y - ybar
+
             def objective(b):
                 return float(np.mean((yc - Xc @ b) ** 2)) + lam * (
                     alpha * np.abs(b).sum() + (1.0 - alpha) * np.dot(b, b)

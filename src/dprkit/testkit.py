@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .clustering import NOISE, DbscanParams
 from .errors import ConvergenceError, ValidationError
@@ -238,6 +237,10 @@ def reference_objective_min(X, y, penalty: PenaltySpec,
     keeps the better endpoint.  Returns (intercept, beta, objective); good to
     about 1e-6 in objective for n <= 100, p <= 10.
     """
+    # imported here: scipy.optimize takes longer to load than the commands
+    # that import this module take to run
+    from scipy.optimize import minimize
+
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.shape != (X.shape[0],):

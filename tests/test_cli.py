@@ -1,11 +1,13 @@
 import csv
 import json
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dprkit import testkit
+from dprkit import regression, testkit
 from dprkit.cli import _parse_grid, _parse_periods, main
 from dprkit.errors import ValidationError
 from dprkit.panel import load_panel, write_panel
@@ -350,3 +352,45 @@ def test_run_without_split_settings_exits_1(capsys, tmp_path):
     )
     assert code == 1
     assert "train" in err
+
+
+def test_unconverged_path_fit_stops_path_and_is_named_by_run(capsys, tmp_path, monkeypatch):
+    panel = _synth(capsys, tmp_path)
+    fit = regression.fit_elastic_net
+
+    def one_cold_step_at_the_smallest_lambda(dm, lam, alpha, **kw):
+        if lam < 2e-4:
+            kw.update(warm_start=None, max_iter=1)
+        return fit(dm, lam, alpha, **kw)
+
+    monkeypatch.setattr(regression, "fit_elastic_net", one_cold_step_at_the_smallest_lambda)
+    code, out, err = run_cli(
+        capsys, "path", "--input", str(panel), "--output", str(tmp_path / "path.csv"),
+        "--penalty", "lasso", "--lambda-grid", "logspace:-4:-1:5",
+    )
+    assert code == 2 and out == ""
+    assert "path fit at lambda=0.0001 did not converge in 1 steps" in err
+    assert not (tmp_path / "path.csv").exists()
+
+    args = ["run", "--input", str(panel), "--eps", "0.2", "--min-pts", "3",
+            "--penalty", "lasso", "--lambda-grid", "logspace:-4:-1:5",
+            "--train-count", "6", "--folds", "3"]
+    code, out, _ = run_cli(capsys, *args, "--output-dir", str(tmp_path / "r1"))
+    assert code == 0
+    summary = json.loads((tmp_path / "r1" / "summary.json").read_text())
+    assert summary["chosen"]["lambda"] > 2e-4
+    assert out.startswith("run ok ") and out.rstrip().endswith(" unconverged_path_fits=1")
+
+    monkeypatch.setattr(regression, "fit_elastic_net", fit)
+    code, out, _ = run_cli(capsys, *args, "--output-dir", str(tmp_path / "r2"))
+    assert code == 0 and "unconverged" not in out
+    for p1 in sorted((tmp_path / "r1").iterdir()):
+        if p1.name != "plots":
+            assert (tmp_path / "r2" / p1.name).read_bytes() == p1.read_bytes(), p1.name
+
+
+def test_cli_and_testkit_imports_leave_out_scipy_optimize():
+    code = "import sys, dprkit.cli, dprkit.testkit; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"

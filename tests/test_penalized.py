@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dposv
 
 from dprkit.errors import RankDeficiencyError, ValidationError
 from dprkit.regression import (
+    _SINGULAR,
     DesignMatrix,
     FittedModel,
     PenaltySpec,
@@ -18,6 +20,7 @@ from dprkit.regression import (
     predict,
     regularization_path,
     soft_threshold,
+    _feature_sign,
     standardize,
 )
 from dprkit.testkit import kkt_residuals, reference_objective_min
@@ -380,3 +383,172 @@ def test_nonconvergence_reported_not_raised():
     model = fit_elastic_net(dm, 1e-6, 0.5, tol=1e-15, max_iter=2)
     assert model.diagnostics["converged"] is False
     assert model.diagnostics["iterations"] == 2
+
+
+# ------------------------------------------- the grown factor vs refactoring
+
+
+def _refactoring_feature_sign(H, c, t, b, tol, max_iter, objective=None):
+    """Feature-sign search that copies H_AA and solves it by dposv at every step.
+
+    The same search as ``regression._feature_sign`` without the kept factor:
+    the grown factor must reproduce its supports, steps and coefficients.
+    """
+    A = np.flatnonzero(b)
+    grad = c - H[:, A] @ b[A]
+    on_support = False
+    steps = 0
+    objective(b)
+    while True:
+        on_support = on_support or bool(np.all(np.abs(grad[A] - t * np.sign(b[A])) <= tol))
+        if on_support:
+            viol = np.abs(grad) - t
+            viol[A] = -math.inf
+            j = int(np.argmax(viol))
+            if viol[j] <= tol:
+                return b, steps, True
+        if steps >= max_iter:
+            return b, steps, False
+        signs = np.sign(b[A])
+        if on_support:
+            A = np.append(A, j)
+            signs = np.append(signs, math.copysign(1.0, grad[j]))
+        HA = H[np.ix_(A, A)]
+        bA = b[A]
+        rhs = c[A] - t * signs
+        factor, x, info = dposv(HA, rhs)
+        exact = info == 0 and np.diagonal(factor).min() ** 2 > _SINGULAR * HA.diagonal().max()
+        if exact:
+            on_support = bool(np.all(signs * x >= 0.0))
+            d, top = x - bA, 1.0
+        else:
+            on_support = False
+            slope = HA @ bA - rhs
+            damped = HA + _SINGULAR * HA.diagonal().max() * np.eye(A.size)
+            d = -dposv(damped, slope)[1]
+            curv = float(d @ HA @ d)
+            top = -float(slope @ d) / curv if curv > 0.0 else math.inf
+        new = x
+        if not on_support:
+            cross = np.flatnonzero(bA * d < 0.0)
+            at = -bA[cross] / d[cross]
+            keep = np.argsort(at)
+            keep = keep[at[keep] < top]
+            cross, at = cross[keep], at[keep]
+            step = at if top == math.inf else np.append(at, top)
+            if not exact:
+                step = step[:1]
+            points = bA + step[:, None] * d
+            change = (-step * (d @ grad[A]) + 0.5 * step * step * (d @ HA @ d)
+                      + t * (np.abs(points) - np.abs(bA)).sum(axis=1))
+            if not step.size or change.min() >= 0.0:
+                return b, steps, False
+            k = int(np.argmin(change))
+            new = points[k]
+            new[cross[at == step[k]]] = 0.0
+        b[A] = new
+        A = A[new != 0.0]
+        grad = c - H[:, A] @ b[A]
+        steps += 1
+        objective(b)
+
+
+def _both_searches(dm, lam, alpha, start=None, tol=1e-10):
+    """Run both searches from ``start``; return the kept-factor result and trace."""
+    _, _, _, XtX, Xty = dm.gram
+    H = XtX / dm.n + lam * (1.0 - alpha) * np.eye(Xty.size)
+    c, t = Xty / dm.n, lam * alpha / 2.0
+    runs = []
+    for search in (_feature_sign, _refactoring_feature_sign):
+        trace = []
+        b0 = np.zeros(Xty.size) if start is None else start.copy()
+        # the objective hook sees b after every step; 0 never rises
+        b, steps, converged = search(H, c, t, b0, tol, 10_000,
+                                     lambda b: trace.append(b.copy()) or 0.0)
+        runs.append((b, steps, converged, trace))
+    (b, steps, converged, trace), (rb, rsteps, rconverged, rtrace) = runs
+    assert (steps, converged) == (rsteps, rconverged)
+    assert len(trace) == len(rtrace) == steps + 1
+    for ours, ref in zip(trace, rtrace):
+        np.testing.assert_array_equal(np.flatnonzero(ours), np.flatnonzero(ref))
+        np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-12)
+    return b, trace
+
+
+def _drops(trace):
+    """Steps after which a coefficient left the support."""
+    return sum(bool(np.any((a != 0) & (b == 0))) for a, b in zip(trace, trace[1:]))
+
+
+def _lapack_calls(monkeypatch, name):
+    import scipy.linalg.lapack as lapack
+
+    calls = []
+    real = getattr(lapack, name)
+    monkeypatch.setattr(lapack, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_grown_factor_matches_refactoring_cold(monkeypatch):
+    refactors = _lapack_calls(monkeypatch, "dpotrf")
+    rng = np.random.default_rng(30)
+    latent = rng.normal(size=(120, 4))
+    X = latent @ rng.normal(size=(4, 40)) + 0.4 * rng.normal(size=(120, 40))
+    y = X[:, :6] @ rng.normal(size=6) + 0.3 * rng.normal(size=120)
+    dm = standardize(X, y)
+    steps = drops = 0
+    for alpha in (1.0, 0.5):
+        for lam in (0.3, 0.03, 3e-3, 3e-4):
+            b, trace = _both_searches(dm, lam, alpha)
+            assert b.any()
+            steps, drops = steps + len(trace) - 1, drops + _drops(trace)
+    # a cold search refactors only after a coefficient leaves the support
+    assert len(refactors) <= drops < steps // 4
+
+
+def test_grown_factor_matches_refactoring_after_drops(monkeypatch):
+    rng = np.random.default_rng(31)
+    dm = _random_design(rng, n=80, p=25, sparse=False)
+    dense = fit_elastic_net(dm, 1e-4, 0.9).coefficients
+    refactors = _lapack_calls(monkeypatch, "dpotrf")
+    drops = []
+    for lam in (0.1, 0.2, 0.5):
+        _, trace = _both_searches(dm, lam, 0.9, start=dense)
+        drops.append(_drops(trace))
+    # one refactor per warm start, and at most one per step that drops
+    assert min(drops) > 0 and len(refactors) <= sum(drops) + 3
+
+
+def test_grown_factor_matches_refactoring_on_a_run_wide_design():
+    # the shape of test_wide_design_with_singleton_dummies: p = 197
+    rng = np.random.default_rng(32)
+    n, n_feat, n_noise = 400, 20, 170
+    latent = rng.normal(size=(n, 3))
+    feats = latent @ rng.normal(size=(3, n_feat)) + 0.3 * rng.normal(size=(n, n_feat))
+    cluster = rng.integers(0, 8, size=n)
+    singletons = np.zeros((n, n_noise))
+    singletons[rng.choice(n, size=n_noise, replace=False), np.arange(n_noise)] = 1.0
+    X = np.column_stack([feats, (cluster[:, None] == np.arange(1, 8)), singletons])
+    y = feats[:, :5] @ rng.normal(size=5) + 0.5 * cluster + 0.2 * rng.normal(size=n)
+    dm = standardize(X, y)
+    assert dm.p == 197
+    b = None
+    widest = 0
+    for lam in np.logspace(-1, -3, 5):
+        b, trace = _both_searches(dm, float(lam), 1.0, start=b)
+        widest = max(widest, np.count_nonzero(b))
+    assert widest > 150
+
+
+def test_duplicate_column_takes_the_damped_branch(monkeypatch):
+    damped = _lapack_calls(monkeypatch, "dposv")
+    rng = np.random.default_rng(33)
+    base, y = _collinear_design(rng)
+    dm = standardize(np.column_stack([base[:, 0], base[:, 0], base[:, 1:]]), y)
+    warm = np.array([1.0, -2.0, 0.5, 0.0, 0.0])
+    for start in (None, warm):
+        for lam in (1e-4, 1e-2):
+            b, _ = _both_searches(dm, lam, 1.0, start=start)
+            _assert_kkt(dm, fit_lasso(dm, lam, tol=1e-10, warm_start=start), lam, 1.0)
+    # the kept-factor search calls dposv only for a damped step
+    assert damped

@@ -33,10 +33,12 @@ from dprkit.regression import (
     DesignMatrix,
     FittedModel,
     PenaltySpec,
+    fit_elastic_net,
     fit_lasso,
+    fit_ridge,
     standardize,
 )
-from dprkit import testkit
+from dprkit import pipeline, testkit
 
 
 def _panel(seed=0, **kw):
@@ -416,3 +418,41 @@ def test_write_report_is_byte_stable(tmp_path):
     write_report(report, b)
     for path in sorted(a.iterdir()):
         assert (b / path.name).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["lasso", "elastic_net"])
+def test_final_model_is_the_path_fit_at_the_chosen_cell(kind, tmp_path, monkeypatch):
+    designs = []
+    path = pipeline.regularization_path
+    monkeypatch.setattr(
+        pipeline, "regularization_path",
+        lambda dm, *a, **k: designs.append(dm) or path(dm, *a, **k),
+    )
+    panel, _ = _panel(n_entities=10, n_periods=8, n_features=5, n_clusters=3, seed=2)
+    split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
+    cfg = _default_config(penalty_kind=kind)
+    report = run_dpr(panel, cfg, split)
+    (dm,) = designs
+    lam, alpha = report.cv.best_lambda, report.cv.best_alpha
+    if kind == "lasso":
+        cold = fit_lasso(dm, lam, tol=cfg.tol, max_iter=cfg.max_iter)
+    else:
+        cold = fit_elastic_net(dm, lam, alpha, tol=cfg.tol, max_iter=cfg.max_iter)
+    assert report.model.penalty == cold.penalty == report.chosen
+    np.testing.assert_allclose(report.model.coefficients, cold.coefficients, rtol=0, atol=1e-10)
+    assert report.model.intercept == pytest.approx(cold.intercept, rel=0, abs=1e-10)
+    assert report.model.diagnostics["converged"]
+    write_report(report, tmp_path)
+    penalty = json.loads((tmp_path / "model.json").read_text())["regression"]["penalty"]
+    assert penalty == {"kind": kind, "lambda": lam, "alpha": alpha}
+
+    # ridge reads the Gram the path's fits cached and stays the closed form
+    # bit for bit
+    assert "gram" in vars(dm)
+    active = ~dm.zero_variance & ~np.all(dm.X == dm.X[0], axis=0)
+    Xc = dm.X[:, active] - dm.X[:, active].mean(axis=0)
+    yc = dm.y - dm.y.mean()
+    beta = np.linalg.solve(Xc.T @ Xc + dm.n * lam * np.eye(Xc.shape[1]), Xc.T @ yc)
+    ridge = fit_ridge(dm, lam)
+    np.testing.assert_array_equal(ridge.coefficients[active], beta)
+    assert not ridge.coefficients[~active].any()
