@@ -602,7 +602,7 @@ def _cmd_run(args) -> int:
     if args.plots:
         emit_plot_data(report, args.output_dir)
     test_mse = report.metrics["test"]["mse"] if report.metrics["test"] else None
-    unconverged = sum(not m.diagnostics["converged"] for m in report.path_models)
+    unconverged = report.unconverged_path_fits
     _ok(
         "run",
         k=report.cluster_k,

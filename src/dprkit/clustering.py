@@ -1,6 +1,11 @@
 """Density-based clustering with silhouette and SSE scoring.
 
-DBSCAN over Euclidean distance.  A point is core when its closed
+DBSCAN over Euclidean distance, with one formula throughout: the squared
+coordinate differences are summed in column order, then square-rooted.
+``pairwise_distances`` computes it with ``scipy.spatial.distance.cdist`` and
+``_row_distances`` with one numpy pass per column (``region_query`` and the
+eps tests of ``assign_by_nearest_core``), so a new row at exactly eps from a
+core is judged as a training row would be.  A point is core when its closed
 eps-neighborhood (itself included) holds at least ``min_pts`` points;
 ``core_strict=True`` switches the rule to strictly more than ``min_pts``.
 Clusters are the connected components of the core points under the eps
@@ -12,8 +17,9 @@ cluster appears.
 The labelling works on one list of neighbour pairs ``i < j`` with their
 distances, read from the dense distance matrix: neighbourhood counts are
 bincounts over it, clusters are ``scipy.sparse.csgraph.connected_components``
-on its core-core edges, and border claims are a minimum per row (Ester et
-al., KDD 1996; Schubert et al., TODS 2017).  A parameter scan builds that
+on its core-core edges (a CSR graph read straight off the row-major pairs),
+and border claims are a minimum per row (Ester et al., KDD 1996; Schubert et
+al., TODS 2017).  A parameter scan builds that
 list once at the largest eps and thresholds it per cell.  Scoring never
 copies the n x n matrix, and new rows are assigned to their nearest core
 through a k-d tree.  scipy is imported at first use, so importing this
@@ -34,7 +40,7 @@ NOISE = -1
 
 EUCLIDEAN = "euclidean"
 
-# elements per block of temporaries in pairwise_distances and _pairs_within
+# elements per block of boolean masks in _pairs_within
 _CHUNK = 262_144
 
 
@@ -82,19 +88,29 @@ def _as_points(points) -> np.ndarray:
 def pairwise_distances(points) -> np.ndarray:
     """Full Euclidean distance matrix, computed from explicit differences.
 
-    Chunked so each block's temporaries stay near ``_CHUNK`` elements; the
-    difference form avoids the cancellation of the expanded-norm shortcut, so
-    coincident points get an exact zero.
+    ``scipy.spatial.distance.cdist`` sums the squared coordinate differences
+    in column order and takes the square root, the formula ``_row_distances``
+    repeats; the difference form avoids the cancellation of the expanded-norm
+    shortcut, so coincident points get an exact zero and D is exactly
+    symmetric.
     """
+    from scipy.spatial.distance import cdist
+
     pts = _as_points(points)
-    n = pts.shape[0]
-    out = np.empty((n, n), dtype=np.float64)
-    step = max(1, _CHUNK // max(1, n * pts.shape[1]))
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        diff = pts[start:stop, None, :] - pts[None, :, :]
-        np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=out[start:stop])
-    return out
+    return cdist(pts, pts)
+
+
+def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances between the rows of ``a`` and ``b`` (broadcast), in ``cdist``'s order.
+
+    The squared differences are summed column by column, so a distance here
+    is bit for bit the one ``pairwise_distances`` gives the same two rows.
+    """
+    d = a - b
+    acc = np.zeros(d.shape[0])
+    for k in range(d.shape[1]):
+        acc += d[:, k] * d[:, k]
+    return np.sqrt(acc)
 
 
 def region_query(points, i: int, eps: float) -> set[int]:
@@ -104,9 +120,7 @@ def region_query(points, i: int, eps: float) -> set[int]:
         raise ValidationError(f"row index {i} out of range for {pts.shape[0]} points")
     if not math.isfinite(eps) or eps < 0:
         raise ValidationError(f"eps must be finite and >= 0, got {eps}")
-    diff = pts - pts[i]
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return set(np.flatnonzero(dist <= eps).tolist())
+    return set(np.flatnonzero(_row_distances(pts, pts[i]) <= eps).tolist())
 
 
 def _canonical_relabel(labels: np.ndarray) -> tuple[np.ndarray, int]:
@@ -147,7 +161,7 @@ def _label_pairs(
     ``i``, ``j``, ``d`` may hold pairs beyond eps (a list built at a larger
     radius); they are dropped here.
     """
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     keep = d <= params.eps
@@ -157,9 +171,11 @@ def _label_pairs(
 
     core_i, core_j = core[i], core[j]
     both = core_i & core_j
-    graph = coo_matrix(
-        (np.ones(int(both.sum()), dtype=np.int8), (i[both], j[both])), shape=(n, n)
-    )
+    # the pairs are row-major, so the core-core edges are already in CSR order
+    src = i[both]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    graph = csr_matrix((np.ones(src.size), j[both], indptr), shape=(n, n))
     _, comp = connected_components(graph, directed=False)
 
     # a border point joins the cluster of its smallest-index claiming core
@@ -362,10 +378,8 @@ def assign_by_nearest_core(train_points, model: ClusterModel, new_points) -> np.
         # near-equal runners-up may be exact ties in the difference form below
         tied = dist[:, 1] - dist[:, 0] <= 1e-9 * dist[:, 1]
     for i in np.flatnonzero(tied):
-        diff = core_pts - new[i]
-        dist_i = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        nearest[i] = np.argmin(dist_i)  # first minimum = smallest core row index
-    diff = core_pts[nearest] - new
-    within = np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= model.params.eps
+        # first minimum = smallest core row index
+        nearest[i] = np.argmin(_row_distances(core_pts, new[i]))
+    within = _row_distances(core_pts[nearest], new) <= model.params.eps
     out[within] = model.labels[cores[nearest[within]]]
     return out

@@ -626,6 +626,10 @@ class RunReport:
     full_labels: np.ndarray | None
     model_bundle: dict
 
+    @property
+    def unconverged_path_fits(self) -> int:
+        return sum(not m.diagnostics["converged"] for m in self.path_models)
+
     def write(self, out_dir) -> None:
         write_report(self, out_dir)
 
@@ -944,6 +948,7 @@ def write_report(report: RunReport, out_dir) -> None:
         "fit": {
             "iterations": report.model.diagnostics.get("iterations"),
             "converged": report.model.diagnostics.get("converged"),
+            "unconverged_path_fits": report.unconverged_path_fits,
         },
         "split": {
             "train_periods": list(report.split.train_periods),

@@ -608,7 +608,9 @@ def predict(model: FittedModel, rows) -> np.ndarray:
     if not np.all(np.isfinite(rows)):
         raise ValidationError("prediction rows contain non-finite values")
     active = ~model.zero_variance
-    z = (rows[:, active] - model.column_means[active]) / model.column_stds[active]
+    z = rows[:, active]  # a copy: the mask indexes it
+    z -= model.column_means[active]
+    z /= model.column_stds[active]
     return model.intercept + z @ model.coefficients[active]
 
 

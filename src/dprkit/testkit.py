@@ -184,8 +184,17 @@ def brute_force_dbscan(points, params: DbscanParams) -> np.ndarray:
     if n > 200:
         raise ValidationError(f"brute-force oracle is limited to 200 points, got {n}")
 
-    coords = [tuple(row) for row in pts]
-    dist = [[math.dist(coords[i], coords[j]) for j in range(n)] for i in range(n)]
+    coords = pts.tolist()
+
+    def distance(a, b):
+        # the program's formula: squares summed in column order, then the root
+        # (not math.dist or sum(), which round differently)
+        d = 0.0
+        for x, y in zip(a, b):
+            d += (x - y) * (x - y)
+        return math.sqrt(d)
+
+    dist = [[distance(coords[i], coords[j]) for j in range(n)] for i in range(n)]
     within = np.array([[dist[i][j] <= params.eps for j in range(n)] for i in range(n)])
     counts = within.sum(axis=1)
     if params.core_strict:

@@ -379,18 +379,25 @@ def test_unconverged_path_fit_stops_path_and_is_named_by_run(capsys, tmp_path, m
     assert code == 0
     summary = json.loads((tmp_path / "r1" / "summary.json").read_text())
     assert summary["chosen"]["lambda"] > 2e-4
+    assert summary["fit"]["unconverged_path_fits"] == 1
     assert out.startswith("run ok ") and out.rstrip().endswith(" unconverged_path_fits=1")
 
     monkeypatch.setattr(regression, "fit_elastic_net", fit)
     code, out, _ = run_cli(capsys, *args, "--output-dir", str(tmp_path / "r2"))
     assert code == 0 and "unconverged" not in out
+    clean = json.loads((tmp_path / "r2" / "summary.json").read_text())
+    assert clean["fit"].pop("unconverged_path_fits") == 0
+    del summary["fit"]["unconverged_path_fits"]
+    assert clean == summary  # the count is the only difference
     for p1 in sorted((tmp_path / "r1").iterdir()):
-        if p1.name != "plots":
+        if p1.name not in ("plots", "summary.json"):
             assert (tmp_path / "r2" / p1.name).read_bytes() == p1.read_bytes(), p1.name
 
 
 def test_cli_and_testkit_imports_leave_out_scipy_optimize():
-    code = "import sys, dprkit.cli, dprkit.testkit; print('scipy.optimize' in sys.modules)"
+    # no scipy module at all: cdist, cKDTree, csgraph and scipy.optimize load at first use
+    code = ("import sys, dprkit.cli, dprkit.testkit; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]", f"importing dprkit loaded {out.strip()}"

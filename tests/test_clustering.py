@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,62 @@ def test_pairwise_distances_exact_for_coincident_points():
     assert d[0, 1] == 0.0
     assert d[0, 0] == 0.0
     np.testing.assert_allclose(d, d.T)
+
+
+def _sequential_distance(a, b):
+    # the clustering layer's one formula, one float at a time
+    acc = 0.0
+    for x, y in zip(a.tolist(), b.tolist()):
+        acc += (x - y) * (x - y)
+    return math.sqrt(acc)
+
+
+_SCALES = st.sampled_from([1e-3, 1.0, 1e3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20), p=st.integers(1, 24),
+       scale=_SCALES)
+def test_pairwise_distances_sum_squares_in_column_order(seed, n, p, scale):
+    pts = np.random.default_rng(seed).normal(size=(n, p)) * scale
+    D = pairwise_distances(pts)
+    ref = np.array([[_sequential_distance(a, b) for b in pts] for a in pts])
+    np.testing.assert_array_equal(
+        D, ref, err_msg="pairwise_distances no longer sums squared differences in "
+        "column order (has scipy's cdist changed its summation?)"
+    )
+    np.testing.assert_array_equal(D, D.T)
+    assert not D.diagonal().any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 24), scale=_SCALES,
+       min_pts=st.integers(3, 8))
+def test_a_tie_at_exactly_eps_off_the_lattice(seed, p, scale, min_pts):
+    # a tight blob of 8 rows and one outlier; eps is the outlier's computed
+    # distance to its nearest blob row, so that row claims it at exactly eps
+    rng = np.random.default_rng(seed)
+    blob = rng.normal(size=(8, p)) * 0.02
+    away = rng.normal(size=p)
+    pts = np.vstack([blob, blob.mean(axis=0) + away / np.linalg.norm(away)]) * scale
+    order = rng.permutation(pts.shape[0])
+    pts = pts[order]
+    out = int(np.flatnonzero(order == 8)[0])
+    D = pairwise_distances(pts)
+    others = np.flatnonzero(np.arange(pts.shape[0]) != out)
+    near = int(others[np.argmin(D[out, others])])
+    eps = float(D[out, near])
+    params = DbscanParams(eps=eps, min_pts=min_pts)
+
+    model = dbscan(pts, params)
+    np.testing.assert_array_equal(model.labels, brute_force_dbscan(pts, params))
+    assert model.core_mask[near] and not model.core_mask[out]
+    assert model.labels[out] == model.labels[near] != NOISE
+    assert region_query(pts, out, eps) == {out, near}
+    # the same point as a new row: its nearest core sits at exactly eps
+    new = pts[[out]].copy()
+    np.testing.assert_array_equal(assign_by_nearest_core(pts, model, new),
+                                  [model.labels[near]])
 
 
 def test_silhouette_perfect_and_degenerate():

@@ -314,6 +314,30 @@ def test_predict_width_check():
         predict(model, np.ones((2, 5)))
 
 
+def test_predict_scales_one_copy_in_place_with_the_same_arithmetic():
+    import tracemalloc
+
+    rng = np.random.default_rng(15)
+    X = rng.uniform(0, 10, size=(400, 12))
+    X[:, 5] = 3.0  # a zero-variance column, skipped by the mask
+    y = X[:, 0] * 0.3 - X[:, 2] * 0.1 + rng.normal(scale=0.05, size=400)
+    model = fit_elastic_net(standardize(X, y), 0.01, 0.5)
+    rows = rng.uniform(0, 10, size=(20_000, 12))
+    active = ~model.zero_variance
+    z = (rows[:, active] - model.column_means[active]) / model.column_stds[active]
+    np.testing.assert_array_equal(predict(model, rows),
+                                  model.intercept + z @ model.coefficients[active])
+    del z
+    tracemalloc.start()
+    try:
+        predict(model, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the scaled copy of the active columns plus two length-n vectors
+    assert peak < 1.25 * rows.nbytes, f"peak {peak} bytes against rows of {rows.nbytes}"
+
+
 def test_unpenalized_intercept_tracks_target_shift():
     # adding a constant to y must move only the intercept
     rng = np.random.default_rng(13)
