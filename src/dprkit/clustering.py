@@ -169,7 +169,8 @@ def _label_pairs(
     counts = 1 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
     core = counts > params.min_pts if params.core_strict else counts >= params.min_pts
 
-    core_i, core_j = core[i], core[j]
+    # take() gathers with the int32 pairs as they are; core[i] would first copy them to intp
+    core_i, core_j = core.take(i), core.take(j)
     both = core_i & core_j
     # the pairs are row-major, so the core-core edges are already in CSR order
     src = i[both]

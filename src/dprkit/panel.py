@@ -13,12 +13,20 @@ Three transforms are provided ahead of modeling:
   via ``exp(v) - offset``;
 * mix normalization for clustering: row shares, per-entity column maxima,
   or no normalization.
+
+:func:`load_panel` parses the data rows with one ``numpy.loadtxt`` call:
+feature cells by numpy's C float parser, key and target cells as strings.
+Input that call cannot take line for line is read again by ``csv.reader``
+and ``float()``, which names the first fault in file order: a cell that only
+``float()`` accepts (``1_0``, full-width digits), a blank line, a quoted line
+break, a row of the wrong width, or any value out of range.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 from pathlib import Path
@@ -233,9 +241,10 @@ class PanelSchema:
     delimiter: str = ","
 
 
-# Data rows parsed at a time.  A block's cell strings are freed before the
-# next block is read; blocks of a few thousand rows parsed no faster and
-# left the process's peak resident memory ~1 MiB higher.
+# Data rows the csv path parses at a time, when loadtxt cannot take the
+# input line for line.  A block's cell strings are freed before the next
+# block is parsed; blocks of a few thousand rows parsed no faster and left
+# the process's peak resident memory ~1 MiB higher.
 _BLOCK_ROWS = 1024
 # an empty or NA target cell is a row without a target: it reads as NaN
 _MISSING_TARGET = {"": "nan", "NA": "nan"}
@@ -253,6 +262,7 @@ class _Layout:
     """Where :func:`load_panel` finds each field of a data row."""
 
     width: int
+    delimiter: str
     entity: int
     period: int
     target: int | None
@@ -261,8 +271,67 @@ class _Layout:
     feature_names: list[str]
 
 
+def _checked(entity_cells, period_cells, features: np.ndarray, target_cells):
+    """Stripped keys, features and targets of parsed rows (``target_cells`` None: no target).
+
+    Returns None when some feature is non-finite or negative, or some target
+    cell other than ``""``/``NA`` is non-numeric, non-finite or negative.
+    """
+    m = features.shape[0]
+    targets = np.full(m, math.nan)
+    if target_cells is not None:
+        cells = list(map(str.strip, target_cells))
+        missing = np.fromiter(map(_MISSING_TARGET.__contains__, cells), dtype=bool, count=m)
+        try:
+            targets = np.fromiter(
+                map(float, map(_MISSING_TARGET.get, cells, cells)), dtype=np.float64, count=m
+            )
+        except ValueError:
+            return None
+        t = targets[~missing]
+        if not np.all((t >= 0) & (t < math.inf)):
+            return None
+    # false for NaN, infinities and negative values
+    if not np.all((features >= 0) & (features < math.inf)):
+        return None
+    return list(map(str.strip, entity_cells)), list(map(str.strip, period_cells)), features, targets
+
+
+def _parse_lines(lines: list[str], layout: _Layout):
+    """Keys, features, targets and line numbers of the data lines, from one ``np.loadtxt`` call.
+
+    Feature cells are parsed by numpy's C reader; key, target and unused
+    cells come back as strings.  Returns None when loadtxt rejects a line
+    (a wrong width, or a spelling only ``float()`` accepts, such as ``1_0``),
+    when its rows are not the lines one for one (it skips blank lines, and a
+    quoted line break joins two lines), or when :func:`_checked` fails; the
+    csv path then reads the same lines.
+    """
+    numeric = set(layout.features) - {layout.entity, layout.period, layout.target}
+    dtype = [(f"c{k}", np.float64 if k in numeric else object) for k in range(layout.width)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt warns when it finds no rows
+            table = np.loadtxt(lines, dtype=dtype, delimiter=layout.delimiter, comments=None,
+                               quotechar='"', ndmin=1)
+        features = np.empty((table.size, len(layout.features)))
+        for j, c in enumerate(layout.features):
+            features[:, j] = table[f"c{c}"]  # float() on a feature that is also a key
+    except (ValueError, UserWarning):
+        return None
+    if table.size != len(lines):
+        return None
+    targets = None if layout.target is None else table[f"c{layout.target}"].tolist()
+    parsed = _checked(table[f"c{layout.entity}"].tolist(), table[f"c{layout.period}"].tolist(),
+                      features, targets)
+    if parsed is None:
+        return None
+    # the rows are the lines one for one, so row i is on line i + 2
+    return *parsed, [range(2, 2 + table.size)]
+
+
 def _parse_block(rows: list[list[str]], layout: _Layout):
-    """Keys, features and targets of a block of data rows, column by column.
+    """Keys, features and targets of a block of csv rows, column by column.
 
     Returns None when some row is blank or has the wrong width, or some cell
     is non-numeric, non-finite or negative; :func:`_check_rows` then finds
@@ -271,33 +340,15 @@ def _parse_block(rows: list[list[str]], layout: _Layout):
     if set(map(len, rows)) != {layout.width}:
         return None
     fields = list(zip(*rows))
-    m = len(rows)
-    features = np.empty((m, len(layout.features)))
-    targets = np.full(m, math.nan)
+    features = np.empty((len(rows), len(layout.features)))
     try:
         for j, c in enumerate(layout.features):
             cells = map(str.strip, fields[c])
-            features[:, j] = np.fromiter(map(float, cells), dtype=np.float64, count=m)
-        if layout.target is not None:
-            cells = list(map(str.strip, fields[layout.target]))
-            missing = np.fromiter(
-                map(_MISSING_TARGET.__contains__, cells), dtype=bool, count=m
-            )
-            targets = np.fromiter(
-                map(float, map(_MISSING_TARGET.get, cells, cells)), dtype=np.float64, count=m
-            )
+            features[:, j] = np.fromiter(map(float, cells), dtype=np.float64, count=len(rows))
     except ValueError:
         return None
-    # false for NaN, infinities and negative values
-    if not np.all((features >= 0) & (features < math.inf)):
-        return None
-    if layout.target is not None:
-        t = targets[~missing]
-        if not np.all((t >= 0) & (t < math.inf)):
-            return None
-    entities = list(map(str.strip, fields[layout.entity]))
-    periods = list(map(str.strip, fields[layout.period]))
-    return entities, periods, features, targets
+    targets = None if layout.target is None else fields[layout.target]
+    return _checked(fields[layout.entity], fields[layout.period], features, targets)
 
 
 def _check_rows(seen, rows: list[list[str]], lines, layout: _Layout):
@@ -360,6 +411,45 @@ def _check_rows(seen, rows: list[list[str]], lines, layout: _Layout):
     return kept, kept_lines
 
 
+def _parse_csv(lines: list[str], layout: _Layout):
+    """Keys, features, targets and line numbers of the data lines, read by ``csv.reader``.
+
+    Rows are parsed ``_BLOCK_ROWS`` at a time; a block that fails to parse is
+    checked one cell at a time by :func:`_check_rows`, which skips blank rows
+    and raises at the first fault.
+    """
+    raw_entities: list[str] = []
+    raw_periods: list[str] = []
+    line_blocks: list[Sequence[int]] = []
+    # one string object per distinct key cell, shared by every row that has it
+    distinct: dict[str, str] = {}
+    feature_blocks: list[np.ndarray] = []
+    target_blocks: list[np.ndarray] = []
+    reader = csv.reader(lines, delimiter=layout.delimiter)
+    next_line = 2
+    while rows := list(islice(reader, _BLOCK_ROWS)):
+        row_lines = range(next_line, next_line + len(rows))
+        next_line += len(rows)
+        parsed = _parse_block(rows, layout)
+        if parsed is None:
+            seen = zip(zip(raw_entities, raw_periods), chain.from_iterable(line_blocks))
+            rows, row_lines = _check_rows(seen, rows, row_lines, layout)
+            if not rows:
+                continue
+            parsed = _parse_block(rows, layout)
+        entities, periods, features, targets = parsed
+        raw_entities += map(distinct.setdefault, entities, entities)
+        raw_periods += map(distinct.setdefault, periods, periods)
+        line_blocks.append(row_lines)
+        feature_blocks.append(features)
+        target_blocks.append(targets)
+        del rows, parsed  # free this block's cells before the next block is read
+    if not raw_entities:
+        raise ValidationError("panel file has a header but no data rows")
+    return (raw_entities, raw_periods, np.concatenate(feature_blocks),
+            np.concatenate(target_blocks), line_blocks)
+
+
 def load_panel(source, schema: PanelSchema | None = None) -> PanelDataset:
     """Parse a delimited text table into a canonical :class:`PanelDataset`.
 
@@ -367,8 +457,8 @@ def load_panel(source, schema: PanelSchema | None = None) -> PanelDataset:
     pairs, non-numeric cells, and negative features or targets are all
     rejected with the offending row and column named; a file with several
     faults reports the first in file order.  Empty target cells are allowed
-    and become NaN (forecast-only rows).  Rows are read in blocks and
-    converted column by column.
+    and become NaN (forecast-only rows).  Rows are parsed by ``np.loadtxt``,
+    or by ``csv.reader`` in blocks when loadtxt cannot take them line for line.
     """
     schema = schema or PanelSchema()
     if isinstance(source, (str, Path)):
@@ -403,6 +493,7 @@ def load_panel(source, schema: PanelSchema | None = None) -> PanelDataset:
 
     layout = _Layout(
         width=len(header),
+        delimiter=schema.delimiter,
         entity=col_of[schema.entity],
         period=col_of[schema.period],
         target=col_of[schema.target] if schema.target is not None else None,
@@ -411,34 +502,10 @@ def load_panel(source, schema: PanelSchema | None = None) -> PanelDataset:
         feature_names=feature_names,
     )
 
-    raw_entities: list[str] = []
-    raw_periods: list[str] = []
-    line_blocks: list[Sequence[int]] = []
-    # one string object per distinct key cell, shared by every row that has it
-    distinct: dict[str, str] = {}
-    feature_blocks: list[np.ndarray] = []
-    target_blocks: list[np.ndarray] = []
-    next_line = 2
-    while rows := list(islice(reader, _BLOCK_ROWS)):
-        row_lines = range(next_line, next_line + len(rows))
-        next_line += len(rows)
-        parsed = _parse_block(rows, layout)
-        if parsed is None:
-            seen = zip(zip(raw_entities, raw_periods), chain.from_iterable(line_blocks))
-            rows, row_lines = _check_rows(seen, rows, row_lines, layout)
-            if not rows:
-                continue
-            parsed = _parse_block(rows, layout)
-        entities, periods, features, targets = parsed
-        raw_entities += map(distinct.setdefault, entities, entities)
-        raw_periods += map(distinct.setdefault, periods, periods)
-        line_blocks.append(row_lines)
-        feature_blocks.append(features)
-        target_blocks.append(targets)
-        del rows, parsed  # free this block's cells before the next block is read
-
-    if not raw_entities:
-        raise ValidationError("panel file has a header but no data rows")
+    lines = list(source)  # the data rows, after the header
+    parsed = _parse_lines(lines, layout) or _parse_csv(lines, layout)
+    del lines
+    raw_entities, raw_periods, features, targets, line_blocks = parsed
 
     n = len(raw_entities)
     entities = sorted(set(raw_entities))
@@ -459,8 +526,8 @@ def load_panel(source, schema: PanelSchema | None = None) -> PanelDataset:
         feature_names=feature_names,
         entity_idx=entity_idx[order],
         period_idx=period_idx[order],
-        features=np.concatenate(feature_blocks)[order],
-        targets=np.concatenate(target_blocks)[order],
+        features=features[order],
+        targets=targets[order],
     )
 
 

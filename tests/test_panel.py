@@ -372,6 +372,11 @@ def test_load_reports_the_first_fault_in_file_order(text):
          "line 4: duplicate observation for entity 'A', period '2000' (first seen on line 2)"),
         (["A,2000,1,1,1", "B,2000,1,1,1", "", "A,2000,1,1,1"],
          "line 5: duplicate observation for entity 'A', period '2000' (first seen on line 2)"),
+        # loadtxt skips the blank line, so its third row is not on line 3
+        (["A,2000,1,1,1", "", "A,2000,1,1,1"],
+         "line 4: duplicate observation for entity 'A', period '2000' (first seen on line 2)"),
+        # one long row in a file that is otherwise clean
+        (["A,2000,1,1,1", "A,2001,1,1,1,1", "A,2002,1,1,1"], "line 3: expected 5 cells, found 6"),
     ],
 )
 @pytest.mark.parametrize("block", [1, 2, 4096])
@@ -381,3 +386,83 @@ def test_load_fault_messages(rows, message, block):
         with pytest.raises(ValidationError) as info:
             load_panel(io.StringIO(text, newline=""), PanelSchema())
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------- the two readers
+
+def _reference_values(text: str):
+    """Features and targets by csv.reader and float(), in canonical (entity, period) order."""
+    rows = [r for r in csv.reader(io.StringIO(text, newline="")) if r][1:]
+    rows.sort(key=lambda r: (r[0].strip(), int(r[1])))
+    features = np.array([[float(c) for c in r[3:]] for r in rows])
+    targets = np.array([math.nan if r[2].strip() in ("", "NA") else float(r[2]) for r in rows])
+    return features, targets
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+SPELLINGS = [repr, lambda v: format(v, ".17g"), lambda v: format(v, ".25g")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.lists(st.tuples(st.one_of(st.none(), nonneg), nonneg, nonneg), min_size=1,
+                    max_size=12),
+    spelling=st.lists(st.sampled_from(range(len(SPELLINGS))), min_size=36, max_size=36),
+    blank=st.booleans(),
+    block=st.sampled_from([1, 2, 4096]),
+)
+def test_load_matches_float_bit_for_bit(values, spelling, blank, block):
+    spell = iter(spelling)
+    lines = ["entity,period,target,coal,gas"]
+    for i, (t, a, b) in enumerate(values):
+        target = "NA" if t is None else SPELLINGS[next(spell)](t)
+        lines.append(f"E{i % 3},{2000 + i},{target},"
+                     f"{SPELLINGS[next(spell)](a)},{SPELLINGS[next(spell)](b)}")
+        if blank and i == 0:
+            lines.append("")  # loadtxt skips it: the csv path reads this file
+    text = "\n".join(lines) + "\n"
+    csv_path = mock.Mock(wraps=panel_module._parse_csv)
+    with mock.patch.object(panel_module, "_BLOCK_ROWS", block), \
+            mock.patch.object(panel_module, "_parse_csv", csv_path):
+        panel = load_panel(io.StringIO(text, newline=""), PanelSchema())
+    assert csv_path.called == blank
+    features, targets = _reference_values(text)
+    np.testing.assert_array_equal(_bits(panel.features), _bits(features))
+    np.testing.assert_array_equal(_bits(panel.targets), _bits(targets))
+
+
+@pytest.mark.parametrize(
+    "rows, entity, coal, target, by_csv",
+    [
+        (["A,2000,1,1_0,1"], "A", 10.0, 1.0, True),
+        (["A,2000,1,１２,1"], "A", 12.0, 1.0, True),
+        (["A,2000,1, 2 ,1"], "A", 2.0, 1.0, False),
+        (["A,2000,1,+1.5,1"], "A", 1.5, 1.0, False),
+        (["A,2000,1,1E-400,1"], "A", 0.0, 1.0, False),
+        (["A,2000,1,3,1\r"], "A", 3.0, 1.0, False),  # a CRLF line ending
+        (['"A\nB, C",2000,1,3,1'], "A\nB, C", 3.0, 1.0, True),
+        (["A,2000,,3,1"], "A", 3.0, math.nan, False),
+        (["A,2000,NA,3,1"], "A", 3.0, math.nan, False),
+        (["A,2000,1,3,1", ""], "A", 3.0, 1.0, True),
+    ],
+)
+def test_spellings_that_still_load(rows, entity, coal, target, by_csv):
+    """Cells ``float()`` accepts load on either path; loadtxt's rejects reach the csv path."""
+    text = "\n".join([",".join(HEADER)] + rows) + "\n"
+    with mock.patch.object(panel_module, "_parse_csv", wraps=panel_module._parse_csv) as csv_path:
+        panel = load_panel(io.StringIO(text, newline=""), PanelSchema())
+    assert csv_path.called == by_csv
+    assert panel.entities == [entity]
+    assert panel.features[0, 0] == coal
+    np.testing.assert_array_equal(panel.targets, [target])
+
+
+def test_a_key_column_can_also_be_a_feature():
+    text = "entity,period,target,coal\nA,2001,1,3\nA,2000,1,2\n"
+    schema = PanelSchema(features=("period", "coal"))
+    panel = load_panel(io.StringIO(text, newline=""), schema)
+    assert panel.periods == [2000, 2001]
+    np.testing.assert_array_equal(panel.features, [[2000.0, 2.0], [2001.0, 3.0]])

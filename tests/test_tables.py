@@ -5,17 +5,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dprkit import tables
 from dprkit.tables import fmt, write_table
 
 
-def _reference(header, rows, na) -> str:
+def _reference(header, rows, na, delimiter=",") -> str:
     """The row-at-a-time writer: one csv.writer row per row, every cell through fmt."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([fmt(c, na) for c in row])
@@ -25,10 +25,12 @@ def _reference(header, rows, na) -> str:
 SPECIAL = [math.nan, -0.0, 0.0, 1e-300, -1e-300, 5e-324, 1e300, math.inf, -math.inf, 0.1]
 floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL))
 names = st.text(
-    alphabet=st.one_of(st.sampled_from(',"\n\r \'; '), st.characters(blacklist_categories=("Cs",))),
+    alphabet=st.one_of(st.sampled_from(',"\n\r \'; \t%'),
+                       st.characters(blacklist_categories=("Cs",))),
     max_size=8,
 )
 mixed = st.one_of(st.none(), floats, st.integers(-10**20, 10**20), names)
+HEADER = ["name", "count", "value", "mixed", "year"]
 
 
 @st.composite
@@ -44,17 +46,30 @@ def tables_of(draw):
     )
 
 
-@settings(max_examples=150, deadline=None)
-@given(table=tables_of(), block=st.sampled_from([1, 5, 4096]), na=st.sampled_from(["NA", ""]))
-def test_columns_match_the_row_writer(table, block, na):
-    name, ints, flts, mix, years = table
-    header = ["name", "count", "value", "mixed", "year"]
+@settings(max_examples=200, deadline=None)
+@given(
+    table=tables_of(),
+    keep=st.sets(st.integers(0, 4), min_size=1),
+    block=st.sampled_from([1, 2, 5, 4096]),
+    na=st.sampled_from(["NA", ""]),
+    delimiter=st.sampled_from([",", ";", "\t", "%"]),
+)
+# a one-column table of empty strings: the csv writer writes each as ""
+@example(table=([""] * 3 + ["x"], [], [], [], []), keep={0}, block=2, na="NA", delimiter=",")
+# NaN in one block, only finite values in the other, written with and without other columns
+@example(table=(["a", "b", "c", "d"], [], np.array([0.5, 1 / 3, math.nan, math.nan]), [], []),
+         keep={2}, block=2, na="", delimiter=",")
+@example(table=(["a", "b", "c", "d"], [], np.array([0.5, 1 / 3, math.nan, math.nan]), [], []),
+         keep={0, 2}, block=2, na="", delimiter=";")
+def test_columns_match_the_row_writer(table, keep, block, na, delimiter):
+    header = [HEADER[k] for k in sorted(keep)]
+    columns = [table[k] for k in sorted(keep)]
     # the reference sees numpy scalars for array cells, as row-built tables did
-    rows = [[name[i], ints[i], flts[i], mix[i], years[i]] for i in range(len(name))]
+    rows = [list(row) for row in zip(*columns)]
     buf = io.StringIO()
     with mock.patch.object(tables, "BLOCK_ROWS", block):
-        write_table(buf, header, [name, ints, flts, mix, years], na=na)
-    assert buf.getvalue() == _reference(header, rows, na)
+        write_table(buf, header, columns, delimiter=delimiter, na=na)
+    assert buf.getvalue() == _reference(header, rows, na, delimiter)
 
 
 def test_float_cells_keep_every_bit(tmp_path):
