@@ -171,24 +171,37 @@ def _cluster_bundle(panel: PanelDataset, model: ClusterModel, points: np.ndarray
     }
 
 
+def _read_bundle(path, parse):
+    """``parse`` of a JSON file; its ValidationError names the file."""
+    p = _require_input(path)
+    try:
+        return parse(json.loads(p.read_text(encoding="utf-8")))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
 def _labels_for_panel(panel: PanelDataset, bundle_path) -> np.ndarray:
     """Row-aligned labels from a cluster bundle, validated against the panel."""
-    p = _require_input(bundle_path)
-    try:
-        bundle = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{bundle_path}: not valid JSON: {exc}") from exc
-    if bundle.get("format") != "dprkit-clusters-v1":
-        raise ValidationError(f"{bundle_path}: not a cluster bundle")
-    keys = [(str(e), p) for e, p in bundle["row_keys"]]
+
+    def parse(bundle):
+        if not isinstance(bundle, dict) or bundle.get("format") != "dprkit-clusters-v1":
+            raise ValidationError("not a cluster bundle")
+        return (
+            pipeline.bundle_field(bundle, "row_keys", lambda v: [
+                (str(e), p if isinstance(p, str) else int(p)) for e, p in v]),
+            pipeline.bundle_field(bundle, "labels", lambda v: np.asarray(v, dtype=np.intp)),
+        )
+
+    keys, labels = _read_bundle(bundle_path, parse)
     panel_keys = [(e, p if isinstance(p, str) else int(p)) for e, p in panel.row_keys()]
-    norm = [(e, p if isinstance(p, str) else int(p)) for e, p in keys]
-    if norm != panel_keys:
+    if keys != panel_keys:
         raise ValidationError(
             f"{bundle_path}: row keys do not match the panel; "
             "cluster the same panel the model is fit on"
         )
-    return np.asarray(bundle["labels"], dtype=np.intp)
+    return labels
 
 
 def _design_for_fit(panel: PanelDataset, offset: float, labels, policy: str,
@@ -307,7 +320,6 @@ def _cmd_scan(args) -> int:
         _parse_grid(args.eps_grid),
         _parse_int_grid(args.minpts_grid),
         core_strict=args.core_strict,
-        threads=args.threads,
     )
     pipeline.write_scan_table(rows, Path(args.output))
     best = suggest_params(rows)
@@ -324,7 +336,7 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _penalty_from_args(kind: str, lam: float, alpha) -> tuple[str, float, float | None]:
+def _penalty_from_args(kind: str, lam: float, alpha) -> regression.PenaltySpec:
     if kind not in PENALTY_KINDS:
         raise ValidationError(f"--penalty must be one of {PENALTY_KINDS}")
     if kind == ELASTIC_NET:
@@ -332,27 +344,19 @@ def _penalty_from_args(kind: str, lam: float, alpha) -> tuple[str, float, float 
             raise ValidationError("elastic_net needs --alpha")
     elif alpha is not None:
         raise ValidationError(f"--alpha is only valid for elastic_net, not {kind}")
-    return kind, lam, alpha
-
-
-def _fit_once(dm, kind: str, lam: float, alpha):
-    if kind == RIDGE:
-        return regression.fit_ridge(dm, lam)
-    if kind == LASSO:
-        return regression.fit_lasso(dm, lam)
-    return regression.fit_elastic_net(dm, lam, alpha)
+    return regression.PenaltySpec(kind, lam, alpha)
 
 
 def _cmd_fit(args) -> int:
     panel = _load_canonical(args.input)
-    kind, lam, alpha = _penalty_from_args(args.penalty, args.lam, args.alpha)
+    penalty = _penalty_from_args(args.penalty, args.lam, args.alpha)
     labels = (
         _labels_for_panel(panel, args.cluster_model) if args.cluster_model else None
     )
     dm, _ = _design_for_fit(
         panel, args.log_offset, labels, args.outlier_policy, args.baseline
     )
-    model = _fit_once(dm, kind, lam, alpha)
+    model = pipeline.fit_penalized(dm, penalty)
     if not model.diagnostics["converged"]:
         raise ConvergenceError(
             f"fit did not converge in {model.diagnostics['iterations']} steps"
@@ -371,7 +375,7 @@ def _cmd_fit(args) -> int:
     d = model.diagnostics
     _ok(
         "fit",
-        kind=kind,
+        kind=penalty.kind,
         r2=d["r2"],
         mse=d["mse"],
         sparsity=d["sparsity"],
@@ -400,7 +404,6 @@ def _cmd_cv(args) -> int:
         alpha_grid=alpha_grid,
         fold_mode=args.fold_mode,
         period_of_row=period_of_row,
-        threads=args.threads,
     )
     pipeline.write_cv_table(result, Path(args.output))
     winner = next(
@@ -448,7 +451,7 @@ _RUN_KEYS = {
     "penalty", "lambda_grid", "alpha_grid", "eps", "min_pts", "eps_grid",
     "minpts_grid", "core_strict", "mix", "log_offset", "outlier_policy",
     "baseline", "folds", "fold_mode", "holdout_periods", "train_periods",
-    "test_periods", "train_count", "threads", "refit_clusters_full",
+    "test_periods", "train_count", "refit_clusters_full",
 }
 
 
@@ -460,31 +463,10 @@ def _effective_run_settings(args) -> dict:
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         settings.update(cfg)
-    cli_map = {
-        "penalty": args.penalty,
-        "lambda_grid": args.lambda_grid,
-        "alpha_grid": args.alpha_grid,
-        "eps": args.eps,
-        "min_pts": args.min_pts,
-        "eps_grid": args.eps_grid,
-        "minpts_grid": args.minpts_grid,
-        "core_strict": args.core_strict,
-        "mix": args.mix,
-        "log_offset": args.log_offset,
-        "outlier_policy": args.outlier_policy,
-        "baseline": args.baseline,
-        "folds": args.folds,
-        "fold_mode": args.fold_mode,
-        "holdout_periods": args.holdout_periods,
-        "train_periods": args.train_periods,
-        "test_periods": args.test_periods,
-        "train_count": args.train_count,
-        "threads": args.threads,
-        "refit_clusters_full": args.refit_clusters_full,
-    }
-    for key, value in cli_map.items():
-        if value is not None:
-            settings[key] = value
+    # every run flag's dest is its config key; flags that are set win
+    for key in _RUN_KEYS:
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
     return settings
 
 
@@ -513,6 +495,10 @@ def _as_float(value, name: str) -> float:
         raise ValidationError(f"{name} must be numeric, got {value!r}") from exc
 
 
+def _float_grid(value) -> tuple:
+    return tuple(value if isinstance(value, list) else _parse_grid(str(value)))
+
+
 def _build_run(settings: dict, panel: PanelDataset):
     kind = str(settings.get("penalty", ELASTIC_NET))
     transform = TransformSpec(
@@ -534,22 +520,13 @@ def _build_run(settings: dict, panel: PanelDataset):
             raise ValidationError(
                 "give either eps+min_pts or eps_grid+minpts_grid (config or flags)"
             )
-        grid = settings["eps_grid"]
-        eps_grid = tuple(grid if isinstance(grid, list) else _parse_grid(str(grid)))
+        eps_grid = _float_grid(settings["eps_grid"])
         grid = settings["minpts_grid"]
         minpts_grid = tuple(grid if isinstance(grid, list) else _parse_int_grid(str(grid)))
 
-    lam_grid = settings.get("lambda_grid")
-    if lam_grid is None:
-        lambda_grid = pipeline._DEFAULT_LAMBDAS
-    else:
-        lambda_grid = tuple(lam_grid if isinstance(lam_grid, list) else _parse_grid(str(lam_grid)))
-    a_grid = settings.get("alpha_grid")
-    if a_grid is None:
-        alpha_grid = (0.3, 0.5, 1.0)
-    else:
-        alpha_grid = tuple(a_grid if isinstance(a_grid, list) else _parse_grid(str(a_grid)))
-
+    # the grids left unset take DprConfig's defaults
+    grids = {key: _float_grid(settings[key])
+             for key in ("lambda_grid", "alpha_grid") if key in settings}
     config = pipeline.DprConfig(
         transform=transform,
         dbscan=params,
@@ -557,14 +534,12 @@ def _build_run(settings: dict, panel: PanelDataset):
         minpts_grid=minpts_grid,
         core_strict=_as_bool(settings.get("core_strict", False)),
         penalty_kind=kind,
-        lambda_grid=lambda_grid,
-        alpha_grid=alpha_grid,
         outlier_policy=str(settings.get("outlier_policy", pipeline.UNIQUE_DUMMY)),
         baseline_cluster=_as_int(settings.get("baseline", 0), "baseline"),
         fold_mode=str(settings.get("fold_mode", pipeline.FOLD_ROWS)),
         holdout_periods=_as_int(settings.get("holdout_periods", 0), "holdout_periods"),
         refit_clusters_full=_as_bool(settings.get("refit_clusters_full", False)),
-        threads=_as_int(settings.get("threads", 1), "threads"),
+        **grids,
     )
 
     if "train_count" in settings:
@@ -619,53 +594,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_forecast(args) -> int:
     panel = _load_canonical(args.input)
-    p = _require_input(args.model)
-    try:
-        bundle = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{args.model}: not valid JSON: {exc}") from exc
-    if bundle.get("format") != "dprkit-model-v1":
-        raise ValidationError(f"{args.model}: not a run model bundle")
-    model = FittedModel.from_dict(bundle["regression"])
-    transform = TransformSpec(
-        log_offset=float(bundle["transform"]["log_offset"]),
-        normalize_mode=str(bundle["transform"]["normalize_mode"]),
-    )
-    features = list(bundle["features"])
-    if features != panel.feature_names:
-        raise ValidationError(
-            f"panel features {panel.feature_names} do not match model features {features}"
-        )
-
-    clus = bundle["clustering"]
-    maxima = {
-        name: np.asarray(mx, dtype=np.float64)
-        for name, mx in (bundle.get("entity_maxima") or {}).items()
-    }
-    points = pipeline.mix_for_new_rows(panel, transform.normalize_mode, maxima)
-
-    core_points = np.asarray(clus["core_points"], dtype=np.float64)
-    core_labels = np.asarray(clus["core_labels"], dtype=np.intp)
-    if core_points.size:
-        mini = ClusterModel(
-            params=DbscanParams(
-                eps=float(clus["eps"]),
-                min_pts=int(clus["min_pts"]),
-                core_strict=bool(clus["core_strict"]),
-            ),
-            labels=core_labels,
-            k=int(clus["k"]),
-            sc=None,
-            sse=0.0,
-            core_mask=np.ones(core_labels.shape[0], dtype=bool),
-        )
-        labels = clustering.assign_by_nearest_core(core_points, mini, points)
-    else:
-        labels = np.full(panel.n_obs, clustering.NOISE, dtype=np.intp)
-    block = pipeline._dummy_block(list(clus["dummy_names"]), labels)
-    result = pipeline.forecast_report(
-        model, panel, transform, extra_columns=block, extra_labels=labels
-    )
+    model = _read_bundle(args.model, pipeline.DprModel.from_bundle)
+    result = model.forecast(panel)
     pipeline.write_forecast(result, Path(args.output))
     _ok(
         "forecast",
@@ -757,7 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--minpts-grid", required=True)
     sp.add_argument("--core-strict", action="store_true")
     sp.add_argument("--mix", default=RAW_SHARES, choices=list(MIX_MODES))
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(handler=_cmd_scan)
 
     sp = sub.add_parser("fit", help="one penalized fit on the log design")
@@ -778,7 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--folds", type=int, default=5)
     sp.add_argument("--fold-mode", default=pipeline.FOLD_ROWS,
                     choices=list(pipeline.FOLD_MODES))
-    sp.add_argument("--threads", type=int, default=1)
     _add_common_design_flags(sp)
     sp.set_defaults(handler=_cmd_cv)
 
@@ -814,7 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--train-periods", default=None)
     sp.add_argument("--test-periods", default=None)
     sp.add_argument("--train-count", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--refit-clusters-full", action="store_true", default=None)
     sp.add_argument("--plots", action="store_true")
     sp.set_defaults(handler=_cmd_run)

@@ -303,15 +303,13 @@ def scan_params(
     eps_grid: Sequence[float],
     minpts_grid: Sequence[int],
     core_strict: bool = False,
-    threads: int = 1,
 ) -> list[ScanRow]:
     """Evaluate dbscan over the full eps x min_pts grid.
 
     One row per combination, eps varying slowest, in grid order.  Rows where
     the silhouette is undefined carry ``sc=None``.  The neighbour pairs are
     found once, at the largest eps, and every cell thresholds them; cells
-    that yield the same labels are scored once.  Cells are independent, so
-    they may be evaluated concurrently; assembly order is fixed by the grid.
+    that yield the same labels are scored once.
     """
     pts = _as_points(points)
     if len(eps_grid) == 0 or len(minpts_grid) == 0:
@@ -323,22 +321,13 @@ def scan_params(
     ]
     D = pairwise_distances(pts)
     pairs = _pairs_within(D, max(p.eps for p in cells))
-
-    def _evaluate(run) -> list[ScanRow]:
-        labelled = list(run(lambda p: _label_pairs(pts.shape[0], *pairs, p)[:2], cells))
-        distinct = {labels.tobytes(): (labels, k) for labels, k in labelled}
-        scores = dict(zip(distinct, run(lambda lk: _score(pts, D, *lk), distinct.values())))
-        return [
-            ScanRow(p.eps, p.min_pts, k, *scores[labels.tobytes()])
-            for p, (labels, k) in zip(cells, labelled)
-        ]
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return _evaluate(ex.map)
-    return _evaluate(map)
+    labelled = [_label_pairs(pts.shape[0], *pairs, p)[:2] for p in cells]
+    distinct = {labels.tobytes(): (labels, k) for labels, k in labelled}
+    scores = {key: _score(pts, D, *lk) for key, lk in distinct.items()}
+    return [
+        ScanRow(p.eps, p.min_pts, k, *scores[labels.tobytes()])
+        for p, (labels, k) in zip(cells, labelled)
+    ]
 
 
 def suggest_params(rows: Sequence[ScanRow]) -> ScanRow | None:
@@ -352,35 +341,37 @@ def suggest_params(rows: Sequence[ScanRow]) -> ScanRow | None:
     return best
 
 
-def assign_by_nearest_core(train_points, model: ClusterModel, new_points) -> np.ndarray:
+def assign_by_nearest_core(core_points, core_labels, eps: float, new_points) -> np.ndarray:
     """Extend a fitted clustering to new rows.
 
-    Each new row takes the label of its nearest core point when that core is
-    within eps, and NOISE otherwise.  Ties go to the smallest core row index.
+    ``core_points`` are the training core rows, in training row order, and
+    ``core_labels`` their cluster ids.  Each new row takes the label of its
+    nearest core point when that core is within eps, and NOISE otherwise.
+    Ties go to the earliest core row.
     """
     from scipy.spatial import cKDTree
 
-    train = _as_points(train_points)
     new = _as_points(new_points)
-    if train.shape[0] != model.labels.shape[0]:
-        raise ValidationError("train points do not match the cluster model")
-    if train.shape[1] != new.shape[1]:
-        raise ValidationError("new points have a different dimension than train points")
-    cores = np.flatnonzero(model.core_mask)
+    labels = np.asarray(core_labels, dtype=np.intp)
     out = np.full(new.shape[0], NOISE, dtype=np.intp)
-    if cores.size == 0:
+    if labels.size == 0:
         return out
-    core_pts = train[cores]
+    core_pts = _as_points(core_points)
+    if core_pts.shape != (labels.size, new.shape[1]):
+        raise ValidationError(
+            f"core points of shape {core_pts.shape} do not match {labels.size} core "
+            f"labels and {new.shape[1]}-column new points"
+        )
     nearest = np.zeros(new.shape[0], dtype=np.intp)
     tied = np.zeros(new.shape[0], dtype=bool)
-    if cores.size > 1:
+    if labels.size > 1:
         dist, idx = cKDTree(core_pts).query(new, k=2)
         nearest = idx[:, 0]
         # near-equal runners-up may be exact ties in the difference form below
         tied = dist[:, 1] - dist[:, 0] <= 1e-9 * dist[:, 1]
     for i in np.flatnonzero(tied):
-        # first minimum = smallest core row index
+        # first minimum = earliest core row
         nearest[i] = np.argmin(_row_distances(core_pts, new[i]))
-    within = _row_distances(core_pts[nearest], new) <= model.params.eps
-    out[within] = model.labels[cores[nearest[within]]]
+    within = _row_distances(core_pts[nearest], new) <= eps
+    out[within] = labels[nearest[within]]
     return out

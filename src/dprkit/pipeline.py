@@ -16,6 +16,7 @@ import math
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +104,6 @@ class DprConfig:
     fold_mode: str = FOLD_ROWS
     holdout_periods: int = 0
     refit_clusters_full: bool = False
-    threads: int = 1
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
 
@@ -124,8 +124,6 @@ class DprConfig:
             raise ValidationError("alpha_grid is empty for elastic_net")
         if self.holdout_periods < 0:
             raise ValidationError("holdout_periods must be >= 0")
-        if self.threads < 1:
-            raise ValidationError("threads must be >= 1")
 
 
 def chronological_split(data: PanelDataset, spec: SplitSpec) -> tuple[PanelDataset, PanelDataset]:
@@ -276,18 +274,21 @@ def _cell_metrics(model: FittedModel, Xv: np.ndarray, yv: np.ndarray) -> tuple[f
     return mse, r2
 
 
-def _pmap(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
+def fit_penalized(dm: DesignMatrix, penalty: PenaltySpec, tol: float = DEFAULT_TOL,
+                  max_iter: int = DEFAULT_MAX_ITER,
+                  warm_start: np.ndarray | None = None) -> FittedModel:
+    """One fit of ``penalty``; ``tol``, ``max_iter`` and ``warm_start`` do not apply to ridge."""
+    if penalty.kind == RIDGE:
+        return fit_ridge(dm, penalty.lam)
+    if penalty.kind == LASSO:
+        return fit_lasso(dm, penalty.lam, tol=tol, max_iter=max_iter, warm_start=warm_start)
+    return fit_elastic_net(dm, penalty.lam, penalty.alpha, tol=tol, max_iter=max_iter,
+                           warm_start=warm_start)
 
 
 def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
                    alpha_grid=None, fold_mode: str = FOLD_ROWS,
-                   period_of_row: np.ndarray | None = None, threads: int = 1,
+                   period_of_row: np.ndarray | None = None,
                    tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER) -> CvResult:
     """Grid search by deterministic contiguous-block cross-validation.
@@ -339,28 +340,22 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
         Xv = dm.X[block]
         yv = dm.y[block]
         out: dict[tuple[float, float | None], tuple[float, float]] = {}
-        if kind == RIDGE:
-            for lam in lam_desc:
-                try:
-                    m = fit_ridge(sub, lam)
-                except RankDeficiencyError:
-                    out[(lam, None)] = (math.nan, math.nan)
-                    continue
-                out[(lam, None)] = _cell_metrics(m, Xv, yv)
-            return out
         for alpha in alphas:
             warm = None
-            a = 1.0 if kind == LASSO else float(alpha)
             for lam in lam_desc:
-                m = fit_elastic_net(sub, lam, a, tol=tol, max_iter=max_iter, warm_start=warm)
+                # NA unless the fit succeeds and converges
+                out[(lam, alpha)] = (math.nan, math.nan)
+                try:
+                    m = fit_penalized(sub, PenaltySpec(kind, lam, alpha), tol=tol,
+                                      max_iter=max_iter, warm_start=warm)
+                except RankDeficiencyError:
+                    continue
                 warm = m.coefficients
                 if m.diagnostics["converged"]:
                     out[(lam, alpha)] = _cell_metrics(m, Xv, yv)
-                else:
-                    out[(lam, alpha)] = (math.nan, math.nan)
         return out
 
-    results = _pmap(_fold, blocks, threads)
+    results = [_fold(block) for block in blocks]
 
     table: list[CvCell] = []
     best: CvCell | None = None
@@ -586,13 +581,111 @@ def mix_for_new_rows(new: PanelDataset, mode: str,
     return out
 
 
-def _dummy_block(dummy_names: list[str], labels: np.ndarray) -> np.ndarray:
-    block = np.zeros((labels.shape[0], len(dummy_names)))
-    for c, name in enumerate(dummy_names):
-        if name.startswith("cluster_"):
-            cid = int(name.split("_", 1)[1])
-            block[labels == cid, c] = 1.0
-    return block
+MODEL_FORMAT = "dprkit-model-v1"
+
+
+def bundle_field(bundle, dotted: str, convert):
+    """``convert(bundle[a][b])`` for ``dotted='a.b'``; a missing or bad field is named."""
+    node = bundle
+    for key in dotted.split("."):
+        if not isinstance(node, dict) or key not in node:
+            raise ValidationError(f"missing field {dotted!r}")
+        node = node[key]
+    try:
+        return convert(node)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValidationError(f"bad field {dotted!r}: {exc!r}") from exc
+
+
+@dataclass
+class DprModel:
+    """What forecasting a row needs, in ``run`` and from ``model.json`` alike.
+
+    The core points (clustering features) and their labels are in training
+    row order; ``dummy_names`` are the design columns after the features;
+    ``entity_maxima`` is None unless the mix mode is per-feature-max.
+    """
+
+    model: FittedModel
+    transform: TransformSpec
+    features: list[str]
+    params: DbscanParams
+    k: int
+    baseline: int
+    outlier_policy: str
+    core_points: np.ndarray
+    core_labels: np.ndarray
+    dummy_names: list[str]
+    entity_maxima: dict[str, np.ndarray] | None
+
+    def to_bundle(self) -> dict:
+        """The ``dprkit-model-v1`` record that ``run`` writes as ``model.json``."""
+        p, maxima = self.params, self.entity_maxima
+        return {
+            "format": MODEL_FORMAT,
+            "regression": self.model.to_dict(),
+            "transform": {"log_offset": self.transform.log_offset,
+                          "normalize_mode": self.transform.normalize_mode},
+            "features": list(self.features),
+            "clustering": {
+                "eps": p.eps, "min_pts": p.min_pts, "core_strict": p.core_strict,
+                "k": self.k, "baseline": self.baseline, "outlier_policy": self.outlier_policy,
+                "core_points": self.core_points.tolist(),
+                "core_labels": self.core_labels.tolist(),
+                "dummy_names": list(self.dummy_names),
+            },
+            "entity_maxima": None if maxima is None else {e: mx.tolist()
+                                                          for e, mx in maxima.items()},
+        }
+
+    @classmethod
+    def from_bundle(cls, bundle) -> "DprModel":
+        """Read back a ``to_bundle`` record; a malformed one is a ValidationError."""
+        if not isinstance(bundle, dict) or bundle.get("format") != MODEL_FORMAT:
+            raise ValidationError("not a run model bundle")
+        get = partial(bundle_field, bundle)
+        model = get("regression", FittedModel.from_dict)
+        features = get("features", lambda v: [str(f) for f in v])
+        labels = get("clustering.core_labels", lambda v: np.asarray(v, np.intp).reshape(-1))
+        maxima = bundle.get("entity_maxima")
+        return cls(
+            model=model,
+            transform=TransformSpec(get("transform.log_offset", float),
+                                    get("transform.normalize_mode", str)),
+            features=features,
+            params=DbscanParams(get("clustering.eps", float), get("clustering.min_pts", int),
+                                core_strict=get("clustering.core_strict", bool)),
+            k=get("clustering.k", int),
+            baseline=get("clustering.baseline", int),
+            outlier_policy=get("clustering.outlier_policy", str),
+            core_points=get("clustering.core_points", lambda v: np.asarray(
+                v, np.float64).reshape(labels.size, len(features))),
+            core_labels=labels,
+            dummy_names=get("clustering.dummy_names", lambda v: [str(n) for n in v]),
+            entity_maxima=None if maxima is None else get(
+                "entity_maxima", lambda v: {str(e): np.asarray(mx, np.float64)
+                                            for e, mx in v.items()}),
+        )
+
+    def assign(self, panel: PanelDataset) -> np.ndarray:
+        """Cluster ids of the panel's rows by the nearest-core rule; NOISE off every core."""
+        points = mix_for_new_rows(panel, self.transform.normalize_mode,
+                                  self.entity_maxima or {})
+        return assign_by_nearest_core(self.core_points, self.core_labels,
+                                      self.params.eps, points)
+
+    def forecast(self, panel: PanelDataset) -> ForecastResult:
+        """Assign the source-unit panel's rows to clusters and forecast them."""
+        if list(panel.feature_names) != self.features:
+            raise ValidationError(f"panel features {panel.feature_names} do not match "
+                                  f"model features {self.features}")
+        labels = self.assign(panel)
+        block = np.zeros((labels.shape[0], len(self.dummy_names)))
+        for c, name in enumerate(self.dummy_names):
+            if name.startswith("cluster_"):
+                block[labels == int(name.split("_", 1)[1]), c] = 1.0
+        return forecast_report(self.model, panel, self.transform,
+                               extra_columns=block, extra_labels=labels)
 
 
 @dataclass
@@ -624,7 +717,7 @@ class RunReport:
     k_distance: np.ndarray
     zero_mix_rows: list
     full_labels: np.ndarray | None
-    model_bundle: dict
+    dpr_model: DprModel
 
     @property
     def unconverged_path_fits(self) -> int:
@@ -683,7 +776,7 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
                 )
             scan_rows = scan_params(
                 mix_train, config.eps_grid, config.minpts_grid,
-                core_strict=config.core_strict, threads=config.threads,
+                core_strict=config.core_strict,
             )
             suggestion = suggest_params(scan_rows)
             if suggestion is None:
@@ -722,21 +815,21 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         cv = cross_validate(
             dmS, split.cv_folds, config.penalty_kind, config.lambda_grid,
             alpha_grid=config.alpha_grid, fold_mode=config.fold_mode,
-            period_of_row=period_of_row, threads=config.threads,
+            period_of_row=period_of_row,
             tol=config.tol, max_iter=config.max_iter,
         )
 
+    chosen = PenaltySpec(config.penalty_kind, cv.best_lambda, cv.best_alpha)
     with _stage("path"):
-        path_alpha = {RIDGE: 0.0, LASSO: 1.0}.get(config.penalty_kind, cv.best_alpha)
         path_lams = sorted(set(float(l) for l in config.lambda_grid), reverse=True)
         path_models = regularization_path(
-            dmS, path_lams, path_alpha, tol=config.tol, max_iter=config.max_iter
+            dmS, path_lams, chosen.mixing, tol=config.tol, max_iter=config.max_iter
         )
 
     with _stage("fit"):
         # lasso and elastic net: the path already solved the chosen cell
         if config.penalty_kind == RIDGE:
-            model = fit_ridge(dmS, cv.best_lambda)
+            model = fit_penalized(dmS, chosen)
         else:
             model = path_models[path_lams.index(cv.best_lambda)]
             if config.penalty_kind == LASSO:
@@ -756,27 +849,23 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
             fit_rows = np.flatnonzero([int(p) not in held_idx for p in row_periods])
             if hold_rows.size < 1 or fit_rows.size < 2:
                 raise ValidationError("holdout split leaves too few rows")
-            sub = dmS.subset_rows(fit_rows)
-            if config.penalty_kind == RIDGE:
-                hm = fit_ridge(sub, cv.best_lambda)
-            elif config.penalty_kind == LASSO:
-                hm = fit_lasso(sub, cv.best_lambda, tol=config.tol, max_iter=config.max_iter)
-            else:
-                hm = fit_elastic_net(sub, cv.best_lambda, cv.best_alpha,
-                                     tol=config.tol, max_iter=config.max_iter)
+            hm = fit_penalized(dmS.subset_rows(fit_rows), chosen, tol=config.tol,
+                               max_iter=config.max_iter)
             yhat_h = _predict_standardized(hm, dmS.X[hold_rows])
             holdout_metrics = _metrics_block(dmS.y[hold_rows], yhat_h)
 
     with _stage("forecast"):
-        train_max = entity_maxima(train_p) if mode == PER_FEATURE_MAX else {}
-        mix_test = mix_for_new_rows(test_p, mode, train_max)
-        test_labels = assign_by_nearest_core(mix_train, cmodel, mix_test)
-        dummy_names = list(dmS.column_names[len(train_log.feature_names):])
-        block = _dummy_block(dummy_names, test_labels)
-        fres = forecast_report(
-            model, test_p, config.transform,
-            extra_columns=block, extra_labels=test_labels,
+        features = list(train_log.feature_names)
+        dpr_model = DprModel(
+            model=model, transform=config.transform, features=features,
+            params=params, k=cmodel.k, baseline=config.baseline_cluster,
+            outlier_policy=config.outlier_policy,
+            core_points=mix_train[cmodel.core_mask],
+            core_labels=cmodel.labels[cmodel.core_mask],
+            dummy_names=list(dmS.column_names[len(features):]),
+            entity_maxima=entity_maxima(train_p) if mode == PER_FEATURE_MAX else None,
         )
+        fres = dpr_model.forecast(test_p)
 
     with _stage("report"):
         yhat_train = _predict_standardized(model, dmS.X)
@@ -811,34 +900,6 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         k_dist = k_distance_profile(mix_train, max(1, kd_k))
 
         train_keys = train_p.row_keys()
-        bundle = {
-            "format": "dprkit-model-v1",
-            "regression": model.to_dict(),
-            "transform": {
-                "log_offset": config.transform.log_offset,
-                "normalize_mode": mode,
-            },
-            "features": list(train_log.feature_names),
-            "clustering": {
-                "eps": params.eps,
-                "min_pts": params.min_pts,
-                "core_strict": params.core_strict,
-                "k": cmodel.k,
-                "baseline": config.baseline_cluster,
-                "outlier_policy": config.outlier_policy,
-                "core_points": [[float(v) for v in mix_train[i]]
-                                for i in np.flatnonzero(cmodel.core_mask)],
-                "core_labels": [int(cmodel.labels[i])
-                                for i in np.flatnonzero(cmodel.core_mask)],
-                "dummy_names": dummy_names,
-            },
-            "entity_maxima": (
-                {e: mx.tolist() for e, mx in train_max.items()}
-                if mode == PER_FEATURE_MAX
-                else None
-            ),
-        }
-
         return RunReport(
             split=split,
             penalty_kind=config.penalty_kind,
@@ -849,7 +910,7 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
             train_keys=train_keys,
             test_keys=test_p.row_keys(),
             train_labels=cmodel.labels,
-            test_labels=test_labels,
+            test_labels=fres.cluster,
             core_mask=cmodel.core_mask,
             scan_rows=scan_rows,
             chosen=model.penalty,
@@ -865,7 +926,7 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
             k_distance=k_dist,
             zero_mix_rows=[train_keys[i] for i in zero_rows],
             full_labels=full_labels,
-            model_bundle=bundle,
+            dpr_model=dpr_model,
         )
 
 
@@ -967,7 +1028,7 @@ def write_report(report: RunReport, out_dir) -> None:
         json.dumps(summary, indent=2, default=_json_default) + "\n", encoding="utf-8"
     )
     (out / "model.json").write_text(
-        json.dumps(report.model_bundle, indent=2, default=_json_default) + "\n",
+        json.dumps(report.dpr_model.to_bundle(), indent=2, default=_json_default) + "\n",
         encoding="utf-8",
     )
 

@@ -184,7 +184,7 @@ def test_scan_and_suggestion(capsys, tmp_path):
     panel = _synth(capsys, tmp_path)
     code, out, _ = run_cli(
         capsys, "scan", "--input", str(panel), "--output", str(tmp_path / "scan.csv"),
-        "--eps-grid", "0.05,0.1,0.3", "--minpts-grid", "3,4", "--threads", "2",
+        "--eps-grid", "0.05,0.1,0.3", "--minpts-grid", "3,4",
     )
     assert code == 0
     assert "scan ok cells=6" in out
@@ -244,6 +244,64 @@ def test_forecast_round_trip_with_training_maxima(capsys, tmp_path):
     )
     assert code == 0
     assert (tmp_path / "fc.csv").read_bytes() == (outdir / "forecast.csv").read_bytes()
+
+
+def _without_dummy_names(bundle):
+    del bundle["clustering"]["dummy_names"]
+    return bundle
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("forecast", lambda b: {"format": "dprkit-model-v1"}, "missing field 'regression'"),
+    ("forecast", lambda b: [1, 2], "not a run model bundle"),
+    ("forecast", _without_dummy_names, "missing field 'clustering.dummy_names'"),
+    ("fit", lambda b: {"format": "dprkit-clusters-v1"}, "missing field 'row_keys'"),
+], ids=["model-format-only", "model-list", "model-without-dummy-names", "clusters-format-only"])
+def test_malformed_bundle_is_one_error_line(capsys, tmp_path, command, edit, message):
+    panel = _synth(capsys, tmp_path, seed=5)
+    code, _, _ = run_cli(
+        capsys, "run", "--input", str(panel), "--output-dir", str(tmp_path / "run"),
+        "--eps", "0.2", "--min-pts", "3", "--penalty", "lasso",
+        "--lambda-grid", "logspace:-3:-1:3", "--train-count", "6", "--folds", "3",
+    )
+    assert code == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(json.loads((tmp_path / "run" / "model.json").read_text()))))
+    if command == "forecast":
+        argv = ["forecast", "--input", str(panel), "--model", str(bad),
+                "--output", str(tmp_path / "fc.csv")]
+    else:
+        argv = ["fit", "--input", str(panel), "--output-dir", str(tmp_path / "fit"),
+                "--penalty", "ridge", "--lam", "0.1", "--cluster-model", str(bad)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {bad}: {message}"]
+
+
+def test_forecast_without_core_points_flags_every_row_noise(capsys, tmp_path):
+    # min_pts above the 48 training rows: no core point, so k=0 and all rows are noise
+    panel = _synth(capsys, tmp_path, seed=5)
+    outdir = tmp_path / "run"
+    code, out, _ = run_cli(
+        capsys, "run", "--input", str(panel), "--output-dir", str(outdir),
+        "--eps", "0.2", "--min-pts", "100", "--penalty", "ridge",
+        "--lambda-grid", "logspace:-3:-1:3", "--train-count", "6", "--folds", "3",
+    )
+    assert code == 0 and out.startswith("run ok k=0 noise=48 ")
+    assert json.loads((outdir / "model.json").read_text())["clustering"]["core_points"] == []
+    loaded = load_panel(panel)
+    test_rows = tmp_path / "test_rows.csv"
+    write_panel(loaded.subset_by_periods(loaded.periods[6:]), test_rows)
+    code, out, _ = run_cli(
+        capsys, "forecast", "--input", str(test_rows), "--model", str(outdir / "model.json"),
+        "--output", str(tmp_path / "fc.csv"),
+    )
+    assert code == 0 and " noise_rows=16 " in out
+    assert (tmp_path / "fc.csv").read_bytes() == (outdir / "forecast.csv").read_bytes()
+    with open(tmp_path / "fc.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 16
+    assert all((r["cluster"], r["noise_row"]) == ("-1", "1") for r in rows)
 
 
 def test_forecast_memory_stays_bounded(capsys, tmp_path):

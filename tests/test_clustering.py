@@ -26,6 +26,12 @@ def _col(values):
     return np.asarray(values, dtype=np.float64).reshape(-1, 1)
 
 
+def _assign(train, model, new):
+    # the fitted clustering's core rows, in training row order
+    core = model.core_mask
+    return assign_by_nearest_core(train[core], model.labels[core], model.params.eps, new)
+
+
 def test_two_blobs_and_far_noise():
     pts = _col([0.0, 0.1, 0.2, 10.0, 10.1, 10.2, 55.0])
     model = dbscan(pts, DbscanParams(eps=0.5, min_pts=3))
@@ -160,7 +166,7 @@ def test_a_tie_at_exactly_eps_off_the_lattice(seed, p, scale, min_pts):
     assert region_query(pts, out, eps) == {out, near}
     # the same point as a new row: its nearest core sits at exactly eps
     new = pts[[out]].copy()
-    np.testing.assert_array_equal(assign_by_nearest_core(pts, model, new),
+    np.testing.assert_array_equal(_assign(pts, model, new),
                                   [model.labels[near]])
 
 
@@ -252,26 +258,18 @@ def test_scan_matches_single_runs_and_suggests_max_sc():
     assert (best.eps, best.min_pts) == (ties[0].eps, ties[0].min_pts)
 
 
-def test_scan_threads_do_not_change_results():
-    rng = np.random.default_rng(9)
-    pts = rng.normal(size=(40, 3))
-    a = scan_params(pts, [0.5, 1.0, 2.0], [2, 3, 5], threads=1)
-    b = scan_params(pts, [0.5, 1.0, 2.0], [2, 3, 5], threads=4)
-    assert a == b
-
-
 def test_assign_by_nearest_core():
     train = _col([0.0, 0.2, 10.0, 10.2, 30.0])
     model = dbscan(train, DbscanParams(eps=0.5, min_pts=2))
     assert model.k == 2
     new = _col([0.3, 9.8, 15.0, 30.0])
-    labels = assign_by_nearest_core(train, model, new)
+    labels = _assign(train, model, new)
     np.testing.assert_array_equal(labels, [0, 1, NOISE, NOISE])
     # dead-center tie between cores of different clusters: smaller core row wins
     train2 = _col([0.0, 4.0, 10.0, 14.0])
     model2 = dbscan(train2, DbscanParams(eps=5.0, min_pts=2))
     assert model2.k == 2
-    tie = assign_by_nearest_core(train2, model2, _col([7.0]))
+    tie = _assign(train2, model2, _col([7.0]))
     assert tie[0] == model2.labels[1]  # distance 3 to rows 1 and 2; row 1 first
     assert tie[0] == 0
 
@@ -336,8 +334,10 @@ def test_assign_by_nearest_core_with_a_single_core():
     train = _col([0.0, 0.5, 1.0])
     model = dbscan(train, DbscanParams(eps=0.5, min_pts=3))
     np.testing.assert_array_equal(model.core_mask, [False, True, False])
-    labels = assign_by_nearest_core(train, model, _col([0.0, 1.0, 1.5, 0.5]))
+    labels = _assign(train, model, _col([0.0, 1.0, 1.5, 0.5]))
     np.testing.assert_array_equal(labels, [0, 0, NOISE, 0])
+    with pytest.raises(ValidationError, match="do not match"):
+        _assign(train, model, np.zeros((1, 2)))  # new rows of another width
 
 
 def test_dbscan_and_silhouette_copy_no_distance_matrix():
@@ -416,6 +416,6 @@ def _nearest_core_by_loop(train, model, new):
 def test_assign_by_nearest_core_matches_the_per_row_argmin(train, new, eps, min_pts):
     model = dbscan(train, DbscanParams(eps=eps, min_pts=min_pts))
     np.testing.assert_array_equal(
-        assign_by_nearest_core(train, model, new),
+        _assign(train, model, new),
         _nearest_core_by_loop(train, model, new),
     )

@@ -17,6 +17,7 @@ from dprkit.panel import (
 )
 from dprkit.pipeline import (
     DprConfig,
+    DprModel,
     SplitSpec,
     _fold_blocks,
     augment_with_dummies,
@@ -406,6 +407,17 @@ def test_mix_for_new_rows_uses_train_maxima():
     test = make([1.0], [[20.0]], [2002])
     out = mix_for_new_rows(test, PER_FEATURE_MAX, entity_maxima(train))
     assert out[0, 0] == 2.0  # ratio to the train maximum, not its own
+
+
+@pytest.mark.parametrize("mix", ["rawshares", "perfeaturemax"])
+def test_dpr_model_bundle_round_trips(mix):
+    panel, _ = _panel(n_entities=8, n_periods=6, n_features=4, seed=7)
+    split = SplitSpec(tuple(panel.periods[:4]), tuple(panel.periods[4:]), cv_folds=3)
+    report = run_dpr(panel, _default_config(transform=TransformSpec(normalize_mode=mix)), split)
+    m = report.dpr_model
+    assert (m.entity_maxima is None) == (mix == "rawshares")
+    bundle = m.to_bundle()
+    assert DprModel.from_bundle(json.loads(json.dumps(bundle))).to_bundle() == bundle
 
 
 def test_write_report_is_byte_stable(tmp_path):
