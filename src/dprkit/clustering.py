@@ -38,8 +38,6 @@ from .errors import ValidationError
 
 NOISE = -1
 
-EUCLIDEAN = "euclidean"
-
 # elements per block of boolean masks in _pairs_within
 _CHUNK = 262_144
 
@@ -48,7 +46,6 @@ _CHUNK = 262_144
 class DbscanParams:
     eps: float
     min_pts: int
-    metric: str = EUCLIDEAN
     core_strict: bool = False
 
     def __post_init__(self) -> None:
@@ -56,8 +53,6 @@ class DbscanParams:
             raise ValidationError(f"eps must be finite and > 0, got {self.eps}")
         if int(self.min_pts) != self.min_pts or self.min_pts < 1:
             raise ValidationError(f"min_pts must be an integer >= 1, got {self.min_pts}")
-        if self.metric != EUCLIDEAN:
-            raise ValidationError(f"unsupported metric {self.metric!r}")
 
 
 @dataclass

@@ -14,12 +14,13 @@ Three transforms are provided ahead of modeling:
 * mix normalization for clustering: row shares, per-entity column maxima,
   or no normalization.
 
-:func:`load_panel` parses the data rows with one ``numpy.loadtxt`` call:
-feature cells by numpy's C float parser, key and target cells as strings.
-Input that call cannot take line for line is read again by ``csv.reader``
-and ``float()``, which names the first fault in file order: a cell that only
-``float()`` accepts (``1_0``, full-width digits), a blank line, a quoted line
-break, a row of the wrong width, or any value out of range.
+:func:`load_panel` drops blank lines and parses the other data rows with one
+``numpy.loadtxt`` call: feature cells by numpy's C float parser, key and
+target cells as strings.  Input that call cannot take line for line is read
+one ``csv.reader`` row at a time, with ``float()`` on each cell, which names
+the first fault in file order: a cell that only ``float()`` accepts (``1_0``,
+full-width digits), a quoted line break, a row of the wrong width, a repeated
+key, or any value out of range.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -152,7 +152,8 @@ class PanelDataset:
             if not a < b:
                 raise ValidationError(f"periods are not strictly increasing at {a!r} >= {b!r}")
         keys = self.entity_idx * len(self.periods) + self.period_idx
-        if np.unique(keys).size < n:
+        # strictly increasing keys, as in canonical order, cannot repeat
+        if not np.all(keys[1:] > keys[:-1]) and np.unique(keys).size < n:
             seen: set[tuple[int, int]] = set()
             for e, p in zip(self.entity_idx.tolist(), self.period_idx.tolist()):
                 if (e, p) in seen:
@@ -241,11 +242,6 @@ class PanelSchema:
     delimiter: str = ","
 
 
-# Data rows the csv path parses at a time, when loadtxt cannot take the
-# input line for line.  A block's cell strings are freed before the next
-# block is parsed; blocks of a few thousand rows parsed no faster and left
-# the process's peak resident memory ~1 MiB higher.
-_BLOCK_ROWS = 1024
 # an empty or NA target cell is a row without a target: it reads as NaN
 _MISSING_TARGET = {"": "nan", "NA": "nan"}
 
@@ -298,15 +294,16 @@ def _checked(entity_cells, period_cells, features: np.ndarray, target_cells):
 
 
 def _parse_lines(lines: list[str], layout: _Layout):
-    """Keys, features, targets and line numbers of the data lines, from one ``np.loadtxt`` call.
+    """Keys, features and targets of the data lines, from one ``np.loadtxt`` call.
 
-    Feature cells are parsed by numpy's C reader; key, target and unused
-    cells come back as strings.  Returns None when loadtxt rejects a line
-    (a wrong width, or a spelling only ``float()`` accepts, such as ``1_0``),
-    when its rows are not the lines one for one (it skips blank lines, and a
-    quoted line break joins two lines), or when :func:`_checked` fails; the
-    csv path then reads the same lines.
+    Blank lines are dropped first.  Feature cells are parsed by numpy's C
+    reader; key, target and unused cells come back as strings.  Returns None
+    when loadtxt rejects a line (a wrong width, or a spelling only ``float()``
+    accepts, such as ``1_0``), when its rows are not the remaining lines one
+    for one (a quoted line break joins two lines), or when :func:`_checked`
+    fails; :func:`_read_rows` then reads the same lines.
     """
+    lines = list(filter(str.strip, lines))
     numeric = set(layout.features) - {layout.entity, layout.period, layout.target}
     dtype = [(f"c{k}", np.float64 if k in numeric else object) for k in range(layout.width)]
     try:
@@ -322,132 +319,57 @@ def _parse_lines(lines: list[str], layout: _Layout):
     if table.size != len(lines):
         return None
     targets = None if layout.target is None else table[f"c{layout.target}"].tolist()
-    parsed = _checked(table[f"c{layout.entity}"].tolist(), table[f"c{layout.period}"].tolist(),
-                      features, targets)
-    if parsed is None:
-        return None
-    # the rows are the lines one for one, so row i is on line i + 2
-    return *parsed, [range(2, 2 + table.size)]
+    return _checked(table[f"c{layout.entity}"].tolist(), table[f"c{layout.period}"].tolist(),
+                    features, targets)
 
 
-def _parse_block(rows: list[list[str]], layout: _Layout):
-    """Keys, features and targets of a block of csv rows, column by column.
-
-    Returns None when some row is blank or has the wrong width, or some cell
-    is non-numeric, non-finite or negative; :func:`_check_rows` then finds
-    the first such fault.
-    """
-    if set(map(len, rows)) != {layout.width}:
-        return None
-    fields = list(zip(*rows))
-    features = np.empty((len(rows), len(layout.features)))
+def _cell_value(cell: str, name: str, lineno: int) -> float:
+    """``float(cell)`` of a stripped cell; raise when it is non-numeric, non-finite or negative."""
     try:
-        for j, c in enumerate(layout.features):
-            cells = map(str.strip, fields[c])
-            features[:, j] = np.fromiter(map(float, cells), dtype=np.float64, count=len(rows))
+        v = float(cell)
     except ValueError:
-        return None
-    targets = None if layout.target is None else fields[layout.target]
-    return _checked(fields[layout.entity], fields[layout.period], features, targets)
+        raise ValidationError(f"line {lineno}, column {name!r}: non-numeric value {cell!r}") from None
+    if not math.isfinite(v):
+        raise ValidationError(f"line {lineno}, column {name!r}: non-finite value {cell!r}")
+    if v < 0:
+        raise ValidationError(f"line {lineno}, column {name!r}: negative value {v}")
+    return v
 
 
-def _check_rows(seen, rows: list[list[str]], lines, layout: _Layout):
-    """Validate rows one cell at a time; raise at the first fault in file order.
+def _read_rows(lines: list[str], layout: _Layout):
+    """Keys, features and targets of the data lines, read one ``csv.reader`` row at a time.
 
-    ``seen`` yields the (entity, period) key and line of every row before
-    ``rows``.  Returns the non-blank rows and their lines.
+    Blank rows are skipped.  Raises at the first fault in file order: a row
+    of the wrong width, an (entity, period) key seen on an earlier line, or a
+    bad feature or target cell.
     """
-    first_line: dict[tuple[str, str], int] = {}
-
-    def note(key, lineno):
+    features = np.empty((len(lines), len(layout.features)))
+    targets = np.full(len(lines), math.nan)
+    first_line: dict[tuple[str, str], int] = {}  # (entity, period) of each row, in file order
+    columns = list(zip(layout.feature_names, layout.features))
+    for lineno, row in enumerate(csv.reader(lines, delimiter=layout.delimiter), start=2):
+        if not row or all(c.strip() == "" for c in row):
+            continue
+        if len(row) != layout.width:
+            raise ValidationError(f"line {lineno}: expected {layout.width} cells, found {len(row)}")
+        key = (row[layout.entity].strip(), row[layout.period].strip())
         if key in first_line:
             raise ValidationError(
                 f"line {lineno}: duplicate observation for entity {key[0]!r}, "
                 f"period {key[1]!r} (first seen on line {first_line[key]})"
             )
+        i = len(first_line)
         first_line[key] = lineno
-
-    for key, lineno in seen:
-        note(key, lineno)
-    kept, kept_lines = [], []
-    for row, lineno in zip(rows, lines):
-        if not row or all(c.strip() == "" for c in row):
-            continue
-        if len(row) != layout.width:
-            raise ValidationError(
-                f"line {lineno}: expected {layout.width} cells, found {len(row)}"
-            )
-        note((row[layout.entity].strip(), row[layout.period].strip()), lineno)
-        for name, c in zip(layout.feature_names, layout.features):
-            cell = row[c].strip()
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ValidationError(
-                    f"line {lineno}, column {name!r}: non-numeric value {cell!r}"
-                ) from None
-            if not math.isfinite(v):
-                raise ValidationError(f"line {lineno}, column {name!r}: non-finite value {cell!r}")
-            if v < 0:
-                raise ValidationError(f"line {lineno}, column {name!r}: negative value {v}")
+        features[i] = [_cell_value(row[c].strip(), name, lineno) for name, c in columns]
         if layout.target is not None:
-            name = layout.target_name
             cell = row[layout.target].strip()
             if cell not in _MISSING_TARGET:
-                try:
-                    t = float(cell)
-                except ValueError:
-                    raise ValidationError(
-                        f"line {lineno}, column {name!r}: non-numeric value {cell!r}"
-                    ) from None
-                if not math.isfinite(t):
-                    raise ValidationError(
-                        f"line {lineno}, column {name!r}: non-finite value {cell!r}"
-                    )
-                if t < 0:
-                    raise ValidationError(f"line {lineno}, column {name!r}: negative value {t}")
-        kept.append(row)
-        kept_lines.append(lineno)
-    return kept, kept_lines
-
-
-def _parse_csv(lines: list[str], layout: _Layout):
-    """Keys, features, targets and line numbers of the data lines, read by ``csv.reader``.
-
-    Rows are parsed ``_BLOCK_ROWS`` at a time; a block that fails to parse is
-    checked one cell at a time by :func:`_check_rows`, which skips blank rows
-    and raises at the first fault.
-    """
-    raw_entities: list[str] = []
-    raw_periods: list[str] = []
-    line_blocks: list[Sequence[int]] = []
-    # one string object per distinct key cell, shared by every row that has it
-    distinct: dict[str, str] = {}
-    feature_blocks: list[np.ndarray] = []
-    target_blocks: list[np.ndarray] = []
-    reader = csv.reader(lines, delimiter=layout.delimiter)
-    next_line = 2
-    while rows := list(islice(reader, _BLOCK_ROWS)):
-        row_lines = range(next_line, next_line + len(rows))
-        next_line += len(rows)
-        parsed = _parse_block(rows, layout)
-        if parsed is None:
-            seen = zip(zip(raw_entities, raw_periods), chain.from_iterable(line_blocks))
-            rows, row_lines = _check_rows(seen, rows, row_lines, layout)
-            if not rows:
-                continue
-            parsed = _parse_block(rows, layout)
-        entities, periods, features, targets = parsed
-        raw_entities += map(distinct.setdefault, entities, entities)
-        raw_periods += map(distinct.setdefault, periods, periods)
-        line_blocks.append(row_lines)
-        feature_blocks.append(features)
-        target_blocks.append(targets)
-        del rows, parsed  # free this block's cells before the next block is read
-    if not raw_entities:
+                targets[i] = _cell_value(cell, layout.target_name, lineno)
+    if not first_line:
         raise ValidationError("panel file has a header but no data rows")
-    return (raw_entities, raw_periods, np.concatenate(feature_blocks),
-            np.concatenate(target_blocks), line_blocks)
+    n = len(first_line)
+    entities, periods = map(list, zip(*first_line))
+    return entities, periods, features[:n], targets[:n]
 
 
 def load_panel(source, schema: PanelSchema | None = None) -> PanelDataset:
@@ -457,8 +379,9 @@ def load_panel(source, schema: PanelSchema | None = None) -> PanelDataset:
     pairs, non-numeric cells, and negative features or targets are all
     rejected with the offending row and column named; a file with several
     faults reports the first in file order.  Empty target cells are allowed
-    and become NaN (forecast-only rows).  Rows are parsed by ``np.loadtxt``,
-    or by ``csv.reader`` in blocks when loadtxt cannot take them line for line.
+    and become NaN (forecast-only rows).  Blank lines are skipped.  Rows are
+    parsed by ``np.loadtxt``, or one ``csv.reader`` row at a time when loadtxt
+    cannot take them line for line.
     """
     schema = schema or PanelSchema()
     if isinstance(source, (str, Path)):
@@ -503,9 +426,8 @@ def load_panel(source, schema: PanelSchema | None = None) -> PanelDataset:
     )
 
     lines = list(source)  # the data rows, after the header
-    parsed = _parse_lines(lines, layout) or _parse_csv(lines, layout)
-    del lines
-    raw_entities, raw_periods, features, targets, line_blocks = parsed
+    raw_entities, raw_periods, features, targets = (_parse_lines(lines, layout)
+                                                    or _read_rows(lines, layout))
 
     n = len(raw_entities)
     entities = sorted(set(raw_entities))
@@ -516,8 +438,8 @@ def load_panel(source, schema: PanelSchema | None = None) -> PanelDataset:
     entity_idx = np.fromiter(map(ent_index.__getitem__, raw_entities), dtype=np.intp, count=n)
     period_idx = np.fromiter(map(per_index.__getitem__, period_values), dtype=np.intp, count=n)
     if np.unique(entity_idx * len(periods) + period_idx).size < n:
-        seen = zip(zip(raw_entities, raw_periods), chain.from_iterable(line_blocks))
-        _check_rows(seen, [], [], layout)
+        _read_rows(lines, layout)  # names the line; "2000" vs "02000" is left to PanelDataset
+    del lines
 
     order = np.lexsort((period_idx, entity_idx))
     return PanelDataset(
@@ -615,12 +537,23 @@ def energy_mix_features(
         ok = sums > 0
         out[ok] = X[ok] / sums[ok, None]
         return out, flagged
+    return scale_by_entity_maxima(data), flagged
+
+
+def scale_by_entity_maxima(data: PanelDataset,
+                           maxima: dict[str, np.ndarray] | None = None) -> np.ndarray:
+    """Each cell divided by its entity's maximum for the column (0 when the maximum is 0).
+
+    An entity's maxima are ``maxima[entity]`` when given (from training rows),
+    otherwise the column maxima of its own rows in ``data``.
+    """
+    X = data.features
     out = np.zeros_like(X)
-    for e in range(len(data.entities)):
+    for e, name in enumerate(data.entities):
         rows = np.flatnonzero(data.entity_idx == e)
         if rows.size == 0:
             continue
-        maxima = X[rows].max(axis=0)
-        pos = maxima > 0
-        out[np.ix_(rows, np.flatnonzero(pos))] = X[np.ix_(rows, np.flatnonzero(pos))] / maxima[pos]
-    return out, flagged
+        mx = maxima[name] if maxima and name in maxima else X[rows].max(axis=0)
+        pos = np.flatnonzero(mx > 0)
+        out[np.ix_(rows, pos)] = X[np.ix_(rows, pos)] / mx[pos]
+    return out

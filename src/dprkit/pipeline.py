@@ -39,6 +39,7 @@ from .panel import (
     energy_mix_features,
     invert_log,
     log_transform,
+    scale_by_entity_maxima,
 )
 from .regression import (
     DEFAULT_MAX_ITER,
@@ -51,6 +52,7 @@ from .regression import (
     FittedModel,
     PenaltySpec,
     RankDeficiencyError,
+    _fit_metrics,
     fit_elastic_net,
     fit_lasso,
     fit_ridge,
@@ -267,11 +269,8 @@ def _predict_standardized(model: FittedModel, X: np.ndarray) -> np.ndarray:
 
 
 def _cell_metrics(model: FittedModel, Xv: np.ndarray, yv: np.ndarray) -> tuple[float, float]:
-    yhat = _predict_standardized(model, Xv)
-    mse = float(np.mean((yv - yhat) ** 2))
-    tss = float(np.sum((yv - yv.mean()) ** 2))
-    r2 = math.nan if tss == 0.0 else 1.0 - float(np.sum((yv - yhat) ** 2)) / tss
-    return mse, r2
+    mse, r2 = _fit_metrics(yv, _predict_standardized(model, Xv))
+    return mse, math.nan if r2 is None else r2
 
 
 def fit_penalized(dm: DesignMatrix, penalty: PenaltySpec, tol: float = DEFAULT_TOL,
@@ -568,17 +567,7 @@ def mix_for_new_rows(new: PanelDataset, mode: str,
     if mode != PER_FEATURE_MAX:
         matrix, _ = energy_mix_features(new, mode)
         return matrix
-    out = np.zeros_like(new.features)
-    for e, name in enumerate(new.entities):
-        rows = np.flatnonzero(new.entity_idx == e)
-        if rows.size == 0:
-            continue
-        mx = maxima.get(name)
-        if mx is None:
-            mx = new.features[rows].max(axis=0)
-        pos = np.flatnonzero(mx > 0)
-        out[np.ix_(rows, pos)] = new.features[np.ix_(rows, pos)] / mx[pos]
-    return out
+    return scale_by_entity_maxima(new, maxima)
 
 
 MODEL_FORMAT = "dprkit-model-v1"
@@ -728,10 +717,7 @@ class RunReport:
 
 
 def _metrics_block(y: np.ndarray, yhat: np.ndarray) -> dict:
-    resid = y - yhat
-    mse = float(np.mean(resid**2))
-    tss = float(np.sum((y - y.mean()) ** 2))
-    r2 = None if tss == 0.0 else 1.0 - float(np.sum(resid**2)) / tss
+    mse, r2 = _fit_metrics(y, yhat)
     return {"r2": r2, "mse": mse}
 
 

@@ -291,13 +291,16 @@ def _check_fit_inputs(dm: DesignMatrix, lam: float) -> None:
         raise ValidationError(f"fit needs >= 2 rows, got {dm.n}")
 
 
+def _fit_metrics(y: np.ndarray, yhat: np.ndarray) -> tuple[float, float | None]:
+    """Mean squared residual and 1 - RSS/TSS (None when ``y`` has zero variance)."""
+    sq = (y - yhat) ** 2
+    tss = float(np.sum((y - y.mean()) ** 2))
+    return float(np.mean(sq)), None if tss == 0.0 else 1.0 - float(np.sum(sq)) / tss
+
+
 def _diagnostics(dm: DesignMatrix, intercept: float, beta: np.ndarray,
                  iterations: int, converged: bool, zv: np.ndarray) -> dict:
-    yhat = intercept + dm.X @ beta
-    resid = dm.y - yhat
-    mse = float(np.mean(resid**2))
-    tss = float(np.sum((dm.y - dm.y.mean()) ** 2))
-    r2 = None if tss == 0.0 else 1.0 - float(np.sum(resid**2)) / tss
+    mse, r2 = _fit_metrics(dm.y, intercept + dm.X @ beta)
     p_eff = int(np.sum(~zv))
     sparsity = 0.0 if p_eff == 0 else float(np.count_nonzero(beta[~zv])) / p_eff
     return {
@@ -619,7 +622,7 @@ def metric_mse(y, yhat) -> float:
     yhat = np.asarray(yhat, dtype=np.float64)
     if y.shape != yhat.shape or y.size == 0:
         raise ValidationError("mse needs matching non-empty vectors")
-    return float(np.mean((y - yhat) ** 2))
+    return _fit_metrics(y, yhat)[0]
 
 
 def metric_r2(y, yhat) -> float:
@@ -628,10 +631,10 @@ def metric_r2(y, yhat) -> float:
     yhat = np.asarray(yhat, dtype=np.float64)
     if y.shape != yhat.shape or y.size == 0:
         raise ValidationError("r2 needs matching non-empty vectors")
-    tss = float(np.sum((y - y.mean()) ** 2))
-    if tss == 0.0:
+    r2 = _fit_metrics(y, yhat)[1]
+    if r2 is None:
         raise ValidationError("r2 undefined: target has zero variance")
-    return 1.0 - float(np.sum((y - yhat) ** 2)) / tss
+    return r2
 
 
 def metric_sparsity(coefficients, zero_variance=None) -> float:

@@ -299,8 +299,6 @@ def test_params_validation():
         DbscanParams(eps=-1.0, min_pts=2)
     with pytest.raises(ValidationError):
         DbscanParams(eps=1.0, min_pts=0)
-    with pytest.raises(ValidationError):
-        DbscanParams(eps=1.0, min_pts=2, metric="manhattan")
 
 
 def _lattice_with_ties():

@@ -123,6 +123,23 @@ def test_write_then_load_round_trips(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_out_of_order_rows_construct_and_duplicates_are_named():
+    def panel(entity_idx, period_idx):
+        n = len(entity_idx)
+        return PanelDataset(entities=["A", "B"], periods=[2000, 2001], feature_names=["coal"],
+                            entity_idx=entity_idx, period_idx=period_idx,
+                            features=np.ones((n, 1)), targets=np.ones(n))
+
+    assert panel([1, 0, 1, 0], [1, 1, 0, 0]).row_keys() == [
+        ("B", 2001), ("A", 2001), ("B", 2000), ("A", 2000)]
+    with pytest.raises(ValidationError) as info:
+        panel([0, 1, 0], [1, 0, 1])
+    assert str(info.value) == "duplicate observation for entity 'A', period 2001"
+    with pytest.raises(ValidationError) as info:
+        panel([0, 0, 1], [0, 0, 1])  # in order, but not strictly
+    assert str(info.value) == "duplicate observation for entity 'A', period 2000"
+
+
 def test_subset_by_periods():
     panel = load_panel(_csv(BASIC), PanelSchema())
     train = panel.subset_by_periods([2000])
@@ -251,13 +268,12 @@ def panels(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(panel=panels(), block=st.sampled_from([1, 2, 4096]))
-def test_write_then_load_round_trips_any_panel(panel, block):
+@given(panel=panels())
+def test_write_then_load_round_trips_any_panel(panel):
     buf = io.StringIO()
     write_panel(panel, buf)
     text = buf.getvalue()
-    with mock.patch.object(panel_module, "_BLOCK_ROWS", block):
-        again = load_panel(io.StringIO(text, newline=""), PanelSchema())
+    again = load_panel(io.StringIO(text, newline=""), PanelSchema())
     assert again == panel
     # a missing target is an empty cell, not NA
     assert ",NA," not in text
@@ -334,19 +350,15 @@ def panel_lines(draw):
 @given(text=panel_lines())
 def test_load_reports_the_first_fault_in_file_order(text):
     expected = _reference_error(text)
-    loaded = []
-    for block in (1, 2, 3, 4096):
-        with mock.patch.object(panel_module, "_BLOCK_ROWS", block):
-            try:
-                loaded.append(load_panel(io.StringIO(text, newline=""), PanelSchema()))
-            except ValidationError as exc:
-                if expected is None:
-                    assert "no data rows" in str(exc)
-                else:
-                    assert str(exc) == expected
-                continue
+    try:
+        load_panel(io.StringIO(text, newline=""), PanelSchema())
+    except ValidationError as exc:
+        if expected is None:
+            assert "no data rows" in str(exc)
+        else:
+            assert str(exc) == expected
+    else:
         assert expected is None
-    assert all(p == loaded[0] for p in loaded)
 
 
 @pytest.mark.parametrize(
@@ -367,24 +379,25 @@ def test_load_reports_the_first_fault_in_file_order(text):
          "line 3: duplicate observation for entity 'A', period '2000' (first seen on line 2)"),
         (["A,2000,1,1,1", "A,2001,1,-1,1", "A,2000,1,1,1"],
          "line 3, column 'coal': negative value -1.0"),
-        # a duplicate across blocks comes before a fault in a later block
+        # a duplicate comes before a fault on a later line
         (["A,2000,1,1,1", "A,2001,1,1,1", "A,2000,1,1,1", "B,2000,1,1,1", "B,2001,1,1,x"],
          "line 4: duplicate observation for entity 'A', period '2000' (first seen on line 2)"),
         (["A,2000,1,1,1", "B,2000,1,1,1", "", "A,2000,1,1,1"],
          "line 5: duplicate observation for entity 'A', period '2000' (first seen on line 2)"),
-        # loadtxt skips the blank line, so its third row is not on line 3
+        # the C reader takes this file; the duplicate is named by its line
         (["A,2000,1,1,1", "", "A,2000,1,1,1"],
          "line 4: duplicate observation for entity 'A', period '2000' (first seen on line 2)"),
         # one long row in a file that is otherwise clean
         (["A,2000,1,1,1", "A,2001,1,1,1,1", "A,2002,1,1,1"], "line 3: expected 5 cells, found 6"),
     ],
 )
-@pytest.mark.parametrize("block", [1, 2, 4096])
-def test_load_fault_messages(rows, message, block):
-    text = "\n".join([",".join(HEADER)] + rows) + "\n"
-    with mock.patch.object(panel_module, "_BLOCK_ROWS", block):
-        with pytest.raises(ValidationError) as info:
-            load_panel(io.StringIO(text, newline=""), PanelSchema())
+@pytest.mark.parametrize("trailing", [1, 2, 4096])
+def test_load_fault_messages(rows, message, trailing):
+    """The first fault is named by its line, however many clean rows follow it."""
+    clean = [f"T{i},2000,1,1,1" for i in range(trailing)]
+    text = "\n".join([",".join(HEADER)] + rows + clean) + "\n"
+    with pytest.raises(ValidationError) as info:
+        load_panel(io.StringIO(text, newline=""), PanelSchema())
     assert str(info.value) == message
 
 
@@ -392,7 +405,7 @@ def test_load_fault_messages(rows, message, block):
 
 def _reference_values(text: str):
     """Features and targets by csv.reader and float(), in canonical (entity, period) order."""
-    rows = [r for r in csv.reader(io.StringIO(text, newline="")) if r][1:]
+    rows = [r for r in csv.reader(io.StringIO(text, newline="")) if "".join(r).strip()][1:]
     rows.sort(key=lambda r: (r[0].strip(), int(r[1])))
     features = np.array([[float(c) for c in r[3:]] for r in rows])
     targets = np.array([math.nan if r[2].strip() in ("", "NA") else float(r[2]) for r in rows])
@@ -411,24 +424,21 @@ SPELLINGS = [repr, lambda v: format(v, ".17g"), lambda v: format(v, ".25g")]
     values=st.lists(st.tuples(st.one_of(st.none(), nonneg), nonneg, nonneg), min_size=1,
                     max_size=12),
     spelling=st.lists(st.sampled_from(range(len(SPELLINGS))), min_size=36, max_size=36),
-    blank=st.booleans(),
-    block=st.sampled_from([1, 2, 4096]),
+    blank=st.sampled_from([None, "", "  ", " \t", "\r"]),
 )
-def test_load_matches_float_bit_for_bit(values, spelling, blank, block):
+def test_load_matches_float_bit_for_bit(values, spelling, blank):
     spell = iter(spelling)
     lines = ["entity,period,target,coal,gas"]
     for i, (t, a, b) in enumerate(values):
         target = "NA" if t is None else SPELLINGS[next(spell)](t)
         lines.append(f"E{i % 3},{2000 + i},{target},"
                      f"{SPELLINGS[next(spell)](a)},{SPELLINGS[next(spell)](b)}")
-        if blank and i == 0:
-            lines.append("")  # loadtxt skips it: the csv path reads this file
+        if blank is not None and i == 0:
+            lines.append(blank)  # blank or whitespace only: the C reader still takes the file
     text = "\n".join(lines) + "\n"
-    csv_path = mock.Mock(wraps=panel_module._parse_csv)
-    with mock.patch.object(panel_module, "_BLOCK_ROWS", block), \
-            mock.patch.object(panel_module, "_parse_csv", csv_path):
+    with mock.patch.object(panel_module, "_read_rows", wraps=panel_module._read_rows) as by_csv:
         panel = load_panel(io.StringIO(text, newline=""), PanelSchema())
-    assert csv_path.called == blank
+    assert not by_csv.called
     features, targets = _reference_values(text)
     np.testing.assert_array_equal(_bits(panel.features), _bits(features))
     np.testing.assert_array_equal(_bits(panel.targets), _bits(targets))
@@ -446,13 +456,17 @@ def test_load_matches_float_bit_for_bit(values, spelling, blank, block):
         (['"A\nB, C",2000,1,3,1'], "A\nB, C", 3.0, 1.0, True),
         (["A,2000,,3,1"], "A", 3.0, math.nan, False),
         (["A,2000,NA,3,1"], "A", 3.0, math.nan, False),
-        (["A,2000,1,3,1", ""], "A", 3.0, 1.0, True),
+        (["A,2000,1,3,1", ""], "A", 3.0, 1.0, False),
+        # the blank line inside the quotes is part of the entity, not skipped
+        (['"A\n\nB, C",2000,1,3,1'], "A\n\nB, C", 3.0, 1.0, True),
+        # zeros are in range on the row reader too
+        (["A,2000,0,1_0,-0.0"], "A", 10.0, 0.0, True),
     ],
 )
 def test_spellings_that_still_load(rows, entity, coal, target, by_csv):
-    """Cells ``float()`` accepts load on either path; loadtxt's rejects reach the csv path."""
+    """Cells ``float()`` accepts load on either path; loadtxt's rejects reach the row reader."""
     text = "\n".join([",".join(HEADER)] + rows) + "\n"
-    with mock.patch.object(panel_module, "_parse_csv", wraps=panel_module._parse_csv) as csv_path:
+    with mock.patch.object(panel_module, "_read_rows", wraps=panel_module._read_rows) as csv_path:
         panel = load_panel(io.StringIO(text, newline=""), PanelSchema())
     assert csv_path.called == by_csv
     assert panel.entities == [entity]
