@@ -98,26 +98,33 @@ def _parse_periods(text: str, panel_periods: list) -> list:
     return [_parse_period_token(t, as_int) for t in text.split(",") if t.strip()]
 
 
+def _key_values(items) -> dict[str, str]:
+    """``(where, text)`` items of the form key=value; an error names ``where``; no key twice."""
+    out: dict[str, str] = {}
+    for where, text in items:
+        if "=" not in text:
+            raise ValidationError(f"{where}expected key=value, got {text!r}")
+        key, _, value = text.partition("=")
+        key = key.strip()
+        if not key:
+            raise ValidationError(f"{where}empty key")
+        if key in out:
+            raise ValidationError(f"{where}duplicate key {key!r}")
+        out[key] = value.strip()
+    return out
+
+
 def _read_config(path) -> dict[str, str]:
     """key=value lines; ``#`` starts a comment; blank lines ignored."""
-    out: dict[str, str] = {}
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"config file not found: {path}")
+    items = []
     for ln, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValidationError(f"{path}:{ln}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ValidationError(f"{path}:{ln}: empty key")
-        if key in out:
-            raise ValidationError(f"{path}:{ln}: duplicate key {key!r}")
-        out[key] = value.strip()
-    return out
+        if line:
+            items.append((f"{path}:{ln}: ", line))
+    return _key_values(items)
 
 
 def _require_input(path) -> Path:
@@ -207,11 +214,10 @@ def _labels_for_panel(panel: PanelDataset, bundle_path) -> np.ndarray:
 def _design_for_fit(panel: PanelDataset, offset: float, labels, policy: str,
                     baseline: int):
     spec = TransformSpec(log_offset=offset, normalize_mode=NO_NORMALIZATION)
-    logged = log_transform(panel, spec)
-    dm = pipeline.design_from_panel(logged)
+    dm = pipeline.design_from_panel(log_transform(panel, spec))
     if labels is not None:
         dm = pipeline.augment_with_dummies(dm, labels, policy=policy, baseline=baseline)
-    return standardize(dm.X, dm.y, dm.column_names, source_rows=dm.source_rows), logged
+    return standardize(dm.X, dm.y, dm.column_names, source_rows=dm.source_rows)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -280,16 +286,9 @@ def _coerce_spec_value(key: str, value: str):
 
 
 def _read_config_text(text: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise ValidationError(f"expected key=value, got {chunk!r}")
-        key, _, value = chunk.partition("=")
-        out[key.strip()] = value.strip()
-    return out
+    """A comma list of key=value items, as ``synth --spec`` takes it."""
+    return _key_values(("--spec: ", chunk) for chunk in map(str.strip, text.split(","))
+                       if chunk)
 
 
 def _cmd_cluster(args) -> int:
@@ -353,7 +352,7 @@ def _cmd_fit(args) -> int:
     labels = (
         _labels_for_panel(panel, args.cluster_model) if args.cluster_model else None
     )
-    dm, _ = _design_for_fit(
+    dm = _design_for_fit(
         panel, args.log_offset, labels, args.outlier_policy, args.baseline
     )
     model = pipeline.fit_penalized(dm, penalty)
@@ -389,21 +388,16 @@ def _cmd_cv(args) -> int:
     labels = (
         _labels_for_panel(panel, args.cluster_model) if args.cluster_model else None
     )
-    dm, logged = _design_for_fit(
+    dm = _design_for_fit(
         panel, args.log_offset, labels, args.outlier_policy, args.baseline
     )
     alpha_grid = _parse_grid(args.alpha_grid) if args.alpha_grid else None
-    period_of_row = None
-    if args.fold_mode == pipeline.FOLD_PERIODS:
-        period_of_row = logged.period_idx[dm.source_rows]
     result = pipeline.cross_validate(
         dm,
         args.folds,
         args.penalty,
         _parse_grid(args.lambda_grid),
         alpha_grid=alpha_grid,
-        fold_mode=args.fold_mode,
-        period_of_row=period_of_row,
     )
     pipeline.write_cv_table(result, Path(args.output))
     winner = next(
@@ -431,7 +425,7 @@ def _cmd_path(args) -> int:
     labels = (
         _labels_for_panel(panel, args.cluster_model) if args.cluster_model else None
     )
-    dm, _ = _design_for_fit(
+    dm = _design_for_fit(
         panel, args.log_offset, labels, args.outlier_policy, args.baseline
     )
     lams = sorted(set(_parse_grid(args.lambda_grid)), reverse=True)
@@ -450,8 +444,7 @@ def _cmd_path(args) -> int:
 _RUN_KEYS = {
     "penalty", "lambda_grid", "alpha_grid", "eps", "min_pts", "eps_grid",
     "minpts_grid", "core_strict", "mix", "log_offset", "outlier_policy",
-    "baseline", "folds", "fold_mode", "holdout_periods", "train_periods",
-    "test_periods", "train_count", "refit_clusters_full",
+    "baseline", "folds", "train_periods", "test_periods", "train_count",
 }
 
 
@@ -536,9 +529,6 @@ def _build_run(settings: dict, panel: PanelDataset):
         penalty_kind=kind,
         outlier_policy=str(settings.get("outlier_policy", pipeline.UNIQUE_DUMMY)),
         baseline_cluster=_as_int(settings.get("baseline", 0), "baseline"),
-        fold_mode=str(settings.get("fold_mode", pipeline.FOLD_ROWS)),
-        holdout_periods=_as_int(settings.get("holdout_periods", 0), "holdout_periods"),
-        refit_clusters_full=_as_bool(settings.get("refit_clusters_full", False)),
         **grids,
     )
 
@@ -705,8 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda-grid", required=True)
     sp.add_argument("--alpha-grid", default=None)
     sp.add_argument("--folds", type=int, default=5)
-    sp.add_argument("--fold-mode", default=pipeline.FOLD_ROWS,
-                    choices=list(pipeline.FOLD_MODES))
     _add_common_design_flags(sp)
     sp.set_defaults(handler=_cmd_cv)
 
@@ -737,12 +725,9 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=list(pipeline.OUTLIER_POLICIES))
     sp.add_argument("--baseline", type=int, default=None)
     sp.add_argument("--folds", type=int, default=None)
-    sp.add_argument("--fold-mode", default=None, choices=list(pipeline.FOLD_MODES))
-    sp.add_argument("--holdout-periods", type=int, default=None)
     sp.add_argument("--train-periods", default=None)
     sp.add_argument("--test-periods", default=None)
     sp.add_argument("--train-count", type=int, default=None)
-    sp.add_argument("--refit-clusters-full", action="store_true", default=None)
     sp.add_argument("--plots", action="store_true")
     sp.set_defaults(handler=_cmd_run)
 

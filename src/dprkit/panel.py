@@ -30,7 +30,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -102,14 +102,6 @@ class EmissionFactorTable:
         return cls(factors)
 
 
-@dataclass(frozen=True)
-class Observation:
-    entity: str
-    period: object
-    features: np.ndarray
-    target: float  # NaN when absent
-
-
 @dataclass
 class PanelDataset:
     """Long-format panel in canonical (entity, period) row order.
@@ -170,15 +162,6 @@ class PanelDataset:
     @property
     def n_features(self) -> int:
         return len(self.feature_names)
-
-    def observations(self) -> Iterator[Observation]:
-        for i in range(self.n_obs):
-            yield Observation(
-                self.entities[self.entity_idx[i]],
-                self.periods[self.period_idx[i]],
-                self.features[i],
-                float(self.targets[i]),
-            )
 
     def key_columns(self) -> tuple[list[str], list]:
         """The entity and the period of every row, as two columns."""
@@ -547,13 +530,25 @@ def scale_by_entity_maxima(data: PanelDataset,
     An entity's maxima are ``maxima[entity]`` when given (from training rows),
     otherwise the column maxima of its own rows in ``data``.
     """
-    X = data.features
-    out = np.zeros_like(X)
+    mx = _maxima_by_entity(data)
     for e, name in enumerate(data.entities):
-        rows = np.flatnonzero(data.entity_idx == e)
-        if rows.size == 0:
-            continue
-        mx = maxima[name] if maxima and name in maxima else X[rows].max(axis=0)
-        pos = np.flatnonzero(mx > 0)
-        out[np.ix_(rows, pos)] = X[np.ix_(rows, pos)] / mx[pos]
+        if maxima and name in maxima:
+            mx[e] = maxima[name]
+    div = mx[data.entity_idx]
+    out = np.zeros_like(data.features)
+    pos = div > 0
+    out[pos] = data.features[pos] / div[pos]
     return out
+
+
+def _maxima_by_entity(data: PanelDataset) -> np.ndarray:
+    """(entities x features) column maxima of each entity's rows; -inf where it has none."""
+    mx = np.full((len(data.entities), data.n_features), -np.inf)
+    np.maximum.at(mx, data.entity_idx, data.features)
+    return mx
+
+
+def entity_maxima(data: PanelDataset) -> dict[str, np.ndarray]:
+    """Each entity's per-feature maxima over its rows, for entities with rows."""
+    mx = _maxima_by_entity(data)
+    return {data.entities[e]: mx[e] for e in np.unique(data.entity_idx).tolist()}

@@ -37,6 +37,7 @@ from .panel import (
     PanelDataset,
     TransformSpec,
     energy_mix_features,
+    entity_maxima,
     invert_log,
     log_transform,
     scale_by_entity_maxima,
@@ -64,10 +65,6 @@ from .tables import write_table
 UNIQUE_DUMMY = "unique_dummy"
 EXCLUDE = "exclude"
 OUTLIER_POLICIES = (UNIQUE_DUMMY, EXCLUDE)
-
-FOLD_ROWS = "rows"
-FOLD_PERIODS = "periods"
-FOLD_MODES = (FOLD_ROWS, FOLD_PERIODS)
 
 _DEFAULT_LAMBDAS = tuple(float(v) for v in np.logspace(-4, np.log10(0.5), 20))
 
@@ -103,11 +100,6 @@ class DprConfig:
     alpha_grid: tuple = (0.3, 0.5, 1.0)
     outlier_policy: str = UNIQUE_DUMMY
     baseline_cluster: int = 0
-    fold_mode: str = FOLD_ROWS
-    holdout_periods: int = 0
-    refit_clusters_full: bool = False
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self) -> None:
         if self.penalty_kind not in PENALTY_KINDS:
@@ -118,14 +110,10 @@ class DprConfig:
             raise ValidationError(
                 f"outlier_policy must be one of {OUTLIER_POLICIES}, got {self.outlier_policy!r}"
             )
-        if self.fold_mode not in FOLD_MODES:
-            raise ValidationError(f"fold_mode must be one of {FOLD_MODES}")
         if not self.lambda_grid:
             raise ValidationError("lambda_grid is empty")
         if self.penalty_kind == ELASTIC_NET and not self.alpha_grid:
             raise ValidationError("alpha_grid is empty for elastic_net")
-        if self.holdout_periods < 0:
-            raise ValidationError("holdout_periods must be >= 0")
 
 
 def chronological_split(data: PanelDataset, spec: SplitSpec) -> tuple[PanelDataset, PanelDataset]:
@@ -251,18 +239,6 @@ def _fold_blocks(n: int, folds: int) -> list[np.ndarray]:
     return [np.arange(edges[b], edges[b + 1]) for b in range(folds)]
 
 
-def _fold_blocks_by_period(period_of_row: np.ndarray, folds: int) -> list[np.ndarray]:
-    uniq = sorted(set(int(p) for p in period_of_row))
-    if len(uniq) < folds:
-        raise ValidationError(f"{len(uniq)} periods cannot form {folds} period-blocked folds")
-    edges = [int(b * len(uniq) / folds) for b in range(folds + 1)]
-    blocks = []
-    for b in range(folds):
-        chunk = set(uniq[edges[b]:edges[b + 1]])
-        blocks.append(np.flatnonzero([int(p) in chunk for p in period_of_row]))
-    return blocks
-
-
 def _predict_standardized(model: FittedModel, X: np.ndarray) -> np.ndarray:
     # rows already live in the standardized design space
     return model.intercept + X @ model.coefficients
@@ -286,19 +262,17 @@ def fit_penalized(dm: DesignMatrix, penalty: PenaltySpec, tol: float = DEFAULT_T
 
 
 def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
-                   alpha_grid=None, fold_mode: str = FOLD_ROWS,
-                   period_of_row: np.ndarray | None = None,
-                   tol: float = DEFAULT_TOL,
+                   alpha_grid=None, tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER) -> CvResult:
     """Grid search by deterministic contiguous-block cross-validation.
 
-    Folds are contiguous blocks of the row order (or of the period order when
-    ``fold_mode='periods'``).  Within a fold, each alpha walks the lambda grid
-    descending with warm starts.  The winner minimizes mean validation MSE;
-    exact ties break toward the larger lambda, then the larger alpha.  A cell
-    with a failed fold fit -- a ridge fit on a rank-deficient system (lambda=0
-    on collinear columns), or a lasso/elastic-net fit that hit ``max_iter``
-    -- is recorded with NA metrics and never wins.
+    Folds are contiguous blocks of the row order.  Within a fold, each alpha
+    walks the lambda grid descending with warm starts.  The winner minimizes
+    mean validation MSE; exact ties break toward the larger lambda, then the
+    larger alpha.  A cell with a failed fold fit -- a ridge fit on a
+    rank-deficient system (lambda=0 on collinear columns), or a
+    lasso/elastic-net fit that hit ``max_iter`` -- is recorded with NA metrics
+    and never wins.
     """
     if kind not in PENALTY_KINDS:
         raise ValidationError(f"unknown penalty kind {kind!r}")
@@ -316,14 +290,7 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
     else:
         alphas = [None]
 
-    if fold_mode == FOLD_PERIODS:
-        if period_of_row is None:
-            raise ValidationError("fold_mode='periods' needs period_of_row")
-        blocks = _fold_blocks_by_period(np.asarray(period_of_row), int(folds))
-    elif fold_mode == FOLD_ROWS:
-        blocks = _fold_blocks(dm.n, int(folds))
-    else:
-        raise ValidationError(f"unknown fold_mode {fold_mode!r}")
+    blocks = _fold_blocks(dm.n, int(folds))
     for b, block in enumerate(blocks):
         if block.size < 2:
             raise ValidationError(f"fold {b} has {block.size} rows; folds need >= 2")
@@ -545,16 +512,6 @@ def forecast_report(model: FittedModel, test: PanelDataset, transform: Transform
     )
 
 
-def entity_maxima(data: PanelDataset) -> dict[str, np.ndarray]:
-    """Each entity's per-feature maxima over its rows, for entities with rows."""
-    out: dict[str, np.ndarray] = {}
-    for e, name in enumerate(data.entities):
-        rows = np.flatnonzero(data.entity_idx == e)
-        if rows.size:
-            out[name] = data.features[rows].max(axis=0)
-    return out
-
-
 def mix_for_new_rows(new: PanelDataset, mode: str,
                      maxima: dict[str, np.ndarray]) -> np.ndarray:
     """Mix features for unseen rows using train-derived statistics.
@@ -652,8 +609,8 @@ class DprModel:
             core_labels=labels,
             dummy_names=get("clustering.dummy_names", lambda v: [str(n) for n in v]),
             entity_maxima=None if maxima is None else get(
-                "entity_maxima", lambda v: {str(e): np.asarray(mx, np.float64)
-                                            for e, mx in v.items()}),
+                "entity_maxima", lambda v: {str(e): np.asarray(mx, np.float64).reshape(
+                    len(features)) for e, mx in v.items()}),
         )
 
     def assign(self, panel: PanelDataset) -> np.ndarray:
@@ -705,7 +662,6 @@ class RunReport:
     path_models: list[FittedModel]
     k_distance: np.ndarray
     zero_mix_rows: list
-    full_labels: np.ndarray | None
     dpr_model: DprModel
 
     @property
@@ -795,22 +751,13 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         dmS = standardize(dm1.X, dm1.y, dm1.column_names, source_rows=dm1.source_rows)
 
     with _stage("cv"):
-        period_of_row = None
-        if config.fold_mode == FOLD_PERIODS:
-            period_of_row = train_log.period_idx[dmS.source_rows]
-        cv = cross_validate(
-            dmS, split.cv_folds, config.penalty_kind, config.lambda_grid,
-            alpha_grid=config.alpha_grid, fold_mode=config.fold_mode,
-            period_of_row=period_of_row,
-            tol=config.tol, max_iter=config.max_iter,
-        )
+        cv = cross_validate(dmS, split.cv_folds, config.penalty_kind, config.lambda_grid,
+                            alpha_grid=config.alpha_grid)
 
     chosen = PenaltySpec(config.penalty_kind, cv.best_lambda, cv.best_alpha)
     with _stage("path"):
         path_lams = sorted(set(float(l) for l in config.lambda_grid), reverse=True)
-        path_models = regularization_path(
-            dmS, path_lams, chosen.mixing, tol=config.tol, max_iter=config.max_iter
-        )
+        path_models = regularization_path(dmS, path_lams, chosen.mixing)
 
     with _stage("fit"):
         # lasso and elastic net: the path already solved the chosen cell
@@ -820,25 +767,6 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
             model = path_models[path_lams.index(cv.best_lambda)]
             if config.penalty_kind == LASSO:
                 model = replace(model, penalty=PenaltySpec(LASSO, model.penalty.lam))
-
-    with _stage("holdout"):
-        holdout_metrics = None
-        if config.holdout_periods:
-            if config.holdout_periods >= len(split.train_periods):
-                raise ValidationError(
-                    "holdout_periods must leave at least one training period"
-                )
-            held = set(split.train_periods[-config.holdout_periods:])
-            held_idx = {train_log.periods.index(p) for p in held}
-            row_periods = train_log.period_idx[dmS.source_rows]
-            hold_rows = np.flatnonzero([int(p) in held_idx for p in row_periods])
-            fit_rows = np.flatnonzero([int(p) not in held_idx for p in row_periods])
-            if hold_rows.size < 1 or fit_rows.size < 2:
-                raise ValidationError("holdout split leaves too few rows")
-            hm = fit_penalized(dmS.subset_rows(fit_rows), chosen, tol=config.tol,
-                               max_iter=config.max_iter)
-            yhat_h = _predict_standardized(hm, dmS.X[hold_rows])
-            holdout_metrics = _metrics_block(dmS.y[hold_rows], yhat_h)
 
     with _stage("forecast"):
         features = list(train_log.feature_names)
@@ -873,14 +801,8 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
                 "sparsity": train_metrics["sparsity"],
             },
             "validation": {"mean_mse": winner.mean_mse, "mean_r2": winner.mean_r2},
-            "holdout": holdout_metrics,
             "test": test_metrics,
         }
-
-        full_labels = None
-        if config.refit_clusters_full:
-            mix_full, _ = energy_mix_features(data, mode)
-            full_labels = dbscan(mix_full, params).labels
 
         kd_k = min(params.min_pts, mix_train.shape[0] - 1)
         k_dist = k_distance_profile(mix_train, max(1, kd_k))
@@ -911,7 +833,6 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
             path_models=path_models,
             k_distance=k_dist,
             zero_mix_rows=[train_keys[i] for i in zero_rows],
-            full_labels=full_labels,
             dpr_model=dpr_model,
         )
 
@@ -945,13 +866,6 @@ def write_report(report: RunReport, out_dir) -> None:
             report.core_mask.astype(np.intp).tolist() + [None] * n_test,
         ],
     )
-
-    if report.full_labels is not None:
-        write_table(
-            out / "clusters_full.csv",
-            ["entity", "period", "label"],
-            [entity, period, report.full_labels.astype(np.intp)],
-        )
 
     if report.scan_rows is not None:
         write_scan_table(report.scan_rows, out / "scan.csv")

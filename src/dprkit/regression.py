@@ -301,12 +301,10 @@ def _fit_metrics(y: np.ndarray, yhat: np.ndarray) -> tuple[float, float | None]:
 def _diagnostics(dm: DesignMatrix, intercept: float, beta: np.ndarray,
                  iterations: int, converged: bool, zv: np.ndarray) -> dict:
     mse, r2 = _fit_metrics(dm.y, intercept + dm.X @ beta)
-    p_eff = int(np.sum(~zv))
-    sparsity = 0.0 if p_eff == 0 else float(np.count_nonzero(beta[~zv])) / p_eff
     return {
         "r2": r2,
         "mse": mse,
-        "sparsity": sparsity,
+        "sparsity": metric_sparsity(beta, zv),
         "iterations": int(iterations),
         "converged": bool(converged),
     }

@@ -76,6 +76,14 @@ def test_synth_ok_line_and_determinism(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_synth_spec_repeated_key_exits_1(capsys, tmp_path):
+    out = tmp_path / "p.csv"
+    code, stdout, err = run_cli(capsys, "synth", "--output", str(out), "--spec", "seed=1,seed=2")
+    assert code == 1 and stdout == ""
+    assert "duplicate key 'seed'" in err
+    assert not out.exists()
+
+
 def test_ingest_renames_columns(capsys, tmp_path):
     raw = tmp_path / "raw.csv"
     raw.write_text(
@@ -133,6 +141,14 @@ def test_cluster_fit_cv_path_compose(capsys, tmp_path):
         "--alpha-grid", "0.5,1.0", "--folds", "4", "--cluster-model", str(bundle),
     )
     assert code == 0 and "cv ok" in out
+
+    code, out, err = run_cli(
+        capsys, "cv", "--input", str(panel), "--output", str(tmp_path / "cv2.csv"),
+        "--penalty", "lasso", "--lambda-grid", "0.01", "--fold-mode", "rows",
+    )
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --fold-mode rows" in err
+    assert not (tmp_path / "cv2.csv").exists()
 
     code, out, _ = run_cli(
         capsys, "path", "--input", str(panel), "--output", str(tmp_path / "path.csv"),
@@ -251,12 +267,21 @@ def _without_dummy_names(bundle):
     return bundle
 
 
+def _short_entity_maxima(bundle):
+    bundle["transform"]["normalize_mode"] = "perfeaturemax"
+    bundle["entity_maxima"] = {"E000": [1.0]}
+    return bundle
+
+
 @pytest.mark.parametrize("command, edit, message", [
     ("forecast", lambda b: {"format": "dprkit-model-v1"}, "missing field 'regression'"),
     ("forecast", lambda b: [1, 2], "not a run model bundle"),
     ("forecast", _without_dummy_names, "missing field 'clustering.dummy_names'"),
+    ("forecast", _short_entity_maxima, "bad field 'entity_maxima': "
+     "ValueError('cannot reshape array of size 1 into shape (4,)')"),
     ("fit", lambda b: {"format": "dprkit-clusters-v1"}, "missing field 'row_keys'"),
-], ids=["model-format-only", "model-list", "model-without-dummy-names", "clusters-format-only"])
+], ids=["model-format-only", "model-list", "model-without-dummy-names", "model-short-maxima",
+        "clusters-format-only"])
 def test_malformed_bundle_is_one_error_line(capsys, tmp_path, command, edit, message):
     panel = _synth(capsys, tmp_path, seed=5)
     code, _, _ = run_cli(
@@ -400,6 +425,16 @@ def test_config_file_errors(capsys, tmp_path):
     )
     assert code == 1
     assert "key=value" in err
+
+    # settings that no longer exist are unknown keys, not silently ignored
+    for line in ("fold_mode=periods", "holdout_periods=2", "refit_clusters_full=1"):
+        cfg.write_text(f"train_count=6\neps=0.2\nmin_pts=3\n{line}\n")
+        code, _, err = run_cli(
+            capsys, "run", "--input", str(panel), "--output-dir", str(tmp_path / "x"),
+            "--config", str(cfg),
+        )
+        assert code == 1
+        assert line.split("=")[0] in err
 
 
 def test_run_without_split_settings_exits_1(capsys, tmp_path):

@@ -12,6 +12,7 @@ from dprkit.panel import (
     PER_FEATURE_MAX,
     PanelDataset,
     TransformSpec,
+    energy_mix_features,
     invert_log,
     log_transform,
 )
@@ -205,10 +206,17 @@ def test_cv_unconverged_cells_become_na():
     assert cross_validate(dm, 4, "lasso", grid).best_lambda < 1.0
 
 
-def test_run_with_every_cv_cell_unconverged_names_stage_cv():
+def test_run_with_every_cv_cell_unconverged_names_stage_cv(monkeypatch):
+    fit = pipeline.fit_lasso
+
+    def one_step(dm, lam, **kw):
+        kw.update(max_iter=1)
+        return fit(dm, lam, **kw)
+
+    monkeypatch.setattr(pipeline, "fit_lasso", one_step)
     panel, _ = _panel(n_entities=10, n_periods=8, n_features=5, n_clusters=3, seed=2)
     split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
-    cfg = _default_config(lambda_grid=(1e-4, 1e-3), max_iter=1)
+    cfg = _default_config(lambda_grid=(1e-4, 1e-3))
     with pytest.raises(NumericalError, match="stage cv"):
         run_dpr(panel, cfg, split)
 
@@ -220,18 +228,6 @@ def test_cv_fold_size_validation():
         cross_validate(dmS, 3, "lasso", [0.1])  # fold of 1 row
     with pytest.raises(ValidationError):
         cross_validate(dmS, 1, "lasso", [0.1])
-
-
-def test_cv_period_folds_group_rows():
-    panel, _ = _panel(n_entities=6, n_periods=8, n_features=3)
-    logged = log_transform(panel, TransformSpec(normalize_mode=NO_NORMALIZATION))
-    dm0 = design_from_panel(logged)
-    dm = standardize(dm0.X, dm0.y, dm0.column_names, source_rows=dm0.source_rows)
-    res = cross_validate(
-        dm, 4, "lasso", [0.01],
-        fold_mode="periods", period_of_row=logged.period_idx,
-    )
-    assert res.fold_sizes == [12, 12, 12, 12]
 
 
 def _default_config(**kw):
@@ -291,27 +287,6 @@ def test_run_scan_mode_picks_sc_maximum(tmp_path):
     assert report.cluster_params.min_pts == best.min_pts
     write_report(report, tmp_path)
     assert (tmp_path / "scan.csv").exists()
-
-
-def test_run_holdout_reports_both(tmp_path):
-    panel, _ = _panel(n_entities=8, n_periods=10, n_features=4, seed=3)
-    split = SplitSpec(tuple(panel.periods[:8]), tuple(panel.periods[8:]), cv_folds=4)
-    report = run_dpr(panel, _default_config(holdout_periods=2), split)
-    assert report.metrics["holdout"] is not None
-    assert report.metrics["holdout"]["mse"] > 0
-    assert report.metrics["test"] is not None
-    with pytest.raises(ValidationError, match="holdout"):
-        run_dpr(panel, _default_config(holdout_periods=8), split)
-
-
-def test_run_refit_full_covers_every_row(tmp_path):
-    panel, _ = _panel(n_entities=8, n_periods=6, n_features=4, seed=4)
-    split = SplitSpec(tuple(panel.periods[:4]), tuple(panel.periods[4:]), cv_folds=3)
-    report = run_dpr(panel, _default_config(refit_clusters_full=True), split)
-    assert report.full_labels is not None
-    assert report.full_labels.shape[0] == panel.n_obs
-    write_report(report, tmp_path)
-    assert (tmp_path / "clusters_full.csv").exists()
 
 
 def test_baseline_choice_barely_matters_at_tiny_penalty():
@@ -409,6 +384,52 @@ def test_mix_for_new_rows_uses_train_maxima():
     assert out[0, 0] == 2.0  # ratio to the train maximum, not its own
 
 
+def _maxima_by_loop(data):
+    rows = [np.flatnonzero(data.entity_idx == e) for e in range(len(data.entities))]
+    return {name: data.features[r].max(axis=0)
+            for name, r in zip(data.entities, rows) if r.size}
+
+
+def _scale_by_loop(data, maxima):
+    out = np.zeros_like(data.features)
+    for e, name in enumerate(data.entities):
+        rows = np.flatnonzero(data.entity_idx == e)
+        if rows.size == 0:
+            continue
+        mx = maxima[name] if name in maxima else data.features[rows].max(axis=0)
+        for j in np.flatnonzero(mx > 0):
+            out[rows, j] = data.features[rows, j] / mx[j]
+    return out
+
+
+def test_entity_maxima_and_scaling_match_a_per_entity_loop():
+    rng = np.random.default_rng(0)
+
+    def make(keys, periods):
+        features = rng.uniform(0.0, 5.0, size=(len(keys), 3))
+        entity_idx = np.array([e for e, _ in keys], dtype=np.intp)
+        features[entity_idx == 1, 1] = 0.0  # B: a column whose maximum is 0
+        features[entity_idx == 3, 2] = 0.0  # D: the same, and D has no training rows
+        return PanelDataset(
+            entities=["A", "B", "C", "D"], periods=periods, feature_names=["f", "g", "h"],
+            entity_idx=entity_idx, period_idx=np.array([p for _, p in keys], dtype=np.intp),
+            features=features, targets=np.ones(len(keys)),
+        )
+
+    train = make([(e, p) for e in range(3) for p in range(4)], [2000, 2001, 2002, 2003])
+    new = make([(e, p) for e in range(4) for p in range(2)], [2004, 2005])
+    maxima = entity_maxima(train)
+    expected = _maxima_by_loop(train)
+    assert list(maxima) == list(expected) == ["A", "B", "C"]
+    for name in expected:
+        np.testing.assert_array_equal(maxima[name], expected[name])
+    np.testing.assert_array_equal(mix_for_new_rows(new, PER_FEATURE_MAX, maxima),
+                                  _scale_by_loop(new, expected))
+    for data in (train, new):
+        mix, _ = energy_mix_features(data, PER_FEATURE_MAX)
+        np.testing.assert_array_equal(mix, _scale_by_loop(data, {}))
+
+
 @pytest.mark.parametrize("mix", ["rawshares", "perfeaturemax"])
 def test_dpr_model_bundle_round_trips(mix):
     panel, _ = _panel(n_entities=8, n_periods=6, n_features=4, seed=7)
@@ -442,14 +463,13 @@ def test_final_model_is_the_path_fit_at_the_chosen_cell(kind, tmp_path, monkeypa
     )
     panel, _ = _panel(n_entities=10, n_periods=8, n_features=5, n_clusters=3, seed=2)
     split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
-    cfg = _default_config(penalty_kind=kind)
-    report = run_dpr(panel, cfg, split)
+    report = run_dpr(panel, _default_config(penalty_kind=kind), split)
     (dm,) = designs
     lam, alpha = report.cv.best_lambda, report.cv.best_alpha
     if kind == "lasso":
-        cold = fit_lasso(dm, lam, tol=cfg.tol, max_iter=cfg.max_iter)
+        cold = fit_lasso(dm, lam)
     else:
-        cold = fit_elastic_net(dm, lam, alpha, tol=cfg.tol, max_iter=cfg.max_iter)
+        cold = fit_elastic_net(dm, lam, alpha)
     assert report.model.penalty == cold.penalty == report.chosen
     np.testing.assert_allclose(report.model.coefficients, cold.coefficients, rtol=0, atol=1e-10)
     assert report.model.intercept == pytest.approx(cold.intercept, rel=0, abs=1e-10)
