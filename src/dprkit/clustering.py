@@ -19,11 +19,11 @@ distances, read from the dense distance matrix: neighbourhood counts are
 bincounts over it, clusters are ``scipy.sparse.csgraph.connected_components``
 on its core-core edges (a CSR graph read straight off the row-major pairs),
 and border claims are a minimum per row (Ester et al., KDD 1996; Schubert et
-al., TODS 2017).  A parameter scan builds that
-list once at the largest eps and thresholds it per cell.  Scoring never
-copies the n x n matrix, and new rows are assigned to their nearest core
-through a k-d tree.  scipy is imported at first use, so importing this
-module stays cheap.
+al., TODS 2017).  A parameter scan builds that list once at the largest eps,
+thresholds it and counts neighbours once per distinct eps, and labels once
+per distinct (eps, core set).  Scoring never copies the n x n matrix, and
+new rows are assigned to their nearest core through a k-d tree.  scipy is
+imported at first use, so importing this module stays cheap.
 """
 
 from __future__ import annotations
@@ -141,28 +141,30 @@ def _pairs_within(D: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray,
     rows, cols, dists = [], [], []
     for start in range(0, n, step):
         block = D[start:start + step, start:]
-        r, c = np.nonzero(np.triu(block <= radius, 1))
+        r, c = np.nonzero(block <= radius)
+        upper = c > r  # the block's column 0 is row `start`: keep j > i
+        r, c = r[upper], c[upper]
         rows.append((r + start).astype(np.int32))
         cols.append((c + start).astype(np.int32))
         dists.append(block[r, c])
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(dists)
 
 
-def _label_pairs(
-    n: int, i: np.ndarray, j: np.ndarray, d: np.ndarray, params: DbscanParams
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """DBSCAN labels, cluster count and core mask from the pairs within eps.
+def _neighbour_counts(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Closed-neighbourhood sizes (the point itself included) from pairs ``i < j``."""
+    return 1 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
 
-    ``i``, ``j``, ``d`` may hold pairs beyond eps (a list built at a larger
-    radius); they are dropped here.
-    """
+
+def _core_mask(counts: np.ndarray, min_pts: int, core_strict: bool) -> np.ndarray:
+    return counts > min_pts if core_strict else counts >= min_pts
+
+
+def _components(
+    n: int, i: np.ndarray, j: np.ndarray, core: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Canonical DBSCAN labels and cluster count from the pairs within eps and the core mask."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
-
-    keep = d <= params.eps
-    i, j = i[keep], j[keep]
-    counts = 1 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
-    core = counts > params.min_pts if params.core_strict else counts >= params.min_pts
 
     # take() gathers with the int32 pairs as they are; core[i] would first copy them to intp
     core_i, core_j = core.take(i), core.take(j)
@@ -183,7 +185,21 @@ def _label_pairs(
     labels = np.full(n, NOISE, dtype=np.intp)
     labels[core] = comp[core]
     labels[border] = comp[claim[border]]
-    labels, k = _canonical_relabel(labels)
+    return _canonical_relabel(labels)
+
+
+def _label_pairs(
+    n: int, i: np.ndarray, j: np.ndarray, d: np.ndarray, params: DbscanParams
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """DBSCAN labels, cluster count and core mask from the pairs within eps.
+
+    ``i``, ``j``, ``d`` may hold pairs beyond eps (a list built at a larger
+    radius); they are dropped here.
+    """
+    keep = d <= params.eps
+    i, j = i[keep], j[keep]
+    core = _core_mask(_neighbour_counts(n, i, j), params.min_pts, params.core_strict)
+    labels, k = _components(n, i, j, core)
     return labels, k, core
 
 
@@ -284,6 +300,32 @@ def k_distance_profile(points, k: int) -> np.ndarray:
     return np.sort(D[:, int(k)])[::-1].copy()
 
 
+def _label_cells(
+    n: int, pairs: tuple[np.ndarray, np.ndarray, np.ndarray], cells: Sequence[DbscanParams]
+) -> list[tuple[np.ndarray, int]]:
+    """Labels and cluster count of each cell, from the pairs within the largest eps.
+
+    Each distinct eps thresholds the pairs and counts neighbours once, and
+    only its pairs and counts are held; each distinct (eps, core set) runs
+    the component pass once.
+    """
+    pairs_i, pairs_j, pairs_d = pairs
+    labelled = {}
+    for eps in dict.fromkeys(p.eps for p in cells):
+        keep = pairs_d <= eps
+        i, j = pairs_i[keep], pairs_j[keep]
+        counts = _neighbour_counts(n, i, j)
+        by_core = {}
+        for p in cells:
+            if p.eps == eps:
+                core = _core_mask(counts, p.min_pts, p.core_strict)
+                key = core.tobytes()
+                if key not in by_core:
+                    by_core[key] = _components(n, i, j, core)
+                labelled[p] = by_core[key]
+    return [labelled[p] for p in cells]
+
+
 @dataclass(frozen=True)
 class ScanRow:
     eps: float
@@ -303,8 +345,9 @@ def scan_params(
 
     One row per combination, eps varying slowest, in grid order.  Rows where
     the silhouette is undefined carry ``sc=None``.  The neighbour pairs are
-    found once, at the largest eps, and every cell thresholds them; cells
-    that yield the same labels are scored once.
+    found once, at the largest eps.  Each distinct eps thresholds them and
+    counts neighbours once; each distinct (eps, core set) is labelled once,
+    and each distinct labelling is scored once.
     """
     pts = _as_points(points)
     if len(eps_grid) == 0 or len(minpts_grid) == 0:
@@ -316,7 +359,7 @@ def scan_params(
     ]
     D = pairwise_distances(pts)
     pairs = _pairs_within(D, max(p.eps for p in cells))
-    labelled = [_label_pairs(pts.shape[0], *pairs, p)[:2] for p in cells]
+    labelled = _label_cells(pts.shape[0], pairs, cells)
     distinct = {labels.tobytes(): (labels, k) for labels, k in labelled}
     scores = {key: _score(pts, D, *lk) for key, lk in distinct.items()}
     return [

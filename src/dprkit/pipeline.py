@@ -738,7 +738,6 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
 
     with _stage("transform"):
         train_log = log_transform(train_p, config.transform)
-        test_log = log_transform(test_p, config.transform)
 
     with _stage("design"):
         dm0 = design_from_panel(train_log)

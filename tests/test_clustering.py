@@ -328,6 +328,52 @@ def test_shared_pair_list_matches_per_cell_runs_and_oracle():
             np.testing.assert_array_equal(core, solo.core_mask)
 
 
+@pytest.mark.parametrize("chunk", [None, 50])
+def test_pairs_within_matches_the_upper_triangle_form(chunk, monkeypatch):
+    from dprkit import clustering
+
+    if chunk is not None:
+        monkeypatch.setattr(clustering, "_CHUNK", chunk)  # blocks of two rows
+    D = pairwise_distances(_lattice_with_ties())
+    n = D.shape[0]
+    step = max(1, clustering._CHUNK // n)
+    for radius in (0.0, 0.5, 1.0, 2.5, 100.0):
+        rows, cols, dists = [], [], []
+        for start in range(0, n, step):
+            block = D[start:start + step, start:]
+            r, c = np.nonzero(np.triu(block <= radius, 1))
+            rows.append((r + start).astype(np.int32))
+            cols.append((c + start).astype(np.int32))
+            dists.append(block[r, c])
+        expected = np.concatenate(rows), np.concatenate(cols), np.concatenate(dists)
+        for got, want in zip(clustering._pairs_within(D, radius), expected):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
+def test_scan_labels_once_per_eps_when_min_pts_leaves_the_core_set(monkeypatch):
+    from dprkit import clustering
+
+    calls = []
+
+    def counted(n, i, j, core):
+        calls.append(core.copy())
+        return components(n, i, j, core)
+
+    components = clustering._components
+    monkeypatch.setattr(clustering, "_components", counted)
+    # two groups of six coincident rows: every row has 6 neighbours at any eps
+    pts = np.repeat([[0.0, 0.0], [5.0, 0.0]], 6, axis=0)
+    eps_grid = [1.0, 0.5, 2.0, 0.5]
+    rows = scan_params(pts, eps_grid, [2, 4, 6, 3])
+    assert len(rows) == 16 and {r.k for r in rows} == {2}
+    assert len(calls) == 3  # one per distinct eps
+    assert all(core.all() for core in calls)
+    calls.clear()
+    scan_params(pts, eps_grid, [2, 7])  # min_pts 7 leaves no core point
+    assert len(calls) == 6
+
+
 def test_assign_by_nearest_core_with_a_single_core():
     train = _col([0.0, 0.5, 1.0])
     model = dbscan(train, DbscanParams(eps=0.5, min_pts=3))
@@ -417,3 +463,23 @@ def test_assign_by_nearest_core_matches_the_per_row_argmin(train, new, eps, min_
         _assign(train, model, new),
         _nearest_core_by_loop(train, model, new),
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(pts=_lattice(0.5, 8, min_size=2),
+       eps_grid=st.lists(_EPS, min_size=1, max_size=5),
+       minpts_grid=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       strict=st.booleans())
+def test_scan_cells_match_per_cell_runs_and_oracle(pts, eps_grid, minpts_grid, strict):
+    from dprkit.clustering import _label_cells, _pairs_within
+
+    rows = scan_params(pts, eps_grid, minpts_grid, core_strict=strict)
+    cells = [DbscanParams(e, m, core_strict=strict) for e in eps_grid for m in minpts_grid]
+    assert [(r.eps, r.min_pts) for r in rows] == [(p.eps, p.min_pts) for p in cells]
+    pairs = _pairs_within(pairwise_distances(pts), max(eps_grid))
+    labelled = _label_cells(pts.shape[0], pairs, cells)
+    for row, params, (labels, k) in zip(rows, cells, labelled):
+        solo = dbscan(pts, params)
+        assert (row.k, row.sc, row.sse) == (solo.k, solo.sc, solo.sse)
+        assert k == solo.k
+        np.testing.assert_array_equal(labels, brute_force_dbscan(pts, params))

@@ -276,6 +276,20 @@ def test_run_requires_grids_or_params():
         run_dpr(panel, cfg, split)
 
 
+def test_bad_test_row_fails_in_stage_forecast():
+    # the test panel is log-transformed once, where the forecast reads it
+    panel, _ = _panel(n_entities=10, n_periods=8, n_features=5, n_clusters=3, seed=2)
+    split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
+    test_rows = np.flatnonzero(panel.period_idx >= 6)
+    features = panel.features.copy()
+    features[test_rows[3], 1] = 0.0
+    bad = dataclasses.replace(panel, features=features)
+    assert np.all(bad.features[bad.period_idx < 6] > 0)
+    cfg = _default_config(transform=TransformSpec(log_offset=0.0))
+    with pytest.raises(ValidationError, match="stage forecast: log transform undefined"):
+        run_dpr(bad, cfg, split)
+
+
 def test_run_scan_mode_picks_sc_maximum(tmp_path):
     panel, _ = _panel(n_entities=9, n_periods=8, n_features=4, n_clusters=3, seed=5)
     split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=3)
