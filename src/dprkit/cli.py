@@ -16,13 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import clustering, pipeline, regression
+from . import pipeline, regression
 from .clustering import ClusterModel, DbscanParams, dbscan, scan_params, suggest_params
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .panel import (
     MIX_MODES,
     NO_NORMALIZATION,
-    RAW_SHARES,
     EmissionFactorTable,
     PanelDataset,
     PanelSchema,
@@ -33,7 +32,7 @@ from .panel import (
     log_transform,
     write_panel,
 )
-from .regression import ELASTIC_NET, LASSO, PENALTY_KINDS, RIDGE, FittedModel, standardize
+from .regression import ELASTIC_NET, PENALTY_KINDS, FittedModel, standardize
 from .tables import NA, fmt, write_table
 
 
@@ -211,12 +210,15 @@ def _labels_for_panel(panel: PanelDataset, bundle_path) -> np.ndarray:
     return labels
 
 
-def _design_for_fit(panel: PanelDataset, offset: float, labels, policy: str,
-                    baseline: int):
-    spec = TransformSpec(log_offset=offset, normalize_mode=NO_NORMALIZATION)
+def _design_from_args(args):
+    """The standardized log design of ``fit``, ``cv`` and ``path``, with any cluster dummies."""
+    panel = _load_canonical(args.input)
+    spec = TransformSpec(log_offset=args.log_offset, normalize_mode=NO_NORMALIZATION)
     dm = pipeline.design_from_panel(log_transform(panel, spec))
-    if labels is not None:
-        dm = pipeline.augment_with_dummies(dm, labels, policy=policy, baseline=baseline)
+    if args.cluster_model:
+        labels = _labels_for_panel(panel, args.cluster_model)
+        dm = pipeline.augment_with_dummies(dm, labels, policy=args.outlier_policy,
+                                           baseline=args.baseline)
     return standardize(dm.X, dm.y, dm.column_names, source_rows=dm.source_rows)
 
 
@@ -335,26 +337,24 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _penalty_from_args(kind: str, lam: float, alpha) -> regression.PenaltySpec:
+def _check_mixing_flag(kind: str, flag: str, given: bool) -> None:
+    """``flag`` (alpha, or its grid) is required for elastic_net and rejected otherwise."""
     if kind not in PENALTY_KINDS:
         raise ValidationError(f"--penalty must be one of {PENALTY_KINDS}")
-    if kind == ELASTIC_NET:
-        if alpha is None:
-            raise ValidationError("elastic_net needs --alpha")
-    elif alpha is not None:
-        raise ValidationError(f"--alpha is only valid for elastic_net, not {kind}")
+    if kind == ELASTIC_NET and not given:
+        raise ValidationError(f"elastic_net needs {flag}")
+    if kind != ELASTIC_NET and given:
+        raise ValidationError(f"{flag} is only valid for elastic_net, not {kind}")
+
+
+def _penalty_from_args(kind: str, lam: float, alpha) -> regression.PenaltySpec:
+    _check_mixing_flag(kind, "--alpha", alpha is not None)
     return regression.PenaltySpec(kind, lam, alpha)
 
 
 def _cmd_fit(args) -> int:
-    panel = _load_canonical(args.input)
     penalty = _penalty_from_args(args.penalty, args.lam, args.alpha)
-    labels = (
-        _labels_for_panel(panel, args.cluster_model) if args.cluster_model else None
-    )
-    dm = _design_for_fit(
-        panel, args.log_offset, labels, args.outlier_policy, args.baseline
-    )
+    dm = _design_from_args(args)
     model = pipeline.fit_penalized(dm, penalty)
     if not model.diagnostics["converged"]:
         raise ConvergenceError(
@@ -384,13 +384,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_cv(args) -> int:
-    panel = _load_canonical(args.input)
-    labels = (
-        _labels_for_panel(panel, args.cluster_model) if args.cluster_model else None
-    )
-    dm = _design_for_fit(
-        panel, args.log_offset, labels, args.outlier_policy, args.baseline
-    )
+    _check_mixing_flag(args.penalty, "--alpha-grid", args.alpha_grid is not None)
+    dm = _design_from_args(args)
     alpha_grid = _parse_grid(args.alpha_grid) if args.alpha_grid else None
     result = pipeline.cross_validate(
         dm,
@@ -400,36 +395,21 @@ def _cmd_cv(args) -> int:
         alpha_grid=alpha_grid,
     )
     pipeline.write_cv_table(result, Path(args.output))
-    winner = next(
-        c for c in result.table
-        if c.lam == result.best_lambda and c.alpha == result.best_alpha
-    )
     _ok(
         "cv",
         cells=len(result.table),
-        best_lambda=result.best_lambda,
-        best_alpha=result.best_alpha,
-        mean_mse=winner.mean_mse,
+        best_lambda=result.best.lam,
+        best_alpha=result.best.alpha,
+        mean_mse=result.best.mean_mse,
     )
     return 0
 
 
 def _cmd_path(args) -> int:
-    panel = _load_canonical(args.input)
-    kind = args.penalty
-    if kind not in PENALTY_KINDS:
-        raise ValidationError(f"--penalty must be one of {PENALTY_KINDS}")
-    alpha = {RIDGE: 0.0, LASSO: 1.0}.get(kind, args.alpha)
-    if alpha is None:
-        raise ValidationError("elastic_net path needs --alpha")
-    labels = (
-        _labels_for_panel(panel, args.cluster_model) if args.cluster_model else None
-    )
-    dm = _design_for_fit(
-        panel, args.log_offset, labels, args.outlier_policy, args.baseline
-    )
+    mixing = _penalty_from_args(args.penalty, 0.0, args.alpha).mixing
+    dm = _design_from_args(args)
     lams = sorted(set(_parse_grid(args.lambda_grid)), reverse=True)
-    models = regression.regularization_path(dm, lams, alpha)
+    models = regression.regularization_path(dm, lams, mixing)
     for lam, m in zip(lams, models):
         if not m.diagnostics["converged"]:
             raise ConvergenceError(
@@ -441,99 +421,92 @@ def _cmd_path(args) -> int:
     return 0
 
 
+def _as_bool(text: str) -> bool:
+    text = text.strip().lower()
+    if text in ("1", "true", "yes", "on"):
+        return True
+    if text in ("0", "false", "no", "off"):
+        return False
+    raise ValueError("not a boolean")
+
+
+def _as_grid(text: str) -> tuple:
+    return tuple(_parse_grid(text))
+
+
+def _as_int_grid(text: str) -> tuple:
+    return tuple(_parse_int_grid(text))
+
+
+# The run settings: config key -> (parser of its text, argparse keywords of its
+# flag).  A flag's dest is its config key; every flag defaults to None (unset).
 _RUN_KEYS = {
-    "penalty", "lambda_grid", "alpha_grid", "eps", "min_pts", "eps_grid",
-    "minpts_grid", "core_strict", "mix", "log_offset", "outlier_policy",
-    "baseline", "folds", "train_periods", "test_periods", "train_count",
+    "penalty": (str, {}),
+    "lambda_grid": (_as_grid, {}),
+    "alpha_grid": (_as_grid, {}),
+    "eps": (float, {}),
+    "min_pts": (int, {}),
+    "eps_grid": (_as_grid, {}),
+    "minpts_grid": (_as_int_grid, {}),
+    "core_strict": (_as_bool, {"action": "store_const", "const": "true"}),
+    "mix": (str, {"choices": list(MIX_MODES)}),
+    "log_offset": (float, {}),
+    "outlier_policy": (str, {"choices": list(pipeline.OUTLIER_POLICIES)}),
+    "baseline": (int, {}),
+    "folds": (int, {}),
+    "train_periods": (str, {}),
+    "test_periods": (str, {}),
+    "train_count": (int, {}),
 }
 
 
-def _effective_run_settings(args) -> dict:
+def _effective_run_settings(args) -> dict[str, str]:
+    """The run's settings as text; flags that are set win over the config file."""
     settings: dict[str, str] = {}
     if args.config:
         cfg = _read_config(args.config)
-        unknown = set(cfg) - _RUN_KEYS
+        unknown = set(cfg) - set(_RUN_KEYS)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         settings.update(cfg)
-    # every run flag's dest is its config key; flags that are set win
     for key in _RUN_KEYS:
         if getattr(args, key) is not None:
             settings[key] = getattr(args, key)
     return settings
 
 
-def _as_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ValidationError(f"cannot parse boolean {value!r}")
+def _build_run(texts: dict[str, str], panel: PanelDataset):
+    """DprConfig and SplitSpec of the settings; an unset one takes its field's default."""
+    settings = {}
+    for key, text in texts.items():
+        try:
+            settings[key] = _RUN_KEYS[key][0](text)
+        except (ValueError, ValidationError) as exc:
+            raise ValidationError(f"bad value {key}={text!r}: {exc}") from exc
 
+    def given(**fields) -> dict:
+        return {name: settings[key] for name, key in fields.items() if key in settings}
 
-def _as_int(value, name: str) -> int:
-    try:
-        return int(str(value))
-    except ValueError as exc:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from exc
-
-
-def _as_float(value, name: str) -> float:
-    try:
-        return float(str(value))
-    except ValueError as exc:
-        raise ValidationError(f"{name} must be numeric, got {value!r}") from exc
-
-
-def _float_grid(value) -> tuple:
-    return tuple(value if isinstance(value, list) else _parse_grid(str(value)))
-
-
-def _build_run(settings: dict, panel: PanelDataset):
-    kind = str(settings.get("penalty", ELASTIC_NET))
-    transform = TransformSpec(
-        log_offset=_as_float(settings.get("log_offset", 1.0), "log_offset"),
-        normalize_mode=str(settings.get("mix", RAW_SHARES)),
-    )
     params = None
-    eps_grid = minpts_grid = None
     if "eps" in settings or "min_pts" in settings:
         if not ("eps" in settings and "min_pts" in settings):
             raise ValidationError("eps and min_pts must be given together")
-        params = DbscanParams(
-            eps=_as_float(settings["eps"], "eps"),
-            min_pts=_as_int(settings["min_pts"], "min_pts"),
-            core_strict=_as_bool(settings.get("core_strict", False)),
+        params = DbscanParams(settings["eps"], settings["min_pts"],
+                              **given(core_strict="core_strict"))
+    elif not ("eps_grid" in settings and "minpts_grid" in settings):
+        raise ValidationError(
+            "give either eps+min_pts or eps_grid+minpts_grid (config or flags)"
         )
-    else:
-        if not ("eps_grid" in settings and "minpts_grid" in settings):
-            raise ValidationError(
-                "give either eps+min_pts or eps_grid+minpts_grid (config or flags)"
-            )
-        eps_grid = _float_grid(settings["eps_grid"])
-        grid = settings["minpts_grid"]
-        minpts_grid = tuple(grid if isinstance(grid, list) else _parse_int_grid(str(grid)))
-
-    # the grids left unset take DprConfig's defaults
-    grids = {key: _float_grid(settings[key])
-             for key in ("lambda_grid", "alpha_grid") if key in settings}
     config = pipeline.DprConfig(
-        transform=transform,
+        transform=TransformSpec(**given(log_offset="log_offset", normalize_mode="mix")),
         dbscan=params,
-        eps_grid=eps_grid,
-        minpts_grid=minpts_grid,
-        core_strict=_as_bool(settings.get("core_strict", False)),
-        penalty_kind=kind,
-        outlier_policy=str(settings.get("outlier_policy", pipeline.UNIQUE_DUMMY)),
-        baseline_cluster=_as_int(settings.get("baseline", 0), "baseline"),
-        **grids,
+        **given(eps_grid="eps_grid", minpts_grid="minpts_grid", core_strict="core_strict",
+                penalty_kind="penalty", lambda_grid="lambda_grid", alpha_grid="alpha_grid",
+                outlier_policy="outlier_policy", baseline_cluster="baseline"),
     )
 
     if "train_count" in settings:
-        count = _as_int(settings["train_count"], "train_count")
+        count = settings["train_count"]
         if not 1 <= count < len(panel.periods):
             raise ValidationError(
                 f"train_count {count} must leave both train and test periods "
@@ -542,39 +515,36 @@ def _build_run(settings: dict, panel: PanelDataset):
         train = panel.periods[:count]
         test = panel.periods[count:]
     elif "train_periods" in settings and "test_periods" in settings:
-        train = _parse_periods(str(settings["train_periods"]), panel.periods)
-        test = _parse_periods(str(settings["test_periods"]), panel.periods)
+        train = _parse_periods(settings["train_periods"], panel.periods)
+        test = _parse_periods(settings["test_periods"], panel.periods)
     else:
         raise ValidationError("give train_count, or train_periods and test_periods")
-    split = pipeline.SplitSpec(
-        train_periods=tuple(train),
-        test_periods=tuple(test),
-        cv_folds=_as_int(settings.get("folds", 5), "folds"),
-    )
+    split = pipeline.SplitSpec(train_periods=tuple(train), test_periods=tuple(test),
+                               **given(cv_folds="folds"))
     return config, split
 
 
 def _cmd_run(args) -> int:
     panel = _load_canonical(args.input)
-    settings = _effective_run_settings(args)
-    config, split = _build_run(settings, panel)
+    config, split = _build_run(_effective_run_settings(args), panel)
     report = pipeline.run_dpr(panel, config, split)
-    if not report.model.diagnostics["converged"]:
+    model = report.dpr_model.model
+    if not model.diagnostics["converged"]:
         raise ConvergenceError(
-            f"final fit did not converge in {report.model.diagnostics['iterations']} steps"
+            f"final fit did not converge in {model.diagnostics['iterations']} steps"
         )
-    report.write(args.output_dir)
+    pipeline.write_report(report, args.output_dir)
     if args.plots:
         emit_plot_data(report, args.output_dir)
     test_mse = report.metrics["test"]["mse"] if report.metrics["test"] else None
     unconverged = report.unconverged_path_fits
     _ok(
         "run",
-        k=report.cluster_k,
-        noise=int(np.sum(report.train_labels == clustering.NOISE)),
-        kind=report.chosen.kind,
-        best_lambda=report.chosen.lam,
-        best_alpha=report.chosen.alpha,
+        k=report.clusters.k,
+        noise=report.clusters.n_noise,
+        kind=model.penalty.kind,
+        best_lambda=model.penalty.lam,
+        best_alpha=model.penalty.alpha,
         train_r2=report.metrics["train"]["r2"],
         test_mse=test_mse,
         **({"unconverged_path_fits": unconverged} if unconverged else {}),
@@ -603,10 +573,11 @@ def emit_plot_data(report: pipeline.RunReport, out_dir) -> None:
     plots.mkdir(parents=True, exist_ok=True)
     _write_path_table(plots / "path_trajectories.csv", report.path_lambdas,
                       report.path_models)
+    dm = report.design
     write_table(
         plots / "fit_scatter.csv",
         ["actual_log", "predicted_log"],
-        [report.fitted_actual, report.fitted_predicted],
+        [dm.y, pipeline._predict_standardized(report.dpr_model.model, dm.X)],
     )
     k_dist = np.asarray(report.k_distance, dtype=np.float64)
     write_table(
@@ -632,10 +603,10 @@ def _write_path_table(dest, lams: list[float], models: list[FittedModel]) -> Non
 def _add_common_design_flags(sp) -> None:
     sp.add_argument("--cluster-model", default=None,
                     help="cluster_model.json from the cluster subcommand")
-    sp.add_argument("--log-offset", type=float, default=1.0)
-    sp.add_argument("--outlier-policy", default=pipeline.UNIQUE_DUMMY,
+    sp.add_argument("--log-offset", type=float, default=TransformSpec.log_offset)
+    sp.add_argument("--outlier-policy", default=pipeline.DprConfig.outlier_policy,
                     choices=list(pipeline.OUTLIER_POLICIES))
-    sp.add_argument("--baseline", type=int, default=0)
+    sp.add_argument("--baseline", type=int, default=pipeline.DprConfig.baseline_cluster)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -667,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--min-pts", type=int, required=True)
     sp.add_argument("--core-strict", action="store_true")
-    sp.add_argument("--mix", default=RAW_SHARES, choices=list(MIX_MODES))
+    sp.add_argument("--mix", default=TransformSpec.normalize_mode, choices=list(MIX_MODES))
     sp.set_defaults(handler=_cmd_cluster)
 
     sp = sub.add_parser("scan", help="grid scan of clustering parameters")
@@ -676,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps-grid", required=True)
     sp.add_argument("--minpts-grid", required=True)
     sp.add_argument("--core-strict", action="store_true")
-    sp.add_argument("--mix", default=RAW_SHARES, choices=list(MIX_MODES))
+    sp.add_argument("--mix", default=TransformSpec.normalize_mode, choices=list(MIX_MODES))
     sp.set_defaults(handler=_cmd_scan)
 
     sp = sub.add_parser("fit", help="one penalized fit on the log design")
@@ -694,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--penalty", required=True)
     sp.add_argument("--lambda-grid", required=True)
     sp.add_argument("--alpha-grid", default=None)
-    sp.add_argument("--folds", type=int, default=5)
+    sp.add_argument("--folds", type=int, default=pipeline.SplitSpec.cv_folds)
     _add_common_design_flags(sp)
     sp.set_defaults(handler=_cmd_cv)
 
@@ -711,23 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", required=True)
     sp.add_argument("--output-dir", required=True)
     sp.add_argument("--config", default=None, help="key=value file; flags override")
-    sp.add_argument("--penalty", default=None)
-    sp.add_argument("--lambda-grid", default=None)
-    sp.add_argument("--alpha-grid", default=None)
-    sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--min-pts", type=int, default=None)
-    sp.add_argument("--eps-grid", default=None)
-    sp.add_argument("--minpts-grid", default=None)
-    sp.add_argument("--core-strict", action="store_true", default=None)
-    sp.add_argument("--mix", default=None, choices=list(MIX_MODES))
-    sp.add_argument("--log-offset", type=float, default=None)
-    sp.add_argument("--outlier-policy", default=None,
-                    choices=list(pipeline.OUTLIER_POLICIES))
-    sp.add_argument("--baseline", type=int, default=None)
-    sp.add_argument("--folds", type=int, default=None)
-    sp.add_argument("--train-periods", default=None)
-    sp.add_argument("--test-periods", default=None)
-    sp.add_argument("--train-count", type=int, default=None)
+    for key, (_, flag) in _RUN_KEYS.items():
+        sp.add_argument("--" + key.replace("_", "-"), default=None, **flag)
     sp.add_argument("--plots", action="store_true")
     sp.set_defaults(handler=_cmd_run)
 

@@ -188,21 +188,6 @@ def _components(
     return _canonical_relabel(labels)
 
 
-def _label_pairs(
-    n: int, i: np.ndarray, j: np.ndarray, d: np.ndarray, params: DbscanParams
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """DBSCAN labels, cluster count and core mask from the pairs within eps.
-
-    ``i``, ``j``, ``d`` may hold pairs beyond eps (a list built at a larger
-    radius); they are dropped here.
-    """
-    keep = d <= params.eps
-    i, j = i[keep], j[keep]
-    core = _core_mask(_neighbour_counts(n, i, j), params.min_pts, params.core_strict)
-    labels, k = _components(n, i, j, core)
-    return labels, k, core
-
-
 def _score(
     pts: np.ndarray, D: np.ndarray, labels: np.ndarray, k: int
 ) -> tuple[float | None, float]:
@@ -222,7 +207,7 @@ def dbscan(points, params: DbscanParams, distances: np.ndarray | None = None) ->
     """
     pts = _as_points(points)
     D = pairwise_distances(pts) if distances is None else distances
-    labels, k, core = _label_pairs(pts.shape[0], *_pairs_within(D, params.eps), params)
+    [(labels, k, core)] = _label_cells(pts.shape[0], _pairs_within(D, params.eps), [params])
     sc, total = _score(pts, D, labels, k)
     return ClusterModel(params=params, labels=labels, k=k, sc=sc, sse=total, core_mask=core)
 
@@ -302,8 +287,8 @@ def k_distance_profile(points, k: int) -> np.ndarray:
 
 def _label_cells(
     n: int, pairs: tuple[np.ndarray, np.ndarray, np.ndarray], cells: Sequence[DbscanParams]
-) -> list[tuple[np.ndarray, int]]:
-    """Labels and cluster count of each cell, from the pairs within the largest eps.
+) -> list[tuple[np.ndarray, int, np.ndarray]]:
+    """Labels, cluster count and core mask of each cell, from the pairs within the largest eps.
 
     Each distinct eps thresholds the pairs and counts neighbours once, and
     only its pairs and counts are held; each distinct (eps, core set) runs
@@ -321,7 +306,7 @@ def _label_cells(
                 core = _core_mask(counts, p.min_pts, p.core_strict)
                 key = core.tobytes()
                 if key not in by_core:
-                    by_core[key] = _components(n, i, j, core)
+                    by_core[key] = (*_components(n, i, j, core), core)
                 labelled[p] = by_core[key]
     return [labelled[p] for p in cells]
 
@@ -360,11 +345,11 @@ def scan_params(
     D = pairwise_distances(pts)
     pairs = _pairs_within(D, max(p.eps for p in cells))
     labelled = _label_cells(pts.shape[0], pairs, cells)
-    distinct = {labels.tobytes(): (labels, k) for labels, k in labelled}
+    distinct = {labels.tobytes(): (labels, k) for labels, k, _ in labelled}
     scores = {key: _score(pts, D, *lk) for key, lk in distinct.items()}
     return [
         ScanRow(p.eps, p.min_pts, k, *scores[labels.tobytes()])
-        for p, (labels, k) in zip(cells, labelled)
+        for p, (labels, k, _) in zip(cells, labelled)
     ]
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .clustering import (
     NOISE,
+    ClusterModel,
     DbscanParams,
     ScanRow,
     assign_by_nearest_core,
@@ -228,10 +229,8 @@ class CvCell:
 
 @dataclass
 class CvResult:
-    best_lambda: float
-    best_alpha: float | None
+    best: CvCell
     table: list[CvCell]
-    fold_sizes: list[int]
 
 
 def _fold_blocks(n: int, folds: int) -> list[np.ndarray]:
@@ -323,40 +322,21 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
 
     results = [_fold(block) for block in blocks]
 
-    table: list[CvCell] = []
-    best: CvCell | None = None
+    table = []
     for lam in lams:
         for alpha in alphas:
             per_fold = [res[(lam, alpha)] for res in results]
             mean_mse = float(np.mean([m for m, _ in per_fold]))
             mean_r2 = float(np.mean([r for _, r in per_fold]))
-            cell = CvCell(lam, alpha, mean_mse, mean_r2)
-            table.append(cell)
-            if math.isnan(mean_mse):
-                continue
-            if (
-                best is None
-                or cell.mean_mse < best.mean_mse
-                or (cell.mean_mse == best.mean_mse and cell.lam > best.lam)
-                or (
-                    cell.mean_mse == best.mean_mse
-                    and cell.lam == best.lam
-                    and (best.alpha is not None and cell.alpha is not None
-                         and cell.alpha > best.alpha)
-                )
-            ):
-                best = cell
-    if best is None:
+            table.append(CvCell(lam, alpha, mean_mse, mean_r2))
+    usable = [c for c in table if not math.isnan(c.mean_mse)]
+    if not usable:
         raise NumericalError(
             "every cross-validation cell failed (rank-deficient or unconverged fits); "
             "no usable hyperparameters"
         )
-    return CvResult(
-        best_lambda=best.lam,
-        best_alpha=best.alpha,
-        table=table,
-        fold_sizes=[int(b.size) for b in blocks],
-    )
+    best = min(usable, key=lambda c: (c.mean_mse, -c.lam, -(c.alpha or 0.0)))
+    return CvResult(best=best, table=table)
 
 
 @dataclass(frozen=True)
@@ -636,40 +616,31 @@ class DprModel:
 
 @dataclass
 class RunReport:
-    """Everything one run produced; ``write`` lays it out as a directory."""
+    """Everything one run produced; ``write_report`` lays it out as a directory.
+
+    ``design`` is the standardized training design the model was fit on; the
+    final model, with its penalty, is ``dpr_model.model``, and the test rows'
+    cluster ids are ``forecast.cluster``.
+    """
 
     split: SplitSpec
-    penalty_kind: str
-    cluster_params: DbscanParams
-    cluster_k: int
-    cluster_sc: float | None
-    cluster_sse: float
-    train_keys: list
-    test_keys: list
-    train_labels: np.ndarray
-    test_labels: np.ndarray
-    core_mask: np.ndarray
+    clusters: ClusterModel
     scan_rows: list[ScanRow] | None
-    chosen: PenaltySpec
     cv: CvResult
-    model: FittedModel
-    fitted_keys: list
-    fitted_actual: np.ndarray
-    fitted_predicted: np.ndarray
-    forecast: ForecastResult
-    metrics: dict
+    design: DesignMatrix
     path_lambdas: list[float]
     path_models: list[FittedModel]
+    dpr_model: DprModel
+    forecast: ForecastResult
+    metrics: dict
+    train_keys: list
+    test_keys: list
     k_distance: np.ndarray
     zero_mix_rows: list
-    dpr_model: DprModel
 
     @property
     def unconverged_path_fits(self) -> int:
         return sum(not m.diagnostics["converged"] for m in self.path_models)
-
-    def write(self, out_dir) -> None:
-        write_report(self, out_dir)
 
 
 def _metrics_block(y: np.ndarray, yhat: np.ndarray) -> dict:
@@ -753,7 +724,7 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         cv = cross_validate(dmS, split.cv_folds, config.penalty_kind, config.lambda_grid,
                             alpha_grid=config.alpha_grid)
 
-    chosen = PenaltySpec(config.penalty_kind, cv.best_lambda, cv.best_alpha)
+    chosen = PenaltySpec(config.penalty_kind, cv.best.lam, cv.best.alpha)
     with _stage("path"):
         path_lams = sorted(set(float(l) for l in config.lambda_grid), reverse=True)
         path_models = regularization_path(dmS, path_lams, chosen.mixing)
@@ -763,7 +734,7 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         if config.penalty_kind == RIDGE:
             model = fit_penalized(dmS, chosen)
         else:
-            model = path_models[path_lams.index(cv.best_lambda)]
+            model = path_models[path_lams.index(cv.best.lam)]
             if config.penalty_kind == LASSO:
                 model = replace(model, penalty=PenaltySpec(LASSO, model.penalty.lam))
 
@@ -781,7 +752,6 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         fres = dpr_model.forecast(test_p)
 
     with _stage("report"):
-        yhat_train = _predict_standardized(model, dmS.X)
         train_metrics = dict(model.diagnostics)
         have_test = ~np.isnan(fres.actual_log)
         test_metrics = None
@@ -789,17 +759,13 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
             test_metrics = _metrics_block(
                 fres.actual_log[have_test], fres.predicted_log[have_test]
             )
-        winner = next(
-            c for c in cv.table
-            if c.lam == cv.best_lambda and c.alpha == cv.best_alpha
-        )
         metrics = {
             "train": {
                 "r2": train_metrics["r2"],
                 "mse": train_metrics["mse"],
                 "sparsity": train_metrics["sparsity"],
             },
-            "validation": {"mean_mse": winner.mean_mse, "mean_r2": winner.mean_r2},
+            "validation": {"mean_mse": cv.best.mean_mse, "mean_r2": cv.best.mean_r2},
             "test": test_metrics,
         }
 
@@ -809,30 +775,19 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         train_keys = train_p.row_keys()
         return RunReport(
             split=split,
-            penalty_kind=config.penalty_kind,
-            cluster_params=params,
-            cluster_k=cmodel.k,
-            cluster_sc=cmodel.sc,
-            cluster_sse=cmodel.sse,
-            train_keys=train_keys,
-            test_keys=test_p.row_keys(),
-            train_labels=cmodel.labels,
-            test_labels=fres.cluster,
-            core_mask=cmodel.core_mask,
+            clusters=cmodel,
             scan_rows=scan_rows,
-            chosen=model.penalty,
             cv=cv,
-            model=model,
-            fitted_keys=[train_keys[i] for i in dmS.source_rows],
-            fitted_actual=dmS.y.copy(),
-            fitted_predicted=yhat_train,
-            forecast=fres,
-            metrics=metrics,
+            design=dmS,
             path_lambdas=path_lams,
             path_models=path_models,
+            dpr_model=dpr_model,
+            forecast=fres,
+            metrics=metrics,
+            train_keys=train_keys,
+            test_keys=test_p.row_keys(),
             k_distance=k_dist,
             zero_mix_rows=[train_keys[i] for i in zero_rows],
-            dpr_model=dpr_model,
         )
 
 
@@ -854,6 +809,7 @@ def write_report(report: RunReport, out_dir) -> None:
     keys = report.train_keys + report.test_keys
     entity, period = [e for e, _ in keys], [p for _, p in keys]
     n_train, n_test = len(report.train_keys), len(report.test_keys)
+    clusters, model, dm = report.clusters, report.dpr_model.model, report.design
     write_table(
         out / "clusters.csv",
         ["entity", "period", "split", "label", "core"],
@@ -861,8 +817,8 @@ def write_report(report: RunReport, out_dir) -> None:
             entity,
             period,
             ["train"] * n_train + ["test"] * n_test,
-            np.concatenate([report.train_labels, report.test_labels]).astype(np.intp),
-            report.core_mask.astype(np.intp).tolist() + [None] * n_test,
+            np.concatenate([clusters.labels, report.forecast.cluster]).astype(np.intp),
+            clusters.core_mask.astype(np.intp).tolist() + [None] * n_test,
         ],
     )
 
@@ -870,33 +826,33 @@ def write_report(report: RunReport, out_dir) -> None:
         write_scan_table(report.scan_rows, out / "scan.csv")
     write_cv_table(report.cv, out / "cv_table.csv")
 
-    write_coefficients(report.model, out / "coefficients.csv")
+    write_coefficients(model, out / "coefficients.csv")
 
-    a, f = report.fitted_actual, report.fitted_predicted
+    fitted_keys = [report.train_keys[i] for i in dm.source_rows]
+    a, f = dm.y, _predict_standardized(model, dm.X)
     write_table(
         out / "fitted.csv",
         ["entity", "period", "actual_log", "predicted_log", "residual"],
-        [[e for e, _ in report.fitted_keys], [p for _, p in report.fitted_keys],
-         a, f, a - f],
+        [[e for e, _ in fitted_keys], [p for _, p in fitted_keys], a, f, a - f],
     )
 
     write_forecast(report.forecast, out / "forecast.csv")
 
     summary = {
         "chosen": {
-            "kind": report.chosen.kind,
-            "lambda": report.chosen.lam,
-            "alpha": report.chosen.alpha,
+            "kind": model.penalty.kind,
+            "lambda": model.penalty.lam,
+            "alpha": model.penalty.alpha,
         },
         "clustering": {
-            "eps": report.cluster_params.eps,
-            "min_pts": report.cluster_params.min_pts,
-            "core_strict": report.cluster_params.core_strict,
-            "k": report.cluster_k,
-            "sc": report.cluster_sc,
-            "sse": report.cluster_sse,
-            "n_noise": int(np.sum(report.train_labels == NOISE)),
-            "n_core": int(np.sum(report.core_mask)),
+            "eps": clusters.params.eps,
+            "min_pts": clusters.params.min_pts,
+            "core_strict": clusters.params.core_strict,
+            "k": clusters.k,
+            "sc": clusters.sc,
+            "sse": clusters.sse,
+            "n_noise": clusters.n_noise,
+            "n_core": int(np.sum(clusters.core_mask)),
         },
         "metrics": report.metrics,
         "forecast": {
@@ -906,8 +862,8 @@ def write_report(report: RunReport, out_dir) -> None:
             "n_noise_rows": report.forecast.n_noise_rows,
         },
         "fit": {
-            "iterations": report.model.diagnostics.get("iterations"),
-            "converged": report.model.diagnostics.get("converged"),
+            "iterations": model.diagnostics.get("iterations"),
+            "converged": model.diagnostics.get("converged"),
             "unconverged_path_fits": report.unconverged_path_fits,
         },
         "split": {

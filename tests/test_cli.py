@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from dprkit import regression, testkit
-from dprkit.cli import _parse_grid, _parse_periods, main
+from dprkit.cli import _RUN_KEYS, _build_run, _parse_grid, _parse_periods, main
+from dprkit.clustering import DbscanParams
 from dprkit.errors import ValidationError
 from dprkit.panel import load_panel, write_panel
+from dprkit.pipeline import DprConfig, SplitSpec
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +161,21 @@ def test_cluster_fit_cv_path_compose(capsys, tmp_path):
     with (tmp_path / "path.csv").open() as fh:
         header = fh.readline().strip().split(",")
     assert header[:2] == ["lambda", "intercept"]
+
+
+@pytest.mark.parametrize("kind", ["ridge", "lasso"])
+@pytest.mark.parametrize("command, flag", [("path", "--alpha"), ("cv", "--alpha-grid")])
+def test_path_and_cv_reject_alpha_unless_elastic_net(capsys, tmp_path, command, flag, kind):
+    panel = _synth(capsys, tmp_path)
+    out = tmp_path / "out.csv"
+    argv = [command, "--input", str(panel), "--output", str(out), "--lambda-grid", "0.01,0.1"]
+    code, stdout, err = run_cli(capsys, *argv, "--penalty", kind, flag, "0.3")
+    assert code == 1 and stdout == ""
+    assert f"{flag} is only valid for elastic_net, not {kind}" in err
+    code, stdout, err = run_cli(capsys, *argv, "--penalty", "elastic_net")
+    assert code == 1 and stdout == ""
+    assert f"elastic_net needs {flag}" in err
+    assert not out.exists()
 
 
 def test_cluster_model_must_match_panel(capsys, tmp_path):
@@ -435,6 +452,93 @@ def test_config_file_errors(capsys, tmp_path):
         )
         assert code == 1
         assert line.split("=")[0] in err
+
+
+# Two runs that between them set every run setting: a fixed eps/min_pts run
+# with period lists, and a scanning run with a period count.
+_FIXED_RUN = {
+    "penalty": "elastic_net", "lambda_grid": "logspace:-4:-1:5", "alpha_grid": "0.5,1.0",
+    "eps": "0.05", "min_pts": "3", "core_strict": "true", "mix": "rawshares",
+    "log_offset": "0.5", "outlier_policy": "unique_dummy", "baseline": "1", "folds": "3",
+    "train_periods": "2000-2005", "test_periods": "2006,2007",
+}
+_SCAN_RUN = {
+    "penalty": "lasso", "lambda_grid": "0.001,0.01,0.1", "eps_grid": "1,2,4",
+    "minpts_grid": "3,4", "core_strict": "true", "mix": "none", "log_offset": "1",
+    "outlier_policy": "exclude", "baseline": "0", "folds": "4", "train_count": "6",
+}
+
+
+def _as_flags(settings):
+    argv = []
+    for key, value in settings.items():
+        flag = "--" + key.replace("_", "-")
+        argv += [flag] if key == "core_strict" else [flag, value]
+    return argv
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("settings", [_FIXED_RUN, _SCAN_RUN], ids=["fixed", "scan"])
+def test_config_file_and_flags_write_the_same_run(capsys, tmp_path, settings):
+    assert set(_FIXED_RUN) | set(_SCAN_RUN) == set(_RUN_KEYS)
+    panel = _synth(capsys, tmp_path, seed=4)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+    base = ["run", "--input", str(panel), "--plots", "--output-dir"]
+    code, from_cfg, err = run_cli(capsys, *base, str(tmp_path / "cfg"), "--config", str(cfg))
+    assert code == 0, err
+    code, from_flags, err = run_cli(capsys, *base, str(tmp_path / "flags"), *_as_flags(settings))
+    assert code == 0, err
+    assert from_cfg == from_flags
+    assert _files(tmp_path / "cfg") == _files(tmp_path / "flags")
+    # and the settings reached the run
+    bundle = json.loads((tmp_path / "cfg" / "model.json").read_text())
+    summary = json.loads((tmp_path / "cfg" / "summary.json").read_text())
+    assert bundle["transform"] == {"log_offset": float(settings["log_offset"]),
+                                   "normalize_mode": settings["mix"]}
+    clustering = bundle["clustering"]
+    assert clustering["core_strict"] is True
+    assert clustering["outlier_policy"] == settings["outlier_policy"]
+    assert clustering["baseline"] == int(settings["baseline"])
+    assert summary["chosen"]["kind"] == settings["penalty"]
+    assert summary["split"]["cv_folds"] == int(settings["folds"])
+
+
+def test_unset_run_settings_take_the_dataclass_defaults():
+    panel, _ = testkit.generate_panel(testkit.SyntheticSpec())
+    config, split = _build_run({"eps": "0.2", "min_pts": "3", "train_count": "6"}, panel)
+    assert config == DprConfig(dbscan=DbscanParams(0.2, 3))
+    assert split == SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]))
+
+
+_MALFORMED = [("eps", "0.2x"), ("min_pts", "3.5"), ("log_offset", "one"),
+              ("baseline", "first"), ("folds", "3.0"), ("train_count", "six"),
+              ("core_strict", "maybe")]
+
+
+# --core-strict takes no value, so a malformed core_strict comes from a config file only
+@pytest.mark.parametrize("key, bad, source", [
+    (key, bad, source) for key, bad in _MALFORMED for source in ("flag", "config")
+    if not (key == "core_strict" and source == "flag")
+])
+def test_malformed_run_setting_exits_1_naming_it(capsys, tmp_path, key, bad, source):
+    panel = _synth(capsys, tmp_path)
+    settings = {"eps": "0.2", "min_pts": "3", "train_count": "6", key: bad}
+    out = tmp_path / "out"
+    argv = ["run", "--input", str(panel), "--output-dir", str(out)]
+    if source == "flag":
+        argv += _as_flags(settings)
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        argv += ["--config", str(cfg)]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert f"{key}={bad!r}" in err
+    assert not out.exists()
 
 
 def test_run_without_split_settings_exits_1(capsys, tmp_path):

@@ -310,8 +310,14 @@ def _lattice_with_ties():
     return np.asarray(xy, dtype=np.float64)
 
 
+def _core_by_count(pts, params):
+    # closed eps-ball counts, the point itself included, straight off the matrix
+    counts = (pairwise_distances(pts) <= params.eps).sum(axis=1)
+    return counts > params.min_pts if params.core_strict else counts >= params.min_pts
+
+
 def test_shared_pair_list_matches_per_cell_runs_and_oracle():
-    from dprkit.clustering import _label_pairs, _pairs_within
+    from dprkit.clustering import _label_cells, _pairs_within
 
     pts = _lattice_with_ties()
     eps_grid = [0.5, 1.0, 1.5, 2.5]
@@ -319,13 +325,15 @@ def test_shared_pair_list_matches_per_cell_runs_and_oracle():
     for strict in (False, True):
         rows = scan_params(pts, eps_grid, minpts_grid, core_strict=strict)
         pairs = _pairs_within(pairwise_distances(pts), max(eps_grid))
-        for row in rows:
-            params = DbscanParams(row.eps, row.min_pts, core_strict=strict)
+        cells = [DbscanParams(r.eps, r.min_pts, core_strict=strict) for r in rows]
+        labelled = _label_cells(pts.shape[0], pairs, cells)
+        for row, params, (labels, k, core) in zip(rows, cells, labelled):
             solo = dbscan(pts, params)
             assert (row.k, row.sc, row.sse) == (solo.k, solo.sc, solo.sse)
-            labels, _, core = _label_pairs(pts.shape[0], *pairs, params)
+            assert k == solo.k
             np.testing.assert_array_equal(labels, brute_force_dbscan(pts, params))
             np.testing.assert_array_equal(core, solo.core_mask)
+            np.testing.assert_array_equal(core, _core_by_count(pts, params))
 
 
 @pytest.mark.parametrize("chunk", [None, 50])
@@ -478,8 +486,10 @@ def test_scan_cells_match_per_cell_runs_and_oracle(pts, eps_grid, minpts_grid, s
     assert [(r.eps, r.min_pts) for r in rows] == [(p.eps, p.min_pts) for p in cells]
     pairs = _pairs_within(pairwise_distances(pts), max(eps_grid))
     labelled = _label_cells(pts.shape[0], pairs, cells)
-    for row, params, (labels, k) in zip(rows, cells, labelled):
+    for row, params, (labels, k, core) in zip(rows, cells, labelled):
         solo = dbscan(pts, params)
         assert (row.k, row.sc, row.sse) == (solo.k, solo.sc, solo.sse)
         assert k == solo.k
         np.testing.assert_array_equal(labels, brute_force_dbscan(pts, params))
+        np.testing.assert_array_equal(core, solo.core_mask)
+        np.testing.assert_array_equal(core, _core_by_count(pts, params))

@@ -142,8 +142,8 @@ def test_cv_exact_tie_prefers_larger_lambda_then_alpha():
     res = cross_validate(
         dm, 3, "elastic_net", [0.01, 0.5, 0.1], alpha_grid=[0.4, 1.0, 0.6]
     )
-    assert res.best_lambda == 0.5
-    assert res.best_alpha == 1.0
+    assert res.best.lam == 0.5
+    assert res.best.alpha == 1.0
     assert all(c.mean_mse == 0.0 for c in res.table)
     assert len(res.table) == 9
 
@@ -165,7 +165,7 @@ def test_cv_winner_minimizes_mean_mse():
             yhat = m.intercept + dm.X[block] @ m.coefficients
             mses.append(float(np.mean((dm.y[block] - yhat) ** 2)))
         by_hand[lam] = float(np.mean(mses))
-    assert res.best_lambda == min(by_hand, key=by_hand.get)
+    assert res.best.lam == min(by_hand, key=by_hand.get)
     # warm starts along the chain move coefficients by O(tol) vs cold fits
     for cell in res.table:
         assert cell.mean_mse == pytest.approx(by_hand[cell.lam], abs=1e-9)
@@ -184,7 +184,7 @@ def test_cv_rank_deficient_ridge_cells_become_na():
     res = cross_validate(dm, 2, "ridge", [0.0, 0.1])
     cells = {c.lam: c for c in res.table}
     assert math.isnan(cells[0.0].mean_mse)
-    assert res.best_lambda == 0.1
+    assert res.best.lam == 0.1
     with pytest.raises(NumericalError):
         cross_validate(dm, 2, "ridge", [0.0])
 
@@ -201,9 +201,9 @@ def test_cv_unconverged_cells_become_na():
     cells = {c.lam: c for c in res.table}
     assert not math.isnan(cells[10.0].mean_mse) and not math.isnan(cells[1.0].mean_mse)
     assert math.isnan(cells[1e-2].mean_mse) and math.isnan(cells[1e-4].mean_mse)
-    assert res.best_lambda in (10.0, 1.0)
+    assert res.best.lam in (10.0, 1.0)
     # with room to converge, a small lambda wins
-    assert cross_validate(dm, 4, "lasso", grid).best_lambda < 1.0
+    assert cross_validate(dm, 4, "lasso", grid).best.lam < 1.0
 
 
 def test_run_with_every_cv_cell_unconverged_names_stage_cv(monkeypatch):
@@ -246,7 +246,7 @@ def test_run_report_structure(tmp_path):
     panel, truth = _panel(n_entities=10, n_periods=8, n_features=5, n_clusters=3, seed=2)
     split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
     report = run_dpr(panel, _default_config(), split)
-    assert report.cluster_k == 3
+    assert report.clusters.k == 3
     assert len(report.train_keys) == 60
     assert len(report.forecast.rows) == 20
     assert report.metrics["train"]["r2"] > 0.97
@@ -263,7 +263,7 @@ def test_run_report_structure(tmp_path):
     assert summary["chosen"]["kind"] == "lasso"
     bundle = json.loads((tmp_path / "model.json").read_text())
     assert bundle["format"] == "dprkit-model-v1"
-    assert len(bundle["clustering"]["core_points"]) == int(report.core_mask.sum())
+    assert len(bundle["clustering"]["core_points"]) == int(report.clusters.core_mask.sum())
 
 
 def test_run_requires_grids_or_params():
@@ -297,8 +297,8 @@ def test_run_scan_mode_picks_sc_maximum(tmp_path):
     report = run_dpr(panel, cfg, split)
     assert report.scan_rows is not None
     best = max((r for r in report.scan_rows if r.sc is not None), key=lambda r: r.sc)
-    assert report.cluster_params.eps == best.eps
-    assert report.cluster_params.min_pts == best.min_pts
+    assert report.clusters.params.eps == best.eps
+    assert report.clusters.params.min_pts == best.min_pts
     write_report(report, tmp_path)
     assert (tmp_path / "scan.csv").exists()
 
@@ -479,15 +479,16 @@ def test_final_model_is_the_path_fit_at_the_chosen_cell(kind, tmp_path, monkeypa
     split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
     report = run_dpr(panel, _default_config(penalty_kind=kind), split)
     (dm,) = designs
-    lam, alpha = report.cv.best_lambda, report.cv.best_alpha
+    lam, alpha = report.cv.best.lam, report.cv.best.alpha
     if kind == "lasso":
         cold = fit_lasso(dm, lam)
     else:
         cold = fit_elastic_net(dm, lam, alpha)
-    assert report.model.penalty == cold.penalty == report.chosen
-    np.testing.assert_allclose(report.model.coefficients, cold.coefficients, rtol=0, atol=1e-10)
-    assert report.model.intercept == pytest.approx(cold.intercept, rel=0, abs=1e-10)
-    assert report.model.diagnostics["converged"]
+    model = report.dpr_model.model
+    assert model.penalty == cold.penalty
+    np.testing.assert_allclose(model.coefficients, cold.coefficients, rtol=0, atol=1e-10)
+    assert model.intercept == pytest.approx(cold.intercept, rel=0, abs=1e-10)
+    assert model.diagnostics["converged"]
     write_report(report, tmp_path)
     penalty = json.loads((tmp_path / "model.json").read_text())["regression"]["penalty"]
     assert penalty == {"kind": kind, "lambda": lam, "alpha": alpha}

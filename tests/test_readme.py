@@ -1,0 +1,30 @@
+"""The README's Python API example runs as written on the quick-start panel."""
+
+import re
+from pathlib import Path
+
+from dprkit.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _api_example() -> str:
+    section = README.read_text(encoding="utf-8").split("## Python API", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def _files(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_readme_api_example_writes_the_cli_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--output", "panel.csv", "--seed", "42", "--spec",
+                 "n_entities=20,n_periods=12,n_features=8,n_clusters=4"]) == 0
+    exec(compile(_api_example(), str(README), "exec"), {})
+    assert main(["run", "--input", "panel.csv", "--output-dir", "cli_out", "--eps", "0.05",
+                 "--min-pts", "4", "--train-periods", "2000-2008",
+                 "--test-periods", "2009-2011"]) == 0
+    printed = capsys.readouterr().out.splitlines()[-2]  # the example's print, before `run ok`
+    assert len(printed.split()) == 3
+    assert _files(tmp_path / "api_out") == _files(tmp_path / "cli_out")
