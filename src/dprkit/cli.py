@@ -18,7 +18,7 @@ import numpy as np
 
 from . import pipeline, regression
 from .clustering import ClusterModel, DbscanParams, dbscan, scan_params, suggest_params
-from .errors import ConvergenceError, NumericalError, ValidationError
+from .errors import ConvergenceError, NumericalError, RankDeficiencyError, ValidationError
 from .panel import (
     MIX_MODES,
     NO_NORMALIZATION,
@@ -406,17 +406,19 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_path(args) -> int:
-    mixing = _penalty_from_args(args.penalty, 0.0, args.alpha).mixing
+    _penalty_from_args(args.penalty, 0.0, args.alpha)
     dm = _design_from_args(args)
     lams = sorted(set(_parse_grid(args.lambda_grid)), reverse=True)
-    models = regression.regularization_path(dm, lams, mixing)
+    models = pipeline.regularization_path(dm, lams, args.penalty, args.alpha)
     for lam, m in zip(lams, models):
+        if m is None:
+            raise RankDeficiencyError(f"path fit at lambda={fmt(lam)} is rank-deficient")
         if not m.diagnostics["converged"]:
             raise ConvergenceError(
                 f"path fit at lambda={fmt(lam)} did not converge in "
                 f"{m.diagnostics['iterations']} steps"
             )
-    _write_path_table(Path(args.output), lams, models)
+    _write_path_table(Path(args.output), lams, models, dm.column_names)
     _ok("path", points=len(lams), columns=dm.p)
     return 0
 
@@ -448,7 +450,7 @@ _RUN_KEYS = {
     "min_pts": (int, {}),
     "eps_grid": (_as_grid, {}),
     "minpts_grid": (_as_int_grid, {}),
-    "core_strict": (_as_bool, {"action": "store_const", "const": "true"}),
+    "core_strict": (_as_bool, {"nargs": "?", "const": "true"}),
     "mix": (str, {"choices": list(MIX_MODES)}),
     "log_offset": (float, {}),
     "outlier_policy": (str, {"choices": list(pipeline.OUTLIER_POLICIES)}),
@@ -571,9 +573,9 @@ def emit_plot_data(report: pipeline.RunReport, out_dir) -> None:
     """Plain tables a plotting tool can consume; no rendering here."""
     plots = Path(out_dir) / "plots"
     plots.mkdir(parents=True, exist_ok=True)
-    _write_path_table(plots / "path_trajectories.csv", report.path_lambdas,
-                      report.path_models)
     dm = report.design
+    _write_path_table(plots / "path_trajectories.csv", report.path_lambdas,
+                      report.path_models, dm.column_names)
     write_table(
         plots / "fit_scatter.csv",
         ["actual_log", "predicted_log"],
@@ -587,13 +589,18 @@ def emit_plot_data(report: pipeline.RunReport, out_dir) -> None:
     )
 
 
-def _write_path_table(dest, lams: list[float], models: list[FittedModel]) -> None:
-    """Intercept and coefficients of each fit of a coefficient path, one row per lambda."""
-    coefs = np.array([m.coefficients for m in models], dtype=np.float64)
+def _write_path_table(dest, lams: list[float], models: list[FittedModel | None],
+                      column_names: list[str]) -> None:
+    """Intercept and coefficients of each fit of a coefficient path, one row per lambda.
+
+    A fit that is None (rank-deficient ridge) is a row of NA.
+    """
+    na = np.full(len(column_names), np.nan)
+    coefs = np.array([na if m is None else m.coefficients for m in models], dtype=np.float64)
     write_table(
         dest,
-        ["lambda", "intercept"] + list(models[0].column_names),
-        [list(lams), [m.intercept for m in models], *coefs.T],
+        ["lambda", "intercept"] + list(column_names),
+        [list(lams), [None if m is None else m.intercept for m in models], *coefs.T],
     )
 
 

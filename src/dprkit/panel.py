@@ -496,13 +496,16 @@ def invert_log(values: np.ndarray, spec: TransformSpec):
 
 
 def energy_mix_features(
-    data: PanelDataset, mode: str = RAW_SHARES
+    data: PanelDataset, mode: str = RAW_SHARES,
+    maxima: dict[str, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Clustering features from the consumption mix.
 
     rawshares        row divided by its sum (composition on the simplex)
     perfeaturemax    each cell divided by that entity's maximum for the
-                     column across its periods (0 when the maximum is 0)
+                     column across its periods (0 when the maximum is 0),
+                     or by its ``maxima`` entry when given (for new rows,
+                     the training maxima; see :func:`scale_by_entity_maxima`)
     none             features copied through unchanged
 
     Returns (matrix, flagged) where ``flagged`` holds the indices of rows
@@ -520,7 +523,7 @@ def energy_mix_features(
         ok = sums > 0
         out[ok] = X[ok] / sums[ok, None]
         return out, flagged
-    return scale_by_entity_maxima(data), flagged
+    return scale_by_entity_maxima(data, maxima), flagged
 
 
 def scale_by_entity_maxima(data: PanelDataset,

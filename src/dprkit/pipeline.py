@@ -15,7 +15,7 @@ import json
 import math
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -41,7 +41,6 @@ from .panel import (
     entity_maxima,
     invert_log,
     log_transform,
-    scale_by_entity_maxima,
 )
 from .regression import (
     DEFAULT_MAX_ITER,
@@ -58,7 +57,7 @@ from .regression import (
     fit_elastic_net,
     fit_lasso,
     fit_ridge,
-    regularization_path,
+    predict,
     standardize,
 )
 from .tables import write_table
@@ -115,6 +114,11 @@ class DprConfig:
             raise ValidationError("lambda_grid is empty")
         if self.penalty_kind == ELASTIC_NET and not self.alpha_grid:
             raise ValidationError("alpha_grid is empty for elastic_net")
+        if self.dbscan is not None and self.dbscan.core_strict != self.core_strict:
+            raise ValidationError(
+                f"dbscan.core_strict={self.dbscan.core_strict} conflicts with "
+                f"core_strict={self.core_strict}"
+            )
 
 
 def chronological_split(data: PanelDataset, spec: SplitSpec) -> tuple[PanelDataset, PanelDataset]:
@@ -178,45 +182,41 @@ def augment_with_dummies(dm: DesignMatrix, labels, policy: str = UNIQUE_DUMMY,
         raise ValidationError(f"baseline cluster {baseline} not among cluster ids {ids}")
 
     rowids = dm.source_rows if dm.source_rows is not None else np.arange(dm.n)
+    X, y = dm.X, dm.y
     if policy == EXCLUDE:
         keep = labels != NOISE
         if not keep.any():
             raise ValidationError("outlier policy 'exclude' removed every row")
-        X = dm.X[keep]
-        y = dm.y[keep]
-        labels_kept = labels[keep]
-        rowids = rowids[keep]
-        noise_rows: list[int] = []
-    else:
-        X = dm.X
-        y = dm.y
-        labels_kept = labels
-        noise_rows = [int(i) for i in np.flatnonzero(labels == NOISE)]
-
-    n = X.shape[0]
-    cols: list[np.ndarray] = []
-    names: list[str] = []
-    for c in ids:
-        if c == baseline:
-            continue
-        col = np.zeros(n)
-        col[labels_kept == c] = 1.0
-        cols.append(col)
-        names.append(f"cluster_{c}")
-    for i in noise_rows:
-        col = np.zeros(n)
-        col[i] = 1.0
-        cols.append(col)
-        names.append(f"noise_{int(rowids[i])}")
-
-    X_aug = np.column_stack([X] + cols) if cols else X.copy()
+        X, y, labels, rowids = X[keep], y[keep], labels[keep], rowids[keep]
+    names = [f"cluster_{c}" for c in ids if c != baseline]
+    names += [f"noise_{r}" for r in rowids[labels == NOISE].tolist()]
     return DesignMatrix(
-        X=X_aug,
+        X=np.hstack([X, dummy_columns(names, labels, rowids)]),
         y=y.copy(),
         column_names=list(dm.column_names) + names,
         standardized=False,
         source_rows=rowids.copy(),
     )
+
+
+def dummy_columns(names: Sequence[str], labels, rows=None) -> np.ndarray:
+    """The 0/1 block of the dummy columns ``names`` for rows with cluster ids ``labels``.
+
+    ``cluster_<c>`` is 1 on the rows of cluster c.  ``noise_<r>`` is 1 on the
+    row whose id in ``rows`` is r; new rows (``rows`` None) have no noise
+    column of their own, so it is 0 on them.
+    """
+    labels = np.asarray(labels, dtype=np.intp)
+    block = np.zeros((labels.shape[0], len(names)))
+    for j, name in enumerate(names):
+        kind, _, ident = name.partition("_")
+        if kind not in ("cluster", "noise") or not ident.isdigit():
+            raise ValidationError(f"{name!r} is not a cluster_<id> or noise_<row> column")
+        if kind == "cluster":
+            block[labels == int(ident), j] = 1.0
+        elif rows is not None:
+            block[rows == int(ident), j] = 1.0
+    return block
 
 
 @dataclass(frozen=True)
@@ -260,15 +260,45 @@ def fit_penalized(dm: DesignMatrix, penalty: PenaltySpec, tol: float = DEFAULT_T
                            warm_start=warm_start)
 
 
+def regularization_path(dm: DesignMatrix, lambdas, kind: str, alpha: float | None = None,
+                        tol: float = DEFAULT_TOL,
+                        max_iter: int = DEFAULT_MAX_ITER) -> list[FittedModel | None]:
+    """The fits of ``kind`` along a strictly descending lambda grid.
+
+    Each fit goes through :func:`fit_penalized`, warm-started from the
+    previous one; the warm starts give the same exact solutions as cold
+    starts.  A ridge fit on a rank-deficient system (lambda=0 on collinear
+    columns) is None.  CV folds, ``run`` and ``dprkit path`` all use this chain.
+    """
+    lams = [float(l) for l in lambdas]
+    if not lams:
+        raise ValidationError("lambda grid is empty")
+    for a, b in zip(lams, lams[1:]):
+        if not b < a:
+            raise ValidationError(f"lambda grid must be strictly descending: {a} -> {b}")
+    models: list[FittedModel | None] = []
+    warm: np.ndarray | None = None
+    for lam in lams:
+        try:
+            m = fit_penalized(dm, PenaltySpec(kind, lam, alpha), tol=tol, max_iter=max_iter,
+                              warm_start=warm)
+        except RankDeficiencyError:
+            m = None
+        else:
+            warm = m.coefficients
+        models.append(m)
+    return models
+
+
 def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
                    alpha_grid=None, tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER) -> CvResult:
     """Grid search by deterministic contiguous-block cross-validation.
 
     Folds are contiguous blocks of the row order.  Within a fold, each alpha
-    walks the lambda grid descending with warm starts.  The winner minimizes
-    mean validation MSE; exact ties break toward the larger lambda, then the
-    larger alpha.  A cell with a failed fold fit -- a ridge fit on a
+    walks the lambda grid descending as one :func:`regularization_path`.  The
+    winner minimizes mean validation MSE; exact ties break toward the larger
+    lambda, then the larger alpha.  A cell with a failed fold fit -- a ridge fit on a
     rank-deficient system (lambda=0 on collinear columns), or a
     lasso/elastic-net fit that hit ``max_iter`` -- is recorded with NA metrics
     and never wins.
@@ -280,8 +310,6 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
     if int(folds) != folds or folds < 2:
         raise ValidationError(f"folds must be an integer >= 2, got {folds}")
     lams = [float(l) for l in lambda_grid]
-    if not lams:
-        raise ValidationError("lambda grid is empty")
     if kind == ELASTIC_NET:
         alphas = [float(a) for a in (alpha_grid or [])]
         if not alphas:
@@ -306,18 +334,11 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
         yv = dm.y[block]
         out: dict[tuple[float, float | None], tuple[float, float]] = {}
         for alpha in alphas:
-            warm = None
-            for lam in lam_desc:
+            chain = regularization_path(sub, lam_desc, kind, alpha, tol=tol, max_iter=max_iter)
+            for lam, m in zip(lam_desc, chain):
                 # NA unless the fit succeeds and converges
-                out[(lam, alpha)] = (math.nan, math.nan)
-                try:
-                    m = fit_penalized(sub, PenaltySpec(kind, lam, alpha), tol=tol,
-                                      max_iter=max_iter, warm_start=warm)
-                except RankDeficiencyError:
-                    continue
-                warm = m.coefficients
-                if m.diagnostics["converged"]:
-                    out[(lam, alpha)] = _cell_metrics(m, Xv, yv)
+                usable = m is not None and m.diagnostics["converged"]
+                out[(lam, alpha)] = _cell_metrics(m, Xv, yv) if usable else (math.nan, math.nan)
         return out
 
     results = [_fold(block) for block in blocks]
@@ -427,13 +448,13 @@ def write_forecast(result: ForecastResult, dest) -> None:
 
 
 def forecast_report(model: FittedModel, test: PanelDataset, transform: TransformSpec,
-                    extra_columns: np.ndarray | None = None,
-                    extra_labels: np.ndarray | None = None) -> ForecastResult:
+                    labels: np.ndarray | None = None) -> ForecastResult:
     """Predict the test panel and compare against actuals in both unit systems.
 
-    ``extra_columns`` carries the dummy block when the model was fit on an
-    augmented design (the pipeline builds it from the cluster assignment in
-    ``extra_labels``).  The relative error is the deviation on the exp scale,
+    ``labels`` are the rows' cluster ids (NOISE for every row when None).  The
+    model's columns after the panel's features are its dummies; their block
+    comes from ``labels`` by :func:`dummy_columns`, so a model with dummies
+    needs ``labels``.  The relative error is the deviation on the exp scale,
     |exp(yhat) - exp(y)| / exp(y); the source-unit value columns apply the
     full inverse transform exp(v) - offset.  Rows without a target predict
     but contribute nothing to the summary; the summary is the mean and the
@@ -441,27 +462,16 @@ def forecast_report(model: FittedModel, test: PanelDataset, transform: Transform
     """
     if test.transform is not None:
         raise ValidationError("forecast_report expects a source-unit test panel")
-    test_log = log_transform(test, transform)
-    X = test_log.features
-    if extra_columns is not None:
-        extra_columns = np.asarray(extra_columns, dtype=np.float64)
-        if extra_columns.shape[0] != test.n_obs:
-            raise ValidationError("extra_columns row count does not match the test panel")
-        X = np.hstack([X, extra_columns])
-    p = len(model.column_names)
-    if X.shape[1] != p:
+    dummies = model.column_names[test.n_features:]
+    if labels is None and dummies:
         raise ValidationError(
-            f"test design has {X.shape[1]} columns, model expects {p}; "
-            "was the dummy block supplied?"
+            f"the model has {len(dummies)} dummy column(s); forecasting needs cluster labels"
         )
-    from .regression import predict
-
-    yhat = predict(model, X)
-    labels = (
-        np.full(test.n_obs, NOISE, dtype=np.intp)
-        if extra_labels is None
-        else np.asarray(extra_labels, dtype=np.intp)
-    )
+    labels = np.full(test.n_obs, NOISE, np.intp) if labels is None else np.asarray(labels, np.intp)
+    if labels.shape != (test.n_obs,):
+        raise ValidationError(f"{labels.size} labels for {test.n_obs} test rows")
+    test_log = log_transform(test, transform)
+    yhat = predict(model, np.hstack([test_log.features, dummy_columns(dummies, labels)]))
 
     y = test_log.targets
     have = ~np.isnan(y)
@@ -492,21 +502,6 @@ def forecast_report(model: FittedModel, test: PanelDataset, transform: Transform
     )
 
 
-def mix_for_new_rows(new: PanelDataset, mode: str,
-                     maxima: dict[str, np.ndarray]) -> np.ndarray:
-    """Mix features for unseen rows using train-derived statistics.
-
-    Row shares and the identity mode are row-local, so nothing leaks either
-    way.  Per-feature-max divides by the entity's training-period ``maxima``
-    (:func:`entity_maxima` of the training panel); entities absent from
-    training fall back to their own maxima.
-    """
-    if mode != PER_FEATURE_MAX:
-        matrix, _ = energy_mix_features(new, mode)
-        return matrix
-    return scale_by_entity_maxima(new, maxima)
-
-
 MODEL_FORMAT = "dprkit-model-v1"
 
 
@@ -528,7 +523,7 @@ class DprModel:
     """What forecasting a row needs, in ``run`` and from ``model.json`` alike.
 
     The core points (clustering features) and their labels are in training
-    row order; ``dummy_names`` are the design columns after the features;
+    row order; the model's columns after ``features`` are its dummies;
     ``entity_maxima`` is None unless the mix mode is per-feature-max.
     """
 
@@ -541,7 +536,6 @@ class DprModel:
     outlier_policy: str
     core_points: np.ndarray
     core_labels: np.ndarray
-    dummy_names: list[str]
     entity_maxima: dict[str, np.ndarray] | None
 
     def to_bundle(self) -> dict:
@@ -558,7 +552,7 @@ class DprModel:
                 "k": self.k, "baseline": self.baseline, "outlier_policy": self.outlier_policy,
                 "core_points": self.core_points.tolist(),
                 "core_labels": self.core_labels.tolist(),
-                "dummy_names": list(self.dummy_names),
+                "dummy_names": self.model.column_names[len(self.features):],
             },
             "entity_maxima": None if maxima is None else {e: mx.tolist()
                                                           for e, mx in maxima.items()},
@@ -573,6 +567,10 @@ class DprModel:
         model = get("regression", FittedModel.from_dict)
         features = get("features", lambda v: [str(f) for f in v])
         labels = get("clustering.core_labels", lambda v: np.asarray(v, np.intp).reshape(-1))
+        dummies = get("clustering.dummy_names", lambda v: [str(n) for n in v])
+        if dummies != model.column_names[len(features):]:
+            raise ValidationError("bad field 'clustering.dummy_names': not the regression "
+                                  "columns after the features")
         maxima = bundle.get("entity_maxima")
         return cls(
             model=model,
@@ -587,7 +585,6 @@ class DprModel:
             core_points=get("clustering.core_points", lambda v: np.asarray(
                 v, np.float64).reshape(labels.size, len(features))),
             core_labels=labels,
-            dummy_names=get("clustering.dummy_names", lambda v: [str(n) for n in v]),
             entity_maxima=None if maxima is None else get(
                 "entity_maxima", lambda v: {str(e): np.asarray(mx, np.float64).reshape(
                     len(features)) for e, mx in v.items()}),
@@ -595,8 +592,8 @@ class DprModel:
 
     def assign(self, panel: PanelDataset) -> np.ndarray:
         """Cluster ids of the panel's rows by the nearest-core rule; NOISE off every core."""
-        points = mix_for_new_rows(panel, self.transform.normalize_mode,
-                                  self.entity_maxima or {})
+        points, _ = energy_mix_features(panel, self.transform.normalize_mode,
+                                        self.entity_maxima)
         return assign_by_nearest_core(self.core_points, self.core_labels,
                                       self.params.eps, points)
 
@@ -605,13 +602,7 @@ class DprModel:
         if list(panel.feature_names) != self.features:
             raise ValidationError(f"panel features {panel.feature_names} do not match "
                                   f"model features {self.features}")
-        labels = self.assign(panel)
-        block = np.zeros((labels.shape[0], len(self.dummy_names)))
-        for c, name in enumerate(self.dummy_names):
-            if name.startswith("cluster_"):
-                block[labels == int(name.split("_", 1)[1]), c] = 1.0
-        return forecast_report(self.model, panel, self.transform,
-                               extra_columns=block, extra_labels=labels)
+        return forecast_report(self.model, panel, self.transform, labels=self.assign(panel))
 
 
 @dataclass
@@ -619,8 +610,9 @@ class RunReport:
     """Everything one run produced; ``write_report`` lays it out as a directory.
 
     ``design`` is the standardized training design the model was fit on; the
-    final model, with its penalty, is ``dpr_model.model``, and the test rows'
-    cluster ids are ``forecast.cluster``.
+    final model, with its penalty, is ``dpr_model.model``, the path's fit at
+    the chosen lambda, and the test rows' cluster ids are ``forecast.cluster``.
+    A path fit that is None (rank-deficient ridge) counts as unconverged.
     """
 
     split: SplitSpec
@@ -629,7 +621,7 @@ class RunReport:
     cv: CvResult
     design: DesignMatrix
     path_lambdas: list[float]
-    path_models: list[FittedModel]
+    path_models: list[FittedModel | None]
     dpr_model: DprModel
     forecast: ForecastResult
     metrics: dict
@@ -640,7 +632,7 @@ class RunReport:
 
     @property
     def unconverged_path_fits(self) -> int:
-        return sum(not m.diagnostics["converged"] for m in self.path_models)
+        return sum(m is None or not m.diagnostics["converged"] for m in self.path_models)
 
 
 def _metrics_block(y: np.ndarray, yhat: np.ndarray) -> dict:
@@ -662,9 +654,8 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
     Stages: chronological split, clustering features from the source-unit
     training panel, dbscan (given parameters or the SC-maximizing scan cell),
     log transform, dummy augmentation, standardization, cross-validated
-    hyperparameter choice, a coefficient path at the chosen mixing, the
-    final fit (for lasso and elastic net, the path's fit at the chosen
-    lambda; ridge in closed form), and test-period forecasting with
+    hyperparameter choice, a coefficient path at the chosen mixing whose fit
+    at the chosen lambda is the final model, and test-period forecasting with
     nearest-core cluster assignment.
     Any stage failure aborts with the stage named in the error.
     """
@@ -724,19 +715,14 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         cv = cross_validate(dmS, split.cv_folds, config.penalty_kind, config.lambda_grid,
                             alpha_grid=config.alpha_grid)
 
-    chosen = PenaltySpec(config.penalty_kind, cv.best.lam, cv.best.alpha)
     with _stage("path"):
         path_lams = sorted(set(float(l) for l in config.lambda_grid), reverse=True)
-        path_models = regularization_path(dmS, path_lams, chosen.mixing)
-
-    with _stage("fit"):
-        # lasso and elastic net: the path already solved the chosen cell
-        if config.penalty_kind == RIDGE:
-            model = fit_penalized(dmS, chosen)
-        else:
-            model = path_models[path_lams.index(cv.best.lam)]
-            if config.penalty_kind == LASSO:
-                model = replace(model, penalty=PenaltySpec(LASSO, model.penalty.lam))
+        path_models = regularization_path(dmS, path_lams, config.penalty_kind, cv.best.alpha)
+        model = path_models[path_lams.index(cv.best.lam)]
+        if model is None:
+            raise RankDeficiencyError(
+                f"ridge at the chosen lambda={cv.best.lam} is rank-deficient"
+            )
 
     with _stage("forecast"):
         features = list(train_log.feature_names)
@@ -746,7 +732,6 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
             outlier_policy=config.outlier_policy,
             core_points=mix_train[cmodel.core_mask],
             core_labels=cmodel.labels[cmodel.core_mask],
-            dummy_names=list(dmS.column_names[len(features):]),
             entity_maxima=entity_maxima(train_p) if mode == PER_FEATURE_MAX else None,
         )
         fres = dpr_model.forecast(test_p)

@@ -11,17 +11,18 @@ carries separate multipliers (lambda_1 on the L1 term, lambda_2 on the L2
 term) maps onto this objective via lambda_1 = N*lambda*alpha and
 lambda_2 = N*lambda*(1-alpha).
 
-Ridge is solved in closed form from the normal equations.  Lasso, elastic
-net and coefficient paths share one exact active-set solver: on the centred
-design it works with H = X'X/N + lambda*(1-alpha)*I, c = X'y/N and the L1
-threshold t = lambda*alpha/2, i.e. half the objective above, and runs
-feature-sign search (Lee, Battle, Raina & Ng, NIPS 2006) on the Gram matrix
-as glmnet's covariance updates do (Friedman, Hastie & Tibshirani, JSS 2010).
-Each step adds the worst-violating zero coefficient, solves the support's
-linear system and line-searches the sign changes on the way, so the
-solutions carry exact zeros and warm starts along a lambda path reuse the
-previous support.  The support's Cholesky factor grows by one bordered column
-per added coefficient, and all fits of one design share its centred Gram.
+Ridge is solved in closed form from the normal equations.  Lasso and elastic
+net share one exact active-set solver: on the centred design it works with
+H = X'X/N + lambda*(1-alpha)*I, c = X'y/N and the L1 threshold
+t = lambda*alpha/2, i.e. half the objective above, and runs feature-sign
+search (Lee, Battle, Raina & Ng, NIPS 2006) on the Gram matrix as glmnet's
+covariance updates do (Friedman, Hastie & Tibshirani, JSS 2010).  Each step
+adds the worst-violating zero coefficient, solves the support's linear system
+and line-searches the sign changes on the way, so the solutions carry exact
+zeros and a warm start reuses the previous support; the lambda paths of
+``pipeline.regularization_path`` warm-start each fit from the last.  The
+support's Cholesky factor grows by one bordered column per added coefficient,
+and all fits of one design share its centred Gram.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ConvergenceError, RankDeficiencyError, ValidationError
@@ -567,31 +566,6 @@ def fit_lasso(dm: DesignMatrix, lam: float,
               warm_start: np.ndarray | None = None, debug: bool = False) -> FittedModel:
     """Lasso = elastic net at alpha 1, recorded under its own penalty kind."""
     return _fit_active_set(dm, lam, 1.0, LASSO, None, tol, max_iter, warm_start, debug)
-
-
-def regularization_path(dm: DesignMatrix, lambdas: Sequence[float], alpha: float,
-                        tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                        debug: bool = False) -> list[FittedModel]:
-    """Warm-started fits along a strictly descending lambda grid.
-
-    Each solution seeds the next fit's support and signs; the results are
-    the same exact solutions as cold starts.  At alpha=0 (ridge) a warm
-    step is one linear solve.
-    """
-    lams = [float(l) for l in lambdas]
-    if not lams:
-        raise ValidationError("lambda grid is empty")
-    for a, b in zip(lams, lams[1:]):
-        if not b < a:
-            raise ValidationError(f"lambda grid must be strictly descending: {a} -> {b}")
-    models: list[FittedModel] = []
-    warm: np.ndarray | None = None
-    for lam in lams:
-        m = fit_elastic_net(dm, lam, alpha, tol=tol, max_iter=max_iter,
-                            warm_start=warm, debug=debug)
-        models.append(m)
-        warm = m.coefficients
-    return models
 
 
 def predict(model: FittedModel, rows) -> np.ndarray:

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dprkit import regression, testkit
+from dprkit import pipeline, testkit
 from dprkit.cli import _RUN_KEYS, _build_run, _parse_grid, _parse_periods, main
 from dprkit.clustering import DbscanParams
 from dprkit.errors import ValidationError
@@ -213,6 +213,44 @@ def test_rank_deficient_ridge_exits_2(capsys, tmp_path):
     assert "numerical" in err
 
 
+def test_rank_deficient_ridge_path_fit_exits_path_and_is_counted_by_run(capsys, tmp_path):
+    # a duplicated feature column: ridge at lambda=0 has no unique solution
+    path = tmp_path / "p.csv"
+    rng = np.random.default_rng(1)
+    rows = ["entity,period,target,a,b,c"]
+    for e in "ABCDEF":
+        for t in range(2000, 2008):
+            a, c = rng.uniform(1, 5, size=2)
+            rows.append(f"{e},{t},{a + 2 * c:.6f},{a:.6f},{a:.6f},{c:.6f}")
+    path.write_text("\n".join(rows) + "\n")
+    code, out, err = run_cli(
+        capsys, "path", "--input", str(path), "--output", str(tmp_path / "path.csv"),
+        "--penalty", "ridge", "--lambda-grid", "0,0.1",
+    )
+    assert code == 2 and out == ""
+    assert "path fit at lambda=0 is rank-deficient" in err
+    assert not (tmp_path / "path.csv").exists()
+
+    code, out, err = run_cli(
+        capsys, "run", "--input", str(path), "--output-dir", str(tmp_path / "run"), "--plots",
+        "--penalty", "ridge", "--lambda-grid", "0,0.01,0.1", "--eps", "0.2", "--min-pts", "3",
+        "--train-count", "6", "--folds", "3",
+    )
+    assert code == 0, err
+    assert out.rstrip().endswith(" unconverged_path_fits=1")
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["fit"]["unconverged_path_fits"] == 1
+    assert summary["chosen"]["lambda"] > 0
+    with (tmp_path / "run" / "plots" / "path_trajectories.csv").open() as fh:
+        table = list(csv.reader(fh))
+    assert [row[0] for row in table[1:]] == ["0.10000000000000001", "0.01", "0"]
+    assert set(table[-1][1:]) == {"NA"}
+    assert "NA" not in table[1] + table[2]
+    with (tmp_path / "run" / "cv_table.csv").open() as fh:
+        cells = {row["lambda"]: row["mean_mse"] for row in csv.DictReader(fh)}
+    assert cells["0"] == "NA" and "NA" not in (cells["0.01"], cells["0.10000000000000001"])
+
+
 def test_scan_and_suggestion(capsys, tmp_path):
     panel = _synth(capsys, tmp_path)
     code, out, _ = run_cli(
@@ -284,6 +322,11 @@ def _without_dummy_names(bundle):
     return bundle
 
 
+def _extra_dummy_name(bundle):
+    bundle["clustering"]["dummy_names"].append("cluster_99")
+    return bundle
+
+
 def _short_entity_maxima(bundle):
     bundle["transform"]["normalize_mode"] = "perfeaturemax"
     bundle["entity_maxima"] = {"E000": [1.0]}
@@ -294,11 +337,13 @@ def _short_entity_maxima(bundle):
     ("forecast", lambda b: {"format": "dprkit-model-v1"}, "missing field 'regression'"),
     ("forecast", lambda b: [1, 2], "not a run model bundle"),
     ("forecast", _without_dummy_names, "missing field 'clustering.dummy_names'"),
+    ("forecast", _extra_dummy_name, "bad field 'clustering.dummy_names': "
+     "not the regression columns after the features"),
     ("forecast", _short_entity_maxima, "bad field 'entity_maxima': "
      "ValueError('cannot reshape array of size 1 into shape (4,)')"),
     ("fit", lambda b: {"format": "dprkit-clusters-v1"}, "missing field 'row_keys'"),
-], ids=["model-format-only", "model-list", "model-without-dummy-names", "model-short-maxima",
-        "clusters-format-only"])
+], ids=["model-format-only", "model-list", "model-without-dummy-names",
+        "model-other-dummy-names", "model-short-maxima", "clusters-format-only"])
 def test_malformed_bundle_is_one_error_line(capsys, tmp_path, command, edit, message):
     panel = _synth(capsys, tmp_path, seed=5)
     code, _, _ = run_cli(
@@ -424,6 +469,28 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert json.loads((out2 / "summary.json").read_text())["chosen"]["kind"] == "lasso"
 
 
+def test_core_strict_flag_overrides_the_config_file(capsys, tmp_path):
+    panel = _synth(capsys, tmp_path, seed=3)
+    cfg = tmp_path / "run.cfg"
+    base = ["run", "--input", str(panel), "--config", str(cfg), "--output-dir"]
+
+    def core_strict(out, *flags):
+        code, _, err = run_cli(capsys, *base, str(tmp_path / out), *flags)
+        assert code == 0, err
+        bundle = json.loads((tmp_path / out / "model.json").read_text())
+        summary = json.loads((tmp_path / out / "summary.json").read_text())
+        assert bundle["clustering"]["core_strict"] == summary["clustering"]["core_strict"]
+        return bundle["clustering"]["core_strict"]
+
+    for setting in ("true", "false"):
+        cfg.write_text(f"core_strict={setting}\neps=0.2\nmin_pts=3\ntrain_count=6\nfolds=3\n")
+        assert core_strict(f"cfg-{setting}") is (setting == "true")
+        assert core_strict(f"false-{setting}", "--core-strict", "false") is False
+        assert core_strict(f"true-{setting}", "--core-strict", "true") is True
+        # a bare flag still means true
+        assert core_strict(f"bare-{setting}", "--core-strict") is True
+
+
 def test_config_file_errors(capsys, tmp_path):
     panel = _synth(capsys, tmp_path)
     cfg = tmp_path / "bad.cfg"
@@ -472,8 +539,7 @@ _SCAN_RUN = {
 def _as_flags(settings):
     argv = []
     for key, value in settings.items():
-        flag = "--" + key.replace("_", "-")
-        argv += [flag] if key == "core_strict" else [flag, value]
+        argv += ["--" + key.replace("_", "-"), value]
     return argv
 
 
@@ -519,10 +585,8 @@ _MALFORMED = [("eps", "0.2x"), ("min_pts", "3.5"), ("log_offset", "one"),
               ("core_strict", "maybe")]
 
 
-# --core-strict takes no value, so a malformed core_strict comes from a config file only
 @pytest.mark.parametrize("key, bad, source", [
     (key, bad, source) for key, bad in _MALFORMED for source in ("flag", "config")
-    if not (key == "core_strict" and source == "flag")
 ])
 def test_malformed_run_setting_exits_1_naming_it(capsys, tmp_path, key, bad, source):
     panel = _synth(capsys, tmp_path)
@@ -553,14 +617,16 @@ def test_run_without_split_settings_exits_1(capsys, tmp_path):
 
 def test_unconverged_path_fit_stops_path_and_is_named_by_run(capsys, tmp_path, monkeypatch):
     panel = _synth(capsys, tmp_path)
-    fit = regression.fit_elastic_net
+    fit = pipeline.fit_lasso
 
-    def one_cold_step_at_the_smallest_lambda(dm, lam, alpha, **kw):
-        if lam < 2e-4:
+    def one_cold_step_at_the_smallest_lambda(dm, lam, **kw):
+        # the run trains on 6 of 8 periods: only its own path (48 rows) and
+        # the path command (64 rows) are hit, never a CV fold's chain
+        if lam < 2e-4 and dm.n >= 48:
             kw.update(warm_start=None, max_iter=1)
-        return fit(dm, lam, alpha, **kw)
+        return fit(dm, lam, **kw)
 
-    monkeypatch.setattr(regression, "fit_elastic_net", one_cold_step_at_the_smallest_lambda)
+    monkeypatch.setattr(pipeline, "fit_lasso", one_cold_step_at_the_smallest_lambda)
     code, out, err = run_cli(
         capsys, "path", "--input", str(panel), "--output", str(tmp_path / "path.csv"),
         "--penalty", "lasso", "--lambda-grid", "logspace:-4:-1:5",
@@ -579,7 +645,7 @@ def test_unconverged_path_fit_stops_path_and_is_named_by_run(capsys, tmp_path, m
     assert summary["fit"]["unconverged_path_fits"] == 1
     assert out.startswith("run ok ") and out.rstrip().endswith(" unconverged_path_fits=1")
 
-    monkeypatch.setattr(regression, "fit_elastic_net", fit)
+    monkeypatch.setattr(pipeline, "fit_lasso", fit)
     code, out, _ = run_cli(capsys, *args, "--output-dir", str(tmp_path / "r2"))
     assert code == 0 and "unconverged" not in out
     clean = json.loads((tmp_path / "r2" / "summary.json").read_text())

@@ -20,6 +20,7 @@ from dprkit.panel import (
     TransformSpec,
     compute_emissions,
     energy_mix_features,
+    entity_maxima,
     invert_log,
     load_panel,
     log_transform,
@@ -237,6 +238,69 @@ def test_no_normalization_mode_is_identity():
     mix, flagged = energy_mix_features(panel, NO_NORMALIZATION)
     np.testing.assert_array_equal(mix, panel.features)
     assert flagged == []
+
+
+def test_energy_mix_features_uses_given_maxima():
+    def make(panel_targets, values, periods):
+        n = len(values)
+        return PanelDataset(
+            entities=["A"], periods=periods, feature_names=["f"],
+            entity_idx=np.zeros(n, dtype=np.intp),
+            period_idx=np.arange(n, dtype=np.intp),
+            features=np.asarray(values, dtype=float).reshape(-1, 1),
+            targets=np.asarray(panel_targets, dtype=float),
+        )
+
+    train = make([1.0, 1.0], [[5.0], [10.0]], [2000, 2001])
+    test = make([1.0], [[20.0]], [2002])
+    out, _ = energy_mix_features(test, PER_FEATURE_MAX, entity_maxima(train))
+    assert out[0, 0] == 2.0  # ratio to the train maximum, not its own
+
+
+def _maxima_by_loop(data):
+    rows = [np.flatnonzero(data.entity_idx == e) for e in range(len(data.entities))]
+    return {name: data.features[r].max(axis=0)
+            for name, r in zip(data.entities, rows) if r.size}
+
+
+def _scale_by_loop(data, maxima):
+    out = np.zeros_like(data.features)
+    for e, name in enumerate(data.entities):
+        rows = np.flatnonzero(data.entity_idx == e)
+        if rows.size == 0:
+            continue
+        mx = maxima[name] if name in maxima else data.features[rows].max(axis=0)
+        for j in np.flatnonzero(mx > 0):
+            out[rows, j] = data.features[rows, j] / mx[j]
+    return out
+
+
+def test_entity_maxima_and_scaling_match_a_per_entity_loop():
+    rng = np.random.default_rng(0)
+
+    def make(keys, periods):
+        features = rng.uniform(0.0, 5.0, size=(len(keys), 3))
+        entity_idx = np.array([e for e, _ in keys], dtype=np.intp)
+        features[entity_idx == 1, 1] = 0.0  # B: a column whose maximum is 0
+        features[entity_idx == 3, 2] = 0.0  # D: the same, and D has no training rows
+        return PanelDataset(
+            entities=["A", "B", "C", "D"], periods=periods, feature_names=["f", "g", "h"],
+            entity_idx=entity_idx, period_idx=np.array([p for _, p in keys], dtype=np.intp),
+            features=features, targets=np.ones(len(keys)),
+        )
+
+    train = make([(e, p) for e in range(3) for p in range(4)], [2000, 2001, 2002, 2003])
+    new = make([(e, p) for e in range(4) for p in range(2)], [2004, 2005])
+    maxima = entity_maxima(train)
+    expected = _maxima_by_loop(train)
+    assert list(maxima) == list(expected) == ["A", "B", "C"]
+    for name in expected:
+        np.testing.assert_array_equal(maxima[name], expected[name])
+    mix, _ = energy_mix_features(new, PER_FEATURE_MAX, maxima)
+    np.testing.assert_array_equal(mix, _scale_by_loop(new, expected))
+    for data in (train, new):
+        mix, _ = energy_mix_features(data, PER_FEATURE_MAX)
+        np.testing.assert_array_equal(mix, _scale_by_loop(data, {}))
 
 
 # ---------------------------------------------------------------- round trips

@@ -18,11 +18,11 @@ from dprkit.regression import (
     metric_r2,
     metric_sparsity,
     predict,
-    regularization_path,
     soft_threshold,
     _feature_sign,
     standardize,
 )
+from dprkit.pipeline import regularization_path
 from dprkit.testkit import kkt_residuals, reference_objective_min
 
 
@@ -180,7 +180,7 @@ def test_warm_path_equals_cold_fits():
     rng = np.random.default_rng(7)
     dm = _random_design(rng, n=60, p=8)
     lams = [float(v) for v in np.logspace(-0.5, -3, 12)]
-    path = regularization_path(dm, lams, 0.7, tol=1e-11)
+    path = regularization_path(dm, lams, "elastic_net", 0.7, tol=1e-11)
     for lam, warm_model in zip(lams, path):
         cold = fit_elastic_net(dm, lam, 0.7, tol=1e-11)
         np.testing.assert_allclose(
@@ -260,7 +260,7 @@ def test_wide_design_with_singleton_dummies():
     dm = standardize(X, y)
     assert dm.p == 197
     lams = [float(v) for v in np.logspace(-1, -2.5, 6)]
-    for lam, model in zip(lams, regularization_path(dm, lams, 1.0, tol=1e-10)):
+    for lam, model in zip(lams, regularization_path(dm, lams, "lasso", tol=1e-10)):
         assert model.diagnostics["converged"]
         _assert_kkt(dm, model, lam, 1.0)
 
@@ -280,9 +280,9 @@ def test_path_requires_descending_lambdas():
     rng = np.random.default_rng(8)
     dm = _random_design(rng)
     with pytest.raises(ValidationError):
-        regularization_path(dm, [0.01, 0.1], 1.0)
+        regularization_path(dm, [0.01, 0.1], "lasso")
     with pytest.raises(ValidationError):
-        regularization_path(dm, [0.1, 0.1], 1.0)
+        regularization_path(dm, [0.1, 0.1], "lasso")
 
 
 def test_debug_mode_checks_objective_monotonicity():

@@ -9,10 +9,8 @@ from dprkit.clustering import NOISE, DbscanParams
 from dprkit.errors import NumericalError, ValidationError
 from dprkit.panel import (
     NO_NORMALIZATION,
-    PER_FEATURE_MAX,
     PanelDataset,
     TransformSpec,
-    energy_mix_features,
     invert_log,
     log_transform,
 )
@@ -25,9 +23,8 @@ from dprkit.pipeline import (
     chronological_split,
     cross_validate,
     design_from_panel,
-    entity_maxima,
+    dummy_columns,
     forecast_report,
-    mix_for_new_rows,
     run_dpr,
     write_report,
 )
@@ -242,6 +239,14 @@ def _default_config(**kw):
     return DprConfig(**base)
 
 
+def test_config_rejects_a_conflicting_core_rule():
+    for strict in (True, False):
+        assert DprConfig(dbscan=DbscanParams(0.05, 4, core_strict=strict),
+                         core_strict=strict).core_strict is strict
+        with pytest.raises(ValidationError, match="conflicts with core_strict"):
+            DprConfig(dbscan=DbscanParams(0.05, 4, core_strict=not strict), core_strict=strict)
+
+
 def test_run_report_structure(tmp_path):
     panel, truth = _panel(n_entities=10, n_periods=8, n_features=5, n_clusters=3, seed=2)
     split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
@@ -349,6 +354,38 @@ def test_forecast_report_missing_targets_excluded_from_summary():
     assert res.error_variance == 0.0
 
 
+def test_dummy_columns_of_training_and_new_rows():
+    names = ["cluster_1", "cluster_2", "noise_7", "noise_9"]
+    labels = np.array([0, 1, NOISE, 2, NOISE])
+    rows = np.array([5, 6, 7, 8, 9])
+    np.testing.assert_array_equal(dummy_columns(names, labels, rows), [
+        [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1],
+    ])
+    # a new row has no noise column of its own, whatever its row id
+    np.testing.assert_array_equal(dummy_columns(names, labels), [
+        [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0],
+    ])
+    assert dummy_columns([], labels).shape == (5, 0)
+    for bad in ("f", "cluster_x", "noise_", "baseline_0"):
+        with pytest.raises(ValidationError, match="not a cluster_<id> or noise_<row> column"):
+            dummy_columns([bad], labels)
+
+
+def test_forecast_report_builds_the_dummy_block_from_labels():
+    panel, _ = _panel(n_entities=10, n_periods=8, n_features=5, n_clusters=3, seed=2)
+    split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
+    report = run_dpr(panel, _default_config(), split)
+    _, test = chronological_split(panel, split)
+    m = report.dpr_model
+    assert m.model.column_names[test.n_features:] == ["cluster_1", "cluster_2"]
+    with pytest.raises(ValidationError, match="dummy column"):
+        forecast_report(m.model, test, m.transform)
+    with pytest.raises(ValidationError, match="labels for"):
+        forecast_report(m.model, test, m.transform, labels=report.forecast.cluster[1:])
+    again = forecast_report(m.model, test, m.transform, labels=report.forecast.cluster)
+    np.testing.assert_array_equal(again.predicted_log, report.forecast.predicted_log)
+
+
 def test_forecast_columns_match_the_row_formulas():
     """Every column equals the one-row-at-a-time formula, to the last bit."""
     panel, _ = _panel(n_entities=100, n_periods=20, n_features=3, seed=5)
@@ -364,7 +401,7 @@ def test_forecast_columns_match_the_row_formulas():
         zero_variance=np.zeros(3, dtype=bool), diagnostics={},
     )
     labels = rng.integers(-1, 3, size=panel.n_obs)
-    res = forecast_report(model, panel, spec, extra_labels=labels)
+    res = forecast_report(model, panel, spec, labels=labels)
     y = np.log(targets + 0.5)
     assert len(res.rows) == panel.n_obs
     for i, (row, key) in enumerate(zip(res.rows, panel.row_keys())):
@@ -379,69 +416,6 @@ def test_forecast_columns_match_the_row_formulas():
         assert row.actual_log == y[i]
         assert row.actual_source == float(invert_log(np.array(y[i]), spec))
         assert row.relative_error == abs(math.exp(yhat) - math.exp(y[i])) / math.exp(y[i])
-
-
-def test_mix_for_new_rows_uses_train_maxima():
-    def make(panel_targets, values, periods):
-        n = len(values)
-        return PanelDataset(
-            entities=["A"], periods=periods, feature_names=["f"],
-            entity_idx=np.zeros(n, dtype=np.intp),
-            period_idx=np.arange(n, dtype=np.intp),
-            features=np.asarray(values, dtype=float).reshape(-1, 1),
-            targets=np.asarray(panel_targets, dtype=float),
-        )
-
-    train = make([1.0, 1.0], [[5.0], [10.0]], [2000, 2001])
-    test = make([1.0], [[20.0]], [2002])
-    out = mix_for_new_rows(test, PER_FEATURE_MAX, entity_maxima(train))
-    assert out[0, 0] == 2.0  # ratio to the train maximum, not its own
-
-
-def _maxima_by_loop(data):
-    rows = [np.flatnonzero(data.entity_idx == e) for e in range(len(data.entities))]
-    return {name: data.features[r].max(axis=0)
-            for name, r in zip(data.entities, rows) if r.size}
-
-
-def _scale_by_loop(data, maxima):
-    out = np.zeros_like(data.features)
-    for e, name in enumerate(data.entities):
-        rows = np.flatnonzero(data.entity_idx == e)
-        if rows.size == 0:
-            continue
-        mx = maxima[name] if name in maxima else data.features[rows].max(axis=0)
-        for j in np.flatnonzero(mx > 0):
-            out[rows, j] = data.features[rows, j] / mx[j]
-    return out
-
-
-def test_entity_maxima_and_scaling_match_a_per_entity_loop():
-    rng = np.random.default_rng(0)
-
-    def make(keys, periods):
-        features = rng.uniform(0.0, 5.0, size=(len(keys), 3))
-        entity_idx = np.array([e for e, _ in keys], dtype=np.intp)
-        features[entity_idx == 1, 1] = 0.0  # B: a column whose maximum is 0
-        features[entity_idx == 3, 2] = 0.0  # D: the same, and D has no training rows
-        return PanelDataset(
-            entities=["A", "B", "C", "D"], periods=periods, feature_names=["f", "g", "h"],
-            entity_idx=entity_idx, period_idx=np.array([p for _, p in keys], dtype=np.intp),
-            features=features, targets=np.ones(len(keys)),
-        )
-
-    train = make([(e, p) for e in range(3) for p in range(4)], [2000, 2001, 2002, 2003])
-    new = make([(e, p) for e in range(4) for p in range(2)], [2004, 2005])
-    maxima = entity_maxima(train)
-    expected = _maxima_by_loop(train)
-    assert list(maxima) == list(expected) == ["A", "B", "C"]
-    for name in expected:
-        np.testing.assert_array_equal(maxima[name], expected[name])
-    np.testing.assert_array_equal(mix_for_new_rows(new, PER_FEATURE_MAX, maxima),
-                                  _scale_by_loop(new, expected))
-    for data in (train, new):
-        mix, _ = energy_mix_features(data, PER_FEATURE_MAX)
-        np.testing.assert_array_equal(mix, _scale_by_loop(data, {}))
 
 
 @pytest.mark.parametrize("mix", ["rawshares", "perfeaturemax"])
@@ -467,7 +441,7 @@ def test_write_report_is_byte_stable(tmp_path):
         assert (b / path.name).read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("kind", ["lasso", "elastic_net"])
+@pytest.mark.parametrize("kind", ["ridge", "lasso", "elastic_net"])
 def test_final_model_is_the_path_fit_at_the_chosen_cell(kind, tmp_path, monkeypatch):
     designs = []
     path = pipeline.regularization_path
@@ -478,13 +452,19 @@ def test_final_model_is_the_path_fit_at_the_chosen_cell(kind, tmp_path, monkeypa
     panel, _ = _panel(n_entities=10, n_periods=8, n_features=5, n_clusters=3, seed=2)
     split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
     report = run_dpr(panel, _default_config(penalty_kind=kind), split)
-    (dm,) = designs
+    # one chain per fold and alpha, then the run's own path on the whole design
+    dm = report.design
+    assert len(designs) == 4 * (2 if kind == "elastic_net" else 1) + 1
+    assert designs[-1] is dm and all(d.n < dm.n for d in designs[:-1])
     lam, alpha = report.cv.best.lam, report.cv.best.alpha
-    if kind == "lasso":
+    if kind == "ridge":
+        cold = fit_ridge(dm, lam)
+    elif kind == "lasso":
         cold = fit_lasso(dm, lam)
     else:
         cold = fit_elastic_net(dm, lam, alpha)
     model = report.dpr_model.model
+    assert model is report.path_models[report.path_lambdas.index(lam)]
     assert model.penalty == cold.penalty
     np.testing.assert_allclose(model.coefficients, cold.coefficients, rtol=0, atol=1e-10)
     assert model.intercept == pytest.approx(cold.intercept, rel=0, abs=1e-10)
