@@ -61,16 +61,6 @@ def _parse_grid(text: str) -> list[float]:
         raise ValidationError(f"cannot parse grid {text!r}: {exc}") from exc
 
 
-def _parse_int_grid(text: str) -> list[int]:
-    vals = _parse_grid(text)
-    out = []
-    for v in vals:
-        if v != int(v):
-            raise ValidationError(f"grid {text!r} must contain integers")
-        out.append(int(v))
-    return out
-
-
 def _parse_period_token(tok: str, as_int: bool):
     tok = tok.strip()
     if not as_int:
@@ -210,16 +200,93 @@ def _labels_for_panel(panel: PanelDataset, bundle_path) -> np.ndarray:
     return labels
 
 
-def _design_from_args(args):
+def _design(path, settings: dict):
     """The standardized log design of ``fit``, ``cv`` and ``path``, with any cluster dummies."""
-    panel = _load_canonical(args.input)
-    spec = TransformSpec(log_offset=args.log_offset, normalize_mode=NO_NORMALIZATION)
+    panel = _load_canonical(path)
+    spec = TransformSpec(normalize_mode=NO_NORMALIZATION,
+                         **_given(settings, log_offset="log_offset"))
     dm = pipeline.design_from_panel(log_transform(panel, spec))
-    if args.cluster_model:
-        labels = _labels_for_panel(panel, args.cluster_model)
-        dm = pipeline.augment_with_dummies(dm, labels, policy=args.outlier_policy,
-                                           baseline=args.baseline)
+    if settings.get("cluster_model"):
+        labels = _labels_for_panel(panel, settings["cluster_model"])
+        dm = pipeline.augment_with_dummies(
+            dm, labels, **_given(settings, policy="outlier_policy", baseline="baseline"))
     return standardize(dm.X, dm.y, dm.column_names, source_rows=dm.source_rows)
+
+
+# ------------------------------------------------------------------- settings
+
+
+def _as_bool(text: str) -> bool:
+    text = text.strip().lower()
+    if text in ("1", "true", "yes", "on"):
+        return True
+    if text in ("0", "false", "no", "off"):
+        return False
+    raise ValueError("not a boolean")
+
+
+def _as_grid(text: str) -> tuple:
+    return tuple(_parse_grid(text))
+
+
+def _as_int_grid(text: str) -> tuple:
+    grid = _as_grid(text)
+    if not all(v.is_integer() for v in grid):
+        raise ValueError("not a grid of integers")
+    return tuple(int(v) for v in grid)
+
+
+# Every setting flag of every subcommand: key -> (parser of its text, argparse
+# keywords of its flag).  A flag's dest is its key and it defaults to None
+# (unset); an unset setting takes the default of the field or parameter it fills.
+_SETTINGS = {
+    "penalty": (str, {}),
+    "lam": (float, {}),
+    "alpha": (float, {}),
+    "lambda_grid": (_as_grid, {}),
+    "alpha_grid": (_as_grid, {}),
+    "eps": (float, {}),
+    "min_pts": (int, {}),
+    "eps_grid": (_as_grid, {}),
+    "minpts_grid": (_as_int_grid, {}),
+    "core_strict": (_as_bool, {"nargs": "?", "const": "true"}),
+    "mix": (str, {"choices": list(MIX_MODES)}),
+    "log_offset": (float, {}),
+    "outlier_policy": (str, {"choices": list(pipeline.OUTLIER_POLICIES)}),
+    "baseline": (int, {}),
+    "folds": (int, {}),
+    "train_periods": (str, {}),
+    "test_periods": (str, {}),
+    "train_count": (int, {}),
+    "cluster_model": (str, {"help": "cluster_model.json from the cluster subcommand"}),
+}
+# the settings of `run` and of its config file
+_RUN_KEYS = tuple(key for key in _SETTINGS if key not in ("lam", "alpha", "cluster_model"))
+
+
+def _parse_settings(texts: dict[str, str]) -> dict:
+    """Each setting parsed from its text; a malformed one is an error naming it."""
+    settings = {}
+    for key, text in texts.items():
+        try:
+            settings[key] = _SETTINGS[key][0](text)
+        except (ValueError, ValidationError) as exc:
+            raise ValidationError(f"bad value {key}={text!r}: {exc}") from exc
+    return settings
+
+
+def _flag_texts(args) -> dict[str, str]:
+    """The setting flags given on the command line, as text."""
+    return {key: text for key, text in vars(args).items() if key in _SETTINGS and text is not None}
+
+
+def _settings(args) -> dict:
+    return _parse_settings(_flag_texts(args))
+
+
+def _given(settings: dict, **fields) -> dict:
+    """``{field: settings[key]}`` of each ``field=key`` whose setting is given."""
+    return {name: settings[key] for name, key in fields.items() if key in settings}
 
 
 # ---------------------------------------------------------------- subcommands
@@ -252,12 +319,21 @@ def _cmd_ingest(args) -> int:
 def _cmd_synth(args) -> int:
     from . import testkit
 
+    fields = testkit.SyntheticSpec.__dataclass_fields__
     overrides: dict = {}
     if args.spec:
         for key, value in _read_config_text(args.spec).items():
-            if key not in testkit.SyntheticSpec.__dataclass_fields__:
+            if key not in fields:
                 raise ValidationError(f"unknown synth spec field {key!r}")
-            overrides[key] = _coerce_spec_value(key, value)
+            # a field takes the type of its default; one without a scalar default is not settable
+            kind = type(fields[key].default)
+            if kind not in (int, float):
+                raise ValidationError(f"synth field {key!r} cannot be set from --spec")
+            try:
+                overrides[key] = kind(value)
+            except ValueError as exc:
+                raise ValidationError(
+                    f"synth field {key}={value!r} must be {kind.__name__}") from exc
     if args.seed is not None:
         overrides["seed"] = args.seed
     spec = testkit.SyntheticSpec(**overrides)
@@ -274,19 +350,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _coerce_spec_value(key: str, value: str):
-    int_fields = {"n_entities", "n_periods", "n_features", "n_clusters", "seed"}
-    if key in int_fields:
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise ValidationError(f"synth field {key}={value!r} must be an integer") from exc
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ValidationError(f"synth field {key}={value!r} must be numeric") from exc
-
-
 def _read_config_text(text: str) -> dict[str, str]:
     """A comma list of key=value items, as ``synth --spec`` takes it."""
     return _key_values(("--spec: ", chunk) for chunk in map(str.strip, text.split(","))
@@ -294,9 +357,11 @@ def _read_config_text(text: str) -> dict[str, str]:
 
 
 def _cmd_cluster(args) -> int:
+    s = _settings(args)
+    params = DbscanParams(s["eps"], s["min_pts"], **_given(s, core_strict="core_strict"))
+    mix = s.get("mix", TransformSpec.normalize_mode)
     panel = _load_canonical(args.input)
-    points = _mix_matrix(panel, args.mix)
-    params = DbscanParams(eps=args.eps, min_pts=args.min_pts, core_strict=args.core_strict)
+    points = _mix_matrix(panel, mix)
     model = dbscan(points, params)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -305,7 +370,7 @@ def _cmd_cluster(args) -> int:
         ["entity", "period", "label", "core"],
         [*panel.key_columns(), model.labels.astype(np.intp), model.core_mask.astype(np.intp)],
     )
-    bundle = _cluster_bundle(panel, model, points, args.mix)
+    bundle = _cluster_bundle(panel, model, points, mix)
     (out / "cluster_model.json").write_text(
         json.dumps(bundle, indent=2) + "\n", encoding="utf-8"
     )
@@ -314,14 +379,11 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    s = _settings(args)
     panel = _load_canonical(args.input)
-    points = _mix_matrix(panel, args.mix)
-    rows = scan_params(
-        points,
-        _parse_grid(args.eps_grid),
-        _parse_int_grid(args.minpts_grid),
-        core_strict=args.core_strict,
-    )
+    points = _mix_matrix(panel, s.get("mix", TransformSpec.normalize_mode))
+    rows = scan_params(points, s["eps_grid"], s["minpts_grid"],
+                       **_given(s, core_strict="core_strict"))
     pipeline.write_scan_table(rows, Path(args.output))
     best = suggest_params(rows)
     if best is None:
@@ -347,14 +409,11 @@ def _check_mixing_flag(kind: str, flag: str, given: bool) -> None:
         raise ValidationError(f"{flag} is only valid for elastic_net, not {kind}")
 
 
-def _penalty_from_args(kind: str, lam: float, alpha) -> regression.PenaltySpec:
-    _check_mixing_flag(kind, "--alpha", alpha is not None)
-    return regression.PenaltySpec(kind, lam, alpha)
-
-
 def _cmd_fit(args) -> int:
-    penalty = _penalty_from_args(args.penalty, args.lam, args.alpha)
-    dm = _design_from_args(args)
+    s = _settings(args)
+    _check_mixing_flag(s["penalty"], "--alpha", "alpha" in s)
+    penalty = regression.PenaltySpec(s["penalty"], s["lam"], s.get("alpha"))
+    dm = _design(args.input, s)
     model = pipeline.fit_penalized(dm, penalty)
     if not model.diagnostics["converged"]:
         raise ConvergenceError(
@@ -384,16 +443,12 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_cv(args) -> int:
-    _check_mixing_flag(args.penalty, "--alpha-grid", args.alpha_grid is not None)
-    dm = _design_from_args(args)
-    alpha_grid = _parse_grid(args.alpha_grid) if args.alpha_grid else None
-    result = pipeline.cross_validate(
-        dm,
-        args.folds,
-        args.penalty,
-        _parse_grid(args.lambda_grid),
-        alpha_grid=alpha_grid,
-    )
+    s = _settings(args)
+    _check_mixing_flag(s["penalty"], "--alpha-grid", "alpha_grid" in s)
+    dm = _design(args.input, s)
+    result = pipeline.cross_validate(dm, s.get("folds", pipeline.SplitSpec.cv_folds),
+                                     s["penalty"], s["lambda_grid"],
+                                     alpha_grid=s.get("alpha_grid"))
     pipeline.write_cv_table(result, Path(args.output))
     _ok(
         "cv",
@@ -406,10 +461,11 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_path(args) -> int:
-    _penalty_from_args(args.penalty, 0.0, args.alpha)
-    dm = _design_from_args(args)
-    lams = sorted(set(_parse_grid(args.lambda_grid)), reverse=True)
-    models = pipeline.regularization_path(dm, lams, args.penalty, args.alpha)
+    s = _settings(args)
+    _check_mixing_flag(s["penalty"], "--alpha", "alpha" in s)
+    dm = _design(args.input, s)
+    lams = sorted(set(s["lambda_grid"]), reverse=True)
+    models = pipeline.regularization_path(dm, lams, s["penalty"], s.get("alpha"))
     for lam, m in zip(lams, models):
         if m is None:
             raise RankDeficiencyError(f"path fit at lambda={fmt(lam)} is rank-deficient")
@@ -423,89 +479,41 @@ def _cmd_path(args) -> int:
     return 0
 
 
-def _as_bool(text: str) -> bool:
-    text = text.strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ValueError("not a boolean")
-
-
-def _as_grid(text: str) -> tuple:
-    return tuple(_parse_grid(text))
-
-
-def _as_int_grid(text: str) -> tuple:
-    return tuple(_parse_int_grid(text))
-
-
-# The run settings: config key -> (parser of its text, argparse keywords of its
-# flag).  A flag's dest is its config key; every flag defaults to None (unset).
-_RUN_KEYS = {
-    "penalty": (str, {}),
-    "lambda_grid": (_as_grid, {}),
-    "alpha_grid": (_as_grid, {}),
-    "eps": (float, {}),
-    "min_pts": (int, {}),
-    "eps_grid": (_as_grid, {}),
-    "minpts_grid": (_as_int_grid, {}),
-    "core_strict": (_as_bool, {"nargs": "?", "const": "true"}),
-    "mix": (str, {"choices": list(MIX_MODES)}),
-    "log_offset": (float, {}),
-    "outlier_policy": (str, {"choices": list(pipeline.OUTLIER_POLICIES)}),
-    "baseline": (int, {}),
-    "folds": (int, {}),
-    "train_periods": (str, {}),
-    "test_periods": (str, {}),
-    "train_count": (int, {}),
-}
-
-
 def _effective_run_settings(args) -> dict[str, str]:
     """The run's settings as text; flags that are set win over the config file."""
     settings: dict[str, str] = {}
     if args.config:
-        cfg = _read_config(args.config)
-        unknown = set(cfg) - set(_RUN_KEYS)
+        settings = _read_config(args.config)
+        unknown = set(settings) - set(_RUN_KEYS)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        settings.update(cfg)
-    for key in _RUN_KEYS:
-        if getattr(args, key) is not None:
-            settings[key] = getattr(args, key)
-    return settings
+    return {**settings, **_flag_texts(args)}
 
 
 def _build_run(texts: dict[str, str], panel: PanelDataset):
     """DprConfig and SplitSpec of the settings; an unset one takes its field's default."""
-    settings = {}
-    for key, text in texts.items():
-        try:
-            settings[key] = _RUN_KEYS[key][0](text)
-        except (ValueError, ValidationError) as exc:
-            raise ValidationError(f"bad value {key}={text!r}: {exc}") from exc
-
-    def given(**fields) -> dict:
-        return {name: settings[key] for name, key in fields.items() if key in settings}
-
+    settings = _parse_settings(texts)
     params = None
     if "eps" in settings or "min_pts" in settings:
         if not ("eps" in settings and "min_pts" in settings):
             raise ValidationError("eps and min_pts must be given together")
         params = DbscanParams(settings["eps"], settings["min_pts"],
-                              **given(core_strict="core_strict"))
+                              **_given(settings, core_strict="core_strict"))
     elif not ("eps_grid" in settings and "minpts_grid" in settings):
         raise ValidationError(
             "give either eps+min_pts or eps_grid+minpts_grid (config or flags)"
         )
     config = pipeline.DprConfig(
-        transform=TransformSpec(**given(log_offset="log_offset", normalize_mode="mix")),
+        transform=TransformSpec(**_given(settings, log_offset="log_offset",
+                                         normalize_mode="mix")),
         dbscan=params,
-        **given(eps_grid="eps_grid", minpts_grid="minpts_grid", core_strict="core_strict",
-                penalty_kind="penalty", lambda_grid="lambda_grid", alpha_grid="alpha_grid",
-                outlier_policy="outlier_policy", baseline_cluster="baseline"),
+        **_given(settings, eps_grid="eps_grid", minpts_grid="minpts_grid",
+                 core_strict="core_strict", penalty_kind="penalty",
+                 lambda_grid="lambda_grid", alpha_grid="alpha_grid",
+                 outlier_policy="outlier_policy", baseline_cluster="baseline"),
     )
+    if "alpha_grid" in settings:  # ridge and lasso would drop it
+        _check_mixing_flag(config.penalty_kind, "alpha_grid", True)
 
     if "train_count" in settings:
         count = settings["train_count"]
@@ -522,7 +530,7 @@ def _build_run(texts: dict[str, str], panel: PanelDataset):
     else:
         raise ValidationError("give train_count, or train_periods and test_periods")
     split = pipeline.SplitSpec(train_periods=tuple(train), test_periods=tuple(test),
-                               **given(cv_folds="folds"))
+                               **_given(settings, cv_folds="folds"))
     return config, split
 
 
@@ -530,14 +538,10 @@ def _cmd_run(args) -> int:
     panel = _load_canonical(args.input)
     config, split = _build_run(_effective_run_settings(args), panel)
     report = pipeline.run_dpr(panel, config, split)
-    model = report.dpr_model.model
-    if not model.diagnostics["converged"]:
-        raise ConvergenceError(
-            f"final fit did not converge in {model.diagnostics['iterations']} steps"
-        )
     pipeline.write_report(report, args.output_dir)
     if args.plots:
         emit_plot_data(report, args.output_dir)
+    model = report.dpr_model.model
     test_mse = report.metrics["test"]["mse"] if report.metrics["test"] else None
     unconverged = report.unconverged_path_fits
     _ok(
@@ -607,13 +611,25 @@ def _write_path_table(dest, lams: list[float], models: list[FittedModel | None],
 # --------------------------------------------------------------------- parser
 
 
-def _add_common_design_flags(sp) -> None:
-    sp.add_argument("--cluster-model", default=None,
-                    help="cluster_model.json from the cluster subcommand")
-    sp.add_argument("--log-offset", type=float, default=TransformSpec.log_offset)
-    sp.add_argument("--outlier-policy", default=pipeline.DprConfig.outlier_policy,
-                    choices=list(pipeline.OUTLIER_POLICIES))
-    sp.add_argument("--baseline", type=int, default=pipeline.DprConfig.baseline_cluster)
+_DESIGN_KEYS = ("log_offset", "outlier_policy", "baseline", "cluster_model")
+
+# The subcommands that take settings: name -> (handler, help, output flag,
+# required settings, other settings).
+_COMMANDS = {
+    "cluster": (_cmd_cluster, "density clustering of the panel mix features", "--output-dir",
+                ("eps", "min_pts"), ("core_strict", "mix")),
+    "scan": (_cmd_scan, "grid scan of clustering parameters", "--output",
+             ("eps_grid", "minpts_grid"), ("core_strict", "mix")),
+    "fit": (_cmd_fit, "one penalized fit on the log design", "--output-dir",
+            ("penalty", "lam"), ("alpha", *_DESIGN_KEYS)),
+    "cv": (_cmd_cv, "cross-validated hyperparameter table", "--output",
+           ("penalty", "lambda_grid"), ("alpha_grid", "folds", *_DESIGN_KEYS)),
+    "path": (_cmd_path, "coefficient trajectory over a lambda grid", "--output",
+             ("penalty", "lambda_grid"), ("alpha", *_DESIGN_KEYS)),
+    "run": (_cmd_run, "full clustering + fit + forecast flow", "--output-dir", (), _RUN_KEYS),
+    "forecast": (_cmd_forecast, "predict a new panel from a saved run model", "--output",
+                 (), ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -639,67 +655,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--spec", default=None, help="comma list of field=value overrides")
     sp.set_defaults(handler=_cmd_synth)
 
-    sp = sub.add_parser("cluster", help="density clustering of the panel mix features")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--output-dir", required=True)
-    sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--min-pts", type=int, required=True)
-    sp.add_argument("--core-strict", action="store_true")
-    sp.add_argument("--mix", default=TransformSpec.normalize_mode, choices=list(MIX_MODES))
-    sp.set_defaults(handler=_cmd_cluster)
-
-    sp = sub.add_parser("scan", help="grid scan of clustering parameters")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--output", required=True)
-    sp.add_argument("--eps-grid", required=True)
-    sp.add_argument("--minpts-grid", required=True)
-    sp.add_argument("--core-strict", action="store_true")
-    sp.add_argument("--mix", default=TransformSpec.normalize_mode, choices=list(MIX_MODES))
-    sp.set_defaults(handler=_cmd_scan)
-
-    sp = sub.add_parser("fit", help="one penalized fit on the log design")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--output-dir", required=True)
-    sp.add_argument("--penalty", required=True)
-    sp.add_argument("--lam", type=float, required=True)
-    sp.add_argument("--alpha", type=float, default=None)
-    _add_common_design_flags(sp)
-    sp.set_defaults(handler=_cmd_fit)
-
-    sp = sub.add_parser("cv", help="cross-validated hyperparameter table")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--output", required=True)
-    sp.add_argument("--penalty", required=True)
-    sp.add_argument("--lambda-grid", required=True)
-    sp.add_argument("--alpha-grid", default=None)
-    sp.add_argument("--folds", type=int, default=pipeline.SplitSpec.cv_folds)
-    _add_common_design_flags(sp)
-    sp.set_defaults(handler=_cmd_cv)
-
-    sp = sub.add_parser("path", help="coefficient trajectory over a lambda grid")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--output", required=True)
-    sp.add_argument("--penalty", required=True)
-    sp.add_argument("--lambda-grid", required=True)
-    sp.add_argument("--alpha", type=float, default=None)
-    _add_common_design_flags(sp)
-    sp.set_defaults(handler=_cmd_path)
-
-    sp = sub.add_parser("run", help="full clustering + fit + forecast flow")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--output-dir", required=True)
-    sp.add_argument("--config", default=None, help="key=value file; flags override")
-    for key, (_, flag) in _RUN_KEYS.items():
-        sp.add_argument("--" + key.replace("_", "-"), default=None, **flag)
-    sp.add_argument("--plots", action="store_true")
-    sp.set_defaults(handler=_cmd_run)
-
-    sp = sub.add_parser("forecast", help="predict a new panel from a saved run model")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--output", required=True)
-    sp.set_defaults(handler=_cmd_forecast)
-
+    parsers = {}
+    for name, (handler, help_text, output, required, other) in _COMMANDS.items():
+        sp = parsers[name] = sub.add_parser(name, help=help_text)
+        sp.add_argument("--input", required=True)
+        sp.add_argument(output, required=True)
+        for key in (*required, *other):
+            sp.add_argument("--" + key.replace("_", "-"), default=None,
+                            required=key in required, **_SETTINGS[key][1])
+        sp.set_defaults(handler=handler)
+    parsers["run"].add_argument("--config", default=None, help="key=value file; flags override")
+    parsers["run"].add_argument("--plots", action="store_true")
+    parsers["forecast"].add_argument("--model", required=True)
     return parser
 
 

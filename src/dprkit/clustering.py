@@ -328,8 +328,9 @@ def scan_params(
 ) -> list[ScanRow]:
     """Evaluate dbscan over the full eps x min_pts grid.
 
-    One row per combination, eps varying slowest, in grid order.  Rows where
-    the silhouette is undefined carry ``sc=None``.  The neighbour pairs are
+    One row per combination of distinct grid values, eps varying slowest, in
+    first-occurrence order; a repeated value adds no row.  Rows where the
+    silhouette is undefined carry ``sc=None``.  The neighbour pairs are
     found once, at the largest eps.  Each distinct eps thresholds them and
     counts neighbours once; each distinct (eps, core set) is labelled once,
     and each distinct labelling is scored once.
@@ -338,9 +339,9 @@ def scan_params(
     if len(eps_grid) == 0 or len(minpts_grid) == 0:
         raise ValidationError("scan grids must be non-empty")
     cells = [
-        DbscanParams(eps=float(e), min_pts=int(m), core_strict=core_strict)
-        for e in eps_grid
-        for m in minpts_grid
+        DbscanParams(eps=e, min_pts=m, core_strict=core_strict)
+        for e in dict.fromkeys(float(e) for e in eps_grid)
+        for m in dict.fromkeys(int(m) for m in minpts_grid)
     ]
     D = pairwise_distances(pts)
     pairs = _pairs_within(D, max(p.eps for p in cells))

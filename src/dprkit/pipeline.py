@@ -32,7 +32,7 @@ from .clustering import (
     scan_params,
     suggest_params,
 )
-from .errors import NumericalError, ValidationError
+from .errors import ConvergenceError, NumericalError, ValidationError
 from .panel import (
     PER_FEATURE_MAX,
     PanelDataset,
@@ -295,13 +295,14 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
                    max_iter: int = DEFAULT_MAX_ITER) -> CvResult:
     """Grid search by deterministic contiguous-block cross-validation.
 
-    Folds are contiguous blocks of the row order.  Within a fold, each alpha
-    walks the lambda grid descending as one :func:`regularization_path`.  The
-    winner minimizes mean validation MSE; exact ties break toward the larger
-    lambda, then the larger alpha.  A cell with a failed fold fit -- a ridge fit on a
-    rank-deficient system (lambda=0 on collinear columns), or a
-    lasso/elastic-net fit that hit ``max_iter`` -- is recorded with NA metrics
-    and never wins.
+    Folds are contiguous blocks of the row order.  Each distinct (lambda,
+    alpha) pair is one cell, in first-occurrence order of the grids.  Within
+    a fold, each alpha walks the lambda grid descending as one
+    :func:`regularization_path`.  The winner minimizes mean validation MSE;
+    exact ties break toward the larger lambda, then the larger alpha.  A cell
+    with a failed fold fit -- a ridge fit on a rank-deficient system (lambda=0
+    on collinear columns), or a lasso/elastic-net fit that hit ``max_iter`` --
+    is recorded with NA metrics and never wins.
     """
     if kind not in PENALTY_KINDS:
         raise ValidationError(f"unknown penalty kind {kind!r}")
@@ -309,9 +310,9 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
         raise ValidationError("cross_validate expects a standardized design")
     if int(folds) != folds or folds < 2:
         raise ValidationError(f"folds must be an integer >= 2, got {folds}")
-    lams = [float(l) for l in lambda_grid]
+    lams = list(dict.fromkeys(float(l) for l in lambda_grid))
     if kind == ELASTIC_NET:
-        alphas = [float(a) for a in (alpha_grid or [])]
+        alphas = list(dict.fromkeys(float(a) for a in (alpha_grid or [])))
         if not alphas:
             raise ValidationError("elastic_net cross-validation needs an alpha grid")
     else:
@@ -325,7 +326,7 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
             raise ValidationError(f"fold {b} leaves fewer than 2 training rows")
 
     all_rows = np.arange(dm.n)
-    lam_desc = sorted(set(lams), reverse=True)
+    lam_desc = sorted(lams, reverse=True)
 
     def _fold(block) -> dict:
         # one training subset per fold, so every chain of the fold shares its Gram
@@ -657,7 +658,8 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
     hyperparameter choice, a coefficient path at the chosen mixing whose fit
     at the chosen lambda is the final model, and test-period forecasting with
     nearest-core cluster assignment.
-    Any stage failure aborts with the stage named in the error.
+    Any stage failure aborts with the stage named in the error; a final model
+    that is rank-deficient or did not converge fails stage ``path``.
     """
     if data.transform is not None:
         raise ValidationError("run_dpr expects a source-unit panel")
@@ -722,6 +724,11 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         if model is None:
             raise RankDeficiencyError(
                 f"ridge at the chosen lambda={cv.best.lam} is rank-deficient"
+            )
+        if not model.diagnostics["converged"]:
+            raise ConvergenceError(
+                f"fit at the chosen lambda={cv.best.lam} did not converge in "
+                f"{model.diagnostics['iterations']} steps"
             )
 
     with _stage("forecast"):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dprkit import pipeline, testkit
-from dprkit.cli import _RUN_KEYS, _build_run, _parse_grid, _parse_periods, main
+from dprkit.cli import _COMMANDS, _RUN_KEYS, _build_run, _parse_grid, _parse_periods, main
 from dprkit.clustering import DbscanParams
 from dprkit.errors import ValidationError
 from dprkit.panel import load_panel, write_panel
@@ -664,3 +664,127 @@ def test_cli_and_testkit_imports_leave_out_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]", f"importing dprkit loaded {out.strip()}"
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("kind", ["ridge", "lasso"])
+def test_run_rejects_an_alpha_grid_unless_elastic_net(capsys, tmp_path, kind, source):
+    panel = _synth(capsys, tmp_path)
+    settings = {"penalty": kind, "alpha_grid": "0.5", "eps": "0.2", "min_pts": "3",
+                "train_count": "6"}
+    out = tmp_path / "out"
+    argv = ["run", "--input", str(panel), "--output-dir", str(out)]
+    if source == "flag":
+        argv += _as_flags(settings)
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        argv += ["--config", str(cfg)]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert f"alpha_grid is only valid for elastic_net, not {kind}" in err
+    assert not out.exists()
+
+
+def test_repeated_grid_values_are_fitted_and_listed_once(capsys, tmp_path, monkeypatch):
+    panel = _synth(capsys, tmp_path)
+    chains = []
+    chain = pipeline.regularization_path
+
+    def counted(dm, lambdas, *args, **kw):
+        chains.append(list(lambdas))
+        return chain(dm, lambdas, *args, **kw)
+
+    monkeypatch.setattr(pipeline, "regularization_path", counted)
+    written = {}
+    for name, lams, alphas, eps, min_pts in [
+        ("once", "0.1,0.01", "0.5,1", "0.1,0.2", "3,4"),
+        ("twice", "0.1,0.01,0.1", "0.5,1,0.5", "0.1,0.2,0.1", "3,4,3,3"),
+    ]:
+        chains.clear()
+        code, cv_line, err = run_cli(
+            capsys, "cv", "--input", str(panel), "--output", str(tmp_path / f"cv-{name}.csv"),
+            "--penalty", "elastic_net", "--lambda-grid", lams, "--alpha-grid", alphas,
+            "--folds", "3")
+        assert code == 0, err
+        code, scan_line, err = run_cli(
+            capsys, "scan", "--input", str(panel), "--output", str(tmp_path / f"scan-{name}.csv"),
+            "--eps-grid", eps, "--minpts-grid", min_pts)
+        assert code == 0, err
+        written[name] = (cv_line, scan_line, list(chains),
+                         (tmp_path / f"cv-{name}.csv").read_bytes(),
+                         (tmp_path / f"scan-{name}.csv").read_bytes())
+    assert written["twice"] == written["once"]
+    cv_line, scan_line, chains_once, _, _ = written["once"]
+    assert cv_line.startswith("cv ok cells=4 ") and scan_line.startswith("scan ok cells=4 ")
+    assert chains_once == [[0.1, 0.01]] * 6  # one chain per fold and alpha
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("mix_profiles=1", "synth field 'mix_profiles' cannot be set from --spec"),
+    ("true_coefficients=0.5", "synth field 'true_coefficients' cannot be set from --spec"),
+    ("n_entities=3.5", "synth field n_entities='3.5' must be int"),
+    ("noise_sd=low", "synth field noise_sd='low' must be float"),
+], ids=["mix_profiles", "true_coefficients", "int-field", "float-field"])
+def test_synth_spec_takes_the_type_of_each_fields_default(capsys, tmp_path, spec, message):
+    out = tmp_path / "p.csv"
+    code, stdout, err = run_cli(capsys, "synth", "--output", str(out), "--spec", spec)
+    assert (code, stdout) == (1, "")
+    assert err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+    # a float field takes an integer spelling
+    code, stdout, _ = run_cli(capsys, "synth", "--output", str(out),
+                              "--spec", "n_entities=4,n_clusters=2,noise_sd=0")
+    assert code == 0 and stdout.startswith("synth ok rows=32 entities=4 ")
+
+
+# Valid settings of each subcommand that takes a setting below, and its output flag.
+_STAGE_RUNS = {
+    "cluster": ("--output-dir", {"eps": "0.2", "min_pts": "3"}),
+    "scan": ("--output", {"eps_grid": "0.05,0.1", "minpts_grid": "4,8"}),
+    "cv": ("--output", {"penalty": "lasso", "lambda_grid": "0.01,0.1", "folds": "3"}),
+    "path": ("--output", {"penalty": "lasso", "lambda_grid": "0.01,0.1"}),
+    "run": ("--output-dir", {"eps": "0.2", "min_pts": "3", "penalty": "lasso",
+                             "lambda_grid": "0.01,0.1", "train_count": "6", "folds": "3"}),
+}
+
+
+def _stage_argv(command, panel, out, **changes):
+    flag, settings = _STAGE_RUNS[command]
+    return [command, "--input", str(panel), flag, str(out),
+            *_as_flags({**settings, **changes})]
+
+
+def _written(path):
+    return _files(path) if path.is_dir() else path.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["cluster", "scan", "run"])
+def test_core_strict_means_the_same_on_every_subcommand(capsys, tmp_path, command):
+    panel = _synth(capsys, tmp_path, seed=3)
+    written = {}
+    for name, flags in [("unset", []), ("false", ["--core-strict", "false"]),
+                        ("true", ["--core-strict", "true"]), ("bare", ["--core-strict"])]:
+        out = tmp_path / name
+        code, stdout, err = run_cli(capsys, *_stage_argv(command, panel, out), *flags)
+        assert code == 0, err
+        written[name] = (stdout, _written(out))
+    assert written["false"] == written["unset"]
+    assert written["bare"] == written["true"]
+    assert written["true"] != written["false"]
+
+
+@pytest.mark.parametrize("command, key, bad", [
+    (command, key, bad)
+    for key, bad in [("eps", "0.2x"), ("eps_grid", "1,x"), ("lambda_grid", "banana"),
+                     ("folds", "3.0")]
+    for command, (_, _, _, required, other) in _COMMANDS.items() if key in required + other
+])
+def test_malformed_setting_exits_1_naming_it_on_every_subcommand(capsys, tmp_path, command,
+                                                                 key, bad):
+    panel = _synth(capsys, tmp_path)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, *_stage_argv(command, panel, out, **{key: bad}))
+    assert code == 1 and stdout == ""
+    assert f"bad value {key}={bad!r}" in err
+    assert not out.exists()

@@ -374,7 +374,7 @@ def test_scan_labels_once_per_eps_when_min_pts_leaves_the_core_set(monkeypatch):
     pts = np.repeat([[0.0, 0.0], [5.0, 0.0]], 6, axis=0)
     eps_grid = [1.0, 0.5, 2.0, 0.5]
     rows = scan_params(pts, eps_grid, [2, 4, 6, 3])
-    assert len(rows) == 16 and {r.k for r in rows} == {2}
+    assert len(rows) == 12 and {r.k for r in rows} == {2}  # the repeated eps adds no row
     assert len(calls) == 3  # one per distinct eps
     assert all(core.all() for core in calls)
     calls.clear()
@@ -482,7 +482,9 @@ def test_scan_cells_match_per_cell_runs_and_oracle(pts, eps_grid, minpts_grid, s
     from dprkit.clustering import _label_cells, _pairs_within
 
     rows = scan_params(pts, eps_grid, minpts_grid, core_strict=strict)
-    cells = [DbscanParams(e, m, core_strict=strict) for e in eps_grid for m in minpts_grid]
+    # one cell per distinct value, in first-occurrence order
+    cells = [DbscanParams(e, m, core_strict=strict)
+             for e in dict.fromkeys(eps_grid) for m in dict.fromkeys(minpts_grid)]
     assert [(r.eps, r.min_pts) for r in rows] == [(p.eps, p.min_pts) for p in cells]
     pairs = _pairs_within(pairwise_distances(pts), max(eps_grid))
     labelled = _label_cells(pts.shape[0], pairs, cells)

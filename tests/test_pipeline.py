@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from dprkit.clustering import NOISE, DbscanParams
-from dprkit.errors import NumericalError, ValidationError
+from dprkit.errors import ConvergenceError, NumericalError, ValidationError
 from dprkit.panel import (
     NO_NORMALIZATION,
     PanelDataset,
     TransformSpec,
     invert_log,
     log_transform,
+    write_panel,
 )
 from dprkit.pipeline import (
     DprConfig,
@@ -37,7 +38,7 @@ from dprkit.regression import (
     fit_ridge,
     standardize,
 )
-from dprkit import pipeline, testkit
+from dprkit import cli, pipeline, testkit
 
 
 def _panel(seed=0, **kw):
@@ -216,6 +217,34 @@ def test_run_with_every_cv_cell_unconverged_names_stage_cv(monkeypatch):
     cfg = _default_config(lambda_grid=(1e-4, 1e-3))
     with pytest.raises(NumericalError, match="stage cv"):
         run_dpr(panel, cfg, split)
+
+
+def test_unconverged_final_fit_fails_stage_path(monkeypatch, tmp_path, capsys):
+    chain = pipeline.regularization_path
+    n_train = 60  # 10 entities x 6 training periods
+
+    def one_step_on_the_training_design(dm, lambdas, kind, alpha=None, **kw):
+        # the run's own path on the full training design; never a CV fold's
+        if dm.n == n_train:
+            kw.update(max_iter=1)
+        return chain(dm, lambdas, kind, alpha, **kw)
+
+    monkeypatch.setattr(pipeline, "regularization_path", one_step_on_the_training_design)
+    panel, _ = _panel(n_entities=10, n_periods=8, n_features=5, n_clusters=3, seed=2)
+    split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
+    cfg = _default_config(lambda_grid=(1e-4, 1e-3))
+    message = r"^stage path: fit at the chosen lambda=\S+ did not converge in 1 steps$"
+    with pytest.raises(ConvergenceError, match=message):
+        run_dpr(panel, cfg, split)
+
+    write_panel(panel, tmp_path / "p.csv")
+    code = cli.main(["run", "--input", str(tmp_path / "p.csv"), "--output-dir",
+                     str(tmp_path / "run"), "--penalty", "lasso", "--lambda-grid", "1e-4,1e-3",
+                     "--eps", "0.2", "--min-pts", "3", "--train-count", "6", "--folds", "4"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numerical error: stage path: fit at the chosen lambda=")
+    assert not (tmp_path / "run").exists()
 
 
 def test_cv_fold_size_validation():
