@@ -18,7 +18,7 @@ import numpy as np
 
 from . import pipeline, regression
 from .clustering import ClusterModel, DbscanParams, dbscan, scan_params, suggest_params
-from .errors import ConvergenceError, NumericalError, RankDeficiencyError, ValidationError
+from .errors import NumericalError, ValidationError
 from .panel import (
     MIX_MODES,
     NO_NORMALIZATION,
@@ -414,11 +414,7 @@ def _cmd_fit(args) -> int:
     _check_mixing_flag(s["penalty"], "--alpha", "alpha" in s)
     penalty = regression.PenaltySpec(s["penalty"], s["lam"], s.get("alpha"))
     dm = _design(args.input, s)
-    model = pipeline.fit_penalized(dm, penalty)
-    if not model.diagnostics["converged"]:
-        raise ConvergenceError(
-            f"fit did not converge in {model.diagnostics['iterations']} steps"
-        )
+    model = pipeline.require_fit(pipeline.fit_penalized(dm, penalty), "fit")
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     pipeline.write_coefficients(model, out / "coefficients.csv")
@@ -467,13 +463,7 @@ def _cmd_path(args) -> int:
     lams = sorted(set(s["lambda_grid"]), reverse=True)
     models = pipeline.regularization_path(dm, lams, s["penalty"], s.get("alpha"))
     for lam, m in zip(lams, models):
-        if m is None:
-            raise RankDeficiencyError(f"path fit at lambda={fmt(lam)} is rank-deficient")
-        if not m.diagnostics["converged"]:
-            raise ConvergenceError(
-                f"path fit at lambda={fmt(lam)} did not converge in "
-                f"{m.diagnostics['iterations']} steps"
-            )
+        pipeline.require_fit(m, f"path fit at lambda={fmt(lam)}")
     _write_path_table(Path(args.output), lams, models, dm.column_names)
     _ok("path", points=len(lams), columns=dm.p)
     return 0

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 
 NOISE = -1
 
@@ -51,8 +51,7 @@ class DbscanParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.eps) or self.eps <= 0:
             raise ValidationError(f"eps must be finite and > 0, got {self.eps}")
-        if int(self.min_pts) != self.min_pts or self.min_pts < 1:
-            raise ValidationError(f"min_pts must be an integer >= 1, got {self.min_pts}")
+        require_int("min_pts", self.min_pts, 1)
 
 
 @dataclass
@@ -341,7 +340,7 @@ def scan_params(
     cells = [
         DbscanParams(eps=e, min_pts=m, core_strict=core_strict)
         for e in dict.fromkeys(float(e) for e in eps_grid)
-        for m in dict.fromkeys(int(m) for m in minpts_grid)
+        for m in dict.fromkeys(require_int("min_pts", m, 1) for m in minpts_grid)
     ]
     D = pairwise_distances(pts)
     pairs = _pairs_within(D, max(p.eps for p in cells))

@@ -32,7 +32,7 @@ from .clustering import (
     scan_params,
     suggest_params,
 )
-from .errors import ConvergenceError, NumericalError, ValidationError
+from .errors import ConvergenceError, NumericalError, ValidationError, require_int
 from .panel import (
     PER_FEATURE_MAX,
     PanelDataset,
@@ -43,8 +43,6 @@ from .panel import (
     log_transform,
 )
 from .regression import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     ELASTIC_NET,
     LASSO,
     PENALTY_KINDS,
@@ -82,8 +80,7 @@ class SplitSpec:
             raise ValidationError("both train and test period lists must be non-empty")
         if set(self.train_periods) & set(self.test_periods):
             raise ValidationError("train and test periods overlap")
-        if int(self.cv_folds) != self.cv_folds or self.cv_folds < 2:
-            raise ValidationError(f"cv_folds must be an integer >= 2, got {self.cv_folds}")
+        require_int("cv_folds", self.cv_folds, 2)
 
 
 @dataclass
@@ -243,26 +240,35 @@ def _predict_standardized(model: FittedModel, X: np.ndarray) -> np.ndarray:
     return model.intercept + X @ model.coefficients
 
 
-def _cell_metrics(model: FittedModel, Xv: np.ndarray, yv: np.ndarray) -> tuple[float, float]:
-    mse, r2 = _fit_metrics(yv, _predict_standardized(model, Xv))
-    return mse, math.nan if r2 is None else r2
-
-
-def fit_penalized(dm: DesignMatrix, penalty: PenaltySpec, tol: float = DEFAULT_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER,
+def fit_penalized(dm: DesignMatrix, penalty: PenaltySpec,
                   warm_start: np.ndarray | None = None) -> FittedModel:
-    """One fit of ``penalty``; ``tol``, ``max_iter`` and ``warm_start`` do not apply to ridge."""
+    """One fit of ``penalty`` at the solver's default tolerance and step cap.
+
+    ``warm_start`` does not apply to ridge.
+    """
     if penalty.kind == RIDGE:
         return fit_ridge(dm, penalty.lam)
     if penalty.kind == LASSO:
-        return fit_lasso(dm, penalty.lam, tol=tol, max_iter=max_iter, warm_start=warm_start)
-    return fit_elastic_net(dm, penalty.lam, penalty.alpha, tol=tol, max_iter=max_iter,
-                           warm_start=warm_start)
+        return fit_lasso(dm, penalty.lam, warm_start=warm_start)
+    return fit_elastic_net(dm, penalty.lam, penalty.alpha, warm_start=warm_start)
 
 
-def regularization_path(dm: DesignMatrix, lambdas, kind: str, alpha: float | None = None,
-                        tol: float = DEFAULT_TOL,
-                        max_iter: int = DEFAULT_MAX_ITER) -> list[FittedModel | None]:
+def require_fit(model: FittedModel | None, what: str) -> FittedModel:
+    """``model`` if its fit succeeded; a None fit is rank-deficient, an unconverged one fails.
+
+    ``what`` names the fit in the error.
+    """
+    if model is None:
+        raise RankDeficiencyError(f"{what} is rank-deficient")
+    if not model.diagnostics["converged"]:
+        raise ConvergenceError(
+            f"{what} did not converge in {model.diagnostics['iterations']} steps"
+        )
+    return model
+
+
+def regularization_path(dm: DesignMatrix, lambdas, kind: str,
+                        alpha: float | None = None) -> list[FittedModel | None]:
     """The fits of ``kind`` along a strictly descending lambda grid.
 
     Each fit goes through :func:`fit_penalized`, warm-started from the
@@ -280,8 +286,7 @@ def regularization_path(dm: DesignMatrix, lambdas, kind: str, alpha: float | Non
     warm: np.ndarray | None = None
     for lam in lams:
         try:
-            m = fit_penalized(dm, PenaltySpec(kind, lam, alpha), tol=tol, max_iter=max_iter,
-                              warm_start=warm)
+            m = fit_penalized(dm, PenaltySpec(kind, lam, alpha), warm_start=warm)
         except RankDeficiencyError:
             m = None
         else:
@@ -291,8 +296,7 @@ def regularization_path(dm: DesignMatrix, lambdas, kind: str, alpha: float | Non
 
 
 def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
-                   alpha_grid=None, tol: float = DEFAULT_TOL,
-                   max_iter: int = DEFAULT_MAX_ITER) -> CvResult:
+                   alpha_grid=None) -> CvResult:
     """Grid search by deterministic contiguous-block cross-validation.
 
     Folds are contiguous blocks of the row order.  Each distinct (lambda,
@@ -301,15 +305,15 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
     :func:`regularization_path`.  The winner minimizes mean validation MSE;
     exact ties break toward the larger lambda, then the larger alpha.  A cell
     with a failed fold fit -- a ridge fit on a rank-deficient system (lambda=0
-    on collinear columns), or a lasso/elastic-net fit that hit ``max_iter`` --
-    is recorded with NA metrics and never wins.
+    on collinear columns), or a lasso/elastic-net fit that hit the step cap
+    ``regression.DEFAULT_MAX_ITER`` -- is recorded with NA metrics and never
+    wins.
     """
     if kind not in PENALTY_KINDS:
         raise ValidationError(f"unknown penalty kind {kind!r}")
     if not dm.standardized:
         raise ValidationError("cross_validate expects a standardized design")
-    if int(folds) != folds or folds < 2:
-        raise ValidationError(f"folds must be an integer >= 2, got {folds}")
+    folds = require_int("folds", folds, 2)
     lams = list(dict.fromkeys(float(l) for l in lambda_grid))
     if kind == ELASTIC_NET:
         alphas = list(dict.fromkeys(float(a) for a in (alpha_grid or [])))
@@ -318,7 +322,7 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
     else:
         alphas = [None]
 
-    blocks = _fold_blocks(dm.n, int(folds))
+    blocks = _fold_blocks(dm.n, folds)
     for b, block in enumerate(blocks):
         if block.size < 2:
             raise ValidationError(f"fold {b} has {block.size} rows; folds need >= 2")
@@ -335,11 +339,13 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
         yv = dm.y[block]
         out: dict[tuple[float, float | None], tuple[float, float]] = {}
         for alpha in alphas:
-            chain = regularization_path(sub, lam_desc, kind, alpha, tol=tol, max_iter=max_iter)
+            chain = regularization_path(sub, lam_desc, kind, alpha)
             for lam, m in zip(lam_desc, chain):
+                mse = r2 = math.nan
                 # NA unless the fit succeeds and converges
-                usable = m is not None and m.diagnostics["converged"]
-                out[(lam, alpha)] = _cell_metrics(m, Xv, yv) if usable else (math.nan, math.nan)
+                if m is not None and m.diagnostics["converged"]:
+                    mse, r2 = _fit_metrics(yv, _predict_standardized(m, Xv))
+                out[(lam, alpha)] = (mse, math.nan if r2 is None else r2)
         return out
 
     results = [_fold(block) for block in blocks]
@@ -636,11 +642,6 @@ class RunReport:
         return sum(m is None or not m.diagnostics["converged"] for m in self.path_models)
 
 
-def _metrics_block(y: np.ndarray, yhat: np.ndarray) -> dict:
-    mse, r2 = _fit_metrics(y, yhat)
-    return {"r2": r2, "mse": mse}
-
-
 @contextmanager
 def _stage(name: str):
     try:
@@ -720,16 +721,8 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
     with _stage("path"):
         path_lams = sorted(set(float(l) for l in config.lambda_grid), reverse=True)
         path_models = regularization_path(dmS, path_lams, config.penalty_kind, cv.best.alpha)
-        model = path_models[path_lams.index(cv.best.lam)]
-        if model is None:
-            raise RankDeficiencyError(
-                f"ridge at the chosen lambda={cv.best.lam} is rank-deficient"
-            )
-        if not model.diagnostics["converged"]:
-            raise ConvergenceError(
-                f"fit at the chosen lambda={cv.best.lam} did not converge in "
-                f"{model.diagnostics['iterations']} steps"
-            )
+        model = require_fit(path_models[path_lams.index(cv.best.lam)],
+                            f"fit at the chosen lambda={cv.best.lam}")
 
     with _stage("forecast"):
         features = list(train_log.feature_names)
@@ -748,9 +741,8 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         have_test = ~np.isnan(fres.actual_log)
         test_metrics = None
         if have_test.any():
-            test_metrics = _metrics_block(
-                fres.actual_log[have_test], fres.predicted_log[have_test]
-            )
+            mse, r2 = _fit_metrics(fres.actual_log[have_test], fres.predicted_log[have_test])
+            test_metrics = {"r2": r2, "mse": mse}
         metrics = {
             "train": {
                 "r2": train_metrics["r2"],

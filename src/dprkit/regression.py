@@ -11,18 +11,21 @@ carries separate multipliers (lambda_1 on the L1 term, lambda_2 on the L2
 term) maps onto this objective via lambda_1 = N*lambda*alpha and
 lambda_2 = N*lambda*(1-alpha).
 
-Ridge is solved in closed form from the normal equations.  Lasso and elastic
-net share one exact active-set solver: on the centred design it works with
-H = X'X/N + lambda*(1-alpha)*I, c = X'y/N and the L1 threshold
-t = lambda*alpha/2, i.e. half the objective above, and runs feature-sign
-search (Lee, Battle, Raina & Ng, NIPS 2006) on the Gram matrix as glmnet's
-covariance updates do (Friedman, Hastie & Tibshirani, JSS 2010).  Each step
-adds the worst-violating zero coefficient, solves the support's linear system
-and line-searches the sign changes on the way, so the solutions carry exact
-zeros and a warm start reuses the previous support; the lambda paths of
+One private body fits all three: it checks the inputs, reads the centred Gram
+that every fit of a design shares, solves, recovers the intercept and builds
+the FittedModel.  Ridge is solved in closed form from the normal equations.
+Lasso and elastic net share one exact active-set solver: on the centred design
+it works with H = X'X/N + lambda*(1-alpha)*I, c = X'y/N and the L1 threshold
+t = lambda*alpha/2, i.e. half the objective above, and runs feature-sign search
+(Lee, Battle, Raina & Ng, NIPS 2006) on the Gram matrix as glmnet's covariance
+updates do (Friedman, Hastie & Tibshirani, JSS 2010).  Each step adds the
+worst-violating zero coefficient, solves the support's linear system and
+line-searches the sign changes on the way, so the solutions carry exact zeros
+and a warm start reuses the previous support; the lambda paths of
 ``pipeline.regularization_path`` warm-start each fit from the last.  The
-support's Cholesky factor grows by one bordered column per added coefficient,
-and all fits of one design share its centred Gram.
+support's Cholesky factor grows by one bordered column per added coefficient.
+Only ``fit_lasso`` and ``fit_elastic_net`` take a tolerance and a step cap;
+the pipeline fits at ``DEFAULT_TOL`` and ``DEFAULT_MAX_ITER``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 import numpy as np
 
-from .errors import ConvergenceError, RankDeficiencyError, ValidationError
+from .errors import ConvergenceError, RankDeficiencyError, ValidationError, require_int
 
 RIDGE = "ridge"
 LASSO = "lasso"
@@ -279,72 +282,11 @@ def soft_threshold(z: float, gamma: float) -> float:
     return math.copysign(az, z)
 
 
-def _check_fit_inputs(dm: DesignMatrix, lam: float) -> None:
-    if not isinstance(dm, DesignMatrix):
-        raise ValidationError("fit expects a DesignMatrix")
-    if not dm.standardized:
-        raise ValidationError("fit expects a standardized DesignMatrix")
-    if not math.isfinite(lam) or lam < 0:
-        raise ValidationError(f"lambda must be finite and >= 0, got {lam}")
-    if dm.n < 2:
-        raise ValidationError(f"fit needs >= 2 rows, got {dm.n}")
-
-
 def _fit_metrics(y: np.ndarray, yhat: np.ndarray) -> tuple[float, float | None]:
     """Mean squared residual and 1 - RSS/TSS (None when ``y`` has zero variance)."""
     sq = (y - yhat) ** 2
     tss = float(np.sum((y - y.mean()) ** 2))
     return float(np.mean(sq)), None if tss == 0.0 else 1.0 - float(np.sum(sq)) / tss
-
-
-def _diagnostics(dm: DesignMatrix, intercept: float, beta: np.ndarray,
-                 iterations: int, converged: bool, zv: np.ndarray) -> dict:
-    mse, r2 = _fit_metrics(dm.y, intercept + dm.X @ beta)
-    return {
-        "r2": r2,
-        "mse": mse,
-        "sparsity": metric_sparsity(beta, zv),
-        "iterations": int(iterations),
-        "converged": bool(converged),
-    }
-
-
-def fit_ridge(dm: DesignMatrix, lam: float) -> FittedModel:
-    """Closed-form ridge via the normal equations (X'X + N*lambda*I) b = X'y.
-
-    At lambda=0 a rank-deficient system (collinear columns) raises
-    RankDeficiencyError instead of returning one of infinitely many least
-    squares solutions.
-    """
-    _check_fit_inputs(dm, lam)
-    active, means, ybar, XtX, Xty = dm.gram
-    pa = means.size
-    beta = np.zeros(dm.p)
-    if pa > 0:
-        if lam == 0.0 and np.linalg.matrix_rank(dm.X[:, active] - means) < pa:
-            raise RankDeficiencyError(
-                "ridge with lambda=0 on rank-deficient columns; "
-                "use lambda > 0 or drop collinear columns"
-            )
-        G = XtX + dm.n * lam * np.eye(pa)
-        try:
-            ba = np.linalg.solve(G, Xty)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficiencyError(f"normal equations are singular: {exc}") from None
-        beta[active] = ba
-        intercept = ybar - float(means @ ba)
-    else:
-        intercept = ybar
-    return FittedModel(
-        intercept=intercept,
-        coefficients=beta,
-        penalty=PenaltySpec(RIDGE, float(lam)),
-        column_names=list(dm.column_names),
-        column_means=dm.column_means.copy(),
-        column_stds=dm.column_stds.copy(),
-        zero_variance=dm.zero_variance.copy(),
-        diagnostics=_diagnostics(dm, intercept, beta, 0, True, dm.zero_variance),
-    )
 
 
 def enet_objective(X, y, intercept: float, beta, lam: float, alpha: float) -> float:
@@ -488,60 +430,82 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
             prev = obj
 
 
-def _fit_active_set(dm: DesignMatrix, lam: float, alpha: float, kind: str,
-                    rec_alpha: float | None, tol: float, max_iter: int,
-                    warm_start: np.ndarray | None, debug: bool) -> FittedModel:
-    _check_fit_inputs(dm, lam)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValidationError(f"alpha must be in [0, 1], got {alpha}")
+def _fit(dm: DesignMatrix, penalty: PenaltySpec, tol: float, max_iter: int,
+         warm_start: np.ndarray | None, debug: bool) -> FittedModel:
+    """The fit of every penalty: ridge in closed form, the rest by feature-sign search."""
+    if not isinstance(dm, DesignMatrix):
+        raise ValidationError("fit expects a DesignMatrix")
+    if not dm.standardized:
+        raise ValidationError("fit expects a standardized DesignMatrix")
+    if dm.n < 2:
+        raise ValidationError(f"fit needs >= 2 rows, got {dm.n}")
     if not tol > 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
-    if int(max_iter) != max_iter or max_iter < 1:
-        raise ValidationError(f"max_iter must be an integer >= 1, got {max_iter}")
+    max_iter = require_int("max_iter", max_iter, 1)
 
     active, means, ybar, XtX, Xty = dm.gram
     n, pa = dm.n, means.size
-    beta_full = np.zeros(dm.p)
-    steps = 0
-    converged = True
-    if pa > 0:
-        ba = np.zeros(pa)
-        if warm_start is not None:
-            ws = np.asarray(warm_start, dtype=np.float64)
-            if ws.shape != (dm.p,):
-                raise ValidationError(
-                    f"warm start has shape {ws.shape}, expected ({dm.p},)"
-                )
-            ba[:] = ws[active]
+    lam, alpha = penalty.lam, penalty.mixing
+    ba = np.zeros(pa)
+    if warm_start is not None:
+        ws = np.asarray(warm_start, dtype=np.float64)
+        if ws.shape != (dm.p,):
+            raise ValidationError(f"warm start has shape {ws.shape}, expected ({dm.p},)")
+        ba[:] = ws[active]
+    steps, converged = 0, True
+    if pa == 0:
+        pass  # no column varies on these rows: the fit is their mean
+    elif penalty.kind == RIDGE:
+        if lam == 0.0 and np.linalg.matrix_rank(dm.X[:, active] - means) < pa:
+            raise RankDeficiencyError(
+                "ridge with lambda=0 on rank-deficient columns; "
+                "use lambda > 0 or drop collinear columns"
+            )
+        try:
+            ba = np.linalg.solve(XtX + n * lam * np.eye(pa), Xty)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficiencyError(f"normal equations are singular: {exc}") from None
+    else:
         H = XtX / n
         H[np.diag_indices(pa)] += lam * (1.0 - alpha)
-        c = Xty / n
         objective = None
         if debug:
             Xc, yc = dm.X[:, active] - means, dm.y - ybar
 
             def objective(b):
-                return float(np.mean((yc - Xc @ b) ** 2)) + lam * (
-                    alpha * np.abs(b).sum() + (1.0 - alpha) * np.dot(b, b)
-                )
-        ba, steps, converged = _feature_sign(
-            H, c, lam * alpha / 2.0, ba, tol, int(max_iter), objective
-        )
-        beta_full[active] = ba
-        intercept = ybar - float(means @ ba)
-    else:
-        intercept = ybar
+                return enet_objective(Xc, yc, 0.0, b, lam, alpha)
+        ba, steps, converged = _feature_sign(H, Xty / n, lam * alpha / 2.0, ba, tol,
+                                             max_iter, objective)
+    beta = np.zeros(dm.p)
+    beta[active] = ba
+    intercept = ybar - float(means @ ba)
+    mse, r2 = _fit_metrics(dm.y, intercept + dm.X @ beta)
     return FittedModel(
         intercept=intercept,
-        coefficients=beta_full,
-        penalty=PenaltySpec(kind, float(lam), rec_alpha),
+        coefficients=beta,
+        penalty=penalty,
         column_names=list(dm.column_names),
         column_means=dm.column_means.copy(),
         column_stds=dm.column_stds.copy(),
         zero_variance=dm.zero_variance.copy(),
-        diagnostics=_diagnostics(dm, intercept, beta_full, steps, converged,
-                                 dm.zero_variance),
+        diagnostics={
+            "r2": r2,
+            "mse": mse,
+            "sparsity": metric_sparsity(beta, dm.zero_variance),
+            "iterations": steps,
+            "converged": bool(converged),
+        },
     )
+
+
+def fit_ridge(dm: DesignMatrix, lam: float) -> FittedModel:
+    """Closed-form ridge via the normal equations (X'X + N*lambda*I) b = X'y.
+
+    At lambda=0 a rank-deficient system (collinear columns) raises
+    RankDeficiencyError instead of returning one of infinitely many least
+    squares solutions.
+    """
+    return _fit(dm, PenaltySpec(RIDGE, float(lam)), DEFAULT_TOL, DEFAULT_MAX_ITER, None, False)
 
 
 def fit_elastic_net(dm: DesignMatrix, lam: float, alpha: float,
@@ -557,15 +521,15 @@ def fit_elastic_net(dm: DesignMatrix, lam: float, alpha: float,
     of half the objective.  ``debug=True`` asserts after every step that the
     objective never increases.
     """
-    return _fit_active_set(dm, lam, alpha, ELASTIC_NET, float(alpha), tol, max_iter,
-                           warm_start, debug)
+    return _fit(dm, PenaltySpec(ELASTIC_NET, float(lam), float(alpha)), tol, max_iter,
+                warm_start, debug)
 
 
 def fit_lasso(dm: DesignMatrix, lam: float,
               tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
               warm_start: np.ndarray | None = None, debug: bool = False) -> FittedModel:
     """Lasso = elastic net at alpha 1, recorded under its own penalty kind."""
-    return _fit_active_set(dm, lam, 1.0, LASSO, None, tol, max_iter, warm_start, debug)
+    return _fit(dm, PenaltySpec(LASSO, float(lam)), tol, max_iter, warm_start, debug)
 
 
 def predict(model: FittedModel, rows) -> np.ndarray:

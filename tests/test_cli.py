@@ -439,6 +439,34 @@ def test_run_is_reproducible_byte_for_byte(capsys, tmp_path):
         assert p2.read_bytes() == p1.read_bytes(), p1.name
 
 
+_QUICK_START_SPLIT = ["--lambda-grid", "logspace:-4:-1:12", "--train-periods", "2000-2008",
+                      "--test-periods", "2009-2011", "--folds", "5"]
+
+
+# the README's fixed-eps elastic net, and a scanning run: ridge, since the scan
+# picks a mostly-noise cell whose wide design makes the elastic net slow
+@pytest.mark.parametrize("settings", [
+    ["--eps", "0.05", "--min-pts", "4", "--penalty", "elastic_net", "--alpha-grid", "0.3,0.5,1.0"],
+    ["--eps-grid", "0.03,0.05,0.1,0.2", "--minpts-grid", "3,4,5", "--penalty", "ridge"],
+], ids=["fixed", "scan"])
+def test_reordering_the_input_rows_changes_no_artifact(capsys, tmp_path, settings):
+    panel = _synth(capsys, tmp_path, seed=42,
+                   spec="n_entities=20,n_periods=12,n_features=8,n_clusters=4")
+    header, *rows = panel.read_text().splitlines(keepends=True)
+    shuffled = tmp_path / "shuffled.csv"
+    order = np.random.default_rng(0).permutation(len(rows))
+    shuffled.write_text(header + "".join(rows[i] for i in order))
+    assert shuffled.read_text() != panel.read_text()
+    outs = []
+    for src in (panel, shuffled):
+        code, out, err = run_cli(capsys, "run", "--input", str(src), "--plots", *settings,
+                                 *_QUICK_START_SPLIT, "--output-dir", str(tmp_path / src.stem))
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert _files(tmp_path / "panel") == _files(tmp_path / "shuffled")
+
+
 def test_config_file_with_flag_override(capsys, tmp_path):
     panel = _synth(capsys, tmp_path, seed=3)
     cfg = tmp_path / "run.cfg"

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from dprkit.clustering import NOISE, DbscanParams
-from dprkit.errors import ConvergenceError, NumericalError, ValidationError
+from dprkit.clustering import NOISE, DbscanParams, scan_params
+from dprkit.errors import ConvergenceError, NumericalError, RankDeficiencyError, ValidationError
 from dprkit.panel import (
     NO_NORMALIZATION,
     PanelDataset,
@@ -187,15 +187,18 @@ def test_cv_rank_deficient_ridge_cells_become_na():
         cross_validate(dm, 2, "ridge", [0.0])
 
 
-def test_cv_unconverged_cells_become_na():
+def test_cv_unconverged_cells_become_na(monkeypatch):
     panel, _ = _panel(n_entities=10, n_periods=6, n_features=4, noise_sd=0.03)
     logged = log_transform(panel, TransformSpec(normalize_mode=NO_NORMALIZATION))
     dm0 = design_from_panel(logged)
     dm = standardize(dm0.X, dm0.y, dm0.column_names, source_rows=dm0.source_rows)
     grid = [10.0, 1.0, 1e-2, 1e-4]
-    # the large lambdas converge within one active-set step (0 steps above
-    # lambda_max); the small ones need more than one on every fold
-    res = cross_validate(dm, 4, "lasso", grid, max_iter=1)
+    fit = pipeline.fit_lasso
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "fit_lasso", lambda dm, lam, **kw: fit(dm, lam, max_iter=1, **kw))
+        # the large lambdas converge within one active-set step (0 steps
+        # above lambda_max); the small ones need more than one on every fold
+        res = cross_validate(dm, 4, "lasso", grid)
     cells = {c.lam: c for c in res.table}
     assert not math.isnan(cells[10.0].mean_mse) and not math.isnan(cells[1.0].mean_mse)
     assert math.isnan(cells[1e-2].mean_mse) and math.isnan(cells[1e-4].mean_mse)
@@ -220,16 +223,16 @@ def test_run_with_every_cv_cell_unconverged_names_stage_cv(monkeypatch):
 
 
 def test_unconverged_final_fit_fails_stage_path(monkeypatch, tmp_path, capsys):
-    chain = pipeline.regularization_path
+    fit = pipeline.fit_lasso
     n_train = 60  # 10 entities x 6 training periods
 
-    def one_step_on_the_training_design(dm, lambdas, kind, alpha=None, **kw):
+    def one_step_on_the_training_design(dm, lam, **kw):
         # the run's own path on the full training design; never a CV fold's
         if dm.n == n_train:
             kw.update(max_iter=1)
-        return chain(dm, lambdas, kind, alpha, **kw)
+        return fit(dm, lam, **kw)
 
-    monkeypatch.setattr(pipeline, "regularization_path", one_step_on_the_training_design)
+    monkeypatch.setattr(pipeline, "fit_lasso", one_step_on_the_training_design)
     panel, _ = _panel(n_entities=10, n_periods=8, n_features=5, n_clusters=3, seed=2)
     split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
     cfg = _default_config(lambda_grid=(1e-4, 1e-3))
@@ -254,6 +257,39 @@ def test_cv_fold_size_validation():
         cross_validate(dmS, 3, "lasso", [0.1])  # fold of 1 row
     with pytest.raises(ValidationError):
         cross_validate(dmS, 1, "lasso", [0.1])
+
+
+def _standardized_toy():
+    dm = _toy_design(8)
+    return standardize(dm.X, dm.y, dm.column_names)
+
+
+# each entry point that takes a count, called with the count x
+_INTEGER_PARAMETERS = {
+    "min_pts": lambda x: DbscanParams(0.1, x),
+    "scan min_pts": lambda x: scan_params(np.eye(3), [0.5], [x]),
+    "cv_folds": lambda x: SplitSpec((1,), (2,), cv_folds=x),
+    "folds": lambda x: cross_validate(_standardized_toy(), x, "lasso", [0.1]),
+    "max_iter": lambda x: fit_lasso(_standardized_toy(), 0.1, max_iter=x),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, math.inf, math.nan])
+@pytest.mark.parametrize("parameter", list(_INTEGER_PARAMETERS))
+def test_a_count_that_is_not_an_integer_is_a_validation_error(parameter, value):
+    name = parameter.split()[-1]
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer >= "):
+        _INTEGER_PARAMETERS[parameter](value)
+
+
+def test_require_fit_names_the_failed_fit():
+    model = fit_ridge(_standardized_toy(), 0.1)
+    assert pipeline.require_fit(model, "fit at x") is model
+    with pytest.raises(RankDeficiencyError, match="^fit at x is rank-deficient$"):
+        pipeline.require_fit(None, "fit at x")
+    model.diagnostics.update(converged=False, iterations=7)
+    with pytest.raises(ConvergenceError, match="^fit at x did not converge in 7 steps$"):
+        pipeline.require_fit(model, "fit at x")
 
 
 def _default_config(**kw):
