@@ -277,11 +277,12 @@ def k_distance_profile(points, k: int) -> np.ndarray:
     """Distance to each point's k-th nearest neighbor (self excluded), sorted descending."""
     pts = _as_points(points)
     n = pts.shape[0]
-    if int(k) != k or not 1 <= k < n:
-        raise ValidationError(f"k must be an integer in [1, {n - 1}], got {k}")
+    k = require_int("k", k, 1)
+    if k >= n:
+        raise ValidationError(f"k must be < {n}, the number of points, got {k}")
     D = pairwise_distances(pts)
-    D.partition(int(k), axis=1)  # D is this call's own; position 0 holds a self-distance 0
-    return np.sort(D[:, int(k)])[::-1].copy()
+    D.partition(k, axis=1)  # D is this call's own; position 0 holds a self-distance 0
+    return np.sort(D[:, k])[::-1].copy()
 
 
 def _label_cells(

@@ -22,8 +22,10 @@ updates do (Friedman, Hastie & Tibshirani, JSS 2010).  Each step adds the
 worst-violating zero coefficient, solves the support's linear system and
 line-searches the sign changes on the way, so the solutions carry exact zeros
 and a warm start reuses the previous support; the lambda paths of
-``pipeline.regularization_path`` warm-start each fit from the last.  The
-support's Cholesky factor grows by one bordered column per added coefficient.
+``pipeline.regularization_path`` warm-start each fit from the last, and an
+elastic-net CV fold starts each alpha's fits from the previous alpha's.  The
+support's Cholesky factor grows by one bordered column per added coefficient,
+and the support's signs and right-hand side grow in place with it.
 Only ``fit_lasso`` and ``fit_elastic_net`` take a tolerance and a step cap;
 the pipeline fits at ``DEFAULT_TOL`` and ``DEFAULT_MAX_ITER``.
 """
@@ -284,9 +286,13 @@ def soft_threshold(z: float, gamma: float) -> float:
 
 def _fit_metrics(y: np.ndarray, yhat: np.ndarray) -> tuple[float, float | None]:
     """Mean squared residual and 1 - RSS/TSS (None when ``y`` has zero variance)."""
-    sq = (y - yhat) ** 2
-    tss = float(np.sum((y - y.mean()) ** 2))
-    return float(np.mean(sq)), None if tss == 0.0 else 1.0 - float(np.sum(sq)) / tss
+    sq = y - yhat
+    sq *= sq
+    rss = float(sq.sum())
+    sq = y - y.mean()
+    sq *= sq
+    tss = float(sq.sum())
+    return rss / y.size, None if tss == 0.0 else 1.0 - rss / tss
 
 
 def enet_objective(X, y, intercept: float, beta, lam: float, alpha: float) -> float:
@@ -317,7 +323,12 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
     The upper factor R (R'R = H_AA, in A's order) is kept between steps: an
     added column borders it with one triangular solve, r = R^-T H_Aj and
     pivot sqrt(H_jj - r.r), which is the column Cholesky itself computes, so
-    adds do not drift; after a coefficient leaves, R is refactored.
+    adds do not drift; after a coefficient leaves, R is refactored.  The
+    support, s_A and c_A - t*s_A live in length-p buffers that an add extends
+    in place; they are rebuilt from ``b`` only after a line-search step, which
+    can flip signs, or a drop.  R's smallest pivot and the support's largest
+    H_jj, which the singularity test reads, are kept the same way.  None of
+    this changes a floating-point operation of the search.
 
     A (nearly) singular H_AA, which needs alpha=1 and (nearly) collinear
     support columns, gets a damped Newton direction instead, followed up to
@@ -334,28 +345,45 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
     # do not fit take to run
     from scipy.linalg.lapack import dposv, dpotrf, dtrtrs
 
-    A = np.flatnonzero(b)
+    p = b.size
+    # the support A = order[:k] in R's order, its signs s_A and c_A - t*s_A:
+    # an add extends them in place, a line-search step or a drop rebuilds them
+    order = np.empty(p, dtype=np.intp)
+    signs = np.empty(p)
+    rhs = np.empty(p)
+
+    def rebuild(A: np.ndarray) -> int:
+        k = A.size
+        order[:k] = A
+        np.sign(b[A], out=signs[:k])
+        np.subtract(c[A], t * signs[:k], out=rhs[:k])
+        return k
+
+    k = rebuild(np.flatnonzero(b))
     grad = c - H @ b
-    # R[:k, :k] factors H_AA (k = A.size) when ``factored`` is True; False
-    # means H_AA has a nonpositive pivot, None that R must be recomputed
+    hdiag = H.diagonal()
+    # R[:k, :k] factors H_AA when ``factored`` is True; False means H_AA has
+    # a nonpositive pivot, None that R must be recomputed.  While factored,
+    # rmin is R's smallest pivot and hmax the support's largest H_jj.
     R = np.zeros(H.shape, order="F")
-    factored = True if A.size == 0 else None
+    factored = True if k == 0 else None
+    rmin, hmax = math.inf, -math.inf
     on_support = False
     prev = math.inf if objective is None else objective(b)
     steps = 0
     while True:
+        A = order[:k]
         # the support conditions hold exactly after a sign-consistent solve
-        on_support = on_support or bool(np.all(np.abs(grad[A] - t * np.sign(b[A])) <= tol))
+        on_support = on_support or bool((np.abs(grad[A] - t * signs[:k]) <= tol).all())
         if on_support:
-            viol = np.abs(grad) - t
+            viol = np.abs(grad)
+            viol -= t
             viol[A] = -math.inf
-            j = int(np.argmax(viol))
+            j = int(viol.argmax())
             if viol[j] <= tol:
                 return b, steps, True
         if steps >= max_iter:
             return b, steps, False
-        signs = np.sign(b[A])
-        k = A.size
         if on_support:
             if factored:
                 r = dtrtrs(R[:, :k], H[A, j], trans=1)[0]
@@ -363,20 +391,24 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
                 R[:k, k] = r
                 R[k, k] = math.sqrt(max(pivot, 0.0))
                 factored = pivot > 0.0
-            A = np.append(A, j)
-            signs = np.append(signs, math.copysign(1.0, grad[j]))
+                rmin, hmax = min(rmin, R[k, k]), max(hmax, hdiag[j])
+            order[k] = j
+            signs[k] = math.copysign(1.0, grad[j])
+            rhs[k] = c[j] - t * signs[k]
             k += 1
+            A = order[:k]
         if factored is None:
-            R[:k, :k], info = dpotrf(H[np.ix_(A, A)])
+            R[:k, :k], info = dpotrf(H[A[:, None], A])
             factored = info == 0
-        bA = b[A]
-        rhs = c[A] - t * signs
-        exact = factored and R.diagonal()[:k].min() ** 2 > _SINGULAR * H.diagonal()[A].max()
+            if factored:
+                rmin, hmax = R.diagonal()[:k].min(), hdiag[A].max()
+        exact = factored and rmin ** 2 > _SINGULAR * hmax
         if exact:
-            x = dtrtrs(R[:, :k], dtrtrs(R[:, :k], rhs, trans=1)[0])[0]
-            on_support = bool(np.all(signs * x >= 0.0))
-            d, top = x - bA, 1.0
+            x = dtrtrs(R[:, :k], dtrtrs(R[:, :k], rhs[:k], trans=1)[0])[0]
+            on_support = bool((signs[:k] * x >= 0.0).all())
             if not on_support:
+                bA = b[A]
+                d, top = x - bA, 1.0
                 Rd = R[:k, :k] @ d
                 curv = float(Rd @ Rd)
         else:
@@ -385,8 +417,9 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
             # descends along the flat directions, to the minimizer of the
             # signed objective on it
             on_support = False
-            HA = H[np.ix_(A, A)]
-            slope = HA @ bA - rhs
+            bA = b[A]
+            HA = H[A[:, None], A]
+            slope = HA @ bA - rhs[:k]
             damped = HA + _SINGULAR * HA.diagonal().max() * np.eye(k)
             d = -dposv(damped, slope)[1]
             curv = float(d @ HA @ d)
@@ -412,13 +445,16 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
             if not step.size or change.min() >= 0.0:
                 # only roundoff keeps the objective from falling: stop here
                 return b, steps, False
-            i = int(np.argmin(change))
+            i = int(change.argmin())
             new = points[i]
             new[cross[at == step[i]]] = 0.0
         b[A] = new
         if not new.all():
-            A = A[new != 0.0]
+            k = rebuild(A[new != 0.0])
             factored = None
+        elif not on_support:
+            # a line-search step can flip signs without leaving the support
+            k = rebuild(A)
         grad = c - H @ b
         steps += 1
         if objective is not None:
@@ -467,7 +503,7 @@ def _fit(dm: DesignMatrix, penalty: PenaltySpec, tol: float, max_iter: int,
             raise RankDeficiencyError(f"normal equations are singular: {exc}") from None
     else:
         H = XtX / n
-        H[np.diag_indices(pa)] += lam * (1.0 - alpha)
+        H.flat[::pa + 1] += lam * (1.0 - alpha)
         objective = None
         if debug:
             Xc, yc = dm.X[:, active] - means, dm.y - ybar
@@ -480,6 +516,8 @@ def _fit(dm: DesignMatrix, penalty: PenaltySpec, tol: float, max_iter: int,
     beta[active] = ba
     intercept = ybar - float(means @ ba)
     mse, r2 = _fit_metrics(dm.y, intercept + dm.X @ beta)
+    # metric_sparsity without its conversions: only active columns are nonzero
+    p_eff = dm.p - int(np.count_nonzero(dm.zero_variance))
     return FittedModel(
         intercept=intercept,
         coefficients=beta,
@@ -491,7 +529,7 @@ def _fit(dm: DesignMatrix, penalty: PenaltySpec, tol: float, max_iter: int,
         diagnostics={
             "r2": r2,
             "mse": mse,
-            "sparsity": metric_sparsity(beta, dm.zero_variance),
+            "sparsity": int(np.count_nonzero(ba)) / p_eff if p_eff else 0.0,
             "iterations": steps,
             "converged": bool(converged),
         },

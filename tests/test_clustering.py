@@ -229,8 +229,13 @@ def test_k_distance_profile_hand_case():
     pts = _col([0.0, 1.0, 3.0])
     np.testing.assert_allclose(k_distance_profile(pts, 1), [2.0, 1.0, 1.0])
     np.testing.assert_allclose(k_distance_profile(pts, 2), [3.0, 3.0, 2.0])
-    with pytest.raises(ValidationError):
-        k_distance_profile(pts, 3)
+
+
+@pytest.mark.parametrize("k", [2.5, math.inf, math.nan, 0, 3])
+def test_k_distance_profile_rejects_a_bad_k(k):
+    # 3 is n: a point has only n - 1 neighbours
+    with pytest.raises(ValidationError, match="^k must be"):
+        k_distance_profile(_col([0.0, 1.0, 3.0]), k)
 
 
 def test_scan_matches_single_runs_and_suggests_max_sc():

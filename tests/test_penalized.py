@@ -65,6 +65,8 @@ def test_standardize_leaves_constant_columns_alone():
     model = fit_lasso(dm, 0.01)
     assert model.coefficients[0] == 0.0
     assert model.source_coefficients[0] == 0.0
+    # the fit's own sparsity count leaves the constant column out, as the metric does
+    assert model.diagnostics["sparsity"] == metric_sparsity(model) == 1.0
 
 
 def test_standardize_rejects_single_row():
@@ -283,6 +285,8 @@ def test_path_requires_descending_lambdas():
         regularization_path(dm, [0.01, 0.1], "lasso")
     with pytest.raises(ValidationError):
         regularization_path(dm, [0.1, 0.1], "lasso")
+    with pytest.raises(ValidationError, match="warm chain has 1 fits for 2 lambdas"):
+        regularization_path(dm, [0.1, 0.01], "lasso", warm=[None])
 
 
 def test_debug_mode_checks_objective_monotonicity():
@@ -504,6 +508,11 @@ def _drops(trace):
     return sum(bool(np.any((a != 0) & (b == 0))) for a, b in zip(trace, trace[1:]))
 
 
+def _flips(trace):
+    """Steps after which a coefficient changed sign and stayed in the support."""
+    return sum(bool(np.any(a * b < 0)) for a, b in zip(trace, trace[1:]))
+
+
 def _lapack_calls(monkeypatch, name):
     import scipy.linalg.lapack as lapack
 
@@ -520,14 +529,17 @@ def test_grown_factor_matches_refactoring_cold(monkeypatch):
     X = latent @ rng.normal(size=(4, 40)) + 0.4 * rng.normal(size=(120, 40))
     y = X[:, :6] @ rng.normal(size=6) + 0.3 * rng.normal(size=120)
     dm = standardize(X, y)
-    steps = drops = 0
+    steps = drops = flips = 0
     for alpha in (1.0, 0.5):
         for lam in (0.3, 0.03, 3e-3, 3e-4):
             b, trace = _both_searches(dm, lam, alpha)
             assert b.any()
             steps, drops = steps + len(trace) - 1, drops + _drops(trace)
+            flips += _flips(trace)
     # a cold search refactors only after a coefficient leaves the support
     assert len(refactors) <= drops < steps // 4
+    # and rebuilds the support's signs after a step that flips one
+    assert flips > 0
 
 
 def test_grown_factor_matches_refactoring_after_drops(monkeypatch):

@@ -169,6 +169,74 @@ def test_cv_winner_minimizes_mean_mse():
         assert cell.mean_mse == pytest.approx(by_hand[cell.lam], abs=1e-9)
 
 
+def _cv_design(seed=3):
+    panel, _ = _panel(n_entities=10, n_periods=6, n_features=5, noise_sd=0.05, seed=seed)
+    logged = log_transform(panel, TransformSpec(normalize_mode=NO_NORMALIZATION))
+    dm0 = design_from_panel(logged)
+    return standardize(dm0.X, dm0.y, dm0.column_names, source_rows=dm0.source_rows)
+
+
+def test_cv_alpha_walk_warm_starts_within_each_fold(monkeypatch):
+    dm = _cv_design()
+    lams, alphas, folds = [0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3], [0.3, 0.6, 1.0], 4
+    fits = []  # (design, lambda, alpha, warm start, model) of every CV fit
+    fit = pipeline.fit_elastic_net
+
+    def recorded(sub, lam, alpha, warm_start=None, **kw):
+        model = fit(sub, lam, alpha, warm_start=warm_start, **kw)
+        fits.append((sub, lam, alpha, warm_start, model))
+        return model
+
+    monkeypatch.setattr(pipeline, "fit_elastic_net", recorded)
+    res = cross_validate(dm, folds, "elastic_net", lams, alpha_grid=alphas)
+    monkeypatch.undo()
+    assert len(fits) == folds * len(lams) * len(alphas)
+    subs = list({id(f[0]): f[0] for f in fits}.values())  # fold order
+    assert len(subs) == folds
+    blocks = dict(zip(map(id, subs), _fold_blocks(dm.n, folds)))
+    by_cell = {(id(sub), lam, alpha): model for sub, lam, alpha, _, model in fits}
+    per_cell = {(lam, alpha): [] for lam in lams for alpha in alphas}
+    for sub, lam, alpha, warm, model in fits:
+        # the first alpha walks lambda; a later alpha starts from the previous
+        # alpha's fit at the same lambda, on the same fold's design
+        a = alphas.index(alpha)
+        if a:
+            assert warm is by_cell[(id(sub), lam, alphas[a - 1])].coefficients
+        elif lam == lams[0]:
+            assert warm is None
+        else:
+            assert warm is by_cell[(id(sub), lams[lams.index(lam) - 1], alpha)].coefficients
+        block = blocks[id(sub)]
+        Xv, yv = dm.X[block], dm.y[block]
+        cold = fit_elastic_net(sub, lam, alpha)
+        mse = float(np.mean((yv - model.intercept - Xv @ model.coefficients) ** 2))
+        cold_mse = float(np.mean((yv - cold.intercept - Xv @ cold.coefficients) ** 2))
+        assert mse == pytest.approx(cold_mse, rel=0, abs=1e-10)
+        per_cell[(lam, alpha)].append(cold_mse)
+    for cell in res.table:
+        assert cell.mean_mse == pytest.approx(np.mean(per_cell[(cell.lam, cell.alpha)]),
+                                              rel=0, abs=1e-10)
+    # the walk takes fewer active-set steps than one cold-started lambda
+    # chain per alpha
+    walk = sum(model.diagnostics["iterations"] for *_, model in fits)
+    chains = sum(m.diagnostics["iterations"]
+                 for sub in subs for alpha in alphas
+                 for m in pipeline.regularization_path(sub, lams, "elastic_net", alpha))
+    assert walk < chains
+
+
+@pytest.mark.parametrize("kind", ["lasso", "ridge"])
+def test_cv_without_alpha_grid_runs_one_chain_per_fold(kind, monkeypatch):
+    chains = []
+    path = pipeline.regularization_path
+    monkeypatch.setattr(
+        pipeline, "regularization_path",
+        lambda dm, *a, **k: chains.append(k.get("warm")) or path(dm, *a, **k),
+    )
+    cross_validate(_cv_design(), 4, kind, [0.1, 0.01, 1e-3])
+    assert chains == [None] * 4
+
+
 def test_cv_rank_deficient_ridge_cells_become_na():
     rng = np.random.default_rng(1)
     base = rng.normal(size=(20, 2))
