@@ -51,7 +51,7 @@ class DbscanParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.eps) or self.eps <= 0:
             raise ValidationError(f"eps must be finite and > 0, got {self.eps}")
-        require_int("min_pts", self.min_pts, 1)
+        object.__setattr__(self, "min_pts", require_int("min_pts", self.min_pts, 1))
 
 
 @dataclass

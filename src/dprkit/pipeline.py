@@ -80,7 +80,7 @@ class SplitSpec:
             raise ValidationError("both train and test period lists must be non-empty")
         if set(self.train_periods) & set(self.test_periods):
             raise ValidationError("train and test periods overlap")
-        require_int("cv_folds", self.cv_folds, 2)
+        object.__setattr__(self, "cv_folds", require_int("cv_folds", self.cv_folds, 2))
 
 
 @dataclass
@@ -107,6 +107,7 @@ class DprConfig:
             raise ValidationError(
                 f"outlier_policy must be one of {OUTLIER_POLICIES}, got {self.outlier_policy!r}"
             )
+        self.baseline_cluster = require_int("baseline_cluster", self.baseline_cluster, 0)
         if not self.lambda_grid:
             raise ValidationError("lambda_grid is empty")
         if self.penalty_kind == ELASTIC_NET and not self.alpha_grid:
@@ -381,55 +382,15 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
     return CvResult(best=best, table=table)
 
 
-@dataclass(frozen=True)
-class ForecastRow:
-    entity: str
-    period: object
-    cluster: int
-    is_noise: bool
-    actual_log: float | None
-    predicted_log: float
-    actual_source: float | None
-    predicted_source: float
-    relative_error: float | None
-
-
-def _none_for_nan(v: float) -> float | None:
-    return None if math.isnan(v) else v
-
-
-class _ForecastRows(Sequence):
-    """Read-only row view of a :class:`ForecastResult`; rows are built on access."""
-
-    def __init__(self, result: "ForecastResult") -> None:
-        self._r = result
-
-    def __len__(self) -> int:
-        return len(self._r.entity)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        r = self._r
-        return ForecastRow(
-            entity=r.entity[i],
-            period=r.period[i],
-            cluster=int(r.cluster[i]),
-            is_noise=bool(r.cluster[i] == NOISE),
-            actual_log=_none_for_nan(float(r.actual_log[i])),
-            predicted_log=float(r.predicted_log[i]),
-            actual_source=_none_for_nan(float(r.actual_source[i])),
-            predicted_source=float(r.predicted_source[i]),
-            relative_error=_none_for_nan(float(r.relative_error[i])),
-        )
-
-
 @dataclass
 class ForecastResult:
-    """Forecast of every row, by column; NaN marks a row without a target."""
+    """Forecast of every row, by column; NaN marks a row without a target.
 
-    entity: list[str]
-    period: list
+    ``rows`` is the rows' (entity, period) keys in row order; each array is
+    a column aligned with it.
+    """
+
+    rows: list[tuple[str, object]]
     cluster: np.ndarray
     actual_log: np.ndarray
     predicted_log: np.ndarray
@@ -440,16 +401,16 @@ class ForecastResult:
     error_variance: float | None
 
     @property
-    def rows(self) -> Sequence[ForecastRow]:
-        return _ForecastRows(self)
-
-    @property
     def is_noise(self) -> np.ndarray:
         return self.cluster == NOISE
 
     @property
     def n_noise_rows(self) -> int:
         return int(np.count_nonzero(self.is_noise))
+
+
+def _key_columns(keys) -> tuple[list, list]:
+    return [e for e, _ in keys], [p for _, p in keys]
 
 
 def write_forecast(result: ForecastResult, dest) -> None:
@@ -461,7 +422,7 @@ def write_forecast(result: ForecastResult, dest) -> None:
             "actual_source", "predicted_source", "relative_error_source",
         ],
         [
-            result.entity, result.period, result.cluster,
+            *_key_columns(result.rows), result.cluster,
             result.is_noise.astype(np.intp), result.actual_log, result.predicted_log,
             result.actual_source, result.predicted_source, result.relative_error,
         ],
@@ -508,10 +469,8 @@ def forecast_report(model: FittedModel, test: PanelDataset, transform: Transform
     else:
         mean_error = None
         error_variance = None
-    entity, period = test.key_columns()
     return ForecastResult(
-        entity=entity,
-        period=period,
+        rows=test.row_keys(),
         cluster=labels,
         actual_log=y,
         predicted_log=yhat,
@@ -632,7 +591,9 @@ class RunReport:
 
     ``design`` is the standardized training design the model was fit on; the
     final model, with its penalty, is ``dpr_model.model``, the path's fit at
-    the chosen lambda, and the test rows' cluster ids are ``forecast.cluster``.
+    the chosen lambda.  ``train_keys`` are the training rows' (entity, period)
+    keys; the test rows' keys are ``forecast.rows`` and their cluster ids
+    ``forecast.cluster``.
     A path fit that is None (rank-deficient ridge) counts as unconverged.
     """
 
@@ -647,7 +608,6 @@ class RunReport:
     forecast: ForecastResult
     metrics: dict
     train_keys: list
-    test_keys: list
     k_distance: np.ndarray
     zero_mix_rows: list
 
@@ -783,7 +743,6 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
             forecast=fres,
             metrics=metrics,
             train_keys=train_keys,
-            test_keys=test_p.row_keys(),
             k_distance=k_dist,
             zero_mix_rows=[train_keys[i] for i in zero_rows],
         )
@@ -804,16 +763,13 @@ def write_report(report: RunReport, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    keys = report.train_keys + report.test_keys
-    entity, period = [e for e, _ in keys], [p for _, p in keys]
-    n_train, n_test = len(report.train_keys), len(report.test_keys)
+    n_train, n_test = len(report.train_keys), len(report.forecast.rows)
     clusters, model, dm = report.clusters, report.dpr_model.model, report.design
     write_table(
         out / "clusters.csv",
         ["entity", "period", "split", "label", "core"],
         [
-            entity,
-            period,
+            *_key_columns(report.train_keys + report.forecast.rows),
             ["train"] * n_train + ["test"] * n_test,
             np.concatenate([clusters.labels, report.forecast.cluster]).astype(np.intp),
             clusters.core_mask.astype(np.intp).tolist() + [None] * n_test,
@@ -831,7 +787,7 @@ def write_report(report: RunReport, out_dir) -> None:
     write_table(
         out / "fitted.csv",
         ["entity", "period", "actual_log", "predicted_log", "residual"],
-        [[e for e, _ in fitted_keys], [p for _, p in fitted_keys], a, f, a - f],
+        [*_key_columns(fitted_keys), a, f, a - f],
     )
 
     write_forecast(report.forecast, out / "forecast.csv")
@@ -872,7 +828,7 @@ def write_report(report: RunReport, out_dir) -> None:
         "flagged": {
             "zero_mix_rows": [[e, p] for e, p in report.zero_mix_rows],
             "test_noise_rows": [
-                [report.forecast.entity[i], report.forecast.period[i]]
+                list(report.forecast.rows[i])
                 for i in np.flatnonzero(report.forecast.is_noise).tolist()
             ],
         },

@@ -324,7 +324,7 @@ def test_criterion_7_forecast_error_arithmetic():
         _panel_from_log_targets([actual]),
         TransformSpec(),
     )
-    rel_pct = res.rows[0].relative_error * 100.0
+    rel_pct = res.relative_error[0] * 100.0
     assert abs(rel_pct - 27.67) < 0.01
     assert abs(res.mean_error - (predicted - actual)) < 1e-10
     assert res.error_variance == 0.0

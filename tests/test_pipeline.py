@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -337,6 +338,7 @@ _INTEGER_PARAMETERS = {
     "min_pts": lambda x: DbscanParams(0.1, x),
     "scan min_pts": lambda x: scan_params(np.eye(3), [0.5], [x]),
     "cv_folds": lambda x: SplitSpec((1,), (2,), cv_folds=x),
+    "baseline_cluster": lambda x: DprConfig(dbscan=DbscanParams(0.1, 3), baseline_cluster=x),
     "folds": lambda x: cross_validate(_standardized_toy(), x, "lasso", [0.1]),
     "max_iter": lambda x: fit_lasso(_standardized_toy(), 0.1, max_iter=x),
 }
@@ -451,9 +453,7 @@ def test_baseline_choice_barely_matters_at_tiny_penalty():
         grid = (lam,)
         rep0 = run_dpr(panel, _default_config(lambda_grid=grid, baseline_cluster=0), split)
         rep1 = run_dpr(panel, _default_config(lambda_grid=grid, baseline_cluster=1), split)
-        pred0 = np.array([r.predicted_log for r in rep0.forecast.rows])
-        pred1 = np.array([r.predicted_log for r in rep1.forecast.rows])
-        return float(np.max(np.abs(pred0 - pred1)))
+        return float(np.max(np.abs(rep0.forecast.predicted_log - rep1.forecast.predicted_log)))
 
     assert gap(1e-6) < 1e-3
     assert gap(1e-8) < 1e-5
@@ -479,9 +479,10 @@ def test_forecast_report_missing_targets_excluded_from_summary():
     )
     res = forecast_report(model, panel, TransformSpec())
     assert len(res.rows) == 2
-    assert res.rows[0].actual_log == pytest.approx(1.0)
-    assert res.rows[1].actual_log is None
-    assert res.rows[1].relative_error is None
+    assert res.rows == panel.row_keys()
+    assert res.actual_log[0] == pytest.approx(1.0)
+    assert math.isnan(res.actual_log[1])
+    assert math.isnan(res.relative_error[1])
     # summary over the single observed row
     assert res.mean_error == pytest.approx(0.5)
     assert res.error_variance == 0.0
@@ -537,18 +538,17 @@ def test_forecast_columns_match_the_row_formulas():
     res = forecast_report(model, panel, spec, labels=labels)
     y = np.log(targets + 0.5)
     assert len(res.rows) == panel.n_obs
-    for i, (row, key) in enumerate(zip(res.rows, panel.row_keys())):
+    assert res.rows == panel.row_keys()
+    for i in range(panel.n_obs):
         yhat = res.predicted_log[i]
-        assert (row.entity, row.period) == key
-        assert row.cluster == labels[i] and row.is_noise == (labels[i] == NOISE)
-        assert row.predicted_log == yhat
-        assert row.predicted_source == float(invert_log(np.array(yhat), spec))
+        assert res.cluster[i] == labels[i] and res.is_noise[i] == (labels[i] == NOISE)
+        assert res.predicted_source[i] == float(invert_log(np.array(yhat), spec))
         if math.isnan(y[i]):
-            assert row.actual_log is row.actual_source is row.relative_error is None
+            assert np.isnan([res.actual_log[i], res.actual_source[i], res.relative_error[i]]).all()
             continue
-        assert row.actual_log == y[i]
-        assert row.actual_source == float(invert_log(np.array(y[i]), spec))
-        assert row.relative_error == abs(math.exp(yhat) - math.exp(y[i])) / math.exp(y[i])
+        assert res.actual_log[i] == y[i]
+        assert res.actual_source[i] == float(invert_log(np.array(y[i]), spec))
+        assert res.relative_error[i] == abs(math.exp(yhat) - math.exp(y[i])) / math.exp(y[i])
 
 
 @pytest.mark.parametrize("mix", ["rawshares", "perfeaturemax"])
@@ -572,6 +572,54 @@ def test_write_report_is_byte_stable(tmp_path):
     write_report(report, b)
     for path in sorted(a.iterdir()):
         assert (b / path.name).read_bytes() == path.read_bytes()
+
+
+def _noise_run():
+    """A panel, split and config whose run forecasts some test rows as noise."""
+    panel, _ = _panel(n_entities=10, n_periods=8, n_features=5, n_clusters=3, seed=2,
+                      mix_jitter=0.05)
+    split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
+    return panel, split, _default_config(dbscan=DbscanParams(eps=0.1, min_pts=4))
+
+
+def test_report_tables_read_the_test_keys_from_forecast_rows(tmp_path):
+    panel, split, config = _noise_run()
+    report = run_dpr(panel, config, split)
+    fc = report.forecast
+    assert fc.rows == chronological_split(panel, split)[1].row_keys()
+    assert 0 < fc.n_noise_rows < len(fc.rows)
+    write_report(report, tmp_path)
+
+    def keys(rows):
+        return [(r["entity"], int(r["period"])) for r in rows]
+
+    with open(tmp_path / "clusters.csv", newline="") as fh:
+        test_rows = [r for r in csv.DictReader(fh) if r["split"] == "test"]
+    assert keys(test_rows) == fc.rows
+    assert [int(r["label"]) for r in test_rows] == fc.cluster.tolist()
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["forecast"]["n_rows"] == len(fc.rows)
+    assert [tuple(k) for k in summary["flagged"]["test_noise_rows"]] == [
+        key for key, c in zip(fc.rows, fc.cluster.tolist()) if c == NOISE
+    ]
+    with open(tmp_path / "forecast.csv", newline="") as fh:
+        assert keys(csv.DictReader(fh)) == fc.rows
+
+
+@pytest.mark.parametrize("whole", [float, np.int64])
+def test_whole_number_settings_are_stored_as_ints(whole, tmp_path):
+    panel, split, config = _noise_run()
+    for as_given, name in ((int, "int"), (whole, "given")):
+        run = run_dpr(panel, dataclasses.replace(
+            config, dbscan=DbscanParams(0.1, as_given(4)), baseline_cluster=as_given(1),
+        ), dataclasses.replace(split, cv_folds=as_given(3)))
+        write_report(run, tmp_path / name)
+    assert type(run.clusters.params.min_pts) is type(run.split.cv_folds) is int
+    assert type(run.dpr_model.baseline) is int
+    written = sorted(p.name for p in (tmp_path / "int").iterdir())
+    assert sorted(p.name for p in (tmp_path / "given").iterdir()) == written
+    for name in written:
+        assert (tmp_path / "given" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
 
 
 @pytest.mark.parametrize("kind", ["ridge", "lasso", "elastic_net"])
