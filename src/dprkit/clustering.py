@@ -21,14 +21,24 @@ on its core-core edges (a CSR graph read straight off the row-major pairs),
 and border claims are a minimum per row (Ester et al., KDD 1996; Schubert et
 al., TODS 2017).  A parameter scan builds that list once at the largest eps,
 thresholds it and counts neighbours once per distinct eps, and labels once
-per distinct (eps, core set).  Scoring never copies the n x n matrix, and
-new rows are assigned to their nearest core through a k-d tree.  scipy is
-imported at first use, so importing this module stays cheap.
+per distinct (eps, core set).  Scoring never copies the n x n matrix.
+
+New rows are assigned to their nearest core through a ``cKDTree`` built with
+the sliding-midpoint split (``balanced_tree=False``; Maneewongvatana and
+Mount, 1999) rather than scipy's default median split.  Mix shares lie on
+the simplex in tight clusters, where median cuts make thin cells that a
+query must visit many of; on testkit cores the midpoint tree answers the
+same queries about 2x faster at 6-8 features and about 8x faster at the
+paper's 17 (uniform or Gaussian points, which the program does not meet,
+favour the median split slightly).  The query is bounded at eps, so a row
+off every core stops early.  scipy is imported at first use, so importing
+this module stays cheap.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,8 +59,11 @@ class DbscanParams:
     core_strict: bool = False
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.eps) or self.eps <= 0:
-            raise ValidationError(f"eps must be finite and > 0, got {self.eps}")
+        # stored as a float, so an int eps writes the same artifacts as its float
+        eps = float(self.eps) if isinstance(self.eps, numbers.Real) else math.nan
+        if not math.isfinite(eps) or eps <= 0:
+            raise ValidationError(f"eps must be finite and > 0, got {self.eps!r}")
+        object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "min_pts", require_int("min_pts", self.min_pts, 1))
 
 
@@ -139,13 +152,13 @@ def _pairs_within(D: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray,
     step = max(1, _CHUNK // n)
     rows, cols, dists = [], [], []
     for start in range(0, n, step):
-        block = D[start:start + step, start:]
-        r, c = np.nonzero(block <= radius)
-        upper = c > r  # the block's column 0 is row `start`: keep j > i
-        r, c = r[upper], c[upper]
-        rows.append((r + start).astype(np.int32))
-        cols.append((c + start).astype(np.int32))
-        dists.append(block[r, c])
+        block = D[start:start + step]  # whole rows: a contiguous view, flat-indexable
+        hits = np.flatnonzero(block <= radius)
+        r, c = np.divmod(hits, n)
+        upper = c > r + start  # keep j > i
+        rows.append((r[upper] + start).astype(np.int32))
+        cols.append(c[upper].astype(np.int32))
+        dists.append(block.reshape(-1)[hits[upper]])
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(dists)
 
 
@@ -389,13 +402,21 @@ def assign_by_nearest_core(core_points, core_labels, eps: float, new_points) -> 
     nearest = np.zeros(new.shape[0], dtype=np.intp)
     tied = np.zeros(new.shape[0], dtype=bool)
     if labels.size > 1:
-        dist, idx = cKDTree(core_pts).query(new, k=2)
+        # the bound is widened past the few-ulp gap between the tree's
+        # distances and _row_distances; a core beyond it comes back as
+        # distance inf and index labels.size
+        tree = cKDTree(core_pts, balanced_tree=False)
+        dist, idx = tree.query(new, k=2, distance_upper_bound=eps * (1 + 1e-9))
         nearest = idx[:, 0]
-        # near-equal runners-up may be exact ties in the difference form below
-        tied = dist[:, 1] - dist[:, 0] <= 1e-9 * dist[:, 1]
+        # near-equal runners-up may be exact ties in the difference form
+        # below; an infinite runner-up is no tie
+        two = np.isfinite(dist[:, 1])
+        d0, d1 = dist[two, 0], dist[two, 1]
+        tied[two] = d1 - d0 <= 1e-9 * d1
     for i in np.flatnonzero(tied):
         # first minimum = earliest core row
         nearest[i] = np.argmin(_row_distances(core_pts, new[i]))
-    within = _row_distances(core_pts[nearest], new) <= eps
+    hit = np.flatnonzero(nearest < labels.size)
+    within = hit[_row_distances(core_pts[nearest[hit]], new[hit]) <= eps]
     out[within] = labels[nearest[within]]
     return out

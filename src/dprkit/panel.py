@@ -420,11 +420,12 @@ def load_panel(source, schema: PanelSchema | None = None) -> PanelDataset:
     per_index = {p: i for i, p in enumerate(periods)}
     entity_idx = np.fromiter(map(ent_index.__getitem__, raw_entities), dtype=np.intp, count=n)
     period_idx = np.fromiter(map(per_index.__getitem__, period_values), dtype=np.intp, count=n)
-    if np.unique(entity_idx * len(periods) + period_idx).size < n:
+    order = np.lexsort((period_idx, entity_idx))
+    keys = (entity_idx * len(periods) + period_idx)[order]
+    if not np.all(keys[1:] > keys[:-1]):  # a repeated (entity, period) sorts next to its twin
         _read_rows(lines, layout)  # names the line; "2000" vs "02000" is left to PanelDataset
     del lines
 
-    order = np.lexsort((period_idx, entity_idx))
     return PanelDataset(
         entities=entities,
         periods=periods,

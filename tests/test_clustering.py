@@ -306,6 +306,18 @@ def test_params_validation():
         DbscanParams(eps=1.0, min_pts=0)
 
 
+@pytest.mark.parametrize("eps", ["0.1", None, [0.1], math.nan, math.inf, 0, -1])
+def test_a_bad_eps_is_a_validation_error(eps):
+    with pytest.raises(ValidationError, match="^eps must be finite and > 0, got "):
+        DbscanParams(eps=eps, min_pts=2)
+
+
+@pytest.mark.parametrize("eps", [1, np.int64(1), np.float32(0.5), 0.5])
+def test_eps_is_stored_as_a_float(eps):
+    params = DbscanParams(eps=eps, min_pts=2)
+    assert type(params.eps) is float and params.eps == eps
+
+
 def _lattice_with_ties():
     # multiples of 0.5 with repeated rows; 3-4-5 offsets make 2.5 an exact
     # distance, so eps values below land exactly on pairwise distances
@@ -341,27 +353,50 @@ def test_shared_pair_list_matches_per_cell_runs_and_oracle():
             np.testing.assert_array_equal(core, _core_by_count(pts, params))
 
 
-@pytest.mark.parametrize("chunk", [None, 50])
+def _pairs_by_triu(D, radius):
+    # the whole upper triangle at once, no row blocks
+    r, c = np.nonzero(np.triu(D <= radius, 1))
+    return r.astype(np.int32), c.astype(np.int32), D[r, c]
+
+
+def _assert_pairs(D, radius):
+    from dprkit.clustering import _pairs_within
+
+    for got, want in zip(_pairs_within(D, radius), _pairs_by_triu(D, radius)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+# None: one block; 50 and 70: blocks of two and three of the 22 rows
+@pytest.mark.parametrize("chunk", [None, 50, 70])
 def test_pairs_within_matches_the_upper_triangle_form(chunk, monkeypatch):
     from dprkit import clustering
 
     if chunk is not None:
-        monkeypatch.setattr(clustering, "_CHUNK", chunk)  # blocks of two rows
+        monkeypatch.setattr(clustering, "_CHUNK", chunk)
     D = pairwise_distances(_lattice_with_ties())
-    n = D.shape[0]
-    step = max(1, clustering._CHUNK // n)
+    assert all((D == r).any() for r in (0.0, 0.5, 2.5))  # pairs exactly on the radius
     for radius in (0.0, 0.5, 1.0, 2.5, 100.0):
-        rows, cols, dists = [], [], []
-        for start in range(0, n, step):
-            block = D[start:start + step, start:]
-            r, c = np.nonzero(np.triu(block <= radius, 1))
-            rows.append((r + start).astype(np.int32))
-            cols.append((c + start).astype(np.int32))
-            dists.append(block[r, c])
-        expected = np.concatenate(rows), np.concatenate(cols), np.concatenate(dists)
-        for got, want in zip(clustering._pairs_within(D, radius), expected):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+        _assert_pairs(D, radius)
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_pairs_within_one_and_two_rows_and_no_pairs(chunk, monkeypatch):
+    from dprkit import clustering
+
+    if chunk is not None:
+        monkeypatch.setattr(clustering, "_CHUNK", chunk)  # one row per block
+    for pts in (_col([3.0]), _col([0.0, 1.5])):
+        for radius in (0.0, 1.0, 1.5, 2.0):
+            _assert_pairs(pairwise_distances(pts), radius)
+    i, j, d = clustering._pairs_within(pairwise_distances(_col([0.0, 1.5])), 1.5)
+    assert (i.tolist(), j.tolist(), d.tolist()) == ([0], [1], [1.5])
+    # a radius below every distance: no pairs, in the same dtypes
+    D = pairwise_distances(np.unique(_lattice_with_ties(), axis=0))
+    below = np.nextafter(D[np.triu_indices(D.shape[0], 1)].min(), 0)
+    i, j, d = clustering._pairs_within(D, below)
+    assert i.size == j.size == d.size == 0
+    assert (i.dtype, j.dtype, d.dtype) == (np.int32, np.int32, np.float64)
 
 
 def test_scan_labels_once_per_eps_when_min_pts_leaves_the_core_set(monkeypatch):
@@ -455,15 +490,18 @@ def test_partition_invariant_under_row_permutation(pts, eps, min_pts, strict, da
             assert before[x] == moved.labels[x] == NOISE
 
 
-def _nearest_core_by_loop(train, model, new):
-    cores = np.flatnonzero(model.core_mask)
+def _nearest_core_by_loop(cores, labels, eps, new):
+    # one new row at a time: the squared differences summed in column order,
+    # then the first minimum
     out = np.full(new.shape[0], NOISE, dtype=np.intp)
-    for i in range(new.shape[0] if cores.size else 0):
-        diff = train[cores] - new[i]
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    for i in range(new.shape[0] if len(labels) else 0):
+        acc = np.zeros(cores.shape[0])
+        for k in range(cores.shape[1]):
+            acc += (cores[:, k] - new[i, k]) ** 2
+        dist = np.sqrt(acc)
         j = int(np.argmin(dist))
-        if dist[j] <= model.params.eps:
-            out[i] = model.labels[cores[j]]
+        if dist[j] <= eps:
+            out[i] = labels[j]
     return out
 
 
@@ -472,10 +510,78 @@ def _nearest_core_by_loop(train, model, new):
        min_pts=st.integers(1, 4))
 def test_assign_by_nearest_core_matches_the_per_row_argmin(train, new, eps, min_pts):
     model = dbscan(train, DbscanParams(eps=eps, min_pts=min_pts))
+    core = model.core_mask
     np.testing.assert_array_equal(
         _assign(train, model, new),
-        _nearest_core_by_loop(train, model, new),
+        _nearest_core_by_loop(train[core], model.labels[core], eps, new),
     )
+
+
+def _paper_shaped(seed=1):
+    """Mix rows of the paper's shape (46 x 20, 17 features, 16 profiles): 13 training periods."""
+    from dprkit.panel import energy_mix_features
+    from dprkit.testkit import SyntheticSpec, generate_panel
+
+    panel, _ = generate_panel(SyntheticSpec(n_entities=46, n_periods=20, n_features=17,
+                                            n_clusters=16, seed=seed))
+    mix, _ = energy_mix_features(panel)
+    train = panel.period_idx < 13
+    model = dbscan(mix[train], DbscanParams(eps=0.1, min_pts=4))
+    assert model.k == 16
+    core = model.core_mask
+    return mix[train][core], model.labels[core], mix[~train]
+
+
+def test_assign_by_nearest_core_on_the_paper_shape():
+    cores, labels, test = _paper_shaped()
+    far = np.eye(17)[:5]  # all of the mix in one feature: beyond eps of every core
+    copies = cores[::37]
+    new = np.vstack([test, copies, far])
+    got = assign_by_nearest_core(cores, labels, 0.1, new)
+    np.testing.assert_array_equal(got, _nearest_core_by_loop(cores, labels, 0.1, new))
+    np.testing.assert_array_equal(got[-5:], NOISE)
+    np.testing.assert_array_equal(got[test.shape[0]:-5], labels[::37])
+    assert (got[:test.shape[0]] != NOISE).any()
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_assign_by_nearest_core_exact_ties_go_to_the_earliest_core(first):
+    cores, labels, _ = _paper_shaped()
+    dup = np.arange(0, cores.shape[0], 23)
+    # the copied cores carry another cluster's label, ahead of or after the originals
+    other = (labels[dup] + 1) % 16
+    if first:
+        cores, labels = np.vstack([cores[dup], cores]), np.concatenate([other, labels])
+    else:
+        cores, labels = np.vstack([cores, cores[dup]]), np.concatenate([labels, other])
+    new = cores[dup if not first else np.arange(dup.size)]
+    got = assign_by_nearest_core(cores, labels, 0.1, new)
+    np.testing.assert_array_equal(got, _nearest_core_by_loop(cores, labels, 0.1, new))
+    np.testing.assert_array_equal(got, other if first else labels[dup])
+
+
+def test_assign_by_nearest_core_at_exactly_eps():
+    cores, labels, test = _paper_shaped()
+    new = test[::7]
+    for i, row in enumerate(new[:12]):
+        # eps is the row's computed distance to its nearest core
+        eps = min(_sequential_distance(core, row) for core in cores)
+        at, below = (assign_by_nearest_core(cores, labels, e, new)
+                     for e in (eps, np.nextafter(eps, 0)))
+        np.testing.assert_array_equal(at, _nearest_core_by_loop(cores, labels, eps, new))
+        np.testing.assert_array_equal(
+            below, _nearest_core_by_loop(cores, labels, np.nextafter(eps, 0), new))
+        assert at[i] != NOISE and below[i] == NOISE
+
+
+def test_assign_by_nearest_core_to_a_single_core_on_the_paper_shape():
+    cores, labels, test = _paper_shaped()
+    for j in (0, 100):
+        one, label = cores[j:j + 1], labels[j:j + 1]
+        new = np.vstack([test, one])  # the last row copies the core
+        got = assign_by_nearest_core(one, label, 0.1, new)
+        np.testing.assert_array_equal(got, _nearest_core_by_loop(one, label, 0.1, new))
+        assert got[-1] == label[0] and (got == NOISE).any()
 
 
 @settings(max_examples=100, deadline=None)

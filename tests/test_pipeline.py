@@ -622,6 +622,19 @@ def test_whole_number_settings_are_stored_as_ints(whole, tmp_path):
         assert (tmp_path / "given" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
 
 
+def test_an_int_eps_writes_the_float_eps_run(tmp_path):
+    panel, split, config = _noise_run()
+    for eps, name in ((1.0, "float"), (1, "int")):
+        run = run_dpr(panel, dataclasses.replace(config, dbscan=DbscanParams(eps, 4)), split)
+        write_report(run, tmp_path / name)
+    assert type(run.clusters.params.eps) is float
+    written = sorted(p.name for p in (tmp_path / "float").iterdir())
+    assert sorted(p.name for p in (tmp_path / "int").iterdir()) == written
+    for name in written:
+        assert (tmp_path / "int" / name).read_bytes() == (tmp_path / "float" / name).read_bytes()
+    assert '"eps": 1.0' in (tmp_path / "int" / "summary.json").read_text()
+
+
 @pytest.mark.parametrize("kind", ["ridge", "lasso", "elastic_net"])
 def test_final_model_is_the_path_fit_at_the_chosen_cell(kind, tmp_path, monkeypatch):
     designs = []
