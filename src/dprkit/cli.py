@@ -414,7 +414,8 @@ def _cmd_fit(args) -> int:
     _check_mixing_flag(s["penalty"], "--alpha", "alpha" in s)
     penalty = regression.PenaltySpec(s["penalty"], s["lam"], s.get("alpha"))
     dm = _design(args.input, s)
-    model = pipeline.require_fit(pipeline.fit_penalized(dm, penalty), "fit")
+    model = regression.add_training_metrics(
+        pipeline.require_fit(pipeline.fit_penalized(dm, penalty), "fit"), dm)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     pipeline.write_coefficients(model, out / "coefficients.csv")

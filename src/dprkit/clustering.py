@@ -52,6 +52,14 @@ NOISE = -1
 _CHUNK = 262_144
 
 
+def _check_eps(eps) -> float:
+    """``eps`` as a float; a ValidationError naming eps unless it is a finite real > 0."""
+    value = float(eps) if isinstance(eps, numbers.Real) else math.nan
+    if not math.isfinite(value) or value <= 0:
+        raise ValidationError(f"eps must be finite and > 0, got {eps!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class DbscanParams:
     eps: float
@@ -60,10 +68,7 @@ class DbscanParams:
 
     def __post_init__(self) -> None:
         # stored as a float, so an int eps writes the same artifacts as its float
-        eps = float(self.eps) if isinstance(self.eps, numbers.Real) else math.nan
-        if not math.isfinite(eps) or eps <= 0:
-            raise ValidationError(f"eps must be finite and > 0, got {self.eps!r}")
-        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "eps", _check_eps(self.eps))
         object.__setattr__(self, "min_pts", require_int("min_pts", self.min_pts, 1))
 
 
@@ -125,8 +130,7 @@ def region_query(points, i: int, eps: float) -> set[int]:
     pts = _as_points(points)
     if not 0 <= i < pts.shape[0]:
         raise ValidationError(f"row index {i} out of range for {pts.shape[0]} points")
-    if not math.isfinite(eps) or eps < 0:
-        raise ValidationError(f"eps must be finite and >= 0, got {eps}")
+    eps = _check_eps(eps)
     return set(np.flatnonzero(_row_distances(pts, pts[i]) <= eps).tolist())
 
 
@@ -353,7 +357,7 @@ def scan_params(
         raise ValidationError("scan grids must be non-empty")
     cells = [
         DbscanParams(eps=e, min_pts=m, core_strict=core_strict)
-        for e in dict.fromkeys(float(e) for e in eps_grid)
+        for e in dict.fromkeys(_check_eps(e) for e in eps_grid)
         for m in dict.fromkeys(require_int("min_pts", m, 1) for m in minpts_grid)
     ]
     D = pairwise_distances(pts)

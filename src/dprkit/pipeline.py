@@ -52,6 +52,7 @@ from .regression import (
     PenaltySpec,
     RankDeficiencyError,
     _fit_metrics,
+    add_training_metrics,
     fit_elastic_net,
     fit_lasso,
     fit_ridge,
@@ -697,6 +698,7 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         path_models = regularization_path(dmS, path_lams, config.penalty_kind, cv.best.alpha)
         model = require_fit(path_models[path_lams.index(cv.best.lam)],
                             f"fit at the chosen lambda={cv.best.lam}")
+        add_training_metrics(model, dmS)
 
     with _stage("forecast"):
         features = list(train_log.feature_names)

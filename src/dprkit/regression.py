@@ -18,16 +18,21 @@ Lasso and elastic net share one exact active-set solver: on the centred design
 it works with H = X'X/N + lambda*(1-alpha)*I, c = X'y/N and the L1 threshold
 t = lambda*alpha/2, i.e. half the objective above, and runs feature-sign search
 (Lee, Battle, Raina & Ng, NIPS 2006) on the Gram matrix as glmnet's covariance
-updates do (Friedman, Hastie & Tibshirani, JSS 2010).  Each step adds the
-worst-violating zero coefficient, solves the support's linear system and
-line-searches the sign changes on the way, so the solutions carry exact zeros
-and a warm start reuses the previous support; the lambda paths of
-``pipeline.regularization_path`` warm-start each fit from the last, and an
-elastic-net CV fold starts each alpha's fits from the previous alpha's.  The
-support's Cholesky factor grows by one bordered column per added coefficient,
-and the support's signs and right-hand side grow in place with it.
-Only ``fit_lasso`` and ``fit_elastic_net`` take a tolerance and a step cap;
-the pipeline fits at ``DEFAULT_TOL`` and ``DEFAULT_MAX_ITER``.
+updates do (Friedman, Hastie & Tibshirani, JSS 2010).  Each step adds every
+violating zero coefficient, largest violation first, solves the support's
+linear system and line-searches the sign changes on the way, so the solutions
+carry exact zeros and a warm start reuses the previous support; the lambda
+paths of ``pipeline.regularization_path`` warm-start each fit from the last,
+and an elastic-net CV fold starts each alpha's fits from the previous alpha's.
+A block of added coefficients is cut before the first one, after the first,
+whose solve opposes its gradient's sign.  The support's Cholesky factor is
+bordered by the whole block through the Schur complement, and after a drop
+only its trailing block is factored again; the support's signs and
+right-hand side grow in place with it.  Only ``fit_lasso`` and
+``fit_elastic_net`` take a tolerance and a step cap; the pipeline fits at
+``DEFAULT_TOL`` and ``DEFAULT_MAX_ITER``.  The fits leave the training r2 and
+mse out; ``add_training_metrics`` adds them to a fit whose metrics are
+reported.
 """
 
 from __future__ import annotations
@@ -213,10 +218,12 @@ def standardize(X, y, column_names: list[str] | None = None,
 class FittedModel:
     """Coefficients on the standardized scale plus everything needed to predict.
 
-    ``diagnostics`` holds training r2 (None when var(y)=0), mse, sparsity,
-    iterations (active-set steps; 0 for the closed-form ridge), and
-    the converged flag.  Source-scale equivalents fold the stored column
-    stats back in, so predictions agree between the two parameterizations.
+    ``diagnostics`` holds sparsity, iterations (active-set steps; 0 for the
+    closed-form ridge) and the converged flag; :func:`add_training_metrics`
+    puts the training r2 (None when var(y)=0) and mse in front of them for a
+    fit whose metrics are reported.  Source-scale equivalents fold the stored
+    column stats back in, so predictions agree between the two
+    parameterizations.
     """
 
     intercept: float
@@ -312,23 +319,38 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
     """Minimize b'Hb/2 - c'b + t*||b||_1 by feature-sign search from ``b``.
 
     The support A is the nonzero entries of ``b``; they keep their signs s_A.
-    While the support meets its optimality conditions, a step adds the zero
-    coefficient with the largest violation |c_j - (Hb)_j| - t, signed by its
-    gradient.  Every step solves H_AA x = c_A - t*s_A by Cholesky and moves
-    b_A to the lowest point of the true objective among x and the points
-    where a coefficient changes sign on the way there (Lee, Battle, Raina &
-    Ng, NIPS 2006).  Coefficients that reach zero leave the support.  Every
-    step lowers the objective, so no support repeats and the search ends.
+    While the support meets its optimality conditions, a step adds every zero
+    coefficient whose violation |c_j - (Hb)_j| - t exceeds ``tol``, largest
+    first (ties in index order), each signed by its gradient.  Every step
+    solves H_AA x = c_A - t*s_A by Cholesky and moves b_A to the lowest point
+    of the true objective among x and the points where a coefficient changes
+    sign on the way there (Lee, Battle, Raina & Ng, NIPS 2006).  Coefficients
+    that reach zero leave the support.
 
-    The upper factor R (R'R = H_AA, in A's order) is kept between steps: an
-    added column borders it with one triangular solve, r = R^-T H_Aj and
-    pivot sqrt(H_jj - r.r), which is the column Cholesky itself computes, so
-    adds do not drift; after a coefficient leaves, R is refactored.  The
-    support, s_A and c_A - t*s_A live in length-p buffers that an add extends
-    in place; they are rebuilt from ``b`` only after a line-search step, which
-    can flip signs, or a drop.  R's smallest pivot and the support's largest
-    H_jj, which the singularity test reads, are kept the same way.  None of
-    this changes a floating-point operation of the search.
+    Should the solve give an added coefficient after the first the sign
+    opposite to its gradient's, the block is cut just before the first such
+    coefficient and the shorter system solved again.  The first needs no cut:
+    its Schur complement is positive, so it keeps its gradient's sign while
+    the support conditions hold exactly.  With every added coefficient signed
+    as its gradient, the step direction lowers the objective, so every step
+    does, no support repeats and the search ends.
+
+    The upper factor R (R'R = H_AA, in A's order) is kept between steps.  An
+    added block B borders it with one triangular solve for several right-hand
+    sides, R12 = R^-T H_AB, and one Cholesky factorization of the Schur
+    complement H_BB - R12'R12.  Should that fail, or the grown factor fail
+    the singularity test (``_SINGULAR``), only the first coefficient of the
+    block is added, bordered by r = R^-T H_Aj and pivot sqrt(H_jj - r.r).  A cut
+    reuses the forward solve R^-T (c_A - t*s_A), which is the same on a
+    prefix, and redoes only the back substitution.  After coefficients
+    leave, R keeps its leading block up to the first one that left: its
+    entries above that block in the remaining columns are already their new
+    R12, so only the trailing block's Schur complement is factored.  The
+    support, s_A and c_A - t*s_A live in length-p buffers that an add
+    extends in place; they are rebuilt from ``b`` only after a line-search
+    step, which can flip signs, or a drop.  R's smallest pivot and the
+    support's largest H_jj, which the singularity test reads, are kept the
+    same way.
 
     A (nearly) singular H_AA, which needs alpha=1 and (nearly) collinear
     support columns, gets a damped Newton direction instead, followed up to
@@ -339,11 +361,12 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
     sign-consistent solve, within ``tol`` for a warm start) and no zero
     coefficient violates by more than ``tol``.  ``objective``, when given, is
     evaluated after every step and must never rise.  Returns
-    (b, steps, converged).
+    (b, steps, converged); a step that adds a block counts once.
     """
     # imported here: scipy.linalg takes longer to load than commands that
     # do not fit take to run
-    from scipy.linalg.lapack import dposv, dpotrf, dtrtrs
+    from scipy.linalg import lapack
+    dposv, dpotrf, dtrtrs = lapack.dposv, lapack.dpotrf, lapack.dtrtrs
 
     p = b.size
     # the support A = order[:k] in R's order, its signs s_A and c_A - t*s_A:
@@ -359,53 +382,102 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
         np.subtract(c[A], t * signs[:k], out=rhs[:k])
         return k
 
-    k = rebuild(np.flatnonzero(b))
+    k = rebuild(b.nonzero()[0])
     grad = c - H @ b
     hdiag = H.diagonal()
-    # R[:k, :k] factors H_AA when ``factored`` is True; False means H_AA has
-    # a nonpositive pivot, None that R must be recomputed.  While factored,
-    # rmin is R's smallest pivot and hmax the support's largest H_jj.
     R = np.zeros(H.shape, order="F")
-    factored = True if k == 0 else None
-    rmin, hmax = math.inf, -math.inf
+    pivots = R.diagonal()
+
+    def factor_tail(q: int, k: int) -> bool:
+        # R[:q, :q] factors the support's leading block and R[:q, q:k] holds
+        # R12 = R^-T H_AT of its trailing block T = order[q:k]: factor the
+        # Schur complement H_TT - R12'R12 into R[q:k, q:k]
+        T = order[q:k]
+        S = H[T[:, None], T]
+        if q:
+            R12 = R[:q, q:k]
+            S -= R12.T.dot(R12)
+        R[q:k, q:k], info = dpotrf(S)
+        return info == 0
+
+    def extremes(k: int) -> tuple[float, float]:
+        # R's smallest pivot and the support's largest H_jj
+        if not k:
+            return math.inf, -math.inf
+        return pivots[:k].min(), hdiag[order[:k]].max()
+
+    # R[:k, :k] factors H_AA while ``factored``; otherwise H_AA has a
+    # nonpositive pivot.  rmin and hmax feed the singularity test.
+    factored = not k or factor_tail(0, k)
+    rmin, hmax = extremes(k)
     on_support = False
     prev = math.inf if objective is None else objective(b)
     steps = 0
     while True:
         A = order[:k]
         # the support conditions hold exactly after a sign-consistent solve
-        on_support = on_support or bool((np.abs(grad[A] - t * signs[:k]) <= tol).all())
+        on_support = (on_support or not k
+                      or bool(np.abs(grad[A] - t * signs[:k]).max() <= tol))
         if on_support:
             viol = np.abs(grad)
             viol -= t
             viol[A] = -math.inf
-            j = int(viol.argmax())
-            if viol[j] <= tol:
+            B = (viol > tol).nonzero()[0]
+            if not B.size:
                 return b, steps, True
         if steps >= max_iter:
             return b, steps, False
+        k0 = k
         if on_support:
-            if factored:
-                r = dtrtrs(R[:, :k], H[A, j], trans=1)[0]
-                pivot = H[j, j] - r @ r
-                R[:k, k] = r
-                R[k, k] = math.sqrt(max(pivot, 0.0))
-                factored = pivot > 0.0
-                rmin, hmax = min(rmin, R[k, k]), max(hmax, hdiag[j])
-            order[k] = j
-            signs[k] = math.copysign(1.0, grad[j])
-            rhs[k] = c[j] - t * signs[k]
-            k += 1
+            if B.size > 1:
+                # largest violation first, ties in index order
+                B = B[(-viol[B]).argsort(kind="stable")]
+            m = B.size if factored else 1
+            if m > 1:
+                order[k:k + m] = B
+                if k:
+                    R[:k, k:k + m] = dtrtrs(R[:, :k], H[A[:, None], B], trans=1)[0]
+                bordered = factor_tail(k, k + m)
+                # a block goes in only with a factor that passes the
+                # singularity test, so it never takes the damped branch
+                piv, hblock = min(rmin, pivots[k:k + m].min()), max(hmax, hdiag[B].max())
+                if bordered and piv * piv > _SINGULAR * hblock:
+                    rmin, hmax = piv, hblock
+                    np.copysign(1.0, grad[B], out=signs[k:k + m])
+                    np.subtract(c[B], t * signs[k:k + m], out=rhs[k:k + m])
+                else:
+                    m = 1
+            if m == 1:
+                j = B[0]
+                if factored:
+                    r = dtrtrs(R[:, :k], H[A, j], trans=1)[0]
+                    pivot = H[j, j] - r @ r
+                    R[:k, k] = r
+                    R[k, k] = math.sqrt(max(pivot, 0.0))
+                    factored = pivot > 0.0
+                    rmin, hmax = min(rmin, R[k, k]), max(hmax, hdiag[j])
+                order[k] = j
+                signs[k] = math.copysign(1.0, grad[j])
+                rhs[k] = c[j] - t * signs[k]
+            k += m
             A = order[:k]
-        if factored is None:
-            R[:k, :k], info = dpotrf(H[A[:, None], A])
-            factored = info == 0
-            if factored:
-                rmin, hmax = R.diagonal()[:k].min(), hdiag[A].max()
         exact = factored and rmin ** 2 > _SINGULAR * hmax
         if exact:
-            x = dtrtrs(R[:, :k], dtrtrs(R[:, :k], rhs[:k], trans=1)[0])[0]
-            on_support = bool((signs[:k] * x >= 0.0).all())
+            Rk = R[:, :k]
+            z = dtrtrs(Rk, rhs[:k], trans=1)[0]
+            x = dtrtrs(Rk, z)[0]
+            if k - k0 > 1:
+                # cut the block before the first added coefficient, after the
+                # first, whose sign opposes its gradient's; the forward solve
+                # z holds on every prefix
+                wrong = (signs[k0 + 1:k] * x[k0 + 1:] < 0.0).nonzero()[0]
+                while wrong.size:
+                    k = k0 + 1 + int(wrong[0])
+                    A = order[:k]
+                    rmin, hmax = extremes(k)
+                    x = dtrtrs(R[:, :k], z[:k])[0]
+                    wrong = (signs[k0 + 1:k] * x[k0 + 1:] < 0.0).nonzero()[0]
+            on_support = bool((signs[:k] * x).min() >= 0.0)
             if not on_support:
                 bA = b[A]
                 d, top = x - bA, 1.0
@@ -428,19 +500,20 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
             new = x
         else:
             # step lengths where a coefficient crosses zero, then the minimizer
-            cross = np.flatnonzero(bA * d < 0.0)
+            cross = (bA * d < 0.0).nonzero()[0]
             at = -bA[cross] / d[cross]
-            keep = np.argsort(at)
-            keep = keep[at[keep] < top]
+            keep = at.argsort()
             cross, at = cross[keep], at[keep]
-            step = at if top == math.inf else np.append(at, top)
+            before = at.searchsorted(top)
+            cross, at = cross[:before], at[:before]
+            step = at if top == math.inf else np.concatenate((at, (top,)))
             if not exact:
                 # on a (nearly) flat direction only the first point can be
                 # evaluated reliably, and the objective falls up to it
                 step = step[:1]
             points = bA + step[:, None] * d
             # objective change at each candidate, relative to the current point
-            change = (-step * (d @ grad[A]) + 0.5 * step * step * curv
+            change = (step * -(d @ grad[A]) + step * step * (0.5 * curv)
                       + t * (np.abs(points) - np.abs(bA)).sum(axis=1))
             if not step.size or change.min() >= 0.0:
                 # only roundoff keeps the objective from falling: stop here
@@ -450,8 +523,16 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
             new[cross[at == step[i]]] = 0.0
         b[A] = new
         if not new.all():
-            k = rebuild(A[new != 0.0])
-            factored = None
+            stay = new != 0.0
+            # R's leading block up to the first coefficient that left still
+            # factors, and its rows above the kept columns after it are their
+            # new R12: only the trailing block is factored again
+            q = int(stay.argmin()) if factored else 0
+            k = rebuild(A[stay])
+            if q:
+                R[:q, q:k] = R[:q, q + stay[q:].nonzero()[0]]
+            factored = q == k or factor_tail(q, k)
+            rmin, hmax = extremes(k)
         elif not on_support:
             # a line-search step can flip signs without leaving the support
             k = rebuild(A)
@@ -515,7 +596,6 @@ def _fit(dm: DesignMatrix, penalty: PenaltySpec, tol: float, max_iter: int,
     beta = np.zeros(dm.p)
     beta[active] = ba
     intercept = ybar - float(means @ ba)
-    mse, r2 = _fit_metrics(dm.y, intercept + dm.X @ beta)
     # metric_sparsity without its conversions: only active columns are nonzero
     p_eff = dm.p - int(np.count_nonzero(dm.zero_variance))
     return FittedModel(
@@ -527,13 +607,22 @@ def _fit(dm: DesignMatrix, penalty: PenaltySpec, tol: float, max_iter: int,
         column_stds=dm.column_stds.copy(),
         zero_variance=dm.zero_variance.copy(),
         diagnostics={
-            "r2": r2,
-            "mse": mse,
             "sparsity": int(np.count_nonzero(ba)) / p_eff if p_eff else 0.0,
             "iterations": steps,
             "converged": bool(converged),
         },
     )
+
+
+def add_training_metrics(model: FittedModel, dm: DesignMatrix) -> FittedModel:
+    """Add ``model``'s training r2 and mse on ``dm``, the design it was fitted on,
+    in front of its diagnostics; returns ``model``.
+
+    The fitters leave them out: cross-validation never reads them.
+    """
+    mse, r2 = _fit_metrics(dm.y, model.intercept + dm.X @ model.coefficients)
+    model.diagnostics = {"r2": r2, "mse": mse, **model.diagnostics}
+    return model
 
 
 def fit_ridge(dm: DesignMatrix, lam: float) -> FittedModel:

@@ -312,6 +312,17 @@ def test_a_bad_eps_is_a_validation_error(eps):
         DbscanParams(eps=eps, min_pts=2)
 
 
+@pytest.mark.parametrize("eps", ["0.1", None, ["x"], [None]])
+def test_every_eps_entry_point_raises_the_params_error(eps):
+    pts = np.array([[0.0, 0.0], [0.1, 0.0], [1.0, 1.0]])
+    calls = [lambda: DbscanParams(eps=eps, min_pts=2),
+             lambda: region_query(pts, 0, eps),
+             lambda: scan_params(pts, eps if isinstance(eps, list) else [eps], [2])]
+    for call in calls:
+        with pytest.raises(ValidationError, match="^eps must be finite and > 0, got "):
+            call()
+
+
 @pytest.mark.parametrize("eps", [1, np.int64(1), np.float32(0.5), 0.5])
 def test_eps_is_stored_as_a_float(eps):
     params = DbscanParams(eps=eps, min_pts=2)

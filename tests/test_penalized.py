@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dposv
+from scipy.linalg.lapack import dposv, dpotrf
 
 from dprkit.errors import RankDeficiencyError, ValidationError
 from dprkit.regression import (
@@ -245,26 +245,42 @@ def test_exactly_collinear_columns_at_alpha_one():
                 _assert_reference_optimal(dm, model, lam, 1.0)
 
 
-def test_wide_design_with_singleton_dummies():
-    # the shape of a run with many noise rows: a few correlated log features,
-    # cluster dummies and one singleton dummy per noise row, p near 200
-    rng = np.random.default_rng(18)
+def _singleton_design(seed):
+    """The shape of a run with many noise rows: a few correlated log features,
+    cluster dummies and one singleton dummy per noise row, p = 197."""
+    rng = np.random.default_rng(seed)
     n, n_feat, n_noise = 400, 20, 170
     latent = rng.normal(size=(n, 3))
     feats = latent @ rng.normal(size=(3, n_feat)) + 0.3 * rng.normal(size=(n, n_feat))
     cluster = rng.integers(0, 8, size=n)
     clusters = (cluster[:, None] == np.arange(1, 8)).astype(float)
-    noise_rows = rng.choice(n, size=n_noise, replace=False)
     singletons = np.zeros((n, n_noise))
-    singletons[noise_rows, np.arange(n_noise)] = 1.0
+    singletons[rng.choice(n, size=n_noise, replace=False), np.arange(n_noise)] = 1.0
     X = np.column_stack([feats, clusters, singletons])
     y = feats[:, :5] @ rng.normal(size=5) + 0.5 * cluster + 0.2 * rng.normal(size=n)
     dm = standardize(X, y)
     assert dm.p == 197
+    return dm
+
+
+def test_wide_design_with_singleton_dummies():
+    dm = _singleton_design(18)
     lams = [float(v) for v in np.logspace(-1, -2.5, 6)]
     for lam, model in zip(lams, regularization_path(dm, lams, "lasso")):
         assert model.diagnostics["converged"]
         _assert_kkt(dm, model, lam, 1.0)
+
+
+def test_block_steps_add_the_singleton_dummies_together():
+    dm = _singleton_design(18)
+    lam = 10 ** -2.5
+    model = fit_lasso(dm, lam, debug=True)
+    assert model.diagnostics["converged"]
+    support = np.count_nonzero(model.coefficients)
+    # one coefficient per step would take at least ``support`` steps
+    assert support > 150 and 3 * model.diagnostics["iterations"] <= support
+    _assert_kkt(dm, model, lam, 1.0)
+    _assert_reference_optimal(dm, model, lam, 1.0)
 
 
 def test_warm_start_at_the_solution_takes_no_steps():
@@ -419,8 +435,12 @@ def test_nonconvergence_reported_not_raised():
 def _refactoring_feature_sign(H, c, t, b, tol, max_iter, objective=None):
     """Feature-sign search that copies H_AA and solves it by dposv at every step.
 
-    The same search as ``regression._feature_sign`` without the kept factor:
-    the grown factor must reproduce its supports, steps and coefficients.
+    The same block search as ``regression._feature_sign`` without the kept
+    factor: every violator is added at once, unless the factor of the grown
+    support fails or fails the singularity test, and the block is cut before
+    the first added coefficient after the first whose solve opposes its
+    gradient's sign.  The grown factor must
+    reproduce its supports, steps and coefficients.
     """
     A = np.flatnonzero(b)
     grad = c - H[:, A] @ b[A]
@@ -432,20 +452,33 @@ def _refactoring_feature_sign(H, c, t, b, tol, max_iter, objective=None):
         if on_support:
             viol = np.abs(grad) - t
             viol[A] = -math.inf
-            j = int(np.argmax(viol))
-            if viol[j] <= tol:
+            B = np.flatnonzero(viol > tol)
+            if not B.size:
                 return b, steps, True
         if steps >= max_iter:
             return b, steps, False
         signs = np.sign(b[A])
+        k0 = A.size
         if on_support:
-            A = np.append(A, j)
-            signs = np.append(signs, math.copysign(1.0, grad[j]))
+            B = B[np.argsort(-viol[B], kind="stable")]
+            grown = np.append(A, B)
+            factor, _, info = dposv(H[np.ix_(grown, grown)], c[grown])
+            if info or np.diagonal(factor).min() ** 2 <= _SINGULAR * H.diagonal()[grown].max():
+                B = B[:1]
+            A = np.append(A, B)
+            signs = np.append(signs, np.copysign(1.0, grad[B]))
         HA = H[np.ix_(A, A)]
-        bA = b[A]
         rhs = c[A] - t * signs
         factor, x, info = dposv(HA, rhs)
         exact = info == 0 and np.diagonal(factor).min() ** 2 > _SINGULAR * HA.diagonal().max()
+        if exact:
+            while np.any(signs[k0 + 1:] * x[k0 + 1:] < 0.0):
+                A = A[:k0 + 1 + int(np.argmax(signs[k0 + 1:] * x[k0 + 1:] < 0.0))]
+                signs = signs[:A.size]
+                HA = H[np.ix_(A, A)]
+                rhs = c[A] - t * signs
+                x = dposv(HA, rhs)[1]
+        bA = b[A]
         if exact:
             on_support = bool(np.all(signs * x >= 0.0))
             d, top = x - bA, 1.0
@@ -481,15 +514,20 @@ def _refactoring_feature_sign(H, c, t, b, tol, max_iter, objective=None):
         objective(b)
 
 
-def _both_searches(dm, lam, alpha, start=None, tol=1e-10):
-    """Run both searches from ``start``; return the kept-factor result and trace."""
+def _search_inputs(dm, lam, alpha):
+    """H, c and t of the search for the elastic net at (lam, alpha) on ``dm``."""
     _, _, _, XtX, Xty = dm.gram
     H = XtX / dm.n + lam * (1.0 - alpha) * np.eye(Xty.size)
-    c, t = Xty / dm.n, lam * alpha / 2.0
+    return H, Xty / dm.n, lam * alpha / 2.0
+
+
+def _both_searches(dm, lam, alpha, start=None, tol=1e-10):
+    """Run both searches from ``start``; return the kept-factor result and trace."""
+    H, c, t = _search_inputs(dm, lam, alpha)
     runs = []
     for search in (_feature_sign, _refactoring_feature_sign):
         trace = []
-        b0 = np.zeros(Xty.size) if start is None else start.copy()
+        b0 = np.zeros(c.size) if start is None else start.copy()
         # the objective hook sees b after every step; 0 never rises
         b, steps, converged = search(H, c, t, b0, tol, 10_000,
                                      lambda b: trace.append(b.copy()) or 0.0)
@@ -513,12 +551,27 @@ def _flips(trace):
     return sum(bool(np.any(a * b < 0)) for a, b in zip(trace, trace[1:]))
 
 
-def _lapack_calls(monkeypatch, name):
+def _adds(trace, least=1):
+    """Steps after which at least ``least`` coefficients entered the support."""
+    return sum(int(np.count_nonzero((a == 0) & (b != 0))) >= least
+               for a, b in zip(trace, trace[1:]))
+
+
+def _lapack_calls(monkeypatch, name, calls=None):
+    """Record every call of ``scipy.linalg.lapack.<name>`` in ``calls``.
+
+    Each entry is (name, copies of the positional arguments, keywords).
+    """
     import scipy.linalg.lapack as lapack
 
-    calls = []
+    calls = [] if calls is None else calls
     real = getattr(lapack, name)
-    monkeypatch.setattr(lapack, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+
+    def spy(*args, **kwargs):
+        calls.append((name, [np.array(a) for a in args], kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, name, spy)
     return calls
 
 
@@ -529,17 +582,18 @@ def test_grown_factor_matches_refactoring_cold(monkeypatch):
     X = latent @ rng.normal(size=(4, 40)) + 0.4 * rng.normal(size=(120, 40))
     y = X[:, :6] @ rng.normal(size=6) + 0.3 * rng.normal(size=120)
     dm = standardize(X, y)
-    steps = drops = flips = 0
+    drops = adds = blocks = flips = 0
     for alpha in (1.0, 0.5):
         for lam in (0.3, 0.03, 3e-3, 3e-4):
             b, trace = _both_searches(dm, lam, alpha)
             assert b.any()
-            steps, drops = steps + len(trace) - 1, drops + _drops(trace)
-            flips += _flips(trace)
-    # a cold search refactors only after a coefficient leaves the support
-    assert len(refactors) <= drops < steps // 4
-    # and rebuilds the support's signs after a step that flips one
-    assert flips > 0
+            drops, flips = drops + _drops(trace), flips + _flips(trace)
+            adds, blocks = adds + _adds(trace), blocks + _adds(trace, 2)
+    # a cold search factors only the Schur complement of an added block or
+    # the trailing block after a coefficient leaves the support
+    assert len(refactors) <= drops + adds
+    # steps add blocks, and rebuild the support's signs after a flip
+    assert blocks > 0 and flips > 0
 
 
 def test_grown_factor_matches_refactoring_after_drops(monkeypatch):
@@ -556,24 +610,91 @@ def test_grown_factor_matches_refactoring_after_drops(monkeypatch):
 
 
 def test_grown_factor_matches_refactoring_on_a_run_wide_design():
-    # the shape of test_wide_design_with_singleton_dummies: p = 197
-    rng = np.random.default_rng(32)
-    n, n_feat, n_noise = 400, 20, 170
-    latent = rng.normal(size=(n, 3))
-    feats = latent @ rng.normal(size=(3, n_feat)) + 0.3 * rng.normal(size=(n, n_feat))
-    cluster = rng.integers(0, 8, size=n)
-    singletons = np.zeros((n, n_noise))
-    singletons[rng.choice(n, size=n_noise, replace=False), np.arange(n_noise)] = 1.0
-    X = np.column_stack([feats, (cluster[:, None] == np.arange(1, 8)), singletons])
-    y = feats[:, :5] @ rng.normal(size=5) + 0.5 * cluster + 0.2 * rng.normal(size=n)
-    dm = standardize(X, y)
-    assert dm.p == 197
+    dm = _singleton_design(32)
     b = None
     widest = 0
     for lam in np.logspace(-1, -3, 5):
         b, trace = _both_searches(dm, float(lam), 1.0, start=b)
         widest = max(widest, np.count_nonzero(b))
     assert widest > 150
+
+
+def test_a_block_is_cut_before_an_added_coefficient_of_the_wrong_sign():
+    # y follows x0 alone and x1 is x0's correlated twin: at b = 0 both
+    # violate with the same sign, but their joint solve gives x1 the other
+    rng = np.random.default_rng(34)
+    z = rng.normal(size=(200, 3))
+    X = np.column_stack([z[:, 0], 0.9 * z[:, 0] + math.sqrt(1 - 0.9**2) * z[:, 1], z[:, 2]])
+    y = X[:, 0] + 0.05 * rng.normal(size=200)
+    dm = standardize(X, y)
+    lam, tol = 0.1, 1e-10
+    H, c, t = _search_inputs(dm, lam, 1.0)
+    trace = []
+    b, steps, converged = _feature_sign(H, c, t, np.zeros(dm.p), tol, 100,
+                                        lambda b: trace.append(b.copy()) or 0.0)
+    assert converged
+    cut = False
+    for before, after in zip(trace, trace[1:]):
+        grad = c - H @ before
+        entered = (before == 0) & (after != 0)
+        # every added coefficient starts with its gradient's sign
+        np.testing.assert_array_equal(np.sign(after[entered]), np.sign(grad[entered]))
+        cut |= 0 < entered.sum() < np.count_nonzero((before == 0) & (np.abs(grad) - t > tol))
+    assert cut
+    model = fit_lasso(dm, lam, tol=tol, debug=True)
+    assert model.diagnostics["converged"]
+    _assert_kkt(dm, model, lam, 1.0)
+    _assert_reference_optimal(dm, model, lam, 1.0)
+
+
+def test_a_drop_refactors_only_the_trailing_block(monkeypatch):
+    rng = np.random.default_rng(31)
+    dm = _random_design(rng, n=80, p=25, sparse=False)
+    dense = fit_elastic_net(dm, 1e-4, 0.9).coefficients
+    H, c, t = _search_inputs(dm, 0.5, 0.9)
+    events = _lapack_calls(monkeypatch, "dpotrf")
+    _lapack_calls(monkeypatch, "dtrtrs", events)
+    _, steps, converged = _feature_sign(H, c, t, dense.copy(), 1e-10, 10_000,
+                                        lambda b: events.append(("step", [b.copy()], {})) or 0.0)
+    assert converged
+
+    def support_order(rhs):
+        # rhs = c_A - t*s_A names the support's columns in R's order
+        near = np.abs(np.concatenate([c - t, c + t])[None, :] - rhs[:, None])
+        order = near.argmin(axis=1) % c.size
+        assert near.min(axis=1).max() < 1e-14 and np.unique(order).size == order.size
+        return order
+
+    forward = solve = refactor = None
+    trailing = 0
+    for name, args, kwargs in events:
+        if name == "dtrtrs" and kwargs.get("trans") and args[1].ndim == 1:
+            forward = args[1]  # the last of these before a solve is c_A - t*s_A
+        elif name == "dtrtrs" and not kwargs.get("trans"):
+            k = args[1].size
+            order = support_order(forward)[:k]
+            R = args[0][:k, :k]
+            np.testing.assert_allclose(R, dpotrf(H[np.ix_(order, order)])[0], rtol=0, atol=1e-12)
+            solve, refactor = (R, order), None
+        elif name == "dpotrf":
+            refactor = args[0]  # the last one after the solve follows a drop
+        else:
+            after = args[0]
+            if solve is not None:
+                R, order = solve
+                gone = np.flatnonzero(after[order] == 0)
+                tail = [i for i in range(gone[0], order.size) if after[order[i]]] if gone.size else []
+                if tail:
+                    q, T = gone[0], order[tail]
+                    # dpotrf sees only the Schur complement of the kept columns
+                    # after the first that left, bordered by R's leading rows
+                    expected = H[np.ix_(T, T)] - R[:q, tail].T @ R[:q, tail]
+                    np.testing.assert_allclose(refactor, expected, rtol=0, atol=1e-12)
+                    trailing += q > 0
+                else:
+                    assert refactor is None
+            solve, refactor = None, None
+    assert trailing > 0
 
 
 def test_duplicate_column_takes_the_damped_branch(monkeypatch):

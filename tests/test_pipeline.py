@@ -677,3 +677,27 @@ def test_final_model_is_the_path_fit_at_the_chosen_cell(kind, tmp_path, monkeypa
     ridge = fit_ridge(dm, lam)
     np.testing.assert_array_equal(ridge.coefficients[active], beta)
     assert not ridge.coefficients[~active].any()
+
+
+def test_only_the_chosen_fit_computes_its_training_metrics(tmp_path, monkeypatch):
+    fits = []
+    fit = pipeline.fit_elastic_net
+    monkeypatch.setattr(pipeline, "fit_elastic_net",
+                        lambda *a, **k: fits.append(fit(*a, **k)) or fits[-1])
+    panel, _ = _panel(n_entities=10, n_periods=8, n_features=5, n_clusters=3, seed=2)
+    split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
+    report = run_dpr(panel, _default_config(penalty_kind="elastic_net"), split)
+    model, dm = report.dpr_model.model, report.design
+    # CV's fold fits and the rest of the path never compute them
+    assert sum(m is model for m in fits) == 1 and len(fits) == 4 * 2 * 6 + 6
+    for m in fits:
+        if m is not model:
+            assert list(m.diagnostics) == ["sparsity", "iterations", "converged"]
+    # the chosen fit has them first, as model.json and summary.json list them
+    assert list(model.diagnostics) == ["r2", "mse", "sparsity", "iterations", "converged"]
+    resid = dm.y - model.intercept - dm.X @ model.coefficients
+    assert model.diagnostics["mse"] == pytest.approx(np.mean(resid ** 2), rel=1e-12)
+    write_report(report, tmp_path)
+    written = json.loads((tmp_path / "model.json").read_text())["regression"]["diagnostics"]
+    assert written == model.diagnostics
+    assert report.metrics["train"]["r2"] == model.diagnostics["r2"]
