@@ -52,11 +52,12 @@ NOISE = -1
 _CHUNK = 262_144
 
 
-def _check_eps(eps) -> float:
-    """``eps`` as a float; a ValidationError naming eps unless it is a finite real > 0."""
+def _check_eps(eps, zero: bool = False) -> float:
+    """``eps`` as a float; a ValidationError naming eps unless it is a finite
+    real > 0, or >= 0 when ``zero`` allows it."""
     value = float(eps) if isinstance(eps, numbers.Real) else math.nan
-    if not math.isfinite(value) or value <= 0:
-        raise ValidationError(f"eps must be finite and > 0, got {eps!r}")
+    if not math.isfinite(value) or value < 0 or value == 0 and not zero:
+        raise ValidationError(f"eps must be finite and {'>=' if zero else '>'} 0, got {eps!r}")
     return value
 
 
@@ -130,7 +131,8 @@ def region_query(points, i: int, eps: float) -> set[int]:
     pts = _as_points(points)
     if not 0 <= i < pts.shape[0]:
         raise ValidationError(f"row index {i} out of range for {pts.shape[0]} points")
-    eps = _check_eps(eps)
+    # eps = 0 is the set of rows identical to row i
+    eps = _check_eps(eps, zero=True)
     return set(np.flatnonzero(_row_distances(pts, pts[i]) <= eps).tolist())
 
 

@@ -18,12 +18,13 @@ Lasso and elastic net share one exact active-set solver: on the centred design
 it works with H = X'X/N + lambda*(1-alpha)*I, c = X'y/N and the L1 threshold
 t = lambda*alpha/2, i.e. half the objective above, and runs feature-sign search
 (Lee, Battle, Raina & Ng, NIPS 2006) on the Gram matrix as glmnet's covariance
-updates do (Friedman, Hastie & Tibshirani, JSS 2010).  Each step adds every
-violating zero coefficient, largest violation first, solves the support's
-linear system and line-searches the sign changes on the way, so the solutions
-carry exact zeros and a warm start reuses the previous support; the lambda
-paths of ``pipeline.regularization_path`` warm-start each fit from the last,
-and an elastic-net CV fold starts each alpha's fits from the previous alpha's.
+updates do (Friedman, Hastie & Tibshirani, JSS 2010).  Each step adds the
+violating zero coefficients, largest violation first and at most one more
+than the support holds, solves the support's linear system and line-searches
+the sign changes on the way, so the solutions carry exact zeros and a warm
+start reuses the previous support; the lambda paths of
+``pipeline.regularization_path`` warm-start each fit from the last, and an
+elastic-net CV fold starts each alpha's fits from the previous alpha's.
 A block of added coefficients is cut before the first one, after the first,
 whose solve opposes its gradient's sign.  The support's Cholesky factor is
 bordered by the whole block through the Schur complement, and after a drop
@@ -319,13 +320,16 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
     """Minimize b'Hb/2 - c'b + t*||b||_1 by feature-sign search from ``b``.
 
     The support A is the nonzero entries of ``b``; they keep their signs s_A.
-    While the support meets its optimality conditions, a step adds every zero
-    coefficient whose violation |c_j - (Hb)_j| - t exceeds ``tol``, largest
-    first (ties in index order), each signed by its gradient.  Every step
-    solves H_AA x = c_A - t*s_A by Cholesky and moves b_A to the lowest point
-    of the true objective among x and the points where a coefficient changes
-    sign on the way there (Lee, Battle, Raina & Ng, NIPS 2006).  Coefficients
-    that reach zero leave the support.
+    While the support meets its optimality conditions, a step adds the zero
+    coefficients whose violation |c_j - (Hb)_j| - t exceeds ``tol``, largest
+    first (ties in index order) and at most k + 1 of them for a support of k,
+    each signed by its gradient.  The cap lets a cold start's blocks grow
+    geometrically, where a block of every violator would mostly be factored
+    only to be cut (below).  Every step solves H_AA x = c_A - t*s_A by
+    Cholesky and moves b_A to the lowest point of the true objective among x
+    and the points where a coefficient changes sign on the way there (Lee,
+    Battle, Raina & Ng, NIPS 2006).  Coefficients that reach zero leave the
+    support.
 
     Should the solve give an added coefficient after the first the sign
     opposite to its gradient's, the block is cut just before the first such
@@ -340,7 +344,9 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
     sides, R12 = R^-T H_AB, and one Cholesky factorization of the Schur
     complement H_BB - R12'R12.  Should that fail, or the grown factor fail
     the singularity test (``_SINGULAR``), only the first coefficient of the
-    block is added, bordered by r = R^-T H_Aj and pivot sqrt(H_jj - r.r).  A cut
+    block is added.  A single coefficient is bordered by r = R^-T H_Aj and
+    pivot sqrt(H_jj - r.r), which is the column Cholesky itself computes and
+    costs less than the block's gather and factorization call.  A cut
     reuses the forward solve R^-T (c_A - t*s_A), which is the same on a
     prefix, and redoes only the back substitution.  After coefficients
     leave, R keeps its leading block up to the first one that left: its
@@ -430,8 +436,8 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
         k0 = k
         if on_support:
             if B.size > 1:
-                # largest violation first, ties in index order
-                B = B[(-viol[B]).argsort(kind="stable")]
+                # largest violation first, ties in index order, at most k + 1
+                B = B[(-viol[B]).argsort(kind="stable")][:k + 1]
             m = B.size if factored else 1
             if m > 1:
                 order[k:k + m] = B

@@ -319,8 +319,17 @@ def test_every_eps_entry_point_raises_the_params_error(eps):
              lambda: region_query(pts, 0, eps),
              lambda: scan_params(pts, eps if isinstance(eps, list) else [eps], [2])]
     for call in calls:
-        with pytest.raises(ValidationError, match="^eps must be finite and > 0, got "):
+        with pytest.raises(ValidationError, match="^eps must be finite and >=? 0, got "):
             call()
+
+
+def test_region_query_takes_eps_zero_but_not_below():
+    pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.0]])
+    # eps = 0 gives the rows identical to row 0
+    assert region_query(pts, 0, 0.0) == region_query(pts, 0, 0) == {0, 2}
+    for eps in (-1e-300, -1.0, math.nan):
+        with pytest.raises(ValidationError, match="^eps must be finite and >= 0, got "):
+            region_query(pts, 0, eps)
 
 
 @pytest.mark.parametrize("eps", [1, np.int64(1), np.float32(0.5), 0.5])

@@ -436,11 +436,12 @@ def _refactoring_feature_sign(H, c, t, b, tol, max_iter, objective=None):
     """Feature-sign search that copies H_AA and solves it by dposv at every step.
 
     The same block search as ``regression._feature_sign`` without the kept
-    factor: every violator is added at once, unless the factor of the grown
-    support fails or fails the singularity test, and the block is cut before
-    the first added coefficient after the first whose solve opposes its
-    gradient's sign.  The grown factor must
-    reproduce its supports, steps and coefficients.
+    factor: the violators are added at once, largest first and at most k + 1
+    of them for a support of k, unless the factor of the grown support fails
+    or fails the singularity test, and the block is cut before the first
+    added coefficient after the first whose solve opposes its gradient's
+    sign.  The grown factor must reproduce its supports, steps and
+    coefficients.
     """
     A = np.flatnonzero(b)
     grad = c - H[:, A] @ b[A]
@@ -460,7 +461,7 @@ def _refactoring_feature_sign(H, c, t, b, tol, max_iter, objective=None):
         signs = np.sign(b[A])
         k0 = A.size
         if on_support:
-            B = B[np.argsort(-viol[B], kind="stable")]
+            B = B[np.argsort(-viol[B], kind="stable")][:A.size + 1]
             grown = np.append(A, B)
             factor, _, info = dposv(H[np.ix_(grown, grown)], c[grown])
             if info or np.diagonal(factor).min() ** 2 <= _SINGULAR * H.diagonal()[grown].max():
@@ -521,16 +522,27 @@ def _search_inputs(dm, lam, alpha):
     return H, Xty / dm.n, lam * alpha / 2.0
 
 
-def _both_searches(dm, lam, alpha, start=None, tol=1e-10):
-    """Run both searches from ``start``; return the kept-factor result and trace."""
+def _both_searches(dm, lam, alpha, start=None, tol=1e-10, events=None):
+    """Run both searches from ``start``; return the kept-factor result and trace.
+
+    ``events``, when given, gets a ("step", [b], {}) entry for the kept-factor
+    search's start and after each of its steps, between the LAPACK calls that
+    ``_lapack_calls`` records in the same list.
+    """
     H, c, t = _search_inputs(dm, lam, alpha)
     runs = []
     for search in (_feature_sign, _refactoring_feature_sign):
         trace = []
+        marks = events if search is _feature_sign and events is not None else []
+
+        def hook(b, trace=trace, marks=marks):
+            # the objective hook sees b after every step; 0 never rises
+            trace.append(b.copy())
+            marks.append(("step", [b.copy()], {}))
+            return 0.0
+
         b0 = np.zeros(c.size) if start is None else start.copy()
-        # the objective hook sees b after every step; 0 never rises
-        b, steps, converged = search(H, c, t, b0, tol, 10_000,
-                                     lambda b: trace.append(b.copy()) or 0.0)
+        b, steps, converged = search(H, c, t, b0, tol, 10_000, hook)
         runs.append((b, steps, converged, trace))
     (b, steps, converged, trace), (rb, rsteps, rconverged, rtrace) = runs
     assert (steps, converged) == (rsteps, rconverged)
@@ -576,22 +588,38 @@ def _lapack_calls(monkeypatch, name, calls=None):
 
 
 def test_grown_factor_matches_refactoring_cold(monkeypatch):
-    refactors = _lapack_calls(monkeypatch, "dpotrf")
+    events = _lapack_calls(monkeypatch, "dpotrf")
     rng = np.random.default_rng(30)
     latent = rng.normal(size=(120, 4))
     X = latent @ rng.normal(size=(4, 40)) + 0.4 * rng.normal(size=(120, 40))
     y = X[:, :6] @ rng.normal(size=6) + 0.3 * rng.normal(size=120)
     dm = standardize(X, y)
-    drops = adds = blocks = flips = 0
+    tol = 1e-10
+    drops = tried = blocks = flips = 0
     for alpha in (1.0, 0.5):
         for lam in (0.3, 0.03, 3e-3, 3e-4):
-            b, trace = _both_searches(dm, lam, alpha)
+            H, c, t = _search_inputs(dm, lam, alpha)
+            first = len(events)
+            b, trace = _both_searches(dm, lam, alpha, tol=tol, events=events)
             assert b.any()
             drops, flips = drops + _drops(trace), flips + _flips(trace)
-            adds, blocks = adds + _adds(trace), blocks + _adds(trace, 2)
-    # a cold search factors only the Schur complement of an added block or
-    # the trailing block after a coefficient leaves the support
-    assert len(refactors) <= drops + adds
+            blocks += _adds(trace, 2)
+            marks = [i for i in range(first, len(events)) if events[i][0] == "step"]
+            for i, j in zip(marks, marks[1:]):
+                before, after = events[i][1][0], events[j][1][0]
+                calls = [args[0] for _, args, _ in events[i + 1:j]]
+                entered = np.count_nonzero((before == 0) & (after != 0))
+                violators = np.count_nonzero((before == 0) & (np.abs(c - H @ before) - t > tol))
+                # the block an add step tried: the violators, at most k + 1
+                m = min(violators, np.count_nonzero(before) + 1) if entered else 0
+                if m > 1:
+                    # its one dpotrf factors the m x m Schur complement
+                    assert entered <= m and calls and calls[0].shape == (m, m)
+                    calls, tried = calls[1:], tried + 1
+                # a single added coefficient is bordered without dpotrf, and
+                # a step that drops coefficients factors the trailing block once
+                assert len(calls) <= bool(np.any((before != 0) & (after == 0)))
+    assert len(events) - sum(e[0] == "step" for e in events) <= drops + tried
     # steps add blocks, and rebuild the support's signs after a flip
     assert blocks > 0 and flips > 0
 
@@ -620,12 +648,13 @@ def test_grown_factor_matches_refactoring_on_a_run_wide_design():
 
 
 def test_a_block_is_cut_before_an_added_coefficient_of_the_wrong_sign():
-    # y follows x0 alone and x1 is x0's correlated twin: at b = 0 both
-    # violate with the same sign, but their joint solve gives x1 the other
+    # y follows x2 and x0, and x1 is x0's correlated twin: once x2 is in,
+    # x0 and x1 violate with the same sign, but their joint solve gives x1
+    # the other
     rng = np.random.default_rng(34)
     z = rng.normal(size=(200, 3))
     X = np.column_stack([z[:, 0], 0.9 * z[:, 0] + math.sqrt(1 - 0.9**2) * z[:, 1], z[:, 2]])
-    y = X[:, 0] + 0.05 * rng.normal(size=200)
+    y = X[:, 0] + 2.0 * X[:, 2] + 0.05 * rng.normal(size=200)
     dm = standardize(X, y)
     lam, tol = 0.1, 1e-10
     H, c, t = _search_inputs(dm, lam, 1.0)
@@ -639,7 +668,9 @@ def test_a_block_is_cut_before_an_added_coefficient_of_the_wrong_sign():
         entered = (before == 0) & (after != 0)
         # every added coefficient starts with its gradient's sign
         np.testing.assert_array_equal(np.sign(after[entered]), np.sign(grad[entered]))
-        cut |= 0 < entered.sum() < np.count_nonzero((before == 0) & (np.abs(grad) - t > tol))
+        # the block tried holds the violators, at most k + 1 of them
+        violators = np.count_nonzero((before == 0) & (np.abs(grad) - t > tol))
+        cut |= 0 < entered.sum() < min(violators, np.count_nonzero(before) + 1)
     assert cut
     model = fit_lasso(dm, lam, tol=tol, debug=True)
     assert model.diagnostics["converged"]
