@@ -495,7 +495,7 @@ def bundle_field(bundle, dotted: str, convert):
         node = node[key]
     try:
         return convert(node)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"bad field {dotted!r}: {exc!r}") from exc
 
 
@@ -546,8 +546,18 @@ class DprModel:
             raise ValidationError("not a run model bundle")
         get = partial(bundle_field, bundle)
         model = get("regression", FittedModel.from_dict)
+        width = len(model.column_names)
+        for name in ("intercept", "coefficients", "column_means", "column_stds", "zero_variance"):
+            value = getattr(model, name)
+            shape = () if name == "intercept" else (width,)
+            if np.shape(value) != shape or not np.isfinite(value).all():
+                raise ValidationError(f"bad field 'regression.{name}': expected " + (
+                    f"{width} finite entries" if shape else "a finite number"))
         features = get("features", lambda v: [str(f) for f in v])
         labels = get("clustering.core_labels", lambda v: np.asarray(v, np.intp).reshape(-1))
+        k = get("clustering.k", int)
+        if np.any((labels < 0) | (labels >= k)):
+            raise ValidationError(f"bad field 'clustering.core_labels': not all in range({k})")
         dummies = get("clustering.dummy_names", lambda v: [str(n) for n in v])
         if dummies != model.column_names[len(features):]:
             raise ValidationError("bad field 'clustering.dummy_names': not the regression "
@@ -560,7 +570,7 @@ class DprModel:
             features=features,
             params=DbscanParams(get("clustering.eps", float), get("clustering.min_pts", int),
                                 core_strict=get("clustering.core_strict", bool)),
-            k=get("clustering.k", int),
+            k=k,
             baseline=get("clustering.baseline", int),
             outlier_policy=get("clustering.outlier_policy", str),
             core_points=get("clustering.core_points", lambda v: np.asarray(

@@ -27,8 +27,9 @@ start reuses the previous support; the lambda paths of
 elastic-net CV fold starts each alpha's fits from the previous alpha's.
 A block of added coefficients is cut before the first one, after the first,
 whose solve opposes its gradient's sign.  The support's Cholesky factor is
-bordered by the whole block through the Schur complement, and after a drop
-only its trailing block is factored again; the support's signs and
+bordered by the whole block, one coefficient or more, through the Schur
+complement, is kept only while it passes a singularity test, and after a
+drop only its trailing block is factored again; the support's signs and
 right-hand side grow in place with it.  Only ``fit_lasso`` and
 ``fit_elastic_net`` take a tolerance and a step cap; the pipeline fits at
 ``DEFAULT_TOL`` and ``DEFAULT_MAX_ITER``.  The fits leave the training r2 and
@@ -339,24 +340,25 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
     as its gradient, the step direction lowers the objective, so every step
     does, no support repeats and the search ends.
 
-    The upper factor R (R'R = H_AA, in A's order) is kept between steps.  An
-    added block B borders it with one triangular solve for several right-hand
-    sides, R12 = R^-T H_AB, and one Cholesky factorization of the Schur
-    complement H_BB - R12'R12.  Should that fail, or the grown factor fail
-    the singularity test (``_SINGULAR``), only the first coefficient of the
-    block is added.  A single coefficient is bordered by r = R^-T H_Aj and
-    pivot sqrt(H_jj - r.r), which is the column Cholesky itself computes and
-    costs less than the block's gather and factorization call.  A cut
-    reuses the forward solve R^-T (c_A - t*s_A), which is the same on a
-    prefix, and redoes only the back substitution.  After coefficients
-    leave, R keeps its leading block up to the first one that left: its
-    entries above that block in the remaining columns are already their new
-    R12, so only the trailing block's Schur complement is factored.  The
-    support, s_A and c_A - t*s_A live in length-p buffers that an add
-    extends in place; they are rebuilt from ``b`` only after a line-search
-    step, which can flip signs, or a drop.  R's smallest pivot and the
-    support's largest H_jj, which the singularity test reads, are kept the
-    same way.
+    The upper factor R (R'R = H_AA, in A's order) is kept between steps
+    while ``factored``, that is while it passes the singularity test: its
+    smallest pivot squared exceeds ``_SINGULAR`` times the support's largest
+    H_jj.  An added block B, of one coefficient or more, borders R with one
+    triangular solve, R12 = R^-T H_AB, and one Cholesky factorization of the
+    Schur complement H_BB - R12'R12, and ``factor_tail`` tests the result.
+    Should it fail, only the block's first coefficient is added, bordered by
+    R12's first column.  A cut reuses the forward solve R^-T (c_A - t*s_A),
+    which is the same on a prefix, and redoes only the back substitution.
+    After coefficients leave, R keeps its leading block up to the first one
+    that left: its entries above that block in the remaining columns are
+    already their new R12, so only the trailing block's Schur complement is
+    factored.  A cut, or a drop that keeps only a leading block, needs no
+    new test: the block's pivots are some of a passing factor's, and its
+    largest H_jj is no larger.  While R fails, coefficients are added one
+    at a time without bordering, and the next drop factors the support from
+    its first column.  The support, s_A and c_A - t*s_A live in length-p
+    buffers that an add extends in place; they are rebuilt from ``b`` only
+    after a line-search step, which can flip signs, or a drop.
 
     A (nearly) singular H_AA, which needs alpha=1 and (nearly) collinear
     support columns, gets a damped Newton direction instead, followed up to
@@ -397,25 +399,18 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
     def factor_tail(q: int, k: int) -> bool:
         # R[:q, :q] factors the support's leading block and R[:q, q:k] holds
         # R12 = R^-T H_AT of its trailing block T = order[q:k]: factor the
-        # Schur complement H_TT - R12'R12 into R[q:k, q:k]
+        # Schur complement H_TT - R12'R12 into R[q:k, q:k], then test R[:k, :k]
         T = order[q:k]
         S = H[T[:, None], T]
         if q:
             R12 = R[:q, q:k]
             S -= R12.T.dot(R12)
         R[q:k, q:k], info = dpotrf(S)
-        return info == 0
+        rmin = pivots[:k].min()
+        return not info and rmin * rmin > _SINGULAR * hdiag[order[:k]].max()
 
-    def extremes(k: int) -> tuple[float, float]:
-        # R's smallest pivot and the support's largest H_jj
-        if not k:
-            return math.inf, -math.inf
-        return pivots[:k].min(), hdiag[order[:k]].max()
-
-    # R[:k, :k] factors H_AA while ``factored``; otherwise H_AA has a
-    # nonpositive pivot.  rmin and hmax feed the singularity test.
+    # R[:k, :k] factors H_AA and passes the singularity test while ``factored``
     factored = not k or factor_tail(0, k)
-    rmin, hmax = extremes(k)
     on_support = False
     prev = math.inf if objective is None else objective(b)
     steps = 0
@@ -438,37 +433,23 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
             if B.size > 1:
                 # largest violation first, ties in index order, at most k + 1
                 B = B[(-viol[B]).argsort(kind="stable")][:k + 1]
+            # without a factor to border, coefficients go in one at a time
             m = B.size if factored else 1
-            if m > 1:
-                order[k:k + m] = B
+            B = B[:m]
+            order[k:k + m] = B
+            if factored:
                 if k:
                     R[:k, k:k + m] = dtrtrs(R[:, :k], H[A[:, None], B], trans=1)[0]
-                bordered = factor_tail(k, k + m)
-                # a block goes in only with a factor that passes the
-                # singularity test, so it never takes the damped branch
-                piv, hblock = min(rmin, pivots[k:k + m].min()), max(hmax, hdiag[B].max())
-                if bordered and piv * piv > _SINGULAR * hblock:
-                    rmin, hmax = piv, hblock
-                    np.copysign(1.0, grad[B], out=signs[k:k + m])
-                    np.subtract(c[B], t * signs[k:k + m], out=rhs[k:k + m])
-                else:
-                    m = 1
-            if m == 1:
-                j = B[0]
-                if factored:
-                    r = dtrtrs(R[:, :k], H[A, j], trans=1)[0]
-                    pivot = H[j, j] - r @ r
-                    R[:k, k] = r
-                    R[k, k] = math.sqrt(max(pivot, 0.0))
-                    factored = pivot > 0.0
-                    rmin, hmax = min(rmin, R[k, k]), max(hmax, hdiag[j])
-                order[k] = j
-                signs[k] = math.copysign(1.0, grad[j])
-                rhs[k] = c[j] - t * signs[k]
+                factored = factor_tail(k, k + m)
+                if not factored and m > 1:
+                    # the block's first coefficient goes in alone, bordered by R12[:, 0]
+                    m, B = 1, B[:1]
+                    factored = factor_tail(k, k + 1)
+            np.copysign(1.0, grad[B], out=signs[k:k + m])
+            np.subtract(c[B], t * signs[k:k + m], out=rhs[k:k + m])
             k += m
             A = order[:k]
-        exact = factored and rmin ** 2 > _SINGULAR * hmax
-        if exact:
+        if factored:
             Rk = R[:, :k]
             z = dtrtrs(Rk, rhs[:k], trans=1)[0]
             x = dtrtrs(Rk, z)[0]
@@ -480,7 +461,6 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
                 while wrong.size:
                     k = k0 + 1 + int(wrong[0])
                     A = order[:k]
-                    rmin, hmax = extremes(k)
                     x = dtrtrs(R[:, :k], z[:k])[0]
                     wrong = (signs[k0 + 1:k] * x[k0 + 1:] < 0.0).nonzero()[0]
             on_support = bool((signs[:k] * x).min() >= 0.0)
@@ -513,7 +493,7 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
             before = at.searchsorted(top)
             cross, at = cross[:before], at[:before]
             step = at if top == math.inf else np.concatenate((at, (top,)))
-            if not exact:
+            if not factored:
                 # on a (nearly) flat direction only the first point can be
                 # evaluated reliably, and the objective falls up to it
                 step = step[:1]
@@ -538,7 +518,6 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
             if q:
                 R[:q, q:k] = R[:q, q + stay[q:].nonzero()[0]]
             factored = q == k or factor_tail(q, k)
-            rmin, hmax = extremes(k)
         elif not on_support:
             # a line-search step can flip signs without leaving the support
             k = rebuild(A)

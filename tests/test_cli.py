@@ -14,6 +14,8 @@ from dprkit.errors import ValidationError
 from dprkit.panel import load_panel, write_panel
 from dprkit.pipeline import DprConfig, SplitSpec
 
+INF = float("inf")
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -333,6 +335,18 @@ def _short_entity_maxima(bundle):
     return bundle
 
 
+def _set(dotted, edit):
+    """A bundle edit that replaces the field ``dotted`` with ``edit`` of its value."""
+    def apply(bundle):
+        *path, key = dotted.split(".")
+        node = bundle
+        for part in path:
+            node = node[part]
+        node[key] = edit(node[key])
+        return bundle
+    return apply
+
+
 @pytest.mark.parametrize("command, edit, message", [
     ("forecast", lambda b: {"format": "dprkit-model-v1"}, "missing field 'regression'"),
     ("forecast", lambda b: [1, 2], "not a run model bundle"),
@@ -341,9 +355,34 @@ def _short_entity_maxima(bundle):
      "not the regression columns after the features"),
     ("forecast", _short_entity_maxima, "bad field 'entity_maxima': "
      "ValueError('cannot reshape array of size 1 into shape (4,)')"),
+    # these ended in a traceback or were accepted
+    ("forecast", _set("clustering.min_pts", lambda v: INF), "bad field 'clustering.min_pts': "
+     "OverflowError('cannot convert float infinity to integer')"),
+    ("forecast", _set("clustering.baseline", lambda v: INF), "bad field 'clustering.baseline': "
+     "OverflowError('cannot convert float infinity to integer')"),
+    ("forecast", _set("clustering.core_labels", lambda v: INF), "bad field "
+     "'clustering.core_labels': OverflowError('cannot convert float infinity to integer')"),
+    ("forecast", _set("clustering.core_labels", lambda v: v[:-1] + [max(v) + 1]),
+     "bad field 'clustering.core_labels': not all in range(2)"),
+    ("forecast", _set("clustering.core_labels", lambda v: [-1] + v[1:]),
+     "bad field 'clustering.core_labels': not all in range(2)"),
+    ("forecast", _set("regression.coefficients", lambda v: v[:-1]),
+     "bad field 'regression.coefficients': expected 5 finite entries"),
+    ("forecast", _set("regression.column_stds", lambda v: v[:-1]),
+     "bad field 'regression.column_stds': expected 5 finite entries"),
+    ("forecast", _set("regression.zero_variance", lambda v: []),
+     "bad field 'regression.zero_variance': expected 5 finite entries"),
+    ("forecast", _set("regression.intercept", lambda v: INF),
+     "bad field 'regression.intercept': expected a finite number"),
     ("fit", lambda b: {"format": "dprkit-clusters-v1"}, "missing field 'row_keys'"),
+    ("fit", lambda b: {"format": "dprkit-clusters-v1", "row_keys": [], "labels": INF},
+     "bad field 'labels': OverflowError('cannot convert float infinity to integer')"),
 ], ids=["model-format-only", "model-list", "model-without-dummy-names",
-        "model-other-dummy-names", "model-short-maxima", "clusters-format-only"])
+        "model-other-dummy-names", "model-short-maxima", "model-min-pts-inf",
+        "model-baseline-inf", "model-core-labels-inf", "model-core-label-k",
+        "model-core-label-negative", "model-coefficients-short", "model-column-stds-short",
+        "model-zero-variance-empty", "model-intercept-inf", "clusters-format-only",
+        "clusters-labels-inf"])
 def test_malformed_bundle_is_one_error_line(capsys, tmp_path, command, edit, message):
     panel = _synth(capsys, tmp_path, seed=5)
     code, _, _ = run_cli(

@@ -612,11 +612,11 @@ def test_grown_factor_matches_refactoring_cold(monkeypatch):
                 violators = np.count_nonzero((before == 0) & (np.abs(c - H @ before) - t > tol))
                 # the block an add step tried: the violators, at most k + 1
                 m = min(violators, np.count_nonzero(before) + 1) if entered else 0
-                if m > 1:
-                    # its one dpotrf factors the m x m Schur complement
+                if m:
+                    # its first dpotrf factors the m x m Schur complement, also
+                    # for a single added coefficient
                     assert entered <= m and calls and calls[0].shape == (m, m)
                     calls, tried = calls[1:], tried + 1
-                # a single added coefficient is bordered without dpotrf, and
                 # a step that drops coefficients factors the trailing block once
                 assert len(calls) <= bool(np.any((before != 0) & (after == 0)))
     assert len(events) - sum(e[0] == "step" for e in events) <= drops + tried
@@ -740,3 +740,68 @@ def test_duplicate_column_takes_the_damped_branch(monkeypatch):
             _assert_kkt(dm, fit_lasso(dm, lam, tol=1e-10, warm_start=start), lam, 1.0)
     # the kept-factor search calls dposv only for a damped step
     assert damped
+
+
+def _passes(S):
+    """Whether a support's Gram block S factors and passes the singularity test."""
+    R, info = dpotrf(S)
+    pivot = np.diagonal(R).min()
+    return info == 0 and pivot * pivot > _SINGULAR * np.diagonal(S).max()
+
+
+def test_a_failed_factor_is_not_bordered_until_a_drop_refactors_it(monkeypatch):
+    # x1 is x0 plus 1e-6 times a direction orthogonal to the intercept, the
+    # other columns and y: a support holding both factors, but its pivot fails
+    # the singularity test.  The direction keeps the damped steps short, so
+    # that decoy, x2 and x3 are added while the factor fails
+    rng = np.random.default_rng(35)
+    n = 60
+    z = rng.normal(size=(n, 3))
+    decoy = (z[:, 1] + z[:, 2]) / math.sqrt(2) + 0.3 * rng.normal(size=n)
+    y = 1.0 + z.sum(axis=1) + 0.1 * rng.normal(size=n)
+    q = np.linalg.qr(np.column_stack([np.ones(n), z, decoy, y]))[0]
+    e = rng.normal(size=n)
+    e -= q @ (q.T @ e)
+    e *= math.sqrt(n) / np.linalg.norm(e)
+    dm = standardize(np.column_stack([z[:, 0], z[:, 0] + 1e-6 * e, z[:, 1:], decoy]), y)
+    lam = 0.1
+    H = _search_inputs(dm, lam, 1.0)[0]
+    events = _lapack_calls(monkeypatch, "dpotrf")
+    _lapack_calls(monkeypatch, "dposv", events)
+    added = refactored = 0
+    # the second start's decoy crosses zero first, and the drop's refactor
+    # fails again
+    for start in ([0.5, 0.5, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0, -1e-3]):
+        first = len(events)
+        _both_searches(dm, lam, 1.0, start=np.array(start), events=events)
+        marks = [i for i in range(first, len(events)) if events[i][0] == "step"]
+        # the start's one dpotrf succeeds on H_AA, which fails the test
+        (name, (S,), _), = events[first:marks[0]]
+        assert name == "dpotrf" and dpotrf(S)[1] == 0 and not _passes(S)
+        failed = True
+        for i, j in zip(marks, marks[1:]):
+            before, after = events[i][1][0], events[j][1][0]
+            calls = [(name, args[0]) for name, args, _ in events[i + 1:j]]
+            if before[0] and before[1]:
+                assert any(name == "dposv" for name, _ in calls)
+            if failed:
+                # an add makes no dpotrf, and the solve is damped
+                assert calls[0][0] == "dposv"
+                added += bool(np.any((before == 0) & (after != 0)))
+            for at, (name, S) in enumerate(calls):
+                if name == "dposv":
+                    failed = True
+                elif failed:
+                    # the drop's dpotrf factors the whole support from its
+                    # first column: H_AA itself, not a Schur complement
+                    kept = np.flatnonzero(after)
+                    assert at == len(calls) - 1 and np.any((before != 0) & (after == 0))
+                    assert S.shape == (kept.size, kept.size)
+                    np.testing.assert_array_equal(np.sort(np.diagonal(S)),
+                                                  np.sort(H.diagonal()[kept]))
+                    failed, refactored = not _passes(S), refactored + 1
+        model = fit_lasso(dm, lam, tol=1e-10, warm_start=np.array(start))
+        assert model.diagnostics["converged"]
+        _assert_kkt(dm, model, lam, 1.0)
+        _assert_reference_optimal(dm, model, lam, 1.0)
+    assert added > 0 and refactored > 1
