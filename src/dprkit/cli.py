@@ -33,7 +33,7 @@ from .panel import (
     write_panel,
 )
 from .regression import ELASTIC_NET, PENALTY_KINDS, FittedModel, standardize
-from .tables import NA, fmt, write_table
+from .tables import NA, fmt, write_json, write_table
 
 
 class _Parser(argparse.ArgumentParser):
@@ -371,9 +371,7 @@ def _cmd_cluster(args) -> int:
         [*panel.key_columns(), model.labels.astype(np.intp), model.core_mask.astype(np.intp)],
     )
     bundle = _cluster_bundle(panel, model, points, mix)
-    (out / "cluster_model.json").write_text(
-        json.dumps(bundle, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(out / "cluster_model.json", bundle)
     _ok("cluster", k=model.k, noise=model.n_noise, sc=model.sc, sse=model.sse)
     return 0
 
@@ -419,14 +417,7 @@ def _cmd_fit(args) -> int:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     pipeline.write_coefficients(model, out / "coefficients.csv")
-    (out / "model.json").write_text(
-        json.dumps(
-            {"format": "dprkit-fit-v1", "regression": model.to_dict()},
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    write_json(out / "model.json", {"format": "dprkit-fit-v1", "regression": model.to_dict()})
     d = model.diagnostics
     _ok(
         "fit",

@@ -180,24 +180,36 @@ def _core_mask(counts: np.ndarray, min_pts: int, core_strict: bool) -> np.ndarra
 def _components(
     n: int, i: np.ndarray, j: np.ndarray, core: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """Canonical DBSCAN labels and cluster count from the pairs within eps and the core mask."""
+    """Canonical DBSCAN labels and cluster count from the pairs within eps and the core mask.
+
+    When every point is core, every pair is a core-core edge and there is no
+    border point, so the pairs feed the graph as they are and no border
+    claim is made.
+    """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    # take() gathers with the int32 pairs as they are; core[i] would first copy them to intp
-    core_i, core_j = core.take(i), core.take(j)
-    both = core_i & core_j
+    all_core = bool(core.all())
+    if all_core:
+        src, dst = i, j
+    else:
+        # take() gathers with the int32 pairs as they are; core[i] would first copy them to intp
+        core_i, core_j = core.take(i), core.take(j)
+        both = core_i & core_j
+        src, dst = i[both], j[both]
     # the pairs are row-major, so the core-core edges are already in CSR order
-    src = i[both]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    graph = csr_matrix((np.ones(src.size), j[both], indptr), shape=(n, n))
+    graph = csr_matrix((np.ones(src.size), dst, indptr), shape=(n, n))
     _, comp = connected_components(graph, directed=False)
+    if all_core:
+        return _canonical_relabel(comp)
 
     # a border point joins the cluster of its smallest-index claiming core
     claim = np.full(n, n, dtype=np.intp)
-    np.minimum.at(claim, j[core_i & ~core_j], i[core_i & ~core_j])
-    np.minimum.at(claim, i[core_j & ~core_i], j[core_j & ~core_i])
+    i_claims, j_claims = core_i ^ both, core_j ^ both  # core_i & ~core_j, core_j & ~core_i
+    np.minimum.at(claim, j[i_claims], i[i_claims])
+    np.minimum.at(claim, i[j_claims], j[j_claims])
     border = claim < n
 
     labels = np.full(n, NOISE, dtype=np.intp)

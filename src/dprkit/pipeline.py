@@ -11,7 +11,6 @@ artifact byte-identical.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -59,7 +58,7 @@ from .regression import (
     predict,
     standardize,
 )
-from .tables import write_table
+from .tables import write_json, write_table
 
 UNIQUE_DUMMY = "unique_dummy"
 EXCLUDE = "exclude"
@@ -553,6 +552,10 @@ class DprModel:
             if np.shape(value) != shape or not np.isfinite(value).all():
                 raise ValidationError(f"bad field 'regression.{name}': expected " + (
                     f"{width} finite entries" if shape else "a finite number"))
+        stds = model.column_stds
+        if not np.where(model.zero_variance, stds == 0, stds > 0).all():
+            raise ValidationError("bad field 'regression.column_stds': expected 0 where "
+                                  "zero_variance is true and > 0 elsewhere")
         features = get("features", lambda v: [str(f) for f in v])
         labels = get("clustering.core_labels", lambda v: np.asarray(v, np.intp).reshape(-1))
         k = get("clustering.k", int)
@@ -562,6 +565,10 @@ class DprModel:
         if dummies != model.column_names[len(features):]:
             raise ValidationError("bad field 'clustering.dummy_names': not the regression "
                                   "columns after the features")
+        core_points = get("clustering.core_points", lambda v: np.asarray(
+            v, np.float64).reshape(labels.size, len(features)))
+        if not np.isfinite(core_points).all():
+            raise ValidationError("bad field 'clustering.core_points': expected finite entries")
         maxima = bundle.get("entity_maxima")
         return cls(
             model=model,
@@ -573,8 +580,7 @@ class DprModel:
             k=k,
             baseline=get("clustering.baseline", int),
             outlier_policy=get("clustering.outlier_policy", str),
-            core_points=get("clustering.core_points", lambda v: np.asarray(
-                v, np.float64).reshape(labels.size, len(features))),
+            core_points=core_points,
             core_labels=labels,
             entity_maxima=None if maxima is None else get(
                 "entity_maxima", lambda v: {str(e): np.asarray(mx, np.float64).reshape(
@@ -760,16 +766,6 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         )
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o)}")
-
-
 def write_report(report: RunReport, out_dir) -> None:
     """Serialize the report as a directory of delimited tables plus JSON records."""
     out = Path(out_dir)
@@ -845,13 +841,8 @@ def write_report(report: RunReport, out_dir) -> None:
             ],
         },
     }
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, default=_json_default) + "\n", encoding="utf-8"
-    )
-    (out / "model.json").write_text(
-        json.dumps(report.dpr_model.to_bundle(), indent=2, default=_json_default) + "\n",
-        encoding="utf-8",
-    )
+    write_json(out / "summary.json", summary)
+    write_json(out / "model.json", report.dpr_model.to_bundle())
 
 
 def write_scan_table(rows: list[ScanRow], dest) -> None:

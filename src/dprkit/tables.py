@@ -1,4 +1,4 @@
-"""Delimited-text writer used by every file the toolkit writes.
+"""Writers for every file the toolkit writes: delimited tables and JSON records.
 
 Tables are written by column.  Floats are written at 17 significant digits,
 enough to reconstruct any IEEE double, so files round-trip bit-exactly.
@@ -11,11 +11,15 @@ other column's cells (:func:`fmt`'s text).  That is the text ``csv.writer``
 writes for cells it does not quote.  A block with a cell it would quote (one
 holding the delimiter, a quote or a line break, or an empty cell alone on its
 row) is written by ``csv.writer`` instead.
+
+JSON records (``model.json``, ``summary.json``, ``cluster_model.json``) go
+through :func:`write_json` as compact, one-line JSON.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from itertools import repeat
 from pathlib import Path
@@ -119,3 +123,24 @@ def write_table(dest, header: Sequence[str], columns: Sequence, delimiter: str =
             _write(fh)
     else:
         _write(dest)
+
+
+def _json_default(o):
+    if isinstance(o, np.floating):
+        return float(o)
+    if isinstance(o, np.integer):
+        return int(o)
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    raise TypeError(f"not JSON serializable: {type(o)}")
+
+
+def write_json(dest, obj) -> None:
+    """Write ``obj`` as one line of JSON and a newline.
+
+    ``json.dumps`` without ``indent`` runs CPython's C encoder, several times
+    faster than the pure-Python one ``indent`` selects.  Floats are written
+    by ``repr``, so they read back bit for bit; numpy scalars and arrays are
+    written as Python numbers and lists.
+    """
+    Path(dest).write_text(json.dumps(obj, default=_json_default) + "\n", encoding="utf-8")

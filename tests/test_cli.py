@@ -122,6 +122,39 @@ def test_ingest_with_factor_table(capsys, tmp_path):
     assert float(rows[1][2]) == 2.0 * 2.5 + 1.0 * 3.0
 
 
+def test_json_artifacts_are_one_line_and_round_trip_bit_for_bit(capsys, tmp_path, monkeypatch):
+    panel = _synth(capsys, tmp_path, seed=5)
+    reports = []
+    write_report = pipeline.write_report
+    monkeypatch.setattr(pipeline, "write_report",
+                        lambda report, out: (reports.append(report), write_report(report, out)))
+    for argv in (
+        ["run", "--output-dir", str(tmp_path / "run"), "--eps", "0.2", "--min-pts", "3",
+         "--penalty", "elastic_net", "--alpha-grid", "0.5,1.0",
+         "--lambda-grid", "logspace:-3:-1:3", "--train-count", "6", "--folds", "3"],
+        ["cluster", "--output-dir", str(tmp_path / "clus"), "--eps", "0.2", "--min-pts", "3"],
+        ["fit", "--output-dir", str(tmp_path / "fit"), "--penalty", "lasso", "--lam", "0.01",
+         "--cluster-model", str(tmp_path / "clus" / "cluster_model.json")],
+    ):
+        assert run_cli(capsys, argv[0], "--input", str(panel), *argv[1:])[0] == 0
+    written = sorted(tmp_path.glob("*/*.json"))
+    assert [p.relative_to(tmp_path).as_posix() for p in written] == [
+        "clus/cluster_model.json", "fit/model.json", "run/model.json", "run/summary.json"]
+    for path in written:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text)) + "\n", path
+
+    [report] = reports
+    bundle = json.loads((tmp_path / "run" / "model.json").read_text(encoding="utf-8"))
+    for stored, in_memory in [
+        (bundle["clustering"]["core_points"], report.dpr_model.core_points),
+        (bundle["regression"]["coefficients"], report.dpr_model.model.coefficients),
+    ]:
+        stored = np.asarray(stored, dtype=np.float64)
+        assert stored.shape == in_memory.shape and stored.size > 0
+        assert stored.tobytes() == in_memory.tobytes()
+
+
 def test_cluster_fit_cv_path_compose(capsys, tmp_path):
     panel = _synth(capsys, tmp_path)
     code, out, _ = run_cli(
@@ -347,6 +380,10 @@ def _set(dotted, edit):
     return apply
 
 
+_STDS_VS_ZV = ("bad field 'regression.column_stds': expected 0 where zero_variance is true "
+               "and > 0 elsewhere")
+
+
 @pytest.mark.parametrize("command, edit, message", [
     ("forecast", lambda b: {"format": "dprkit-model-v1"}, "missing field 'regression'"),
     ("forecast", lambda b: [1, 2], "not a run model bundle"),
@@ -374,6 +411,13 @@ def _set(dotted, edit):
      "bad field 'regression.zero_variance': expected 5 finite entries"),
     ("forecast", _set("regression.intercept", lambda v: INF),
      "bad field 'regression.intercept': expected a finite number"),
+    # these were accepted with a different forecast
+    ("forecast", _set("regression.column_stds", lambda v: [0.0] + v[1:]), _STDS_VS_ZV),
+    ("forecast", _set("regression.column_stds", lambda v: [-1.0] + v[1:]), _STDS_VS_ZV),
+    ("forecast", _set("regression.zero_variance", lambda v: [True] + v[1:]), _STDS_VS_ZV),
+    # the clustering layer's message named neither the file nor the field
+    ("forecast", _set("clustering.core_points", lambda v: [[INF] + v[0][1:]] + v[1:]),
+     "bad field 'clustering.core_points': expected finite entries"),
     ("fit", lambda b: {"format": "dprkit-clusters-v1"}, "missing field 'row_keys'"),
     ("fit", lambda b: {"format": "dprkit-clusters-v1", "row_keys": [], "labels": INF},
      "bad field 'labels': OverflowError('cannot convert float infinity to integer')"),
@@ -381,7 +425,9 @@ def _set(dotted, edit):
         "model-other-dummy-names", "model-short-maxima", "model-min-pts-inf",
         "model-baseline-inf", "model-core-labels-inf", "model-core-label-k",
         "model-core-label-negative", "model-coefficients-short", "model-column-stds-short",
-        "model-zero-variance-empty", "model-intercept-inf", "clusters-format-only",
+        "model-zero-variance-empty", "model-intercept-inf", "model-column-std-zero",
+        "model-column-std-negative", "model-zero-variance-flipped", "model-core-point-inf",
+        "clusters-format-only",
         "clusters-labels-inf"])
 def test_malformed_bundle_is_one_error_line(capsys, tmp_path, command, edit, message):
     panel = _synth(capsys, tmp_path, seed=5)
