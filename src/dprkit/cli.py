@@ -32,7 +32,7 @@ from .panel import (
     log_transform,
     write_panel,
 )
-from .regression import ELASTIC_NET, PENALTY_KINDS, FittedModel, standardize
+from .regression import FittedModel, standardize
 from .tables import NA, fmt, write_json, write_table
 
 
@@ -141,8 +141,9 @@ def _ok(stage: str, **kv) -> None:
 
 def _mix_matrix(panel: PanelDataset, mode: str) -> np.ndarray:
     matrix, flagged = energy_mix_features(panel, mode)
+    keys = panel.row_keys() if flagged else []
     for i in flagged[:5]:
-        entity, period = panel.row_keys()[i]
+        entity, period = keys[i]
         print(f"warning: zero feature row at ({entity}, {period})", file=sys.stderr)
     return matrix
 
@@ -397,19 +398,8 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _check_mixing_flag(kind: str, flag: str, given: bool) -> None:
-    """``flag`` (alpha, or its grid) is required for elastic_net and rejected otherwise."""
-    if kind not in PENALTY_KINDS:
-        raise ValidationError(f"--penalty must be one of {PENALTY_KINDS}")
-    if kind == ELASTIC_NET and not given:
-        raise ValidationError(f"elastic_net needs {flag}")
-    if kind != ELASTIC_NET and given:
-        raise ValidationError(f"{flag} is only valid for elastic_net, not {kind}")
-
-
 def _cmd_fit(args) -> int:
     s = _settings(args)
-    _check_mixing_flag(s["penalty"], "--alpha", "alpha" in s)
     penalty = regression.PenaltySpec(s["penalty"], s["lam"], s.get("alpha"))
     dm = _design(args.input, s)
     model = regression.add_training_metrics(
@@ -432,7 +422,6 @@ def _cmd_fit(args) -> int:
 
 def _cmd_cv(args) -> int:
     s = _settings(args)
-    _check_mixing_flag(s["penalty"], "--alpha-grid", "alpha_grid" in s)
     dm = _design(args.input, s)
     result = pipeline.cross_validate(dm, s.get("folds", pipeline.SplitSpec.cv_folds),
                                      s["penalty"], s["lambda_grid"],
@@ -450,7 +439,6 @@ def _cmd_cv(args) -> int:
 
 def _cmd_path(args) -> int:
     s = _settings(args)
-    _check_mixing_flag(s["penalty"], "--alpha", "alpha" in s)
     dm = _design(args.input, s)
     lams = sorted(set(s["lambda_grid"]), reverse=True)
     models = pipeline.regularization_path(dm, lams, s["penalty"], s.get("alpha"))
@@ -475,27 +463,14 @@ def _effective_run_settings(args) -> dict[str, str]:
 def _build_run(texts: dict[str, str], panel: PanelDataset):
     """DprConfig and SplitSpec of the settings; an unset one takes its field's default."""
     settings = _parse_settings(texts)
-    params = None
-    if "eps" in settings or "min_pts" in settings:
-        if not ("eps" in settings and "min_pts" in settings):
-            raise ValidationError("eps and min_pts must be given together")
-        params = DbscanParams(settings["eps"], settings["min_pts"],
-                              **_given(settings, core_strict="core_strict"))
-    elif not ("eps_grid" in settings and "minpts_grid" in settings):
-        raise ValidationError(
-            "give either eps+min_pts or eps_grid+minpts_grid (config or flags)"
-        )
     config = pipeline.DprConfig(
         transform=TransformSpec(**_given(settings, log_offset="log_offset",
                                          normalize_mode="mix")),
-        dbscan=params,
-        **_given(settings, eps_grid="eps_grid", minpts_grid="minpts_grid",
-                 core_strict="core_strict", penalty_kind="penalty",
+        **_given(settings, eps="eps", min_pts="min_pts", eps_grid="eps_grid",
+                 minpts_grid="minpts_grid", core_strict="core_strict", penalty_kind="penalty",
                  lambda_grid="lambda_grid", alpha_grid="alpha_grid",
                  outlier_policy="outlier_policy", baseline_cluster="baseline"),
     )
-    if "alpha_grid" in settings:  # ridge and lasso would drop it
-        _check_mixing_flag(config.penalty_kind, "alpha_grid", True)
 
     if "train_count" in settings:
         count = settings["train_count"]

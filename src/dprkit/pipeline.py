@@ -44,7 +44,6 @@ from .panel import (
 from .regression import (
     ELASTIC_NET,
     LASSO,
-    PENALTY_KINDS,
     RIDGE,
     DesignMatrix,
     FittedModel,
@@ -52,6 +51,7 @@ from .regression import (
     RankDeficiencyError,
     _fit_metrics,
     add_training_metrics,
+    check_mixing,
     fit_elastic_net,
     fit_lasso,
     fit_ridge,
@@ -83,40 +83,46 @@ class SplitSpec:
         object.__setattr__(self, "cv_folds", require_int("cv_folds", self.cv_folds, 2))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DprConfig:
-    """Declarative description of one full run; mirrors the CLI config file."""
+    """Declarative description of one full run; mirrors the CLI config file.
+
+    Clustering takes fixed ``eps`` and ``min_pts`` or scans ``eps_grid`` x
+    ``minpts_grid``, never both.  ``alpha_grid`` is for elastic_net alone,
+    where it defaults to (0.3, 0.5, 1.0).
+    """
 
     transform: TransformSpec = field(default_factory=TransformSpec)
-    dbscan: DbscanParams | None = None
+    eps: float | None = None
+    min_pts: int | None = None
     eps_grid: tuple | None = None
     minpts_grid: tuple | None = None
     core_strict: bool = False
     penalty_kind: str = ELASTIC_NET
     lambda_grid: tuple = _DEFAULT_LAMBDAS
-    alpha_grid: tuple = (0.3, 0.5, 1.0)
+    alpha_grid: tuple | None = None
     outlier_policy: str = UNIQUE_DUMMY
     baseline_cluster: int = 0
 
     def __post_init__(self) -> None:
-        if self.penalty_kind not in PENALTY_KINDS:
-            raise ValidationError(
-                f"penalty_kind must be one of {PENALTY_KINDS}, got {self.penalty_kind!r}"
-            )
+        given = [key for key in ("eps", "min_pts", "eps_grid", "minpts_grid")
+                 if getattr(self, key) is not None]
+        if given not in (["eps", "min_pts"], ["eps_grid", "minpts_grid"]):
+            raise ValidationError("give eps and min_pts, or eps_grid and minpts_grid, "
+                                  f"not both; got {', '.join(given) or 'none of them'}")
+        if self.eps is not None:
+            DbscanParams(self.eps, self.min_pts)  # checks their values
+        if self.alpha_grid is None and self.penalty_kind == ELASTIC_NET:
+            object.__setattr__(self, "alpha_grid", (0.3, 0.5, 1.0))
+        check_mixing(self.penalty_kind, "alpha_grid", self.alpha_grid)
         if self.outlier_policy not in OUTLIER_POLICIES:
             raise ValidationError(
                 f"outlier_policy must be one of {OUTLIER_POLICIES}, got {self.outlier_policy!r}"
             )
-        self.baseline_cluster = require_int("baseline_cluster", self.baseline_cluster, 0)
+        object.__setattr__(self, "baseline_cluster",
+                           require_int("baseline_cluster", self.baseline_cluster, 0))
         if not self.lambda_grid:
             raise ValidationError("lambda_grid is empty")
-        if self.penalty_kind == ELASTIC_NET and not self.alpha_grid:
-            raise ValidationError("alpha_grid is empty for elastic_net")
-        if self.dbscan is not None and self.dbscan.core_strict != self.core_strict:
-            raise ValidationError(
-                f"dbscan.core_strict={self.dbscan.core_strict} conflicts with "
-                f"core_strict={self.core_strict}"
-            )
 
 
 def chronological_split(data: PanelDataset, spec: SplitSpec) -> tuple[PanelDataset, PanelDataset]:
@@ -142,7 +148,8 @@ def design_from_panel(panel: PanelDataset) -> DesignMatrix:
     """Unstandardized design straight from the panel; rejects rows without targets."""
     missing = np.flatnonzero(np.isnan(panel.targets))
     if missing.size:
-        keys = [panel.row_keys()[i] for i in missing[:5]]
+        row_keys = panel.row_keys()
+        keys = [row_keys[i] for i in missing[:5]]
         raise ValidationError(
             f"{missing.size} observation(s) lack a target, e.g. {keys}; "
             "regression requires targets"
@@ -323,18 +330,13 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
     lasso/elastic-net fit that hit the step cap ``regression.DEFAULT_MAX_ITER``
     -- is recorded with NA metrics and never wins.
     """
-    if kind not in PENALTY_KINDS:
-        raise ValidationError(f"unknown penalty kind {kind!r}")
+    check_mixing(kind, "alpha_grid", alpha_grid)
     if not dm.standardized:
         raise ValidationError("cross_validate expects a standardized design")
     folds = require_int("folds", folds, 2)
     lams = list(dict.fromkeys(float(l) for l in lambda_grid))
-    if kind == ELASTIC_NET:
-        alphas = list(dict.fromkeys(float(a) for a in (alpha_grid or [])))
-        if not alphas:
-            raise ValidationError("elastic_net cross-validation needs an alpha grid")
-    else:
-        alphas = [None]
+    # ridge and lasso walk one chain per fold, at no alpha
+    alphas = list(dict.fromkeys(map(float, alpha_grid or ()))) or [None]
 
     blocks = _fold_blocks(dm.n, folds)
     for b, block in enumerate(blocks):
@@ -665,13 +667,8 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
 
     with _stage("cluster"):
         scan_rows: list[ScanRow] | None = None
-        if config.dbscan is not None:
-            params = config.dbscan
-        else:
-            if config.eps_grid is None or config.minpts_grid is None:
-                raise ValidationError(
-                    "config needs either dbscan parameters or eps/min_pts scan grids"
-                )
+        eps, min_pts = config.eps, config.min_pts
+        if eps is None:
             scan_rows = scan_params(
                 mix_train, config.eps_grid, config.minpts_grid,
                 core_strict=config.core_strict,
@@ -681,10 +678,8 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
                 raise NumericalError(
                     "no scan cell had a defined silhouette; adjust the grids"
                 )
-            params = DbscanParams(
-                eps=suggestion.eps, min_pts=suggestion.min_pts,
-                core_strict=config.core_strict,
-            )
+            eps, min_pts = suggestion.eps, suggestion.min_pts
+        params = DbscanParams(eps, min_pts, core_strict=config.core_strict)
         cmodel = dbscan(mix_train, params)
         if cmodel.k > 0 and config.baseline_cluster not in range(cmodel.k):
             raise ValidationError(

@@ -58,6 +58,22 @@ DEFAULT_MAX_ITER = 100_000
 _SINGULAR = 1e-10
 
 
+def check_mixing(kind: str, key: str, value) -> None:
+    """The (kind, alpha) rule of ``PenaltySpec``, ``cross_validate`` and ``DprConfig``.
+
+    ``kind`` is one of ``PENALTY_KINDS``, and its mixing setting ``key``
+    (``alpha``, or ``alpha_grid``) is given for elastic_net and for no other
+    kind; ``value`` is None or an empty grid when it is not given.
+    """
+    if kind not in PENALTY_KINDS:
+        raise ValidationError(f"penalty must be one of {PENALTY_KINDS}, got {kind!r}")
+    given = value is not None and (not hasattr(value, "__len__") or len(value) > 0)
+    if kind == ELASTIC_NET and not given:
+        raise ValidationError(f"elastic_net needs {key}")
+    if kind != ELASTIC_NET and given:
+        raise ValidationError(f"{key} is only valid for elastic_net, not {kind}")
+
+
 @dataclass(frozen=True)
 class PenaltySpec:
     """Penalty family and strength; alpha is meaningful only for elastic_net."""
@@ -67,15 +83,11 @@ class PenaltySpec:
     alpha: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in PENALTY_KINDS:
-            raise ValidationError(f"penalty kind must be one of {PENALTY_KINDS}, got {self.kind!r}")
+        check_mixing(self.kind, "alpha", self.alpha)
         if not math.isfinite(self.lam) or self.lam < 0:
             raise ValidationError(f"lambda must be finite and >= 0, got {self.lam}")
-        if self.kind == ELASTIC_NET:
-            if self.alpha is None or not 0.0 <= self.alpha <= 1.0:
-                raise ValidationError(f"elastic_net requires alpha in [0, 1], got {self.alpha}")
-        elif self.alpha is not None:
-            raise ValidationError(f"alpha is only meaningful for elastic_net, got kind {self.kind!r}")
+        if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
+            raise ValidationError(f"elastic_net requires alpha in [0, 1], got {self.alpha}")
 
     @property
     def mixing(self) -> float:

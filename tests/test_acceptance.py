@@ -169,7 +169,7 @@ def test_criterion_4_penalty_family_ordering_on_panel_benchmark():
     train, test = chronological_split(panel, split)
     assert train.n_obs == 690 and test.n_obs == 230
 
-    common = dict(transform=TransformSpec(), dbscan=DbscanParams(eps=0.1, min_pts=4))
+    common = dict(transform=TransformSpec(), eps=0.1, min_pts=4)
     dense = tuple(float(v) for v in np.logspace(-4, -1, 20))
     ridge = run_dpr(
         panel,
@@ -246,7 +246,8 @@ def test_criterion_6_no_leakage_and_byte_reproducibility(tmp_path):
     split = SplitSpec(tuple(panel.periods[:8]), tuple(panel.periods[8:]), cv_folds=4)
     config = DprConfig(
         transform=TransformSpec(),
-        dbscan=DbscanParams(eps=0.15, min_pts=3),
+        eps=0.15,
+        min_pts=3,
         penalty_kind="elastic_net",
         lambda_grid=tuple(float(v) for v in np.logspace(-4, -1, 8)),
         alpha_grid=(0.5, 1.0),

@@ -9,7 +9,6 @@ import pytest
 
 from dprkit import pipeline, testkit
 from dprkit.cli import _COMMANDS, _RUN_KEYS, _build_run, _parse_grid, _parse_periods, main
-from dprkit.clustering import DbscanParams
 from dprkit.errors import ValidationError
 from dprkit.panel import load_panel, write_panel
 from dprkit.pipeline import DprConfig, SplitSpec
@@ -204,12 +203,13 @@ def test_path_and_cv_reject_alpha_unless_elastic_net(capsys, tmp_path, command, 
     panel = _synth(capsys, tmp_path)
     out = tmp_path / "out.csv"
     argv = [command, "--input", str(panel), "--output", str(out), "--lambda-grid", "0.01,0.1"]
+    key = flag.lstrip("-").replace("-", "_")  # the messages name the setting, not its flag
     code, stdout, err = run_cli(capsys, *argv, "--penalty", kind, flag, "0.3")
     assert code == 1 and stdout == ""
-    assert f"{flag} is only valid for elastic_net, not {kind}" in err
+    assert err == f"error: {key} is only valid for elastic_net, not {kind}\n"
     code, stdout, err = run_cli(capsys, *argv, "--penalty", "elastic_net")
     assert code == 1 and stdout == ""
-    assert f"elastic_net needs {flag}" in err
+    assert err == f"error: elastic_net needs {key}\n"
     assert not out.exists()
 
 
@@ -689,7 +689,7 @@ def test_config_file_and_flags_write_the_same_run(capsys, tmp_path, settings):
 def test_unset_run_settings_take_the_dataclass_defaults():
     panel, _ = testkit.generate_panel(testkit.SyntheticSpec())
     config, split = _build_run({"eps": "0.2", "min_pts": "3", "train_count": "6"}, panel)
-    assert config == DprConfig(dbscan=DbscanParams(0.2, 3))
+    assert config == DprConfig(eps=0.2, min_pts=3)
     assert split == SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]))
 
 
@@ -901,3 +901,90 @@ def test_malformed_setting_exits_1_naming_it_on_every_subcommand(capsys, tmp_pat
     assert code == 1 and stdout == ""
     assert f"bad value {key}={bad!r}" in err
     assert not out.exists()
+
+
+_BOTH_CLUSTERINGS = {"eps": "0.05", "min_pts": "4", "eps_grid": "0.1,0.2", "minpts_grid": "3"}
+
+
+@pytest.mark.parametrize("in_config", [
+    (), ("eps", "min_pts"), ("eps_grid", "minpts_grid"), tuple(_BOTH_CLUSTERINGS),
+], ids=["flags", "fixed-in-config", "grids-in-config", "config"])
+def test_run_rejects_fixed_eps_with_scan_grids(capsys, tmp_path, in_config):
+    panel = _synth(capsys, tmp_path)
+    settings = {**_BOTH_CLUSTERINGS, "penalty": "lasso", "lambda_grid": "0.01,0.1",
+                "train_count": "6", "folds": "3"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {settings[key]}\n" for key in in_config))
+    flags = _as_flags({k: v for k, v in settings.items() if k not in in_config})
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "run", "--input", str(panel), "--output-dir", str(out),
+                                "--config", str(cfg), *flags)
+    assert code == 1 and stdout == ""
+    assert err == ("error: give eps and min_pts, or eps_grid and minpts_grid, not both; "
+                   "got eps, min_pts, eps_grid, minpts_grid\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("settings, code, message", [
+    (["--eps-grid", "0.0001", "--minpts-grid", "50"], 2,
+     "numerical error: stage cluster: no scan cell had a defined silhouette; adjust the grids"),
+    (["--eps", "0.05", "--min-pts", "4", "--baseline", "9"], 1,
+     "error: stage cluster: baseline cluster 9 does not exist; clustering found ids 0..3"),
+], ids=["no-silhouette", "no-baseline"])
+def test_run_stage_failure_is_one_line_and_writes_nothing(capsys, tmp_path, settings, code,
+                                                          message):
+    panel = _synth(capsys, tmp_path, seed=42,
+                   spec="n_entities=20,n_periods=12,n_features=8,n_clusters=4")
+    out = tmp_path / "out"
+    got, stdout, err = run_cli(capsys, "run", "--input", str(panel), "--output-dir", str(out),
+                               *settings, *_QUICK_START_SPLIT)
+    assert (got, stdout, err) == (code, "", message + "\n")
+    assert not out.exists()
+
+
+def test_forecast_of_a_panel_with_other_features_names_both_lists(capsys, tmp_path):
+    panel = _synth(capsys, tmp_path)
+    code, _, err = run_cli(capsys, *_stage_argv("run", panel, tmp_path / "run"))
+    assert code == 0, err
+    other = _synth(capsys, tmp_path, "other.csv",
+                   spec="n_entities=8,n_periods=8,n_features=5,n_clusters=2")
+    out = tmp_path / "forecast.csv"
+    code, stdout, err = run_cli(capsys, "forecast", "--input", str(other), "--model",
+                                str(tmp_path / "run" / "model.json"), "--output", str(out))
+    assert code == 1 and stdout == ""
+    assert err == ("error: panel features ['f00', 'f01', 'f02', 'f03', 'f04'] do not match "
+                   "model features ['f00', 'f01', 'f02', 'f03']\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "cv", "path", "run"])
+def test_an_unknown_penalty_is_the_same_error_on_every_subcommand(capsys, tmp_path, command):
+    panel = _synth(capsys, tmp_path)
+    out = tmp_path / "out"
+    if command == "fit":
+        argv = ["fit", "--input", str(panel), "--output-dir", str(out), "--penalty", "huber",
+                "--lam", "0.1"]
+    else:
+        argv = _stage_argv(command, panel, out, penalty="huber")
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert err == "error: penalty must be one of ('ridge', 'lasso', 'elastic_net'), got 'huber'\n"
+    assert not out.exists()
+
+
+def test_zero_feature_rows_are_named_once_each_up_to_five(capsys, tmp_path, monkeypatch):
+    panel = load_panel(_synth(capsys, tmp_path))
+    zero = [1, 4, 9, 10, 20, 33]
+    panel.features[zero] = 0.0
+    write_panel(panel, tmp_path / "zeros.csv")
+    keys = panel.row_keys()
+    calls = []
+    row_keys = type(panel).row_keys
+    monkeypatch.setattr(type(panel), "row_keys", lambda self: calls.append(1) or row_keys(self))
+    code, stdout, err = run_cli(capsys, "cluster", "--input", str(tmp_path / "zeros.csv"),
+                                "--output-dir", str(tmp_path / "c"), "--eps", "0.2",
+                                "--min-pts", "3")
+    assert code == 0 and stdout.startswith("cluster ok ")
+    assert err.splitlines() == [
+        "warning: zero feature row at ({}, {})".format(*keys[i]) for i in zero[:5]]
+    assert len(calls) == 2  # once for the warnings, once for the bundle

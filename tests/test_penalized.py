@@ -69,6 +69,24 @@ def test_standardize_leaves_constant_columns_alone():
     assert model.diagnostics["sparsity"] == metric_sparsity(model) == 1.0
 
 
+@pytest.mark.parametrize("fit", [
+    lambda dm: fit_ridge(dm, 0.0), lambda dm: fit_ridge(dm, 0.1), lambda dm: fit_lasso(dm, 0.1),
+    lambda dm: fit_elastic_net(dm, 0.1, 0.5),
+], ids=["ridge-0", "ridge", "lasso", "elastic_net"])
+def test_a_design_with_no_varying_column_fits_the_mean(fit):
+    # constant columns, and the rows of a varying design on which every column is constant
+    y = np.array([0.3, 1.1, -0.4, 2.0, 0.7])
+    flat = standardize(np.full((5, 2), 4.0), y)
+    rows = standardize(np.array([[1.0, 2.0]] * 3 + [[3.0, 5.0]] * 2), y).subset_rows([0, 1, 2])
+    assert flat.zero_variance.all() and not rows.zero_variance.any()
+    for dm in (flat, rows):
+        model = fit(dm)
+        assert model.intercept == float(dm.y.mean())
+        assert not model.coefficients.any()
+        assert model.diagnostics["converged"] and model.diagnostics["iterations"] == 0
+        np.testing.assert_array_equal(predict(model, np.full((1, 2), 9.0)), model.intercept)
+
+
 def test_standardize_rejects_single_row():
     with pytest.raises(ValidationError):
         standardize(np.ones((1, 2)), np.ones(1))

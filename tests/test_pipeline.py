@@ -338,7 +338,7 @@ _INTEGER_PARAMETERS = {
     "min_pts": lambda x: DbscanParams(0.1, x),
     "scan min_pts": lambda x: scan_params(np.eye(3), [0.5], [x]),
     "cv_folds": lambda x: SplitSpec((1,), (2,), cv_folds=x),
-    "baseline_cluster": lambda x: DprConfig(dbscan=DbscanParams(0.1, 3), baseline_cluster=x),
+    "baseline_cluster": lambda x: DprConfig(eps=0.1, min_pts=3, baseline_cluster=x),
     "folds": lambda x: cross_validate(_standardized_toy(), x, "lasso", [0.1]),
     "max_iter": lambda x: fit_lasso(_standardized_toy(), 0.1, max_iter=x),
 }
@@ -365,21 +365,47 @@ def test_require_fit_names_the_failed_fit():
 def _default_config(**kw):
     base = dict(
         transform=TransformSpec(),
-        dbscan=DbscanParams(eps=0.2, min_pts=3),
+        eps=0.2,
+        min_pts=3,
         penalty_kind="lasso",
         lambda_grid=tuple(float(v) for v in np.logspace(-4, -1, 6)),
-        alpha_grid=(0.5, 1.0),
     )
     base.update(kw)
+    if base["penalty_kind"] == "elastic_net":
+        base.setdefault("alpha_grid", (0.5, 1.0))
     return DprConfig(**base)
 
 
-def test_config_rejects_a_conflicting_core_rule():
-    for strict in (True, False):
-        assert DprConfig(dbscan=DbscanParams(0.05, 4, core_strict=strict),
-                         core_strict=strict).core_strict is strict
-        with pytest.raises(ValidationError, match="conflicts with core_strict"):
-            DprConfig(dbscan=DbscanParams(0.05, 4, core_strict=not strict), core_strict=strict)
+_CLUSTERING = {"eps": 0.05, "min_pts": 4, "eps_grid": (0.1,), "minpts_grid": (3,)}
+
+
+@pytest.mark.parametrize("keys", [
+    ("eps", "min_pts", "eps_grid", "minpts_grid"), ("eps", "min_pts", "eps_grid"),
+    ("eps", "min_pts", "minpts_grid"), ("eps", "eps_grid", "minpts_grid"), ("eps",),
+    ("min_pts",), ("eps_grid",), (),
+], ids=lambda keys: "+".join(keys) or "none")
+def test_config_takes_fixed_eps_or_scan_grids_never_both(keys):
+    with pytest.raises(ValidationError, match="^give eps and min_pts, or eps_grid and "
+                                              "minpts_grid, not both; got "):
+        DprConfig(**{key: _CLUSTERING[key] for key in keys})
+
+
+def test_config_is_frozen_with_one_core_rule():
+    config = DprConfig(eps=0.05, min_pts=4, core_strict=True)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.eps = 0.1
+    assert [f.name for f in dataclasses.fields(DprConfig)].count("core_strict") == 1
+
+
+@pytest.mark.parametrize("kind", ["ridge", "lasso"])
+def test_config_and_cv_reject_an_alpha_grid_unless_elastic_net(kind):
+    message = f"^alpha_grid is only valid for elastic_net, not {kind}$"
+    with pytest.raises(ValidationError, match=message):
+        DprConfig(eps=0.05, min_pts=4, penalty_kind=kind, alpha_grid=(0.5,))
+    with pytest.raises(ValidationError, match=message):
+        cross_validate(_standardized_toy(), 2, kind, [0.1], alpha_grid=[0.5])
+    assert DprConfig(eps=0.05, min_pts=4, penalty_kind=kind).alpha_grid is None
+    assert DprConfig(eps=0.05, min_pts=4).alpha_grid == (0.3, 0.5, 1.0)
 
 
 def test_run_report_structure(tmp_path):
@@ -407,13 +433,8 @@ def test_run_report_structure(tmp_path):
 
 
 def test_run_requires_grids_or_params():
-    panel, _ = _panel(n_entities=6, n_periods=6, n_features=4)
-    split = SplitSpec(tuple(panel.periods[:4]), tuple(panel.periods[4:]), cv_folds=3)
-    cfg = _default_config()
-    cfg.dbscan = None
-    cfg.eps_grid = None
-    with pytest.raises(ValidationError, match="stage cluster"):
-        run_dpr(panel, cfg, split)
+    with pytest.raises(ValidationError, match="got none of them$"):
+        _default_config(eps=None, min_pts=None)
 
 
 def test_bad_test_row_fails_in_stage_forecast():
@@ -433,7 +454,8 @@ def test_bad_test_row_fails_in_stage_forecast():
 def test_run_scan_mode_picks_sc_maximum(tmp_path):
     panel, _ = _panel(n_entities=9, n_periods=8, n_features=4, n_clusters=3, seed=5)
     split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=3)
-    cfg = _default_config(dbscan=None, eps_grid=(0.05, 0.1, 0.2), minpts_grid=(3, 4))
+    cfg = _default_config(eps=None, min_pts=None, eps_grid=(0.05, 0.1, 0.2),
+                          minpts_grid=(3, 4))
     report = run_dpr(panel, cfg, split)
     assert report.scan_rows is not None
     best = max((r for r in report.scan_rows if r.sc is not None), key=lambda r: r.sc)
@@ -579,7 +601,7 @@ def _noise_run():
     panel, _ = _panel(n_entities=10, n_periods=8, n_features=5, n_clusters=3, seed=2,
                       mix_jitter=0.05)
     split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
-    return panel, split, _default_config(dbscan=DbscanParams(eps=0.1, min_pts=4))
+    return panel, split, _default_config(eps=0.1, min_pts=4)
 
 
 def test_report_tables_read_the_test_keys_from_forecast_rows(tmp_path):
@@ -611,7 +633,7 @@ def test_whole_number_settings_are_stored_as_ints(whole, tmp_path):
     panel, split, config = _noise_run()
     for as_given, name in ((int, "int"), (whole, "given")):
         run = run_dpr(panel, dataclasses.replace(
-            config, dbscan=DbscanParams(0.1, as_given(4)), baseline_cluster=as_given(1),
+            config, min_pts=as_given(4), baseline_cluster=as_given(1),
         ), dataclasses.replace(split, cv_folds=as_given(3)))
         write_report(run, tmp_path / name)
     assert type(run.clusters.params.min_pts) is type(run.split.cv_folds) is int
@@ -625,7 +647,7 @@ def test_whole_number_settings_are_stored_as_ints(whole, tmp_path):
 def test_an_int_eps_writes_the_float_eps_run(tmp_path):
     panel, split, config = _noise_run()
     for eps, name in ((1.0, "float"), (1, "int")):
-        run = run_dpr(panel, dataclasses.replace(config, dbscan=DbscanParams(eps, 4)), split)
+        run = run_dpr(panel, dataclasses.replace(config, eps=eps), split)
         write_report(run, tmp_path / name)
     assert type(run.clusters.params.eps) is float
     written = sorted(p.name for p in (tmp_path / "float").iterdir())
