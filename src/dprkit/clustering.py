@@ -14,14 +14,20 @@ cluster of the claiming core with the smallest row index, everything else is
 noise.  Cluster ids are canonical: numbered by the first row at which each
 cluster appears.
 
-The labelling works on one list of neighbour pairs ``i < j`` with their
-distances, read from the dense distance matrix: neighbourhood counts are
+The labelling works on one list of neighbour pairs ``i < j``, read from the
+upper triangle of the dense distance matrix: neighbourhood counts are
 bincounts over it, clusters are ``scipy.sparse.csgraph.connected_components``
 on its core-core edges (a CSR graph read straight off the row-major pairs),
 and border claims are a minimum per row (Ester et al., KDD 1996; Schubert et
-al., TODS 2017).  A parameter scan builds that list once at the largest eps,
-thresholds it and counts neighbours once per distinct eps, and labels once
-per distinct (eps, core set).  Scoring never copies the n x n matrix.
+al., TODS 2017).  A parameter scan builds that list once, grouped by the
+smallest grid eps that holds each pair, so the pairs within an eps are a
+prefix of it.  At a fixed min_pts DBSCAN's core clusters are nested in eps
+(Campello, Moulavi & Sander, PAKDD 2013), and at a fixed eps a lower min_pts
+only adds core points.  So the scan makes one component pass over the
+points, for its first cell, and labels every later distinct (eps, core set)
+by merging its predecessor's clusters along the pairs new to it: a component
+pass over the clusters, not the points (``_merge``).  Scoring never copies
+the n x n matrix.
 
 New rows are assigned to their nearest core through a ``cKDTree`` built with
 the sliding-midpoint split (``balanced_tree=False``; Maneewongvatana and
@@ -148,73 +154,95 @@ def _canonical_relabel(labels: np.ndarray) -> tuple[np.ndarray, int]:
     return out, int(ids.size)
 
 
-def _pairs_within(D: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairs ``i < j`` with ``D[i, j] <= radius``: int32 rows, int32 columns, distances.
+def _pairs_within(D: np.ndarray, radii: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs ``i < j`` within the largest of the ascending ``radii``, grouped by radius.
 
-    Pairs come in row-major order.  Blocks of rows keep the boolean masks
-    near ``_CHUNK`` elements.
+    Returns int32 rows, int32 columns and ``ends``: the pairs with
+    ``D[i, j] <= radii[g]`` are the first ``ends[g]``, so those new at
+    ``radii[g]`` are the slice ``ends[g - 1]:ends[g]``, in row-major order.
+    Blocks of rows read only the upper triangle and keep the boolean masks
+    near ``_CHUNK`` elements; each block groups its own pairs, so no step
+    holds more than the list and its pieces.
     """
     n = D.shape[0]
-    step = max(1, _CHUNK // n)
-    rows, cols, dists = [], [], []
+    step = max(1, min(n, _CHUNK // n))
+    pieces = [[] for _ in radii]  # (rows, columns) of each block, per group
+    upper = np.triu(np.ones((step, step), dtype=bool))  # c >= r: above the diagonal
     for start in range(0, n, step):
-        block = D[start:start + step]  # whole rows: a contiguous view, flat-indexable
-        hits = np.flatnonzero(block <= radius)
-        r, c = np.divmod(hits, n)
-        upper = c > r + start  # keep j > i
-        rows.append((r[upper] + start).astype(np.int32))
-        cols.append(c[upper].astype(np.int32))
-        dists.append(block.reshape(-1)[hits[upper]])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(dists)
+        block = D[start:start + step, start + 1:]  # block[r, c] = D[start + r, start + 1 + c]
+        hit = block <= radii[-1]
+        square = hit[:, :step]
+        square &= upper[:square.shape[0], :square.shape[1]]
+        r, c = np.divmod(np.flatnonzero(hit), hit.shape[1])
+        rows, cols = (r + start).astype(np.int32), (c + start + 1).astype(np.int32)
+        bounds = []
+        if len(radii) > 1:
+            d = block[hit]
+            # the index of the smallest radius that holds each pair
+            group = np.zeros(d.size, dtype=np.min_scalar_type(len(radii) - 1))
+            for radius in radii[:-1]:
+                group += d > radius
+            order = np.argsort(group, kind="stable")
+            rows, cols = rows[order], cols[order]
+            bounds = np.cumsum(np.bincount(group, minlength=len(radii)))[:-1]
+        for held, piece in zip(pieces, zip(np.split(rows, bounds), np.split(cols, bounds))):
+            held.append(piece)
+    ends = np.cumsum([sum(r.size for r, _ in held) for held in pieces])
+    i = np.concatenate([r for held in pieces for r, _ in held])
+    j = np.concatenate([c for held in pieces for _, c in held])
+    return i, j, ends
 
 
-def _neighbour_counts(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Closed-neighbourhood sizes (the point itself included) from pairs ``i < j``."""
-    return 1 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> tuple[int, np.ndarray]:
+    """Component count, and id of each of ``n`` points, joined by the row-major pairs ``i < j``."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    # the pairs are row-major, so they are already in CSR order
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(i, minlength=n), out=indptr[1:])
+    graph = csr_matrix((np.ones(i.size), j, indptr), shape=(n, n))
+    return connected_components(graph, directed=False)
 
 
-def _core_mask(counts: np.ndarray, min_pts: int, core_strict: bool) -> np.ndarray:
-    return counts > min_pts if core_strict else counts >= min_pts
+def _merge(comp: np.ndarray, k: int, i: np.ndarray, j: np.ndarray) -> tuple[int, np.ndarray]:
+    """The ``k`` components of ``comp`` joined by the pairs ``(i, j)``: new count and ids.
 
-
-def _components(
-    n: int, i: np.ndarray, j: np.ndarray, core: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Canonical DBSCAN labels and cluster count from the pairs within eps and the core mask.
-
-    When every point is core, every pair is a core-core edge and there is no
-    border point, so the pairs feed the graph as they are and no border
-    claim is made.
+    The running-labelling step: one connected-components pass over the
+    components and the edges that cross between them, not over the points.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    all_core = bool(core.all())
-    if all_core:
-        src, dst = i, j
-    else:
+    ci, cj = comp.take(i), comp.take(j)
+    cross = ci != cj
+    if not cross.any():
+        return k, comp
+    graph = csr_matrix((np.ones(np.count_nonzero(cross)), (ci[cross], cj[cross])), shape=(k, k))
+    k, merged = connected_components(graph, directed=False)
+    return k, merged.take(comp)
+
+
+def _cell_labels(
+    i: np.ndarray, j: np.ndarray, core: np.ndarray, comp: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Canonical DBSCAN labels and cluster count from the pairs within eps.
+
+    Core points take their component; a border point joins the component of
+    its smallest-index claiming core.  With every point core there is no
+    border point and no claim is made.
+    """
+    n = core.size
+    labels = np.where(core, comp, NOISE)
+    if not core.all():
         # take() gathers with the int32 pairs as they are; core[i] would first copy them to intp
         core_i, core_j = core.take(i), core.take(j)
-        both = core_i & core_j
-        src, dst = i[both], j[both]
-    # the pairs are row-major, so the core-core edges are already in CSR order
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    graph = csr_matrix((np.ones(src.size), dst, indptr), shape=(n, n))
-    _, comp = connected_components(graph, directed=False)
-    if all_core:
-        return _canonical_relabel(comp)
-
-    # a border point joins the cluster of its smallest-index claiming core
-    claim = np.full(n, n, dtype=np.intp)
-    i_claims, j_claims = core_i ^ both, core_j ^ both  # core_i & ~core_j, core_j & ~core_i
-    np.minimum.at(claim, j[i_claims], i[i_claims])
-    np.minimum.at(claim, i[j_claims], j[j_claims])
-    border = claim < n
-
-    labels = np.full(n, NOISE, dtype=np.intp)
-    labels[core] = comp[core]
-    labels[border] = comp[claim[border]]
+        i_claims, j_claims = core_i & ~core_j, core_j & ~core_i
+        claim = np.full(n, n, dtype=np.intp)
+        np.minimum.at(claim, j[i_claims], i[i_claims])
+        np.minimum.at(claim, i[j_claims], j[j_claims])
+        border = claim < n
+        labels[border] = comp[claim[border]]
     return _canonical_relabel(labels)
 
 
@@ -237,7 +265,7 @@ def dbscan(points, params: DbscanParams, distances: np.ndarray | None = None) ->
     """
     pts = _as_points(points)
     D = pairwise_distances(pts) if distances is None else distances
-    [(labels, k, core)] = _label_cells(pts.shape[0], _pairs_within(D, params.eps), [params])
+    [(labels, k, core)] = _label_cells(D, [params])
     sc, total = _score(pts, D, labels, k)
     return ClusterModel(params=params, labels=labels, k=k, sc=sc, sse=total, core_mask=core)
 
@@ -317,29 +345,60 @@ def k_distance_profile(points, k: int) -> np.ndarray:
 
 
 def _label_cells(
-    n: int, pairs: tuple[np.ndarray, np.ndarray, np.ndarray], cells: Sequence[DbscanParams]
+    D: np.ndarray, cells: Sequence[DbscanParams]
 ) -> list[tuple[np.ndarray, int, np.ndarray]]:
-    """Labels, cluster count and core mask of each cell, from the pairs within the largest eps.
+    """Labels, cluster count and core mask of each cell, from the distance matrix.
 
-    Each distinct eps thresholds the pairs and counts neighbours once, and
-    only its pairs and counts are held; each distinct (eps, core set) runs
-    the component pass once.
+    A point is core at ``eps`` when its neighbour count reaches the cell's
+    threshold ``min_pts + core_strict``.  Cells are labelled by eps ascending
+    and, within one eps, by threshold descending, so two earlier core graphs
+    lie inside each cell's: the same threshold at the last eps and the last
+    threshold at this eps.  Its predecessor is whichever of them has more
+    core points (the one at this eps on a tie, which adds no pairs).  The
+    first cell is one component pass over the points; every later one merges
+    its predecessor's components by the pairs new to it, those new since the
+    predecessor's eps and those that reach newly core points.  The product
+    of the cells' distinct eps and thresholds is labelled.
     """
-    pairs_i, pairs_j, pairs_d = pairs
+    n = D.shape[0]
+    radii = sorted({p.eps for p in cells})
+    thresholds = sorted({p.min_pts + p.core_strict for p in cells}, reverse=True)
+    i, j, ends = _pairs_within(D, radii)
+    counts = np.ones(n, dtype=np.intp)
     labelled = {}
-    for eps in dict.fromkeys(p.eps for p in cells):
-        keep = pairs_d <= eps
-        i, j = pairs_i[keep], pairs_j[keep]
-        counts = _neighbour_counts(n, i, j)
-        by_core = {}
-        for p in cells:
-            if p.eps == eps:
-                core = _core_mask(counts, p.min_pts, p.core_strict)
-                key = core.tobytes()
-                if key not in by_core:
-                    by_core[key] = (*_components(n, i, j, core), core)
-                labelled[p] = by_core[key]
-    return [labelled[p] for p in cells]
+    previous = {}  # threshold -> (core, comp, k, end, cell) at the last eps
+    start = 0
+    for eps, end in zip(radii, ends):
+        counts += np.bincount(i[start:end], minlength=n)
+        counts += np.bincount(j[start:end], minlength=n)
+        last = None
+        for t in thresholds:
+            core = counts >= t
+            same_t = previous.get(t)
+            if last is None or same_t is not None and same_t[0].sum() > last[0].sum():
+                last = same_t
+            if last is None:
+                both = core.take(i[:end]) & core.take(j[:end])
+                k, comp = _components(n, i[:end][both], j[:end][both])
+                last = (core, comp, k, end, None)
+            last_core, comp, k, last_end, cell = last
+            new = core & ~last_core
+            if last_end < end or new.any():
+                a, b = i[last_end:end], j[last_end:end]
+                if new.any():
+                    # pairs already within eps that reach a newly core point
+                    reach = new.take(i[:last_end]) | new.take(j[:last_end])
+                    a = np.concatenate([a, i[:last_end][reach]])
+                    b = np.concatenate([b, j[:last_end][reach]])
+                both = core.take(a) & core.take(b)
+                k, comp = _merge(comp, k, a[both], b[both])
+                cell = None
+            if cell is None:
+                cell = (*_cell_labels(i[:end], j[:end], core, comp), core)
+            last = previous[t] = (core, comp, k, end, cell)
+            labelled[eps, t] = cell
+        start = end
+    return [labelled[p.eps, p.min_pts + p.core_strict] for p in cells]
 
 
 @dataclass(frozen=True)
@@ -362,9 +421,10 @@ def scan_params(
     One row per combination of distinct grid values, eps varying slowest, in
     first-occurrence order; a repeated value adds no row.  Rows where the
     silhouette is undefined carry ``sc=None``.  The neighbour pairs are
-    found once, at the largest eps.  Each distinct eps thresholds them and
-    counts neighbours once; each distinct (eps, core set) is labelled once,
-    and each distinct labelling is scored once.
+    found once, grouped by eps, and each distinct eps counts neighbours from
+    the pairs new to it.  The first cell is one component pass; each later
+    distinct (eps, core set) merges a predecessor's clusters, and each
+    distinct labelling is scored once.
     """
     pts = _as_points(points)
     if len(eps_grid) == 0 or len(minpts_grid) == 0:
@@ -375,8 +435,7 @@ def scan_params(
         for m in dict.fromkeys(require_int("min_pts", m, 1) for m in minpts_grid)
     ]
     D = pairwise_distances(pts)
-    pairs = _pairs_within(D, max(p.eps for p in cells))
-    labelled = _label_cells(pts.shape[0], pairs, cells)
+    labelled = _label_cells(D, cells)
     distinct = {labels.tobytes(): (labels, k) for labels, k, _ in labelled}
     scores = {key: _score(pts, D, *lk) for key, lk in distinct.items()}
     return [

@@ -25,6 +25,7 @@ from .clustering import (
     ClusterModel,
     DbscanParams,
     ScanRow,
+    _check_eps,
     assign_by_nearest_core,
     dbscan,
     k_distance_profile,
@@ -123,6 +124,16 @@ class DprConfig:
                            require_int("baseline_cluster", self.baseline_cluster, 0))
         if not self.lambda_grid:
             raise ValidationError("lambda_grid is empty")
+        # each value by its own rule: DbscanParams' and PenaltySpec's
+        for key, check in (("eps_grid", _check_eps),
+                           ("minpts_grid", partial(require_int, "min_pts", minimum=1)),
+                           ("lambda_grid", partial(PenaltySpec, RIDGE)),
+                           ("alpha_grid", partial(PenaltySpec, ELASTIC_NET, 0.0))):
+            for value in () if getattr(self, key) is None else getattr(self, key):
+                try:
+                    check(value)
+                except ValidationError as err:
+                    raise ValidationError(f"{key}: {err}") from None
 
 
 def chronological_split(data: PanelDataset, spec: SplitSpec) -> tuple[PanelDataset, PanelDataset]:
@@ -336,7 +347,7 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
     folds = require_int("folds", folds, 2)
     lams = list(dict.fromkeys(float(l) for l in lambda_grid))
     # ridge and lasso walk one chain per fold, at no alpha
-    alphas = list(dict.fromkeys(map(float, alpha_grid or ()))) or [None]
+    alphas = list(dict.fromkeys(map(float, () if alpha_grid is None else alpha_grid))) or [None]
 
     blocks = _fold_blocks(dm.n, folds)
     for b, block in enumerate(blocks):

@@ -353,17 +353,13 @@ def _core_by_count(pts, params):
     return counts > params.min_pts if params.core_strict else counts >= params.min_pts
 
 
-def test_shared_pair_list_matches_per_cell_runs_and_oracle():
-    from dprkit.clustering import _label_cells, _pairs_within
+def _assert_cells_match_per_cell_runs_and_oracle(pts, eps_grid, minpts_grid):
+    from dprkit.clustering import _label_cells
 
-    pts = _lattice_with_ties()
-    eps_grid = [0.5, 1.0, 1.5, 2.5]
-    minpts_grid = [1, 2, 3, 4]
     for strict in (False, True):
         rows = scan_params(pts, eps_grid, minpts_grid, core_strict=strict)
-        pairs = _pairs_within(pairwise_distances(pts), max(eps_grid))
         cells = [DbscanParams(r.eps, r.min_pts, core_strict=strict) for r in rows]
-        labelled = _label_cells(pts.shape[0], pairs, cells)
+        labelled = _label_cells(pairwise_distances(pts), cells)
         for row, params, (labels, k, core) in zip(rows, cells, labelled):
             solo = dbscan(pts, params)
             assert (row.k, row.sc, row.sse) == (solo.k, solo.sc, solo.sse)
@@ -373,18 +369,43 @@ def test_shared_pair_list_matches_per_cell_runs_and_oracle():
             np.testing.assert_array_equal(core, _core_by_count(pts, params))
 
 
-def _pairs_by_triu(D, radius):
+def test_shared_pair_list_matches_per_cell_runs_and_oracle():
+    _assert_cells_match_per_cell_runs_and_oracle(
+        _lattice_with_ties(), [0.5, 1.0, 1.5, 2.5], [1, 2, 3, 4])
+
+
+def test_scan_merges_through_a_point_that_turns_core_and_a_border_claim():
+    # A: four rows at the origin; B: a core at (3, 0) with three rows below it.
+    # P is 1.5 from A and from B's core: noise at eps 1, core at eps 1.5, where
+    # it joins A and B.  R is exactly 1 above B's core and 1.5 from the row
+    # below it: a border point at both eps, claimed by a core merged with A.
+    pts = np.array([(0, 0)] * 4 + [(3, 0), (3, -0.5), (3, -0.75), (3, -1),
+                                   (1.5, 0), (3, 1)], dtype=np.float64)
+    p, r, b = 8, 9, 4
+    small, large = (dbscan(pts, DbscanParams(eps, 4)) for eps in (1.0, 1.5))
+    assert small.k == 2 and small.labels[p] == NOISE and small.labels[r] == small.labels[b]
+    assert large.k == 1 and large.core_mask[p] and not large.core_mask[r]
+    assert large.labels[r] == large.labels[0]
+    _assert_cells_match_per_cell_runs_and_oracle(pts, [1.5, 1.0], [4, 3])
+    _assert_cells_match_per_cell_runs_and_oracle(pts, [1.5, 1.0], [4, 3, 7])
+
+
+def _pairs_by_triu(D, low, radius):
     # the whole upper triangle at once, no row blocks
-    r, c = np.nonzero(np.triu(D <= radius, 1))
-    return r.astype(np.int32), c.astype(np.int32), D[r, c]
+    r, c = np.nonzero(np.triu((D > low) & (D <= radius), 1))
+    return r.astype(np.int32), c.astype(np.int32)
 
 
-def _assert_pairs(D, radius):
+def _assert_pairs(D, radii):
     from dprkit.clustering import _pairs_within
 
-    for got, want in zip(_pairs_within(D, radius), _pairs_by_triu(D, radius)):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
+    i, j, ends = _pairs_within(D, radii)
+    assert i.dtype == j.dtype == np.int32 and ends.size == len(radii)
+    # each radius adds the pairs beyond the last one, in row-major order
+    for low, radius, a, b in zip([-np.inf, *radii], radii, [0, *ends], ends):
+        for got, want in zip((i[a:b], j[a:b]), _pairs_by_triu(D, low, radius)):
+            np.testing.assert_array_equal(got, want)
+    assert ends[-1] == i.size == j.size
 
 
 # None: one block; 50 and 70: blocks of two and three of the 22 rows
@@ -396,8 +417,11 @@ def test_pairs_within_matches_the_upper_triangle_form(chunk, monkeypatch):
         monkeypatch.setattr(clustering, "_CHUNK", chunk)
     D = pairwise_distances(_lattice_with_ties())
     assert all((D == r).any() for r in (0.0, 0.5, 2.5))  # pairs exactly on the radius
-    for radius in (0.0, 0.5, 1.0, 2.5, 100.0):
-        _assert_pairs(D, radius)
+    radii = [0.0, 0.5, 1.0, 2.5, 100.0]
+    for radius in radii:
+        _assert_pairs(D, [radius])
+    _assert_pairs(D, radii)
+    _assert_pairs(D, radii[1:4])
 
 
 @pytest.mark.parametrize("chunk", [None, 1])
@@ -408,38 +432,40 @@ def test_pairs_within_one_and_two_rows_and_no_pairs(chunk, monkeypatch):
         monkeypatch.setattr(clustering, "_CHUNK", chunk)  # one row per block
     for pts in (_col([3.0]), _col([0.0, 1.5])):
         for radius in (0.0, 1.0, 1.5, 2.0):
-            _assert_pairs(pairwise_distances(pts), radius)
-    i, j, d = clustering._pairs_within(pairwise_distances(_col([0.0, 1.5])), 1.5)
-    assert (i.tolist(), j.tolist(), d.tolist()) == ([0], [1], [1.5])
+            _assert_pairs(pairwise_distances(pts), [radius])
+        _assert_pairs(pairwise_distances(pts), [0.0, 1.0, 1.5, 2.0])
+    i, j, ends = clustering._pairs_within(pairwise_distances(_col([0.0, 1.5])), [1.0, 1.5])
+    assert (i.tolist(), j.tolist(), ends.tolist()) == ([0], [1], [0, 1])
     # a radius below every distance: no pairs, in the same dtypes
     D = pairwise_distances(np.unique(_lattice_with_ties(), axis=0))
     below = np.nextafter(D[np.triu_indices(D.shape[0], 1)].min(), 0)
-    i, j, d = clustering._pairs_within(D, below)
-    assert i.size == j.size == d.size == 0
-    assert (i.dtype, j.dtype, d.dtype) == (np.int32, np.int32, np.float64)
+    i, j, ends = clustering._pairs_within(D, [below])
+    assert i.size == j.size == 0 and ends.tolist() == [0]
+    assert (i.dtype, j.dtype) == (np.int32, np.int32)
 
 
-def test_scan_labels_once_per_eps_when_min_pts_leaves_the_core_set(monkeypatch):
+def test_scan_makes_one_full_component_pass(monkeypatch):
     from dprkit import clustering
 
-    calls = []
-
-    def counted(n, i, j, core):
-        calls.append(core.copy())
-        return components(n, i, j, core)
-
-    components = clustering._components
-    monkeypatch.setattr(clustering, "_components", counted)
+    passes, merges = [], []
+    components, merge = clustering._components, clustering._merge
+    monkeypatch.setattr(clustering, "_components",
+                        lambda n, i, j: passes.append(n) or components(n, i, j))
+    monkeypatch.setattr(clustering, "_merge",
+                        lambda comp, k, i, j: merges.append(k) or merge(comp, k, i, j))
     # two groups of six coincident rows: every row has 6 neighbours at any eps
     pts = np.repeat([[0.0, 0.0], [5.0, 0.0]], 6, axis=0)
     eps_grid = [1.0, 0.5, 2.0, 0.5]
     rows = scan_params(pts, eps_grid, [2, 4, 6, 3])
     assert len(rows) == 12 and {r.k for r in rows} == {2}  # the repeated eps adds no row
-    assert len(calls) == 3  # one per distinct eps
-    assert all(core.all() for core in calls)
-    calls.clear()
-    scan_params(pts, eps_grid, [2, 7])  # min_pts 7 leaves no core point
-    assert len(calls) == 6
+    # one pass over the points; no later cell has a new pair or a new core point
+    assert passes == [12] and merges == []
+    passes.clear()
+    rows = scan_params(pts, eps_grid, [2, 7])  # min_pts 7 leaves no core point
+    assert [r.k for r in rows] == [2, 0] * 3
+    # min_pts 2 merges the no-core cell's singletons once, at the first eps;
+    # at each later eps its predecessor is its own cell at the last eps
+    assert passes == [12] and merges == [12]
 
 
 def test_assign_by_nearest_core_with_a_single_core():
@@ -610,15 +636,14 @@ def test_assign_by_nearest_core_to_a_single_core_on_the_paper_shape():
        minpts_grid=st.lists(st.integers(1, 6), min_size=1, max_size=4),
        strict=st.booleans())
 def test_scan_cells_match_per_cell_runs_and_oracle(pts, eps_grid, minpts_grid, strict):
-    from dprkit.clustering import _label_cells, _pairs_within
+    from dprkit.clustering import _label_cells
 
     rows = scan_params(pts, eps_grid, minpts_grid, core_strict=strict)
     # one cell per distinct value, in first-occurrence order
     cells = [DbscanParams(e, m, core_strict=strict)
              for e in dict.fromkeys(eps_grid) for m in dict.fromkeys(minpts_grid)]
     assert [(r.eps, r.min_pts) for r in rows] == [(p.eps, p.min_pts) for p in cells]
-    pairs = _pairs_within(pairwise_distances(pts), max(eps_grid))
-    labelled = _label_cells(pts.shape[0], pairs, cells)
+    labelled = _label_cells(pairwise_distances(pts), cells)
     for row, params, (labels, k, core) in zip(rows, cells, labelled):
         solo = dbscan(pts, params)
         assert (row.k, row.sc, row.sse) == (solo.k, solo.sc, solo.sse)

@@ -408,6 +408,30 @@ def test_config_and_cv_reject_an_alpha_grid_unless_elastic_net(kind):
     assert DprConfig(eps=0.05, min_pts=4).alpha_grid == (0.3, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("grids, message", [
+    ({"alpha_grid": (0.5, 1.5)}, "alpha_grid: elastic_net requires alpha in [0, 1], got 1.5"),
+    ({"eps_grid": (0.1, -1.0), "minpts_grid": (3,)},
+     "eps_grid: eps must be finite and > 0, got -1.0"),
+    ({"eps_grid": (0.1,), "minpts_grid": (3, 0)},
+     "minpts_grid: min_pts must be an integer >= 1, got 0"),
+    ({"lambda_grid": (0.1, -0.1)}, "lambda_grid: lambda must be finite and >= 0, got -0.1"),
+    ({"lambda_grid": (math.nan,)}, "lambda_grid: lambda must be finite and >= 0, got nan"),
+], ids=["alpha", "eps", "minpts", "lambda", "lambda-nan"])
+def test_config_checks_each_grid_value(grids, message):
+    """A bad grid value fails at construction, naming its key, not in a later stage."""
+    fixed = {} if "eps_grid" in grids else {"eps": 0.05, "min_pts": 4}
+    with pytest.raises(ValidationError) as info:
+        DprConfig(**fixed, **grids)
+    assert str(info.value) == message
+
+
+def test_cv_takes_a_numpy_alpha_grid():
+    dm = _standardized_toy()
+    by_array = cross_validate(dm, 2, "elastic_net", [0.1, 0.01], alpha_grid=np.array([0.5, 1.0]))
+    by_tuple = cross_validate(dm, 2, "elastic_net", [0.1, 0.01], alpha_grid=(0.5, 1.0))
+    assert by_array == by_tuple
+
+
 def test_run_report_structure(tmp_path):
     panel, truth = _panel(n_entities=10, n_periods=8, n_features=5, n_clusters=3, seed=2)
     split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
