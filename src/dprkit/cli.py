@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import pipeline, regression
-from .clustering import ClusterModel, DbscanParams, dbscan, scan_params, suggest_params
+from .clustering import NOISE, DbscanParams, dbscan, scan_params, suggest_params
 from .errors import NumericalError, ValidationError
 from .panel import (
     MIX_MODES,
@@ -33,7 +34,7 @@ from .panel import (
     write_panel,
 )
 from .regression import FittedModel, standardize
-from .tables import NA, fmt, write_json, write_table
+from .tables import NA, bundle_field, fmt, numbers, write_json, write_table
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,26 +149,6 @@ def _mix_matrix(panel: PanelDataset, mode: str) -> np.ndarray:
     return matrix
 
 
-def _cluster_bundle(panel: PanelDataset, model: ClusterModel, points: np.ndarray,
-                    mode: str) -> dict:
-    return {
-        "format": "dprkit-clusters-v1",
-        "params": {
-            "eps": model.params.eps,
-            "min_pts": model.params.min_pts,
-            "core_strict": model.params.core_strict,
-        },
-        "mix_mode": mode,
-        "k": model.k,
-        "sc": model.sc,
-        "sse": model.sse,
-        "row_keys": [[e, p] for e, p in panel.row_keys()],
-        "labels": [int(v) for v in model.labels],
-        "core_mask": [int(v) for v in model.core_mask],
-        "points": [[float(v) for v in row] for row in points],
-    }
-
-
 def _read_bundle(path, parse):
     """``parse`` of a JSON file; its ValidationError names the file."""
     p = _require_input(path)
@@ -185,20 +166,17 @@ def _labels_for_panel(panel: PanelDataset, bundle_path) -> np.ndarray:
     def parse(bundle):
         if not isinstance(bundle, dict) or bundle.get("format") != "dprkit-clusters-v1":
             raise ValidationError("not a cluster bundle")
-        return (
-            pipeline.bundle_field(bundle, "row_keys", lambda v: [
-                (str(e), p if isinstance(p, str) else int(p)) for e, p in v]),
-            pipeline.bundle_field(bundle, "labels", lambda v: np.asarray(v, dtype=np.intp)),
-        )
+        keys = bundle_field(bundle, "row_keys", list)
+        labels = bundle_field(bundle, "labels", partial(numbers, kind=int))
+        if labels.shape != (len(keys),) or np.any(labels < NOISE):
+            raise ValidationError(f"bad field 'labels': expected {len(keys)} cluster ids, "
+                                  "each -1 (noise) or above, one per row key")
+        if keys != [[e, p] for e, p in panel.row_keys()]:
+            raise ValidationError("row keys do not match the panel; "
+                                  "cluster the same panel the model is fit on")
+        return labels
 
-    keys, labels = _read_bundle(bundle_path, parse)
-    panel_keys = [(e, p if isinstance(p, str) else int(p)) for e, p in panel.row_keys()]
-    if keys != panel_keys:
-        raise ValidationError(
-            f"{bundle_path}: row keys do not match the panel; "
-            "cluster the same panel the model is fit on"
-        )
-    return labels
+    return _read_bundle(bundle_path, parse)
 
 
 def _design(path, settings: dict):
@@ -360,10 +338,8 @@ def _read_config_text(text: str) -> dict[str, str]:
 def _cmd_cluster(args) -> int:
     s = _settings(args)
     params = DbscanParams(s["eps"], s["min_pts"], **_given(s, core_strict="core_strict"))
-    mix = s.get("mix", TransformSpec.normalize_mode)
     panel = _load_canonical(args.input)
-    points = _mix_matrix(panel, mix)
-    model = dbscan(points, params)
+    model = dbscan(_mix_matrix(panel, s.get("mix", TransformSpec.normalize_mode)), params)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_table(
@@ -371,8 +347,12 @@ def _cmd_cluster(args) -> int:
         ["entity", "period", "label", "core"],
         [*panel.key_columns(), model.labels.astype(np.intp), model.core_mask.astype(np.intp)],
     )
-    bundle = _cluster_bundle(panel, model, points, mix)
-    write_json(out / "cluster_model.json", bundle)
+    # all that fit, cv and path read back; clusters.csv and the ok line carry the rest
+    write_json(out / "cluster_model.json", {
+        "format": "dprkit-clusters-v1",
+        "row_keys": [[e, p] for e, p in panel.row_keys()],
+        "labels": model.labels.tolist(),
+    })
     _ok("cluster", k=model.k, noise=model.n_noise, sc=model.sc, sse=model.sse)
     return 0
 

@@ -3,9 +3,9 @@
 DBSCAN over Euclidean distance, with one formula throughout: the squared
 coordinate differences are summed in column order, then square-rooted.
 ``pairwise_distances`` computes it with ``scipy.spatial.distance.cdist`` and
-``_row_distances`` with one numpy pass per column (``region_query`` and the
-eps tests of ``assign_by_nearest_core``), so a new row at exactly eps from a
-core is judged as a training row would be.  A point is core when its closed
+``_row_distances`` with one numpy pass per column (the eps tests of
+``assign_by_nearest_core``), so a new row at exactly eps from a core is
+judged as a training row would be.  A point is core when its closed
 eps-neighborhood (itself included) holds at least ``min_pts`` points;
 ``core_strict=True`` switches the rule to strictly more than ``min_pts``.
 Clusters are the connected components of the core points under the eps
@@ -58,12 +58,11 @@ NOISE = -1
 _CHUNK = 262_144
 
 
-def _check_eps(eps, zero: bool = False) -> float:
-    """``eps`` as a float; a ValidationError naming eps unless it is a finite
-    real > 0, or >= 0 when ``zero`` allows it."""
+def _check_eps(eps) -> float:
+    """``eps`` as a float; a ValidationError naming eps unless it is a finite real > 0."""
     value = float(eps) if isinstance(eps, numbers.Real) else math.nan
-    if not math.isfinite(value) or value < 0 or value == 0 and not zero:
-        raise ValidationError(f"eps must be finite and {'>=' if zero else '>'} 0, got {eps!r}")
+    if not math.isfinite(value) or value <= 0:
+        raise ValidationError(f"eps must be finite and > 0, got {eps!r}")
     return value
 
 
@@ -130,16 +129,6 @@ def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k in range(d.shape[1]):
         acc += d[:, k] * d[:, k]
     return np.sqrt(acc)
-
-
-def region_query(points, i: int, eps: float) -> set[int]:
-    """Indices within the closed eps-ball around row i, the point itself included."""
-    pts = _as_points(points)
-    if not 0 <= i < pts.shape[0]:
-        raise ValidationError(f"row index {i} out of range for {pts.shape[0]} points")
-    # eps = 0 is the set of rows identical to row i
-    eps = _check_eps(eps, zero=True)
-    return set(np.flatnonzero(_row_distances(pts, pts[i]) <= eps).tolist())
 
 
 def _canonical_relabel(labels: np.ndarray) -> tuple[np.ndarray, int]:

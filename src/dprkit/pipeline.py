@@ -59,7 +59,7 @@ from .regression import (
     predict,
     standardize,
 )
-from .tables import write_json, write_table
+from .tables import bundle_field, number, numbers, strings, write_json, write_table
 
 UNIQUE_DUMMY = "unique_dummy"
 EXCLUDE = "exclude"
@@ -495,20 +495,7 @@ def forecast_report(model: FittedModel, test: PanelDataset, transform: Transform
     )
 
 
-MODEL_FORMAT = "dprkit-model-v1"
-
-
-def bundle_field(bundle, dotted: str, convert):
-    """``convert(bundle[a][b])`` for ``dotted='a.b'``; a missing or bad field is named."""
-    node = bundle
-    for key in dotted.split("."):
-        if not isinstance(node, dict) or key not in node:
-            raise ValidationError(f"missing field {dotted!r}")
-        node = node[key]
-    try:
-        return convert(node)
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise ValidationError(f"bad field {dotted!r}: {exc!r}") from exc
+MODEL_FORMAT = "dprkit-model-v2"
 
 
 @dataclass
@@ -523,7 +510,7 @@ class DprModel:
     model: FittedModel
     transform: TransformSpec
     features: list[str]
-    params: DbscanParams
+    eps: float
     k: int
     baseline: int
     outlier_policy: str
@@ -532,8 +519,8 @@ class DprModel:
     entity_maxima: dict[str, np.ndarray] | None
 
     def to_bundle(self) -> dict:
-        """The ``dprkit-model-v1`` record that ``run`` writes as ``model.json``."""
-        p, maxima = self.params, self.entity_maxima
+        """The ``MODEL_FORMAT`` record that ``run`` writes as ``model.json``."""
+        maxima = self.entity_maxima
         return {
             "format": MODEL_FORMAT,
             "regression": self.model.to_dict(),
@@ -541,11 +528,10 @@ class DprModel:
                           "normalize_mode": self.transform.normalize_mode},
             "features": list(self.features),
             "clustering": {
-                "eps": p.eps, "min_pts": p.min_pts, "core_strict": p.core_strict,
-                "k": self.k, "baseline": self.baseline, "outlier_policy": self.outlier_policy,
+                "eps": self.eps, "k": self.k, "baseline": self.baseline,
+                "outlier_policy": self.outlier_policy,
                 "core_points": self.core_points.tolist(),
                 "core_labels": self.core_labels.tolist(),
-                "dummy_names": self.model.column_names[len(self.features):],
             },
             "entity_maxima": None if maxima is None else {e: mx.tolist()
                                                           for e, mx in maxima.items()},
@@ -553,51 +539,46 @@ class DprModel:
 
     @classmethod
     def from_bundle(cls, bundle) -> "DprModel":
-        """Read back a ``to_bundle`` record; a malformed one is a ValidationError."""
-        if not isinstance(bundle, dict) or bundle.get("format") != MODEL_FORMAT:
+        """Read back a ``to_bundle`` record; a malformed one is a ValidationError.
+
+        The regression columns are the features, then dummies that
+        :func:`dummy_columns` builds for new rows."""
+        if not isinstance(bundle, dict):
             raise ValidationError("not a run model bundle")
+        if bundle.get("format") != MODEL_FORMAT:
+            raise ValidationError(f"bad field 'format': expected {MODEL_FORMAT!r}, got "
+                                  f"{bundle.get('format')!r}; rerun dprkit run to write one")
         get = partial(bundle_field, bundle)
         model = get("regression", FittedModel.from_dict)
-        width = len(model.column_names)
-        for name in ("intercept", "coefficients", "column_means", "column_stds", "zero_variance"):
-            value = getattr(model, name)
-            shape = () if name == "intercept" else (width,)
-            if np.shape(value) != shape or not np.isfinite(value).all():
-                raise ValidationError(f"bad field 'regression.{name}': expected " + (
-                    f"{width} finite entries" if shape else "a finite number"))
-        stds = model.column_stds
-        if not np.where(model.zero_variance, stds == 0, stds > 0).all():
-            raise ValidationError("bad field 'regression.column_stds': expected 0 where "
-                                  "zero_variance is true and > 0 elsewhere")
-        features = get("features", lambda v: [str(f) for f in v])
-        labels = get("clustering.core_labels", lambda v: np.asarray(v, np.intp).reshape(-1))
-        k = get("clustering.k", int)
-        if np.any((labels < 0) | (labels >= k)):
+        features = get("features", strings)
+        names = model.column_names
+        try:
+            if names[:len(features)] != features:
+                raise ValidationError("the features do not come first")
+            dummy_columns(names[len(features):], np.zeros(0, np.intp))
+        except ValidationError as exc:
+            raise ValidationError(f"bad field 'regression.column_names': {exc}") from None
+        labels = get("clustering.core_labels", partial(numbers, kind=int))
+        k = get("clustering.k", partial(number, kind=int))
+        if labels.ndim != 1 or np.any((labels < 0) | (labels >= k)):
             raise ValidationError(f"bad field 'clustering.core_labels': not all in range({k})")
-        dummies = get("clustering.dummy_names", lambda v: [str(n) for n in v])
-        if dummies != model.column_names[len(features):]:
-            raise ValidationError("bad field 'clustering.dummy_names': not the regression "
-                                  "columns after the features")
-        core_points = get("clustering.core_points", lambda v: np.asarray(
-            v, np.float64).reshape(labels.size, len(features)))
+        core_points = get("clustering.core_points", lambda v: numbers(v).reshape(
+            labels.size, len(features)))
         if not np.isfinite(core_points).all():
             raise ValidationError("bad field 'clustering.core_points': expected finite entries")
-        maxima = bundle.get("entity_maxima")
         return cls(
             model=model,
-            transform=TransformSpec(get("transform.log_offset", float),
+            transform=TransformSpec(get("transform.log_offset", number),
                                     get("transform.normalize_mode", str)),
             features=features,
-            params=DbscanParams(get("clustering.eps", float), get("clustering.min_pts", int),
-                                core_strict=get("clustering.core_strict", bool)),
+            eps=get("clustering.eps", lambda v: _check_eps(number(v))),
             k=k,
-            baseline=get("clustering.baseline", int),
+            baseline=get("clustering.baseline", partial(number, kind=int)),
             outlier_policy=get("clustering.outlier_policy", str),
             core_points=core_points,
             core_labels=labels,
-            entity_maxima=None if maxima is None else get(
-                "entity_maxima", lambda v: {str(e): np.asarray(mx, np.float64).reshape(
-                    len(features)) for e, mx in v.items()}),
+            entity_maxima=get("entity_maxima", lambda v: None if v is None else {
+                str(e): numbers(mx).reshape(len(features)) for e, mx in v.items()}),
         )
 
     def assign(self, panel: PanelDataset) -> np.ndarray:
@@ -605,7 +586,7 @@ class DprModel:
         points, _ = energy_mix_features(panel, self.transform.normalize_mode,
                                         self.entity_maxima)
         return assign_by_nearest_core(self.core_points, self.core_labels,
-                                      self.params.eps, points)
+                                      self.eps, points)
 
     def forecast(self, panel: PanelDataset) -> ForecastResult:
         """Assign the source-unit panel's rows to clusters and forecast them."""
@@ -726,7 +707,7 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         features = list(train_log.feature_names)
         dpr_model = DprModel(
             model=model, transform=config.transform, features=features,
-            params=params, k=cmodel.k, baseline=config.baseline_cluster,
+            eps=params.eps, k=cmodel.k, baseline=config.baseline_cluster,
             outlier_policy=config.outlier_policy,
             core_points=mix_train[cmodel.core_mask],
             core_labels=cmodel.labels[cmodel.core_mask],

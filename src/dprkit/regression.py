@@ -41,10 +41,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+
 import numpy as np
 
 from .errors import ConvergenceError, RankDeficiencyError, ValidationError, require_int
+from .tables import bundle_field, number, numbers, strings
 
 RIDGE = "ridge"
 LASSO = "lasso"
@@ -280,19 +282,34 @@ class FittedModel:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "FittedModel":
-        pen = d["penalty"]
-        return cls(
-            intercept=float(d["intercept"]),
-            coefficients=np.asarray(d["coefficients"], dtype=np.float64),
-            penalty=PenaltySpec(pen["kind"], float(pen["lambda"]),
-                                None if pen["alpha"] is None else float(pen["alpha"])),
-            column_names=list(d["column_names"]),
-            column_means=np.asarray(d["column_means"], dtype=np.float64),
-            column_stds=np.asarray(d["column_stds"], dtype=np.float64),
-            zero_variance=np.asarray(d["zero_variance"], dtype=bool),
-            diagnostics=dict(d["diagnostics"]),
+    def from_dict(cls, d) -> "FittedModel":
+        """Read back a ``to_dict`` record, a ``model.json``'s ``regression`` field; a
+        malformed one is a ValidationError naming the field as ``regression.<name>``."""
+        get = partial(bundle_field, {"regression": d})
+        names = get("regression.column_names", strings)
+        model = cls(
+            intercept=get("regression.intercept", number),
+            coefficients=get("regression.coefficients", numbers),
+            penalty=get("regression.penalty", lambda p: PenaltySpec(
+                p["kind"], number(p["lambda"]),
+                None if p["alpha"] is None else number(p["alpha"]))),
+            column_names=names,
+            column_means=get("regression.column_means", numbers),
+            column_stds=get("regression.column_stds", numbers),
+            zero_variance=get("regression.zero_variance", lambda v: np.asarray(v, dtype=bool)),
+            diagnostics=get("regression.diagnostics", dict),
         )
+        for name in ("intercept", "coefficients", "column_means", "column_stds", "zero_variance"):
+            value = getattr(model, name)
+            shape = () if name == "intercept" else (len(names),)
+            if np.shape(value) != shape or not np.isfinite(value).all():
+                raise ValidationError(f"bad field 'regression.{name}': expected " + (
+                    f"{len(names)} finite entries" if shape else "a finite number"))
+        stds = model.column_stds
+        if not np.where(model.zero_variance, stds == 0, stds > 0).all():
+            raise ValidationError("bad field 'regression.column_stds': expected 0 where "
+                                  "zero_variance is true and > 0 elsewhere")
+        return model
 
 
 def soft_threshold(z: float, gamma: float) -> float:

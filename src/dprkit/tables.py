@@ -1,4 +1,4 @@
-"""Writers for every file the toolkit writes: delimited tables and JSON records.
+"""Writers of every file the toolkit writes, delimited tables and JSON records.
 
 Tables are written by column.  Floats are written at 17 significant digits,
 enough to reconstruct any IEEE double, so files round-trip bit-exactly.
@@ -13,7 +13,8 @@ holding the delimiter, a quote or a line break, or an empty cell alone on its
 row) is written by ``csv.writer`` instead.
 
 JSON records (``model.json``, ``summary.json``, ``cluster_model.json``) go
-through :func:`write_json` as compact, one-line JSON.
+through :func:`write_json` as compact, one-line JSON, and are read back
+field by field through :func:`bundle_field`, which names a bad field.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
+
+from .errors import ValidationError
 
 NA = "NA"
 
@@ -125,22 +128,51 @@ def write_table(dest, header: Sequence[str], columns: Sequence, delimiter: str =
         _write(dest)
 
 
-def _json_default(o):
-    if isinstance(o, np.floating):
-        return float(o)
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o)}")
-
-
 def write_json(dest, obj) -> None:
     """Write ``obj`` as one line of JSON and a newline.
 
     ``json.dumps`` without ``indent`` runs CPython's C encoder, several times
     faster than the pure-Python one ``indent`` selects.  Floats are written
-    by ``repr``, so they read back bit for bit; numpy scalars and arrays are
-    written as Python numbers and lists.
+    by ``repr``, so they read back bit for bit.  A numpy value is a TypeError:
+    every record builder converts to Python numbers and lists.
     """
-    Path(dest).write_text(json.dumps(obj, default=_json_default) + "\n", encoding="utf-8")
+    Path(dest).write_text(json.dumps(obj) + "\n", encoding="utf-8")
+
+
+def bundle_field(bundle, dotted: str, convert):
+    """``convert(bundle[a][b])`` for ``dotted='a.b'``; a missing or bad field is named."""
+    node = bundle
+    for key in dotted.split("."):
+        if not isinstance(node, dict) or key not in node:
+            raise ValidationError(f"missing field {dotted!r}")
+        node = node[key]
+    try:
+        return convert(node)
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ValidationError(f"bad field {dotted!r}: {exc!r}") from exc
+
+
+def numbers(value, kind: type = float) -> np.ndarray:
+    """A JSON number, or list (of lists) of numbers, as an array of ``kind`` (float or int);
+    any other entry (a boolean: JSON's true is not 1) is a TypeError."""
+    cells = np.asarray(value, dtype=object)
+    types = set(map(type, cells.ravel().tolist()))
+    if bool in types or not all(issubclass(t, (int, kind)) for t in types):
+        raise TypeError(f"expected {'integers' if kind is int else 'numbers'}, "
+                        f"got {', '.join(sorted(t.__name__ for t in types))}")
+    return cells.astype(np.float64 if kind is float else np.intp)
+
+
+def number(value, kind: type = float):
+    """One JSON number as ``kind``; anything else is a TypeError."""
+    cell = numbers(value, kind)
+    if cell.ndim:
+        raise TypeError("expected one value, got a list")
+    return kind(cell)
+
+
+def strings(value) -> list[str]:
+    """A JSON list of strings; anything else is a TypeError."""
+    if not isinstance(value, list) or not all(type(v) is str for v in value):
+        raise TypeError("expected a list of strings")
+    return value

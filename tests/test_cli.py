@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
@@ -352,16 +354,6 @@ def test_forecast_round_trip_with_training_maxima(capsys, tmp_path):
     assert (tmp_path / "fc.csv").read_bytes() == (outdir / "forecast.csv").read_bytes()
 
 
-def _without_dummy_names(bundle):
-    del bundle["clustering"]["dummy_names"]
-    return bundle
-
-
-def _extra_dummy_name(bundle):
-    bundle["clustering"]["dummy_names"].append("cluster_99")
-    return bundle
-
-
 def _short_entity_maxima(bundle):
     bundle["transform"]["normalize_mode"] = "perfeaturemax"
     bundle["entity_maxima"] = {"E000": [1.0]}
@@ -385,20 +377,22 @@ _STDS_VS_ZV = ("bad field 'regression.column_stds': expected 0 where zero_varian
 
 
 @pytest.mark.parametrize("command, edit, message", [
-    ("forecast", lambda b: {"format": "dprkit-model-v1"}, "missing field 'regression'"),
+    ("forecast", lambda b: {"format": pipeline.MODEL_FORMAT}, "missing field 'regression'"),
     ("forecast", lambda b: [1, 2], "not a run model bundle"),
-    ("forecast", _without_dummy_names, "missing field 'clustering.dummy_names'"),
-    ("forecast", _extra_dummy_name, "bad field 'clustering.dummy_names': "
-     "not the regression columns after the features"),
+    ("forecast", _set("format", lambda v: "dprkit-model-v1"), "bad field 'format': expected "
+     "'dprkit-model-v2', got 'dprkit-model-v1'; rerun dprkit run to write one"),
+    ("forecast", _set("regression.column_names", lambda v: v[:-1] + ["cluster_x"]),
+     "bad field 'regression.column_names': "
+     "'cluster_x' is not a cluster_<id> or noise_<row> column"),
+    ("forecast", _set("regression.column_names", lambda v: v[1:] + v[:1]),
+     "bad field 'regression.column_names': the features do not come first"),
     ("forecast", _short_entity_maxima, "bad field 'entity_maxima': "
      "ValueError('cannot reshape array of size 1 into shape (4,)')"),
     # these ended in a traceback or were accepted
-    ("forecast", _set("clustering.min_pts", lambda v: INF), "bad field 'clustering.min_pts': "
-     "OverflowError('cannot convert float infinity to integer')"),
     ("forecast", _set("clustering.baseline", lambda v: INF), "bad field 'clustering.baseline': "
-     "OverflowError('cannot convert float infinity to integer')"),
+     "TypeError('expected integers, got float')"),
     ("forecast", _set("clustering.core_labels", lambda v: INF), "bad field "
-     "'clustering.core_labels': OverflowError('cannot convert float infinity to integer')"),
+     "'clustering.core_labels': TypeError('expected integers, got float')"),
     ("forecast", _set("clustering.core_labels", lambda v: v[:-1] + [max(v) + 1]),
      "bad field 'clustering.core_labels': not all in range(2)"),
     ("forecast", _set("clustering.core_labels", lambda v: [-1] + v[1:]),
@@ -418,17 +412,24 @@ _STDS_VS_ZV = ("bad field 'regression.column_stds': expected 0 where zero_varian
     # the clustering layer's message named neither the file nor the field
     ("forecast", _set("clustering.core_points", lambda v: [[INF] + v[0][1:]] + v[1:]),
      "bad field 'clustering.core_points': expected finite entries"),
+    # JSON's true was read as the number 1
+    ("forecast", _set("regression.intercept", lambda v: True),
+     "bad field 'regression.intercept': TypeError('expected numbers, got bool')"),
+    ("forecast", _set("regression.coefficients", lambda v: [True] + v[1:]),
+     "bad field 'regression.coefficients': TypeError('expected numbers, got bool, float')"),
+    ("forecast", _set("clustering.eps", lambda v: True),
+     "bad field 'clustering.eps': TypeError('expected numbers, got bool')"),
     ("fit", lambda b: {"format": "dprkit-clusters-v1"}, "missing field 'row_keys'"),
     ("fit", lambda b: {"format": "dprkit-clusters-v1", "row_keys": [], "labels": INF},
-     "bad field 'labels': OverflowError('cannot convert float infinity to integer')"),
-], ids=["model-format-only", "model-list", "model-without-dummy-names",
-        "model-other-dummy-names", "model-short-maxima", "model-min-pts-inf",
+     "bad field 'labels': TypeError('expected integers, got float')"),
+], ids=["model-format-only", "model-list", "model-format-v1", "model-bad-dummy-name",
+        "model-features-not-first", "model-short-maxima",
         "model-baseline-inf", "model-core-labels-inf", "model-core-label-k",
         "model-core-label-negative", "model-coefficients-short", "model-column-stds-short",
         "model-zero-variance-empty", "model-intercept-inf", "model-column-std-zero",
         "model-column-std-negative", "model-zero-variance-flipped", "model-core-point-inf",
-        "clusters-format-only",
-        "clusters-labels-inf"])
+        "model-intercept-true", "model-coefficient-true", "model-eps-true",
+        "clusters-format-only", "clusters-labels-inf"])
 def test_malformed_bundle_is_one_error_line(capsys, tmp_path, command, edit, message):
     panel = _synth(capsys, tmp_path, seed=5)
     code, _, _ = run_cli(
@@ -448,6 +449,76 @@ def test_malformed_bundle_is_one_error_line(capsys, tmp_path, command, edit, mes
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.splitlines() == [f"error: {bad}: {message}"]
+
+
+def _field_paths(node, prefix=()):
+    """The key path of every field of a JSON record, nested records' fields included."""
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+def _mutations(bundle):
+    """``(label, bundle)`` for each single-field corruption of ``bundle``."""
+    for path in _field_paths(bundle):
+        value = reduce(getitem, path, bundle)
+        wrong = [None, "x", INF, [], {}, True]
+        if isinstance(value, list) and value:
+            wrong += [value[:-1], value + value[-1:]]
+        for new in wrong:
+            mutated = json.loads(json.dumps(bundle))
+            reduce(getitem, path[:-1], mutated)[path[-1]] = new
+            yield f"{'.'.join(path)}={json.dumps(new)[:20]}", mutated
+
+
+def test_every_single_field_corruption_is_harmless_or_one_error_line(capsys, tmp_path):
+    # each corruption of a real bundle either changes no output byte or exits 1
+    # with one stderr line that names the file; none ends in a traceback
+    panel = _synth(capsys, tmp_path, seed=5)
+    for argv in (
+        ["run", "--output-dir", str(tmp_path / "run"), "--eps", "0.2", "--min-pts", "3",
+         "--penalty", "lasso", "--lambda-grid", "logspace:-3:-1:3", "--train-count", "6",
+         "--folds", "3"],
+        ["cluster", "--output-dir", str(tmp_path / "clus"), "--eps", "0.2", "--min-pts", "3"],
+    ):
+        assert run_cli(capsys, argv[0], "--input", str(panel), *argv[1:])[0] == 0
+    bad = tmp_path / "bad.json"
+    out = tmp_path / "out"
+    out.mkdir()
+    commands = {
+        "run/model.json": (["forecast", "--input", str(panel), "--model", str(bad),
+                            "--output", str(out / "forecast.csv")], ["forecast.csv"]),
+        "clus/cluster_model.json": (["fit", "--input", str(panel), "--output-dir", str(out),
+                                     "--penalty", "ridge", "--lam", "0.1",
+                                     "--cluster-model", str(bad)],
+                                    ["coefficients.csv", "model.json"]),
+    }
+    harmless = rejected = 0
+    for name, (argv, outputs) in commands.items():
+        bundle = json.loads((tmp_path / name).read_text())
+        bad.write_text(json.dumps(bundle))
+        expected = run_cli(capsys, *argv)[:2], [(out / f).read_bytes() for f in outputs]
+        mutations = list(_mutations(bundle))
+        if "labels" in bundle:
+            mutations += [(f"labels[0]={json.dumps(v)}",
+                           {**bundle, "labels": [v, *bundle["labels"][1:]]}) for v in (True, -2)]
+        for label, mutated in mutations:
+            for f in outputs:
+                (out / f).unlink(missing_ok=True)
+            bad.write_text(json.dumps(mutated))
+            code, stdout, err = run_cli(capsys, *argv)
+            if code == 0:
+                assert ((code, stdout), [(out / f).read_bytes() for f in outputs]) == expected, (
+                    f"{name} {label}: accepted with a different output")
+                harmless += 1
+            else:
+                assert (code, stdout) == (1, ""), f"{name} {label}: exit {code}"
+                lines = err.splitlines()
+                assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), (
+                    f"{name} {label}: {err!r}")
+                rejected += 1
+    assert harmless and rejected
 
 
 def test_forecast_without_core_points_flags_every_row_noise(capsys, tmp_path):
@@ -590,10 +661,8 @@ def test_core_strict_flag_overrides_the_config_file(capsys, tmp_path):
     def core_strict(out, *flags):
         code, _, err = run_cli(capsys, *base, str(tmp_path / out), *flags)
         assert code == 0, err
-        bundle = json.loads((tmp_path / out / "model.json").read_text())
-        summary = json.loads((tmp_path / out / "summary.json").read_text())
-        assert bundle["clustering"]["core_strict"] == summary["clustering"]["core_strict"]
-        return bundle["clustering"]["core_strict"]
+        return json.loads((tmp_path / out / "summary.json").read_text())[
+            "clustering"]["core_strict"]
 
     for setting in ("true", "false"):
         cfg.write_text(f"core_strict={setting}\neps=0.2\nmin_pts=3\ntrain_count=6\nfolds=3\n")
@@ -679,7 +748,7 @@ def test_config_file_and_flags_write_the_same_run(capsys, tmp_path, settings):
     assert bundle["transform"] == {"log_offset": float(settings["log_offset"]),
                                    "normalize_mode": settings["mix"]}
     clustering = bundle["clustering"]
-    assert clustering["core_strict"] is True
+    assert summary["clustering"]["core_strict"] is True
     assert clustering["outlier_policy"] == settings["outlier_policy"]
     assert clustering["baseline"] == int(settings["baseline"])
     assert summary["chosen"]["kind"] == settings["penalty"]
@@ -853,7 +922,9 @@ def test_synth_spec_takes_the_type_of_each_fields_default(capsys, tmp_path, spec
 
 # Valid settings of each subcommand that takes a setting below, and its output flag.
 _STAGE_RUNS = {
-    "cluster": ("--output-dir", {"eps": "0.2", "min_pts": "3"}),
+    # on the seed-3 panel every row has exactly 32 rows within 0.2, itself
+    # included: all are core under the default rule and none under the strict one
+    "cluster": ("--output-dir", {"eps": "0.2", "min_pts": "32"}),
     "scan": ("--output", {"eps_grid": "0.05,0.1", "minpts_grid": "4,8"}),
     "cv": ("--output", {"penalty": "lasso", "lambda_grid": "0.01,0.1", "folds": "3"}),
     "path": ("--output", {"penalty": "lasso", "lambda_grid": "0.01,0.1"}),

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from dprkit.clustering import (
     NOISE,
     DbscanParams,
+    _row_distances,
     assign_by_nearest_core,
     dbscan,
     k_distance_profile,
     pairwise_distances,
-    region_query,
     scan_params,
     silhouette_sc,
     sse,
@@ -49,7 +49,7 @@ def test_closed_neighborhood_counts_self_and_boundary():
     model = dbscan(pts, DbscanParams(eps=1.0, min_pts=2))
     assert model.k == 1
     np.testing.assert_array_equal(model.labels, [0, 0])
-    assert region_query(pts, 0, 1.0) == {0, 1}
+    np.testing.assert_array_equal(_row_distances(pts, pts[0]) <= 1.0, [True, True])
 
 
 def test_strict_core_rule_needs_one_more_neighbor():
@@ -163,7 +163,8 @@ def test_a_tie_at_exactly_eps_off_the_lattice(seed, p, scale, min_pts):
     np.testing.assert_array_equal(model.labels, brute_force_dbscan(pts, params))
     assert model.core_mask[near] and not model.core_mask[out]
     assert model.labels[out] == model.labels[near] != NOISE
-    assert region_query(pts, out, eps) == {out, near}
+    within = _row_distances(pts, pts[out]) <= eps
+    assert set(np.flatnonzero(within).tolist()) == {out, near}
     # the same point as a new row: its nearest core sits at exactly eps
     new = pts[[out]].copy()
     np.testing.assert_array_equal(_assign(pts, model, new),
@@ -316,20 +317,10 @@ def test_a_bad_eps_is_a_validation_error(eps):
 def test_every_eps_entry_point_raises_the_params_error(eps):
     pts = np.array([[0.0, 0.0], [0.1, 0.0], [1.0, 1.0]])
     calls = [lambda: DbscanParams(eps=eps, min_pts=2),
-             lambda: region_query(pts, 0, eps),
              lambda: scan_params(pts, eps if isinstance(eps, list) else [eps], [2])]
     for call in calls:
-        with pytest.raises(ValidationError, match="^eps must be finite and >=? 0, got "):
+        with pytest.raises(ValidationError, match="^eps must be finite and > 0, got "):
             call()
-
-
-def test_region_query_takes_eps_zero_but_not_below():
-    pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.0]])
-    # eps = 0 gives the rows identical to row 0
-    assert region_query(pts, 0, 0.0) == region_query(pts, 0, 0) == {0, 2}
-    for eps in (-1e-300, -1.0, math.nan):
-        with pytest.raises(ValidationError, match="^eps must be finite and >= 0, got "):
-            region_query(pts, 0, eps)
 
 
 @pytest.mark.parametrize("eps", [1, np.int64(1), np.float32(0.5), 0.5])

@@ -452,7 +452,7 @@ def test_run_report_structure(tmp_path):
     assert summary["clustering"]["k"] == 3
     assert summary["chosen"]["kind"] == "lasso"
     bundle = json.loads((tmp_path / "model.json").read_text())
-    assert bundle["format"] == "dprkit-model-v1"
+    assert bundle["format"] == "dprkit-model-v2"
     assert len(bundle["clustering"]["core_points"]) == int(report.clusters.core_mask.sum())
 
 

@@ -86,3 +86,32 @@ def test_columns_must_match_the_header_and_each_other():
         write_table(io.StringIO(), ["a", "b"], [[1]])
     with pytest.raises(ValueError, match="length"):
         write_table(io.StringIO(), ["a", "b"], [[1, 2], np.zeros(3)])
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.float32(0.5), np.zeros(2)])
+def test_write_json_refuses_numpy_values(tmp_path, value):
+    # a record builder converts to Python numbers; a stray numpy value fails loudly
+    with pytest.raises(TypeError):
+        tables.write_json(tmp_path / "r.json", {"value": value})
+
+
+@pytest.mark.parametrize("value, kind", [(True, float), (False, int), ("1", float), (None, float),
+                                         (1.0, int), ([1.0], float)])
+def test_number_takes_only_json_numbers(value, kind):
+    with pytest.raises(TypeError):
+        tables.number(value, kind)
+
+
+@pytest.mark.parametrize("value, kind", [([1.0, True], float), ([[0], [False]], int),
+                                         ([1, 2.0], int), ([[1.0], [2.0, 3.0]], float),
+                                         (["1"], float), ([None], float), (1.0, int)])
+def test_numbers_take_only_lists_of_json_numbers(value, kind):
+    with pytest.raises(TypeError):
+        tables.numbers(value, kind)
+
+
+def test_numbers_keep_every_bit():
+    values = [[0.1, -0.0, 5e-324], [1e300, 3, -7]]
+    got = tables.numbers(values)
+    assert got.dtype == np.float64 and got.tobytes() == np.array(values).tobytes()
+    assert tables.numbers([-1, 0, 2], int).tolist() == [-1, 0, 2]
