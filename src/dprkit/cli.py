@@ -195,15 +195,6 @@ def _design(path, settings: dict):
 # ------------------------------------------------------------------- settings
 
 
-def _as_bool(text: str) -> bool:
-    text = text.strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ValueError("not a boolean")
-
-
 def _as_grid(text: str) -> tuple:
     return tuple(_parse_grid(text))
 
@@ -228,7 +219,6 @@ _SETTINGS = {
     "min_pts": (int, {}),
     "eps_grid": (_as_grid, {}),
     "minpts_grid": (_as_int_grid, {}),
-    "core_strict": (_as_bool, {"nargs": "?", "const": "true"}),
     "mix": (str, {"choices": list(MIX_MODES)}),
     "log_offset": (float, {}),
     "outlier_policy": (str, {"choices": list(pipeline.OUTLIER_POLICIES)}),
@@ -337,7 +327,7 @@ def _read_config_text(text: str) -> dict[str, str]:
 
 def _cmd_cluster(args) -> int:
     s = _settings(args)
-    params = DbscanParams(s["eps"], s["min_pts"], **_given(s, core_strict="core_strict"))
+    params = DbscanParams(s["eps"], s["min_pts"])
     panel = _load_canonical(args.input)
     model = dbscan(_mix_matrix(panel, s.get("mix", TransformSpec.normalize_mode)), params)
     out = Path(args.output_dir)
@@ -361,8 +351,7 @@ def _cmd_scan(args) -> int:
     s = _settings(args)
     panel = _load_canonical(args.input)
     points = _mix_matrix(panel, s.get("mix", TransformSpec.normalize_mode))
-    rows = scan_params(points, s["eps_grid"], s["minpts_grid"],
-                       **_given(s, core_strict="core_strict"))
+    rows = scan_params(points, s["eps_grid"], s["minpts_grid"])
     pipeline.write_scan_table(rows, Path(args.output))
     best = suggest_params(rows)
     if best is None:
@@ -447,7 +436,7 @@ def _build_run(texts: dict[str, str], panel: PanelDataset):
         transform=TransformSpec(**_given(settings, log_offset="log_offset",
                                          normalize_mode="mix")),
         **_given(settings, eps="eps", min_pts="min_pts", eps_grid="eps_grid",
-                 minpts_grid="minpts_grid", core_strict="core_strict", penalty_kind="penalty",
+                 minpts_grid="minpts_grid", penalty_kind="penalty",
                  lambda_grid="lambda_grid", alpha_grid="alpha_grid",
                  outlier_policy="outlier_policy", baseline_cluster="baseline"),
     )
@@ -554,9 +543,9 @@ _DESIGN_KEYS = ("log_offset", "outlier_policy", "baseline", "cluster_model")
 # required settings, other settings).
 _COMMANDS = {
     "cluster": (_cmd_cluster, "density clustering of the panel mix features", "--output-dir",
-                ("eps", "min_pts"), ("core_strict", "mix")),
+                ("eps", "min_pts"), ("mix",)),
     "scan": (_cmd_scan, "grid scan of clustering parameters", "--output",
-             ("eps_grid", "minpts_grid"), ("core_strict", "mix")),
+             ("eps_grid", "minpts_grid"), ("mix",)),
     "fit": (_cmd_fit, "one penalized fit on the log design", "--output-dir",
             ("penalty", "lam"), ("alpha", *_DESIGN_KEYS)),
     "cv": (_cmd_cv, "cross-validated hyperparameter table", "--output",

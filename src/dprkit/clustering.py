@@ -6,13 +6,13 @@ coordinate differences are summed in column order, then square-rooted.
 ``_row_distances`` with one numpy pass per column (the eps tests of
 ``assign_by_nearest_core``), so a new row at exactly eps from a core is
 judged as a training row would be.  A point is core when its closed
-eps-neighborhood (itself included) holds at least ``min_pts`` points;
-``core_strict=True`` switches the rule to strictly more than ``min_pts``.
-Clusters are the connected components of the core points under the eps
-relation; a non-core point within eps of one or more core points joins the
-cluster of the claiming core with the smallest row index, everything else is
-noise.  Cluster ids are canonical: numbered by the first row at which each
-cluster appears.
+eps-neighborhood (itself included) holds at least ``min_pts`` points; for a
+strict rule, "more than m", use ``min_pts = m + 1``.  Clusters are the
+connected components of the core points under the eps relation; a non-core
+point within eps of one or more core points joins the cluster of the
+claiming core with the smallest row index, everything else is noise.
+Cluster ids are canonical: numbered by the first row at which each cluster
+appears.
 
 The labelling works on one list of neighbour pairs ``i < j``, read from the
 upper triangle of the dense distance matrix: neighbourhood counts are
@@ -59,8 +59,9 @@ _CHUNK = 262_144
 
 
 def _check_eps(eps) -> float:
-    """``eps`` as a float; a ValidationError naming eps unless it is a finite real > 0."""
-    value = float(eps) if isinstance(eps, numbers.Real) else math.nan
+    """``eps`` as a float; a ValidationError naming eps unless a finite real > 0, not a bool."""
+    real = isinstance(eps, numbers.Real) and not isinstance(eps, bool)  # np.bool_ is no Real
+    value = float(eps) if real else math.nan
     if not math.isfinite(value) or value <= 0:
         raise ValidationError(f"eps must be finite and > 0, got {eps!r}")
     return value
@@ -70,7 +71,6 @@ def _check_eps(eps) -> float:
 class DbscanParams:
     eps: float
     min_pts: int
-    core_strict: bool = False
 
     def __post_init__(self) -> None:
         # stored as a float, so an int eps writes the same artifacts as its float
@@ -339,9 +339,9 @@ def _label_cells(
     """Labels, cluster count and core mask of each cell, from the distance matrix.
 
     A point is core at ``eps`` when its neighbour count reaches the cell's
-    threshold ``min_pts + core_strict``.  Cells are labelled by eps ascending
-    and, within one eps, by threshold descending, so two earlier core graphs
-    lie inside each cell's: the same threshold at the last eps and the last
+    ``min_pts``.  Cells are labelled by eps ascending and, within one eps, by
+    min_pts (the core threshold) descending, so two earlier core graphs lie
+    inside each cell's: the same threshold at the last eps and the last
     threshold at this eps.  Its predecessor is whichever of them has more
     core points (the one at this eps on a tie, which adds no pairs).  The
     first cell is one component pass over the points; every later one merges
@@ -351,7 +351,7 @@ def _label_cells(
     """
     n = D.shape[0]
     radii = sorted({p.eps for p in cells})
-    thresholds = sorted({p.min_pts + p.core_strict for p in cells}, reverse=True)
+    thresholds = sorted({p.min_pts for p in cells}, reverse=True)
     i, j, ends = _pairs_within(D, radii)
     counts = np.ones(n, dtype=np.intp)
     labelled = {}
@@ -387,7 +387,7 @@ def _label_cells(
             last = previous[t] = (core, comp, k, end, cell)
             labelled[eps, t] = cell
         start = end
-    return [labelled[p.eps, p.min_pts + p.core_strict] for p in cells]
+    return [labelled[p.eps, p.min_pts] for p in cells]
 
 
 @dataclass(frozen=True)
@@ -403,7 +403,6 @@ def scan_params(
     points,
     eps_grid: Sequence[float],
     minpts_grid: Sequence[int],
-    core_strict: bool = False,
 ) -> list[ScanRow]:
     """Evaluate dbscan over the full eps x min_pts grid.
 
@@ -419,7 +418,7 @@ def scan_params(
     if len(eps_grid) == 0 or len(minpts_grid) == 0:
         raise ValidationError("scan grids must be non-empty")
     cells = [
-        DbscanParams(eps=e, min_pts=m, core_strict=core_strict)
+        DbscanParams(eps=e, min_pts=m)
         for e in dict.fromkeys(_check_eps(e) for e in eps_grid)
         for m in dict.fromkeys(require_int("min_pts", m, 1) for m in minpts_grid)
     ]

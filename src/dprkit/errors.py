@@ -5,6 +5,8 @@ code 1); NumericalError covers failures of the numerics themselves, such as
 rank-deficient systems or solver non-convergence (CLI exit code 2).
 """
 
+import numpy as np
+
 
 class DprError(Exception):
     pass
@@ -27,9 +29,10 @@ class ConvergenceError(NumericalError):
 
 
 def require_int(name: str, value, minimum: int) -> int:
-    """``value`` as an int; a ValidationError naming ``name`` unless whole and >= ``minimum``."""
+    """``value`` as an int; a ValidationError naming ``name`` unless whole, >= ``minimum``
+    and not a bool (``True == 1`` is no count)."""
     try:
-        whole = int(value) == value
+        whole = int(value) == value and not isinstance(value, (bool, np.bool_))
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole or value < minimum:

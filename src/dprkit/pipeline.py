@@ -98,7 +98,6 @@ class DprConfig:
     min_pts: int | None = None
     eps_grid: tuple | None = None
     minpts_grid: tuple | None = None
-    core_strict: bool = False
     penalty_kind: str = ELASTIC_NET
     lambda_grid: tuple = _DEFAULT_LAMBDAS
     alpha_grid: tuple | None = None
@@ -562,6 +561,16 @@ class DprModel:
         k = get("clustering.k", partial(number, kind=int))
         if labels.ndim != 1 or np.any((labels < 0) | (labels >= k)):
             raise ValidationError(f"bad field 'clustering.core_labels': not all in range({k})")
+        baseline = get("clustering.baseline", partial(number, kind=int))
+        if k > 0 and baseline not in range(k):
+            raise ValidationError(f"bad field 'clustering.baseline': {baseline} not in range({k})")
+        # augment_with_dummies' columns: one per cluster but the baseline, none at k=0
+        ids = [int(n.removeprefix("cluster_")) for n in names[len(features):]
+               if n.startswith("cluster_")]
+        if ids != [c for c in range(k) if c != baseline]:
+            raise ValidationError(
+                f"bad fields 'clustering.k' and 'clustering.baseline': the cluster columns "
+                f"of regression.column_names are {ids}, not range({k}) minus {baseline}")
         core_points = get("clustering.core_points", lambda v: numbers(v).reshape(
             labels.size, len(features)))
         if not np.isfinite(core_points).all():
@@ -573,7 +582,7 @@ class DprModel:
             features=features,
             eps=get("clustering.eps", lambda v: _check_eps(number(v))),
             k=k,
-            baseline=get("clustering.baseline", partial(number, kind=int)),
+            baseline=baseline,
             outlier_policy=get("clustering.outlier_policy", str),
             core_points=core_points,
             core_labels=labels,
@@ -661,17 +670,14 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         scan_rows: list[ScanRow] | None = None
         eps, min_pts = config.eps, config.min_pts
         if eps is None:
-            scan_rows = scan_params(
-                mix_train, config.eps_grid, config.minpts_grid,
-                core_strict=config.core_strict,
-            )
+            scan_rows = scan_params(mix_train, config.eps_grid, config.minpts_grid)
             suggestion = suggest_params(scan_rows)
             if suggestion is None:
                 raise NumericalError(
                     "no scan cell had a defined silhouette; adjust the grids"
                 )
             eps, min_pts = suggestion.eps, suggestion.min_pts
-        params = DbscanParams(eps, min_pts, core_strict=config.core_strict)
+        params = DbscanParams(eps, min_pts)
         cmodel = dbscan(mix_train, params)
         if cmodel.k > 0 and config.baseline_cluster not in range(cmodel.k):
             raise ValidationError(
@@ -796,7 +802,7 @@ def write_report(report: RunReport, out_dir) -> None:
         "clustering": {
             "eps": clusters.params.eps,
             "min_pts": clusters.params.min_pts,
-            "core_strict": clusters.params.core_strict,
+            "core_strict": False,  # read by perfbench's DBSCAN check; goes with ROADMAP item 2
             "k": clusters.k,
             "sc": clusters.sc,
             "sse": clusters.sse,

@@ -197,10 +197,7 @@ def brute_force_dbscan(points, params: DbscanParams) -> np.ndarray:
     dist = [[distance(coords[i], coords[j]) for j in range(n)] for i in range(n)]
     within = np.array([[dist[i][j] <= params.eps for j in range(n)] for i in range(n)])
     counts = within.sum(axis=1)
-    if params.core_strict:
-        core = counts > params.min_pts
-    else:
-        core = counts >= params.min_pts
+    core = counts >= params.min_pts
 
     # direct density reachability: from a core point to anything within eps
     direct = np.zeros((n, n), dtype=bool)

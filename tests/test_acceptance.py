@@ -65,8 +65,8 @@ def test_criterion_1_clustering_matches_brute_force_oracle():
         )
         params = DbscanParams(
             eps=eps,
-            min_pts=int(rng.integers(2, 7)),
-            core_strict=bool(rng.integers(0, 2)),
+            # the second draw once chose the strict rule, which is min_pts + 1
+            min_pts=int(rng.integers(2, 7)) + int(rng.integers(0, 2)),
         )
         got = dbscan(pts, params).labels
         want = testkit.brute_force_dbscan(pts, params)

@@ -495,6 +495,7 @@ def test_every_single_field_corruption_is_harmless_or_one_error_line(capsys, tmp
                                     ["coefficients.csv", "model.json"]),
     }
     harmless = rejected = 0
+    named = {}  # label -> what its one error line must say, the field's name at least
     for name, (argv, outputs) in commands.items():
         bundle = json.loads((tmp_path / name).read_text())
         bad.write_text(json.dumps(bundle))
@@ -503,12 +504,27 @@ def test_every_single_field_corruption_is_harmless_or_one_error_line(capsys, tmp
         if "labels" in bundle:
             mutations += [(f"labels[0]={json.dumps(v)}",
                            {**bundle, "labels": [v, *bundle["labels"][1:]]}) for v in (True, -2)]
+        if "clustering" in bundle:
+            # unread by forecasting, but the cluster columns must be range(k) minus baseline
+            own = next(int(c[8:]) for c in bundle["regression"]["column_names"]
+                       if c.startswith("cluster_"))
+            k = bundle["clustering"]["k"]
+            for key, value, says in (
+                ("baseline", 7, f"bad field 'clustering.baseline': 7 not in range({k})"),
+                ("k", 99, "'clustering.k'"),
+                ("baseline", own, "'clustering.baseline'"),
+            ):
+                mutated = json.loads(json.dumps(bundle))
+                mutated["clustering"][key] = value
+                label = f"clustering.{key}={value}"
+                mutations.append((label, mutated))
+                named[label] = says
         for label, mutated in mutations:
             for f in outputs:
                 (out / f).unlink(missing_ok=True)
             bad.write_text(json.dumps(mutated))
             code, stdout, err = run_cli(capsys, *argv)
-            if code == 0:
+            if code == 0 and label not in named:
                 assert ((code, stdout), [(out / f).read_bytes() for f in outputs]) == expected, (
                     f"{name} {label}: accepted with a different output")
                 harmless += 1
@@ -517,8 +533,9 @@ def test_every_single_field_corruption_is_harmless_or_one_error_line(capsys, tmp
                 lines = err.splitlines()
                 assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), (
                     f"{name} {label}: {err!r}")
+                assert named.get(label, "") in lines[0], f"{name} {label}: {err!r}"
                 rejected += 1
-    assert harmless and rejected
+    assert harmless and rejected and len(named) == 3
 
 
 def test_forecast_without_core_points_flags_every_row_noise(capsys, tmp_path):
@@ -653,26 +670,6 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert json.loads((out2 / "summary.json").read_text())["chosen"]["kind"] == "lasso"
 
 
-def test_core_strict_flag_overrides_the_config_file(capsys, tmp_path):
-    panel = _synth(capsys, tmp_path, seed=3)
-    cfg = tmp_path / "run.cfg"
-    base = ["run", "--input", str(panel), "--config", str(cfg), "--output-dir"]
-
-    def core_strict(out, *flags):
-        code, _, err = run_cli(capsys, *base, str(tmp_path / out), *flags)
-        assert code == 0, err
-        return json.loads((tmp_path / out / "summary.json").read_text())[
-            "clustering"]["core_strict"]
-
-    for setting in ("true", "false"):
-        cfg.write_text(f"core_strict={setting}\neps=0.2\nmin_pts=3\ntrain_count=6\nfolds=3\n")
-        assert core_strict(f"cfg-{setting}") is (setting == "true")
-        assert core_strict(f"false-{setting}", "--core-strict", "false") is False
-        assert core_strict(f"true-{setting}", "--core-strict", "true") is True
-        # a bare flag still means true
-        assert core_strict(f"bare-{setting}", "--core-strict") is True
-
-
 def test_config_file_errors(capsys, tmp_path):
     panel = _synth(capsys, tmp_path)
     cfg = tmp_path / "bad.cfg"
@@ -707,13 +704,13 @@ def test_config_file_errors(capsys, tmp_path):
 # with period lists, and a scanning run with a period count.
 _FIXED_RUN = {
     "penalty": "elastic_net", "lambda_grid": "logspace:-4:-1:5", "alpha_grid": "0.5,1.0",
-    "eps": "0.05", "min_pts": "3", "core_strict": "true", "mix": "rawshares",
+    "eps": "0.05", "min_pts": "4", "mix": "rawshares",
     "log_offset": "0.5", "outlier_policy": "unique_dummy", "baseline": "1", "folds": "3",
     "train_periods": "2000-2005", "test_periods": "2006,2007",
 }
 _SCAN_RUN = {
     "penalty": "lasso", "lambda_grid": "0.001,0.01,0.1", "eps_grid": "1,2,4",
-    "minpts_grid": "3,4", "core_strict": "true", "mix": "none", "log_offset": "1",
+    "minpts_grid": "4,5", "mix": "none", "log_offset": "1",
     "outlier_policy": "exclude", "baseline": "0", "folds": "4", "train_count": "6",
 }
 
@@ -748,7 +745,6 @@ def test_config_file_and_flags_write_the_same_run(capsys, tmp_path, settings):
     assert bundle["transform"] == {"log_offset": float(settings["log_offset"]),
                                    "normalize_mode": settings["mix"]}
     clustering = bundle["clustering"]
-    assert summary["clustering"]["core_strict"] is True
     assert clustering["outlier_policy"] == settings["outlier_policy"]
     assert clustering["baseline"] == int(settings["baseline"])
     assert summary["chosen"]["kind"] == settings["penalty"]
@@ -763,8 +759,7 @@ def test_unset_run_settings_take_the_dataclass_defaults():
 
 
 _MALFORMED = [("eps", "0.2x"), ("min_pts", "3.5"), ("log_offset", "one"),
-              ("baseline", "first"), ("folds", "3.0"), ("train_count", "six"),
-              ("core_strict", "maybe")]
+              ("baseline", "first"), ("folds", "3.0"), ("train_count", "six")]
 
 
 @pytest.mark.parametrize("key, bad, source", [
@@ -922,9 +917,7 @@ def test_synth_spec_takes_the_type_of_each_fields_default(capsys, tmp_path, spec
 
 # Valid settings of each subcommand that takes a setting below, and its output flag.
 _STAGE_RUNS = {
-    # on the seed-3 panel every row has exactly 32 rows within 0.2, itself
-    # included: all are core under the default rule and none under the strict one
-    "cluster": ("--output-dir", {"eps": "0.2", "min_pts": "32"}),
+    "cluster": ("--output-dir", {"eps": "0.2", "min_pts": "3"}),
     "scan": ("--output", {"eps_grid": "0.05,0.1", "minpts_grid": "4,8"}),
     "cv": ("--output", {"penalty": "lasso", "lambda_grid": "0.01,0.1", "folds": "3"}),
     "path": ("--output", {"penalty": "lasso", "lambda_grid": "0.01,0.1"}),
@@ -939,23 +932,25 @@ def _stage_argv(command, panel, out, **changes):
             *_as_flags({**settings, **changes})]
 
 
-def _written(path):
-    return _files(path) if path.is_dir() else path.read_bytes()
-
-
-@pytest.mark.parametrize("command", ["cluster", "scan", "run"])
-def test_core_strict_means_the_same_on_every_subcommand(capsys, tmp_path, command):
+@pytest.mark.parametrize("command, source", [
+    ("cluster", "flag"), ("scan", "flag"), ("run", "flag"), ("run", "config"),
+])
+def test_core_strict_is_refused_on_every_subcommand(capsys, tmp_path, command, source):
+    # the strict core rule is min_pts + 1; its old switch is no setting at all
     panel = _synth(capsys, tmp_path, seed=3)
-    written = {}
-    for name, flags in [("unset", []), ("false", ["--core-strict", "false"]),
-                        ("true", ["--core-strict", "true"]), ("bare", ["--core-strict"])]:
-        out = tmp_path / name
-        code, stdout, err = run_cli(capsys, *_stage_argv(command, panel, out), *flags)
-        assert code == 0, err
-        written[name] = (stdout, _written(out))
-    assert written["false"] == written["unset"]
-    assert written["bare"] == written["true"]
-    assert written["true"] != written["false"]
+    out = tmp_path / "out"
+    argv = _stage_argv(command, panel, out)
+    if source == "flag":
+        argv += ["--core-strict", "true"]
+        message = "error: unrecognized arguments: --core-strict true"
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("core_strict = true\n")
+        argv += ["--config", str(cfg)]
+        message = "error: unknown config keys: ['core_strict']"
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout, err.splitlines()) == (1, "", [message])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, key, bad", [

@@ -53,9 +53,10 @@ def test_closed_neighborhood_counts_self_and_boundary():
 
 
 def test_strict_core_rule_needs_one_more_neighbor():
+    # "more than m points" is the one core rule at min_pts = m + 1
     pts = _col([0.0, 0.0])
-    lax = dbscan(pts, DbscanParams(eps=0.5, min_pts=2, core_strict=False))
-    strict = dbscan(pts, DbscanParams(eps=0.5, min_pts=2, core_strict=True))
+    lax = dbscan(pts, DbscanParams(eps=0.5, min_pts=2))
+    strict = dbscan(pts, DbscanParams(eps=0.5, min_pts=3))
     assert lax.k == 1
     assert strict.k == 0
     np.testing.assert_array_equal(strict.labels, [NOISE, NOISE])
@@ -292,8 +293,8 @@ def test_randomized_against_brute_oracle_quick():
         eps = float(np.quantile(dist[dist > 0], 0.2)) if (dist > 0).any() else 0.5
         params = DbscanParams(
             eps=eps,
-            min_pts=int(rng.integers(2, 6)),
-            core_strict=bool(rng.integers(0, 2)),
+            # the second draw once chose the strict rule, which is min_pts + 1
+            min_pts=int(rng.integers(2, 6)) + int(rng.integers(0, 2)),
         )
         np.testing.assert_array_equal(
             dbscan(pts, params).labels, brute_force_dbscan(pts, params)
@@ -307,7 +308,7 @@ def test_params_validation():
         DbscanParams(eps=1.0, min_pts=0)
 
 
-@pytest.mark.parametrize("eps", ["0.1", None, [0.1], math.nan, math.inf, 0, -1])
+@pytest.mark.parametrize("eps", ["0.1", None, [0.1], math.nan, math.inf, 0, -1, True, np.True_])
 def test_a_bad_eps_is_a_validation_error(eps):
     with pytest.raises(ValidationError, match="^eps must be finite and > 0, got "):
         DbscanParams(eps=eps, min_pts=2)
@@ -341,15 +342,15 @@ def _lattice_with_ties():
 def _core_by_count(pts, params):
     # closed eps-ball counts, the point itself included, straight off the matrix
     counts = (pairwise_distances(pts) <= params.eps).sum(axis=1)
-    return counts > params.min_pts if params.core_strict else counts >= params.min_pts
+    return counts >= params.min_pts
 
 
 def _assert_cells_match_per_cell_runs_and_oracle(pts, eps_grid, minpts_grid):
     from dprkit.clustering import _label_cells
 
-    for strict in (False, True):
-        rows = scan_params(pts, eps_grid, minpts_grid, core_strict=strict)
-        cells = [DbscanParams(r.eps, r.min_pts, core_strict=strict) for r in rows]
+    for strict in (0, 1):  # a strict rule is min_pts + 1
+        rows = scan_params(pts, eps_grid, [m + strict for m in minpts_grid])
+        cells = [DbscanParams(r.eps, r.min_pts) for r in rows]
         labelled = _label_cells(pairwise_distances(pts), cells)
         for row, params, (labels, k, core) in zip(rows, cells, labelled):
             solo = dbscan(pts, params)
@@ -504,7 +505,7 @@ _EPS = st.sampled_from([0.5, 0.75, 1.0, 1.5])
 @given(pts=_lattice(0.5, 8, min_size=2), eps=_EPS, min_pts=st.integers(1, 5),
        strict=st.booleans(), data=st.data())
 def test_partition_invariant_under_row_permutation(pts, eps, min_pts, strict, data):
-    params = DbscanParams(eps=eps, min_pts=min_pts, core_strict=strict)
+    params = DbscanParams(eps=eps, min_pts=min_pts + strict)  # strict: one more point
     perm = np.asarray(data.draw(st.permutations(range(pts.shape[0]))))
     base = dbscan(pts, params)
     moved = dbscan(pts[perm], params)
@@ -629,9 +630,10 @@ def test_assign_by_nearest_core_to_a_single_core_on_the_paper_shape():
 def test_scan_cells_match_per_cell_runs_and_oracle(pts, eps_grid, minpts_grid, strict):
     from dprkit.clustering import _label_cells
 
-    rows = scan_params(pts, eps_grid, minpts_grid, core_strict=strict)
+    minpts_grid = [m + strict for m in minpts_grid]  # strict: one more point
+    rows = scan_params(pts, eps_grid, minpts_grid)
     # one cell per distinct value, in first-occurrence order
-    cells = [DbscanParams(e, m, core_strict=strict)
+    cells = [DbscanParams(e, m)
              for e in dict.fromkeys(eps_grid) for m in dict.fromkeys(minpts_grid)]
     assert [(r.eps, r.min_pts) for r in rows] == [(p.eps, p.min_pts) for p in cells]
     labelled = _label_cells(pairwise_distances(pts), cells)

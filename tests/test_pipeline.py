@@ -344,12 +344,19 @@ _INTEGER_PARAMETERS = {
 }
 
 
-@pytest.mark.parametrize("value", [2.5, math.inf, math.nan])
+@pytest.mark.parametrize("value", [2.5, math.inf, math.nan, True, np.True_],
+                         ids=["2.5", "inf", "nan", "True", "numpy-True"])
 @pytest.mark.parametrize("parameter", list(_INTEGER_PARAMETERS))
 def test_a_count_that_is_not_an_integer_is_a_validation_error(parameter, value):
     name = parameter.split()[-1]
     with pytest.raises(ValidationError, match=f"^{name} must be an integer >= "):
         _INTEGER_PARAMETERS[parameter](value)
+
+
+def test_config_refuses_a_bool_eps():
+    # True == 1 in Python, but no setting takes True for 1
+    with pytest.raises(ValidationError, match="^eps must be finite and > 0, got True$"):
+        DprConfig(eps=True, min_pts=4)
 
 
 def test_require_fit_names_the_failed_fit():
@@ -391,10 +398,14 @@ def test_config_takes_fixed_eps_or_scan_grids_never_both(keys):
 
 
 def test_config_is_frozen_with_one_core_rule():
-    config = DprConfig(eps=0.05, min_pts=4, core_strict=True)
+    config = DprConfig(eps=0.05, min_pts=4)
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.eps = 0.1
-    assert [f.name for f in dataclasses.fields(DprConfig)].count("core_strict") == 1
+    # the strict rule is min_pts + 1: neither the config nor the params switch it
+    with pytest.raises(TypeError, match="core_strict"):
+        DprConfig(eps=0.05, min_pts=4, core_strict=True)
+    with pytest.raises(TypeError, match="core_strict"):
+        DbscanParams(0.05, 4, core_strict=True)
 
 
 @pytest.mark.parametrize("kind", ["ridge", "lasso"])

@@ -1,9 +1,10 @@
-"""The README's Python API example runs as written on the quick-start panel."""
+"""The README's Python API example runs as written on the quick-start panel, and
+its list of setting flags is the CLI's."""
 
 import re
 from pathlib import Path
 
-from dprkit.cli import main
+from dprkit.cli import _COMMANDS, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,3 +29,14 @@ def test_readme_api_example_writes_the_cli_run(tmp_path, monkeypatch, capsys):
     printed = capsys.readouterr().out.splitlines()[-2]  # the example's print, before `run ok`
     assert len(printed.split()) == 3
     assert _files(tmp_path / "api_out") == _files(tmp_path / "cli_out")
+
+
+def test_readme_lists_every_setting_flag_of_the_subcommands():
+    # run's own settings (period lists, its config file) are documented with run
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    listed = re.search(r"A setting flag parses and defaults the same way on every "
+                       r"subcommand that takes it \((.*?)\):", text).group(1)
+    flags = {"--" + key.replace("_", "-")
+             for name, (_, _, _, required, other) in _COMMANDS.items() if name != "run"
+             for key in (*required, *other)}
+    assert sorted(re.findall(r"`(--[a-z-]+)`", listed)) == sorted(flags)
