@@ -932,20 +932,22 @@ def _stage_argv(command, panel, out, **changes):
             *_as_flags({**settings, **changes})]
 
 
-@pytest.mark.parametrize("command, source", [
-    ("cluster", "flag"), ("scan", "flag"), ("run", "flag"), ("run", "config"),
-])
-def test_core_strict_is_refused_on_every_subcommand(capsys, tmp_path, command, source):
-    # the strict core rule is min_pts + 1; its old switch is no setting at all
+@pytest.mark.parametrize("command, source, value", [
+    ("cluster", "flag", "true"), ("scan", "flag", "true"), ("run", "flag", "true"),
+    ("run", "flag", "maybe"), ("run", "config", "true"),
+], ids=["cluster-flag", "scan-flag", "run-flag", "run-flag-maybe", "run-config"])
+def test_core_strict_is_refused_on_every_subcommand(capsys, tmp_path, command, source, value):
+    # the strict core rule is min_pts + 1; its old switch is no setting at all, so any value
+    # of it is refused as unknown, never read as a malformed boolean
     panel = _synth(capsys, tmp_path, seed=3)
     out = tmp_path / "out"
     argv = _stage_argv(command, panel, out)
     if source == "flag":
-        argv += ["--core-strict", "true"]
-        message = "error: unrecognized arguments: --core-strict true"
+        argv += ["--core-strict", value]
+        message = f"error: unrecognized arguments: --core-strict {value}"
     else:
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("core_strict = true\n")
+        cfg.write_text(f"core_strict = {value}\n")
         argv += ["--config", str(cfg)]
         message = "error: unknown config keys: ['core_strict']"
     code, stdout, err = run_cli(capsys, *argv)
