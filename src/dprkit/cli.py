@@ -164,8 +164,11 @@ def _labels_for_panel(panel: PanelDataset, bundle_path) -> np.ndarray:
     """Row-aligned labels from a cluster bundle, validated against the panel."""
 
     def parse(bundle):
-        if not isinstance(bundle, dict) or bundle.get("format") != "dprkit-clusters-v1":
+        if not isinstance(bundle, dict):
             raise ValidationError("not a cluster bundle")
+        if bundle.get("format") != "dprkit-clusters-v1":
+            raise ValidationError("bad field 'format': expected 'dprkit-clusters-v1', "
+                                  f"got {bundle.get('format')!r}")
         keys = bundle_field(bundle, "row_keys", list)
         labels = bundle_field(bundle, "labels", partial(numbers, kind=int))
         if labels.shape != (len(keys),) or np.any(labels < NOISE):
@@ -372,7 +375,7 @@ def _cmd_fit(args) -> int:
     penalty = regression.PenaltySpec(s["penalty"], s["lam"], s.get("alpha"))
     dm = _design(args.input, s)
     model = regression.add_training_metrics(
-        pipeline.require_fit(pipeline.fit_penalized(dm, penalty), "fit"), dm)
+        pipeline.require_fit(regression.fit_elastic_net(dm, penalty), "fit"), dm)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     pipeline.write_coefficients(model, out / "coefficients.csv")

@@ -44,13 +44,12 @@ this module stays cheap.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, require_int
+from .errors import ValidationError, as_real, require_int
 
 NOISE = -1
 
@@ -60,8 +59,7 @@ _CHUNK = 262_144
 
 def _check_eps(eps) -> float:
     """``eps`` as a float; a ValidationError naming eps unless a finite real > 0, not a bool."""
-    real = isinstance(eps, numbers.Real) and not isinstance(eps, bool)  # np.bool_ is no Real
-    value = float(eps) if real else math.nan
+    value = as_real(eps)
     if not math.isfinite(value) or value <= 0:
         raise ValidationError(f"eps must be finite and > 0, got {eps!r}")
     return value

@@ -1,9 +1,12 @@
-"""Exception hierarchy shared across the toolkit, and its one integer check.
+"""Exception hierarchy shared across the toolkit, and its integer and real checks.
 
 ValidationError covers malformed input and violated preconditions (CLI exit
 code 1); NumericalError covers failures of the numerics themselves, such as
 rank-deficient systems or solver non-convergence (CLI exit code 2).
 """
+
+import math
+import numbers
 
 import numpy as np
 
@@ -38,3 +41,9 @@ def require_int(name: str, value, minimum: int) -> int:
     if not whole or value < minimum:
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {value}")
     return int(value)
+
+
+def as_real(value) -> float:
+    """``value`` as a float; NaN unless a real number and not a bool (np.bool_ is no Real)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return float(value) if real else math.nan

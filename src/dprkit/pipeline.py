@@ -44,7 +44,6 @@ from .panel import (
 )
 from .regression import (
     ELASTIC_NET,
-    LASSO,
     RIDGE,
     DesignMatrix,
     FittedModel,
@@ -54,12 +53,10 @@ from .regression import (
     add_training_metrics,
     check_mixing,
     fit_elastic_net,
-    fit_lasso,
-    fit_ridge,
     predict,
     standardize,
 )
-from .tables import bundle_field, number, numbers, strings, write_json, write_table
+from .tables import bundle_field, number, numbers, string, strings, write_json, write_table
 
 UNIQUE_DUMMY = "unique_dummy"
 EXCLUDE = "exclude"
@@ -115,10 +112,7 @@ class DprConfig:
         if self.alpha_grid is None and self.penalty_kind == ELASTIC_NET:
             object.__setattr__(self, "alpha_grid", (0.3, 0.5, 1.0))
         check_mixing(self.penalty_kind, "alpha_grid", self.alpha_grid)
-        if self.outlier_policy not in OUTLIER_POLICIES:
-            raise ValidationError(
-                f"outlier_policy must be one of {OUTLIER_POLICIES}, got {self.outlier_policy!r}"
-            )
+        _check_outlier_policy(self.outlier_policy)
         object.__setattr__(self, "baseline_cluster",
                            require_int("baseline_cluster", self.baseline_cluster, 0))
         if not self.lambda_grid:
@@ -133,6 +127,12 @@ class DprConfig:
                     check(value)
                 except ValidationError as err:
                     raise ValidationError(f"{key}: {err}") from None
+
+
+def _check_outlier_policy(policy) -> str:
+    if policy not in OUTLIER_POLICIES:
+        raise ValidationError(f"outlier_policy must be one of {OUTLIER_POLICIES}, got {policy!r}")
+    return policy
 
 
 def chronological_split(data: PanelDataset, spec: SplitSpec) -> tuple[PanelDataset, PanelDataset]:
@@ -184,8 +184,7 @@ def augment_with_dummies(dm: DesignMatrix, labels, policy: str = UNIQUE_DUMMY,
     """
     if dm.standardized:
         raise ValidationError("augment_with_dummies expects an unstandardized design")
-    if policy not in OUTLIER_POLICIES:
-        raise ValidationError(f"unknown outlier policy {policy!r}")
+    _check_outlier_policy(policy)
     labels = np.asarray(labels, dtype=np.intp)
     if labels.shape != (dm.n,):
         raise ValidationError(f"labels length {labels.shape} does not match {dm.n} rows")
@@ -258,19 +257,6 @@ def _predict_standardized(model: FittedModel, X: np.ndarray) -> np.ndarray:
     return model.intercept + X @ model.coefficients
 
 
-def fit_penalized(dm: DesignMatrix, penalty: PenaltySpec,
-                  warm_start: np.ndarray | None = None) -> FittedModel:
-    """One fit of ``penalty`` at the solver's default tolerance and step cap.
-
-    ``warm_start`` does not apply to ridge.
-    """
-    if penalty.kind == RIDGE:
-        return fit_ridge(dm, penalty.lam)
-    if penalty.kind == LASSO:
-        return fit_lasso(dm, penalty.lam, warm_start=warm_start)
-    return fit_elastic_net(dm, penalty.lam, penalty.alpha, warm_start=warm_start)
-
-
 def require_fit(model: FittedModel | None, what: str) -> FittedModel:
     """``model`` if its fit succeeded; a None fit is rank-deficient, an unconverged one fails.
 
@@ -290,13 +276,13 @@ def regularization_path(dm: DesignMatrix, lambdas, kind: str, alpha: float | Non
                         ) -> list[FittedModel | None]:
     """The fits of ``kind`` along a strictly descending lambda grid.
 
-    Each fit goes through :func:`fit_penalized`, warm-started from the
-    previous one; the warm starts give the same exact solutions as cold
-    starts.  ``warm``, one entry per lambda, is an earlier chain over the same
-    grid and design: each fit then starts from that chain's fit at its lambda,
-    or from the previous lambda's fit where the entry is None.  A ridge fit
-    on a rank-deficient system (lambda=0 on collinear columns) is None.  CV
-    folds, ``run`` and ``dprkit path`` all use this chain.
+    Each fit is one :func:`fit_elastic_net`, warm-started from the previous
+    one (ridge ignores it); the warm starts give the same exact solutions as
+    cold starts.  ``warm``, one entry per lambda, is an earlier chain over the
+    same grid and design: each fit then starts from that chain's fit at its
+    lambda, or from the previous lambda's fit where the entry is None.  A
+    ridge fit on a rank-deficient system (lambda=0 on collinear columns) is
+    None.  CV folds, ``run`` and ``dprkit path`` all use this chain.
     """
     lams = [float(l) for l in lambdas]
     if not lams:
@@ -313,7 +299,7 @@ def regularization_path(dm: DesignMatrix, lambdas, kind: str, alpha: float | Non
     for lam, w in zip(lams, warm):
         start = prev if w is None else w.coefficients
         try:
-            m = fit_penalized(dm, PenaltySpec(kind, lam, alpha), warm_start=start)
+            m = fit_elastic_net(dm, PenaltySpec(kind, lam, alpha), start)
         except RankDeficiencyError:
             m = None
         else:
@@ -577,13 +563,14 @@ class DprModel:
             raise ValidationError("bad field 'clustering.core_points': expected finite entries")
         return cls(
             model=model,
-            transform=TransformSpec(get("transform.log_offset", number),
-                                    get("transform.normalize_mode", str)),
+            transform=get("transform", lambda t: TransformSpec(
+                get("transform.log_offset", number), get("transform.normalize_mode", string))),
             features=features,
             eps=get("clustering.eps", lambda v: _check_eps(number(v))),
             k=k,
             baseline=baseline,
-            outlier_policy=get("clustering.outlier_policy", str),
+            outlier_policy=get("clustering.outlier_policy",
+                               lambda v: _check_outlier_policy(string(v))),
             core_points=core_points,
             core_labels=labels,
             entity_maxima=get("entity_maxima", lambda v: None if v is None else {

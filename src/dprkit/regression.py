@@ -1,6 +1,6 @@
 """Penalized linear regression over a standardized design matrix.
 
-All three fitters minimize
+One function, ``fit_elastic_net``, fits every ``PenaltySpec``.  It minimizes
 
     (1/N) * sum_i (y_i - b0 - x_i . b)^2  +  lambda * P(b)
 
@@ -11,11 +11,11 @@ carries separate multipliers (lambda_1 on the L1 term, lambda_2 on the L2
 term) maps onto this objective via lambda_1 = N*lambda*alpha and
 lambda_2 = N*lambda*(1-alpha).
 
-One private body fits all three: it checks the inputs, reads the centred Gram
-that every fit of a design shares, solves, recovers the intercept and builds
-the FittedModel.  Ridge is solved in closed form from the normal equations.
-Lasso and elastic net share one exact active-set solver: on the centred design
-it works with H = X'X/N + lambda*(1-alpha)*I, c = X'y/N and the L1 threshold
+It checks the inputs, reads the centred Gram that every fit of a design
+shares, solves, recovers the intercept and builds the FittedModel.  Ridge
+is solved in closed form from the normal equations.  Lasso and elastic net
+share one exact active-set solver: on the centred design it works with
+H = X'X/N + lambda*(1-alpha)*I, c = X'y/N and the L1 threshold
 t = lambda*alpha/2, i.e. half the objective above, and runs feature-sign search
 (Lee, Battle, Raina & Ng, NIPS 2006) on the Gram matrix as glmnet's covariance
 updates do (Friedman, Hastie & Tibshirani, JSS 2010).  Each step adds the
@@ -30,11 +30,10 @@ whose solve opposes its gradient's sign.  The support's Cholesky factor is
 bordered by the whole block, one coefficient or more, through the Schur
 complement, is kept only while it passes a singularity test, and after a
 drop only its trailing block is factored again; the support's signs and
-right-hand side grow in place with it.  Only ``fit_lasso`` and
-``fit_elastic_net`` take a tolerance and a step cap; the pipeline fits at
-``DEFAULT_TOL`` and ``DEFAULT_MAX_ITER``.  The fits leave the training r2 and
-mse out; ``add_training_metrics`` adds them to a fit whose metrics are
-reported.
+right-hand side grow in place with it.  The tolerance and step cap apply
+to the active-set solver alone; the pipeline fits at ``DEFAULT_TOL`` and
+``DEFAULT_MAX_ITER``.  The fits leave the training r2 and mse out;
+``add_training_metrics`` adds them to a fit whose metrics are reported.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import ConvergenceError, RankDeficiencyError, ValidationError, require_int
+from .errors import ConvergenceError, RankDeficiencyError, ValidationError, as_real, require_int
 from .tables import bundle_field, number, numbers, strings
 
 RIDGE = "ridge"
@@ -86,19 +85,21 @@ class PenaltySpec:
 
     def __post_init__(self) -> None:
         check_mixing(self.kind, "alpha", self.alpha)
-        if not math.isfinite(self.lam) or self.lam < 0:
-            raise ValidationError(f"lambda must be finite and >= 0, got {self.lam}")
-        if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
-            raise ValidationError(f"elastic_net requires alpha in [0, 1], got {self.alpha}")
+        # stored as floats, so an int lambda writes the same artifacts as its float
+        lam = as_real(self.lam)
+        if not math.isfinite(lam) or lam < 0:
+            raise ValidationError(f"lambda must be finite and >= 0, got {self.lam!r}")
+        object.__setattr__(self, "lam", lam)
+        if self.alpha is not None:
+            alpha = as_real(self.alpha)
+            if not 0.0 <= alpha <= 1.0:
+                raise ValidationError(f"elastic_net requires alpha in [0, 1], got {self.alpha!r}")
+            object.__setattr__(self, "alpha", alpha)
 
     @property
     def mixing(self) -> float:
         """Effective alpha for the shared objective: ridge 0, lasso 1."""
-        if self.kind == RIDGE:
-            return 0.0
-        if self.kind == LASSO:
-            return 1.0
-        return float(self.alpha)
+        return {RIDGE: 0.0, LASSO: 1.0}.get(self.kind, self.alpha)
 
 
 @dataclass
@@ -107,7 +108,7 @@ class DesignMatrix:
 
     ``zero_variance`` marks constant columns; they are left untouched by
     standardization and their coefficients are forced to zero by every
-    fitter.  ``source_rows`` traces each row back to the originating panel
+    fit.  ``source_rows`` traces each row back to the originating panel
     observation when the matrix was built by the pipeline.
     """
 
@@ -290,9 +291,8 @@ class FittedModel:
         model = cls(
             intercept=get("regression.intercept", number),
             coefficients=get("regression.coefficients", numbers),
-            penalty=get("regression.penalty", lambda p: PenaltySpec(
-                p["kind"], number(p["lambda"]),
-                None if p["alpha"] is None else number(p["alpha"]))),
+            penalty=get("regression.penalty",
+                        lambda p: PenaltySpec(p["kind"], p["lambda"], p["alpha"])),
             column_names=names,
             column_means=get("regression.column_means", numbers),
             column_stds=get("regression.column_stds", numbers),
@@ -561,9 +561,18 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
             prev = obj
 
 
-def _fit(dm: DesignMatrix, penalty: PenaltySpec, tol: float, max_iter: int,
-         warm_start: np.ndarray | None, debug: bool) -> FittedModel:
-    """The fit of every penalty: ridge in closed form, the rest by feature-sign search."""
+def fit_elastic_net(dm: DesignMatrix, penalty: PenaltySpec,
+                    warm_start: np.ndarray | None = None, *, tol: float = DEFAULT_TOL,
+                    max_iter: int = DEFAULT_MAX_ITER, debug: bool = False) -> FittedModel:
+    """The fit of every penalty: ridge in closed form, the rest by feature-sign search.
+
+    Ridge solves (X'X + N*lambda*I) b = X'y, ignoring ``warm_start``; at lambda=0
+    collinear columns raise RankDeficiencyError.  The search starts from
+    ``warm_start``'s support and signs, bounds the zero coefficients' optimality
+    violation (gradient of half the objective) by ``tol``, and reports hitting
+    ``max_iter`` steps as ``converged=False``; ``debug=True`` asserts that no
+    step raises the objective.
+    """
     if not isinstance(dm, DesignMatrix):
         raise ValidationError("fit expects a DesignMatrix")
     if not dm.standardized:
@@ -632,45 +641,11 @@ def add_training_metrics(model: FittedModel, dm: DesignMatrix) -> FittedModel:
     """Add ``model``'s training r2 and mse on ``dm``, the design it was fitted on,
     in front of its diagnostics; returns ``model``.
 
-    The fitters leave them out: cross-validation never reads them.
+    ``fit_elastic_net`` leaves them out: cross-validation never reads them.
     """
     mse, r2 = _fit_metrics(dm.y, model.intercept + dm.X @ model.coefficients)
     model.diagnostics = {"r2": r2, "mse": mse, **model.diagnostics}
     return model
-
-
-def fit_ridge(dm: DesignMatrix, lam: float) -> FittedModel:
-    """Closed-form ridge via the normal equations (X'X + N*lambda*I) b = X'y.
-
-    At lambda=0 a rank-deficient system (collinear columns) raises
-    RankDeficiencyError instead of returning one of infinitely many least
-    squares solutions.
-    """
-    return _fit(dm, PenaltySpec(RIDGE, float(lam)), DEFAULT_TOL, DEFAULT_MAX_ITER, None, False)
-
-
-def fit_elastic_net(dm: DesignMatrix, lam: float, alpha: float,
-                    tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                    warm_start: np.ndarray | None = None,
-                    debug: bool = False) -> FittedModel:
-    """Exact active-set (feature-sign) solve of the elastic net.
-
-    ``warm_start`` gives the first support and its signs.  ``max_iter`` caps
-    the active-set steps; hitting it is reported via
-    ``diagnostics['converged'] = False``, never silently.  ``tol`` bounds the
-    optimality violation of the zero coefficients, in units of the gradient
-    of half the objective.  ``debug=True`` asserts after every step that the
-    objective never increases.
-    """
-    return _fit(dm, PenaltySpec(ELASTIC_NET, float(lam), float(alpha)), tol, max_iter,
-                warm_start, debug)
-
-
-def fit_lasso(dm: DesignMatrix, lam: float,
-              tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-              warm_start: np.ndarray | None = None, debug: bool = False) -> FittedModel:
-    """Lasso = elastic net at alpha 1, recorded under its own penalty kind."""
-    return _fit(dm, PenaltySpec(LASSO, float(lam)), tol, max_iter, warm_start, debug)
 
 
 def predict(model: FittedModel, rows) -> np.ndarray:

@@ -140,7 +140,8 @@ def write_json(dest, obj) -> None:
 
 
 def bundle_field(bundle, dotted: str, convert):
-    """``convert(bundle[a][b])`` for ``dotted='a.b'``; a missing or bad field is named."""
+    """``convert(bundle[a][b])`` for ``dotted='a.b'``; a missing or bad field is named,
+    also when ``convert`` raises a ValidationError that names no field."""
     node = bundle
     for key in dotted.split("."):
         if not isinstance(node, dict) or key not in node:
@@ -150,6 +151,10 @@ def bundle_field(bundle, dotted: str, convert):
         return convert(node)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"bad field {dotted!r}: {exc!r}") from exc
+    except ValidationError as exc:
+        if str(exc).startswith(("bad field", "missing field")):
+            raise
+        raise ValidationError(f"bad field {dotted!r}: {exc}") from exc
 
 
 def numbers(value, kind: type = float) -> np.ndarray:
@@ -175,4 +180,11 @@ def strings(value) -> list[str]:
     """A JSON list of strings; anything else is a TypeError."""
     if not isinstance(value, list) or not all(type(v) is str for v in value):
         raise TypeError("expected a list of strings")
+    return value
+
+
+def string(value) -> str:
+    """One JSON string; anything else (``null`` is not the text 'None') is a TypeError."""
+    if type(value) is not str:
+        raise TypeError("expected a string")
     return value

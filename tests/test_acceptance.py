@@ -34,8 +34,6 @@ from dprkit.regression import (
     PenaltySpec,
     enet_objective,
     fit_elastic_net,
-    fit_lasso,
-    fit_ridge,
     metric_r2,
     metric_sparsity,
     standardize,
@@ -94,7 +92,8 @@ def test_criterion_2_solver_satisfies_kkt_and_reference_objective():
         lam = float(10 ** rng.uniform(-3, -0.5))
         alpha = float(rng.choice([0.3, 0.5, 0.7, 1.0]))
 
-        model = fit_elastic_net(dm, lam, alpha, tol=1e-12, max_iter=300000)
+        model = fit_elastic_net(dm, PenaltySpec("elastic_net", lam, alpha), tol=1e-12,
+                                max_iter=300000)
         g, bound = testkit.kkt_residuals(
             dm.X, dm.y, model.intercept, model.coefficients, lam, alpha
         )
@@ -116,7 +115,7 @@ def test_criterion_2_solver_satisfies_kkt_and_reference_objective():
         assert ours <= ref + 1e-6
         worst_obj = max(worst_obj, ours - ref)
 
-        ridge = fit_ridge(dm, lam)
+        ridge = fit_elastic_net(dm, PenaltySpec("ridge", lam))
         Xc = dm.X - dm.X.mean(axis=0)
         yc = dm.y - dm.y.mean()
         aug = np.vstack([Xc, math.sqrt(n * lam) * np.eye(p)])
@@ -143,11 +142,11 @@ def test_criterion_3_elastic_net_limits_collapse_to_lasso_and_ridge():
     worst_l = 0.0
     worst_r = 0.0
     for lam in lams:
-        en1 = fit_elastic_net(dm, lam, 1.0, tol=1e-12, max_iter=500000)
-        la = fit_lasso(dm, lam, tol=1e-12, max_iter=500000)
+        en1 = fit_elastic_net(dm, PenaltySpec("elastic_net", lam, 1.0), tol=1e-12, max_iter=500000)
+        la = fit_elastic_net(dm, PenaltySpec("lasso", lam), tol=1e-12, max_iter=500000)
         worst_l = max(worst_l, float(np.max(np.abs(en1.coefficients - la.coefficients))))
-        en0 = fit_elastic_net(dm, lam, 0.0, tol=1e-12, max_iter=500000)
-        ri = fit_ridge(dm, lam)
+        en0 = fit_elastic_net(dm, PenaltySpec("elastic_net", lam, 0.0), tol=1e-12, max_iter=500000)
+        ri = fit_elastic_net(dm, PenaltySpec("ridge", lam))
         worst_r = max(worst_r, float(np.max(np.abs(en0.coefficients - ri.coefficients))))
     assert worst_l < 1e-8
     assert worst_r < 1e-8
@@ -357,7 +356,7 @@ def test_criterion_8_metric_edge_cases():
     rng = np.random.default_rng(8008)
     X = rng.normal(size=(40, 5))
     yv = X @ rng.normal(size=5) + rng.normal(size=40)
-    model = fit_lasso(standardize(X, yv), 1e6)
+    model = fit_elastic_net(standardize(X, yv), PenaltySpec("lasso", 1e6))
     assert metric_sparsity(model) == 0.0
     assert np.all(model.coefficients == 0.0)
     assert model.intercept == pytest.approx(yv.mean())

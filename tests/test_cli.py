@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -419,6 +420,12 @@ _STDS_VS_ZV = ("bad field 'regression.column_stds': expected 0 where zero_varian
      "bad field 'regression.coefficients': TypeError('expected numbers, got bool, float')"),
     ("forecast", _set("clustering.eps", lambda v: True),
      "bad field 'clustering.eps': TypeError('expected numbers, got bool')"),
+    # read as str(), so 5, null and "x" were all accepted
+    ("forecast", _set("clustering.outlier_policy", lambda v: "x"),
+     "bad field 'clustering.outlier_policy': "
+     "outlier_policy must be one of ('unique_dummy', 'exclude'), got 'x'"),
+    ("forecast", _set("clustering.outlier_policy", lambda v: 5),
+     "bad field 'clustering.outlier_policy': TypeError('expected a string')"),
     ("fit", lambda b: {"format": "dprkit-clusters-v1"}, "missing field 'row_keys'"),
     ("fit", lambda b: {"format": "dprkit-clusters-v1", "row_keys": [], "labels": INF},
      "bad field 'labels': TypeError('expected integers, got float')"),
@@ -429,6 +436,7 @@ _STDS_VS_ZV = ("bad field 'regression.column_stds': expected 0 where zero_varian
         "model-zero-variance-empty", "model-intercept-inf", "model-column-std-zero",
         "model-column-std-negative", "model-zero-variance-flipped", "model-core-point-inf",
         "model-intercept-true", "model-coefficient-true", "model-eps-true",
+        "model-outlier-policy-text", "model-outlier-policy-number",
         "clusters-format-only", "clusters-labels-inf"])
 def test_malformed_bundle_is_one_error_line(capsys, tmp_path, command, edit, message):
     panel = _synth(capsys, tmp_path, seed=5)
@@ -474,7 +482,8 @@ def _mutations(bundle):
 
 def test_every_single_field_corruption_is_harmless_or_one_error_line(capsys, tmp_path):
     # each corruption of a real bundle either changes no output byte or exits 1
-    # with one stderr line that names the file; none ends in a traceback
+    # with one stderr line that names the file and then, once, a field; none
+    # ends in a traceback
     panel = _synth(capsys, tmp_path, seed=5)
     for argv in (
         ["run", "--output-dir", str(tmp_path / "run"), "--eps", "0.2", "--min-pts", "3",
@@ -531,8 +540,10 @@ def test_every_single_field_corruption_is_harmless_or_one_error_line(capsys, tmp
             else:
                 assert (code, stdout) == (1, ""), f"{name} {label}: exit {code}"
                 lines = err.splitlines()
-                assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), (
+                assert len(lines) == 1 and lines[0].count(" field") == 1, (
                     f"{name} {label}: {err!r}")
+                assert re.match(rf"error: {re.escape(str(bad))}: (bad|missing) fields? '",
+                                lines[0]), f"{name} {label}: {err!r}"
                 assert named.get(label, "") in lines[0], f"{name} {label}: {err!r}"
                 rejected += 1
     assert harmless and rejected and len(named) == 3
@@ -792,18 +803,41 @@ def test_run_without_split_settings_exits_1(capsys, tmp_path):
     assert "train" in err
 
 
+@pytest.mark.parametrize("penalty, alpha_grid", [
+    ("ridge", None), ("lasso", None), ("elastic_net", "0.5,1.0"),
+])
+def test_every_fit_of_a_run_goes_through_fit_elastic_net(capsys, tmp_path, monkeypatch,
+                                                          penalty, alpha_grid):
+    # the one fitter, by the name benchmarks and tests wrap to count fits
+    panel = _synth(capsys, tmp_path)
+    fit, kinds = pipeline.fit_elastic_net, []
+    monkeypatch.setattr(pipeline, "fit_elastic_net",
+                        lambda dm, penalty, *a, **kw: kinds.append(penalty.kind)
+                        or fit(dm, penalty, *a, **kw))
+    alphas = [] if alpha_grid is None else ["--alpha-grid", alpha_grid]
+    code, _, _ = run_cli(
+        capsys, "run", "--input", str(panel), "--output-dir", str(tmp_path / "run"),
+        "--eps", "0.2", "--min-pts", "3", "--penalty", penalty,
+        "--lambda-grid", "logspace:-3:-1:4", *alphas, "--train-count", "6", "--folds", "3",
+    )
+    assert code == 0
+    cells = 4 * (1 if alpha_grid is None else 2)
+    # 3 folds x the CV cells, then the run's own path over the 4 lambdas
+    assert kinds == [penalty] * (3 * cells + 4)
+
+
 def test_unconverged_path_fit_stops_path_and_is_named_by_run(capsys, tmp_path, monkeypatch):
     panel = _synth(capsys, tmp_path)
-    fit = pipeline.fit_lasso
+    fit = pipeline.fit_elastic_net
 
-    def one_cold_step_at_the_smallest_lambda(dm, lam, **kw):
+    def one_cold_step_at_the_smallest_lambda(dm, penalty, warm_start=None, **kw):
         # the run trains on 6 of 8 periods: only its own path (48 rows) and
         # the path command (64 rows) are hit, never a CV fold's chain
-        if lam < 2e-4 and dm.n >= 48:
-            kw.update(warm_start=None, max_iter=1)
-        return fit(dm, lam, **kw)
+        if penalty.lam < 2e-4 and dm.n >= 48:
+            warm_start, kw["max_iter"] = None, 1
+        return fit(dm, penalty, warm_start, **kw)
 
-    monkeypatch.setattr(pipeline, "fit_lasso", one_cold_step_at_the_smallest_lambda)
+    monkeypatch.setattr(pipeline, "fit_elastic_net", one_cold_step_at_the_smallest_lambda)
     code, out, err = run_cli(
         capsys, "path", "--input", str(panel), "--output", str(tmp_path / "path.csv"),
         "--penalty", "lasso", "--lambda-grid", "logspace:-4:-1:5",
@@ -822,7 +856,7 @@ def test_unconverged_path_fit_stops_path_and_is_named_by_run(capsys, tmp_path, m
     assert summary["fit"]["unconverged_path_fits"] == 1
     assert out.startswith("run ok ") and out.rstrip().endswith(" unconverged_path_fits=1")
 
-    monkeypatch.setattr(pipeline, "fit_lasso", fit)
+    monkeypatch.setattr(pipeline, "fit_elastic_net", fit)
     code, out, _ = run_cli(capsys, *args, "--output-dir", str(tmp_path / "r2"))
     assert code == 0 and "unconverged" not in out
     clean = json.loads((tmp_path / "r2" / "summary.json").read_text())

@@ -12,8 +12,6 @@ from dprkit.regression import (
     PenaltySpec,
     enet_objective,
     fit_elastic_net,
-    fit_lasso,
-    fit_ridge,
     metric_mse,
     metric_r2,
     metric_sparsity,
@@ -62,7 +60,7 @@ def test_standardize_leaves_constant_columns_alone():
     assert dm.zero_variance[0] and not dm.zero_variance[1]
     np.testing.assert_array_equal(dm.X[:, 0], X[:, 0])
     assert dm.column_stds[0] == 0.0
-    model = fit_lasso(dm, 0.01)
+    model = fit_elastic_net(dm, PenaltySpec("lasso", 0.01))
     assert model.coefficients[0] == 0.0
     assert model.source_coefficients[0] == 0.0
     # the fit's own sparsity count leaves the constant column out, as the metric does
@@ -70,8 +68,10 @@ def test_standardize_leaves_constant_columns_alone():
 
 
 @pytest.mark.parametrize("fit", [
-    lambda dm: fit_ridge(dm, 0.0), lambda dm: fit_ridge(dm, 0.1), lambda dm: fit_lasso(dm, 0.1),
-    lambda dm: fit_elastic_net(dm, 0.1, 0.5),
+    lambda dm: fit_elastic_net(dm, PenaltySpec("ridge", 0.0)),
+    lambda dm: fit_elastic_net(dm, PenaltySpec("ridge", 0.1)),
+    lambda dm: fit_elastic_net(dm, PenaltySpec("lasso", 0.1)),
+    lambda dm: fit_elastic_net(dm, PenaltySpec("elastic_net", 0.1, 0.5)),
 ], ids=["ridge-0", "ridge", "lasso", "elastic_net"])
 def test_a_design_with_no_varying_column_fits_the_mean(fit):
     # constant columns, and the rows of a varying design on which every column is constant
@@ -96,7 +96,7 @@ def test_ridge_matches_augmented_lstsq_oracle():
     rng = np.random.default_rng(1)
     for lam in (0.01, 0.3, 2.0):
         dm = _random_design(rng, n=50, p=7)
-        model = fit_ridge(dm, lam)
+        model = fit_elastic_net(dm, PenaltySpec("ridge", lam))
         n = dm.n
         Xc = dm.X - dm.X.mean(axis=0)
         yc = dm.y - dm.y.mean()
@@ -110,7 +110,7 @@ def test_ridge_matches_augmented_lstsq_oracle():
 def test_ridge_zero_penalty_is_ols_and_flags_rank_deficiency():
     rng = np.random.default_rng(2)
     dm = _random_design(rng, n=40, p=5)
-    model = fit_ridge(dm, 0.0)
+    model = fit_elastic_net(dm, PenaltySpec("ridge", 0.0))
     Xc = dm.X - dm.X.mean(axis=0)
     yc = dm.y - dm.y.mean()
     beta_ols, *_ = np.linalg.lstsq(Xc, yc, rcond=None)
@@ -125,7 +125,7 @@ def test_ridge_zero_penalty_is_ols_and_flags_rank_deficiency():
         zero_variance=np.zeros(4, dtype=bool),
     )
     with pytest.raises(RankDeficiencyError):
-        fit_ridge(dm_bad, 0.0)
+        fit_elastic_net(dm_bad, PenaltySpec("ridge", 0.0))
 
 
 def test_orthonormal_design_closed_form():
@@ -145,7 +145,7 @@ def test_orthonormal_design_closed_form():
     yc = y - y.mean()
     rho = X.T @ yc / n
     for lam, alpha in ((0.1, 1.0), (0.4, 1.0), (0.2, 0.5)):
-        model = fit_elastic_net(dm, lam, alpha, tol=1e-13)
+        model = fit_elastic_net(dm, PenaltySpec("elastic_net", lam, alpha), tol=1e-13)
         expected = np.array(
             [soft_threshold(r, lam * alpha / 2) / (1.0 + lam * (1 - alpha)) for r in rho]
         )
@@ -158,7 +158,8 @@ def test_kkt_conditions_random_quick():
         dm = _random_design(rng, n=int(rng.integers(25, 80)), p=int(rng.integers(2, 9)))
         lam = float(10 ** rng.uniform(-3, -0.5))
         alpha = float(rng.choice([0.3, 0.7, 1.0]))
-        model = fit_elastic_net(dm, lam, alpha, tol=1e-12, max_iter=200000)
+        model = fit_elastic_net(dm, PenaltySpec("elastic_net", lam, alpha), tol=1e-12,
+                                max_iter=200000)
         g, bound = kkt_residuals(
             dm.X, dm.y, model.intercept, model.coefficients, lam, alpha
         )
@@ -174,7 +175,7 @@ def test_objective_never_beats_reference_oracle():
     for _ in range(5):
         dm = _random_design(rng, n=40, p=4)
         lam, alpha = 0.05, 0.6
-        model = fit_elastic_net(dm, lam, alpha, tol=1e-12)
+        model = fit_elastic_net(dm, PenaltySpec("elastic_net", lam, alpha), tol=1e-12)
         ours = enet_objective(
             dm.X, dm.y, model.intercept, model.coefficients, lam, alpha
         )
@@ -188,11 +189,11 @@ def test_elastic_net_limits_match_lasso_and_ridge():
     rng = np.random.default_rng(6)
     dm = _random_design(rng, n=70, p=6)
     for lam in (0.001, 0.05, 0.5):
-        en1 = fit_elastic_net(dm, lam, 1.0, tol=1e-13)
-        la = fit_lasso(dm, lam, tol=1e-13)
+        en1 = fit_elastic_net(dm, PenaltySpec("elastic_net", lam, 1.0), tol=1e-13)
+        la = fit_elastic_net(dm, PenaltySpec("lasso", lam), tol=1e-13)
         np.testing.assert_allclose(en1.coefficients, la.coefficients, atol=1e-10)
-        en0 = fit_elastic_net(dm, lam, 0.0, tol=1e-13, max_iter=500000)
-        ri = fit_ridge(dm, lam)
+        en0 = fit_elastic_net(dm, PenaltySpec("elastic_net", lam, 0.0), tol=1e-13, max_iter=500000)
+        ri = fit_elastic_net(dm, PenaltySpec("ridge", lam))
         np.testing.assert_allclose(en0.coefficients, ri.coefficients, atol=1e-8)
 
 
@@ -202,7 +203,7 @@ def test_warm_path_equals_cold_fits():
     lams = [float(v) for v in np.logspace(-0.5, -3, 12)]
     path = regularization_path(dm, lams, "elastic_net", 0.7)
     for lam, warm_model in zip(lams, path):
-        cold = fit_elastic_net(dm, lam, 0.7)
+        cold = fit_elastic_net(dm, PenaltySpec("elastic_net", lam, 0.7))
         np.testing.assert_allclose(
             warm_model.coefficients, cold.coefficients, atol=1e-8
         )
@@ -239,7 +240,8 @@ def test_near_duplicate_columns_reach_the_optimum():
     assert np.corrcoef(dm.X[:, 0], dm.X[:, 1])[0, 1] > 0.998
     for alpha in (0.3, 1.0):
         for lam in (1e-4, 1e-2, 0.1):
-            model = fit_elastic_net(dm, lam, alpha, tol=1e-10, debug=True)
+            model = fit_elastic_net(dm, PenaltySpec("elastic_net", lam, alpha), tol=1e-10,
+                                    debug=True)
             assert model.diagnostics["converged"]
             _assert_kkt(dm, model, lam, alpha)
             _assert_reference_optimal(dm, model, lam, alpha)
@@ -257,7 +259,8 @@ def test_exactly_collinear_columns_at_alpha_one():
             # with mixed signs, so that the support system is singular
             warm = np.array([1.0, -2.0, 0.5, 0.0] + [0.0] * (dm.p - 4))
             for start in (None, warm):
-                model = fit_lasso(dm, lam, tol=1e-10, warm_start=start, debug=True)
+                model = fit_elastic_net(dm, PenaltySpec("lasso", lam), start, tol=1e-10,
+                                        debug=True)
                 assert model.diagnostics["converged"]
                 _assert_kkt(dm, model, lam, 1.0)
                 _assert_reference_optimal(dm, model, lam, 1.0)
@@ -292,7 +295,7 @@ def test_wide_design_with_singleton_dummies():
 def test_block_steps_add_the_singleton_dummies_together():
     dm = _singleton_design(18)
     lam = 10 ** -2.5
-    model = fit_lasso(dm, lam, debug=True)
+    model = fit_elastic_net(dm, PenaltySpec("lasso", lam), debug=True)
     assert model.diagnostics["converged"]
     support = np.count_nonzero(model.coefficients)
     # one coefficient per step would take at least ``support`` steps
@@ -305,8 +308,9 @@ def test_warm_start_at_the_solution_takes_no_steps():
     rng = np.random.default_rng(19)
     dm = _random_design(rng, n=60, p=8)
     for alpha in (0.0, 0.5, 1.0):
-        model = fit_elastic_net(dm, 0.01, alpha)
-        again = fit_elastic_net(dm, 0.01, alpha, warm_start=model.coefficients)
+        model = fit_elastic_net(dm, PenaltySpec("elastic_net", 0.01, alpha))
+        again = fit_elastic_net(dm, PenaltySpec("elastic_net", 0.01, alpha),
+                                warm_start=model.coefficients)
         assert again.diagnostics["iterations"] == 0
         assert again.diagnostics["converged"]
         np.testing.assert_array_equal(again.coefficients, model.coefficients)
@@ -326,7 +330,7 @@ def test_path_requires_descending_lambdas():
 def test_debug_mode_checks_objective_monotonicity():
     rng = np.random.default_rng(10)
     dm = _random_design(rng, n=50, p=5)
-    model = fit_elastic_net(dm, 0.05, 0.8, debug=True)
+    model = fit_elastic_net(dm, PenaltySpec("elastic_net", 0.05, 0.8), debug=True)
     assert model.diagnostics["converged"]
 
 
@@ -335,7 +339,7 @@ def test_predict_matches_standardized_arithmetic():
     X = rng.uniform(0, 10, size=(45, 4))
     y = X[:, 0] * 0.3 - X[:, 2] * 0.1 + rng.normal(scale=0.05, size=45)
     dm = standardize(X, y)
-    model = fit_elastic_net(dm, 0.01, 0.5)
+    model = fit_elastic_net(dm, PenaltySpec("elastic_net", 0.01, 0.5))
     direct = model.intercept + dm.X @ model.coefficients
     via_raw = predict(model, X)
     np.testing.assert_allclose(via_raw, direct, atol=1e-10)
@@ -347,7 +351,7 @@ def test_predict_matches_standardized_arithmetic():
 def test_predict_width_check():
     rng = np.random.default_rng(12)
     dm = _random_design(rng, n=30, p=3)
-    model = fit_ridge(dm, 0.1)
+    model = fit_elastic_net(dm, PenaltySpec("ridge", 0.1))
     with pytest.raises(ValidationError):
         predict(model, np.ones((2, 5)))
 
@@ -359,7 +363,7 @@ def test_predict_scales_one_copy_in_place_with_the_same_arithmetic():
     X = rng.uniform(0, 10, size=(400, 12))
     X[:, 5] = 3.0  # a zero-variance column, skipped by the mask
     y = X[:, 0] * 0.3 - X[:, 2] * 0.1 + rng.normal(scale=0.05, size=400)
-    model = fit_elastic_net(standardize(X, y), 0.01, 0.5)
+    model = fit_elastic_net(standardize(X, y), PenaltySpec("elastic_net", 0.01, 0.5))
     rows = rng.uniform(0, 10, size=(20_000, 12))
     active = ~model.zero_variance
     z = (rows[:, active] - model.column_means[active]) / model.column_stds[active]
@@ -381,8 +385,9 @@ def test_unpenalized_intercept_tracks_target_shift():
     rng = np.random.default_rng(13)
     X = rng.normal(size=(50, 4))
     y = X @ np.array([1.0, -2.0, 0.0, 0.5]) + 0.05 * rng.normal(size=50)
-    m1 = fit_elastic_net(standardize(X, y), 0.1, 0.5, tol=1e-12)
-    m2 = fit_elastic_net(standardize(X, y + 100.0), 0.1, 0.5, tol=1e-12)
+    m1 = fit_elastic_net(standardize(X, y), PenaltySpec("elastic_net", 0.1, 0.5), tol=1e-12)
+    m2 = fit_elastic_net(standardize(X, y + 100.0), PenaltySpec("elastic_net", 0.1, 0.5),
+                         tol=1e-12)
     np.testing.assert_allclose(m1.coefficients, m2.coefficients, atol=1e-9)
     assert m2.intercept - m1.intercept == pytest.approx(100.0, abs=1e-9)
 
@@ -390,7 +395,7 @@ def test_unpenalized_intercept_tracks_target_shift():
 def test_model_dict_round_trip():
     rng = np.random.default_rng(14)
     dm = _random_design(rng, n=30, p=3)
-    model = fit_elastic_net(dm, 0.05, 0.4)
+    model = fit_elastic_net(dm, PenaltySpec("elastic_net", 0.05, 0.4))
     clone = FittedModel.from_dict(model.to_dict())
     np.testing.assert_array_equal(clone.coefficients, model.coefficients)
     assert clone.intercept == model.intercept
@@ -415,7 +420,8 @@ def test_model_dict_round_trip():
 ])
 def test_model_dict_is_read_by_the_bundle_rules(edit, message):
     # dprkit fit's model.json is read through from_dict alone
-    model = fit_elastic_net(_random_design(np.random.default_rng(14), n=30, p=3), 0.05, 0.4)
+    model = fit_elastic_net(_random_design(np.random.default_rng(14), n=30, p=3),
+                            PenaltySpec("elastic_net", 0.05, 0.4))
     with pytest.raises(ValidationError) as exc:
         FittedModel.from_dict({**model.to_dict(), **edit})
     assert str(exc.value) == message
@@ -432,6 +438,18 @@ def test_penalty_spec_validation():
         PenaltySpec(kind="lasso", lam=0.1, alpha=0.5)  # alpha forbidden
     with pytest.raises(ValidationError):
         PenaltySpec(kind="huber", lam=0.1)
+    with pytest.raises(ValidationError,
+                       match=r"^elastic_net requires alpha in \[0, 1\], got True$"):
+        PenaltySpec("elastic_net", 0.1, True)
+    with pytest.raises(ValidationError, match="^lambda must be finite and >= 0, got True$"):
+        PenaltySpec("lasso", True)
+
+
+def test_penalty_spec_stores_floats():
+    # an int or numpy value writes the same artifacts as its float
+    spec = PenaltySpec("elastic_net", 1, np.float32(0.5))
+    assert (type(spec.lam), type(spec.alpha)) == (float, float)
+    assert spec == PenaltySpec("elastic_net", 1.0, 0.5)
 
 
 def test_design_matrix_validation():
@@ -463,7 +481,7 @@ def test_metrics_edges():
 def test_nonconvergence_reported_not_raised():
     rng = np.random.default_rng(15)
     dm = _random_design(rng, n=50, p=8)
-    model = fit_elastic_net(dm, 1e-6, 0.5, tol=1e-15, max_iter=2)
+    model = fit_elastic_net(dm, PenaltySpec("elastic_net", 1e-6, 0.5), tol=1e-15, max_iter=2)
     assert model.diagnostics["converged"] is False
     assert model.diagnostics["iterations"] == 2
 
@@ -666,7 +684,7 @@ def test_grown_factor_matches_refactoring_cold(monkeypatch):
 def test_grown_factor_matches_refactoring_after_drops(monkeypatch):
     rng = np.random.default_rng(31)
     dm = _random_design(rng, n=80, p=25, sparse=False)
-    dense = fit_elastic_net(dm, 1e-4, 0.9).coefficients
+    dense = fit_elastic_net(dm, PenaltySpec("elastic_net", 1e-4, 0.9)).coefficients
     refactors = _lapack_calls(monkeypatch, "dpotrf")
     drops = []
     for lam in (0.1, 0.2, 0.5):
@@ -711,7 +729,7 @@ def test_a_block_is_cut_before_an_added_coefficient_of_the_wrong_sign():
         violators = np.count_nonzero((before == 0) & (np.abs(grad) - t > tol))
         cut |= 0 < entered.sum() < min(violators, np.count_nonzero(before) + 1)
     assert cut
-    model = fit_lasso(dm, lam, tol=tol, debug=True)
+    model = fit_elastic_net(dm, PenaltySpec("lasso", lam), tol=tol, debug=True)
     assert model.diagnostics["converged"]
     _assert_kkt(dm, model, lam, 1.0)
     _assert_reference_optimal(dm, model, lam, 1.0)
@@ -720,7 +738,7 @@ def test_a_block_is_cut_before_an_added_coefficient_of_the_wrong_sign():
 def test_a_drop_refactors_only_the_trailing_block(monkeypatch):
     rng = np.random.default_rng(31)
     dm = _random_design(rng, n=80, p=25, sparse=False)
-    dense = fit_elastic_net(dm, 1e-4, 0.9).coefficients
+    dense = fit_elastic_net(dm, PenaltySpec("elastic_net", 1e-4, 0.9)).coefficients
     H, c, t = _search_inputs(dm, 0.5, 0.9)
     events = _lapack_calls(monkeypatch, "dpotrf")
     _lapack_calls(monkeypatch, "dtrtrs", events)
@@ -776,7 +794,8 @@ def test_duplicate_column_takes_the_damped_branch(monkeypatch):
     for start in (None, warm):
         for lam in (1e-4, 1e-2):
             b, _ = _both_searches(dm, lam, 1.0, start=start)
-            _assert_kkt(dm, fit_lasso(dm, lam, tol=1e-10, warm_start=start), lam, 1.0)
+            _assert_kkt(dm, fit_elastic_net(dm, PenaltySpec("lasso", lam), start, tol=1e-10),
+                        lam, 1.0)
     # the kept-factor search calls dposv only for a damped step
     assert damped
 
@@ -839,7 +858,7 @@ def test_a_failed_factor_is_not_bordered_until_a_drop_refactors_it(monkeypatch):
                     np.testing.assert_array_equal(np.sort(np.diagonal(S)),
                                                   np.sort(H.diagonal()[kept]))
                     failed, refactored = not _passes(S), refactored + 1
-        model = fit_lasso(dm, lam, tol=1e-10, warm_start=np.array(start))
+        model = fit_elastic_net(dm, PenaltySpec("lasso", lam), np.array(start), tol=1e-10)
         assert model.diagnostics["converged"]
         _assert_kkt(dm, model, lam, 1.0)
         _assert_reference_optimal(dm, model, lam, 1.0)

@@ -35,8 +35,6 @@ from dprkit.regression import (
     FittedModel,
     PenaltySpec,
     fit_elastic_net,
-    fit_lasso,
-    fit_ridge,
     standardize,
 )
 from dprkit import cli, pipeline, testkit
@@ -160,7 +158,7 @@ def test_cv_winner_minimizes_mean_mse():
         mses = []
         for block in blocks:
             fit_rows = np.setdiff1d(np.arange(dm.n), block)
-            m = fit_lasso(dm.subset_rows(fit_rows), lam)
+            m = fit_elastic_net(dm.subset_rows(fit_rows), PenaltySpec("lasso", lam))
             yhat = m.intercept + dm.X[block] @ m.coefficients
             mses.append(float(np.mean((dm.y[block] - yhat) ** 2)))
         by_hand[lam] = float(np.mean(mses))
@@ -183,9 +181,9 @@ def test_cv_alpha_walk_warm_starts_within_each_fold(monkeypatch):
     fits = []  # (design, lambda, alpha, warm start, model) of every CV fit
     fit = pipeline.fit_elastic_net
 
-    def recorded(sub, lam, alpha, warm_start=None, **kw):
-        model = fit(sub, lam, alpha, warm_start=warm_start, **kw)
-        fits.append((sub, lam, alpha, warm_start, model))
+    def recorded(sub, penalty, warm_start=None, **kw):
+        model = fit(sub, penalty, warm_start, **kw)
+        fits.append((sub, penalty.lam, penalty.alpha, warm_start, model))
         return model
 
     monkeypatch.setattr(pipeline, "fit_elastic_net", recorded)
@@ -209,7 +207,7 @@ def test_cv_alpha_walk_warm_starts_within_each_fold(monkeypatch):
             assert warm is by_cell[(id(sub), lams[lams.index(lam) - 1], alpha)].coefficients
         block = blocks[id(sub)]
         Xv, yv = dm.X[block], dm.y[block]
-        cold = fit_elastic_net(sub, lam, alpha)
+        cold = fit_elastic_net(sub, PenaltySpec("elastic_net", lam, alpha))
         mse = float(np.mean((yv - model.intercept - Xv @ model.coefficients) ** 2))
         cold_mse = float(np.mean((yv - cold.intercept - Xv @ cold.coefficients) ** 2))
         assert mse == pytest.approx(cold_mse, rel=0, abs=1e-10)
@@ -262,9 +260,10 @@ def test_cv_unconverged_cells_become_na(monkeypatch):
     dm0 = design_from_panel(logged)
     dm = standardize(dm0.X, dm0.y, dm0.column_names, source_rows=dm0.source_rows)
     grid = [10.0, 1.0, 1e-2, 1e-4]
-    fit = pipeline.fit_lasso
+    fit = pipeline.fit_elastic_net
     with monkeypatch.context() as m:
-        m.setattr(pipeline, "fit_lasso", lambda dm, lam, **kw: fit(dm, lam, max_iter=1, **kw))
+        m.setattr(pipeline, "fit_elastic_net",
+                  lambda dm, penalty, *a, **kw: fit(dm, penalty, *a, max_iter=1, **kw))
         # the large lambdas converge within one active-set step (0 steps
         # above lambda_max); the small ones need more than one on every fold
         res = cross_validate(dm, 4, "lasso", grid)
@@ -277,13 +276,13 @@ def test_cv_unconverged_cells_become_na(monkeypatch):
 
 
 def test_run_with_every_cv_cell_unconverged_names_stage_cv(monkeypatch):
-    fit = pipeline.fit_lasso
+    fit = pipeline.fit_elastic_net
 
-    def one_step(dm, lam, **kw):
+    def one_step(dm, penalty, *a, **kw):
         kw.update(max_iter=1)
-        return fit(dm, lam, **kw)
+        return fit(dm, penalty, *a, **kw)
 
-    monkeypatch.setattr(pipeline, "fit_lasso", one_step)
+    monkeypatch.setattr(pipeline, "fit_elastic_net", one_step)
     panel, _ = _panel(n_entities=10, n_periods=8, n_features=5, n_clusters=3, seed=2)
     split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
     cfg = _default_config(lambda_grid=(1e-4, 1e-3))
@@ -292,16 +291,16 @@ def test_run_with_every_cv_cell_unconverged_names_stage_cv(monkeypatch):
 
 
 def test_unconverged_final_fit_fails_stage_path(monkeypatch, tmp_path, capsys):
-    fit = pipeline.fit_lasso
+    fit = pipeline.fit_elastic_net
     n_train = 60  # 10 entities x 6 training periods
 
-    def one_step_on_the_training_design(dm, lam, **kw):
+    def one_step_on_the_training_design(dm, penalty, *a, **kw):
         # the run's own path on the full training design; never a CV fold's
         if dm.n == n_train:
             kw.update(max_iter=1)
-        return fit(dm, lam, **kw)
+        return fit(dm, penalty, *a, **kw)
 
-    monkeypatch.setattr(pipeline, "fit_lasso", one_step_on_the_training_design)
+    monkeypatch.setattr(pipeline, "fit_elastic_net", one_step_on_the_training_design)
     panel, _ = _panel(n_entities=10, n_periods=8, n_features=5, n_clusters=3, seed=2)
     split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
     cfg = _default_config(lambda_grid=(1e-4, 1e-3))
@@ -340,7 +339,8 @@ _INTEGER_PARAMETERS = {
     "cv_folds": lambda x: SplitSpec((1,), (2,), cv_folds=x),
     "baseline_cluster": lambda x: DprConfig(eps=0.1, min_pts=3, baseline_cluster=x),
     "folds": lambda x: cross_validate(_standardized_toy(), x, "lasso", [0.1]),
-    "max_iter": lambda x: fit_lasso(_standardized_toy(), 0.1, max_iter=x),
+    "max_iter": lambda x: fit_elastic_net(_standardized_toy(), PenaltySpec("lasso", 0.1),
+                                          max_iter=x),
 }
 
 
@@ -360,7 +360,7 @@ def test_config_refuses_a_bool_eps():
 
 
 def test_require_fit_names_the_failed_fit():
-    model = fit_ridge(_standardized_toy(), 0.1)
+    model = fit_elastic_net(_standardized_toy(), PenaltySpec("ridge", 0.1))
     assert pipeline.require_fit(model, "fit at x") is model
     with pytest.raises(RankDeficiencyError, match="^fit at x is rank-deficient$"):
         pipeline.require_fit(None, "fit at x")
@@ -427,7 +427,15 @@ def test_config_and_cv_reject_an_alpha_grid_unless_elastic_net(kind):
      "minpts_grid: min_pts must be an integer >= 1, got 0"),
     ({"lambda_grid": (0.1, -0.1)}, "lambda_grid: lambda must be finite and >= 0, got -0.1"),
     ({"lambda_grid": (math.nan,)}, "lambda_grid: lambda must be finite and >= 0, got nan"),
-], ids=["alpha", "eps", "minpts", "lambda", "lambda-nan"])
+    # True == 1 and "0.1" is text: neither is a number
+    ({"lambda_grid": (True,)}, "lambda_grid: lambda must be finite and >= 0, got True"),
+    ({"lambda_grid": (np.True_,)}, "lambda_grid: lambda must be finite and >= 0, got "
+     f"{np.True_!r}"),
+    ({"lambda_grid": ("0.1",)}, "lambda_grid: lambda must be finite and >= 0, got '0.1'"),
+    ({"alpha_grid": (True,)}, "alpha_grid: elastic_net requires alpha in [0, 1], got True"),
+    ({"alpha_grid": ("0.5",)}, "alpha_grid: elastic_net requires alpha in [0, 1], got '0.5'"),
+], ids=["alpha", "eps", "minpts", "lambda", "lambda-nan", "lambda-true", "lambda-numpy-true",
+        "lambda-text", "alpha-true", "alpha-text"])
 def test_config_checks_each_grid_value(grids, message):
     """A bad grid value fails at construction, naming its key, not in a later stage."""
     fixed = {} if "eps_grid" in grids else {"eps": 0.05, "min_pts": 4}
@@ -708,12 +716,7 @@ def test_final_model_is_the_path_fit_at_the_chosen_cell(kind, tmp_path, monkeypa
     assert len(designs) == 4 * (2 if kind == "elastic_net" else 1) + 1
     assert designs[-1] is dm and all(d.n < dm.n for d in designs[:-1])
     lam, alpha = report.cv.best.lam, report.cv.best.alpha
-    if kind == "ridge":
-        cold = fit_ridge(dm, lam)
-    elif kind == "lasso":
-        cold = fit_lasso(dm, lam)
-    else:
-        cold = fit_elastic_net(dm, lam, alpha)
+    cold = fit_elastic_net(dm, PenaltySpec(kind, lam, alpha))
     model = report.dpr_model.model
     assert model is report.path_models[report.path_lambdas.index(lam)]
     assert model.penalty == cold.penalty
@@ -731,7 +734,7 @@ def test_final_model_is_the_path_fit_at_the_chosen_cell(kind, tmp_path, monkeypa
     Xc = dm.X[:, active] - dm.X[:, active].mean(axis=0)
     yc = dm.y - dm.y.mean()
     beta = np.linalg.solve(Xc.T @ Xc + dm.n * lam * np.eye(Xc.shape[1]), Xc.T @ yc)
-    ridge = fit_ridge(dm, lam)
+    ridge = fit_elastic_net(dm, PenaltySpec("ridge", lam))
     np.testing.assert_array_equal(ridge.coefficients[active], beta)
     assert not ridge.coefficients[~active].any()
 

@@ -1,9 +1,13 @@
-"""The README's Python API example runs as written on the quick-start panel, and
-its list of setting flags is the CLI's."""
+"""The README's Python API example runs as written on the quick-start panel, every
+call its Python API section names exists, and its list of setting flags is the CLI's."""
 
+import importlib
+import pkgutil
 import re
+from functools import reduce
 from pathlib import Path
 
+import dprkit
 from dprkit.cli import _COMMANDS, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -40,3 +44,20 @@ def test_readme_lists_every_setting_flag_of_the_subcommands():
              for name, (_, _, _, required, other) in _COMMANDS.items() if name != "run"
              for key in (*required, *other)}
     assert sorted(re.findall(r"`(--[a-z-]+)`", listed)) == sorted(flags)
+
+
+def test_readme_api_section_names_only_callables_the_package_has():
+    # a `name(` or `module.name(` call in the Python API section must resolve
+    # in dprkit or in one of its modules, so a deleted function cannot stay
+    # documented
+    section = README.read_text(encoding="utf-8").split("## Python API", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    modules = [dprkit] + [importlib.import_module(f"dprkit.{m.name}")
+                          for m in pkgutil.iter_modules(dprkit.__path__)
+                          if m.name != "__main__"]
+    names = set(re.findall(r"`([A-Za-z_][\w.]*)\(", section))
+    assert "regularization_path" in names
+    missing = [name for name in sorted(names) if not any(
+        callable(reduce(lambda node, part: getattr(node, part, None), name.split("."), module))
+        for module in modules)]
+    assert missing == []

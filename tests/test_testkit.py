@@ -3,7 +3,7 @@ import pytest
 
 from dprkit.clustering import DbscanParams, dbscan
 from dprkit.errors import ValidationError
-from dprkit.regression import PenaltySpec, enet_objective, fit_lasso, standardize
+from dprkit.regression import PenaltySpec, enet_objective, fit_elastic_net, standardize
 from dprkit.testkit import (
     SyntheticSpec,
     adjusted_rand_index,
@@ -62,7 +62,7 @@ def test_reference_minimizer_tracks_production_fit():
     X = rng.normal(size=(30, 3))
     y = X @ np.array([1.0, 0.0, -0.5]) + 0.05 * rng.normal(size=30)
     dm = standardize(X, y)
-    model = fit_lasso(dm, 0.08, tol=1e-12)
+    model = fit_elastic_net(dm, PenaltySpec("lasso", 0.08), tol=1e-12)
     ours = enet_objective(dm.X, dm.y, model.intercept, model.coefficients, 0.08, 1.0)
     _, _, ref = reference_objective_min(dm.X, dm.y, PenaltySpec(kind="lasso", lam=0.08))
     assert abs(ours - ref) < 1e-6
@@ -74,7 +74,7 @@ def test_kkt_residuals_flag_a_wrong_solution():
     y = X @ np.array([2.0, 0.0, 0.0, -1.0]) + 0.01 * rng.normal(size=40)
     dm = standardize(X, y)
     lam, alpha = 0.05, 1.0
-    model = fit_lasso(dm, lam, tol=1e-12)
+    model = fit_elastic_net(dm, PenaltySpec("lasso", lam), tol=1e-12)
     g, bound = kkt_residuals(dm.X, dm.y, model.intercept, model.coefficients, lam, alpha)
     assert np.all(np.abs(g) <= bound + 1e-8)
     # perturbing one coefficient breaks stationarity
