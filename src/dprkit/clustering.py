@@ -2,7 +2,7 @@
 
 DBSCAN over Euclidean distance, with one formula throughout: the squared
 coordinate differences are summed in column order, then square-rooted.
-``pairwise_distances`` computes it with ``scipy.spatial.distance.cdist`` and
+``pairwise_distances`` computes it with ``scipy.spatial.distance.pdist`` and
 ``_row_distances`` with one numpy pass per column (the eps tests of
 ``assign_by_nearest_core``), so a new row at exactly eps from a core is
 judged as a training row would be.  A point is core when its closed
@@ -14,20 +14,25 @@ claiming core with the smallest row index, everything else is noise.
 Cluster ids are canonical: numbered by the first row at which each cluster
 appears.
 
-The labelling works on one list of neighbour pairs ``i < j``, read from the
-upper triangle of the dense distance matrix: neighbourhood counts are
-bincounts over it, clusters are ``scipy.sparse.csgraph.connected_components``
-on its core-core edges (a CSR graph read straight off the row-major pairs),
-and border claims are a minimum per row (Ester et al., KDD 1996; Schubert et
-al., TODS 2017).  A parameter scan builds that list once, grouped by the
-smallest grid eps that holds each pair, so the pairs within an eps are a
-prefix of it.  At a fixed min_pts DBSCAN's core clusters are nested in eps
-(Campello, Moulavi & Sander, PAKDD 2013), and at a fixed eps a lower min_pts
-only adds core points.  So the scan makes one component pass over the
-points, for its first cell, and labels every later distinct (eps, core set)
-by merging its predecessor's clusters along the pairs new to it: a component
-pass over the clusters, not the points (``_merge``).  Scoring never copies
-the n x n matrix.
+The training distances are held once per pair, in ``pdist``'s condensed
+vector: pair (i, j), i < j, row-major, which is the upper triangle of the
+distance matrix read row by row.  No n x n matrix is built: beyond the
+vector and the pair list, a reader holds a slice of ``_CHUNK`` elements or a
+block of ``_BLOCK_ROWS`` rows of the triangle at a time.  The labelling works
+on one list of neighbour pairs ``i < j``, read off the vector in slices:
+neighbourhood counts are bincounts over it, clusters are
+``scipy.sparse.csgraph.connected_components`` on its core-core edges (a CSR
+graph read straight off the row-major pairs), and border claims are a
+minimum per row (Ester et al., KDD 1996; Schubert et al., TODS 2017).  A
+parameter scan builds that list once, grouped by the smallest grid eps that
+holds each pair, so the pairs within an eps are a prefix of it.  At a fixed
+min_pts DBSCAN's core clusters are nested in eps (Campello, Moulavi &
+Sander, PAKDD 2013), and at a fixed eps a lower min_pts only adds core
+points.  So the scan makes one component pass over the points, for its
+first cell, and labels every later distinct (eps, core set) by merging its
+predecessor's clusters along the pairs new to it: a component pass over the
+clusters, not the points (``_merge``).  The silhouette and the k-distance
+profile read the vector in blocks of rows of its upper triangle.
 
 New rows are assigned to their nearest core through a ``cKDTree`` built with
 the sliding-midpoint split (``balanced_tree=False``; Maneewongvatana and
@@ -53,8 +58,10 @@ from .errors import ValidationError, as_real, require_int
 
 NOISE = -1
 
-# elements per block of boolean masks in _pairs_within
+# elements of the condensed vector that _pairs_within reads at a time
 _CHUNK = 262_144
+# rows of the upper triangle in each of _upper_blocks' blocks
+_BLOCK_ROWS = 64
 
 
 def _check_eps(eps) -> float:
@@ -102,22 +109,47 @@ def _as_points(points) -> np.ndarray:
 
 
 def pairwise_distances(points) -> np.ndarray:
-    """Full Euclidean distance matrix, computed from explicit differences.
+    """Condensed Euclidean distances: each pair (i, j), i < j, once, row-major.
 
-    ``scipy.spatial.distance.cdist`` sums the squared coordinate differences
-    in column order and takes the square root, the formula ``_row_distances``
-    repeats; the difference form avoids the cancellation of the expanded-norm
-    shortcut, so coincident points get an exact zero and D is exactly
-    symmetric.
+    This is ``scipy.spatial.distance.pdist``'s vector, n(n - 1)/2 long: the
+    upper triangle of the distance matrix read row by row, so row i's pairs
+    start at ``_row_start(i, n)`` (``squareform`` rebuilds the matrix).
+    ``pdist`` sums the squared coordinate differences in column order and
+    takes the square root, the formula ``_row_distances`` repeats; the
+    difference form avoids the cancellation of the expanded-norm shortcut,
+    so coincident points get an exact zero.
     """
-    from scipy.spatial.distance import cdist
+    from scipy.spatial.distance import pdist
 
-    pts = _as_points(points)
-    return cdist(pts, pts)
+    return pdist(_as_points(points))
+
+
+def _row_start(i: int, n: int) -> int:
+    """Position of pair (i, i + 1) in the condensed vector of ``n`` points."""
+    return i * (2 * n - i - 1) // 2
+
+
+def _upper_blocks(d: np.ndarray, n: int, fill: float):
+    """Blocks of rows of the upper triangle ``d`` of ``n`` points: ``(start, block)``.
+
+    A block holds rows ``start, start + 1, ...`` and the columns after
+    ``start``: ``block[r, c]`` is the distance of points ``start + r`` and
+    ``start + 1 + c`` when ``c >= r``, and ``fill`` below that diagonal.  A
+    block holds ``_BLOCK_ROWS`` rows, the last one fewer.
+    """
+    # every block has the same shape of distances, cut to its rows and columns
+    above = np.arange(n - 1) >= np.arange(_BLOCK_ROWS)[:, None]
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(n, start + _BLOCK_ROWS)
+        mask = above[:stop - start, :n - start - 1]
+        block = np.full(mask.shape, fill)
+        # a boolean mask fills in row-major order, the vector's own
+        block[mask] = d[_row_start(start, n):_row_start(stop, n)]
+        yield start, block
 
 
 def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances between the rows of ``a`` and ``b`` (broadcast), in ``cdist``'s order.
+    """Distances between the rows of ``a`` and ``b`` (broadcast), in ``pdist``'s order.
 
     The squared differences are summed column by column, so a distance here
     is bit for bit the one ``pairwise_distances`` gives the same two rows.
@@ -141,34 +173,36 @@ def _canonical_relabel(labels: np.ndarray) -> tuple[np.ndarray, int]:
     return out, int(ids.size)
 
 
-def _pairs_within(D: np.ndarray, radii: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pairs_within(
+    d: np.ndarray, n: int, radii: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pairs ``i < j`` within the largest of the ascending ``radii``, grouped by radius.
 
-    Returns int32 rows, int32 columns and ``ends``: the pairs with
-    ``D[i, j] <= radii[g]`` are the first ``ends[g]``, so those new at
-    ``radii[g]`` are the slice ``ends[g - 1]:ends[g]``, in row-major order.
-    Blocks of rows read only the upper triangle and keep the boolean masks
-    near ``_CHUNK`` elements; each block groups its own pairs, so no step
-    holds more than the list and its pieces.
+    ``d`` is the condensed vector of ``n`` points.  Returns int32 rows, int32
+    columns and ``ends``: the pairs within ``radii[g]`` are the first
+    ``ends[g]``, so those new at ``radii[g]`` are the slice
+    ``ends[g - 1]:ends[g]``, in row-major order.  The vector is already the
+    row-major upper triangle, so it is read in slices of ``_CHUNK`` elements,
+    which may split a row; each slice groups its own pairs, so no step holds
+    more than the list and its pieces.
     """
-    n = D.shape[0]
-    step = max(1, min(n, _CHUNK // n))
-    pieces = [[] for _ in radii]  # (rows, columns) of each block, per group
-    upper = np.triu(np.ones((step, step), dtype=bool))  # c >= r: above the diagonal
-    for start in range(0, n, step):
-        block = D[start:start + step, start + 1:]  # block[r, c] = D[start + r, start + 1 + c]
-        hit = block <= radii[-1]
-        square = hit[:, :step]
-        square &= upper[:square.shape[0], :square.shape[1]]
-        r, c = np.divmod(np.flatnonzero(hit), hit.shape[1])
-        rows, cols = (r + start).astype(np.int32), (c + start + 1).astype(np.int32)
+    # a hit's row is the last row start at or before it
+    starts = _row_start(np.arange(n, dtype=np.int64), n)
+    pieces = [[] for _ in radii]  # (rows, columns) of each slice, per group
+    # one slice at least, so a single point still gets its empty int32 arrays
+    for start in range(0, max(1, d.size), _CHUNK):
+        part = d[start:start + _CHUNK]
+        hit = np.flatnonzero(part <= radii[-1])
+        at = hit + start
+        r = np.searchsorted(starts, at, side="right") - 1
+        rows, cols = r.astype(np.int32), (at - starts[r] + r + 1).astype(np.int32)
         bounds = []
         if len(radii) > 1:
-            d = block[hit]
+            d_hit = part[hit]
             # the index of the smallest radius that holds each pair
-            group = np.zeros(d.size, dtype=np.min_scalar_type(len(radii) - 1))
+            group = np.zeros(d_hit.size, dtype=np.min_scalar_type(len(radii) - 1))
             for radius in radii[:-1]:
-                group += d > radius
+                group += d_hit > radius
             order = np.argsort(group, kind="stable")
             rows, cols = rows[order], cols[order]
             bounds = np.cumsum(np.bincount(group, minlength=len(radii)))[:-1]
@@ -234,39 +268,57 @@ def _cell_labels(
 
 
 def _score(
-    pts: np.ndarray, D: np.ndarray, labels: np.ndarray, k: int
+    pts: np.ndarray, d: np.ndarray, labels: np.ndarray, k: int
 ) -> tuple[float | None, float]:
     """(sc, sse) of one labelling; sc is None when the silhouette is undefined."""
     sc = None
     if k >= 2 and np.bincount(labels[labels != NOISE], minlength=k).max() >= 2:
-        sc = _silhouette_from_distances(D, labels, k)
+        sc = _silhouette_from_distances(d, labels, k)
     return sc, sse(pts, labels)
 
 
 def dbscan(points, params: DbscanParams, distances: np.ndarray | None = None) -> ClusterModel:
     """Cluster ``points`` and score the result.
 
-    ``sc`` is None when the silhouette is undefined (fewer than two clusters,
-    or no cluster with at least two members).  ``sse`` is always defined;
-    noise contributes zero.
+    ``distances``, when given, is ``pairwise_distances(points)``: the
+    condensed vector of n(n - 1)/2 pair distances; a vector of another
+    length is refused.  ``sc`` is None when the silhouette is undefined
+    (fewer than two clusters, or no cluster with at least two members).
+    ``sse`` is always defined; noise contributes zero.
     """
     pts = _as_points(points)
-    D = pairwise_distances(pts) if distances is None else distances
-    [(labels, k, core)] = _label_cells(D, [params])
-    sc, total = _score(pts, D, labels, k)
+    n = pts.shape[0]
+    if distances is None:
+        d = pairwise_distances(pts)
+    else:
+        d = np.asarray(distances)
+        if d.shape != (n * (n - 1) // 2,):
+            raise ValidationError(
+                f"distances must be the condensed vector of {n * (n - 1) // 2} pair "
+                f"distances of {n} points, got shape {d.shape}"
+            )
+    [(labels, k, core)] = _label_cells(d, n, [params])
+    sc, total = _score(pts, d, labels, k)
     return ClusterModel(params=params, labels=labels, k=k, sc=sc, sse=total, core_mask=core)
 
 
-def _silhouette_from_distances(D: np.ndarray, labels: np.ndarray, k: int) -> float:
+def _silhouette_from_distances(d: np.ndarray, labels: np.ndarray, k: int) -> float:
+    n = labels.size
     member = labels != NOISE
     idx = np.flatnonzero(member)
     lab = labels[idx]
     counts = np.bincount(lab, minlength=k).astype(np.float64)
-    # per-point sums of distance into each cluster; noise rows of onehot are
-    # zero, so D is multiplied whole rather than copied down to the members
-    onehot = np.zeros((labels.size, k))
+    # per-point sums of distance into each cluster: with U the upper triangle,
+    # D = U + U^T, so each block of U's rows adds its own rows' sums and its
+    # share of every later point's; noise rows of onehot are zero
+    onehot = np.zeros((n, k))
     onehot[idx, lab] = 1.0
-    sums = (D @ onehot)[idx]
+    sums = np.zeros((n, k))
+    for start, block in _upper_blocks(d, n, 0.0):
+        stop = start + block.shape[0]
+        sums[start:stop] += block @ onehot[start + 1:]
+        sums[start + 1:] += block.T @ onehot[start:stop]
+    sums = sums[idx]
 
     own = counts[lab]
     s = np.zeros(idx.size)
@@ -320,21 +372,40 @@ def sse(points, labels) -> float:
 
 
 def k_distance_profile(points, k: int) -> np.ndarray:
-    """Distance to each point's k-th nearest neighbor (self excluded), sorted descending."""
+    """Distance to each point's k-th nearest neighbor (self excluded), sorted descending.
+
+    Each point keeps its k smallest distances so far; a block of rows of the
+    upper triangle offers its rows to their own points and its columns to
+    the later points, so every pair is offered to both of its points once.
+    The k-th smallest is selected, not computed, so it is the value
+    ``pairwise_distances`` holds.  Memory beyond the vector is
+    O(n (k + ``_BLOCK_ROWS``)).
+    """
     pts = _as_points(points)
     n = pts.shape[0]
     k = require_int("k", k, 1)
     if k >= n:
         raise ValidationError(f"k must be < {n}, the number of points, got {k}")
-    D = pairwise_distances(pts)
-    D.partition(k, axis=1)  # D is this call's own; position 0 holds a self-distance 0
-    return np.sort(D[:, k])[::-1].copy()
+    d = pairwise_distances(pts)
+    best = np.full((n, k), np.inf)
+    for start, block in _upper_blocks(d, n, np.inf):
+        stop = start + block.shape[0]
+        cols = np.concatenate([best[start + 1:], block.T], axis=1)
+        cols.partition(k - 1, axis=1)
+        best[start + 1:] = cols[:, :k]
+        # the block is this call's own: its rows are cut to their k smallest in place
+        if block.shape[1] > k:
+            block.partition(k - 1, axis=1)
+        rows = np.concatenate([best[start:stop], block[:, :k]], axis=1)
+        rows.partition(k - 1, axis=1)
+        best[start:stop] = rows[:, :k]
+    return np.sort(best[:, k - 1])[::-1].copy()
 
 
 def _label_cells(
-    D: np.ndarray, cells: Sequence[DbscanParams]
+    d: np.ndarray, n: int, cells: Sequence[DbscanParams]
 ) -> list[tuple[np.ndarray, int, np.ndarray]]:
-    """Labels, cluster count and core mask of each cell, from the distance matrix.
+    """Labels, cluster count and core mask of each cell, from the condensed vector of ``n`` points.
 
     A point is core at ``eps`` when its neighbour count reaches the cell's
     ``min_pts``.  Cells are labelled by eps ascending and, within one eps, by
@@ -347,10 +418,9 @@ def _label_cells(
     predecessor's eps and those that reach newly core points.  The product
     of the cells' distinct eps and thresholds is labelled.
     """
-    n = D.shape[0]
     radii = sorted({p.eps for p in cells})
     thresholds = sorted({p.min_pts for p in cells}, reverse=True)
-    i, j, ends = _pairs_within(D, radii)
+    i, j, ends = _pairs_within(d, n, radii)
     counts = np.ones(n, dtype=np.intp)
     labelled = {}
     previous = {}  # threshold -> (core, comp, k, end, cell) at the last eps
@@ -420,10 +490,10 @@ def scan_params(
         for e in dict.fromkeys(_check_eps(e) for e in eps_grid)
         for m in dict.fromkeys(require_int("min_pts", m, 1) for m in minpts_grid)
     ]
-    D = pairwise_distances(pts)
-    labelled = _label_cells(D, cells)
+    d = pairwise_distances(pts)
+    labelled = _label_cells(d, pts.shape[0], cells)
     distinct = {labels.tobytes(): (labels, k) for labels, k, _ in labelled}
-    scores = {key: _score(pts, D, *lk) for key, lk in distinct.items()}
+    scores = {key: _score(pts, d, *lk) for key, lk in distinct.items()}
     return [
         ScanRow(p.eps, p.min_pts, k, *scores[labels.tobytes()])
         for p, (labels, k, _) in zip(cells, labelled)

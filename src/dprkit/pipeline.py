@@ -44,13 +44,14 @@ from .panel import (
 )
 from .regression import (
     ELASTIC_NET,
-    RIDGE,
     DesignMatrix,
     FittedModel,
     PenaltySpec,
     RankDeficiencyError,
     _fit_metrics,
     add_training_metrics,
+    check_alpha,
+    check_lambda,
     check_mixing,
     fit_elastic_net,
     predict,
@@ -120,8 +121,8 @@ class DprConfig:
         # each value by its own rule: DbscanParams' and PenaltySpec's
         for key, check in (("eps_grid", _check_eps),
                            ("minpts_grid", partial(require_int, "min_pts", minimum=1)),
-                           ("lambda_grid", partial(PenaltySpec, RIDGE)),
-                           ("alpha_grid", partial(PenaltySpec, ELASTIC_NET, 0.0))):
+                           ("lambda_grid", check_lambda),
+                           ("alpha_grid", check_alpha)):
             for value in () if getattr(self, key) is None else getattr(self, key):
                 try:
                     check(value)
@@ -284,7 +285,7 @@ def regularization_path(dm: DesignMatrix, lambdas, kind: str, alpha: float | Non
     ridge fit on a rank-deficient system (lambda=0 on collinear columns) is
     None.  CV folds, ``run`` and ``dprkit path`` all use this chain.
     """
-    lams = [float(l) for l in lambdas]
+    lams = [check_lambda(l) for l in lambdas]
     if not lams:
         raise ValidationError("lambda grid is empty")
     for a, b in zip(lams, lams[1:]):
@@ -330,9 +331,10 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
     if not dm.standardized:
         raise ValidationError("cross_validate expects a standardized design")
     folds = require_int("folds", folds, 2)
-    lams = list(dict.fromkeys(float(l) for l in lambda_grid))
+    # deduplicated by the checked value, so 1 and 1.0 are one cell and True is refused
+    lams = list(dict.fromkeys(map(check_lambda, lambda_grid)))
     # ridge and lasso walk one chain per fold, at no alpha
-    alphas = list(dict.fromkeys(map(float, () if alpha_grid is None else alpha_grid))) or [None]
+    alphas = list(dict.fromkeys(map(check_alpha, () if alpha_grid is None else alpha_grid))) or [None]
 
     blocks = _fold_blocks(dm.n, folds)
     for b, block in enumerate(blocks):

@@ -75,6 +75,22 @@ def check_mixing(kind: str, key: str, value) -> None:
         raise ValidationError(f"{key} is only valid for elastic_net, not {kind}")
 
 
+def check_lambda(value) -> float:
+    """A lambda as a float; a ValidationError unless a finite real >= 0, not a bool."""
+    lam = as_real(value)
+    if not math.isfinite(lam) or lam < 0:
+        raise ValidationError(f"lambda must be finite and >= 0, got {value!r}")
+    return lam
+
+
+def check_alpha(value) -> float:
+    """An elastic-net alpha as a float; a ValidationError unless a real in [0, 1], not a bool."""
+    alpha = as_real(value)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValidationError(f"elastic_net requires alpha in [0, 1], got {value!r}")
+    return alpha
+
+
 @dataclass(frozen=True)
 class PenaltySpec:
     """Penalty family and strength; alpha is meaningful only for elastic_net."""
@@ -86,15 +102,9 @@ class PenaltySpec:
     def __post_init__(self) -> None:
         check_mixing(self.kind, "alpha", self.alpha)
         # stored as floats, so an int lambda writes the same artifacts as its float
-        lam = as_real(self.lam)
-        if not math.isfinite(lam) or lam < 0:
-            raise ValidationError(f"lambda must be finite and >= 0, got {self.lam!r}")
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", check_lambda(self.lam))
         if self.alpha is not None:
-            alpha = as_real(self.alpha)
-            if not 0.0 <= alpha <= 1.0:
-                raise ValidationError(f"elastic_net requires alpha in [0, 1], got {self.alpha!r}")
-            object.__setattr__(self, "alpha", alpha)
+            object.__setattr__(self, "alpha", check_alpha(self.alpha))
 
     @property
     def mixing(self) -> float:

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import squareform
 
 from dprkit import testkit
 from dprkit.clustering import (
@@ -56,7 +57,7 @@ def test_criterion_1_clustering_matches_brute_force_oracle():
             pts = np.round(pts * 2) / 2
         if n >= 8 and rng.random() < 0.4:  # exact duplicates
             pts[rng.integers(1, n)] = pts[0]
-        dist = pairwise_distances(pts)
+        dist = squareform(pairwise_distances(pts))
         positive = dist[dist > 0]
         eps = (
             float(rng.choice(positive)) if positive.size else float(rng.uniform(0.1, 1))

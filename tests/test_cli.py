@@ -869,7 +869,7 @@ def test_unconverged_path_fit_stops_path_and_is_named_by_run(capsys, tmp_path, m
 
 
 def test_cli_and_testkit_imports_leave_out_scipy_optimize():
-    # no scipy module at all: cdist, cKDTree, csgraph and scipy.optimize load at first use
+    # no scipy module at all: pdist, cKDTree, csgraph and scipy.optimize load at first use
     code = ("import sys, dprkit.cli, dprkit.testkit; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

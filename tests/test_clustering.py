@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import squareform
 
 from dprkit.clustering import (
     NOISE,
@@ -109,7 +110,7 @@ def test_row_permutation_preserves_partition():
 
 def test_pairwise_distances_exact_for_coincident_points():
     pts = np.array([[1.7, 2.9], [1.7, 2.9], [5.0, 1.0]])
-    d = pairwise_distances(pts)
+    d = squareform(pairwise_distances(pts))
     assert d[0, 1] == 0.0
     assert d[0, 0] == 0.0
     np.testing.assert_allclose(d, d.T)
@@ -131,11 +132,11 @@ _SCALES = st.sampled_from([1e-3, 1.0, 1e3])
        scale=_SCALES)
 def test_pairwise_distances_sum_squares_in_column_order(seed, n, p, scale):
     pts = np.random.default_rng(seed).normal(size=(n, p)) * scale
-    D = pairwise_distances(pts)
+    D = squareform(pairwise_distances(pts))
     ref = np.array([[_sequential_distance(a, b) for b in pts] for a in pts])
     np.testing.assert_array_equal(
         D, ref, err_msg="pairwise_distances no longer sums squared differences in "
-        "column order (has scipy's cdist changed its summation?)"
+        "column order (has scipy's pdist changed its summation?)"
     )
     np.testing.assert_array_equal(D, D.T)
     assert not D.diagonal().any()
@@ -154,7 +155,7 @@ def test_a_tie_at_exactly_eps_off_the_lattice(seed, p, scale, min_pts):
     order = rng.permutation(pts.shape[0])
     pts = pts[order]
     out = int(np.flatnonzero(order == 8)[0])
-    D = pairwise_distances(pts)
+    D = squareform(pairwise_distances(pts))
     others = np.flatnonzero(np.arange(pts.shape[0]) != out)
     near = int(others[np.argmin(D[out, others])])
     eps = float(D[out, near])
@@ -200,6 +201,38 @@ def test_singleton_cluster_scores_zero():
     b1 = 49.9
     expected = ((b0 - a01) / b0 + ((50.0 - 0.1) - a01) / (50.0 - 0.1) + 0.0) / 3
     assert abs(sc - expected) < 1e-12
+
+
+def _silhouette_by_loop(pts, labels):
+    # the definition, one point at a time, on the square matrix
+    D = squareform(pairwise_distances(pts))
+    ids = sorted(set(labels.tolist()) - {NOISE})
+    scores = []
+    for i in np.flatnonzero(labels != NOISE):
+        own = (labels == labels[i]) & (np.arange(labels.size) != i)
+        if not own.any():
+            scores.append(0.0)
+            continue
+        a = D[i, own].mean()
+        b = min(D[i, labels == c].mean() for c in ids if c != labels[i])
+        scores.append(0.0 if max(a, b) == 0 else (b - a) / max(a, b))
+    return float(np.mean(scores))
+
+
+# blocks of 1 and 3 rows, and one block for all 22 rows
+@pytest.mark.parametrize("rows", [1, 3, None])
+def test_silhouette_adds_the_upper_triangle_and_its_transpose(rows, monkeypatch):
+    from dprkit import clustering
+
+    if rows is not None:
+        monkeypatch.setattr(clustering, "_BLOCK_ROWS", rows)
+    pts = _lattice_with_ties()
+    # 7 clusters of one to six rows (singletons score 0); 4 clusters and 6 noise
+    # rows; 3 clusters and 3 noise rows; 2 clusters
+    for params in (DbscanParams(0.5, 1), DbscanParams(0.5, 4), DbscanParams(1.5, 2),
+                   DbscanParams(2.5, 4)):
+        labels = dbscan(pts, params).labels
+        assert abs(silhouette_sc(pts, labels) - _silhouette_by_loop(pts, labels)) < 1e-12
 
 
 def test_model_sc_none_until_meaningful():
@@ -289,7 +322,7 @@ def test_randomized_against_brute_oracle_quick():
         pts = np.round(rng.uniform(-4, 4, size=(n, d)), 1)
         if n > 6:  # force duplicates so tie handling is exercised
             pts[n // 2] = pts[0]
-        dist = pairwise_distances(pts)
+        dist = squareform(pairwise_distances(pts))
         eps = float(np.quantile(dist[dist > 0], 0.2)) if (dist > 0).any() else 0.5
         params = DbscanParams(
             eps=eps,
@@ -341,7 +374,7 @@ def _lattice_with_ties():
 
 def _core_by_count(pts, params):
     # closed eps-ball counts, the point itself included, straight off the matrix
-    counts = (pairwise_distances(pts) <= params.eps).sum(axis=1)
+    counts = (squareform(pairwise_distances(pts)) <= params.eps).sum(axis=1)
     return counts >= params.min_pts
 
 
@@ -351,7 +384,7 @@ def _assert_cells_match_per_cell_runs_and_oracle(pts, eps_grid, minpts_grid):
     for strict in (0, 1):  # a strict rule is min_pts + 1
         rows = scan_params(pts, eps_grid, [m + strict for m in minpts_grid])
         cells = [DbscanParams(r.eps, r.min_pts) for r in rows]
-        labelled = _label_cells(pairwise_distances(pts), cells)
+        labelled = _label_cells(pairwise_distances(pts), pts.shape[0], cells)
         for row, params, (labels, k, core) in zip(rows, cells, labelled):
             solo = dbscan(pts, params)
             assert (row.k, row.sc, row.sse) == (solo.k, solo.sc, solo.sse)
@@ -391,7 +424,9 @@ def _pairs_by_triu(D, low, radius):
 def _assert_pairs(D, radii):
     from dprkit.clustering import _pairs_within
 
-    i, j, ends = _pairs_within(D, radii)
+    n = D.shape[0]
+    # the condensed vector is the upper triangle, row by row
+    i, j, ends = _pairs_within(D[np.triu_indices(n, 1)], n, radii)
     assert i.dtype == j.dtype == np.int32 and ends.size == len(radii)
     # each radius adds the pairs beyond the last one, in row-major order
     for low, radius, a, b in zip([-np.inf, *radii], radii, [0, *ends], ends):
@@ -400,14 +435,18 @@ def _assert_pairs(D, radii):
     assert ends[-1] == i.size == j.size
 
 
-# None: one block; 50 and 70: blocks of two and three of the 22 rows
-@pytest.mark.parametrize("chunk", [None, 50, 70])
+# None: one slice of the 231 pairs; the lattice's 22 rows hold 21, 20, 19,
+# ... pairs, so each other size ends a slice inside a row (20: row 0 before
+# its last pair; 7: most rows)
+@pytest.mark.parametrize("chunk", [None, 50, 70, 20, 7])
 def test_pairs_within_matches_the_upper_triangle_form(chunk, monkeypatch):
     from dprkit import clustering
 
     if chunk is not None:
         monkeypatch.setattr(clustering, "_CHUNK", chunk)
-    D = pairwise_distances(_lattice_with_ties())
+    D = squareform(pairwise_distances(_lattice_with_ties()))
+    n = D.shape[0]
+    assert chunk is None or chunk not in {clustering._row_start(i, n) for i in range(n)}
     assert all((D == r).any() for r in (0.0, 0.5, 2.5))  # pairs exactly on the radius
     radii = [0.0, 0.5, 1.0, 2.5, 100.0]
     for radius in radii:
@@ -421,17 +460,18 @@ def test_pairs_within_one_and_two_rows_and_no_pairs(chunk, monkeypatch):
     from dprkit import clustering
 
     if chunk is not None:
-        monkeypatch.setattr(clustering, "_CHUNK", chunk)  # one row per block
+        monkeypatch.setattr(clustering, "_CHUNK", chunk)  # one pair per slice
     for pts in (_col([3.0]), _col([0.0, 1.5])):
         for radius in (0.0, 1.0, 1.5, 2.0):
-            _assert_pairs(pairwise_distances(pts), [radius])
-        _assert_pairs(pairwise_distances(pts), [0.0, 1.0, 1.5, 2.0])
-    i, j, ends = clustering._pairs_within(pairwise_distances(_col([0.0, 1.5])), [1.0, 1.5])
+            _assert_pairs(squareform(pairwise_distances(pts)), [radius])
+        _assert_pairs(squareform(pairwise_distances(pts)), [0.0, 1.0, 1.5, 2.0])
+    i, j, ends = clustering._pairs_within(pairwise_distances(_col([0.0, 1.5])), 2, [1.0, 1.5])
     assert (i.tolist(), j.tolist(), ends.tolist()) == ([0], [1], [0, 1])
     # a radius below every distance: no pairs, in the same dtypes
-    D = pairwise_distances(np.unique(_lattice_with_ties(), axis=0))
+    d = pairwise_distances(np.unique(_lattice_with_ties(), axis=0))
+    D = squareform(d)
     below = np.nextafter(D[np.triu_indices(D.shape[0], 1)].min(), 0)
-    i, j, ends = clustering._pairs_within(D, [below])
+    i, j, ends = clustering._pairs_within(d, D.shape[0], [below])
     assert i.size == j.size == 0 and ends.tolist() == [0]
     assert (i.dtype, j.dtype) == (np.int32, np.int32)
 
@@ -471,22 +511,13 @@ def test_assign_by_nearest_core_with_a_single_core():
 
 
 def test_dbscan_and_silhouette_copy_no_distance_matrix():
-    import tracemalloc
-
-    rng = np.random.default_rng(3)
-    centers = rng.uniform(-50, 50, size=(10, 2))
-    pts = np.vstack([c + rng.normal(scale=0.5, size=(150, 2)) for c in centers])
+    pts = _spread_blobs(150)
     D = pairwise_distances(pts)
     params = DbscanParams(eps=0.3, min_pts=3)
     dbscan(pts[:20], params)  # the first call imports scipy; keep that out of the trace
-    tracemalloc.start()
-    try:
-        model = dbscan(pts, params, distances=D)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    model, peak = _traced_peak(lambda: dbscan(pts, params, distances=D))
     assert model.k >= 2 and model.sc is not None  # the silhouette ran
-    assert peak < D.nbytes / 4, f"peak {peak} bytes against an n x n matrix of {D.nbytes}"
+    assert peak < D.nbytes / 4, f"peak {peak} bytes against a condensed vector of {D.nbytes}"
 
 
 def _lattice(step, size, min_size=1, max_size=40):
@@ -496,6 +527,69 @@ def _lattice(step, size, min_size=1, max_size=40):
     return st.lists(cell, min_size=min_size, max_size=max_size).map(
         lambda xy: np.asarray(xy, dtype=np.float64) * step
     )
+
+
+def _spread_blobs(n_per=200):
+    # ten tight blobs far apart: the pairs within eps are a small share of all
+    rng = np.random.default_rng(3)
+    centers = rng.uniform(-50, 50, size=(10, 2))
+    return np.vstack([c + rng.normal(scale=0.5, size=(n_per, 2)) for c in centers])
+
+
+def _traced_peak(call):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("reader", ["scan_params", "k_distance_profile"])
+def test_scan_and_k_distance_hold_one_condensed_vector(reader):
+    # each builds its own vector of n(n - 1)/2 distances; a full n x n matrix
+    # alone would be twice that
+    pts = _spread_blobs()
+    n = pts.shape[0]
+    vector = n * (n - 1) // 2 * 8
+    calls = {"scan_params": lambda p: scan_params(p, [0.2, 0.3], [3, 5]),
+             "k_distance_profile": lambda p: k_distance_profile(p, 4)}
+    calls[reader](pts[:20])  # the first call imports scipy; keep that out of the trace
+    result, peak = _traced_peak(lambda: calls[reader](pts))
+    assert len(result) == (4 if reader == "scan_params" else n)
+    assert peak < 1.5 * vector, f"peak {peak} bytes against a condensed vector of {vector}"
+
+
+def test_dbscan_refuses_distances_of_another_length():
+    pts = _col([0.0, 1.0, 3.0])
+    d = pairwise_distances(pts)
+    assert dbscan(pts, DbscanParams(1.0, 2), distances=d).k == 1
+    for bad in (d[:2], np.append(d, 1.0), squareform(d)):
+        with pytest.raises(ValidationError, match="^distances must be the condensed vector"):
+            dbscan(pts, DbscanParams(1.0, 2), distances=bad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pts=_lattice(0.5, 4, min_size=2, max_size=30), rows=st.sampled_from([None, 1, 3, 7]))
+def test_k_distance_profile_selects_the_square_matrix_values(pts, rows):
+    # tie-heavy lattices with repeated rows, read in one block or in blocks of
+    # 1, 3 or 7 rows
+    from dprkit import clustering
+
+    n = pts.shape[0]
+    D = squareform(pairwise_distances(pts))
+    saved = clustering._BLOCK_ROWS
+    clustering._BLOCK_ROWS = rows or saved
+    try:
+        for k in range(1, n):
+            want = np.sort(np.partition(D, k, axis=1)[:, k])[::-1]
+            got = k_distance_profile(pts, k)
+            assert got.tobytes() == want.tobytes(), f"k = {k}"
+    finally:
+        clustering._BLOCK_ROWS = saved
 
 
 _EPS = st.sampled_from([0.5, 0.75, 1.0, 1.5])
@@ -519,7 +613,7 @@ def test_partition_invariant_under_row_permutation(pts, eps, min_pts, strict, da
     renamed = dict(ids)
     # a border point keeps its cluster unless cores of several clusters claim
     # it: then the smallest claiming row, which the order decides, picks one
-    within = pairwise_distances(pts[perm]) <= eps
+    within = squareform(pairwise_distances(pts[perm])) <= eps
     for x in np.flatnonzero(~core):
         claims = set(moved.labels[within[x] & core].tolist())
         if claims:
@@ -636,7 +730,7 @@ def test_scan_cells_match_per_cell_runs_and_oracle(pts, eps_grid, minpts_grid, s
     cells = [DbscanParams(e, m)
              for e in dict.fromkeys(eps_grid) for m in dict.fromkeys(minpts_grid)]
     assert [(r.eps, r.min_pts) for r in rows] == [(p.eps, p.min_pts) for p in cells]
-    labelled = _label_cells(pairwise_distances(pts), cells)
+    labelled = _label_cells(pairwise_distances(pts), pts.shape[0], cells)
     for row, params, (labels, k, core) in zip(rows, cells, labelled):
         solo = dbscan(pts, params)
         assert (row.k, row.sc, row.sse) == (solo.k, solo.sc, solo.sse)

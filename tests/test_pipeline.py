@@ -451,6 +451,25 @@ def test_cv_takes_a_numpy_alpha_grid():
     assert by_array == by_tuple
 
 
+def test_cv_checks_each_grid_value_before_it_dedupes():
+    dm = _standardized_toy()
+    # 1 and 1.0 are one cell: the grids are deduplicated by the checked float
+    res = cross_validate(dm, 2, "lasso", [1, 1.0, 0.1])
+    assert [cell.lam for cell in res.table] == [1.0, 0.1]
+    calls = [lambda: cross_validate(dm, 2, "lasso", [True]),
+             lambda: cross_validate(dm, 2, "lasso", [0.1, "0.01"])]
+    for call, value in zip(calls, ["True", "'0.01'"]):
+        with pytest.raises(ValidationError, match=f"^lambda must be finite and >= 0, got {value}$"):
+            call()
+    with pytest.raises(ValidationError, match=r"^elastic_net requires alpha in \[0, 1\], got True$"):
+        cross_validate(dm, 2, "elastic_net", [0.1], alpha_grid=[0.5, True])
+
+
+def test_path_checks_each_lambda():
+    with pytest.raises(ValidationError, match="^lambda must be finite and >= 0, got True$"):
+        pipeline.regularization_path(_standardized_toy(), [True], "lasso")
+
+
 def test_run_report_structure(tmp_path):
     panel, truth = _panel(n_entities=10, n_periods=8, n_features=5, n_clusters=3, seed=2)
     split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
