@@ -21,8 +21,6 @@ from . import pipeline, regression
 from .clustering import NOISE, DbscanParams, dbscan, scan_params, suggest_params
 from .errors import NumericalError, ValidationError
 from .panel import (
-    MIX_MODES,
-    NO_NORMALIZATION,
     EmissionFactorTable,
     PanelDataset,
     PanelSchema,
@@ -140,8 +138,8 @@ def _ok(stage: str, **kv) -> None:
     print(" ".join(parts))
 
 
-def _mix_matrix(panel: PanelDataset, mode: str) -> np.ndarray:
-    matrix, flagged = energy_mix_features(panel, mode)
+def _mix_matrix(panel: PanelDataset) -> np.ndarray:
+    matrix, flagged = energy_mix_features(panel)
     keys = panel.row_keys() if flagged else []
     for i in flagged[:5]:
         entity, period = keys[i]
@@ -185,13 +183,11 @@ def _labels_for_panel(panel: PanelDataset, bundle_path) -> np.ndarray:
 def _design(path, settings: dict):
     """The standardized log design of ``fit``, ``cv`` and ``path``, with any cluster dummies."""
     panel = _load_canonical(path)
-    spec = TransformSpec(normalize_mode=NO_NORMALIZATION,
-                         **_given(settings, log_offset="log_offset"))
+    spec = TransformSpec(**_given(settings, log_offset="log_offset"))
     dm = pipeline.design_from_panel(log_transform(panel, spec))
     if settings.get("cluster_model"):
         labels = _labels_for_panel(panel, settings["cluster_model"])
-        dm = pipeline.augment_with_dummies(
-            dm, labels, **_given(settings, policy="outlier_policy", baseline="baseline"))
+        dm = pipeline.augment_with_dummies(dm, labels, **_given(settings, policy="outlier_policy"))
     return standardize(dm.X, dm.y, dm.column_names, source_rows=dm.source_rows)
 
 
@@ -222,10 +218,8 @@ _SETTINGS = {
     "min_pts": (int, {}),
     "eps_grid": (_as_grid, {}),
     "minpts_grid": (_as_int_grid, {}),
-    "mix": (str, {"choices": list(MIX_MODES)}),
     "log_offset": (float, {}),
     "outlier_policy": (str, {"choices": list(pipeline.OUTLIER_POLICIES)}),
-    "baseline": (int, {}),
     "folds": (int, {}),
     "train_periods": (str, {}),
     "test_periods": (str, {}),
@@ -332,7 +326,7 @@ def _cmd_cluster(args) -> int:
     s = _settings(args)
     params = DbscanParams(s["eps"], s["min_pts"])
     panel = _load_canonical(args.input)
-    model = dbscan(_mix_matrix(panel, s.get("mix", TransformSpec.normalize_mode)), params)
+    model = dbscan(_mix_matrix(panel), params)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_table(
@@ -353,7 +347,7 @@ def _cmd_cluster(args) -> int:
 def _cmd_scan(args) -> int:
     s = _settings(args)
     panel = _load_canonical(args.input)
-    points = _mix_matrix(panel, s.get("mix", TransformSpec.normalize_mode))
+    points = _mix_matrix(panel)
     rows = scan_params(points, s["eps_grid"], s["minpts_grid"])
     pipeline.write_scan_table(rows, Path(args.output))
     best = suggest_params(rows)
@@ -436,12 +430,11 @@ def _build_run(texts: dict[str, str], panel: PanelDataset):
     """DprConfig and SplitSpec of the settings; an unset one takes its field's default."""
     settings = _parse_settings(texts)
     config = pipeline.DprConfig(
-        transform=TransformSpec(**_given(settings, log_offset="log_offset",
-                                         normalize_mode="mix")),
+        transform=TransformSpec(**_given(settings, log_offset="log_offset")),
         **_given(settings, eps="eps", min_pts="min_pts", eps_grid="eps_grid",
                  minpts_grid="minpts_grid", penalty_kind="penalty",
                  lambda_grid="lambda_grid", alpha_grid="alpha_grid",
-                 outlier_policy="outlier_policy", baseline_cluster="baseline"),
+                 outlier_policy="outlier_policy"),
     )
 
     if "train_count" in settings:
@@ -540,15 +533,15 @@ def _write_path_table(dest, lams: list[float], models: list[FittedModel | None],
 # --------------------------------------------------------------------- parser
 
 
-_DESIGN_KEYS = ("log_offset", "outlier_policy", "baseline", "cluster_model")
+_DESIGN_KEYS = ("log_offset", "outlier_policy", "cluster_model")
 
 # The subcommands that take settings: name -> (handler, help, output flag,
 # required settings, other settings).
 _COMMANDS = {
     "cluster": (_cmd_cluster, "density clustering of the panel mix features", "--output-dir",
-                ("eps", "min_pts"), ("mix",)),
+                ("eps", "min_pts"), ()),
     "scan": (_cmd_scan, "grid scan of clustering parameters", "--output",
-             ("eps_grid", "minpts_grid"), ("mix",)),
+             ("eps_grid", "minpts_grid"), ()),
     "fit": (_cmd_fit, "one penalized fit on the log design", "--output-dir",
             ("penalty", "lam"), ("alpha", *_DESIGN_KEYS)),
     "cv": (_cmd_cv, "cross-validated hyperparameter table", "--output",

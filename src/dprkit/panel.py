@@ -11,8 +11,7 @@ Three transforms are provided ahead of modeling:
   features, with factors supplied externally (never hard-coded);
 * natural-log transform ``ln(x + offset)`` of features and target, invertible
   via ``exp(v) - offset``;
-* mix normalization for clustering: row shares, per-entity column maxima,
-  or no normalization.
+* the energy mix for clustering: each row divided by its sum, its shares.
 
 :func:`load_panel` drops blank lines and parses the other data rows with one
 ``numpy.loadtxt`` call: feature cells by numpy's C float parser, key and
@@ -37,26 +36,16 @@ import numpy as np
 from .errors import ValidationError
 from .tables import write_table
 
-RAW_SHARES = "rawshares"
-PER_FEATURE_MAX = "perfeaturemax"
-NO_NORMALIZATION = "none"
-MIX_MODES = (RAW_SHARES, PER_FEATURE_MAX, NO_NORMALIZATION)
-
 
 @dataclass(frozen=True)
 class TransformSpec:
-    """How features are prepared: log offset for regression, mix mode for clustering."""
+    """The log transform of the regression: ``ln(x + log_offset)``."""
 
     log_offset: float = 1.0
-    normalize_mode: str = RAW_SHARES
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.log_offset) or self.log_offset < 0:
             raise ValidationError(f"log_offset must be finite and >= 0, got {self.log_offset}")
-        if self.normalize_mode not in MIX_MODES:
-            raise ValidationError(
-                f"normalize_mode must be one of {MIX_MODES}, got {self.normalize_mode!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -223,6 +212,13 @@ class PanelSchema:
     target: str | None = "target"
     features: tuple[str, ...] | None = None
     delimiter: str = ","
+
+    def __post_init__(self) -> None:
+        # the csv reader splits on one character, and a quote or a line break is no cell boundary
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1 \
+                or self.delimiter in '"\r\n':
+            raise ValidationError("delimiter must be one character other than '\"', '\\r' "
+                                  f"and '\\n', got {self.delimiter!r}")
 
 
 # an empty or NA target cell is a row without a target: it reads as NaN
@@ -496,63 +492,16 @@ def invert_log(values: np.ndarray, spec: TransformSpec):
     return np.exp(values) - spec.log_offset
 
 
-def energy_mix_features(
-    data: PanelDataset, mode: str = RAW_SHARES,
-    maxima: dict[str, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Clustering features from the consumption mix.
+def energy_mix_features(data: PanelDataset) -> tuple[np.ndarray, list[int]]:
+    """Clustering features from the consumption mix: each row divided by its sum.
 
-    rawshares        row divided by its sum (composition on the simplex)
-    perfeaturemax    each cell divided by that entity's maximum for the
-                     column across its periods (0 when the maximum is 0),
-                     or by its ``maxima`` entry when given (for new rows,
-                     the training maxima; see :func:`scale_by_entity_maxima`)
-    none             features copied through unchanged
-
-    Returns (matrix, flagged) where ``flagged`` holds the indices of rows
-    whose feature sum is zero; under rawshares those rows come out all-zero.
+    Returns (shares, flagged) where ``flagged`` holds the indices of rows
+    whose feature sum is zero; those rows come out all-zero.
     """
-    if mode not in MIX_MODES:
-        raise ValidationError(f"unknown mix mode {mode!r}; expected one of {MIX_MODES}")
     X = data.features
     sums = X.sum(axis=1)
     flagged = [int(i) for i in np.flatnonzero(sums == 0)]
-    if mode == NO_NORMALIZATION:
-        return X.copy(), flagged
-    if mode == RAW_SHARES:
-        out = np.zeros_like(X)
-        ok = sums > 0
-        out[ok] = X[ok] / sums[ok, None]
-        return out, flagged
-    return scale_by_entity_maxima(data, maxima), flagged
-
-
-def scale_by_entity_maxima(data: PanelDataset,
-                           maxima: dict[str, np.ndarray] | None = None) -> np.ndarray:
-    """Each cell divided by its entity's maximum for the column (0 when the maximum is 0).
-
-    An entity's maxima are ``maxima[entity]`` when given (from training rows),
-    otherwise the column maxima of its own rows in ``data``.
-    """
-    mx = _maxima_by_entity(data)
-    for e, name in enumerate(data.entities):
-        if maxima and name in maxima:
-            mx[e] = maxima[name]
-    div = mx[data.entity_idx]
-    out = np.zeros_like(data.features)
-    pos = div > 0
-    out[pos] = data.features[pos] / div[pos]
-    return out
-
-
-def _maxima_by_entity(data: PanelDataset) -> np.ndarray:
-    """(entities x features) column maxima of each entity's rows; -inf where it has none."""
-    mx = np.full((len(data.entities), data.n_features), -np.inf)
-    np.maximum.at(mx, data.entity_idx, data.features)
-    return mx
-
-
-def entity_maxima(data: PanelDataset) -> dict[str, np.ndarray]:
-    """Each entity's per-feature maxima over its rows, for entities with rows."""
-    mx = _maxima_by_entity(data)
-    return {data.entities[e]: mx[e] for e in np.unique(data.entity_idx).tolist()}
+    out = np.zeros_like(X)
+    ok = sums > 0
+    out[ok] = X[ok] / sums[ok, None]
+    return out, flagged

@@ -1,6 +1,6 @@
-"""End-to-end orchestration: cluster the training panel, augment the design
-with cluster dummies, pick penalty strength by cross-validation, fit, and
-forecast the held-out periods.
+"""End-to-end orchestration: cluster the training panel's mix shares, augment
+the design with cluster dummies measured against cluster 0, pick penalty
+strength by cross-validation, fit, and forecast the held-out periods.
 
 Leakage rules are strict and testable: clustering, standardization, and
 hyperparameter selection see training rows only.  Test rows are assigned to
@@ -33,15 +33,7 @@ from .clustering import (
     suggest_params,
 )
 from .errors import ConvergenceError, NumericalError, ValidationError, require_int
-from .panel import (
-    PER_FEATURE_MAX,
-    PanelDataset,
-    TransformSpec,
-    energy_mix_features,
-    entity_maxima,
-    invert_log,
-    log_transform,
-)
+from .panel import PanelDataset, TransformSpec, energy_mix_features, invert_log, log_transform
 from .regression import (
     ELASTIC_NET,
     DesignMatrix,
@@ -100,7 +92,6 @@ class DprConfig:
     lambda_grid: tuple = _DEFAULT_LAMBDAS
     alpha_grid: tuple | None = None
     outlier_policy: str = UNIQUE_DUMMY
-    baseline_cluster: int = 0
 
     def __post_init__(self) -> None:
         given = [key for key in ("eps", "min_pts", "eps_grid", "minpts_grid")
@@ -114,8 +105,6 @@ class DprConfig:
             object.__setattr__(self, "alpha_grid", (0.3, 0.5, 1.0))
         check_mixing(self.penalty_kind, "alpha_grid", self.alpha_grid)
         _check_outlier_policy(self.outlier_policy)
-        object.__setattr__(self, "baseline_cluster",
-                           require_int("baseline_cluster", self.baseline_cluster, 0))
         if not self.lambda_grid:
             raise ValidationError("lambda_grid is empty")
         # each value by its own rule: DbscanParams' and PenaltySpec's
@@ -174,14 +163,13 @@ def design_from_panel(panel: PanelDataset) -> DesignMatrix:
     )
 
 
-def augment_with_dummies(dm: DesignMatrix, labels, policy: str = UNIQUE_DUMMY,
-                         baseline: int = 0) -> DesignMatrix:
-    """Append 0/1 cluster-membership columns against a baseline cluster.
+def augment_with_dummies(dm: DesignMatrix, labels, policy: str = UNIQUE_DUMMY) -> DesignMatrix:
+    """Append 0/1 cluster-membership columns against cluster 0, the baseline.
 
-    k clusters produce k-1 columns named ``cluster_<id>``.  Noise rows are
-    handled per policy: ``unique_dummy`` gives each its own singleton column
-    ``noise_<row>``, ``exclude`` drops the rows (the dropped identities stay
-    visible through ``source_rows``).
+    Clusters 0..k-1 produce the k-1 columns ``cluster_1`` ... ``cluster_<k-1>``.
+    Noise rows are handled per policy: ``unique_dummy`` gives each its own
+    singleton column ``noise_<row>``, ``exclude`` drops the rows (the dropped
+    identities stay visible through ``source_rows``).
     """
     if dm.standardized:
         raise ValidationError("augment_with_dummies expects an unstandardized design")
@@ -193,9 +181,6 @@ def augment_with_dummies(dm: DesignMatrix, labels, policy: str = UNIQUE_DUMMY,
         raise ValidationError("labels must be cluster ids >= 0 or -1 for noise")
 
     ids = sorted(int(c) for c in np.unique(labels[labels != NOISE]))
-    if ids and baseline not in ids:
-        raise ValidationError(f"baseline cluster {baseline} not among cluster ids {ids}")
-
     rowids = dm.source_rows if dm.source_rows is not None else np.arange(dm.n)
     X, y = dm.X, dm.y
     if policy == EXCLUDE:
@@ -203,7 +188,7 @@ def augment_with_dummies(dm: DesignMatrix, labels, policy: str = UNIQUE_DUMMY,
         if not keep.any():
             raise ValidationError("outlier policy 'exclude' removed every row")
         X, y, labels, rowids = X[keep], y[keep], labels[keep], rowids[keep]
-    names = [f"cluster_{c}" for c in ids if c != baseline]
+    names = [f"cluster_{c}" for c in ids if c != 0]
     names += [f"noise_{r}" for r in rowids[labels == NOISE].tolist()]
     return DesignMatrix(
         X=np.hstack([X, dummy_columns(names, labels, rowids)]),
@@ -482,7 +467,7 @@ def forecast_report(model: FittedModel, test: PanelDataset, transform: Transform
     )
 
 
-MODEL_FORMAT = "dprkit-model-v2"
+MODEL_FORMAT = "dprkit-model-v3"
 
 
 @dataclass
@@ -490,8 +475,7 @@ class DprModel:
     """What forecasting a row needs, in ``run`` and from ``model.json`` alike.
 
     The core points (clustering features) and their labels are in training
-    row order; the model's columns after ``features`` are its dummies;
-    ``entity_maxima`` is None unless the mix mode is per-feature-max.
+    row order; the model's columns after ``features`` are its dummies.
     """
 
     model: FittedModel
@@ -499,29 +483,24 @@ class DprModel:
     features: list[str]
     eps: float
     k: int
-    baseline: int
     outlier_policy: str
     core_points: np.ndarray
     core_labels: np.ndarray
-    entity_maxima: dict[str, np.ndarray] | None
 
     def to_bundle(self) -> dict:
         """The ``MODEL_FORMAT`` record that ``run`` writes as ``model.json``."""
-        maxima = self.entity_maxima
         return {
             "format": MODEL_FORMAT,
             "regression": self.model.to_dict(),
-            "transform": {"log_offset": self.transform.log_offset,
-                          "normalize_mode": self.transform.normalize_mode},
+            # normalize_mode is read by perfbench's forecast check; goes with ROADMAP item 2
+            "transform": {"log_offset": self.transform.log_offset, "normalize_mode": "rawshares"},
             "features": list(self.features),
             "clustering": {
-                "eps": self.eps, "k": self.k, "baseline": self.baseline,
+                "eps": self.eps, "k": self.k,
                 "outlier_policy": self.outlier_policy,
                 "core_points": self.core_points.tolist(),
                 "core_labels": self.core_labels.tolist(),
             },
-            "entity_maxima": None if maxima is None else {e: mx.tolist()
-                                                          for e, mx in maxima.items()},
         }
 
     @classmethod
@@ -549,40 +528,32 @@ class DprModel:
         k = get("clustering.k", partial(number, kind=int))
         if labels.ndim != 1 or np.any((labels < 0) | (labels >= k)):
             raise ValidationError(f"bad field 'clustering.core_labels': not all in range({k})")
-        baseline = get("clustering.baseline", partial(number, kind=int))
-        if k > 0 and baseline not in range(k):
-            raise ValidationError(f"bad field 'clustering.baseline': {baseline} not in range({k})")
-        # augment_with_dummies' columns: one per cluster but the baseline, none at k=0
+        # augment_with_dummies' columns: one per cluster but the baseline 0
         ids = [int(n.removeprefix("cluster_")) for n in names[len(features):]
                if n.startswith("cluster_")]
-        if ids != [c for c in range(k) if c != baseline]:
+        if ids != list(range(1, k)):
             raise ValidationError(
-                f"bad fields 'clustering.k' and 'clustering.baseline': the cluster columns "
-                f"of regression.column_names are {ids}, not range({k}) minus {baseline}")
+                f"bad field 'clustering.k': the cluster columns of regression.column_names "
+                f"are {ids}, not range(1, {k})")
         core_points = get("clustering.core_points", lambda v: numbers(v).reshape(
             labels.size, len(features)))
         if not np.isfinite(core_points).all():
             raise ValidationError("bad field 'clustering.core_points': expected finite entries")
         return cls(
             model=model,
-            transform=get("transform", lambda t: TransformSpec(
-                get("transform.log_offset", number), get("transform.normalize_mode", string))),
+            transform=get("transform.log_offset", lambda v: TransformSpec(number(v))),
             features=features,
             eps=get("clustering.eps", lambda v: _check_eps(number(v))),
             k=k,
-            baseline=baseline,
             outlier_policy=get("clustering.outlier_policy",
                                lambda v: _check_outlier_policy(string(v))),
             core_points=core_points,
             core_labels=labels,
-            entity_maxima=get("entity_maxima", lambda v: None if v is None else {
-                str(e): numbers(mx).reshape(len(features)) for e, mx in v.items()}),
         )
 
     def assign(self, panel: PanelDataset) -> np.ndarray:
         """Cluster ids of the panel's rows by the nearest-core rule; NOISE off every core."""
-        points, _ = energy_mix_features(panel, self.transform.normalize_mode,
-                                        self.entity_maxima)
+        points, _ = energy_mix_features(panel)
         return assign_by_nearest_core(self.core_points, self.core_labels,
                                       self.eps, points)
 
@@ -652,8 +623,7 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         train_p, test_p = chronological_split(data, split)
 
     with _stage("mix"):
-        mode = config.transform.normalize_mode
-        mix_train, zero_rows = energy_mix_features(train_p, mode)
+        mix_train, zero_rows = energy_mix_features(train_p)
 
     with _stage("cluster"):
         scan_rows: list[ScanRow] | None = None
@@ -668,21 +638,13 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
             eps, min_pts = suggestion.eps, suggestion.min_pts
         params = DbscanParams(eps, min_pts)
         cmodel = dbscan(mix_train, params)
-        if cmodel.k > 0 and config.baseline_cluster not in range(cmodel.k):
-            raise ValidationError(
-                f"baseline cluster {config.baseline_cluster} does not exist; "
-                f"clustering found ids 0..{cmodel.k - 1}"
-            )
 
     with _stage("transform"):
         train_log = log_transform(train_p, config.transform)
 
     with _stage("design"):
         dm0 = design_from_panel(train_log)
-        dm1 = augment_with_dummies(
-            dm0, cmodel.labels, policy=config.outlier_policy,
-            baseline=config.baseline_cluster,
-        )
+        dm1 = augment_with_dummies(dm0, cmodel.labels, policy=config.outlier_policy)
 
     with _stage("standardize"):
         dmS = standardize(dm1.X, dm1.y, dm1.column_names, source_rows=dm1.source_rows)
@@ -702,11 +664,9 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         features = list(train_log.feature_names)
         dpr_model = DprModel(
             model=model, transform=config.transform, features=features,
-            eps=params.eps, k=cmodel.k, baseline=config.baseline_cluster,
-            outlier_policy=config.outlier_policy,
+            eps=params.eps, k=cmodel.k, outlier_policy=config.outlier_policy,
             core_points=mix_train[cmodel.core_mask],
             core_labels=cmodel.labels[cmodel.core_mask],
-            entity_maxima=entity_maxima(train_p) if mode == PER_FEATURE_MAX else None,
         )
         fres = dpr_model.forecast(test_p)
 

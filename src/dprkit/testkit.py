@@ -12,7 +12,7 @@ its only consumers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,6 +54,10 @@ class SyntheticSpec:
     offset_scale: float = 1.5
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value}")
         if min(self.n_entities, self.n_periods, self.n_features, self.n_clusters) < 1:
             raise ValidationError("synthetic spec dimensions must be >= 1")
         if self.n_clusters > self.n_entities:

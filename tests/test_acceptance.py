@@ -210,7 +210,7 @@ def test_criterion_5_parameter_scan_recovers_planted_clusters():
     train_rows = np.flatnonzero(
         np.isin(panel.period_idx, [panel.periods.index(p) for p in split.train_periods])
     )
-    mix, _ = energy_mix_features(train, "rawshares")
+    mix, _ = energy_mix_features(train)
     rows = scan_params(mix, (0.03, 0.05, 0.1, 0.15, 0.2), (3, 4, 5))
     best = suggest_params(rows)
     assert best is not None

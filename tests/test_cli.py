@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from dprkit import pipeline, testkit
 from dprkit.cli import _COMMANDS, _RUN_KEYS, _build_run, _parse_grid, _parse_periods, main
 from dprkit.errors import ValidationError
-from dprkit.panel import load_panel, write_panel
+from dprkit.panel import PanelDataset, load_panel, write_panel
 from dprkit.pipeline import DprConfig, SplitSpec
 
 INF = float("inf")
@@ -106,6 +107,21 @@ def test_ingest_renames_columns(capsys, tmp_path):
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["entity", "period", "target", "coal", "oil"]
     assert rows[1][:2] == ["A", "2000"]
+
+
+@pytest.mark.parametrize("delimiter", ["", ";;", '"', "\r", "\n"],
+                         ids=["empty", "two-characters", "quote", "return", "newline"])
+def test_ingest_refuses_a_delimiter_that_is_not_one_cell_boundary(capsys, tmp_path, delimiter):
+    # the first two ended in csv's TypeError traceback
+    raw = tmp_path / "raw.csv"
+    raw.write_text("entity,period,target,coal\nA,2000,1.0,2.0\n")
+    out = tmp_path / "canon.csv"
+    code, stdout, err = run_cli(capsys, "ingest", "--input", str(raw), "--output", str(out),
+                                "--delimiter", delimiter)
+    assert (code, stdout) == (1, "")
+    assert err.splitlines() == ["error: delimiter must be one character other than '\"', "
+                                f"'\\r' and '\\n', got {delimiter!r}"]
+    assert not out.exists()
 
 
 def test_ingest_with_factor_table(capsys, tmp_path):
@@ -333,34 +349,6 @@ def test_run_and_forecast_round_trip(capsys, tmp_path):
     assert (tmp_path / "fc.csv").read_bytes() == (outdir / "forecast.csv").read_bytes()
 
 
-def test_forecast_round_trip_with_training_maxima(capsys, tmp_path):
-    # perfeaturemax divides the test rows by the training maxima, which
-    # forecast reads back from model.json
-    panel = _synth(capsys, tmp_path, seed=6)
-    outdir = tmp_path / "run"
-    code, _, _ = run_cli(
-        capsys, "run", "--input", str(panel), "--output-dir", str(outdir),
-        "--eps", "0.2", "--min-pts", "3", "--penalty", "lasso", "--mix", "perfeaturemax",
-        "--lambda-grid", "logspace:-3:-1:3", "--train-count", "6", "--folds", "3",
-    )
-    assert code == 0
-    loaded = load_panel(panel)
-    test_rows = tmp_path / "test_rows.csv"
-    write_panel(loaded.subset_by_periods(loaded.periods[6:]), test_rows)
-    code, _, _ = run_cli(
-        capsys, "forecast", "--input", str(test_rows), "--model", str(outdir / "model.json"),
-        "--output", str(tmp_path / "fc.csv"),
-    )
-    assert code == 0
-    assert (tmp_path / "fc.csv").read_bytes() == (outdir / "forecast.csv").read_bytes()
-
-
-def _short_entity_maxima(bundle):
-    bundle["transform"]["normalize_mode"] = "perfeaturemax"
-    bundle["entity_maxima"] = {"E000": [1.0]}
-    return bundle
-
-
 def _set(dotted, edit):
     """A bundle edit that replaces the field ``dotted`` with ``edit`` of its value."""
     def apply(bundle):
@@ -381,17 +369,15 @@ _STDS_VS_ZV = ("bad field 'regression.column_stds': expected 0 where zero_varian
     ("forecast", lambda b: {"format": pipeline.MODEL_FORMAT}, "missing field 'regression'"),
     ("forecast", lambda b: [1, 2], "not a run model bundle"),
     ("forecast", _set("format", lambda v: "dprkit-model-v1"), "bad field 'format': expected "
-     "'dprkit-model-v2', got 'dprkit-model-v1'; rerun dprkit run to write one"),
+     "'dprkit-model-v3', got 'dprkit-model-v1'; rerun dprkit run to write one"),
+    ("forecast", _set("format", lambda v: "dprkit-model-v2"), "bad field 'format': expected "
+     "'dprkit-model-v3', got 'dprkit-model-v2'; rerun dprkit run to write one"),
     ("forecast", _set("regression.column_names", lambda v: v[:-1] + ["cluster_x"]),
      "bad field 'regression.column_names': "
      "'cluster_x' is not a cluster_<id> or noise_<row> column"),
     ("forecast", _set("regression.column_names", lambda v: v[1:] + v[:1]),
      "bad field 'regression.column_names': the features do not come first"),
-    ("forecast", _short_entity_maxima, "bad field 'entity_maxima': "
-     "ValueError('cannot reshape array of size 1 into shape (4,)')"),
     # these ended in a traceback or were accepted
-    ("forecast", _set("clustering.baseline", lambda v: INF), "bad field 'clustering.baseline': "
-     "TypeError('expected integers, got float')"),
     ("forecast", _set("clustering.core_labels", lambda v: INF), "bad field "
      "'clustering.core_labels': TypeError('expected integers, got float')"),
     ("forecast", _set("clustering.core_labels", lambda v: v[:-1] + [max(v) + 1]),
@@ -429,9 +415,9 @@ _STDS_VS_ZV = ("bad field 'regression.column_stds': expected 0 where zero_varian
     ("fit", lambda b: {"format": "dprkit-clusters-v1"}, "missing field 'row_keys'"),
     ("fit", lambda b: {"format": "dprkit-clusters-v1", "row_keys": [], "labels": INF},
      "bad field 'labels': TypeError('expected integers, got float')"),
-], ids=["model-format-only", "model-list", "model-format-v1", "model-bad-dummy-name",
-        "model-features-not-first", "model-short-maxima",
-        "model-baseline-inf", "model-core-labels-inf", "model-core-label-k",
+], ids=["model-format-only", "model-list", "model-format-v1", "model-format-v2",
+        "model-bad-dummy-name", "model-features-not-first",
+        "model-core-labels-inf", "model-core-label-k",
         "model-core-label-negative", "model-coefficients-short", "model-column-stds-short",
         "model-zero-variance-empty", "model-intercept-inf", "model-column-std-zero",
         "model-column-std-negative", "model-zero-variance-flipped", "model-core-point-inf",
@@ -514,18 +500,22 @@ def test_every_single_field_corruption_is_harmless_or_one_error_line(capsys, tmp
             mutations += [(f"labels[0]={json.dumps(v)}",
                            {**bundle, "labels": [v, *bundle["labels"][1:]]}) for v in (True, -2)]
         if "clustering" in bundle:
-            # unread by forecasting, but the cluster columns must be range(k) minus baseline
-            own = next(int(c[8:]) for c in bundle["regression"]["column_names"]
-                       if c.startswith("cluster_"))
+            # k is unread by forecasting, but the cluster columns must be range(1, k):
+            # cluster 0 is the baseline and has none
             k = bundle["clustering"]["k"]
-            for key, value, says in (
-                ("baseline", 7, f"bad field 'clustering.baseline': 7 not in range({k})"),
-                ("k", 99, "'clustering.k'"),
-                ("baseline", own, "'clustering.baseline'"),
+            names = bundle["regression"]["column_names"]
+            assert "cluster_1" in names and "cluster_0" not in names
+            for label, path, value, says in (
+                (f"clustering.k={k + 1}", ("clustering", "k"), k + 1,
+                 f"bad field 'clustering.k': the cluster columns of regression.column_names "
+                 f"are {list(range(1, k))}, not range(1, {k + 1})"),
+                ("clustering.k=99", ("clustering", "k"), 99, "'clustering.k'"),
+                ("regression.column_names: cluster_0 for cluster_1",
+                 ("regression", "column_names"),
+                 [c.replace("cluster_1", "cluster_0") for c in names], "'clustering.k'"),
             ):
                 mutated = json.loads(json.dumps(bundle))
-                mutated["clustering"][key] = value
-                label = f"clustering.{key}={value}"
+                mutated[path[0]][path[1]] = value
                 mutations.append((label, mutated))
                 named[label] = says
         for label, mutated in mutations:
@@ -547,6 +537,57 @@ def test_every_single_field_corruption_is_harmless_or_one_error_line(capsys, tmp
                 assert named.get(label, "") in lines[0], f"{name} {label}: {err!r}"
                 rejected += 1
     assert harmless and rejected and len(named) == 3
+
+
+def test_forecast_of_any_subset_of_rows_writes_those_rows_of_the_full_forecast(capsys,
+                                                                              tmp_path):
+    # a row's cluster and forecast come from that row and the model alone, never from the
+    # other rows of the input
+    panel = _synth(capsys, tmp_path, seed=3)
+    code, _, err = run_cli(
+        capsys, "run", "--input", str(panel), "--output-dir", str(tmp_path / "run"),
+        "--eps", "0.2", "--min-pts", "3", "--penalty", "lasso",
+        "--lambda-grid", "logspace:-3:-1:3", "--train-count", "6", "--folds", "3",
+    )
+    assert code == 0, err
+    loaded = load_panel(panel)
+    test = loaded.subset_by_periods(loaded.periods[6:])
+    # an entity absent from training: the first entity's test rows, each cell rescaled
+    first = np.flatnonzero(test.entity_idx == 0)
+    scale = np.random.default_rng(0).uniform(0.2, 5.0, size=(first.size, test.n_features))
+    rows = PanelDataset(
+        entities=test.entities + ["new"], periods=test.periods,
+        feature_names=test.feature_names,
+        entity_idx=np.concatenate([test.entity_idx, np.full(first.size, len(test.entities))]),
+        period_idx=np.concatenate([test.period_idx, test.period_idx[first]]),
+        features=np.vstack([test.features, test.features[first] * scale]),
+        targets=np.concatenate([test.targets, test.targets[first]]),
+    )
+
+    def forecast(keep, name):
+        """The forecast.csv lines of the rows whose (entity, period) ``keep`` takes."""
+        idx = [i for i, key in enumerate(rows.row_keys()) if keep(*key)]
+        part = PanelDataset(
+            entities=rows.entities, periods=rows.periods, feature_names=rows.feature_names,
+            entity_idx=rows.entity_idx[idx], period_idx=rows.period_idx[idx],
+            features=rows.features[idx], targets=rows.targets[idx])
+        write_panel(part, tmp_path / f"{name}.csv")
+        code, _, err = run_cli(capsys, "forecast", "--input", str(tmp_path / f"{name}.csv"),
+                               "--model", str(tmp_path / "run" / "model.json"),
+                               "--output", str(tmp_path / f"{name}-fc.csv"))
+        assert code == 0, err
+        lines = (tmp_path / f"{name}-fc.csv").read_bytes().splitlines(keepends=True)
+        assert len(lines) == len(idx) + 1
+        return lines
+
+    full = forecast(lambda e, p: True, "all")
+    header, by_key = full[0], dict(zip(rows.row_keys(), full[1:]))
+    subsets = {f"period-{p}": lambda e, p0, p=p: p0 == p for p in test.periods}
+    subsets["entity-E000"] = lambda e, p: e == "E000"
+    subsets["entity-new"] = lambda e, p: e == "new"
+    for name, keep in subsets.items():
+        want = [header] + [line for key, line in by_key.items() if keep(*key)]
+        assert forecast(keep, name) == want, name
 
 
 def test_forecast_without_core_points_flags_every_row_noise(capsys, tmp_path):
@@ -715,14 +756,14 @@ def test_config_file_errors(capsys, tmp_path):
 # with period lists, and a scanning run with a period count.
 _FIXED_RUN = {
     "penalty": "elastic_net", "lambda_grid": "logspace:-4:-1:5", "alpha_grid": "0.5,1.0",
-    "eps": "0.05", "min_pts": "4", "mix": "rawshares",
-    "log_offset": "0.5", "outlier_policy": "unique_dummy", "baseline": "1", "folds": "3",
+    "eps": "0.05", "min_pts": "4",
+    "log_offset": "0.5", "outlier_policy": "unique_dummy", "folds": "3",
     "train_periods": "2000-2005", "test_periods": "2006,2007",
 }
 _SCAN_RUN = {
-    "penalty": "lasso", "lambda_grid": "0.001,0.01,0.1", "eps_grid": "1,2,4",
-    "minpts_grid": "4,5", "mix": "none", "log_offset": "1",
-    "outlier_policy": "exclude", "baseline": "0", "folds": "4", "train_count": "6",
+    "penalty": "lasso", "lambda_grid": "0.001,0.01,0.1", "eps_grid": "0.05,0.1,0.2",
+    "minpts_grid": "4,5", "log_offset": "1",
+    "outlier_policy": "exclude", "folds": "4", "train_count": "6",
 }
 
 
@@ -753,11 +794,8 @@ def test_config_file_and_flags_write_the_same_run(capsys, tmp_path, settings):
     # and the settings reached the run
     bundle = json.loads((tmp_path / "cfg" / "model.json").read_text())
     summary = json.loads((tmp_path / "cfg" / "summary.json").read_text())
-    assert bundle["transform"] == {"log_offset": float(settings["log_offset"]),
-                                   "normalize_mode": settings["mix"]}
-    clustering = bundle["clustering"]
-    assert clustering["outlier_policy"] == settings["outlier_policy"]
-    assert clustering["baseline"] == int(settings["baseline"])
+    assert bundle["transform"]["log_offset"] == float(settings["log_offset"])
+    assert bundle["clustering"]["outlier_policy"] == settings["outlier_policy"]
     assert summary["chosen"]["kind"] == settings["penalty"]
     assert summary["split"]["cv_folds"] == int(settings["folds"])
 
@@ -770,7 +808,7 @@ def test_unset_run_settings_take_the_dataclass_defaults():
 
 
 _MALFORMED = [("eps", "0.2x"), ("min_pts", "3.5"), ("log_offset", "one"),
-              ("baseline", "first"), ("folds", "3.0"), ("train_count", "six")]
+              ("folds", "3.0"), ("train_count", "six")]
 
 
 @pytest.mark.parametrize("key, bad, source", [
@@ -949,10 +987,30 @@ def test_synth_spec_takes_the_type_of_each_fields_default(capsys, tmp_path, spec
     assert code == 0 and stdout.startswith("synth ok rows=32 entities=4 ")
 
 
+_FLOAT_FIELDS = ["noise_sd", "mix_jitter", "scale_sd", "scale_base", "trend", "base_level",
+                 "offset_scale"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("field", _FLOAT_FIELDS)
+def test_synth_refuses_a_non_finite_float_field(capsys, tmp_path, field, value):
+    # noise_sd=nan wrote a panel without a target, mix_jitter=nan one without jitter, and
+    # scale_base=inf failed only on the panel's non-finite features
+    assert _FLOAT_FIELDS == [f.name for f in dataclasses.fields(testkit.SyntheticSpec)
+                             if isinstance(f.default, float)]
+    out = tmp_path / "p.csv"
+    code, stdout, err = run_cli(capsys, "synth", "--output", str(out),
+                                "--spec", f"{field}={value}")
+    assert (code, stdout) == (1, "")
+    assert err.splitlines() == [f"error: {field} must be finite, got {value}"]
+    assert not out.exists()
+
+
 # Valid settings of each subcommand that takes a setting below, and its output flag.
 _STAGE_RUNS = {
     "cluster": ("--output-dir", {"eps": "0.2", "min_pts": "3"}),
     "scan": ("--output", {"eps_grid": "0.05,0.1", "minpts_grid": "4,8"}),
+    "fit": ("--output-dir", {"penalty": "lasso", "lam": "0.1"}),
     "cv": ("--output", {"penalty": "lasso", "lambda_grid": "0.01,0.1", "folds": "3"}),
     "path": ("--output", {"penalty": "lasso", "lambda_grid": "0.01,0.1"}),
     "run": ("--output-dir", {"eps": "0.2", "min_pts": "3", "penalty": "lasso",
@@ -984,6 +1042,32 @@ def test_core_strict_is_refused_on_every_subcommand(capsys, tmp_path, command, s
         cfg.write_text(f"core_strict = {value}\n")
         argv += ["--config", str(cfg)]
         message = "error: unknown config keys: ['core_strict']"
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout, err.splitlines()) == (1, "", [message])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, source", [
+    *[(command, "mix", "flag") for command in ("cluster", "scan", "run")],
+    *[(command, "baseline", "flag") for command in ("fit", "cv", "path", "run")],
+    ("run", "mix", "config"), ("run", "baseline", "config"),
+])
+def test_mix_and_baseline_are_refused_on_every_subcommand(capsys, tmp_path, command, key,
+                                                          source):
+    # clustering reads the mix shares and the baseline is cluster 0: the flags and config
+    # keys that once chose another are no settings, so any value of them is refused
+    value = {"mix": "perfeaturemax", "baseline": "1"}[key]
+    panel = _synth(capsys, tmp_path, seed=3)
+    out = tmp_path / "out"
+    argv = _stage_argv(command, panel, out)
+    if source == "flag":
+        argv += ["--" + key, value]
+        message = f"error: unrecognized arguments: --{key} {value}"
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(cfg)]
+        message = f"error: unknown config keys: ['{key}']"
     code, stdout, err = run_cli(capsys, *argv)
     assert (code, stdout, err.splitlines()) == (1, "", [message])
     assert not out.exists()
@@ -1030,9 +1114,7 @@ def test_run_rejects_fixed_eps_with_scan_grids(capsys, tmp_path, in_config):
 @pytest.mark.parametrize("settings, code, message", [
     (["--eps-grid", "0.0001", "--minpts-grid", "50"], 2,
      "numerical error: stage cluster: no scan cell had a defined silhouette; adjust the grids"),
-    (["--eps", "0.05", "--min-pts", "4", "--baseline", "9"], 1,
-     "error: stage cluster: baseline cluster 9 does not exist; clustering found ids 0..3"),
-], ids=["no-silhouette", "no-baseline"])
+], ids=["no-silhouette"])
 def test_run_stage_failure_is_one_line_and_writes_nothing(capsys, tmp_path, settings, code,
                                                           message):
     panel = _synth(capsys, tmp_path, seed=42,

@@ -9,7 +9,6 @@ import pytest
 from dprkit.clustering import NOISE, DbscanParams, scan_params
 from dprkit.errors import ConvergenceError, NumericalError, RankDeficiencyError, ValidationError
 from dprkit.panel import (
-    NO_NORMALIZATION,
     PanelDataset,
     TransformSpec,
     invert_log,
@@ -89,7 +88,7 @@ def _toy_design(n=9):
 def test_augment_unique_dummy_policy():
     dm = _toy_design(6)
     labels = np.array([0, 0, 1, 1, 2, NOISE])
-    out = augment_with_dummies(dm, labels, baseline=0)
+    out = augment_with_dummies(dm, labels)
     assert out.column_names == ["f", "cluster_1", "cluster_2", "noise_5"]
     np.testing.assert_array_equal(out.X[:, 1], [0, 0, 1, 1, 0, 0])
     np.testing.assert_array_equal(out.X[:, 2], [0, 0, 0, 0, 1, 0])
@@ -97,20 +96,10 @@ def test_augment_unique_dummy_policy():
     assert out.n == 6
 
 
-def test_augment_nonzero_baseline():
-    dm = _toy_design(4)
-    labels = np.array([0, 0, 1, 1])
-    out = augment_with_dummies(dm, labels, baseline=1)
-    assert out.column_names == ["f", "cluster_0"]
-    np.testing.assert_array_equal(out.X[:, 1], [1, 1, 0, 0])
-    with pytest.raises(ValidationError, match="baseline"):
-        augment_with_dummies(dm, labels, baseline=7)
-
-
 def test_augment_exclude_policy_drops_noise_rows():
     dm = _toy_design(5)
     labels = np.array([0, NOISE, 0, 1, NOISE])
-    out = augment_with_dummies(dm, labels, policy="exclude", baseline=0)
+    out = augment_with_dummies(dm, labels, policy="exclude")
     assert out.n == 3
     assert out.column_names == ["f", "cluster_1"]
     np.testing.assert_array_equal(out.source_rows, [0, 2, 3])
@@ -147,7 +136,7 @@ def test_cv_exact_tie_prefers_larger_lambda_then_alpha():
 
 def test_cv_winner_minimizes_mean_mse():
     panel, _ = _panel(n_entities=10, n_periods=6, n_features=4, noise_sd=0.03)
-    logged = log_transform(panel, TransformSpec(normalize_mode=NO_NORMALIZATION))
+    logged = log_transform(panel, TransformSpec())
     dm0 = design_from_panel(logged)
     dm = standardize(dm0.X, dm0.y, dm0.column_names, source_rows=dm0.source_rows)
     grid = [1e-4, 1e-3, 1e-2, 1e-1, 1.0]
@@ -170,7 +159,7 @@ def test_cv_winner_minimizes_mean_mse():
 
 def _cv_design(seed=3):
     panel, _ = _panel(n_entities=10, n_periods=6, n_features=5, noise_sd=0.05, seed=seed)
-    logged = log_transform(panel, TransformSpec(normalize_mode=NO_NORMALIZATION))
+    logged = log_transform(panel, TransformSpec())
     dm0 = design_from_panel(logged)
     return standardize(dm0.X, dm0.y, dm0.column_names, source_rows=dm0.source_rows)
 
@@ -256,7 +245,7 @@ def test_cv_rank_deficient_ridge_cells_become_na():
 
 def test_cv_unconverged_cells_become_na(monkeypatch):
     panel, _ = _panel(n_entities=10, n_periods=6, n_features=4, noise_sd=0.03)
-    logged = log_transform(panel, TransformSpec(normalize_mode=NO_NORMALIZATION))
+    logged = log_transform(panel, TransformSpec())
     dm0 = design_from_panel(logged)
     dm = standardize(dm0.X, dm0.y, dm0.column_names, source_rows=dm0.source_rows)
     grid = [10.0, 1.0, 1e-2, 1e-4]
@@ -337,7 +326,6 @@ _INTEGER_PARAMETERS = {
     "min_pts": lambda x: DbscanParams(0.1, x),
     "scan min_pts": lambda x: scan_params(np.eye(3), [0.5], [x]),
     "cv_folds": lambda x: SplitSpec((1,), (2,), cv_folds=x),
-    "baseline_cluster": lambda x: DprConfig(eps=0.1, min_pts=3, baseline_cluster=x),
     "folds": lambda x: cross_validate(_standardized_toy(), x, "lasso", [0.1]),
     "max_iter": lambda x: fit_elastic_net(_standardized_toy(), PenaltySpec("lasso", 0.1),
                                           max_iter=x),
@@ -490,7 +478,7 @@ def test_run_report_structure(tmp_path):
     assert summary["clustering"]["k"] == 3
     assert summary["chosen"]["kind"] == "lasso"
     bundle = json.loads((tmp_path / "model.json").read_text())
-    assert bundle["format"] == "dprkit-model-v2"
+    assert bundle["format"] == "dprkit-model-v3"
     assert len(bundle["clustering"]["core_points"]) == int(report.clusters.core_mask.sum())
 
 
@@ -528,16 +516,28 @@ def test_run_scan_mode_picks_sc_maximum(tmp_path):
 
 
 def test_baseline_choice_barely_matters_at_tiny_penalty():
-    # dummy reparameterization changes the penalty term, so exact invariance
-    # only holds as the penalty vanishes; check predictions converge there
+    # cluster 0 is the one baseline: measuring against another cluster re-expresses the
+    # same model, but the dummy reparameterization changes the penalty term, so the
+    # forecasts only agree as the penalty vanishes
     panel, _ = _panel(n_entities=9, n_periods=8, n_features=4, n_clusters=3, seed=6)
     split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=3)
+    report = run_dpr(panel, _default_config(), split)
+    assert report.clusters.k == 3
+    train, test = chronological_split(panel, split)
+    design = design_from_panel(log_transform(train, TransformSpec()))
+
+    def forecast(lam, relabel):
+        # relabel[c] is cluster c's new id; index -1 (NOISE) takes the last entry, NOISE
+        dm = augment_with_dummies(design, relabel[report.clusters.labels])
+        dm = standardize(dm.X, dm.y, dm.column_names, source_rows=dm.source_rows)
+        model = fit_elastic_net(dm, PenaltySpec("lasso", lam))
+        return forecast_report(model, test, TransformSpec(),
+                               labels=relabel[report.forecast.cluster]).predicted_log
 
     def gap(lam):
-        grid = (lam,)
-        rep0 = run_dpr(panel, _default_config(lambda_grid=grid, baseline_cluster=0), split)
-        rep1 = run_dpr(panel, _default_config(lambda_grid=grid, baseline_cluster=1), split)
-        return float(np.max(np.abs(rep0.forecast.predicted_log - rep1.forecast.predicted_log)))
+        # cluster 1 as the baseline: ids 0 and 1 swapped, in training and test rows alike
+        swapped = forecast(lam, np.array([1, 0, 2, NOISE]))
+        return float(np.max(np.abs(forecast(lam, np.array([0, 1, 2, NOISE])) - swapped)))
 
     assert gap(1e-6) < 1e-3
     assert gap(1e-8) < 1e-5
@@ -635,14 +635,11 @@ def test_forecast_columns_match_the_row_formulas():
         assert res.relative_error[i] == abs(math.exp(yhat) - math.exp(y[i])) / math.exp(y[i])
 
 
-@pytest.mark.parametrize("mix", ["rawshares", "perfeaturemax"])
-def test_dpr_model_bundle_round_trips(mix):
+def test_dpr_model_bundle_round_trips():
     panel, _ = _panel(n_entities=8, n_periods=6, n_features=4, seed=7)
     split = SplitSpec(tuple(panel.periods[:4]), tuple(panel.periods[4:]), cv_folds=3)
-    report = run_dpr(panel, _default_config(transform=TransformSpec(normalize_mode=mix)), split)
-    m = report.dpr_model
-    assert (m.entity_maxima is None) == (mix == "rawshares")
-    bundle = m.to_bundle()
+    report = run_dpr(panel, _default_config(), split)
+    bundle = report.dpr_model.to_bundle()
     assert DprModel.from_bundle(json.loads(json.dumps(bundle))).to_bundle() == bundle
 
 
@@ -694,12 +691,10 @@ def test_report_tables_read_the_test_keys_from_forecast_rows(tmp_path):
 def test_whole_number_settings_are_stored_as_ints(whole, tmp_path):
     panel, split, config = _noise_run()
     for as_given, name in ((int, "int"), (whole, "given")):
-        run = run_dpr(panel, dataclasses.replace(
-            config, min_pts=as_given(4), baseline_cluster=as_given(1),
-        ), dataclasses.replace(split, cv_folds=as_given(3)))
+        run = run_dpr(panel, dataclasses.replace(config, min_pts=as_given(4)),
+                      dataclasses.replace(split, cv_folds=as_given(3)))
         write_report(run, tmp_path / name)
     assert type(run.clusters.params.min_pts) is type(run.split.cv_folds) is int
-    assert type(run.dpr_model.baseline) is int
     written = sorted(p.name for p in (tmp_path / "int").iterdir())
     assert sorted(p.name for p in (tmp_path / "given").iterdir()) == written
     for name in written:
