@@ -12,13 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import pipeline, regression
-from .clustering import NOISE, DbscanParams, dbscan, scan_params, suggest_params
+from . import pipeline
 from .errors import NumericalError, ValidationError
 from .panel import (
     EmissionFactorTable,
@@ -26,16 +24,17 @@ from .panel import (
     PanelSchema,
     TransformSpec,
     compute_emissions,
-    energy_mix_features,
     load_panel,
-    log_transform,
     write_panel,
 )
-from .regression import FittedModel, standardize
-from .tables import NA, bundle_field, fmt, numbers, write_json, write_table
+from .tables import NA, fmt, write_table
 
 
 class _Parser(argparse.ArgumentParser):
+    # a flag is spelled in full: a prefix such as --lam would silently stand for --lambda-grid
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # usage problems are invalid input, not numerical failure
     def error(self, message: str):
         raise ValidationError(message)
@@ -138,15 +137,6 @@ def _ok(stage: str, **kv) -> None:
     print(" ".join(parts))
 
 
-def _mix_matrix(panel: PanelDataset) -> np.ndarray:
-    matrix, flagged = energy_mix_features(panel)
-    keys = panel.row_keys() if flagged else []
-    for i in flagged[:5]:
-        entity, period = keys[i]
-        print(f"warning: zero feature row at ({entity}, {period})", file=sys.stderr)
-    return matrix
-
-
 def _read_bundle(path, parse):
     """``parse`` of a JSON file; its ValidationError names the file."""
     p = _require_input(path)
@@ -156,39 +146,6 @@ def _read_bundle(path, parse):
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-
-
-def _labels_for_panel(panel: PanelDataset, bundle_path) -> np.ndarray:
-    """Row-aligned labels from a cluster bundle, validated against the panel."""
-
-    def parse(bundle):
-        if not isinstance(bundle, dict):
-            raise ValidationError("not a cluster bundle")
-        if bundle.get("format") != "dprkit-clusters-v1":
-            raise ValidationError("bad field 'format': expected 'dprkit-clusters-v1', "
-                                  f"got {bundle.get('format')!r}")
-        keys = bundle_field(bundle, "row_keys", list)
-        labels = bundle_field(bundle, "labels", partial(numbers, kind=int))
-        if labels.shape != (len(keys),) or np.any(labels < NOISE):
-            raise ValidationError(f"bad field 'labels': expected {len(keys)} cluster ids, "
-                                  "each -1 (noise) or above, one per row key")
-        if keys != [[e, p] for e, p in panel.row_keys()]:
-            raise ValidationError("row keys do not match the panel; "
-                                  "cluster the same panel the model is fit on")
-        return labels
-
-    return _read_bundle(bundle_path, parse)
-
-
-def _design(path, settings: dict):
-    """The standardized log design of ``fit``, ``cv`` and ``path``, with any cluster dummies."""
-    panel = _load_canonical(path)
-    spec = TransformSpec(**_given(settings, log_offset="log_offset"))
-    dm = pipeline.design_from_panel(log_transform(panel, spec))
-    if settings.get("cluster_model"):
-        labels = _labels_for_panel(panel, settings["cluster_model"])
-        dm = pipeline.augment_with_dummies(dm, labels, **_given(settings, policy="outlier_policy"))
-    return standardize(dm.X, dm.y, dm.column_names, source_rows=dm.source_rows)
 
 
 # ------------------------------------------------------------------- settings
@@ -205,13 +162,11 @@ def _as_int_grid(text: str) -> tuple:
     return tuple(int(v) for v in grid)
 
 
-# Every setting flag of every subcommand: key -> (parser of its text, argparse
-# keywords of its flag).  A flag's dest is its key and it defaults to None
-# (unset); an unset setting takes the default of the field or parameter it fills.
+# Every setting of `run`, as a flag and as a config key: key -> (parser of its text, argparse
+# keywords of its flag).  A flag's dest is its key and it defaults to None (unset); an unset
+# setting takes the default of the field it fills.
 _SETTINGS = {
     "penalty": (str, {}),
-    "lam": (float, {}),
-    "alpha": (float, {}),
     "lambda_grid": (_as_grid, {}),
     "alpha_grid": (_as_grid, {}),
     "eps": (float, {}),
@@ -224,10 +179,7 @@ _SETTINGS = {
     "train_periods": (str, {}),
     "test_periods": (str, {}),
     "train_count": (int, {}),
-    "cluster_model": (str, {"help": "cluster_model.json from the cluster subcommand"}),
 }
-# the settings of `run` and of its config file
-_RUN_KEYS = tuple(key for key in _SETTINGS if key not in ("lam", "alpha", "cluster_model"))
 
 
 def _parse_settings(texts: dict[str, str]) -> dict:
@@ -244,10 +196,6 @@ def _parse_settings(texts: dict[str, str]) -> dict:
 def _flag_texts(args) -> dict[str, str]:
     """The setting flags given on the command line, as text."""
     return {key: text for key, text in vars(args).items() if key in _SETTINGS and text is not None}
-
-
-def _settings(args) -> dict:
-    return _parse_settings(_flag_texts(args))
 
 
 def _given(settings: dict, **fields) -> dict:
@@ -322,105 +270,12 @@ def _read_config_text(text: str) -> dict[str, str]:
                        if chunk)
 
 
-def _cmd_cluster(args) -> int:
-    s = _settings(args)
-    params = DbscanParams(s["eps"], s["min_pts"])
-    panel = _load_canonical(args.input)
-    model = dbscan(_mix_matrix(panel), params)
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_table(
-        out / "clusters.csv",
-        ["entity", "period", "label", "core"],
-        [*panel.key_columns(), model.labels.astype(np.intp), model.core_mask.astype(np.intp)],
-    )
-    # all that fit, cv and path read back; clusters.csv and the ok line carry the rest
-    write_json(out / "cluster_model.json", {
-        "format": "dprkit-clusters-v1",
-        "row_keys": [[e, p] for e, p in panel.row_keys()],
-        "labels": model.labels.tolist(),
-    })
-    _ok("cluster", k=model.k, noise=model.n_noise, sc=model.sc, sse=model.sse)
-    return 0
-
-
-def _cmd_scan(args) -> int:
-    s = _settings(args)
-    panel = _load_canonical(args.input)
-    points = _mix_matrix(panel)
-    rows = scan_params(points, s["eps_grid"], s["minpts_grid"])
-    pipeline.write_scan_table(rows, Path(args.output))
-    best = suggest_params(rows)
-    if best is None:
-        _ok("scan", cells=len(rows), best_eps=None, best_min_pts=None)
-    else:
-        _ok(
-            "scan",
-            cells=len(rows),
-            best_eps=best.eps,
-            best_min_pts=best.min_pts,
-            best_sc=best.sc,
-        )
-    return 0
-
-
-def _cmd_fit(args) -> int:
-    s = _settings(args)
-    penalty = regression.PenaltySpec(s["penalty"], s["lam"], s.get("alpha"))
-    dm = _design(args.input, s)
-    model = regression.add_training_metrics(
-        pipeline.require_fit(regression.fit_elastic_net(dm, penalty), "fit"), dm)
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    pipeline.write_coefficients(model, out / "coefficients.csv")
-    write_json(out / "model.json", {"format": "dprkit-fit-v1", "regression": model.to_dict()})
-    d = model.diagnostics
-    _ok(
-        "fit",
-        kind=penalty.kind,
-        r2=d["r2"],
-        mse=d["mse"],
-        sparsity=d["sparsity"],
-        iterations=d["iterations"],
-    )
-    return 0
-
-
-def _cmd_cv(args) -> int:
-    s = _settings(args)
-    dm = _design(args.input, s)
-    result = pipeline.cross_validate(dm, s.get("folds", pipeline.SplitSpec.cv_folds),
-                                     s["penalty"], s["lambda_grid"],
-                                     alpha_grid=s.get("alpha_grid"))
-    pipeline.write_cv_table(result, Path(args.output))
-    _ok(
-        "cv",
-        cells=len(result.table),
-        best_lambda=result.best.lam,
-        best_alpha=result.best.alpha,
-        mean_mse=result.best.mean_mse,
-    )
-    return 0
-
-
-def _cmd_path(args) -> int:
-    s = _settings(args)
-    dm = _design(args.input, s)
-    lams = sorted(set(s["lambda_grid"]), reverse=True)
-    models = pipeline.regularization_path(dm, lams, s["penalty"], s.get("alpha"))
-    for lam, m in zip(lams, models):
-        pipeline.require_fit(m, f"path fit at lambda={fmt(lam)}")
-    _write_path_table(Path(args.output), lams, models, dm.column_names)
-    _ok("path", points=len(lams), columns=dm.p)
-    return 0
-
-
 def _effective_run_settings(args) -> dict[str, str]:
     """The run's settings as text; flags that are set win over the config file."""
     settings: dict[str, str] = {}
     if args.config:
         settings = _read_config(args.config)
-        unknown = set(settings) - set(_RUN_KEYS)
+        unknown = set(settings) - set(_SETTINGS)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     return {**settings, **_flag_texts(args)}
@@ -499,9 +354,14 @@ def emit_plot_data(report: pipeline.RunReport, out_dir) -> None:
     """Plain tables a plotting tool can consume; no rendering here."""
     plots = Path(out_dir) / "plots"
     plots.mkdir(parents=True, exist_ok=True)
-    dm = report.design
-    _write_path_table(plots / "path_trajectories.csv", report.path_lambdas,
-                      report.path_models, dm.column_names)
+    dm, models = report.design, report.path_models
+    # one row per lambda of the coefficient path; a None fit (rank-deficient ridge) is NA
+    coefs = np.array([np.full(dm.p, np.nan) if m is None else m.coefficients for m in models])
+    write_table(
+        plots / "path_trajectories.csv",
+        ["lambda", "intercept"] + list(dm.column_names),
+        [report.path_lambdas, [None if m is None else m.intercept for m in models], *coefs.T],
+    )
     write_table(
         plots / "fit_scatter.csv",
         ["actual_log", "predicted_log"],
@@ -515,43 +375,7 @@ def emit_plot_data(report: pipeline.RunReport, out_dir) -> None:
     )
 
 
-def _write_path_table(dest, lams: list[float], models: list[FittedModel | None],
-                      column_names: list[str]) -> None:
-    """Intercept and coefficients of each fit of a coefficient path, one row per lambda.
-
-    A fit that is None (rank-deficient ridge) is a row of NA.
-    """
-    na = np.full(len(column_names), np.nan)
-    coefs = np.array([na if m is None else m.coefficients for m in models], dtype=np.float64)
-    write_table(
-        dest,
-        ["lambda", "intercept"] + list(column_names),
-        [list(lams), [None if m is None else m.intercept for m in models], *coefs.T],
-    )
-
-
 # --------------------------------------------------------------------- parser
-
-
-_DESIGN_KEYS = ("log_offset", "outlier_policy", "cluster_model")
-
-# The subcommands that take settings: name -> (handler, help, output flag,
-# required settings, other settings).
-_COMMANDS = {
-    "cluster": (_cmd_cluster, "density clustering of the panel mix features", "--output-dir",
-                ("eps", "min_pts"), ()),
-    "scan": (_cmd_scan, "grid scan of clustering parameters", "--output",
-             ("eps_grid", "minpts_grid"), ()),
-    "fit": (_cmd_fit, "one penalized fit on the log design", "--output-dir",
-            ("penalty", "lam"), ("alpha", *_DESIGN_KEYS)),
-    "cv": (_cmd_cv, "cross-validated hyperparameter table", "--output",
-           ("penalty", "lambda_grid"), ("alpha_grid", "folds", *_DESIGN_KEYS)),
-    "path": (_cmd_path, "coefficient trajectory over a lambda grid", "--output",
-             ("penalty", "lambda_grid"), ("alpha", *_DESIGN_KEYS)),
-    "run": (_cmd_run, "full clustering + fit + forecast flow", "--output-dir", (), _RUN_KEYS),
-    "forecast": (_cmd_forecast, "predict a new panel from a saved run model", "--output",
-                 (), ()),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -577,18 +401,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--spec", default=None, help="comma list of field=value overrides")
     sp.set_defaults(handler=_cmd_synth)
 
-    parsers = {}
-    for name, (handler, help_text, output, required, other) in _COMMANDS.items():
-        sp = parsers[name] = sub.add_parser(name, help=help_text)
-        sp.add_argument("--input", required=True)
-        sp.add_argument(output, required=True)
-        for key in (*required, *other):
-            sp.add_argument("--" + key.replace("_", "-"), default=None,
-                            required=key in required, **_SETTINGS[key][1])
-        sp.set_defaults(handler=handler)
-    parsers["run"].add_argument("--config", default=None, help="key=value file; flags override")
-    parsers["run"].add_argument("--plots", action="store_true")
-    parsers["forecast"].add_argument("--model", required=True)
+    sp = sub.add_parser("run", help="full clustering + fit + forecast flow")
+    sp.add_argument("--input", required=True)
+    sp.add_argument("--output-dir", required=True)
+    for key, (_, flag_keywords) in _SETTINGS.items():
+        sp.add_argument("--" + key.replace("_", "-"), default=None, **flag_keywords)
+    sp.add_argument("--config", default=None, help="key=value file; flags override")
+    sp.add_argument("--plots", action="store_true")
+    sp.set_defaults(handler=_cmd_run)
+
+    sp = sub.add_parser("forecast", help="predict a new panel from a saved run model")
+    sp.add_argument("--input", required=True)
+    sp.add_argument("--output", required=True)
+    sp.add_argument("--model", required=True)
+    sp.set_defaults(handler=_cmd_forecast)
     return parser
 
 

@@ -268,7 +268,7 @@ def regularization_path(dm: DesignMatrix, lambdas, kind: str, alpha: float | Non
     same grid and design: each fit then starts from that chain's fit at its
     lambda, or from the previous lambda's fit where the entry is None.  A
     ridge fit on a rank-deficient system (lambda=0 on collinear columns) is
-    None.  CV folds, ``run`` and ``dprkit path`` all use this chain.
+    None.  CV folds and ``run``'s coefficient path both use this chain.
     """
     lams = [check_lambda(l) for l in lambdas]
     if not lams:
@@ -788,7 +788,7 @@ def write_report(report: RunReport, out_dir) -> None:
 
 
 def write_scan_table(rows: list[ScanRow], dest) -> None:
-    """The parameter scan table (``scan.csv``) that ``run`` and ``scan`` write."""
+    """The parameter scan table (``scan.csv``) of a ``run`` that scans."""
     write_table(
         dest,
         ["eps", "min_pts", "k", "sc", "sse"],
@@ -798,7 +798,7 @@ def write_scan_table(rows: list[ScanRow], dest) -> None:
 
 
 def write_cv_table(cv: CvResult, dest) -> None:
-    """The cross-validation table (``cv_table.csv``) that ``run`` and ``cv`` write."""
+    """The cross-validation table (``cv_table.csv``) of a ``run``."""
     cells = cv.table
     write_table(
         dest,
@@ -809,7 +809,7 @@ def write_cv_table(cv: CvResult, dest) -> None:
 
 
 def write_coefficients(model: FittedModel, dest) -> None:
-    """The coefficient table (``coefficients.csv``) that ``run`` and ``fit`` write."""
+    """The coefficient table (``coefficients.csv``) of a ``run``'s final fit."""
     write_table(
         dest,
         ["name", "standardized", "source_scale", "forced_zero"],

@@ -12,9 +12,9 @@ writes for cells it does not quote.  A block with a cell it would quote (one
 holding the delimiter, a quote or a line break, or an empty cell alone on its
 row) is written by ``csv.writer`` instead.
 
-JSON records (``model.json``, ``summary.json``, ``cluster_model.json``) go
-through :func:`write_json` as compact, one-line JSON, and are read back
-field by field through :func:`bundle_field`, which names a bad field.
+JSON records (``model.json``, ``summary.json``) go through :func:`write_json`
+as compact, one-line JSON, and are read back field by field through
+:func:`bundle_field`, which names a bad field.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ its only consumers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -62,8 +63,13 @@ class SyntheticSpec:
             raise ValidationError("synthetic spec dimensions must be >= 1")
         if self.n_clusters > self.n_entities:
             raise ValidationError("more clusters than entities")
-        if self.noise_sd < 0 or self.mix_jitter < 0:
-            raise ValidationError("noise_sd and mix_jitter must be >= 0")
+        for name, ok, rule in (("noise_sd", self.noise_sd >= 0, ">= 0"),
+                               ("mix_jitter", self.mix_jitter >= 0, ">= 0"),
+                               ("scale_sd", self.scale_sd >= 0, ">= 0"),
+                               ("scale_base", self.scale_base > 0, "> 0"),
+                               ("trend", self.trend > -1, "> -1")):
+            if not ok:
+                raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -82,6 +88,16 @@ def _default_profiles(k: int, p: int) -> np.ndarray:
     if p == 1:
         prof[:] = 1.0
     return prof / prof.sum(axis=1, keepdims=True)
+
+
+# the largest ln(target + 1) whose target is a finite float
+_MAX_LOG = math.log(sys.float_info.max)
+
+
+def _overflow(base_level: float, offset: float, feature_term: float) -> str:
+    terms = {"base_level": base_level, "offset_scale": offset,  # the largest term of the log
+             "scale_base or trend": math.inf if math.isnan(feature_term) else feature_term}
+    return f"synthetic target overflows the float range; lower {max(terms, key=terms.get)}"
 
 
 def generate_panel(spec: SyntheticSpec) -> tuple[PanelDataset, GroundTruth]:
@@ -119,8 +135,6 @@ def generate_panel(spec: SyntheticSpec) -> tuple[PanelDataset, GroundTruth]:
     entities = [f"E{e:03d}" for e in range(spec.n_entities)]
     periods = [2000 + t for t in range(spec.n_periods)]
 
-    entity_scale = spec.scale_base * np.exp(rng.normal(0.0, spec.scale_sd, spec.n_entities))
-
     rows = spec.n_entities * spec.n_periods
     features = np.empty((rows, p))
     targets = np.empty(rows)
@@ -128,27 +142,37 @@ def generate_panel(spec: SyntheticSpec) -> tuple[PanelDataset, GroundTruth]:
     period_idx = np.empty(rows, dtype=np.intp)
     labels = np.empty(rows, dtype=np.intp)
     r = 0
-    for e in range(spec.n_entities):
-        c = int(entity_labels[e])
-        for t in range(spec.n_periods):
-            mix = profiles[c] + rng.normal(0.0, spec.mix_jitter, p)
-            mix = np.abs(mix)
-            total = mix.sum()
-            mix = mix / total if total > 0 else profiles[c]
-            scale = entity_scale[e] * (1.0 + spec.trend) ** t * math.exp(rng.normal(0.0, 0.05))
-            x = mix * scale
-            log_level = (
-                spec.base_level
-                + float(w @ np.log(x + 1.0))
-                + float(offsets[c])
-                + rng.normal(0.0, spec.noise_sd)
-            )
-            features[r] = x
-            targets[r] = math.exp(log_level) - 1.0
-            entity_idx[r] = e
-            period_idx[r] = t
-            labels[r] = c
-            r += 1
+    # a scale or feature above the float range is refused below, by its target
+    with np.errstate(over="ignore", invalid="ignore"):
+        entity_scale = spec.scale_base * np.exp(rng.normal(0.0, spec.scale_sd, spec.n_entities))
+        for e in range(spec.n_entities):
+            c = int(entity_labels[e])
+            for t in range(spec.n_periods):
+                mix = profiles[c] + rng.normal(0.0, spec.mix_jitter, p)
+                mix = np.abs(mix)
+                total = mix.sum()
+                mix = mix / total if total > 0 else profiles[c]
+                try:
+                    growth = (1.0 + spec.trend) ** t
+                except OverflowError:
+                    growth = math.inf
+                scale = entity_scale[e] * growth * math.exp(rng.normal(0.0, 0.05))
+                x = mix * scale
+                feature_term = float(w @ np.log(x + 1.0))
+                log_level = (
+                    spec.base_level
+                    + feature_term
+                    + float(offsets[c])
+                    + rng.normal(0.0, spec.noise_sd)
+                )
+                if not log_level <= _MAX_LOG:
+                    raise ValidationError(_overflow(spec.base_level, offsets[c], feature_term))
+                features[r] = x
+                targets[r] = math.exp(log_level) - 1.0
+                entity_idx[r] = e
+                period_idx[r] = t
+                labels[r] = c
+                r += 1
 
     if np.any(targets < 0):
         raise ValidationError(

@@ -7,12 +7,13 @@ import sys
 import tracemalloc
 from functools import reduce
 from operator import getitem
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dprkit import pipeline, testkit
-from dprkit.cli import _COMMANDS, _RUN_KEYS, _build_run, _parse_grid, _parse_periods, main
+from dprkit.cli import _SETTINGS, _build_run, _parse_grid, _parse_periods, main
 from dprkit.errors import ValidationError
 from dprkit.panel import PanelDataset, load_panel, write_panel
 from dprkit.pipeline import DprConfig, SplitSpec
@@ -54,27 +55,30 @@ def test_period_syntax():
 
 
 def test_missing_input_exits_1(capsys, tmp_path):
-    code, _, err = run_cli(
-        capsys, "cluster", "--input", str(tmp_path / "nope.csv"),
-        "--output-dir", str(tmp_path), "--eps", "0.5", "--min-pts", "3",
-    )
-    assert code == 1
-    assert "not found" in err
+    out = tmp_path / "out"
+    for argv in (["run", "--output-dir", str(out), "--eps", "0.5", "--min-pts", "3",
+                  "--train-count", "6"],
+                 ["forecast", "--model", str(tmp_path / "model.json"), "--output", str(out)]):
+        code, stdout, err = run_cli(capsys, argv[0], "--input", str(tmp_path / "nope.csv"),
+                                    *argv[1:])
+        assert (code, stdout) == (1, "")
+        assert err == f"error: input file not found: {tmp_path / 'nope.csv'}\n"
+        assert not out.exists()
 
 
 def test_usage_error_exits_1(capsys):
-    code, _, err = run_cli(capsys, "fit", "--penalty", "huber")
-    assert code == 1
+    code, stdout, err = run_cli(capsys, "run", "--penalty", "huber")
+    assert (code, stdout) == (1, "")
+    assert err == "error: the following arguments are required: --input, --output-dir\n"
 
 
 def test_bad_penalty_exits_1(capsys, tmp_path):
     panel = _synth(capsys, tmp_path)
-    code, _, err = run_cli(
-        capsys, "fit", "--input", str(panel), "--output-dir", str(tmp_path / "o"),
-        "--penalty", "huber", "--lam", "0.1",
-    )
-    assert code == 1
-    assert "penalty" in err
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, *_run_argv(panel, out, penalty="huber"))
+    assert (code, stdout) == (1, "")
+    assert err == "error: penalty must be one of ('ridge', 'lasso', 'elastic_net'), got 'huber'\n"
+    assert not out.exists()
 
 
 def test_synth_ok_line_and_determinism(capsys, tmp_path):
@@ -146,18 +150,13 @@ def test_json_artifacts_are_one_line_and_round_trip_bit_for_bit(capsys, tmp_path
     write_report = pipeline.write_report
     monkeypatch.setattr(pipeline, "write_report",
                         lambda report, out: (reports.append(report), write_report(report, out)))
-    for argv in (
-        ["run", "--output-dir", str(tmp_path / "run"), "--eps", "0.2", "--min-pts", "3",
-         "--penalty", "elastic_net", "--alpha-grid", "0.5,1.0",
-         "--lambda-grid", "logspace:-3:-1:3", "--train-count", "6", "--folds", "3"],
-        ["cluster", "--output-dir", str(tmp_path / "clus"), "--eps", "0.2", "--min-pts", "3"],
-        ["fit", "--output-dir", str(tmp_path / "fit"), "--penalty", "lasso", "--lam", "0.01",
-         "--cluster-model", str(tmp_path / "clus" / "cluster_model.json")],
-    ):
-        assert run_cli(capsys, argv[0], "--input", str(panel), *argv[1:])[0] == 0
+    assert run_cli(capsys, "run", "--input", str(panel), "--output-dir", str(tmp_path / "run"),
+                   "--eps", "0.2", "--min-pts", "3", "--penalty", "elastic_net",
+                   "--alpha-grid", "0.5,1.0", "--lambda-grid", "logspace:-3:-1:3",
+                   "--train-count", "6", "--folds", "3")[0] == 0
     written = sorted(tmp_path.glob("*/*.json"))
     assert [p.relative_to(tmp_path).as_posix() for p in written] == [
-        "clus/cluster_model.json", "fit/model.json", "run/model.json", "run/summary.json"]
+        "run/model.json", "run/summary.json"]
     for path in written:
         text = path.read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text)) + "\n", path
@@ -173,101 +172,29 @@ def test_json_artifacts_are_one_line_and_round_trip_bit_for_bit(capsys, tmp_path
         assert stored.tobytes() == in_memory.tobytes()
 
 
-def test_cluster_fit_cv_path_compose(capsys, tmp_path):
-    panel = _synth(capsys, tmp_path)
-    code, out, _ = run_cli(
-        capsys, "cluster", "--input", str(panel), "--output-dir", str(tmp_path / "c"),
-        "--eps", "0.2", "--min-pts", "3",
-    )
-    assert code == 0 and "cluster ok" in out
-    bundle = tmp_path / "c" / "cluster_model.json"
-    assert bundle.exists()
-
-    code, out, _ = run_cli(
-        capsys, "fit", "--input", str(panel), "--output-dir", str(tmp_path / "f"),
-        "--penalty", "lasso", "--lam", "0.001", "--cluster-model", str(bundle),
-    )
-    assert code == 0 and "fit ok" in out
-    assert (tmp_path / "f" / "coefficients.csv").exists()
-
-    code, out, _ = run_cli(
-        capsys, "cv", "--input", str(panel), "--output", str(tmp_path / "cv.csv"),
-        "--penalty", "elastic_net", "--lambda-grid", "logspace:-4:-1:5",
-        "--alpha-grid", "0.5,1.0", "--folds", "4", "--cluster-model", str(bundle),
-    )
-    assert code == 0 and "cv ok" in out
-
-    code, out, err = run_cli(
-        capsys, "cv", "--input", str(panel), "--output", str(tmp_path / "cv2.csv"),
-        "--penalty", "lasso", "--lambda-grid", "0.01", "--fold-mode", "rows",
-    )
-    assert code == 1 and out == ""
-    assert "unrecognized arguments: --fold-mode rows" in err
-    assert not (tmp_path / "cv2.csv").exists()
-
-    code, out, _ = run_cli(
-        capsys, "path", "--input", str(panel), "--output", str(tmp_path / "path.csv"),
-        "--penalty", "lasso", "--lambda-grid", "logspace:-4:-1:5",
-        "--cluster-model", str(bundle),
-    )
-    assert code == 0 and "path ok" in out
-    with (tmp_path / "path.csv").open() as fh:
-        header = fh.readline().strip().split(",")
-    assert header[:2] == ["lambda", "intercept"]
-
-
-@pytest.mark.parametrize("kind", ["ridge", "lasso"])
-@pytest.mark.parametrize("command, flag", [("path", "--alpha"), ("cv", "--alpha-grid")])
-def test_path_and_cv_reject_alpha_unless_elastic_net(capsys, tmp_path, command, flag, kind):
-    panel = _synth(capsys, tmp_path)
-    out = tmp_path / "out.csv"
-    argv = [command, "--input", str(panel), "--output", str(out), "--lambda-grid", "0.01,0.1"]
-    key = flag.lstrip("-").replace("-", "_")  # the messages name the setting, not its flag
-    code, stdout, err = run_cli(capsys, *argv, "--penalty", kind, flag, "0.3")
-    assert code == 1 and stdout == ""
-    assert err == f"error: {key} is only valid for elastic_net, not {kind}\n"
-    code, stdout, err = run_cli(capsys, *argv, "--penalty", "elastic_net")
-    assert code == 1 and stdout == ""
-    assert err == f"error: elastic_net needs {key}\n"
-    assert not out.exists()
-
-
-def test_cluster_model_must_match_panel(capsys, tmp_path):
-    panel = _synth(capsys, tmp_path)
-    other = _synth(capsys, tmp_path, "other.csv", seed=99,
-                   spec="n_entities=5,n_periods=4,n_features=4,n_clusters=2")
-    run_cli(
-        capsys, "cluster", "--input", str(other), "--output-dir", str(tmp_path / "c2"),
-        "--eps", "0.2", "--min-pts", "3",
-    )
-    code, _, err = run_cli(
-        capsys, "fit", "--input", str(panel), "--output-dir", str(tmp_path / "f2"),
-        "--penalty", "lasso", "--lam", "0.01",
-        "--cluster-model", str(tmp_path / "c2" / "cluster_model.json"),
-    )
-    assert code == 1
-    assert "row keys" in err
-
-
 def test_rank_deficient_ridge_exits_2(capsys, tmp_path):
-    # two identical feature columns and lam=0
+    # two identical feature columns and lam=0: every CV fold's fit is rank-deficient
     path = tmp_path / "p.csv"
     rows = ["entity,period,target,a,b"]
     rng = np.random.default_rng(0)
-    for e in ("X", "Y", "Z"):
-        for t in (2000, 2001, 2002):
+    for e in "ABCDEF":
+        for t in (2000, 2001, 2002, 2003):
             v = rng.uniform(1, 5)
             rows.append(f"{e},{t},{v + 1:.6f},{v:.6f},{v:.6f}")
     path.write_text("\n".join(rows) + "\n")
-    code, _, err = run_cli(
-        capsys, "fit", "--input", str(path), "--output-dir", str(tmp_path / "rd"),
-        "--penalty", "ridge", "--lam", "0",
+    out = tmp_path / "rd"
+    code, stdout, err = run_cli(
+        capsys, "run", "--input", str(path), "--output-dir", str(out),
+        "--penalty", "ridge", "--lambda-grid", "0", "--eps", "0.2", "--min-pts", "3",
+        "--train-count", "3", "--folds", "3",
     )
-    assert code == 2
-    assert "numerical" in err
+    assert (code, stdout) == (2, "")
+    assert err == ("numerical error: stage cv: every cross-validation cell failed "
+                   "(rank-deficient or unconverged fits); no usable hyperparameters\n")
+    assert not out.exists()
 
 
-def test_rank_deficient_ridge_path_fit_exits_path_and_is_counted_by_run(capsys, tmp_path):
+def test_rank_deficient_ridge_path_fit_is_counted_by_run(capsys, tmp_path):
     # a duplicated feature column: ridge at lambda=0 has no unique solution
     path = tmp_path / "p.csv"
     rng = np.random.default_rng(1)
@@ -277,14 +204,6 @@ def test_rank_deficient_ridge_path_fit_exits_path_and_is_counted_by_run(capsys, 
             a, c = rng.uniform(1, 5, size=2)
             rows.append(f"{e},{t},{a + 2 * c:.6f},{a:.6f},{a:.6f},{c:.6f}")
     path.write_text("\n".join(rows) + "\n")
-    code, out, err = run_cli(
-        capsys, "path", "--input", str(path), "--output", str(tmp_path / "path.csv"),
-        "--penalty", "ridge", "--lambda-grid", "0,0.1",
-    )
-    assert code == 2 and out == ""
-    assert "path fit at lambda=0 is rank-deficient" in err
-    assert not (tmp_path / "path.csv").exists()
-
     code, out, err = run_cli(
         capsys, "run", "--input", str(path), "--output-dir", str(tmp_path / "run"), "--plots",
         "--penalty", "ridge", "--lambda-grid", "0,0.01,0.1", "--eps", "0.2", "--min-pts", "3",
@@ -307,16 +226,24 @@ def test_rank_deficient_ridge_path_fit_exits_path_and_is_counted_by_run(capsys, 
 
 def test_scan_and_suggestion(capsys, tmp_path):
     panel = _synth(capsys, tmp_path)
-    code, out, _ = run_cli(
-        capsys, "scan", "--input", str(panel), "--output", str(tmp_path / "scan.csv"),
-        "--eps-grid", "0.05,0.1,0.3", "--minpts-grid", "3,4",
+    out = tmp_path / "run"
+    code, stdout, err = run_cli(
+        capsys, "run", "--input", str(panel), "--output-dir", str(out),
+        "--eps-grid", "0.05,0.1,0.3", "--minpts-grid", "3,4", "--penalty", "lasso",
+        "--lambda-grid", "0.01,0.1", "--train-count", "6", "--folds", "3",
     )
-    assert code == 0
-    assert "scan ok cells=6" in out
-    assert "best_eps=" in out
-    lines = (tmp_path / "scan.csv").read_text().splitlines()
+    assert code == 0, err
+    lines = (out / "scan.csv").read_text().splitlines()
     assert lines[0] == "eps,min_pts,k,sc,sse"
     assert len(lines) == 7
+    # the run clusters at the first cell of the largest silhouette
+    with (out / "scan.csv").open(newline="") as fh:
+        best = max((row for row in csv.DictReader(fh) if row["sc"] != "NA"),
+                   key=lambda row: float(row["sc"]))
+    chosen = json.loads((out / "summary.json").read_text())["clustering"]
+    assert (chosen["eps"], chosen["min_pts"], chosen["k"]) == (
+        float(best["eps"]), int(best["min_pts"]), int(best["k"]))
+    assert stdout.startswith(f"run ok k={best['k']} ")
 
 
 def test_run_and_forecast_round_trip(capsys, tmp_path):
@@ -365,56 +292,53 @@ _STDS_VS_ZV = ("bad field 'regression.column_stds': expected 0 where zero_varian
                "and > 0 elsewhere")
 
 
-@pytest.mark.parametrize("command, edit, message", [
-    ("forecast", lambda b: {"format": pipeline.MODEL_FORMAT}, "missing field 'regression'"),
-    ("forecast", lambda b: [1, 2], "not a run model bundle"),
-    ("forecast", _set("format", lambda v: "dprkit-model-v1"), "bad field 'format': expected "
+@pytest.mark.parametrize("edit, message", [
+    (lambda b: {"format": pipeline.MODEL_FORMAT}, "missing field 'regression'"),
+    (lambda b: [1, 2], "not a run model bundle"),
+    (_set("format", lambda v: "dprkit-model-v1"), "bad field 'format': expected "
      "'dprkit-model-v3', got 'dprkit-model-v1'; rerun dprkit run to write one"),
-    ("forecast", _set("format", lambda v: "dprkit-model-v2"), "bad field 'format': expected "
+    (_set("format", lambda v: "dprkit-model-v2"), "bad field 'format': expected "
      "'dprkit-model-v3', got 'dprkit-model-v2'; rerun dprkit run to write one"),
-    ("forecast", _set("regression.column_names", lambda v: v[:-1] + ["cluster_x"]),
+    (_set("regression.column_names", lambda v: v[:-1] + ["cluster_x"]),
      "bad field 'regression.column_names': "
      "'cluster_x' is not a cluster_<id> or noise_<row> column"),
-    ("forecast", _set("regression.column_names", lambda v: v[1:] + v[:1]),
+    (_set("regression.column_names", lambda v: v[1:] + v[:1]),
      "bad field 'regression.column_names': the features do not come first"),
     # these ended in a traceback or were accepted
-    ("forecast", _set("clustering.core_labels", lambda v: INF), "bad field "
+    (_set("clustering.core_labels", lambda v: INF), "bad field "
      "'clustering.core_labels': TypeError('expected integers, got float')"),
-    ("forecast", _set("clustering.core_labels", lambda v: v[:-1] + [max(v) + 1]),
+    (_set("clustering.core_labels", lambda v: v[:-1] + [max(v) + 1]),
      "bad field 'clustering.core_labels': not all in range(2)"),
-    ("forecast", _set("clustering.core_labels", lambda v: [-1] + v[1:]),
+    (_set("clustering.core_labels", lambda v: [-1] + v[1:]),
      "bad field 'clustering.core_labels': not all in range(2)"),
-    ("forecast", _set("regression.coefficients", lambda v: v[:-1]),
+    (_set("regression.coefficients", lambda v: v[:-1]),
      "bad field 'regression.coefficients': expected 5 finite entries"),
-    ("forecast", _set("regression.column_stds", lambda v: v[:-1]),
+    (_set("regression.column_stds", lambda v: v[:-1]),
      "bad field 'regression.column_stds': expected 5 finite entries"),
-    ("forecast", _set("regression.zero_variance", lambda v: []),
+    (_set("regression.zero_variance", lambda v: []),
      "bad field 'regression.zero_variance': expected 5 finite entries"),
-    ("forecast", _set("regression.intercept", lambda v: INF),
+    (_set("regression.intercept", lambda v: INF),
      "bad field 'regression.intercept': expected a finite number"),
     # these were accepted with a different forecast
-    ("forecast", _set("regression.column_stds", lambda v: [0.0] + v[1:]), _STDS_VS_ZV),
-    ("forecast", _set("regression.column_stds", lambda v: [-1.0] + v[1:]), _STDS_VS_ZV),
-    ("forecast", _set("regression.zero_variance", lambda v: [True] + v[1:]), _STDS_VS_ZV),
+    (_set("regression.column_stds", lambda v: [0.0] + v[1:]), _STDS_VS_ZV),
+    (_set("regression.column_stds", lambda v: [-1.0] + v[1:]), _STDS_VS_ZV),
+    (_set("regression.zero_variance", lambda v: [True] + v[1:]), _STDS_VS_ZV),
     # the clustering layer's message named neither the file nor the field
-    ("forecast", _set("clustering.core_points", lambda v: [[INF] + v[0][1:]] + v[1:]),
+    (_set("clustering.core_points", lambda v: [[INF] + v[0][1:]] + v[1:]),
      "bad field 'clustering.core_points': expected finite entries"),
     # JSON's true was read as the number 1
-    ("forecast", _set("regression.intercept", lambda v: True),
+    (_set("regression.intercept", lambda v: True),
      "bad field 'regression.intercept': TypeError('expected numbers, got bool')"),
-    ("forecast", _set("regression.coefficients", lambda v: [True] + v[1:]),
+    (_set("regression.coefficients", lambda v: [True] + v[1:]),
      "bad field 'regression.coefficients': TypeError('expected numbers, got bool, float')"),
-    ("forecast", _set("clustering.eps", lambda v: True),
+    (_set("clustering.eps", lambda v: True),
      "bad field 'clustering.eps': TypeError('expected numbers, got bool')"),
     # read as str(), so 5, null and "x" were all accepted
-    ("forecast", _set("clustering.outlier_policy", lambda v: "x"),
+    (_set("clustering.outlier_policy", lambda v: "x"),
      "bad field 'clustering.outlier_policy': "
      "outlier_policy must be one of ('unique_dummy', 'exclude'), got 'x'"),
-    ("forecast", _set("clustering.outlier_policy", lambda v: 5),
+    (_set("clustering.outlier_policy", lambda v: 5),
      "bad field 'clustering.outlier_policy': TypeError('expected a string')"),
-    ("fit", lambda b: {"format": "dprkit-clusters-v1"}, "missing field 'row_keys'"),
-    ("fit", lambda b: {"format": "dprkit-clusters-v1", "row_keys": [], "labels": INF},
-     "bad field 'labels': TypeError('expected integers, got float')"),
 ], ids=["model-format-only", "model-list", "model-format-v1", "model-format-v2",
         "model-bad-dummy-name", "model-features-not-first",
         "model-core-labels-inf", "model-core-label-k",
@@ -422,9 +346,8 @@ _STDS_VS_ZV = ("bad field 'regression.column_stds': expected 0 where zero_varian
         "model-zero-variance-empty", "model-intercept-inf", "model-column-std-zero",
         "model-column-std-negative", "model-zero-variance-flipped", "model-core-point-inf",
         "model-intercept-true", "model-coefficient-true", "model-eps-true",
-        "model-outlier-policy-text", "model-outlier-policy-number",
-        "clusters-format-only", "clusters-labels-inf"])
-def test_malformed_bundle_is_one_error_line(capsys, tmp_path, command, edit, message):
+        "model-outlier-policy-text", "model-outlier-policy-number"])
+def test_malformed_bundle_is_one_error_line(capsys, tmp_path, edit, message):
     panel = _synth(capsys, tmp_path, seed=5)
     code, _, _ = run_cli(
         capsys, "run", "--input", str(panel), "--output-dir", str(tmp_path / "run"),
@@ -434,13 +357,8 @@ def test_malformed_bundle_is_one_error_line(capsys, tmp_path, command, edit, mes
     assert code == 0
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(edit(json.loads((tmp_path / "run" / "model.json").read_text()))))
-    if command == "forecast":
-        argv = ["forecast", "--input", str(panel), "--model", str(bad),
-                "--output", str(tmp_path / "fc.csv")]
-    else:
-        argv = ["fit", "--input", str(panel), "--output-dir", str(tmp_path / "fit"),
-                "--penalty", "ridge", "--lam", "0.1", "--cluster-model", str(bad)]
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, "forecast", "--input", str(panel), "--model", str(bad),
+                             "--output", str(tmp_path / "fc.csv"))
     assert (code, out) == (1, "")
     assert err.splitlines() == [f"error: {bad}: {message}"]
 
@@ -467,76 +385,58 @@ def _mutations(bundle):
 
 
 def test_every_single_field_corruption_is_harmless_or_one_error_line(capsys, tmp_path):
-    # each corruption of a real bundle either changes no output byte or exits 1
+    # each corruption of a real model.json either changes no forecast byte or exits 1
     # with one stderr line that names the file and then, once, a field; none
     # ends in a traceback
     panel = _synth(capsys, tmp_path, seed=5)
-    for argv in (
-        ["run", "--output-dir", str(tmp_path / "run"), "--eps", "0.2", "--min-pts", "3",
-         "--penalty", "lasso", "--lambda-grid", "logspace:-3:-1:3", "--train-count", "6",
-         "--folds", "3"],
-        ["cluster", "--output-dir", str(tmp_path / "clus"), "--eps", "0.2", "--min-pts", "3"],
-    ):
-        assert run_cli(capsys, argv[0], "--input", str(panel), *argv[1:])[0] == 0
+    assert run_cli(capsys, "run", "--input", str(panel), "--output-dir", str(tmp_path / "run"),
+                   "--eps", "0.2", "--min-pts", "3", "--penalty", "lasso",
+                   "--lambda-grid", "logspace:-3:-1:3", "--train-count", "6",
+                   "--folds", "3")[0] == 0
     bad = tmp_path / "bad.json"
-    out = tmp_path / "out"
-    out.mkdir()
-    commands = {
-        "run/model.json": (["forecast", "--input", str(panel), "--model", str(bad),
-                            "--output", str(out / "forecast.csv")], ["forecast.csv"]),
-        "clus/cluster_model.json": (["fit", "--input", str(panel), "--output-dir", str(out),
-                                     "--penalty", "ridge", "--lam", "0.1",
-                                     "--cluster-model", str(bad)],
-                                    ["coefficients.csv", "model.json"]),
-    }
+    out = tmp_path / "forecast.csv"
+    argv = ["forecast", "--input", str(panel), "--model", str(bad), "--output", str(out)]
+    bundle = json.loads((tmp_path / "run" / "model.json").read_text())
+    bad.write_text(json.dumps(bundle))
+    expected = run_cli(capsys, *argv)[:2], out.read_bytes()
+    mutations = list(_mutations(bundle))
+    # k is unread by forecasting, but the cluster columns must be range(1, k):
+    # cluster 0 is the baseline and has none
+    k = bundle["clustering"]["k"]
+    names = bundle["regression"]["column_names"]
+    assert "cluster_1" in names and "cluster_0" not in names
+    named = {}  # label -> what its one error line must say
+    for label, path, value, says in (
+        (f"clustering.k={k + 1}", ("clustering", "k"), k + 1,
+         f"bad field 'clustering.k': the cluster columns of regression.column_names "
+         f"are {list(range(1, k))}, not range(1, {k + 1})"),
+        ("clustering.k=99", ("clustering", "k"), 99, "'clustering.k'"),
+        ("regression.column_names: cluster_0 for cluster_1",
+         ("regression", "column_names"),
+         [c.replace("cluster_1", "cluster_0") for c in names], "'clustering.k'"),
+    ):
+        mutated = json.loads(json.dumps(bundle))
+        mutated[path[0]][path[1]] = value
+        mutations.append((label, mutated))
+        named[label] = says
     harmless = rejected = 0
-    named = {}  # label -> what its one error line must say, the field's name at least
-    for name, (argv, outputs) in commands.items():
-        bundle = json.loads((tmp_path / name).read_text())
-        bad.write_text(json.dumps(bundle))
-        expected = run_cli(capsys, *argv)[:2], [(out / f).read_bytes() for f in outputs]
-        mutations = list(_mutations(bundle))
-        if "labels" in bundle:
-            mutations += [(f"labels[0]={json.dumps(v)}",
-                           {**bundle, "labels": [v, *bundle["labels"][1:]]}) for v in (True, -2)]
-        if "clustering" in bundle:
-            # k is unread by forecasting, but the cluster columns must be range(1, k):
-            # cluster 0 is the baseline and has none
-            k = bundle["clustering"]["k"]
-            names = bundle["regression"]["column_names"]
-            assert "cluster_1" in names and "cluster_0" not in names
-            for label, path, value, says in (
-                (f"clustering.k={k + 1}", ("clustering", "k"), k + 1,
-                 f"bad field 'clustering.k': the cluster columns of regression.column_names "
-                 f"are {list(range(1, k))}, not range(1, {k + 1})"),
-                ("clustering.k=99", ("clustering", "k"), 99, "'clustering.k'"),
-                ("regression.column_names: cluster_0 for cluster_1",
-                 ("regression", "column_names"),
-                 [c.replace("cluster_1", "cluster_0") for c in names], "'clustering.k'"),
-            ):
-                mutated = json.loads(json.dumps(bundle))
-                mutated[path[0]][path[1]] = value
-                mutations.append((label, mutated))
-                named[label] = says
-        for label, mutated in mutations:
-            for f in outputs:
-                (out / f).unlink(missing_ok=True)
-            bad.write_text(json.dumps(mutated))
-            code, stdout, err = run_cli(capsys, *argv)
-            if code == 0 and label not in named:
-                assert ((code, stdout), [(out / f).read_bytes() for f in outputs]) == expected, (
-                    f"{name} {label}: accepted with a different output")
-                harmless += 1
-            else:
-                assert (code, stdout) == (1, ""), f"{name} {label}: exit {code}"
-                lines = err.splitlines()
-                assert len(lines) == 1 and lines[0].count(" field") == 1, (
-                    f"{name} {label}: {err!r}")
-                assert re.match(rf"error: {re.escape(str(bad))}: (bad|missing) fields? '",
-                                lines[0]), f"{name} {label}: {err!r}"
-                assert named.get(label, "") in lines[0], f"{name} {label}: {err!r}"
-                rejected += 1
-    assert harmless and rejected and len(named) == 3
+    for label, mutated in mutations:
+        out.unlink(missing_ok=True)
+        bad.write_text(json.dumps(mutated))
+        code, stdout, err = run_cli(capsys, *argv)
+        if code == 0 and label not in named:
+            assert ((code, stdout), out.read_bytes()) == expected, (
+                f"{label}: accepted with a different output")
+            harmless += 1
+        else:
+            assert (code, stdout) == (1, ""), f"{label}: exit {code}"
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].count(" field") == 1, f"{label}: {err!r}"
+            assert re.match(rf"error: {re.escape(str(bad))}: (bad|missing) fields? '",
+                            lines[0]), f"{label}: {err!r}"
+            assert named.get(label, "") in lines[0], f"{label}: {err!r}"
+            rejected += 1
+    assert harmless and rejected
 
 
 def test_forecast_of_any_subset_of_rows_writes_those_rows_of_the_full_forecast(capsys,
@@ -780,7 +680,7 @@ def _files(root):
 
 @pytest.mark.parametrize("settings", [_FIXED_RUN, _SCAN_RUN], ids=["fixed", "scan"])
 def test_config_file_and_flags_write_the_same_run(capsys, tmp_path, settings):
-    assert set(_FIXED_RUN) | set(_SCAN_RUN) == set(_RUN_KEYS)
+    assert set(_FIXED_RUN) | set(_SCAN_RUN) == set(_SETTINGS)
     panel = _synth(capsys, tmp_path, seed=4)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
@@ -827,7 +727,7 @@ def test_malformed_run_setting_exits_1_naming_it(capsys, tmp_path, key, bad, sou
         argv += ["--config", str(cfg)]
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 1 and stdout == ""
-    assert f"{key}={bad!r}" in err
+    assert f"bad value {key}={bad!r}" in err
     assert not out.exists()
 
 
@@ -869,24 +769,24 @@ def test_unconverged_path_fit_stops_path_and_is_named_by_run(capsys, tmp_path, m
     fit = pipeline.fit_elastic_net
 
     def one_cold_step_at_the_smallest_lambda(dm, penalty, warm_start=None, **kw):
-        # the run trains on 6 of 8 periods: only its own path (48 rows) and
-        # the path command (64 rows) are hit, never a CV fold's chain
+        # the run trains on 6 of 8 periods: only its own path (48 rows) is hit,
+        # never a CV fold's chain
         if penalty.lam < 2e-4 and dm.n >= 48:
             warm_start, kw["max_iter"] = None, 1
         return fit(dm, penalty, warm_start, **kw)
 
     monkeypatch.setattr(pipeline, "fit_elastic_net", one_cold_step_at_the_smallest_lambda)
-    code, out, err = run_cli(
-        capsys, "path", "--input", str(panel), "--output", str(tmp_path / "path.csv"),
-        "--penalty", "lasso", "--lambda-grid", "logspace:-4:-1:5",
-    )
-    assert code == 2 and out == ""
-    assert "path fit at lambda=0.0001 did not converge in 1 steps" in err
-    assert not (tmp_path / "path.csv").exists()
-
     args = ["run", "--input", str(panel), "--eps", "0.2", "--min-pts", "3",
-            "--penalty", "lasso", "--lambda-grid", "logspace:-4:-1:5",
-            "--train-count", "6", "--folds", "3"]
+            "--penalty", "lasso", "--train-count", "6", "--folds", "3"]
+    # the smallest lambda alone: CV must choose it, and its path fit is the final model
+    code, out, err = run_cli(capsys, *args, "--lambda-grid", "0.0001",
+                             "--output-dir", str(tmp_path / "r0"))
+    assert (code, out) == (2, "")
+    assert err == ("numerical error: stage path: fit at the chosen lambda=0.0001 "
+                   "did not converge in 1 steps\n")
+    assert not (tmp_path / "r0").exists()
+
+    args += ["--lambda-grid", "logspace:-4:-1:5"]
     code, out, _ = run_cli(capsys, *args, "--output-dir", str(tmp_path / "r1"))
     assert code == 0
     summary = json.loads((tmp_path / "r1" / "summary.json").read_text())
@@ -951,22 +851,17 @@ def test_repeated_grid_values_are_fitted_and_listed_once(capsys, tmp_path, monke
         ("twice", "0.1,0.01,0.1", "0.5,1,0.5", "0.1,0.2,0.1", "3,4,3,3"),
     ]:
         chains.clear()
-        code, cv_line, err = run_cli(
-            capsys, "cv", "--input", str(panel), "--output", str(tmp_path / f"cv-{name}.csv"),
+        code, run_line, err = run_cli(
+            capsys, "run", "--input", str(panel), "--output-dir", str(tmp_path / name),
             "--penalty", "elastic_net", "--lambda-grid", lams, "--alpha-grid", alphas,
-            "--folds", "3")
+            "--eps-grid", eps, "--minpts-grid", min_pts, "--train-count", "6", "--folds", "3")
         assert code == 0, err
-        code, scan_line, err = run_cli(
-            capsys, "scan", "--input", str(panel), "--output", str(tmp_path / f"scan-{name}.csv"),
-            "--eps-grid", eps, "--minpts-grid", min_pts)
-        assert code == 0, err
-        written[name] = (cv_line, scan_line, list(chains),
-                         (tmp_path / f"cv-{name}.csv").read_bytes(),
-                         (tmp_path / f"scan-{name}.csv").read_bytes())
+        written[name] = (run_line, list(chains), _files(tmp_path / name))
     assert written["twice"] == written["once"]
-    cv_line, scan_line, chains_once, _, _ = written["once"]
-    assert cv_line.startswith("cv ok cells=4 ") and scan_line.startswith("scan ok cells=4 ")
-    assert chains_once == [[0.1, 0.01]] * 6  # one chain per fold and alpha
+    _, chains_once, files = written["once"]
+    assert [len(files[Path(f)].splitlines()) for f in ("scan.csv", "cv_table.csv")] == [5, 5]
+    # one chain per fold and alpha, then the run's own path
+    assert chains_once == [[0.1, 0.01]] * 7
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -1006,86 +901,96 @@ def test_synth_refuses_a_non_finite_float_field(capsys, tmp_path, field, value):
     assert not out.exists()
 
 
-# Valid settings of each subcommand that takes a setting below, and its output flag.
-_STAGE_RUNS = {
-    "cluster": ("--output-dir", {"eps": "0.2", "min_pts": "3"}),
-    "scan": ("--output", {"eps_grid": "0.05,0.1", "minpts_grid": "4,8"}),
-    "fit": ("--output-dir", {"penalty": "lasso", "lam": "0.1"}),
-    "cv": ("--output", {"penalty": "lasso", "lambda_grid": "0.01,0.1", "folds": "3"}),
-    "path": ("--output", {"penalty": "lasso", "lambda_grid": "0.01,0.1"}),
-    "run": ("--output-dir", {"eps": "0.2", "min_pts": "3", "penalty": "lasso",
-                             "lambda_grid": "0.01,0.1", "train_count": "6", "folds": "3"}),
-}
-
-
-def _stage_argv(command, panel, out, **changes):
-    flag, settings = _STAGE_RUNS[command]
-    return [command, "--input", str(panel), flag, str(out),
-            *_as_flags({**settings, **changes})]
-
-
-@pytest.mark.parametrize("command, source, value", [
-    ("cluster", "flag", "true"), ("scan", "flag", "true"), ("run", "flag", "true"),
-    ("run", "flag", "maybe"), ("run", "config", "true"),
-], ids=["cluster-flag", "scan-flag", "run-flag", "run-flag-maybe", "run-config"])
-def test_core_strict_is_refused_on_every_subcommand(capsys, tmp_path, command, source, value):
-    # the strict core rule is min_pts + 1; its old switch is no setting at all, so any value
-    # of it is refused as unknown, never read as a malformed boolean
-    panel = _synth(capsys, tmp_path, seed=3)
-    out = tmp_path / "out"
-    argv = _stage_argv(command, panel, out)
-    if source == "flag":
-        argv += ["--core-strict", value]
-        message = f"error: unrecognized arguments: --core-strict {value}"
-    else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"core_strict = {value}\n")
-        argv += ["--config", str(cfg)]
-        message = "error: unknown config keys: ['core_strict']"
-    code, stdout, err = run_cli(capsys, *argv)
-    assert (code, stdout, err.splitlines()) == (1, "", [message])
+@pytest.mark.parametrize("spec, message", [
+    ("scale_base=-40", "scale_base must be > 0, got -40.0"),
+    ("scale_base=0", "scale_base must be > 0, got 0.0"),
+    ("scale_sd=-1", "scale_sd must be >= 0, got -1.0"),
+    ("trend=-2", "trend must be > -1, got -2.0"),
+    ("trend=-1", "trend must be > -1, got -1.0"),
+    ("noise_sd=-0.5", "noise_sd must be >= 0, got -0.5"),
+    ("mix_jitter=-0.5", "mix_jitter must be >= 0, got -0.5"),
+    ("offset_scale=1e308", "synthetic target overflows the float range; lower offset_scale"),
+    ("base_level=1e308", "synthetic target overflows the float range; lower base_level"),
+    ("scale_base=1e308", "synthetic target overflows the float range; lower scale_base or trend"),
+    ("trend=1e200", "synthetic target overflows the float range; lower scale_base or trend"),
+], ids=["scale_base-negative", "scale_base-zero", "scale_sd-negative", "trend-below-minus-1",
+        "trend-minus-1", "noise_sd-negative", "mix_jitter-negative", "offset_scale-overflow",
+        "base_level-overflow", "scale_base-overflow", "trend-overflow"])
+def test_synth_refuses_a_spec_outside_its_range(capsys, tmp_path, spec, message):
+    # scale_base=-40 and trend=-2 wrote a panel of negative features, scale_sd=-1 ended in
+    # numpy's ValueError and the overflows in an OverflowError, after numpy's warnings
+    out = tmp_path / "p.csv"
+    code, stdout, err = run_cli(capsys, "synth", "--output", str(out), "--spec", spec)
+    assert (code, stdout) == (1, "")
+    assert err.splitlines() == [f"error: {message}"]
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, key, source", [
-    *[(command, "mix", "flag") for command in ("cluster", "scan", "run")],
-    *[(command, "baseline", "flag") for command in ("fit", "cv", "path", "run")],
-    ("run", "mix", "config"), ("run", "baseline", "config"),
-])
-def test_mix_and_baseline_are_refused_on_every_subcommand(capsys, tmp_path, command, key,
-                                                          source):
-    # clustering reads the mix shares and the baseline is cluster 0: the flags and config
-    # keys that once chose another are no settings, so any value of them is refused
-    value = {"mix": "perfeaturemax", "baseline": "1"}[key]
+# Valid settings of a small run, as flags.
+_RUN = {"eps": "0.2", "min_pts": "3", "penalty": "lasso", "lambda_grid": "0.01,0.1",
+        "train_count": "6", "folds": "3"}
+
+
+def _run_argv(panel, out, **changes):
+    return ["run", "--input", str(panel), "--output-dir", str(out),
+            *_as_flags({**_RUN, **changes})]
+
+
+_SUBCOMMANDS = ("'ingest', 'synth', 'run', 'forecast'", "ingest, synth, run, forecast")
+
+
+# Every spelling the CLI once took and takes no more: deleted settings as run flags and
+# config keys, settings of the deleted stage subcommands, and those subcommands. Each
+# is refused whatever its value, never read as a malformed value.
+@pytest.mark.parametrize("argv, config, message", [
+    # the strict core rule is min_pts + 1
+    (["--core-strict", "true"], None, "unrecognized arguments: --core-strict true"),
+    (["--core-strict", "maybe"], None, "unrecognized arguments: --core-strict maybe"),
+    ([], "core_strict = true", "unknown config keys: ['core_strict']"),
+    # clustering reads the mix shares, and the baseline is cluster 0
+    (["--mix", "perfeaturemax"], None, "unrecognized arguments: --mix perfeaturemax"),
+    ([], "mix = perfeaturemax", "unknown config keys: ['mix']"),
+    (["--baseline", "1"], None, "unrecognized arguments: --baseline 1"),
+    ([], "baseline = 1", "unknown config keys: ['baseline']"),
+    # CV folds are blocks of entities
+    (["--fold-mode", "rows"], None, "unrecognized arguments: --fold-mode rows"),
+    # settings of fit, cv and path alone; prefixes of --lambda-grid and --alpha-grid,
+    # which argparse expanded before flags had to be spelled in full
+    (["--lam", "0.1"], None, "unrecognized arguments: --lam 0.1"),
+    (["--alpha", "0.5"], None, "unrecognized arguments: --alpha 0.5"),
+    (["--cluster-model", "cluster_model.json"], None,
+     "unrecognized arguments: --cluster-model cluster_model.json"),
+    ([], "lam = 0.1", "unknown config keys: ['lam']"),
+    ([], "alpha = 0.5", "unknown config keys: ['alpha']"),
+    ([], "cluster_model = cluster_model.json", "unknown config keys: ['cluster_model']"),
+    # the stage subcommands: run writes every table they wrote, from training rows only
+    *[([command], None, f"argument command: invalid choice: '{command}' (choose from {{}})")
+      for command in ("cluster", "scan", "fit", "cv", "path")],
+    # and with a retired flag it once took, the subcommand is still the one error
+    *[([command, flag, value], None,
+       f"argument command: invalid choice: '{command}' (choose from {{}})")
+      for flag, value in (("--core-strict", "true"), ("--mix", "perfeaturemax"))
+      for command in ("cluster", "scan")],
+], ids=["core_strict-flag", "core_strict-flag-maybe", "core_strict-config", "mix-flag",
+        "mix-config", "baseline-flag", "baseline-config", "fold_mode-flag", "lam-flag",
+        "alpha-flag", "cluster_model-flag", "lam-config", "alpha-config",
+        "cluster_model-config", "cluster", "scan", "fit", "cv", "path",
+        "cluster-core_strict", "scan-core_strict", "cluster-mix", "scan-mix"])
+def test_retired_spellings_are_refused(capsys, tmp_path, argv, config, message):
     panel = _synth(capsys, tmp_path, seed=3)
     out = tmp_path / "out"
-    argv = _stage_argv(command, panel, out)
-    if source == "flag":
-        argv += ["--" + key, value]
-        message = f"error: unrecognized arguments: --{key} {value}"
+    if argv and not argv[0].startswith("--"):  # a subcommand
+        argv = [argv[0], "--input", str(panel), "--output-dir", str(out), *argv[1:]]
     else:
+        argv = _run_argv(panel, out) + argv
+    if config is not None:
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = {value}\n")
+        cfg.write_text(f"{config}\n")
         argv += ["--config", str(cfg)]
-        message = f"error: unknown config keys: ['{key}']"
     code, stdout, err = run_cli(capsys, *argv)
-    assert (code, stdout, err.splitlines()) == (1, "", [message])
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, key, bad", [
-    (command, key, bad)
-    for key, bad in [("eps", "0.2x"), ("eps_grid", "1,x"), ("lambda_grid", "banana"),
-                     ("folds", "3.0")]
-    for command, (_, _, _, required, other) in _COMMANDS.items() if key in required + other
-])
-def test_malformed_setting_exits_1_naming_it_on_every_subcommand(capsys, tmp_path, command,
-                                                                 key, bad):
-    panel = _synth(capsys, tmp_path)
-    out = tmp_path / "out"
-    code, stdout, err = run_cli(capsys, *_stage_argv(command, panel, out, **{key: bad}))
-    assert code == 1 and stdout == ""
-    assert f"bad value {key}={bad!r}" in err
+    assert (code, stdout) == (1, "")
+    # argparse quotes the choices up to Python 3.12.7 and leaves them bare after it
+    assert err.splitlines() in [[f"error: {message.format(names)}"] for names in _SUBCOMMANDS]
     assert not out.exists()
 
 
@@ -1126,9 +1031,40 @@ def test_run_stage_failure_is_one_line_and_writes_nothing(capsys, tmp_path, sett
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key, bad", [
+    ("run", key, bad) for key, bad in [("eps", "0.2x"), ("eps_grid", "1,x"),
+                                       ("lambda_grid", "banana"), ("folds", "3.0")]
+])
+def test_malformed_setting_exits_1_naming_it_on_every_subcommand(capsys, tmp_path, command,
+                                                                 key, bad):
+    # run is the one subcommand with settings; here on top of a full set of valid ones
+    panel = _synth(capsys, tmp_path)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, *_run_argv(panel, out, **{key: bad}))
+    assert code == 1 and stdout == ""
+    assert f"bad value {key}={bad!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run"])
+def test_an_unknown_penalty_is_the_same_error_on_every_subcommand(capsys, tmp_path, command):
+    # run is the one subcommand with a penalty: its flag and its config key say the same
+    panel = _synth(capsys, tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("penalty = huber\n")
+    for extra in (["--penalty", "huber"], ["--config", str(cfg)]):
+        out = tmp_path / "out"
+        argv = [arg for arg in _run_argv(panel, out) if arg not in ("--penalty", "lasso")]
+        code, stdout, err = run_cli(capsys, *argv, *extra)
+        assert code == 1 and stdout == ""
+        assert err == ("error: penalty must be one of ('ridge', 'lasso', 'elastic_net'), "
+                       "got 'huber'\n")
+        assert not out.exists()
+
+
 def test_forecast_of_a_panel_with_other_features_names_both_lists(capsys, tmp_path):
     panel = _synth(capsys, tmp_path)
-    code, _, err = run_cli(capsys, *_stage_argv("run", panel, tmp_path / "run"))
+    code, _, err = run_cli(capsys, *_run_argv(panel, tmp_path / "run"))
     assert code == 0, err
     other = _synth(capsys, tmp_path, "other.csv",
                    spec="n_entities=8,n_periods=8,n_features=5,n_clusters=2")
@@ -1141,34 +1077,15 @@ def test_forecast_of_a_panel_with_other_features_names_both_lists(capsys, tmp_pa
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["fit", "cv", "path", "run"])
-def test_an_unknown_penalty_is_the_same_error_on_every_subcommand(capsys, tmp_path, command):
-    panel = _synth(capsys, tmp_path)
-    out = tmp_path / "out"
-    if command == "fit":
-        argv = ["fit", "--input", str(panel), "--output-dir", str(out), "--penalty", "huber",
-                "--lam", "0.1"]
-    else:
-        argv = _stage_argv(command, panel, out, penalty="huber")
-    code, stdout, err = run_cli(capsys, *argv)
-    assert code == 1 and stdout == ""
-    assert err == "error: penalty must be one of ('ridge', 'lasso', 'elastic_net'), got 'huber'\n"
-    assert not out.exists()
-
-
-def test_zero_feature_rows_are_named_once_each_up_to_five(capsys, tmp_path, monkeypatch):
+def test_run_names_each_zero_feature_training_row_in_its_summary(capsys, tmp_path):
+    # a zero-sum row has no mix shares; summary.json lists every such training row, once,
+    # in row order, and the run writes no warning
     panel = load_panel(_synth(capsys, tmp_path))
-    zero = [1, 4, 9, 10, 20, 33]
+    zero = [1, 4, 9, 10, 20, 33, 47]  # row 47 is E005's last period, a test row
     panel.features[zero] = 0.0
     write_panel(panel, tmp_path / "zeros.csv")
     keys = panel.row_keys()
-    calls = []
-    row_keys = type(panel).row_keys
-    monkeypatch.setattr(type(panel), "row_keys", lambda self: calls.append(1) or row_keys(self))
-    code, stdout, err = run_cli(capsys, "cluster", "--input", str(tmp_path / "zeros.csv"),
-                                "--output-dir", str(tmp_path / "c"), "--eps", "0.2",
-                                "--min-pts", "3")
-    assert code == 0 and stdout.startswith("cluster ok ")
-    assert err.splitlines() == [
-        "warning: zero feature row at ({}, {})".format(*keys[i]) for i in zero[:5]]
-    assert len(calls) == 2  # once for the warnings, once for the bundle
+    code, stdout, err = run_cli(capsys, *_run_argv(tmp_path / "zeros.csv", tmp_path / "run"))
+    assert (code, err) == (0, "") and stdout.startswith("run ok ")
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["flagged"]["zero_mix_rows"] == [list(keys[i]) for i in zero[:-1]]

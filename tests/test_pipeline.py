@@ -407,6 +407,23 @@ def test_config_and_cv_reject_an_alpha_grid_unless_elastic_net(kind):
     assert DprConfig(eps=0.05, min_pts=4).alpha_grid == (0.3, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("kind", ["ridge", "lasso"])
+def test_a_fixed_alpha_is_required_for_elastic_net_and_refused_otherwise(kind):
+    # the rule `run` applies to its alpha grid, at the entry points that take one alpha
+    dm = _standardized_toy()
+    with pytest.raises(ValidationError, match="^elastic_net needs alpha$"):
+        PenaltySpec("elastic_net", 0.1)
+    with pytest.raises(ValidationError, match="^elastic_net needs alpha$"):
+        pipeline.regularization_path(dm, [0.1, 0.01], "elastic_net")
+    with pytest.raises(ValidationError, match="^elastic_net needs alpha_grid$"):
+        cross_validate(dm, 2, "elastic_net", [0.1])
+    message = f"^alpha is only valid for elastic_net, not {kind}$"
+    with pytest.raises(ValidationError, match=message):
+        PenaltySpec(kind, 0.1, 0.3)
+    with pytest.raises(ValidationError, match=message):
+        pipeline.regularization_path(dm, [0.1, 0.01], kind, 0.3)
+
+
 @pytest.mark.parametrize("grids, message", [
     ({"alpha_grid": (0.5, 1.5)}, "alpha_grid: elastic_net requires alpha in [0, 1], got 1.5"),
     ({"eps_grid": (0.1, -1.0), "minpts_grid": (3,)},

@@ -8,7 +8,7 @@ from functools import reduce
 from pathlib import Path
 
 import dprkit
-from dprkit.cli import _COMMANDS, main
+from dprkit.cli import _SETTINGS, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,13 +36,11 @@ def test_readme_api_example_writes_the_cli_run(tmp_path, monkeypatch, capsys):
 
 
 def test_readme_lists_every_setting_flag_of_the_subcommands():
-    # run's own settings (period lists, its config file) are documented with run
+    # run is the one subcommand with settings: each is a flag and a config key
     text = " ".join(README.read_text(encoding="utf-8").split())
-    listed = re.search(r"A setting flag parses and defaults the same way on every "
-                       r"subcommand that takes it \((.*?)\):", text).group(1)
-    flags = {"--" + key.replace("_", "-")
-             for name, (_, _, _, required, other) in _COMMANDS.items() if name != "run"
-             for key in (*required, *other)}
+    listed = re.search(r"Every setting of `run` is both a flag and a key of its config "
+                       r"file \((.*?)\):", text).group(1)
+    flags = {"--" + key.replace("_", "-") for key in _SETTINGS}
     assert sorted(re.findall(r"`(--[a-z-]+)`", listed)) == sorted(flags)
 
 
