@@ -292,6 +292,10 @@ def _build_run(texts: dict[str, str], panel: PanelDataset):
                  outlier_policy="outlier_policy"),
     )
 
+    given = [key for key in ("train_count", "train_periods", "test_periods") if key in settings]
+    if given not in (["train_count"], ["train_periods", "test_periods"]):
+        raise ValidationError("give train_count, or train_periods and test_periods, "
+                              f"not both; got {', '.join(given) or 'none of them'}")
     if "train_count" in settings:
         count = settings["train_count"]
         if not 1 <= count < len(panel.periods):
@@ -301,11 +305,9 @@ def _build_run(texts: dict[str, str], panel: PanelDataset):
             )
         train = panel.periods[:count]
         test = panel.periods[count:]
-    elif "train_periods" in settings and "test_periods" in settings:
+    else:
         train = _parse_periods(settings["train_periods"], panel.periods)
         test = _parse_periods(settings["test_periods"], panel.periods)
-    else:
-        raise ValidationError("give train_count, or train_periods and test_periods")
     split = pipeline.SplitSpec(train_periods=tuple(train), test_periods=tuple(test),
                                **_given(settings, cv_folds="folds"))
     return config, split
@@ -325,7 +327,7 @@ def _cmd_run(args) -> int:
         "run",
         k=report.clusters.k,
         noise=report.clusters.n_noise,
-        kind=model.penalty.kind,
+        kind=report.penalty_kind,
         best_lambda=model.penalty.lam,
         best_alpha=model.penalty.alpha,
         train_r2=report.metrics["train"]["r2"],

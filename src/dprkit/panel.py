@@ -219,6 +219,17 @@ class PanelSchema:
                 or self.delimiter in '"\r\n':
             raise ValidationError("delimiter must be one character other than '\"', '\\r' "
                                   f"and '\\n', got {self.delimiter!r}")
+        target = [] if self.target is None else [self.target]
+        # a key column may also be a feature; no other column is claimed twice
+        for names in ([self.entity, self.period, *target], [*target, *(self.features or ())]):
+            twice = _first_repeat(names)
+            if twice is not None:
+                raise ValidationError(f"schema claims column {twice!r} twice")
+
+
+def _first_repeat(names: list):
+    """The first name that occurs a second time in ``names``, or None."""
+    return next((name for i, name in enumerate(names) if name in names[:i]), None)
 
 
 # an empty or NA target cell is a row without a target: it reads as NaN
@@ -373,6 +384,9 @@ def load_panel(source, schema: PanelSchema | None = None) -> PanelDataset:
     except StopIteration:
         raise ValidationError("panel file is empty: header row is required") from None
 
+    twice = _first_repeat(header)
+    if twice is not None:
+        raise ValidationError(f"header names column {twice!r} twice")
     col_of = {name: i for i, name in enumerate(header)}
     for required in (schema.entity, schema.period):
         if required not in col_of:

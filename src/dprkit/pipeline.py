@@ -35,7 +35,6 @@ from .clustering import (
 from .errors import ConvergenceError, NumericalError, ValidationError, require_int
 from .panel import PanelDataset, TransformSpec, energy_mix_features, invert_log, log_transform
 from .regression import (
-    ELASTIC_NET,
     DesignMatrix,
     FittedModel,
     PenaltySpec,
@@ -44,7 +43,6 @@ from .regression import (
     add_training_metrics,
     check_alpha,
     check_lambda,
-    check_mixing,
     fit_elastic_net,
     predict,
     standardize,
@@ -56,6 +54,8 @@ EXCLUDE = "exclude"
 OUTLIER_POLICIES = (UNIQUE_DUMMY, EXCLUDE)
 
 _DEFAULT_LAMBDAS = tuple(float(v) for v in np.logspace(-4, np.log10(0.5), 20))
+# the alpha grid of each penalty spelling; elastic_net's is the default of alpha_grid
+_PENALTY_ALPHAS = {"ridge": (0.0,), "lasso": (1.0,), "elastic_net": (0.3, 0.5, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,9 @@ class DprConfig:
     """Declarative description of one full run; mirrors the CLI config file.
 
     Clustering takes fixed ``eps`` and ``min_pts`` or scans ``eps_grid`` x
-    ``minpts_grid``, never both.  ``alpha_grid`` is for elastic_net alone,
-    where it defaults to (0.3, 0.5, 1.0).
+    ``minpts_grid``, never both.  ``penalty_kind`` spells ``alpha_grid``, here
+    alone: ridge (0,), lasso (1,), elastic_net the grid given or (0.3, 0.5,
+    1.0); ridge and lasso take no other grid.
     """
 
     transform: TransformSpec = field(default_factory=TransformSpec)
@@ -88,7 +89,7 @@ class DprConfig:
     min_pts: int | None = None
     eps_grid: tuple | None = None
     minpts_grid: tuple | None = None
-    penalty_kind: str = ELASTIC_NET
+    penalty_kind: str = "elastic_net"
     lambda_grid: tuple = _DEFAULT_LAMBDAS
     alpha_grid: tuple | None = None
     outlier_policy: str = UNIQUE_DUMMY
@@ -101,12 +102,18 @@ class DprConfig:
                                   f"not both; got {', '.join(given) or 'none of them'}")
         if self.eps is not None:
             DbscanParams(self.eps, self.min_pts)  # checks their values
-        if self.alpha_grid is None and self.penalty_kind == ELASTIC_NET:
-            object.__setattr__(self, "alpha_grid", (0.3, 0.5, 1.0))
-        check_mixing(self.penalty_kind, "alpha_grid", self.alpha_grid)
+        kind = self.penalty_kind
+        if kind not in _PENALTY_ALPHAS:
+            raise ValidationError(f"penalty must be one of {tuple(_PENALTY_ALPHAS)}, got {kind!r}")
+        if self.alpha_grid is None:
+            object.__setattr__(self, "alpha_grid", _PENALTY_ALPHAS[kind])
+        # a resolved config is valid again, so dataclasses.replace keeps working
+        elif kind != "elastic_net" and tuple(self.alpha_grid) != _PENALTY_ALPHAS[kind]:
+            raise ValidationError(f"alpha_grid is only valid for elastic_net, not {kind}")
         _check_outlier_policy(self.outlier_policy)
-        if not self.lambda_grid:
-            raise ValidationError("lambda_grid is empty")
+        for key in ("lambda_grid", "alpha_grid"):
+            if not len(getattr(self, key)):
+                raise ValidationError(f"{key} is empty")
         # each value by its own rule: DbscanParams' and PenaltySpec's
         for key, check in (("eps_grid", _check_eps),
                            ("minpts_grid", partial(require_int, "min_pts", minimum=1)),
@@ -222,7 +229,7 @@ def dummy_columns(names: Sequence[str], labels, rows=None) -> np.ndarray:
 @dataclass(frozen=True)
 class CvCell:
     lam: float
-    alpha: float | None
+    alpha: float
     mean_mse: float
     mean_r2: float
 
@@ -257,17 +264,17 @@ def require_fit(model: FittedModel | None, what: str) -> FittedModel:
     return model
 
 
-def regularization_path(dm: DesignMatrix, lambdas, kind: str, alpha: float | None = None,
+def regularization_path(dm: DesignMatrix, lambdas, alpha: float,
                         warm: Sequence[FittedModel | None] | None = None
                         ) -> list[FittedModel | None]:
-    """The fits of ``kind`` along a strictly descending lambda grid.
+    """The fits at ``alpha`` along a strictly descending lambda grid.
 
     Each fit is one :func:`fit_elastic_net`, warm-started from the previous
-    one (ridge ignores it); the warm starts give the same exact solutions as
+    one (alpha=0 ignores it); the warm starts give the same exact solutions as
     cold starts.  ``warm``, one entry per lambda, is an earlier chain over the
     same grid and design: each fit then starts from that chain's fit at its
-    lambda, or from the previous lambda's fit where the entry is None.  A
-    ridge fit on a rank-deficient system (lambda=0 on collinear columns) is
+    lambda, or from the previous lambda's fit where the entry is None.  An
+    alpha=0 fit on a rank-deficient system (lambda=0 on collinear columns) is
     None.  CV folds and ``run``'s coefficient path both use this chain.
     """
     lams = [check_lambda(l) for l in lambdas]
@@ -285,7 +292,7 @@ def regularization_path(dm: DesignMatrix, lambdas, kind: str, alpha: float | Non
     for lam, w in zip(lams, warm):
         start = prev if w is None else w.coefficients
         try:
-            m = fit_elastic_net(dm, PenaltySpec(kind, lam, alpha), start)
+            m = fit_elastic_net(dm, PenaltySpec(lam, alpha), start)
         except RankDeficiencyError:
             m = None
         else:
@@ -294,8 +301,7 @@ def regularization_path(dm: DesignMatrix, lambdas, kind: str, alpha: float | Non
     return models
 
 
-def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
-                   alpha_grid=None) -> CvResult:
+def cross_validate(dm: DesignMatrix, folds: int, lambda_grid, alpha_grid) -> CvResult:
     """Grid search by deterministic contiguous-block cross-validation.
 
     Folds are contiguous blocks of the row order.  Each distinct (lambda,
@@ -307,19 +313,19 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
     Tibshirani, JSS 2010), which takes fewer active-set steps to the same
     exact solutions.  No fit starts from another fold's.  The winner
     minimizes mean validation MSE; exact ties break toward the larger
-    lambda, then the larger alpha.  A cell with a failed fold fit -- a ridge
-    fit on a rank-deficient system (lambda=0 on collinear columns), or a
-    lasso/elastic-net fit that hit the step cap ``regression.DEFAULT_MAX_ITER``
-    -- is recorded with NA metrics and never wins.
+    lambda, then the larger alpha.  A cell with a failed fold fit -- an
+    alpha=0 fit on a rank-deficient system (lambda=0 on collinear columns), or
+    an alpha > 0 fit that hit the step cap ``regression.DEFAULT_MAX_ITER`` --
+    is recorded with NA metrics and never wins.
     """
-    check_mixing(kind, "alpha_grid", alpha_grid)
     if not dm.standardized:
         raise ValidationError("cross_validate expects a standardized design")
     folds = require_int("folds", folds, 2)
     # deduplicated by the checked value, so 1 and 1.0 are one cell and True is refused
     lams = list(dict.fromkeys(map(check_lambda, lambda_grid)))
-    # ridge and lasso walk one chain per fold, at no alpha
-    alphas = list(dict.fromkeys(map(check_alpha, () if alpha_grid is None else alpha_grid))) or [None]
+    alphas = list(dict.fromkeys(map(check_alpha, alpha_grid)))
+    if not alphas:
+        raise ValidationError("alpha grid is empty")
 
     blocks = _fold_blocks(dm.n, folds)
     for b, block in enumerate(blocks):
@@ -336,10 +342,10 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
         sub = dm.subset_rows(np.setdiff1d(all_rows, block))
         Xv = dm.X[block]
         yv = dm.y[block]
-        out: dict[tuple[float, float | None], tuple[float, float]] = {}
+        out: dict[tuple[float, float], tuple[float, float]] = {}
         chain = None
         for alpha in alphas:
-            chain = regularization_path(sub, lam_desc, kind, alpha, warm=chain)
+            chain = regularization_path(sub, lam_desc, alpha, warm=chain)
             for lam, m in zip(lam_desc, chain):
                 mse = r2 = math.nan
                 # NA unless the fit succeeds and converges
@@ -363,7 +369,7 @@ def cross_validate(dm: DesignMatrix, folds: int, kind: str, lambda_grid,
             "every cross-validation cell failed (rank-deficient or unconverged fits); "
             "no usable hyperparameters"
         )
-    best = min(usable, key=lambda c: (c.mean_mse, -c.lam, -(c.alpha or 0.0)))
+    best = min(usable, key=lambda c: (c.mean_mse, -c.lam, -c.alpha))
     return CvResult(best=best, table=table)
 
 
@@ -467,7 +473,7 @@ def forecast_report(model: FittedModel, test: PanelDataset, transform: Transform
     )
 
 
-MODEL_FORMAT = "dprkit-model-v3"
+MODEL_FORMAT = "dprkit-model-v4"
 
 
 @dataclass
@@ -573,11 +579,12 @@ class RunReport:
     final model, with its penalty, is ``dpr_model.model``, the path's fit at
     the chosen lambda.  ``train_keys`` are the training rows' (entity, period)
     keys; the test rows' keys are ``forecast.rows`` and their cluster ids
-    ``forecast.cluster``.
-    A path fit that is None (rank-deficient ridge) counts as unconverged.
+    ``forecast.cluster``.  summary.json's chosen kind is ``penalty_kind``.
+    A path fit that is None (rank-deficient at alpha=0) counts as unconverged.
     """
 
     split: SplitSpec
+    penalty_kind: str
     clusters: ClusterModel
     scan_rows: list[ScanRow] | None
     cv: CvResult
@@ -610,7 +617,7 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
     Stages: chronological split, clustering features from the source-unit
     training panel, dbscan (given parameters or the SC-maximizing scan cell),
     log transform, dummy augmentation, standardization, cross-validated
-    hyperparameter choice, a coefficient path at the chosen mixing whose fit
+    hyperparameter choice, a coefficient path at the chosen alpha whose fit
     at the chosen lambda is the final model, and test-period forecasting with
     nearest-core cluster assignment.
     Any stage failure aborts with the stage named in the error; a final model
@@ -650,12 +657,11 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         dmS = standardize(dm1.X, dm1.y, dm1.column_names, source_rows=dm1.source_rows)
 
     with _stage("cv"):
-        cv = cross_validate(dmS, split.cv_folds, config.penalty_kind, config.lambda_grid,
-                            alpha_grid=config.alpha_grid)
+        cv = cross_validate(dmS, split.cv_folds, config.lambda_grid, config.alpha_grid)
 
     with _stage("path"):
         path_lams = sorted(set(float(l) for l in config.lambda_grid), reverse=True)
-        path_models = regularization_path(dmS, path_lams, config.penalty_kind, cv.best.alpha)
+        path_models = regularization_path(dmS, path_lams, cv.best.alpha)
         model = require_fit(path_models[path_lams.index(cv.best.lam)],
                             f"fit at the chosen lambda={cv.best.lam}")
         add_training_metrics(model, dmS)
@@ -693,6 +699,7 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         train_keys = train_p.row_keys()
         return RunReport(
             split=split,
+            penalty_kind=config.penalty_kind,
             clusters=cmodel,
             scan_rows=scan_rows,
             cv=cv,
@@ -744,7 +751,7 @@ def write_report(report: RunReport, out_dir) -> None:
 
     summary = {
         "chosen": {
-            "kind": model.penalty.kind,
+            "kind": report.penalty_kind,
             "lambda": model.penalty.lam,
             "alpha": model.penalty.alpha,
         },

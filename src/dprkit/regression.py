@@ -1,6 +1,6 @@
 """Penalized linear regression over a standardized design matrix.
 
-One function, ``fit_elastic_net``, fits every ``PenaltySpec``.  It minimizes
+``fit_elastic_net`` fits every ``PenaltySpec(lam, alpha)``.  It minimizes
 
     (1/N) * sum_i (y_i - b0 - x_i . b)^2  +  lambda * P(b)
 
@@ -9,12 +9,13 @@ intercept.  alpha=1 is the lasso, alpha=0 is ridge; there is no extra 1/2 on
 the quadratic term.  The split-penalty convention that drops the 1/N and
 carries separate multipliers (lambda_1 on the L1 term, lambda_2 on the L2
 term) maps onto this objective via lambda_1 = N*lambda*alpha and
-lambda_2 = N*lambda*(1-alpha).
+lambda_2 = N*lambda*(1-alpha).  ``pipeline.DprConfig`` alone reads the
+penalty names ridge, lasso and elastic_net, as spellings of alpha.
 
 It checks the inputs, reads the centred Gram that every fit of a design
-shares, solves, recovers the intercept and builds the FittedModel.  Ridge
-is solved in closed form from the normal equations.  Lasso and elastic net
-share one exact active-set solver: on the centred design it works with
+shares, solves, recovers the intercept and builds the FittedModel.  At
+alpha=0 it solves the normal equations in closed form.  Every alpha > 0
+shares one exact active-set solver: on the centred design it works with
 H = X'X/N + lambda*(1-alpha)*I, c = X'y/N and the L1 threshold
 t = lambda*alpha/2, i.e. half the objective above, and runs feature-sign search
 (Lee, Battle, Raina & Ng, NIPS 2006) on the Gram matrix as glmnet's covariance
@@ -23,8 +24,8 @@ violating zero coefficients, largest violation first and at most one more
 than the support holds, solves the support's linear system and line-searches
 the sign changes on the way, so the solutions carry exact zeros and a warm
 start reuses the previous support; the lambda paths of
-``pipeline.regularization_path`` warm-start each fit from the last, and an
-elastic-net CV fold starts each alpha's fits from the previous alpha's.
+``pipeline.regularization_path`` warm-start each fit from the last, and a
+CV fold starts each alpha's fits from the previous alpha's.
 A block of added coefficients is cut before the first one, after the first,
 whose solve opposes its gradient's sign.  The support's Cholesky factor is
 bordered by the whole block, one coefficient or more, through the Schur
@@ -47,32 +48,11 @@ import numpy as np
 from .errors import ConvergenceError, RankDeficiencyError, ValidationError, as_real, require_int
 from .tables import bundle_field, number, numbers, strings
 
-RIDGE = "ridge"
-LASSO = "lasso"
-ELASTIC_NET = "elastic_net"
-PENALTY_KINDS = (RIDGE, LASSO, ELASTIC_NET)
-
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
 # Cholesky pivot, relative to the largest diagonal entry, below which the
 # active-set solver treats a support system as singular
 _SINGULAR = 1e-10
-
-
-def check_mixing(kind: str, key: str, value) -> None:
-    """The (kind, alpha) rule of ``PenaltySpec``, ``cross_validate`` and ``DprConfig``.
-
-    ``kind`` is one of ``PENALTY_KINDS``, and its mixing setting ``key``
-    (``alpha``, or ``alpha_grid``) is given for elastic_net and for no other
-    kind; ``value`` is None or an empty grid when it is not given.
-    """
-    if kind not in PENALTY_KINDS:
-        raise ValidationError(f"penalty must be one of {PENALTY_KINDS}, got {kind!r}")
-    given = value is not None and (not hasattr(value, "__len__") or len(value) > 0)
-    if kind == ELASTIC_NET and not given:
-        raise ValidationError(f"elastic_net needs {key}")
-    if kind != ELASTIC_NET and given:
-        raise ValidationError(f"{key} is only valid for elastic_net, not {kind}")
 
 
 def check_lambda(value) -> float:
@@ -84,32 +64,24 @@ def check_lambda(value) -> float:
 
 
 def check_alpha(value) -> float:
-    """An elastic-net alpha as a float; a ValidationError unless a real in [0, 1], not a bool."""
+    """An alpha as a float; a ValidationError unless a real in [0, 1], not a bool."""
     alpha = as_real(value)
     if not 0.0 <= alpha <= 1.0:
-        raise ValidationError(f"elastic_net requires alpha in [0, 1], got {value!r}")
+        raise ValidationError(f"alpha must be in [0, 1], got {value!r}")
     return alpha
 
 
 @dataclass(frozen=True)
 class PenaltySpec:
-    """Penalty family and strength; alpha is meaningful only for elastic_net."""
+    """Penalty strength ``lam`` and L1 share ``alpha``: ridge is alpha 0, lasso alpha 1."""
 
-    kind: str
     lam: float
-    alpha: float | None = None
+    alpha: float
 
     def __post_init__(self) -> None:
-        check_mixing(self.kind, "alpha", self.alpha)
         # stored as floats, so an int lambda writes the same artifacts as its float
         object.__setattr__(self, "lam", check_lambda(self.lam))
-        if self.alpha is not None:
-            object.__setattr__(self, "alpha", check_alpha(self.alpha))
-
-    @property
-    def mixing(self) -> float:
-        """Effective alpha for the shared objective: ridge 0, lasso 1."""
-        return {RIDGE: 0.0, LASSO: 1.0}.get(self.kind, self.alpha)
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
 
 
 @dataclass
@@ -246,7 +218,7 @@ class FittedModel:
     """Coefficients on the standardized scale plus everything needed to predict.
 
     ``diagnostics`` holds sparsity, iterations (active-set steps; 0 for the
-    closed-form ridge) and the converged flag; :func:`add_training_metrics`
+    closed form at alpha=0) and the converged flag; :func:`add_training_metrics`
     puts the training r2 (None when var(y)=0) and mse in front of them for a
     fit whose metrics are reported.  Source-scale equivalents fold the stored
     column stats back in, so predictions agree between the two
@@ -279,8 +251,7 @@ class FittedModel:
 
     def to_dict(self) -> dict:
         return {
-            "penalty": {"kind": self.penalty.kind, "lambda": self.penalty.lam,
-                        "alpha": self.penalty.alpha},
+            "penalty": {"lambda": self.penalty.lam, "alpha": self.penalty.alpha},
             "intercept": self.intercept,
             "coefficients": [float(b) for b in self.coefficients],
             "source_intercept": self.source_intercept,
@@ -302,7 +273,7 @@ class FittedModel:
             intercept=get("regression.intercept", number),
             coefficients=get("regression.coefficients", numbers),
             penalty=get("regression.penalty",
-                        lambda p: PenaltySpec(p["kind"], p["lambda"], p["alpha"])),
+                        lambda p: PenaltySpec(p["lambda"], p["alpha"])),
             column_names=names,
             column_means=get("regression.column_means", numbers),
             column_stds=get("regression.column_stds", numbers),
@@ -574,10 +545,11 @@ def _feature_sign(H: np.ndarray, c: np.ndarray, t: float, b: np.ndarray,
 def fit_elastic_net(dm: DesignMatrix, penalty: PenaltySpec,
                     warm_start: np.ndarray | None = None, *, tol: float = DEFAULT_TOL,
                     max_iter: int = DEFAULT_MAX_ITER, debug: bool = False) -> FittedModel:
-    """The fit of every penalty: ridge in closed form, the rest by feature-sign search.
+    """The fit of every penalty: alpha=0 in closed form, alpha > 0 by feature-sign search.
 
-    Ridge solves (X'X + N*lambda*I) b = X'y, ignoring ``warm_start``; at lambda=0
-    collinear columns raise RankDeficiencyError.  The search starts from
+    At alpha=0 (ridge) it solves (X'X + N*lambda*I) b = X'y, ignoring
+    ``warm_start``; at lambda=0 collinear columns raise RankDeficiencyError.
+    The search starts from
     ``warm_start``'s support and signs, bounds the zero coefficients' optimality
     violation (gradient of half the objective) by ``tol``, and reports hitting
     ``max_iter`` steps as ``converged=False``; ``debug=True`` asserts that no
@@ -595,7 +567,7 @@ def fit_elastic_net(dm: DesignMatrix, penalty: PenaltySpec,
 
     active, means, ybar, XtX, Xty = dm.gram
     n, pa = dm.n, means.size
-    lam, alpha = penalty.lam, penalty.mixing
+    lam, alpha = penalty.lam, penalty.alpha
     ba = np.zeros(pa)
     if warm_start is not None:
         ws = np.asarray(warm_start, dtype=np.float64)
@@ -605,10 +577,10 @@ def fit_elastic_net(dm: DesignMatrix, penalty: PenaltySpec,
     steps, converged = 0, True
     if pa == 0:
         pass  # no column varies on these rows: the fit is their mean
-    elif penalty.kind == RIDGE:
+    elif alpha == 0.0:
         if lam == 0.0 and np.linalg.matrix_rank(dm.X[:, active] - means) < pa:
             raise RankDeficiencyError(
-                "ridge with lambda=0 on rank-deficient columns; "
+                "alpha=0 and lambda=0 on rank-deficient columns; "
                 "use lambda > 0 or drop collinear columns"
             )
         try:

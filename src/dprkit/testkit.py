@@ -280,8 +280,7 @@ def reference_objective_min(X, y, penalty: PenaltySpec,
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise ValidationError("reference minimizer: bad X/y shapes")
     n, p = X.shape
-    lam = penalty.lam
-    alpha = penalty.mixing
+    lam, alpha = penalty.lam, penalty.alpha
     xbar = X.mean(axis=0)
     Xc = X - xbar
     ybar = float(y.mean())

@@ -93,7 +93,7 @@ def test_criterion_2_solver_satisfies_kkt_and_reference_objective():
         lam = float(10 ** rng.uniform(-3, -0.5))
         alpha = float(rng.choice([0.3, 0.5, 0.7, 1.0]))
 
-        model = fit_elastic_net(dm, PenaltySpec("elastic_net", lam, alpha), tol=1e-12,
+        model = fit_elastic_net(dm, PenaltySpec(lam, alpha), tol=1e-12,
                                 max_iter=300000)
         g, bound = testkit.kkt_residuals(
             dm.X, dm.y, model.intercept, model.coefficients, lam, alpha
@@ -111,12 +111,12 @@ def test_criterion_2_solver_satisfies_kkt_and_reference_objective():
 
         ours = enet_objective(dm.X, dm.y, model.intercept, model.coefficients, lam, alpha)
         _, _, ref = testkit.reference_objective_min(
-            dm.X, dm.y, PenaltySpec(kind="elastic_net", lam=lam, alpha=alpha)
+            dm.X, dm.y, PenaltySpec(lam=lam, alpha=alpha)
         )
         assert ours <= ref + 1e-6
         worst_obj = max(worst_obj, ours - ref)
 
-        ridge = fit_elastic_net(dm, PenaltySpec("ridge", lam))
+        ridge = fit_elastic_net(dm, PenaltySpec(lam, 0.0))
         Xc = dm.X - dm.X.mean(axis=0)
         yc = dm.y - dm.y.mean()
         aug = np.vstack([Xc, math.sqrt(n * lam) * np.eye(p)])
@@ -142,19 +142,22 @@ def test_criterion_3_elastic_net_limits_collapse_to_lasso_and_ridge():
     lams = [float(v) for v in np.logspace(0, -3, 20)]
     worst_l = 0.0
     worst_r = 0.0
+    # lasso and ridge are alpha 1 and alpha 0; the active-set fits just inside
+    # the ends reach them, the one at alpha 0 solved in closed form
     for lam in lams:
-        en1 = fit_elastic_net(dm, PenaltySpec("elastic_net", lam, 1.0), tol=1e-12, max_iter=500000)
-        la = fit_elastic_net(dm, PenaltySpec("lasso", lam), tol=1e-12, max_iter=500000)
+        en1 = fit_elastic_net(dm, PenaltySpec(lam, 1.0 - 1e-10), tol=1e-12, max_iter=500000)
+        la = fit_elastic_net(dm, PenaltySpec(lam, 1.0), tol=1e-12, max_iter=500000)
         worst_l = max(worst_l, float(np.max(np.abs(en1.coefficients - la.coefficients))))
-        en0 = fit_elastic_net(dm, PenaltySpec("elastic_net", lam, 0.0), tol=1e-12, max_iter=500000)
-        ri = fit_elastic_net(dm, PenaltySpec("ridge", lam))
+        en0 = fit_elastic_net(dm, PenaltySpec(lam, 1e-10), tol=1e-12, max_iter=500000)
+        ri = fit_elastic_net(dm, PenaltySpec(lam, 0.0))
+        assert en0.diagnostics["iterations"] > 0 == ri.diagnostics["iterations"]
         worst_r = max(worst_r, float(np.max(np.abs(en0.coefficients - ri.coefficients))))
     assert worst_l < 1e-8
     assert worst_r < 1e-8
     _report(
         3,
-        f"20-point grid: max |alpha=1 - lasso| = {worst_l:.2e}, "
-        f"max |alpha=0 - ridge| = {worst_r:.2e} (both < 1e-8)",
+        f"20-point grid: max |alpha=1-1e-10 - lasso| = {worst_l:.2e}, "
+        f"max |alpha=1e-10 - ridge| = {worst_r:.2e} (both < 1e-8)",
     )
 
 
@@ -296,7 +299,7 @@ def _intercept_only_model(level: float) -> FittedModel:
     return FittedModel(
         intercept=level,
         coefficients=np.array([0.0]),
-        penalty=PenaltySpec(kind="ridge", lam=0.1),
+        penalty=PenaltySpec(lam=0.1, alpha=0.0),
         column_names=["f"],
         column_means=np.array([0.0]),
         column_stds=np.array([1.0]),
@@ -357,7 +360,7 @@ def test_criterion_8_metric_edge_cases():
     rng = np.random.default_rng(8008)
     X = rng.normal(size=(40, 5))
     yv = X @ rng.normal(size=5) + rng.normal(size=40)
-    model = fit_elastic_net(standardize(X, yv), PenaltySpec("lasso", 1e6))
+    model = fit_elastic_net(standardize(X, yv), PenaltySpec(1e6, 1.0))
     assert metric_sparsity(model) == 0.0
     assert np.all(model.coefficients == 0.0)
     assert model.intercept == pytest.approx(yv.mean())

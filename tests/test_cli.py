@@ -128,6 +128,22 @@ def test_ingest_refuses_a_delimiter_that_is_not_one_cell_boundary(capsys, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("columns", [
+    ["--target-column", "a", "--features", "a,b"],  # put the target among the features
+    ["--features", "a,target"],  # wrote target twice in its header
+], ids=["target-as-feature", "feature-as-target"])
+def test_ingest_refuses_a_column_claimed_twice(capsys, tmp_path, columns):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("entity,period,target,a,b\nA,2000,1.0,2.0,3.0\n")
+    out = tmp_path / "canon.csv"
+    code, stdout, err = run_cli(capsys, "ingest", "--input", str(raw), "--output", str(out),
+                                *columns)
+    name = "a" if "a,b" in columns else "target"
+    assert (code, stdout) == (1, "")
+    assert err.splitlines() == [f"error: schema claims column '{name}' twice"]
+    assert not out.exists()
+
+
 def test_ingest_with_factor_table(capsys, tmp_path):
     raw = tmp_path / "raw.csv"
     raw.write_text("entity,period,coal,oil\nA,2000,2.0,1.0\n")
@@ -296,9 +312,16 @@ _STDS_VS_ZV = ("bad field 'regression.column_stds': expected 0 where zero_varian
     (lambda b: {"format": pipeline.MODEL_FORMAT}, "missing field 'regression'"),
     (lambda b: [1, 2], "not a run model bundle"),
     (_set("format", lambda v: "dprkit-model-v1"), "bad field 'format': expected "
-     "'dprkit-model-v3', got 'dprkit-model-v1'; rerun dprkit run to write one"),
+     "'dprkit-model-v4', got 'dprkit-model-v1'; rerun dprkit run to write one"),
     (_set("format", lambda v: "dprkit-model-v2"), "bad field 'format': expected "
-     "'dprkit-model-v3', got 'dprkit-model-v2'; rerun dprkit run to write one"),
+     "'dprkit-model-v4', got 'dprkit-model-v2'; rerun dprkit run to write one"),
+    # v3 recorded a penalty kind and a null alpha for ridge and lasso
+    (_set("format", lambda v: "dprkit-model-v3"), "bad field 'format': expected "
+     "'dprkit-model-v4', got 'dprkit-model-v3'; rerun dprkit run to write one"),
+    (_set("regression.penalty.alpha", lambda v: None), "bad field 'regression.penalty': "
+     "alpha must be in [0, 1], got None"),
+    (_set("regression.penalty.alpha", lambda v: 1.5), "bad field 'regression.penalty': "
+     "alpha must be in [0, 1], got 1.5"),
     (_set("regression.column_names", lambda v: v[:-1] + ["cluster_x"]),
      "bad field 'regression.column_names': "
      "'cluster_x' is not a cluster_<id> or noise_<row> column"),
@@ -340,6 +363,7 @@ _STDS_VS_ZV = ("bad field 'regression.column_stds': expected 0 where zero_varian
     (_set("clustering.outlier_policy", lambda v: 5),
      "bad field 'clustering.outlier_policy': TypeError('expected a string')"),
 ], ids=["model-format-only", "model-list", "model-format-v1", "model-format-v2",
+        "model-format-v3", "model-penalty-alpha-null", "model-penalty-alpha-out-of-range",
         "model-bad-dummy-name", "model-features-not-first",
         "model-core-labels-inf", "model-core-label-k",
         "model-core-label-negative", "model-coefficients-short", "model-column-stds-short",
@@ -700,6 +724,33 @@ def test_config_file_and_flags_write_the_same_run(capsys, tmp_path, settings):
     assert summary["split"]["cv_folds"] == int(settings["folds"])
 
 
+@pytest.mark.parametrize("source", ["flag", "config", "both"])
+@pytest.mark.parametrize("periods", [
+    {"train_periods": "2000-2002", "test_periods": "2003-2004"},
+    {"train_periods": "2000-2005"}, {"test_periods": "2006,2007"},
+], ids=["both-lists", "train-list", "test-list"])
+def test_run_refuses_a_train_count_with_period_lists(capsys, tmp_path, periods, source):
+    # the count won and the period lists were dropped: the run trained on 2000-2005
+    panel = _synth(capsys, tmp_path)
+    settings = {"eps": "0.2", "min_pts": "3", "train_count": "6", **periods}
+    out = tmp_path / "out"
+    argv = ["run", "--input", str(panel), "--output-dir", str(out)]
+    if source == "flag":
+        argv += _as_flags(settings)
+    else:
+        # "both": the count in the config file, the period lists as flags
+        in_file = settings if source == "config" else {"train_count": "6"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in in_file.items()))
+        argv += ["--config", str(cfg)] + _as_flags(
+            {k: v for k, v in settings.items() if k not in in_file})
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert err.splitlines() == ["error: give train_count, or train_periods and test_periods, "
+                                f"not both; got train_count, {', '.join(periods)}"]
+    assert not out.exists()
+
+
 def test_unset_run_settings_take_the_dataclass_defaults():
     panel, _ = testkit.generate_panel(testkit.SyntheticSpec())
     config, split = _build_run({"eps": "0.2", "min_pts": "3", "train_count": "6"}, panel)
@@ -748,9 +799,9 @@ def test_every_fit_of_a_run_goes_through_fit_elastic_net(capsys, tmp_path, monke
                                                           penalty, alpha_grid):
     # the one fitter, by the name benchmarks and tests wrap to count fits
     panel = _synth(capsys, tmp_path)
-    fit, kinds = pipeline.fit_elastic_net, []
+    fit, fit_alphas = pipeline.fit_elastic_net, []
     monkeypatch.setattr(pipeline, "fit_elastic_net",
-                        lambda dm, penalty, *a, **kw: kinds.append(penalty.kind)
+                        lambda dm, penalty, *a, **kw: fit_alphas.append(penalty.alpha)
                         or fit(dm, penalty, *a, **kw))
     alphas = [] if alpha_grid is None else ["--alpha-grid", alpha_grid]
     code, _, _ = run_cli(
@@ -760,8 +811,59 @@ def test_every_fit_of_a_run_goes_through_fit_elastic_net(capsys, tmp_path, monke
     )
     assert code == 0
     cells = 4 * (1 if alpha_grid is None else 2)
-    # 3 folds x the CV cells, then the run's own path over the 4 lambdas
-    assert kinds == [penalty] * (3 * cells + 4)
+    # 3 folds x the CV cells, then the run's own path over the 4 lambdas, each
+    # fit at an alpha the penalty spells
+    assert len(fit_alphas) == 3 * cells + 4
+    assert set(fit_alphas) == {"ridge": {0.0}, "lasso": {1.0}, "elastic_net": {0.5, 1.0}}[penalty]
+
+
+def _penalty_run(capsys, tmp_path, panel, name, *penalty):
+    out = tmp_path / name
+    code, _, err = run_cli(
+        capsys, "run", "--input", str(panel), "--output-dir", str(out), "--plots",
+        "--eps", "0.2", "--min-pts", "3", "--lambda-grid", "logspace:-3:-1:4",
+        "--train-count", "6", "--folds", "3", *penalty,
+    )
+    assert code == 0, err
+    return out
+
+
+@pytest.mark.parametrize("kind, alpha", [("lasso", "1"), ("ridge", "0")])
+def test_ridge_and_lasso_spell_a_grid_of_one_alpha(capsys, tmp_path, kind, alpha):
+    panel = _synth(capsys, tmp_path)
+    spelled = _files(_penalty_run(capsys, tmp_path, panel, kind, "--penalty", kind))
+    grid = _files(_penalty_run(capsys, tmp_path, panel, "grid", "--penalty", "elastic_net",
+                               "--alpha-grid", alpha))
+    summary = Path("summary.json")
+    spelled_summary, grid_summary = spelled.pop(summary), grid.pop(summary)
+    assert spelled == grid
+    # summary.json records the penalty as given, and nothing else differs
+    assert json.loads(spelled_summary)["chosen"]["alpha"] == float(alpha)
+    assert spelled_summary.replace(b'"kind": "%s"' % kind.encode(),
+                                   b'"kind": "elastic_net"') == grid_summary
+
+
+def _cv_rows(out, alpha):
+    rows = csv.DictReader((out / "cv_table.csv").open(newline=""))
+    return [r for r in rows if r.pop("alpha") == alpha]
+
+
+def test_an_elastic_net_grid_holds_the_lasso_and_ridge_cells(capsys, tmp_path):
+    panel = _synth(capsys, tmp_path)
+    lasso = _cv_rows(_penalty_run(capsys, tmp_path, panel, "lasso", "--penalty", "lasso"), "1")
+    ridge = _cv_rows(_penalty_run(capsys, tmp_path, panel, "ridge", "--penalty", "ridge"), "0")
+    assert len(lasso) == len(ridge) == 4
+    # alpha 1 first walks the lasso's cold chain and alpha 0 is closed form: bit for bit
+    down = _penalty_run(capsys, tmp_path, panel, "down", "--alpha-grid", "1,0.5,0")
+    assert (_cv_rows(down, "1"), _cv_rows(down, "0")) == (lasso, ridge)
+    # last, alpha 1 starts warm from alpha 0.5: the same exact solutions, to roundoff
+    up = _penalty_run(capsys, tmp_path, panel, "up", "--alpha-grid", "0,0.5,1")
+    assert _cv_rows(up, "0") == ridge
+    warm = _cv_rows(up, "1")
+    assert [r["lambda"] for r in warm] == [r["lambda"] for r in lasso]
+    for got, want in zip(warm, lasso):
+        for key in ("mean_mse", "mean_r2"):
+            assert float(got[key]) == pytest.approx(float(want[key]), rel=1e-12, abs=0)
 
 
 def test_unconverged_path_fit_stops_path_and_is_named_by_run(capsys, tmp_path, monkeypatch):

@@ -456,3 +456,29 @@ def test_a_key_column_can_also_be_a_feature():
     panel = load_panel(io.StringIO(text, newline=""), schema)
     assert panel.periods == [2000, 2001]
     np.testing.assert_array_equal(panel.features, [[2000.0, 2.0], [2001.0, 3.0]])
+
+
+@pytest.mark.parametrize("header, name", [
+    ("entity,period,target,x,x", "x"),  # read the second x twice and lost the first
+    ("entity,period,target,x,target", "target"),  # took the target from the last column
+    ("entity,period,entity,target,x", "entity"),
+], ids=["feature", "target", "key"])
+def test_a_header_that_names_a_column_twice_is_refused(header, name):
+    with pytest.raises(ValidationError, match=f"^header names column '{name}' twice$"):
+        load_panel(_csv(f"{header}\nA,2000,1,2,3"), PanelSchema())
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"target": "a", "features": ("a", "b")}, "a"),  # the target among the features
+    ({"features": ("a", "target")}, "target"),
+    ({"features": ("a", "b", "a")}, "a"),
+    ({"entity": "k", "period": "k"}, "k"),
+    ({"period": "target"}, "target"),
+], ids=["target-as-feature", "feature-as-target", "feature-twice", "entity-as-period",
+        "period-as-target"])
+def test_a_schema_that_claims_a_column_twice_is_refused(fields, name):
+    with pytest.raises(ValidationError, match=f"^schema claims column '{name}' twice$"):
+        PanelSchema(**fields)
+    # a key column may still be a feature, and a panel without a target has no target role
+    assert PanelSchema(features=("period", "a")).features == ("period", "a")
+    assert PanelSchema(target=None, features=("target",)).features == ("target",)

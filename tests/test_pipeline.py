@@ -125,9 +125,7 @@ def test_cv_exact_tie_prefers_larger_lambda_then_alpha():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(24, 3))
     dm = standardize(X, np.zeros(24))
-    res = cross_validate(
-        dm, 3, "elastic_net", [0.01, 0.5, 0.1], alpha_grid=[0.4, 1.0, 0.6]
-    )
+    res = cross_validate(dm, 3, [0.01, 0.5, 0.1], [0.4, 1.0, 0.6])
     assert res.best.lam == 0.5
     assert res.best.alpha == 1.0
     assert all(c.mean_mse == 0.0 for c in res.table)
@@ -140,14 +138,14 @@ def test_cv_winner_minimizes_mean_mse():
     dm0 = design_from_panel(logged)
     dm = standardize(dm0.X, dm0.y, dm0.column_names, source_rows=dm0.source_rows)
     grid = [1e-4, 1e-3, 1e-2, 1e-1, 1.0]
-    res = cross_validate(dm, 4, "lasso", grid)
+    res = cross_validate(dm, 4, grid, [1.0])
     by_hand = {}
     blocks = _fold_blocks(dm.n, 4)
     for lam in grid:
         mses = []
         for block in blocks:
             fit_rows = np.setdiff1d(np.arange(dm.n), block)
-            m = fit_elastic_net(dm.subset_rows(fit_rows), PenaltySpec("lasso", lam))
+            m = fit_elastic_net(dm.subset_rows(fit_rows), PenaltySpec(lam, 1.0))
             yhat = m.intercept + dm.X[block] @ m.coefficients
             mses.append(float(np.mean((dm.y[block] - yhat) ** 2)))
         by_hand[lam] = float(np.mean(mses))
@@ -176,7 +174,7 @@ def test_cv_alpha_walk_warm_starts_within_each_fold(monkeypatch):
         return model
 
     monkeypatch.setattr(pipeline, "fit_elastic_net", recorded)
-    res = cross_validate(dm, folds, "elastic_net", lams, alpha_grid=alphas)
+    res = cross_validate(dm, folds, lams, alphas)
     monkeypatch.undo()
     assert len(fits) == folds * len(lams) * len(alphas)
     subs = list({id(f[0]): f[0] for f in fits}.values())  # fold order
@@ -196,7 +194,7 @@ def test_cv_alpha_walk_warm_starts_within_each_fold(monkeypatch):
             assert warm is by_cell[(id(sub), lams[lams.index(lam) - 1], alpha)].coefficients
         block = blocks[id(sub)]
         Xv, yv = dm.X[block], dm.y[block]
-        cold = fit_elastic_net(sub, PenaltySpec("elastic_net", lam, alpha))
+        cold = fit_elastic_net(sub, PenaltySpec(lam, alpha))
         mse = float(np.mean((yv - model.intercept - Xv @ model.coefficients) ** 2))
         cold_mse = float(np.mean((yv - cold.intercept - Xv @ cold.coefficients) ** 2))
         assert mse == pytest.approx(cold_mse, rel=0, abs=1e-10)
@@ -209,19 +207,21 @@ def test_cv_alpha_walk_warm_starts_within_each_fold(monkeypatch):
     walk = sum(model.diagnostics["iterations"] for *_, model in fits)
     chains = sum(m.diagnostics["iterations"]
                  for sub in subs for alpha in alphas
-                 for m in pipeline.regularization_path(sub, lams, "elastic_net", alpha))
+                 for m in pipeline.regularization_path(sub, lams, alpha))
     assert walk < chains
 
 
 @pytest.mark.parametrize("kind", ["lasso", "ridge"])
 def test_cv_without_alpha_grid_runs_one_chain_per_fold(kind, monkeypatch):
+    # ridge and lasso, given no alpha grid, spell a grid of one alpha
+    alphas = DprConfig(eps=0.05, min_pts=4, penalty_kind=kind).alpha_grid
     chains = []
     path = pipeline.regularization_path
     monkeypatch.setattr(
         pipeline, "regularization_path",
         lambda dm, *a, **k: chains.append(k.get("warm")) or path(dm, *a, **k),
     )
-    cross_validate(_cv_design(), 4, kind, [0.1, 0.01, 1e-3])
+    cross_validate(_cv_design(), 4, [0.1, 0.01, 1e-3], alphas)
     assert chains == [None] * 4
 
 
@@ -235,12 +235,12 @@ def test_cv_rank_deficient_ridge_cells_become_na():
         column_means=np.zeros(3), column_stds=np.ones(3),
         zero_variance=np.zeros(3, dtype=bool),
     )
-    res = cross_validate(dm, 2, "ridge", [0.0, 0.1])
+    res = cross_validate(dm, 2, [0.0, 0.1], [0.0])
     cells = {c.lam: c for c in res.table}
     assert math.isnan(cells[0.0].mean_mse)
     assert res.best.lam == 0.1
     with pytest.raises(NumericalError):
-        cross_validate(dm, 2, "ridge", [0.0])
+        cross_validate(dm, 2, [0.0], [0.0])
 
 
 def test_cv_unconverged_cells_become_na(monkeypatch):
@@ -255,13 +255,13 @@ def test_cv_unconverged_cells_become_na(monkeypatch):
                   lambda dm, penalty, *a, **kw: fit(dm, penalty, *a, max_iter=1, **kw))
         # the large lambdas converge within one active-set step (0 steps
         # above lambda_max); the small ones need more than one on every fold
-        res = cross_validate(dm, 4, "lasso", grid)
+        res = cross_validate(dm, 4, grid, [1.0])
     cells = {c.lam: c for c in res.table}
     assert not math.isnan(cells[10.0].mean_mse) and not math.isnan(cells[1.0].mean_mse)
     assert math.isnan(cells[1e-2].mean_mse) and math.isnan(cells[1e-4].mean_mse)
     assert res.best.lam in (10.0, 1.0)
     # with room to converge, a small lambda wins
-    assert cross_validate(dm, 4, "lasso", grid).best.lam < 1.0
+    assert cross_validate(dm, 4, grid, [1.0]).best.lam < 1.0
 
 
 def test_run_with_every_cv_cell_unconverged_names_stage_cv(monkeypatch):
@@ -311,9 +311,9 @@ def test_cv_fold_size_validation():
     dm = _toy_design(4)
     dmS = standardize(dm.X, dm.y, dm.column_names)
     with pytest.raises(ValidationError):
-        cross_validate(dmS, 3, "lasso", [0.1])  # fold of 1 row
+        cross_validate(dmS, 3, [0.1], [1.0])  # fold of 1 row
     with pytest.raises(ValidationError):
-        cross_validate(dmS, 1, "lasso", [0.1])
+        cross_validate(dmS, 1, [0.1], [1.0])
 
 
 def _standardized_toy():
@@ -326,8 +326,8 @@ _INTEGER_PARAMETERS = {
     "min_pts": lambda x: DbscanParams(0.1, x),
     "scan min_pts": lambda x: scan_params(np.eye(3), [0.5], [x]),
     "cv_folds": lambda x: SplitSpec((1,), (2,), cv_folds=x),
-    "folds": lambda x: cross_validate(_standardized_toy(), x, "lasso", [0.1]),
-    "max_iter": lambda x: fit_elastic_net(_standardized_toy(), PenaltySpec("lasso", 0.1),
+    "folds": lambda x: cross_validate(_standardized_toy(), x, [0.1], [1.0]),
+    "max_iter": lambda x: fit_elastic_net(_standardized_toy(), PenaltySpec(0.1, 1.0),
                                           max_iter=x),
 }
 
@@ -348,7 +348,7 @@ def test_config_refuses_a_bool_eps():
 
 
 def test_require_fit_names_the_failed_fit():
-    model = fit_elastic_net(_standardized_toy(), PenaltySpec("ridge", 0.1))
+    model = fit_elastic_net(_standardized_toy(), PenaltySpec(0.1, 0.0))
     assert pipeline.require_fit(model, "fit at x") is model
     with pytest.raises(RankDeficiencyError, match="^fit at x is rank-deficient$"):
         pipeline.require_fit(None, "fit at x")
@@ -396,36 +396,30 @@ def test_config_is_frozen_with_one_core_rule():
         DbscanParams(0.05, 4, core_strict=True)
 
 
-@pytest.mark.parametrize("kind", ["ridge", "lasso"])
-def test_config_and_cv_reject_an_alpha_grid_unless_elastic_net(kind):
+@pytest.mark.parametrize("kind, alpha", [("ridge", 0.0), ("lasso", 1.0)], ids=["ridge", "lasso"])
+def test_config_spells_ridge_and_lasso_as_one_alpha_and_refuses_an_alpha_grid(kind, alpha):
     message = f"^alpha_grid is only valid for elastic_net, not {kind}$"
     with pytest.raises(ValidationError, match=message):
         DprConfig(eps=0.05, min_pts=4, penalty_kind=kind, alpha_grid=(0.5,))
-    with pytest.raises(ValidationError, match=message):
-        cross_validate(_standardized_toy(), 2, kind, [0.1], alpha_grid=[0.5])
-    assert DprConfig(eps=0.05, min_pts=4, penalty_kind=kind).alpha_grid is None
+    config = DprConfig(eps=0.05, min_pts=4, penalty_kind=kind)
+    assert config.alpha_grid == (alpha,)
+    # the resolved grid is the spelling's own, so a replaced config is valid
+    assert dataclasses.replace(config, eps=0.1).alpha_grid == (alpha,)
     assert DprConfig(eps=0.05, min_pts=4).alpha_grid == (0.3, 0.5, 1.0)
+    # an elastic-net grid may hold either end
+    assert DprConfig(eps=0.05, min_pts=4, alpha_grid=(alpha,)).alpha_grid == (alpha,)
 
 
-@pytest.mark.parametrize("kind", ["ridge", "lasso"])
-def test_a_fixed_alpha_is_required_for_elastic_net_and_refused_otherwise(kind):
-    # the rule `run` applies to its alpha grid, at the entry points that take one alpha
-    dm = _standardized_toy()
-    with pytest.raises(ValidationError, match="^elastic_net needs alpha$"):
-        PenaltySpec("elastic_net", 0.1)
-    with pytest.raises(ValidationError, match="^elastic_net needs alpha$"):
-        pipeline.regularization_path(dm, [0.1, 0.01], "elastic_net")
-    with pytest.raises(ValidationError, match="^elastic_net needs alpha_grid$"):
-        cross_validate(dm, 2, "elastic_net", [0.1])
-    message = f"^alpha is only valid for elastic_net, not {kind}$"
-    with pytest.raises(ValidationError, match=message):
-        PenaltySpec(kind, 0.1, 0.3)
-    with pytest.raises(ValidationError, match=message):
-        pipeline.regularization_path(dm, [0.1, 0.01], kind, 0.3)
+def test_empty_grids_are_refused():
+    for key in ("lambda_grid", "alpha_grid"):
+        with pytest.raises(ValidationError, match=f"^{key} is empty$"):
+            DprConfig(eps=0.05, min_pts=4, **{key: ()})
+    with pytest.raises(ValidationError, match="^alpha grid is empty$"):
+        cross_validate(_standardized_toy(), 2, [0.1], [])
 
 
 @pytest.mark.parametrize("grids, message", [
-    ({"alpha_grid": (0.5, 1.5)}, "alpha_grid: elastic_net requires alpha in [0, 1], got 1.5"),
+    ({"alpha_grid": (0.5, 1.5)}, "alpha_grid: alpha must be in [0, 1], got 1.5"),
     ({"eps_grid": (0.1, -1.0), "minpts_grid": (3,)},
      "eps_grid: eps must be finite and > 0, got -1.0"),
     ({"eps_grid": (0.1,), "minpts_grid": (3, 0)},
@@ -437,8 +431,8 @@ def test_a_fixed_alpha_is_required_for_elastic_net_and_refused_otherwise(kind):
     ({"lambda_grid": (np.True_,)}, "lambda_grid: lambda must be finite and >= 0, got "
      f"{np.True_!r}"),
     ({"lambda_grid": ("0.1",)}, "lambda_grid: lambda must be finite and >= 0, got '0.1'"),
-    ({"alpha_grid": (True,)}, "alpha_grid: elastic_net requires alpha in [0, 1], got True"),
-    ({"alpha_grid": ("0.5",)}, "alpha_grid: elastic_net requires alpha in [0, 1], got '0.5'"),
+    ({"alpha_grid": (True,)}, "alpha_grid: alpha must be in [0, 1], got True"),
+    ({"alpha_grid": ("0.5",)}, "alpha_grid: alpha must be in [0, 1], got '0.5'"),
 ], ids=["alpha", "eps", "minpts", "lambda", "lambda-nan", "lambda-true", "lambda-numpy-true",
         "lambda-text", "alpha-true", "alpha-text"])
 def test_config_checks_each_grid_value(grids, message):
@@ -451,28 +445,28 @@ def test_config_checks_each_grid_value(grids, message):
 
 def test_cv_takes_a_numpy_alpha_grid():
     dm = _standardized_toy()
-    by_array = cross_validate(dm, 2, "elastic_net", [0.1, 0.01], alpha_grid=np.array([0.5, 1.0]))
-    by_tuple = cross_validate(dm, 2, "elastic_net", [0.1, 0.01], alpha_grid=(0.5, 1.0))
+    by_array = cross_validate(dm, 2, [0.1, 0.01], np.array([0.5, 1.0]))
+    by_tuple = cross_validate(dm, 2, [0.1, 0.01], (0.5, 1.0))
     assert by_array == by_tuple
 
 
 def test_cv_checks_each_grid_value_before_it_dedupes():
     dm = _standardized_toy()
     # 1 and 1.0 are one cell: the grids are deduplicated by the checked float
-    res = cross_validate(dm, 2, "lasso", [1, 1.0, 0.1])
+    res = cross_validate(dm, 2, [1, 1.0, 0.1], [1.0])
     assert [cell.lam for cell in res.table] == [1.0, 0.1]
-    calls = [lambda: cross_validate(dm, 2, "lasso", [True]),
-             lambda: cross_validate(dm, 2, "lasso", [0.1, "0.01"])]
+    calls = [lambda: cross_validate(dm, 2, [True], [1.0]),
+             lambda: cross_validate(dm, 2, [0.1, "0.01"], [1.0])]
     for call, value in zip(calls, ["True", "'0.01'"]):
         with pytest.raises(ValidationError, match=f"^lambda must be finite and >= 0, got {value}$"):
             call()
-    with pytest.raises(ValidationError, match=r"^elastic_net requires alpha in \[0, 1\], got True$"):
-        cross_validate(dm, 2, "elastic_net", [0.1], alpha_grid=[0.5, True])
+    with pytest.raises(ValidationError, match=r"^alpha must be in \[0, 1\], got True$"):
+        cross_validate(dm, 2, [0.1], [0.5, True])
 
 
 def test_path_checks_each_lambda():
     with pytest.raises(ValidationError, match="^lambda must be finite and >= 0, got True$"):
-        pipeline.regularization_path(_standardized_toy(), [True], "lasso")
+        pipeline.regularization_path(_standardized_toy(), [True], 1.0)
 
 
 def test_run_report_structure(tmp_path):
@@ -495,7 +489,7 @@ def test_run_report_structure(tmp_path):
     assert summary["clustering"]["k"] == 3
     assert summary["chosen"]["kind"] == "lasso"
     bundle = json.loads((tmp_path / "model.json").read_text())
-    assert bundle["format"] == "dprkit-model-v3"
+    assert bundle["format"] == "dprkit-model-v4"
     assert len(bundle["clustering"]["core_points"]) == int(report.clusters.core_mask.sum())
 
 
@@ -547,7 +541,7 @@ def test_baseline_choice_barely_matters_at_tiny_penalty():
         # relabel[c] is cluster c's new id; index -1 (NOISE) takes the last entry, NOISE
         dm = augment_with_dummies(design, relabel[report.clusters.labels])
         dm = standardize(dm.X, dm.y, dm.column_names, source_rows=dm.source_rows)
-        model = fit_elastic_net(dm, PenaltySpec("lasso", lam))
+        model = fit_elastic_net(dm, PenaltySpec(lam, 1.0))
         return forecast_report(model, test, TransformSpec(),
                                labels=relabel[report.forecast.cluster]).predicted_log
 
@@ -571,7 +565,7 @@ def test_forecast_report_missing_targets_excluded_from_summary():
     model = FittedModel(
         intercept=1.5,
         coefficients=np.array([0.0]),
-        penalty=PenaltySpec(kind="ridge", lam=0.1),
+        penalty=PenaltySpec(lam=0.1, alpha=0.0),
         column_names=["f"],
         column_means=np.array([0.0]),
         column_stds=np.array([1.0]),
@@ -631,7 +625,7 @@ def test_forecast_columns_match_the_row_formulas():
     rng = np.random.default_rng(0)
     model = FittedModel(
         intercept=0.3, coefficients=rng.normal(size=3),
-        penalty=PenaltySpec(kind="ridge", lam=0.1), column_names=["a", "b", "c"],
+        penalty=PenaltySpec(lam=0.1, alpha=0.0), column_names=["a", "b", "c"],
         column_means=rng.normal(size=3), column_stds=rng.uniform(0.5, 2.0, size=3),
         zero_variance=np.zeros(3, dtype=bool), diagnostics={},
     )
@@ -747,7 +741,8 @@ def test_final_model_is_the_path_fit_at_the_chosen_cell(kind, tmp_path, monkeypa
     assert len(designs) == 4 * (2 if kind == "elastic_net" else 1) + 1
     assert designs[-1] is dm and all(d.n < dm.n for d in designs[:-1])
     lam, alpha = report.cv.best.lam, report.cv.best.alpha
-    cold = fit_elastic_net(dm, PenaltySpec(kind, lam, alpha))
+    assert alpha in {"ridge": {0.0}, "lasso": {1.0}, "elastic_net": {0.5, 1.0}}[kind]
+    cold = fit_elastic_net(dm, PenaltySpec(lam, alpha))
     model = report.dpr_model.model
     assert model is report.path_models[report.path_lambdas.index(lam)]
     assert model.penalty == cold.penalty
@@ -756,7 +751,9 @@ def test_final_model_is_the_path_fit_at_the_chosen_cell(kind, tmp_path, monkeypa
     assert model.diagnostics["converged"]
     write_report(report, tmp_path)
     penalty = json.loads((tmp_path / "model.json").read_text())["regression"]["penalty"]
-    assert penalty == {"kind": kind, "lambda": lam, "alpha": alpha}
+    assert penalty == {"lambda": lam, "alpha": alpha}
+    chosen = json.loads((tmp_path / "summary.json").read_text())["chosen"]
+    assert chosen == {"kind": kind, "lambda": lam, "alpha": alpha}
 
     # ridge reads the Gram the path's fits cached and stays the closed form
     # bit for bit
@@ -765,7 +762,7 @@ def test_final_model_is_the_path_fit_at_the_chosen_cell(kind, tmp_path, monkeypa
     Xc = dm.X[:, active] - dm.X[:, active].mean(axis=0)
     yc = dm.y - dm.y.mean()
     beta = np.linalg.solve(Xc.T @ Xc + dm.n * lam * np.eye(Xc.shape[1]), Xc.T @ yc)
-    ridge = fit_elastic_net(dm, PenaltySpec("ridge", lam))
+    ridge = fit_elastic_net(dm, PenaltySpec(lam, 0.0))
     np.testing.assert_array_equal(ridge.coefficients[active], beta)
     assert not ridge.coefficients[~active].any()
 

@@ -49,7 +49,7 @@ def test_reference_minimizer_on_analytic_lasso():
     y = np.array([1.0, -1.0])
     for lam in (0.1, 0.5, 1.0):
         b0, beta, obj = reference_objective_min(
-            X, y, PenaltySpec(kind="lasso", lam=lam)
+            X, y, PenaltySpec(lam=lam, alpha=1.0)
         )
         assert beta[0] == pytest.approx(1.0 - lam / 2, abs=1e-5)
         assert b0 == pytest.approx(0.0, abs=1e-6)
@@ -62,9 +62,9 @@ def test_reference_minimizer_tracks_production_fit():
     X = rng.normal(size=(30, 3))
     y = X @ np.array([1.0, 0.0, -0.5]) + 0.05 * rng.normal(size=30)
     dm = standardize(X, y)
-    model = fit_elastic_net(dm, PenaltySpec("lasso", 0.08), tol=1e-12)
+    model = fit_elastic_net(dm, PenaltySpec(0.08, 1.0), tol=1e-12)
     ours = enet_objective(dm.X, dm.y, model.intercept, model.coefficients, 0.08, 1.0)
-    _, _, ref = reference_objective_min(dm.X, dm.y, PenaltySpec(kind="lasso", lam=0.08))
+    _, _, ref = reference_objective_min(dm.X, dm.y, PenaltySpec(lam=0.08, alpha=1.0))
     assert abs(ours - ref) < 1e-6
 
 
@@ -74,7 +74,7 @@ def test_kkt_residuals_flag_a_wrong_solution():
     y = X @ np.array([2.0, 0.0, 0.0, -1.0]) + 0.01 * rng.normal(size=40)
     dm = standardize(X, y)
     lam, alpha = 0.05, 1.0
-    model = fit_elastic_net(dm, PenaltySpec("lasso", lam), tol=1e-12)
+    model = fit_elastic_net(dm, PenaltySpec(lam, 1.0), tol=1e-12)
     g, bound = kkt_residuals(dm.X, dm.y, model.intercept, model.coefficients, lam, alpha)
     assert np.all(np.abs(g) <= bound + 1e-8)
     # perturbing one coefficient breaks stationarity
