@@ -111,8 +111,8 @@ class DprConfig:
         elif kind != "elastic_net" and tuple(self.alpha_grid) != _PENALTY_ALPHAS[kind]:
             raise ValidationError(f"alpha_grid is only valid for elastic_net, not {kind}")
         _check_outlier_policy(self.outlier_policy)
-        for key in ("lambda_grid", "alpha_grid"):
-            if not len(getattr(self, key)):
+        for key in ("eps_grid", "minpts_grid", "lambda_grid", "alpha_grid"):
+            if getattr(self, key) is not None and not len(getattr(self, key)):
                 raise ValidationError(f"{key} is empty")
         # each value by its own rule: DbscanParams' and PenaltySpec's
         for key, check in (("eps_grid", _check_eps),

@@ -90,6 +90,9 @@ def _default_profiles(k: int, p: int) -> np.ndarray:
     return prof / prof.sum(axis=1, keepdims=True)
 
 
+# the most rows generate_panel draws and computes at once, in whole entities
+BLOCK_ROWS = 1024
+
 # the largest ln(target + 1) whose target is a finite float
 _MAX_LOG = math.log(sys.float_info.max)
 
@@ -101,7 +104,16 @@ def _overflow(base_level: float, offset: float, feature_term: float) -> str:
 
 
 def generate_panel(spec: SyntheticSpec) -> tuple[PanelDataset, GroundTruth]:
-    """Deterministic synthetic panel plus the planted ground truth."""
+    """Deterministic synthetic panel plus the planted ground truth.
+
+    Rows run entity by entity, periods in order within each.  The random
+    stream is drawn in a fixed order: the ``n_entities`` entity-scale draws
+    first, then for each row in row order its ``n_features`` mix-jitter draws,
+    one period-scale draw and one noise draw.  Rows are generated in blocks of
+    whole entities of at most ``BLOCK_ROWS`` rows (one entity if it has more
+    periods); every row's arithmetic is the same in any block, so the block
+    size does not change a panel by a single bit.
+    """
     rng = np.random.default_rng(spec.seed)
     k, p = spec.n_clusters, spec.n_features
     if spec.mix_profiles is None:
@@ -135,44 +147,46 @@ def generate_panel(spec: SyntheticSpec) -> tuple[PanelDataset, GroundTruth]:
     entities = [f"E{e:03d}" for e in range(spec.n_entities)]
     periods = [2000 + t for t in range(spec.n_periods)]
 
+    growth = np.empty(spec.n_periods)
+    for t in range(spec.n_periods):
+        try:
+            growth[t] = (1.0 + spec.trend) ** t
+        except OverflowError:
+            growth[t] = math.inf
     rows = spec.n_entities * spec.n_periods
     features = np.empty((rows, p))
     targets = np.empty(rows)
-    entity_idx = np.empty(rows, dtype=np.intp)
-    period_idx = np.empty(rows, dtype=np.intp)
-    labels = np.empty(rows, dtype=np.intp)
-    r = 0
+    entity_idx = np.repeat(np.arange(spec.n_entities, dtype=np.intp), spec.n_periods)
+    period_idx = np.tile(np.arange(spec.n_periods, dtype=np.intp), spec.n_entities)
+    labels = entity_labels.astype(np.intp)[entity_idx]
+    block_rows = max(1, BLOCK_ROWS // spec.n_periods) * spec.n_periods
     # a scale or feature above the float range is refused below, by its target
     with np.errstate(over="ignore", invalid="ignore"):
         entity_scale = spec.scale_base * np.exp(rng.normal(0.0, spec.scale_sd, spec.n_entities))
-        for e in range(spec.n_entities):
-            c = int(entity_labels[e])
-            for t in range(spec.n_periods):
-                mix = profiles[c] + rng.normal(0.0, spec.mix_jitter, p)
-                mix = np.abs(mix)
-                total = mix.sum()
-                mix = mix / total if total > 0 else profiles[c]
-                try:
-                    growth = (1.0 + spec.trend) ** t
-                except OverflowError:
-                    growth = math.inf
-                scale = entity_scale[e] * growth * math.exp(rng.normal(0.0, 0.05))
-                x = mix * scale
-                feature_term = float(w @ np.log(x + 1.0))
-                log_level = (
-                    spec.base_level
-                    + feature_term
-                    + float(offsets[c])
-                    + rng.normal(0.0, spec.noise_sd)
-                )
-                if not log_level <= _MAX_LOG:
-                    raise ValidationError(_overflow(spec.base_level, offsets[c], feature_term))
-                features[r] = x
-                targets[r] = math.exp(log_level) - 1.0
-                entity_idx[r] = e
-                period_idx[r] = t
-                labels[r] = c
-                r += 1
+        for first in range(0, rows, block_rows):
+            block = slice(first, min(rows, first + block_rows))
+            n = block.stop - block.start
+            # each row's p mix, scale and noise draws; rng.normal(0, s) is 0 + s * z,
+            # s * z but for the sign of a zero, which the abs and exps below drop
+            z = rng.standard_normal((n, p + 2))
+            c = labels[block]
+            mix = np.abs(profiles[c] + spec.mix_jitter * z[:, :p])
+            # a sum along each contiguous row adds in the order of a 1-d sum
+            total = mix.sum(axis=1, keepdims=True)
+            mix = np.divide(mix, total, out=profiles[c], where=total > 0)
+            # math.exp, not np.exp: the two can differ in the last digit
+            jitter = np.fromiter(map(math.exp, (0.05 * z[:, p]).tolist()), np.float64, n)
+            scale = entity_scale[entity_idx[block]] * growth[period_idx[block]] * jitter
+            x = mix * scale[:, None]
+            # one dot per row, as a matrix-vector product would sum in another order
+            feature_term = np.fromiter(map(w.dot, np.log(x + 1.0)), np.float64, n)
+            log_level = spec.base_level + feature_term + offsets[c] + spec.noise_sd * z[:, p + 1]
+            bad = np.flatnonzero(~(log_level <= _MAX_LOG))
+            if bad.size:
+                i = bad[0]
+                raise ValidationError(_overflow(spec.base_level, offsets[c[i]], feature_term[i]))
+            features[block] = x
+            targets[block] = np.fromiter(map(math.exp, log_level.tolist()), np.float64, n) - 1.0
 
     if np.any(targets < 0):
         raise ValidationError(

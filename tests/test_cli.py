@@ -81,6 +81,20 @@ def test_bad_penalty_exits_1(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, flags", [
+    ("eps_grid", ["--eps-grid", "", "--minpts-grid", "3"]),
+    ("minpts_grid", ["--eps-grid", "0.2", "--minpts-grid", ""]),
+])
+def test_run_refuses_an_empty_scan_grid(capsys, tmp_path, key, flags):
+    panel = _synth(capsys, tmp_path)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "run", "--input", str(panel), "--output-dir", str(out),
+                                *flags, "--train-count", "6")
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {key} is empty\n"
+    assert not out.exists()
+
+
 def test_synth_ok_line_and_determinism(capsys, tmp_path):
     a = _synth(capsys, tmp_path, "a.csv")
     b = _synth(capsys, tmp_path, "b.csv")

@@ -414,6 +414,13 @@ def test_empty_grids_are_refused():
     for key in ("lambda_grid", "alpha_grid"):
         with pytest.raises(ValidationError, match=f"^{key} is empty$"):
             DprConfig(eps=0.05, min_pts=4, **{key: ()})
+    for key in ("eps_grid", "minpts_grid"):
+        with pytest.raises(ValidationError, match=f"^{key} is empty$"):
+            DprConfig(**{"eps_grid": (0.05,), "minpts_grid": (4,), key: ()})
+    # the Python API's scan keeps its own check
+    for grids in (([], [4]), ([0.05], [])):
+        with pytest.raises(ValidationError, match="^scan grids must be non-empty$"):
+            scan_params(np.eye(3), *grids)
     with pytest.raises(ValidationError, match="^alpha grid is empty$"):
         cross_validate(_standardized_toy(), 2, [0.1], [])
 
