@@ -24,6 +24,7 @@ from .panel import (
     PanelSchema,
     TransformSpec,
     compute_emissions,
+    header_names,
     load_panel,
     write_panel,
 )
@@ -337,14 +338,23 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _load_new_observations(path) -> PanelDataset:
+    """The canonical panel ``forecast`` reads; without a target column every actual is NA."""
+    path = _require_input(path)
+    schema = PanelSchema()
+    if schema.target not in header_names(path, schema.delimiter):
+        schema = PanelSchema(target=None)
+    return load_panel(path, schema)
+
+
 def _cmd_forecast(args) -> int:
-    panel = _load_canonical(args.input)
+    panel = _load_new_observations(args.input)
     model = _read_bundle(args.model, pipeline.DprModel.from_bundle)
     result = model.forecast(panel)
     pipeline.write_forecast(result, Path(args.output))
     _ok(
         "forecast",
-        rows=len(result.rows),
+        rows=len(result.entities),
         noise_rows=result.n_noise_rows,
         mean_error=result.mean_error,
         error_variance=result.error_variance,

@@ -183,31 +183,34 @@ def _pairs_within(
     ``ends[g]``, so those new at ``radii[g]`` are the slice
     ``ends[g - 1]:ends[g]``, in row-major order.  The vector is already the
     row-major upper triangle, so it is read in slices of ``_CHUNK`` elements,
-    which may split a row; each slice groups its own pairs, so no step holds
-    more than the list and its pieces.
+    which may split a row.  A slice reads its hits' rows off the rows it
+    spans, each repeated for its elements there, and groups its own pairs, so
+    no step holds more than the list, its pieces and one slice's row ids.
     """
-    # a hit's row is the last row start at or before it
-    starts = _row_start(np.arange(n, dtype=np.int64), n)
+    # row r's pairs are the elements starts[r]:starts[r + 1]
+    starts = _row_start(np.arange(n + 1, dtype=np.int64), n)
     pieces = [[] for _ in radii]  # (rows, columns) of each slice, per group
     # one slice at least, so a single point still gets its empty int32 arrays
     for start in range(0, max(1, d.size), _CHUNK):
         part = d[start:start + _CHUNK]
+        stop = start + part.size
+        # the rows the slice spans, each repeated for the elements it holds there
+        first = np.searchsorted(starts, start, side="right") - 1
+        end = np.searchsorted(starts, stop, side="left")
+        spans = (np.minimum(starts[first + 1:end + 1], stop)
+                 - np.maximum(starts[first:end], start))
+        row_of = np.repeat(np.arange(first, end, dtype=np.int32), spans)
         hit = np.flatnonzero(part <= radii[-1])
-        at = hit + start
-        r = np.searchsorted(starts, at, side="right") - 1
-        rows, cols = r.astype(np.int32), (at - starts[r] + r + 1).astype(np.int32)
-        bounds = []
-        if len(radii) > 1:
-            d_hit = part[hit]
-            # the index of the smallest radius that holds each pair
-            group = np.zeros(d_hit.size, dtype=np.min_scalar_type(len(radii) - 1))
-            for radius in radii[:-1]:
-                group += d_hit > radius
-            order = np.argsort(group, kind="stable")
-            rows, cols = rows[order], cols[order]
-            bounds = np.cumsum(np.bincount(group, minlength=len(radii)))[:-1]
-        for held, piece in zip(pieces, zip(np.split(rows, bounds), np.split(cols, bounds))):
-            held.append(piece)
+        rows = row_of[hit]
+        cols = (hit + (start + 1) - starts[rows] + rows).astype(np.int32)
+        if len(radii) == 1:
+            pieces[0].append((rows, cols))
+            continue
+        d_hit = part[hit]
+        # one mask per radius: its pairs are those within it and beyond the radius before
+        for held, low, radius in zip(pieces, [-np.inf, *radii], radii):
+            at = np.flatnonzero((d_hit > low) & (d_hit <= radius))
+            held.append((rows[at], cols[at]))
     ends = np.cumsum([sum(r.size for r, _ in held) for held in pieces])
     i = np.concatenate([r for held in pieces for r, _ in held])
     j = np.concatenate([c for held in pieces for _, c in held])

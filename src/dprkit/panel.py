@@ -155,8 +155,8 @@ class PanelDataset:
     def key_columns(self) -> tuple[list[str], list]:
         """The entity and the period of every row, as two columns."""
         return (
-            [self.entities[e] for e in self.entity_idx.tolist()],
-            [self.periods[p] for p in self.period_idx.tolist()],
+            np.array(self.entities, dtype=object)[self.entity_idx].tolist(),
+            np.array(self.periods, dtype=object)[self.period_idx].tolist(),
         )
 
     def row_keys(self) -> list[tuple[str, object]]:
@@ -236,11 +236,27 @@ def _first_repeat(names: list):
 _MISSING_TARGET = {"": "nan", "NA": "nan"}
 
 
-def _parse_periods(raw: list[str]) -> list:
+def _parse_periods(spellings: list[str]) -> list:
+    """Periods are ints when every spelling is one, else the spellings themselves."""
     try:
-        return list(map(int, raw))
+        return list(map(int, spellings))
     except ValueError:
-        return raw
+        return spellings
+
+
+def _key_index(cells: list[str], parse) -> tuple[list, np.ndarray]:
+    """The sorted distinct keys of the key cells, and each cell's index among them.
+
+    Each distinct cell is stripped and converted once: ``parse`` maps the
+    list of stripped spellings to keys, and every cell takes the index of its
+    spelling's key, through a dict from raw cell to index.
+    """
+    spellings = list(set(cells))
+    keys = parse([s.strip() for s in spellings])
+    distinct = sorted(set(keys))
+    index = dict(zip(distinct, range(len(distinct))))
+    of_cell = dict(zip(spellings, map(index.__getitem__, keys)))
+    return distinct, np.fromiter(map(of_cell.__getitem__, cells), dtype=np.intp, count=len(cells))
 
 
 @dataclass(frozen=True)
@@ -257,30 +273,35 @@ class _Layout:
     feature_names: list[str]
 
 
-def _checked(entity_cells, period_cells, features: np.ndarray, target_cells):
-    """Stripped keys, features and targets of parsed rows (``target_cells`` None: no target).
+def _checked(features: np.ndarray, target_cells):
+    """Features and targets of parsed rows (``target_cells`` None: no target column).
 
-    Returns None when some feature is non-finite or negative, or some target
-    cell other than ``""``/``NA`` is non-numeric, non-finite or negative.
+    The target cells go through one ``float`` pass, with ``""`` and ``NA``
+    read as NaN; a cell that comes out NaN must be one of those two, so a
+    literal ``nan`` is refused.  Returns None when some feature is non-finite
+    or negative, or some target cell other than ``""``/``NA`` is non-numeric,
+    non-finite or negative.  A padded `` NA `` is no ``float`` spelling: it
+    returns None, and the row reader strips it.
     """
     m = features.shape[0]
     targets = np.full(m, math.nan)
     if target_cells is not None:
-        cells = list(map(str.strip, target_cells))
-        missing = np.fromiter(map(_MISSING_TARGET.__contains__, cells), dtype=bool, count=m)
         try:
-            targets = np.fromiter(
-                map(float, map(_MISSING_TARGET.get, cells, cells)), dtype=np.float64, count=m
-            )
+            targets = np.fromiter(map(float, map(_MISSING_TARGET.get, target_cells, target_cells)),
+                                  dtype=np.float64, count=m)
         except ValueError:
             return None
-        t = targets[~missing]
-        if not np.all((t >= 0) & (t < math.inf)):
+        missing = np.isnan(targets)
+        if not all(map(_MISSING_TARGET.__contains__,
+                       map(target_cells.__getitem__, np.flatnonzero(missing).tolist()))):
+            return None
+        # false for infinities and negative values
+        if not np.all((targets >= 0) & (targets < math.inf) | missing):
             return None
     # false for NaN, infinities and negative values
     if not np.all((features >= 0) & (features < math.inf)):
         return None
-    return list(map(str.strip, entity_cells)), list(map(str.strip, period_cells)), features, targets
+    return features, targets
 
 
 def _parse_lines(lines: list[str], layout: _Layout):
@@ -308,9 +329,11 @@ def _parse_lines(lines: list[str], layout: _Layout):
         return None
     if table.size != len(lines):
         return None
-    targets = None if layout.target is None else table[f"c{layout.target}"].tolist()
-    return _checked(table[f"c{layout.entity}"].tolist(), table[f"c{layout.period}"].tolist(),
-                    features, targets)
+    checked = _checked(features, None if layout.target is None
+                       else table[f"c{layout.target}"].tolist())
+    if checked is None:
+        return None
+    return (table[f"c{layout.entity}"].tolist(), table[f"c{layout.period}"].tolist(), *checked)
 
 
 def _cell_value(cell: str, name: str, lineno: int) -> float:
@@ -362,6 +385,20 @@ def _read_rows(lines: list[str], layout: _Layout):
     return entities, periods, features[:n], targets[:n]
 
 
+def header_names(source, delimiter: str = ",") -> list[str]:
+    """The column names of a panel's header row, stripped, as :func:`load_panel` reads them.
+
+    ``source`` is a path or a text stream; a stream is left at its first data row.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            return header_names(fh, delimiter)
+    row = next(csv.reader(source, delimiter=delimiter), None)
+    if row is None:
+        raise ValidationError("panel file is empty: header row is required")
+    return [h.strip() for h in row]
+
+
 def load_panel(source, schema: PanelSchema | None = None) -> PanelDataset:
     """Parse a delimited text table into a canonical :class:`PanelDataset`.
 
@@ -371,18 +408,17 @@ def load_panel(source, schema: PanelSchema | None = None) -> PanelDataset:
     faults reports the first in file order.  Empty target cells are allowed
     and become NaN (forecast-only rows).  Blank lines are skipped.  Rows are
     parsed by ``np.loadtxt``, or one ``csv.reader`` row at a time when loadtxt
-    cannot take them line for line.
+    cannot take them line for line.  Key cells are stripped and converted once
+    per distinct spelling: ``" E1 "`` and ``"E1"`` are one entity, and periods
+    are ints when every spelling is one (``"2000"``, ``"+2000"``), else the
+    stripped strings.
     """
     schema = schema or PanelSchema()
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return load_panel(fh, schema)
 
-    reader = csv.reader(source, delimiter=schema.delimiter)
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise ValidationError("panel file is empty: header row is required") from None
+    header = header_names(source, schema.delimiter)
 
     twice = _first_repeat(header)
     if twice is not None:
@@ -422,14 +458,8 @@ def load_panel(source, schema: PanelSchema | None = None) -> PanelDataset:
     raw_entities, raw_periods, features, targets = (_parse_lines(lines, layout)
                                                     or _read_rows(lines, layout))
 
-    n = len(raw_entities)
-    entities = sorted(set(raw_entities))
-    period_values = _parse_periods(raw_periods)
-    periods = sorted(set(period_values))
-    ent_index = {e: i for i, e in enumerate(entities)}
-    per_index = {p: i for i, p in enumerate(periods)}
-    entity_idx = np.fromiter(map(ent_index.__getitem__, raw_entities), dtype=np.intp, count=n)
-    period_idx = np.fromiter(map(per_index.__getitem__, period_values), dtype=np.intp, count=n)
+    entities, entity_idx = _key_index(raw_entities, list)
+    periods, period_idx = _key_index(raw_periods, _parse_periods)
     order = np.lexsort((period_idx, entity_idx))
     keys = (entity_idx * len(periods) + period_idx)[order]
     if not np.all(keys[1:] > keys[:-1]):  # a repeated (entity, period) sorts next to its twin
@@ -514,8 +544,6 @@ def energy_mix_features(data: PanelDataset) -> tuple[np.ndarray, list[int]]:
     """
     X = data.features
     sums = X.sum(axis=1)
-    flagged = [int(i) for i in np.flatnonzero(sums == 0)]
-    out = np.zeros_like(X)
-    ok = sums > 0
-    out[ok] = X[ok] / sums[ok, None]
+    flagged = np.flatnonzero(sums == 0).tolist()
+    out = np.divide(X, sums[:, None], out=np.zeros_like(X), where=(sums > 0)[:, None])
     return out, flagged

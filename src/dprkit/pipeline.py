@@ -377,11 +377,12 @@ def cross_validate(dm: DesignMatrix, folds: int, lambda_grid, alpha_grid) -> CvR
 class ForecastResult:
     """Forecast of every row, by column; NaN marks a row without a target.
 
-    ``rows`` is the rows' (entity, period) keys in row order; each array is
-    a column aligned with it.
+    ``entities`` and ``periods`` are the rows' keys in row order, and each
+    array is a column aligned with them; ``rows`` pairs the keys up.
     """
 
-    rows: list[tuple[str, object]]
+    entities: list[str]
+    periods: list
     cluster: np.ndarray
     actual_log: np.ndarray
     predicted_log: np.ndarray
@@ -390,6 +391,11 @@ class ForecastResult:
     relative_error: np.ndarray
     mean_error: float | None
     error_variance: float | None
+
+    @property
+    def rows(self) -> list[tuple[str, object]]:
+        """The rows' (entity, period) keys in row order."""
+        return list(zip(self.entities, self.periods))
 
     @property
     def is_noise(self) -> np.ndarray:
@@ -413,7 +419,7 @@ def write_forecast(result: ForecastResult, dest) -> None:
             "actual_source", "predicted_source", "relative_error_source",
         ],
         [
-            *_key_columns(result.rows), result.cluster,
+            result.entities, result.periods, result.cluster,
             result.is_noise.astype(np.intp), result.actual_log, result.predicted_log,
             result.actual_source, result.predicted_source, result.relative_error,
         ],
@@ -460,8 +466,10 @@ def forecast_report(model: FittedModel, test: PanelDataset, transform: Transform
     else:
         mean_error = None
         error_variance = None
+    entities, periods = test.key_columns()
     return ForecastResult(
-        rows=test.row_keys(),
+        entities=entities,
+        periods=periods,
         cluster=labels,
         actual_log=y,
         predicted_log=yhat,
@@ -578,8 +586,9 @@ class RunReport:
     ``design`` is the standardized training design the model was fit on; the
     final model, with its penalty, is ``dpr_model.model``, the path's fit at
     the chosen lambda.  ``train_keys`` are the training rows' (entity, period)
-    keys; the test rows' keys are ``forecast.rows`` and their cluster ids
-    ``forecast.cluster``.  summary.json's chosen kind is ``penalty_kind``.
+    keys; the test rows' keys are the columns ``forecast.entities`` and
+    ``forecast.periods``, and their cluster ids ``forecast.cluster``.
+    summary.json's chosen kind is ``penalty_kind``.
     A path fit that is None (rank-deficient at alpha=0) counts as unconverged.
     """
 
@@ -720,15 +729,18 @@ def write_report(report: RunReport, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    n_train, n_test = len(report.train_keys), len(report.forecast.rows)
+    fc = report.forecast
+    n_train, n_test = len(report.train_keys), len(fc.entities)
     clusters, model, dm = report.clusters, report.dpr_model.model, report.design
+    train_entities, train_periods = _key_columns(report.train_keys)
     write_table(
         out / "clusters.csv",
         ["entity", "period", "split", "label", "core"],
         [
-            *_key_columns(report.train_keys + report.forecast.rows),
+            train_entities + fc.entities,
+            train_periods + fc.periods,
             ["train"] * n_train + ["test"] * n_test,
-            np.concatenate([clusters.labels, report.forecast.cluster]).astype(np.intp),
+            np.concatenate([clusters.labels, fc.cluster]).astype(np.intp),
             clusters.core_mask.astype(np.intp).tolist() + [None] * n_test,
         ],
     )
@@ -747,7 +759,7 @@ def write_report(report: RunReport, out_dir) -> None:
         [*_key_columns(fitted_keys), a, f, a - f],
     )
 
-    write_forecast(report.forecast, out / "forecast.csv")
+    write_forecast(fc, out / "forecast.csv")
 
     summary = {
         "chosen": {
@@ -767,10 +779,10 @@ def write_report(report: RunReport, out_dir) -> None:
         },
         "metrics": report.metrics,
         "forecast": {
-            "mean_error": report.forecast.mean_error,
-            "error_variance": report.forecast.error_variance,
-            "n_rows": len(report.forecast.rows),
-            "n_noise_rows": report.forecast.n_noise_rows,
+            "mean_error": fc.mean_error,
+            "error_variance": fc.error_variance,
+            "n_rows": n_test,
+            "n_noise_rows": fc.n_noise_rows,
         },
         "fit": {
             "iterations": model.diagnostics.get("iterations"),
@@ -785,8 +797,7 @@ def write_report(report: RunReport, out_dir) -> None:
         "flagged": {
             "zero_mix_rows": [[e, p] for e, p in report.zero_mix_rows],
             "test_noise_rows": [
-                list(report.forecast.rows[i])
-                for i in np.flatnonzero(report.forecast.is_noise).tolist()
+                [fc.entities[i], fc.periods[i]] for i in np.flatnonzero(fc.is_noise).tolist()
             ],
         },
     }

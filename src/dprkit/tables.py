@@ -6,11 +6,14 @@ Missing or undefined values (None, NaN) are written as the literal ``NA``
 unless the caller names another marker.
 
 Each block of rows is rendered with one ``%`` template per row: ``%.17g``
-for a float array without NaN, ``%d`` for an integer array, ``%s`` for every
-other column's cells (:func:`fmt`'s text).  That is the text ``csv.writer``
-writes for cells it does not quote.  A block with a cell it would quote (one
-holding the delimiter, a quote or a line break, or an empty cell alone on its
-row) is written by ``csv.writer`` instead.
+for a float array without NaN, ``%d`` for an integer array or int cells,
+``%s`` for every other column's cells (:func:`fmt`'s text).  That is the
+text ``csv.writer`` writes for cells it does not quote.  A block with a cell
+it would quote (one holding the delimiter, a quote or a line break, or an
+empty cell alone on its row) is written by ``csv.writer`` instead.  Only
+the ``%s`` columns can hold such a cell, and the number columns too when the
+delimiter is one of the characters of number text (``0-9 + - . e i n f``);
+the check reads just those columns.
 
 JSON records (``model.json``, ``summary.json``) go through :func:`write_json`
 as compact, one-line JSON, and are read back field by field through
@@ -51,29 +54,39 @@ def fmt(value, na: str = NA) -> str:
 
 
 def _cells(column, na: str) -> list:
-    """The cells of one column: a float array, an int array, or a sequence for :func:`fmt`."""
+    """The cells of one column: a float array, an int array, or a sequence for :func:`fmt`.
+
+    The cells are all str or all int: a sequence of both goes through :func:`fmt`.
+    """
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         cells = list(map(format, column.tolist(), repeat(".17g")))
         for i in np.flatnonzero(np.isnan(column)).tolist():
             cells[i] = na
         return cells
     if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
-        column = column.tolist()
-    elif set(map(type, column)) - {str, int}:
+        return column.tolist()
+    if set(map(type, column)) not in ({str}, {int}):
         return [fmt(v, na) for v in column]
     return column  # the csv writer renders str and int cells as fmt does
+
+
+# every character of a %d or %.17g rendering, inf and -inf included
+_NUMBER_CHARS = frozenset("0123456789+-.einf")
 
 
 def _block_text(block: Sequence, na: str, delimiter: str) -> str | None:
     """The rows of one block as text, one ``%`` template per row.
 
-    Float arrays without NaN render with ``%.17g`` and integer arrays with
-    ``%d``, the same text as ``format(v, ".17g")`` and ``str``; every other
-    column renders through :func:`_cells` and ``%s``.  Returns None when the
-    csv writer would quote some cell: one that holds the delimiter, a quote
-    or a line break, or an empty cell alone on its row.  Python 3.13's csv
-    writer quotes a carriage return and earlier ones do not; either way a
-    block holding one goes to the csv writer.
+    Float arrays without NaN render with ``%.17g``, and integer arrays and
+    int cells with ``%d``: the same text as ``format(v, ".17g")`` and ``str``.
+    Every other column renders through :func:`_cells` and ``%s``.  Returns
+    None when the csv writer would quote some cell: one that holds the
+    delimiter, a quote or a line break, or an empty cell alone on its row.
+    Only the ``%s`` cells are looked at, and the number cells too when the
+    delimiter is one of their characters (``0-9 + - . e i n f``): no other
+    number text can hold such a character.  Python 3.13's csv writer quotes a
+    carriage return and earlier ones do not; either way a block holding one
+    goes to the csv writer.
     """
     specs, values = [], []
     for column in block:
@@ -85,15 +98,23 @@ def _block_text(block: Sequence, na: str, delimiter: str) -> str | None:
             specs.append("%.17g")
             values.append(column.tolist())
         else:
-            specs.append("%s")
-            values.append(_cells(column, na))
-    template = delimiter.replace("%", "%%").join(specs) + "\n"
-    text = "".join(map(template.__mod__, zip(*values)))
-    m = len(values[0])
-    if (text.count(delimiter) != m * (len(block) - 1) or text.count("\n") != m
-            or '"' in text or "\r" in text or (len(block) == 1 and "\n\n" in "\n" + text)):
+            cells = _cells(column, na)
+            specs.append("%d" if type(cells[0]) is int else "%s")
+            values.append(cells)
+    numbers_can_quote = delimiter in _NUMBER_CHARS
+    for spec, cells in zip(specs, values):
+        if spec == "%s":
+            text = "".join(cells)
+        elif numbers_can_quote:
+            text = "".join(map(spec.__mod__, cells))
+        else:
+            continue
+        if delimiter in text or '"' in text or "\r" in text or "\n" in text:
+            return None
+    if len(block) == 1 and specs[0] == "%s" and "" in values[0]:
         return None
-    return text
+    template = delimiter.replace("%", "%%").join(specs) + "\n"
+    return "".join(map(template.__mod__, zip(*values)))
 
 
 def write_table(dest, header: Sequence[str], columns: Sequence, delimiter: str = ",",

@@ -528,6 +528,51 @@ def test_forecast_of_any_subset_of_rows_writes_those_rows_of_the_full_forecast(c
         assert forecast(keep, name) == want, name
 
 
+def test_forecast_reads_new_observations_without_a_target_column(capsys, tmp_path):
+    """A panel without a target column forecasts as one whose target cells are all empty."""
+    panel = _synth(capsys, tmp_path, seed=5)
+    outdir = tmp_path / "run"
+    code, _, _ = run_cli(
+        capsys, "run", "--input", str(panel), "--output-dir", str(outdir),
+        "--eps", "0.2", "--min-pts", "3", "--penalty", "lasso",
+        "--lambda-grid", "logspace:-3:-1:3", "--train-count", "6", "--folds", "3",
+    )
+    assert code == 0
+    loaded = load_panel(panel)
+    new = loaded.subset_by_periods(loaded.periods[6:])
+    new.targets[:] = np.nan
+    write_panel(new, tmp_path / "empty_target.csv")
+    with open(tmp_path / "empty_target.csv", newline="") as fh:
+        rows = [r[:2] + r[3:] for r in csv.reader(fh)]
+    assert rows[0][:3] == ["entity", "period", "f00"]
+    with open(tmp_path / "no_target.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    outs = []
+    for name in ("empty_target", "no_target"):
+        code, out, err = run_cli(
+            capsys, "forecast", "--input", str(tmp_path / f"{name}.csv"),
+            "--model", str(outdir / "model.json"), "--output", str(tmp_path / f"{name}_fc.csv"),
+        )
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("forecast ok rows=16 ")
+    assert outs[0].endswith(" mean_error=NA error_variance=NA\n")
+    assert ((tmp_path / "no_target_fc.csv").read_bytes()
+            == (tmp_path / "empty_target_fc.csv").read_bytes())
+    with open(tmp_path / "no_target_fc.csv", newline="") as fh:
+        assert {r["actual_log"] for r in csv.DictReader(fh)} == {"NA"}
+    # run still requires the target column
+    code, out, err = run_cli(
+        capsys, "run", "--input", str(tmp_path / "no_target.csv"),
+        "--output-dir", str(tmp_path / "no_target_run"), "--eps", "0.2", "--min-pts", "3",
+        "--penalty", "lasso", "--train-count", "1", "--folds", "2",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: target column 'target' missing from header ")
+    assert not (tmp_path / "no_target_run").exists()
+
+
 def test_forecast_without_core_points_flags_every_row_noise(capsys, tmp_path):
     # min_pts above the 48 training rows: no core point, so k=0 and all rows are noise
     panel = _synth(capsys, tmp_path, seed=5)

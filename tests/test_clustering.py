@@ -476,6 +476,26 @@ def test_pairs_within_one_and_two_rows_and_no_pairs(chunk, monkeypatch):
     assert (i.dtype, j.dtype) == (np.int32, np.int32)
 
 
+# 6 points on a line: rows 0..4 start at 0, 5, 9, 12, 14 of the 15 pairs, and
+# the pairs (0, 1), (2, 3), (3, 4) lie at exactly 0.5 and (2, 4) at exactly 1.0
+@pytest.mark.parametrize("chunk", [2, 3, 4])
+def test_pairs_within_slices_at_row_starts_without_hits_and_on_a_radius(chunk, monkeypatch):
+    from dprkit import clustering
+
+    monkeypatch.setattr(clustering, "_CHUNK", chunk)
+    d = pairwise_distances(_col([0.0, 0.5, 5.0, 5.5, 6.0, 20.0]))
+    n = 6
+    slices = range(0, d.size, chunk)
+    # some slice starts exactly at a row start, and some holds no pair within 1.0
+    assert {clustering._row_start(i, n) for i in range(1, n - 1)} & set(slices[1:])
+    assert any((d[s:s + chunk] > 1.0).all() for s in slices)
+    D = squareform(d)
+    for radii in ([0.5], [1.0], [0.5, 1.0], [0.4, 0.5, 1.0, 4.5], [0.5, 0.5, 1.0]):
+        _assert_pairs(D, radii)
+    i, j, ends = clustering._pairs_within(d, n, [0.5, 1.0])
+    assert (i.tolist(), j.tolist(), ends.tolist()) == ([0, 2, 3, 2], [1, 3, 4, 4], [3, 4])
+
+
 def test_scan_makes_one_full_component_pass(monkeypatch):
     from dprkit import clustering
 

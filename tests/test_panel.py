@@ -17,6 +17,7 @@ from dprkit.panel import (
     TransformSpec,
     compute_emissions,
     energy_mix_features,
+    header_names,
     invert_log,
     load_panel,
     log_transform,
@@ -213,6 +214,41 @@ def test_raw_shares_zero_row_flagged():
     np.testing.assert_allclose(mix[0], [0.0, 0.0])
     np.testing.assert_allclose(mix[1], [0.25, 0.75])
     assert flagged == [0]
+
+
+@pytest.mark.parametrize("second_row, flagged_rows", [([0.0, 0.0], [1]), ([0.0, 1.0], [])])
+def test_mix_divides_rows_with_a_positive_sum_and_zeroes_the_rest(second_row, flagged_rows):
+    # the API takes finite negative features; a row whose sum is not positive comes out zero,
+    # with or without a zero-sum row beside it
+    features = np.array([[1.0, 3.0], second_row, [-2.0, 1.0], [0.1, 0.7]])
+    panel = PanelDataset(
+        entities=["A"], periods=[2000, 2001, 2002, 2003], feature_names=["coal", "gas"],
+        entity_idx=np.zeros(4, dtype=np.intp), period_idx=np.arange(4),
+        features=features, targets=np.full(4, math.nan),
+    )
+    mix, flagged = energy_mix_features(panel)
+    assert flagged == flagged_rows
+    positive = features.sum(axis=1) > 0
+    np.testing.assert_array_equal(mix[~positive], 0.0)
+    np.testing.assert_array_equal(mix[positive],
+                                  features[positive] / features[positive].sum(axis=1)[:, None])
+
+
+def test_header_names_reads_the_header_as_load_panel_does(tmp_path):
+    text = " entity ;period; target ;coal\nA;2000;1.0;2.0\n"
+    stream = io.StringIO(text)
+    assert header_names(stream, ";") == ["entity", "period", "target", "coal"]
+    assert stream.read() == "A;2000;1.0;2.0\n"
+    path = tmp_path / "panel.csv"
+    path.write_text(text)
+    assert header_names(path, ";") == ["entity", "period", "target", "coal"]
+    assert header_names(path) == [h.strip() for h in text.splitlines()[0].split(",")]
+    path.write_text("")
+    with pytest.raises(ValidationError, match="panel file is empty") as fault:
+        header_names(path)
+    with pytest.raises(ValidationError) as loaded:
+        load_panel(path)
+    assert str(fault.value) == str(loaded.value)
 
 
 # ---------------------------------------------------------------- round trips
@@ -448,6 +484,64 @@ def test_spellings_that_still_load(rows, entity, coal, target, by_csv):
     assert panel.entities == [entity]
     assert panel.features[0, 0] == coal
     np.testing.assert_array_equal(panel.targets, [target])
+
+
+def _by_row_reader(text: str) -> PanelDataset:
+    """The panel that the csv.reader path reads from ``text``."""
+    with mock.patch.object(panel_module, "_parse_lines", return_value=None):
+        return load_panel(io.StringIO(text, newline=""), PanelSchema())
+
+
+def _many_rows() -> list[str]:
+    # 1,000 entities x 20 periods, every tenth entity and period cell padded
+    return [f"{' E%d ' if e % 10 == 0 else 'E%d'},{' %d ' if p % 10 == 3 else '%d'},{e},{p},1"
+            % (e, 2000 + p) for e in range(1000) for p in range(20)]
+
+
+@pytest.mark.parametrize("rows, entities, periods", [
+    ([" E1 ,2000,1,1,1", "E1,2001,1,2,1", "E2 ,2000,,3,1"], ["E1", "E2"], [2000, 2001]),
+    (["A,2000,1,1,1", "B, 2000 ,1,2,1", "C,+2000,1,3,1", "A,2001 ,1,4,1"], ["A", "B", "C"],
+     [2000, 2001]),
+    (["A,y2000,1,1,1", "A, y2001,1,2,1", "B,y2000 ,NA,3,1"], ["A", "B"], ["y2000", "y2001"]),
+    # one spelling that is no int makes every period a string
+    (["A,2000,1,1,1", "A,2000b,1,2,1"], ["A"], ["2000", "2000b"]),
+    ([" A ,2000,1,1,1"], ["A"], [2000]),
+    (_many_rows(), sorted(f"E{e}" for e in range(1000)), list(range(2000, 2020))),
+], ids=["padded entities", "period spellings", "string periods", "mixed periods", "one row",
+        "20,000 rows"])
+def test_key_spellings_load_as_the_row_reader_reads_them(rows, entities, periods):
+    """Each distinct key cell is stripped and converted once; the panel is the row reader's."""
+    text = "\n".join([",".join(HEADER)] + rows) + "\n"
+    panel = load_panel(io.StringIO(text, newline=""), PanelSchema())
+    assert panel == _by_row_reader(text)
+    assert (panel.entities, panel.periods) == (entities, periods)
+    assert panel.n_obs == len(rows)
+
+
+def test_two_spellings_of_one_int_period_are_a_duplicate():
+    text = "\n".join([",".join(HEADER), "A,2000,1,1,1", "A,02000,1,1,1"]) + "\n"
+    for read in (lambda: load_panel(io.StringIO(text, newline=""), PanelSchema()),
+                 lambda: _by_row_reader(text)):
+        with pytest.raises(ValidationError,
+                           match="^duplicate observation for entity 'A', period 2000$"):
+            read()
+
+
+@pytest.mark.parametrize("cell, by_csv", [("nan", True), (" NA ", True), ("NA", False),
+                                          ("", False), (" 1.5 ", False)])
+def test_target_cells_keep_their_outcomes(cell, by_csv):
+    """A literal nan is refused; padded or bare NA and an empty cell are missing targets."""
+    text = "\n".join([",".join(HEADER), "A,2000,1,1,1", f"A,2001,{cell},1,1"]) + "\n"
+    with mock.patch.object(panel_module, "_read_rows", wraps=panel_module._read_rows) as rows:
+        if cell == "nan":
+            with pytest.raises(ValidationError,
+                               match="^line 3, column 'target': non-finite value 'nan'$"):
+                load_panel(io.StringIO(text, newline=""), PanelSchema())
+        else:
+            panel = load_panel(io.StringIO(text, newline=""), PanelSchema())
+            want = 1.5 if cell.strip() == "1.5" else math.nan
+            np.testing.assert_array_equal(panel.targets, [1.0, want])
+    assert rows.called == by_csv
 
 
 def test_a_key_column_can_also_be_a_feature():

@@ -72,6 +72,40 @@ def test_columns_match_the_row_writer(table, keep, block, na, delimiter):
     assert buf.getvalue() == _reference(header, rows, na, delimiter)
 
 
+# the delimiters a number's text can hold (- . e 1) and ones it cannot
+QUOTE_DELIMITERS = [",", ";", "\t", "-", ".", "e", "1", "N"]
+CELL_KINDS = {
+    "negative ints": np.array([-1, -10, 0, 12], dtype=np.int64),
+    "int cells": [-1, 2000, -30, 1],
+    "floats with exponents": np.array([1e-300, -2.5e20, 1e100, -0.0]),
+    "infinities": np.array([math.inf, -math.inf, 1.5, 2.0]),
+    "floats with NaN": np.array([math.nan, 1.0, -1e-5, math.nan]),
+    "text": ["a", "E1", "x.y", "2e5"],
+    "text with the delimiter, a quote or a line break": ["a{d}b", 'say "hi"', "cr\r", "nl\n"],
+    "empty text": ["", "x", "", "y"],
+}
+
+
+@pytest.mark.parametrize("na", ["NA", ""])
+@pytest.mark.parametrize("delimiter", QUOTE_DELIMITERS)
+def test_quoting_check_matches_the_csv_writer(delimiter, na):
+    """Each kind of cell alone (an empty cell alone on its row is quoted), beside a
+    text column, and all kinds together, in blocks of one row and of BLOCK_ROWS."""
+    kinds = {name: [c.format(d=delimiter) for c in column] if name.startswith("text with")
+             else column for name, column in CELL_KINDS.items()}
+    layouts = [[name] for name in kinds]
+    layouts += [[name, "text"] for name in kinds if name != "text"]
+    layouts.append(list(kinds))
+    for names in layouts:
+        columns = [kinds[name] for name in names]
+        rows = [list(row) for row in zip(*columns)]
+        for block in (1, tables.BLOCK_ROWS):
+            buf = io.StringIO()
+            with mock.patch.object(tables, "BLOCK_ROWS", block):
+                write_table(buf, names, columns, delimiter=delimiter, na=na)
+            assert buf.getvalue() == _reference(names, rows, na, delimiter), (names, block)
+
+
 def test_float_cells_keep_every_bit(tmp_path):
     values = np.array([0.1, 1 / 3, -0.0, 1e-300, 5e-324, 2.0**0.5 * 1e17])
     path = tmp_path / "t.csv"
