@@ -42,16 +42,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Grid syntax: ``a,b,c`` literal, ``range:lo:hi:step``, ``logspace:lo:hi:n``."""
+    """Grid syntax: ``a,b,c`` literal or ``logspace:lo:hi:n``."""
     text = text.strip()
     try:
-        if text.startswith("range:"):
-            _, lo, hi, step = text.split(":")
-            lo, hi, step = float(lo), float(hi), float(step)
-            if step <= 0:
-                raise ValidationError(f"grid step must be positive in {text!r}")
-            vals = np.arange(lo, hi + step / 2, step)
-            return [float(v) for v in vals]
         if text.startswith("logspace:"):
             _, lo, hi, n = text.split(":")
             return [float(v) for v in np.logspace(float(lo), float(hi), int(n))]
@@ -350,7 +343,10 @@ def _load_new_observations(path) -> PanelDataset:
 def _cmd_forecast(args) -> int:
     panel = _load_new_observations(args.input)
     model = _read_bundle(args.model, pipeline.DprModel.from_bundle)
-    result = model.forecast(panel)
+    try:
+        result = model.forecast(panel)
+    except NumericalError as exc:  # named as run names its forecast stage
+        raise NumericalError(f"stage forecast: {exc}") from exc
     pipeline.write_forecast(result, Path(args.output))
     _ok(
         "forecast",
@@ -373,11 +369,6 @@ def emit_plot_data(report: pipeline.RunReport, out_dir) -> None:
         plots / "path_trajectories.csv",
         ["lambda", "intercept"] + list(dm.column_names),
         [report.path_lambdas, [None if m is None else m.intercept for m in models], *coefs.T],
-    )
-    write_table(
-        plots / "fit_scatter.csv",
-        ["actual_log", "predicted_log"],
-        [dm.y, pipeline._predict_standardized(report.dpr_model.model, dm.X)],
     )
     k_dist = np.asarray(report.k_distance, dtype=np.float64)
     write_table(

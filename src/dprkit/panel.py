@@ -60,12 +60,12 @@ class EmissionFactorTable:
                 raise ValidationError(f"emission factor for {name!r} must be finite and >= 0, got {f}")
 
     @classmethod
-    def from_csv(cls, source, delimiter: str = ",") -> "EmissionFactorTable":
-        """Read ``feature,factor`` rows (header required)."""
+    def from_csv(cls, source) -> "EmissionFactorTable":
+        """Read comma-separated ``feature,factor`` rows (header required)."""
         if isinstance(source, (str, Path)):
             with open(source, "r", encoding="utf-8", newline="") as fh:
-                return cls.from_csv(fh, delimiter)
-        reader = csv.reader(source, delimiter=delimiter)
+                return cls.from_csv(fh)
+        reader = csv.reader(source)
         try:
             next(reader)
         except StopIteration:
@@ -477,8 +477,8 @@ def load_panel(source, schema: PanelSchema | None = None) -> PanelDataset:
     )
 
 
-def write_panel(data: PanelDataset, dest, delimiter: str = ",") -> None:
-    """Write the canonical panel layout: entity, period, target, features.
+def write_panel(data: PanelDataset, dest) -> None:
+    """Write the canonical comma-separated panel: entity, period, target, features.
 
     A missing target is written as an empty cell.
     """
@@ -486,7 +486,6 @@ def write_panel(data: PanelDataset, dest, delimiter: str = ",") -> None:
         dest,
         ["entity", "period", "target"] + list(data.feature_names),
         [*data.key_columns(), data.targets, *data.features.T],
-        delimiter=delimiter,
         na="",
     )
 

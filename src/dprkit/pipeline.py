@@ -12,6 +12,7 @@ artifact byte-identical.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -53,8 +54,10 @@ UNIQUE_DUMMY = "unique_dummy"
 EXCLUDE = "exclude"
 OUTLIER_POLICIES = (UNIQUE_DUMMY, EXCLUDE)
 
+# exp of a log value above this overflows
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _DEFAULT_LAMBDAS = tuple(float(v) for v in np.logspace(-4, np.log10(0.5), 20))
-# the alpha grid of each penalty spelling; elastic_net's is the default of alpha_grid
+# the alpha grid of each penalty spelling, which run_dpr searches when alpha_grid is unset
 _PENALTY_ALPHAS = {"ridge": (0.0,), "lasso": (1.0,), "elastic_net": (0.3, 0.5, 1.0)}
 
 
@@ -79,9 +82,9 @@ class DprConfig:
     """Declarative description of one full run; mirrors the CLI config file.
 
     Clustering takes fixed ``eps`` and ``min_pts`` or scans ``eps_grid`` x
-    ``minpts_grid``, never both.  ``penalty_kind`` spells ``alpha_grid``, here
-    alone: ridge (0,), lasso (1,), elastic_net the grid given or (0.3, 0.5,
-    1.0); ridge and lasso take no other grid.
+    ``minpts_grid``, never both.  An unset ``alpha_grid`` is the penalty's own
+    grid, which :func:`run_dpr` looks up: ridge (0,), lasso (1,), elastic_net
+    (0.3, 0.5, 1.0); ridge and lasso take no other grid.
     """
 
     transform: TransformSpec = field(default_factory=TransformSpec)
@@ -105,10 +108,8 @@ class DprConfig:
         kind = self.penalty_kind
         if kind not in _PENALTY_ALPHAS:
             raise ValidationError(f"penalty must be one of {tuple(_PENALTY_ALPHAS)}, got {kind!r}")
-        if self.alpha_grid is None:
-            object.__setattr__(self, "alpha_grid", _PENALTY_ALPHAS[kind])
-        # a resolved config is valid again, so dataclasses.replace keeps working
-        elif kind != "elastic_net" and tuple(self.alpha_grid) != _PENALTY_ALPHAS[kind]:
+        if (self.alpha_grid is not None and kind != "elastic_net"
+                and tuple(self.alpha_grid) != _PENALTY_ALPHAS[kind]):
             raise ValidationError(f"alpha_grid is only valid for elastic_net, not {kind}")
         _check_outlier_policy(self.outlier_policy)
         for key in ("eps_grid", "minpts_grid", "lambda_grid", "alpha_grid"):
@@ -406,10 +407,6 @@ class ForecastResult:
         return int(np.count_nonzero(self.is_noise))
 
 
-def _key_columns(keys) -> tuple[list, list]:
-    return [e for e, _ in keys], [p for _, p in keys]
-
-
 def write_forecast(result: ForecastResult, dest) -> None:
     """The forecast table (``forecast.csv``) that ``run`` and ``forecast`` write."""
     write_table(
@@ -427,30 +424,34 @@ def write_forecast(result: ForecastResult, dest) -> None:
 
 
 def forecast_report(model: FittedModel, test: PanelDataset, transform: TransformSpec,
-                    labels: np.ndarray | None = None) -> ForecastResult:
+                    labels: np.ndarray) -> ForecastResult:
     """Predict the test panel and compare against actuals in both unit systems.
 
-    ``labels`` are the rows' cluster ids (NOISE for every row when None).  The
-    model's columns after the panel's features are its dummies; their block
-    comes from ``labels`` by :func:`dummy_columns`, so a model with dummies
-    needs ``labels``.  The relative error is the deviation on the exp scale,
-    |exp(yhat) - exp(y)| / exp(y); the source-unit value columns apply the
-    full inverse transform exp(v) - offset.  Rows without a target predict
-    but contribute nothing to the summary; the summary is the mean and the
-    population variance of the log-unit errors (yhat - y).
+    ``labels`` are the rows' cluster ids.  The model's columns after the
+    panel's features are its dummies; their block comes from ``labels`` by
+    :func:`dummy_columns`.  The relative error is the deviation on the exp
+    scale, |exp(yhat) - exp(y)| / exp(y); the source-unit value columns apply
+    the full inverse transform exp(v) - offset, so a prediction above
+    log(float max) is a NumericalError naming its row.  Rows without a target
+    predict but contribute nothing to the summary; the summary is the mean
+    and the population variance of the log-unit errors (yhat - y).
     """
     if test.transform is not None:
         raise ValidationError("forecast_report expects a source-unit test panel")
-    dummies = model.column_names[test.n_features:]
-    if labels is None and dummies:
-        raise ValidationError(
-            f"the model has {len(dummies)} dummy column(s); forecasting needs cluster labels"
-        )
-    labels = np.full(test.n_obs, NOISE, np.intp) if labels is None else np.asarray(labels, np.intp)
+    labels = np.asarray(labels, np.intp)
     if labels.shape != (test.n_obs,):
         raise ValidationError(f"{labels.size} labels for {test.n_obs} test rows")
     test_log = log_transform(test, transform)
+    dummies = model.column_names[test.n_features:]
     yhat = predict(model, np.hstack([test_log.features, dummy_columns(dummies, labels)]))
+    over = np.flatnonzero(yhat > _LOG_FLOAT_MAX)
+    if over.size:
+        i = int(over[0])
+        raise NumericalError(
+            f"entity {test.entities[test.entity_idx[i]]!r}, period "
+            f"{test.periods[test.period_idx[i]]!r}: predicted log target {float(yhat[i])} "
+            f"is above log(float max) = {_LOG_FLOAT_MAX}; its source-unit value overflows"
+        )
 
     y = test_log.targets
     have = ~np.isnan(y)
@@ -585,10 +586,12 @@ class RunReport:
 
     ``design`` is the standardized training design the model was fit on; the
     final model, with its penalty, is ``dpr_model.model``, the path's fit at
-    the chosen lambda.  ``train_keys`` are the training rows' (entity, period)
-    keys; the test rows' keys are the columns ``forecast.entities`` and
-    ``forecast.periods``, and their cluster ids ``forecast.cluster``.
-    summary.json's chosen kind is ``penalty_kind``.
+    the chosen lambda.  ``entities`` and ``periods`` are the training rows'
+    keys in row order, two columns; the test rows' keys are the columns
+    ``forecast.entities`` and ``forecast.periods``, and their cluster ids
+    ``forecast.cluster``.  ``zero_mix_rows`` are the indices of the training
+    rows whose features sum to zero.  summary.json's chosen kind is
+    ``penalty_kind``.
     A path fit that is None (rank-deficient at alpha=0) counts as unconverged.
     """
 
@@ -603,9 +606,10 @@ class RunReport:
     dpr_model: DprModel
     forecast: ForecastResult
     metrics: dict
-    train_keys: list
+    entities: list[str]
+    periods: list
     k_distance: np.ndarray
-    zero_mix_rows: list
+    zero_mix_rows: list[int]
 
     @property
     def unconverged_path_fits(self) -> int:
@@ -666,7 +670,9 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         dmS = standardize(dm1.X, dm1.y, dm1.column_names, source_rows=dm1.source_rows)
 
     with _stage("cv"):
-        cv = cross_validate(dmS, split.cv_folds, config.lambda_grid, config.alpha_grid)
+        alphas = (_PENALTY_ALPHAS[config.penalty_kind] if config.alpha_grid is None
+                  else config.alpha_grid)
+        cv = cross_validate(dmS, split.cv_folds, config.lambda_grid, alphas)
 
     with _stage("path"):
         path_lams = sorted(set(float(l) for l in config.lambda_grid), reverse=True)
@@ -705,7 +711,7 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         kd_k = min(params.min_pts, mix_train.shape[0] - 1)
         k_dist = k_distance_profile(mix_train, max(1, kd_k))
 
-        train_keys = train_p.row_keys()
+        entities, periods = train_p.key_columns()
         return RunReport(
             split=split,
             penalty_kind=config.penalty_kind,
@@ -718,9 +724,10 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
             dpr_model=dpr_model,
             forecast=fres,
             metrics=metrics,
-            train_keys=train_keys,
+            entities=entities,
+            periods=periods,
             k_distance=k_dist,
-            zero_mix_rows=[train_keys[i] for i in zero_rows],
+            zero_mix_rows=zero_rows,
         )
 
 
@@ -730,15 +737,14 @@ def write_report(report: RunReport, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     fc = report.forecast
-    n_train, n_test = len(report.train_keys), len(fc.entities)
+    n_train, n_test = len(report.entities), len(fc.entities)
     clusters, model, dm = report.clusters, report.dpr_model.model, report.design
-    train_entities, train_periods = _key_columns(report.train_keys)
     write_table(
         out / "clusters.csv",
         ["entity", "period", "split", "label", "core"],
         [
-            train_entities + fc.entities,
-            train_periods + fc.periods,
+            report.entities + fc.entities,
+            report.periods + fc.periods,
             ["train"] * n_train + ["test"] * n_test,
             np.concatenate([clusters.labels, fc.cluster]).astype(np.intp),
             clusters.core_mask.astype(np.intp).tolist() + [None] * n_test,
@@ -751,12 +757,12 @@ def write_report(report: RunReport, out_dir) -> None:
 
     write_coefficients(model, out / "coefficients.csv")
 
-    fitted_keys = [report.train_keys[i] for i in dm.source_rows]
+    rows = dm.source_rows.tolist()
     a, f = dm.y, _predict_standardized(model, dm.X)
     write_table(
         out / "fitted.csv",
         ["entity", "period", "actual_log", "predicted_log", "residual"],
-        [*_key_columns(fitted_keys), a, f, a - f],
+        [[report.entities[i] for i in rows], [report.periods[i] for i in rows], a, f, a - f],
     )
 
     write_forecast(fc, out / "forecast.csv")
@@ -795,7 +801,8 @@ def write_report(report: RunReport, out_dir) -> None:
             "cv_folds": report.split.cv_folds,
         },
         "flagged": {
-            "zero_mix_rows": [[e, p] for e, p in report.zero_mix_rows],
+            "zero_mix_rows": [[report.entities[i], report.periods[i]]
+                              for i in report.zero_mix_rows],
             "test_noise_rows": [
                 [fc.entities[i], fc.periods[i]] for i in np.flatnonzero(fc.is_noise).tolist()
             ],

@@ -1,4 +1,4 @@
-"""Writers of every file the toolkit writes, delimited tables and JSON records.
+"""Writers of every file the toolkit writes, comma-separated tables and JSON records.
 
 Tables are written by column.  Floats are written at 17 significant digits,
 enough to reconstruct any IEEE double, so files round-trip bit-exactly.
@@ -9,11 +9,9 @@ Each block of rows is rendered with one ``%`` template per row: ``%.17g``
 for a float array without NaN, ``%d`` for an integer array or int cells,
 ``%s`` for every other column's cells (:func:`fmt`'s text).  That is the
 text ``csv.writer`` writes for cells it does not quote.  A block with a cell
-it would quote (one holding the delimiter, a quote or a line break, or an
-empty cell alone on its row) is written by ``csv.writer`` instead.  Only
-the ``%s`` columns can hold such a cell, and the number columns too when the
-delimiter is one of the characters of number text (``0-9 + - . e i n f``);
-the check reads just those columns.
+it would quote (one holding a comma, a quote or a line break, or an empty
+cell alone on its row) is written by ``csv.writer`` instead.  Only the
+``%s`` columns can hold such a cell, and the check reads just those columns.
 
 JSON records (``model.json``, ``summary.json``) go through :func:`write_json`
 as compact, one-line JSON, and are read back field by field through
@@ -70,23 +68,17 @@ def _cells(column, na: str) -> list:
     return column  # the csv writer renders str and int cells as fmt does
 
 
-# every character of a %d or %.17g rendering, inf and -inf included
-_NUMBER_CHARS = frozenset("0123456789+-.einf")
-
-
-def _block_text(block: Sequence, na: str, delimiter: str) -> str | None:
+def _block_text(block: Sequence, na: str) -> str | None:
     """The rows of one block as text, one ``%`` template per row.
 
     Float arrays without NaN render with ``%.17g``, and integer arrays and
     int cells with ``%d``: the same text as ``format(v, ".17g")`` and ``str``.
     Every other column renders through :func:`_cells` and ``%s``.  Returns
-    None when the csv writer would quote some cell: one that holds the
-    delimiter, a quote or a line break, or an empty cell alone on its row.
-    Only the ``%s`` cells are looked at, and the number cells too when the
-    delimiter is one of their characters (``0-9 + - . e i n f``): no other
-    number text can hold such a character.  Python 3.13's csv writer quotes a
-    carriage return and earlier ones do not; either way a block holding one
-    goes to the csv writer.
+    None when the csv writer would quote some cell: one that holds a comma, a
+    quote or a line break, or an empty cell alone on its row.  Only the ``%s``
+    cells are looked at: no number text holds such a character.  Python
+    3.13's csv writer quotes a carriage return and earlier ones do not; either
+    way a block holding one goes to the csv writer.
     """
     specs, values = [], []
     for column in block:
@@ -101,25 +93,18 @@ def _block_text(block: Sequence, na: str, delimiter: str) -> str | None:
             cells = _cells(column, na)
             specs.append("%d" if type(cells[0]) is int else "%s")
             values.append(cells)
-    numbers_can_quote = delimiter in _NUMBER_CHARS
     for spec, cells in zip(specs, values):
-        if spec == "%s":
-            text = "".join(cells)
-        elif numbers_can_quote:
-            text = "".join(map(spec.__mod__, cells))
-        else:
-            continue
-        if delimiter in text or '"' in text or "\r" in text or "\n" in text:
+        text = "".join(cells) if spec == "%s" else ""
+        if "," in text or '"' in text or "\r" in text or "\n" in text:
             return None
     if len(block) == 1 and specs[0] == "%s" and "" in values[0]:
         return None
-    template = delimiter.replace("%", "%%").join(specs) + "\n"
+    template = ",".join(specs) + "\n"
     return "".join(map(template.__mod__, zip(*values)))
 
 
-def write_table(dest, header: Sequence[str], columns: Sequence, delimiter: str = ",",
-                na: str = NA) -> None:
-    """Write equal-length columns under ``header`` with a fixed newline convention.
+def write_table(dest, header: Sequence[str], columns: Sequence, na: str = NA) -> None:
+    """Write equal-length comma-separated columns under ``header``, rows ending in LF.
 
     A column is a float array (17 significant digits, NaN as ``na``), an
     integer array, or a sequence of cells rendered by :func:`fmt` (None as
@@ -132,11 +117,11 @@ def write_table(dest, header: Sequence[str], columns: Sequence, delimiter: str =
         raise ValueError("table columns differ in length")
 
     def _write(fh: IO[str]) -> None:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(header))
         for start in range(0, n, BLOCK_ROWS):
             block = [c[start:start + BLOCK_ROWS] for c in columns]
-            text = _block_text(block, na, delimiter)
+            text = _block_text(block, na)
             if text is None:
                 writer.writerows(zip(*(_cells(c, na) for c in block)))
             else:

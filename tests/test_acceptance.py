@@ -327,6 +327,7 @@ def test_criterion_7_forecast_error_arithmetic():
         _intercept_only_model(predicted),
         _panel_from_log_targets([actual]),
         TransformSpec(),
+        labels=np.zeros(1),
     )
     rel_pct = res.relative_error[0] * 100.0
     assert abs(rel_pct - 27.67) < 0.01
@@ -339,6 +340,7 @@ def test_criterion_7_forecast_error_arithmetic():
         _intercept_only_model(level),
         _panel_from_log_targets([level - 0.1, level - 0.3]),
         TransformSpec(),
+        labels=np.zeros(2),
     )
     assert abs(res2.mean_error - 0.2) < 1e-10
     assert abs(res2.error_variance - 0.01) < 1e-10

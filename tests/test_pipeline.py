@@ -213,16 +213,18 @@ def test_cv_alpha_walk_warm_starts_within_each_fold(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["lasso", "ridge"])
 def test_cv_without_alpha_grid_runs_one_chain_per_fold(kind, monkeypatch):
-    # ridge and lasso, given no alpha grid, spell a grid of one alpha
-    alphas = DprConfig(eps=0.05, min_pts=4, penalty_kind=kind).alpha_grid
+    # ridge and lasso, given no alpha grid, spell a grid of one alpha: one cold chain
+    # per fold, and one for the run's coefficient path
+    panel, _ = _panel(n_entities=10, n_periods=8, n_features=5, n_clusters=3, seed=2)
+    split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
     chains = []
     path = pipeline.regularization_path
     monkeypatch.setattr(
         pipeline, "regularization_path",
         lambda dm, *a, **k: chains.append(k.get("warm")) or path(dm, *a, **k),
     )
-    cross_validate(_cv_design(), 4, [0.1, 0.01, 1e-3], alphas)
-    assert chains == [None] * 4
+    run_dpr(panel, _default_config(penalty_kind=kind), split)
+    assert chains == [None] * 5
 
 
 def test_cv_rank_deficient_ridge_cells_become_na():
@@ -401,13 +403,26 @@ def test_config_spells_ridge_and_lasso_as_one_alpha_and_refuses_an_alpha_grid(ki
     message = f"^alpha_grid is only valid for elastic_net, not {kind}$"
     with pytest.raises(ValidationError, match=message):
         DprConfig(eps=0.05, min_pts=4, penalty_kind=kind, alpha_grid=(0.5,))
-    config = DprConfig(eps=0.05, min_pts=4, penalty_kind=kind)
-    assert config.alpha_grid == (alpha,)
-    # the resolved grid is the spelling's own, so a replaced config is valid
-    assert dataclasses.replace(config, eps=0.1).alpha_grid == (alpha,)
-    assert DprConfig(eps=0.05, min_pts=4).alpha_grid == (0.3, 0.5, 1.0)
+    # unset, the penalty's own grid is looked up where cross-validation takes it
+    assert DprConfig(eps=0.05, min_pts=4, penalty_kind=kind).alpha_grid is None
+    assert DprConfig(eps=0.05, min_pts=4, penalty_kind=kind, alpha_grid=(alpha,)).alpha_grid \
+        == (alpha,)
     # an elastic-net grid may hold either end
     assert DprConfig(eps=0.05, min_pts=4, alpha_grid=(alpha,)).alpha_grid == (alpha,)
+
+
+@pytest.mark.parametrize("start, kind, alphas", [
+    ("elastic_net", "ridge", [0.0]), ("elastic_net", "lasso", [1.0]),
+    ("ridge", "elastic_net", [0.3, 0.5, 1.0]), ("lasso", "ridge", [0.0]),
+])
+def test_a_replaced_penalty_kind_searches_its_own_alpha_grid(start, kind, alphas):
+    panel, _ = _panel(n_entities=10, n_periods=8, n_features=5, n_clusters=3, seed=2)
+    split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
+    built = _default_config(penalty_kind=start, alpha_grid=None)
+    config = dataclasses.replace(built, penalty_kind=kind)
+    report = run_dpr(panel, config, split)
+    assert list(dict.fromkeys(c.alpha for c in report.cv.table)) == alphas
+    assert report.penalty_kind == kind
 
 
 def test_empty_grids_are_refused():
@@ -481,7 +496,7 @@ def test_run_report_structure(tmp_path):
     split = SplitSpec(tuple(panel.periods[:6]), tuple(panel.periods[6:]), cv_folds=4)
     report = run_dpr(panel, _default_config(), split)
     assert report.clusters.k == 3
-    assert len(report.train_keys) == 60
+    assert len(report.entities) == len(report.periods) == 60
     assert len(report.forecast.rows) == 20
     assert report.metrics["train"]["r2"] > 0.97
     assert report.metrics["test"] is not None
@@ -579,7 +594,7 @@ def test_forecast_report_missing_targets_excluded_from_summary():
         zero_variance=np.array([False]),
         diagnostics={},
     )
-    res = forecast_report(model, panel, TransformSpec())
+    res = forecast_report(model, panel, TransformSpec(), labels=np.full(2, NOISE))
     assert len(res.rows) == 2
     assert res.rows == panel.row_keys()
     assert res.actual_log[0] == pytest.approx(1.0)
@@ -614,8 +629,6 @@ def test_forecast_report_builds_the_dummy_block_from_labels():
     _, test = chronological_split(panel, split)
     m = report.dpr_model
     assert m.model.column_names[test.n_features:] == ["cluster_1", "cluster_2"]
-    with pytest.raises(ValidationError, match="dummy column"):
-        forecast_report(m.model, test, m.transform)
     with pytest.raises(ValidationError, match="labels for"):
         forecast_report(m.model, test, m.transform, labels=report.forecast.cluster[1:])
     again = forecast_report(m.model, test, m.transform, labels=report.forecast.cluster)

@@ -12,10 +12,10 @@ from dprkit import tables
 from dprkit.tables import fmt, write_table
 
 
-def _reference(header, rows, na, delimiter=",") -> str:
+def _reference(header, rows, na) -> str:
     """The row-at-a-time writer: one csv.writer row per row, every cell through fmt."""
     buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([fmt(c, na) for c in row])
@@ -52,28 +52,27 @@ def tables_of(draw):
     keep=st.sets(st.integers(0, 4), min_size=1),
     block=st.sampled_from([1, 2, 5, 4096]),
     na=st.sampled_from(["NA", ""]),
-    delimiter=st.sampled_from([",", ";", "\t", "%"]),
 )
 # a one-column table of empty strings: the csv writer writes each as ""
-@example(table=([""] * 3 + ["x"], [], [], [], []), keep={0}, block=2, na="NA", delimiter=",")
+@example(table=([""] * 3 + ["x"], [], [], [], []), keep={0}, block=2, na="NA")
 # NaN in one block, only finite values in the other, written with and without other columns
 @example(table=(["a", "b", "c", "d"], [], np.array([0.5, 1 / 3, math.nan, math.nan]), [], []),
-         keep={2}, block=2, na="", delimiter=",")
+         keep={2}, block=2, na="")
 @example(table=(["a", "b", "c", "d"], [], np.array([0.5, 1 / 3, math.nan, math.nan]), [], []),
-         keep={0, 2}, block=2, na="", delimiter=";")
-def test_columns_match_the_row_writer(table, keep, block, na, delimiter):
+         keep={0, 2}, block=2, na="")
+def test_columns_match_the_row_writer(table, keep, block, na):
     header = [HEADER[k] for k in sorted(keep)]
     columns = [table[k] for k in sorted(keep)]
     # the reference sees numpy scalars for array cells, as row-built tables did
     rows = [list(row) for row in zip(*columns)]
     buf = io.StringIO()
     with mock.patch.object(tables, "BLOCK_ROWS", block):
-        write_table(buf, header, columns, delimiter=delimiter, na=na)
-    assert buf.getvalue() == _reference(header, rows, na, delimiter)
+        write_table(buf, header, columns, na=na)
+    assert buf.getvalue() == _reference(header, rows, na)
 
 
-# the delimiters a number's text can hold (- . e 1) and ones it cannot
-QUOTE_DELIMITERS = [",", ";", "\t", "-", ".", "e", "1", "N"]
+# characters a number's text can hold (- . e 1) and ones it cannot; only the comma is quoted
+SEPARATORS = [",", ";", "\t", "-", ".", "e", "1", "N"]
 CELL_KINDS = {
     "negative ints": np.array([-1, -10, 0, 12], dtype=np.int64),
     "int cells": [-1, 2000, -30, 1],
@@ -81,17 +80,19 @@ CELL_KINDS = {
     "infinities": np.array([math.inf, -math.inf, 1.5, 2.0]),
     "floats with NaN": np.array([math.nan, 1.0, -1e-5, math.nan]),
     "text": ["a", "E1", "x.y", "2e5"],
-    "text with the delimiter, a quote or a line break": ["a{d}b", 'say "hi"', "cr\r", "nl\n"],
+    "text with a comma, a quote or a line break": ["a,b", 'say "hi"', "cr\r", "nl\n"],
+    "text with the separator": ["a{d}b", "{d}", "x{d}", "{d}{d}"],
     "empty text": ["", "x", "", "y"],
 }
 
 
 @pytest.mark.parametrize("na", ["NA", ""])
-@pytest.mark.parametrize("delimiter", QUOTE_DELIMITERS)
-def test_quoting_check_matches_the_csv_writer(delimiter, na):
+@pytest.mark.parametrize("separator", SEPARATORS)
+def test_quoting_check_matches_the_csv_writer(separator, na):
     """Each kind of cell alone (an empty cell alone on its row is quoted), beside a
-    text column, and all kinds together, in blocks of one row and of BLOCK_ROWS."""
-    kinds = {name: [c.format(d=delimiter) for c in column] if name.startswith("text with")
+    text column, and all kinds together, in blocks of one row and of BLOCK_ROWS; text
+    cells hold ``separator``, which is quoted only when it is the comma."""
+    kinds = {name: [c.format(d=separator) for c in column] if name.endswith("separator")
              else column for name, column in CELL_KINDS.items()}
     layouts = [[name] for name in kinds]
     layouts += [[name, "text"] for name in kinds if name != "text"]
@@ -102,8 +103,8 @@ def test_quoting_check_matches_the_csv_writer(delimiter, na):
         for block in (1, tables.BLOCK_ROWS):
             buf = io.StringIO()
             with mock.patch.object(tables, "BLOCK_ROWS", block):
-                write_table(buf, names, columns, delimiter=delimiter, na=na)
-            assert buf.getvalue() == _reference(names, rows, na, delimiter), (names, block)
+                write_table(buf, names, columns, na=na)
+            assert buf.getvalue() == _reference(names, rows, na), (names, block)
 
 
 def test_float_cells_keep_every_bit(tmp_path):
