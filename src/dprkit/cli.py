@@ -21,10 +21,8 @@ from .errors import NumericalError, ValidationError
 from .panel import (
     EmissionFactorTable,
     PanelDataset,
-    PanelSchema,
     TransformSpec,
     compute_emissions,
-    header_names,
     load_panel,
     write_panel,
 )
@@ -115,10 +113,6 @@ def _require_input(path) -> Path:
     return p
 
 
-def _load_canonical(path) -> PanelDataset:
-    return load_panel(_require_input(path), PanelSchema())
-
-
 def _ok(stage: str, **kv) -> None:
     parts = [stage, "ok"]
     for key, value in kv.items():
@@ -201,18 +195,9 @@ def _given(settings: dict, **fields) -> dict:
 
 
 def _cmd_ingest(args) -> int:
-    schema = PanelSchema(
-        entity=args.entity_column,
-        period=args.period_column,
-        # empty name: the raw file has no target column (factors supply it)
-        target=args.target_column or None,
-        features=args.features.split(",") if args.features else None,
-        delimiter=args.delimiter,
-    )
-    panel = load_panel(_require_input(args.input), schema)
-    if args.factors:
-        table = EmissionFactorTable.from_csv(_require_input(args.factors))
-        panel = compute_emissions(panel, table)
+    panel = load_panel(_require_input(args.input))
+    table = EmissionFactorTable.from_csv(_require_input(args.factors))
+    panel = compute_emissions(panel, table)
     write_panel(panel, args.output)
     _ok(
         "ingest",
@@ -308,7 +293,7 @@ def _build_run(texts: dict[str, str], panel: PanelDataset):
 
 
 def _cmd_run(args) -> int:
-    panel = _load_canonical(args.input)
+    panel = load_panel(_require_input(args.input))
     config, split = _build_run(_effective_run_settings(args), panel)
     report = pipeline.run_dpr(panel, config, split)
     pipeline.write_report(report, args.output_dir)
@@ -331,17 +316,8 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _load_new_observations(path) -> PanelDataset:
-    """The canonical panel ``forecast`` reads; without a target column every actual is NA."""
-    path = _require_input(path)
-    schema = PanelSchema()
-    if schema.target not in header_names(path, schema.delimiter):
-        schema = PanelSchema(target=None)
-    return load_panel(path, schema)
-
-
 def _cmd_forecast(args) -> int:
-    panel = _load_new_observations(args.input)
+    panel = load_panel(_require_input(args.input))  # without a target column, every actual is NA
     model = _read_bundle(args.model, pipeline.DprModel.from_bundle)
     try:
         result = model.forecast(panel)
@@ -385,17 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dprkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("ingest", help="normalize a raw table into the canonical panel layout")
-    sp.add_argument("--input", required=True)
+    sp = sub.add_parser("ingest", help="set each row's target to its emissions: the sum of its "
+                        "features, each times its emission factor")
+    sp.add_argument("--input", required=True,
+                    help="panel: entity, period, optional target, every other column a feature")
     sp.add_argument("--output", required=True)
-    sp.add_argument("--entity-column", default="entity")
-    sp.add_argument("--period-column", default="period")
-    sp.add_argument("--target-column", default="target")
-    sp.add_argument("--features", default=None,
-                    help="comma list; default: every other numeric column")
-    sp.add_argument("--delimiter", default=",")
-    sp.add_argument("--factors", default=None,
-                    help="per-feature factor table; computes targets from features")
+    sp.add_argument("--factors", required=True,
+                    help="feature,factor table with a factor for every feature")
     sp.set_defaults(handler=_cmd_ingest)
 
     sp = sub.add_parser("synth", help="generate a synthetic clustered panel")

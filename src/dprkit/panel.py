@@ -2,8 +2,11 @@
 
 A panel is a long-format table of observations keyed by (entity, period),
 carrying a vector of non-negative consumption features and an optional
-non-negative target.  Rows are normalized to lexicographic (entity, period)
-order on load so that every downstream computation sees a canonical order.
+non-negative target.  It has one file layout: a comma-separated header with
+``entity`` and ``period`` columns and an optional ``target`` column, every
+other column a feature in file order.  Rows are normalized to lexicographic
+(entity, period) order on load so that every downstream computation sees a
+canonical order.
 
 Three transforms are provided ahead of modeling:
 
@@ -199,34 +202,6 @@ class PanelDataset:
         )
 
 
-@dataclass(frozen=True)
-class PanelSchema:
-    """Column mapping for :func:`load_panel`.
-
-    ``features=None`` means: every column not otherwise claimed is a feature,
-    in file order.  ``target=None`` means the panel carries no target column.
-    """
-
-    entity: str = "entity"
-    period: str = "period"
-    target: str | None = "target"
-    features: tuple[str, ...] | None = None
-    delimiter: str = ","
-
-    def __post_init__(self) -> None:
-        # the csv reader splits on one character, and a quote or a line break is no cell boundary
-        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1 \
-                or self.delimiter in '"\r\n':
-            raise ValidationError("delimiter must be one character other than '\"', '\\r' "
-                                  f"and '\\n', got {self.delimiter!r}")
-        target = [] if self.target is None else [self.target]
-        # a key column may also be a feature; no other column is claimed twice
-        for names in ([self.entity, self.period, *target], [*target, *(self.features or ())]):
-            twice = _first_repeat(names)
-            if twice is not None:
-                raise ValidationError(f"schema claims column {twice!r} twice")
-
-
 def _first_repeat(names: list):
     """The first name that occurs a second time in ``names``, or None."""
     return next((name for i, name in enumerate(names) if name in names[:i]), None)
@@ -264,11 +239,9 @@ class _Layout:
     """Where :func:`load_panel` finds each field of a data row."""
 
     width: int
-    delimiter: str
     entity: int
     period: int
     target: int | None
-    target_name: str | None
     features: list[int]
     feature_names: list[str]
 
@@ -308,25 +281,25 @@ def _parse_lines(lines: list[str], layout: _Layout):
     """Keys, features and targets of the data lines, from one ``np.loadtxt`` call.
 
     Blank lines are dropped first.  Feature cells are parsed by numpy's C
-    reader; key, target and unused cells come back as strings.  Returns None
+    reader; key and target cells come back as strings.  Returns None
     when loadtxt rejects a line (a wrong width, or a spelling only ``float()``
     accepts, such as ``1_0``), when its rows are not the remaining lines one
     for one (a quoted line break joins two lines), or when :func:`_checked`
     fails; :func:`_read_rows` then reads the same lines.
     """
     lines = list(filter(str.strip, lines))
-    numeric = set(layout.features) - {layout.entity, layout.period, layout.target}
+    numeric = set(layout.features)
     dtype = [(f"c{k}", np.float64 if k in numeric else object) for k in range(layout.width)]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # loadtxt warns when it finds no rows
-            table = np.loadtxt(lines, dtype=dtype, delimiter=layout.delimiter, comments=None,
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
                                quotechar='"', ndmin=1)
-        features = np.empty((table.size, len(layout.features)))
-        for j, c in enumerate(layout.features):
-            features[:, j] = table[f"c{c}"]  # float() on a feature that is also a key
     except (ValueError, UserWarning):
         return None
+    features = np.empty((table.size, len(layout.features)))
+    for j, c in enumerate(layout.features):
+        features[:, j] = table[f"c{c}"]
     if table.size != len(lines):
         return None
     checked = _checked(features, None if layout.target is None
@@ -360,7 +333,7 @@ def _read_rows(lines: list[str], layout: _Layout):
     targets = np.full(len(lines), math.nan)
     first_line: dict[tuple[str, str], int] = {}  # (entity, period) of each row, in file order
     columns = list(zip(layout.feature_names, layout.features))
-    for lineno, row in enumerate(csv.reader(lines, delimiter=layout.delimiter), start=2):
+    for lineno, row in enumerate(csv.reader(lines), start=2):
         if not row or all(c.strip() == "" for c in row):
             continue
         if len(row) != layout.width:
@@ -377,7 +350,7 @@ def _read_rows(lines: list[str], layout: _Layout):
         if layout.target is not None:
             cell = row[layout.target].strip()
             if cell not in _MISSING_TARGET:
-                targets[i] = _cell_value(cell, layout.target_name, lineno)
+                targets[i] = _cell_value(cell, "target", lineno)
     if not first_line:
         raise ValidationError("panel file has a header but no data rows")
     n = len(first_line)
@@ -385,71 +358,47 @@ def _read_rows(lines: list[str], layout: _Layout):
     return entities, periods, features[:n], targets[:n]
 
 
-def header_names(source, delimiter: str = ",") -> list[str]:
-    """The column names of a panel's header row, stripped, as :func:`load_panel` reads them.
+def load_panel(source) -> PanelDataset:
+    """Parse a comma-separated panel into a canonical :class:`PanelDataset`.
 
-    ``source`` is a path or a text stream; a stream is left at its first data row.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return header_names(fh, delimiter)
-    row = next(csv.reader(source, delimiter=delimiter), None)
-    if row is None:
-        raise ValidationError("panel file is empty: header row is required")
-    return [h.strip() for h in row]
-
-
-def load_panel(source, schema: PanelSchema | None = None) -> PanelDataset:
-    """Parse a delimited text table into a canonical :class:`PanelDataset`.
-
-    Validation is strict: missing schema columns, duplicate (entity, period)
+    The header names an ``entity`` and a ``period`` column and, optionally, a
+    ``target`` column; every other column is a feature, in file order.  A file
+    without a ``target`` column reads as one whose target cells are all empty.
+    Validation is strict: a missing key column, duplicate (entity, period)
     pairs, non-numeric cells, and negative features or targets are all
     rejected with the offending row and column named; a file with several
     faults reports the first in file order.  Empty target cells are allowed
     and become NaN (forecast-only rows).  Blank lines are skipped.  Rows are
     parsed by ``np.loadtxt``, or one ``csv.reader`` row at a time when loadtxt
-    cannot take them line for line.  Key cells are stripped and converted once
-    per distinct spelling: ``" E1 "`` and ``"E1"`` are one entity, and periods
-    are ints when every spelling is one (``"2000"``, ``"+2000"``), else the
-    stripped strings.
+    cannot take them line for line.  Header names and key cells are stripped;
+    key cells are converted once per distinct spelling: ``" E1 "`` and
+    ``"E1"`` are one entity, and periods are ints when every spelling is one
+    (``"2000"``, ``"+2000"``), else the stripped strings.
     """
-    schema = schema or PanelSchema()
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            return load_panel(fh, schema)
+            return load_panel(fh)
 
-    header = header_names(source, schema.delimiter)
-
+    row = next(csv.reader(source), None)  # the stream is left at its first data row
+    if row is None:
+        raise ValidationError("panel file is empty: header row is required")
+    header = [h.strip() for h in row]
     twice = _first_repeat(header)
     if twice is not None:
         raise ValidationError(f"header names column {twice!r} twice")
     col_of = {name: i for i, name in enumerate(header)}
-    for required in (schema.entity, schema.period):
+    for required in ("entity", "period"):
         if required not in col_of:
             raise ValidationError(f"required column {required!r} missing from header {header}")
-    if schema.target is not None and schema.target not in col_of:
-        raise ValidationError(f"target column {schema.target!r} missing from header {header}")
-
-    if schema.features is None:
-        claimed = {schema.entity, schema.period}
-        if schema.target is not None:
-            claimed.add(schema.target)
-        feature_names = [h for h in header if h not in claimed]
-    else:
-        feature_names = list(schema.features)
-        for name in feature_names:
-            if name not in col_of:
-                raise ValidationError(f"feature column {name!r} missing from header {header}")
+    feature_names = [h for h in header if h not in ("entity", "period", "target")]
     if not feature_names:
-        raise ValidationError("schema selects no feature columns")
+        raise ValidationError(f"no feature columns in header {header}")
 
     layout = _Layout(
         width=len(header),
-        delimiter=schema.delimiter,
-        entity=col_of[schema.entity],
-        period=col_of[schema.period],
-        target=col_of[schema.target] if schema.target is not None else None,
-        target_name=schema.target,
+        entity=col_of["entity"],
+        period=col_of["period"],
+        target=col_of.get("target"),
         features=[col_of[name] for name in feature_names],
         feature_names=feature_names,
     )
@@ -503,7 +452,8 @@ def compute_emissions(data: PanelDataset, factors: EmissionFactorTable) -> Panel
     weights = np.array(
         [factors.factor_per_feature[n] for n in data.feature_names], dtype=np.float64
     )
-    return replace(data, targets=data.features @ weights)
+    # each row summed alone, so that a row's target never depends on the other rows
+    return replace(data, targets=(data.features * weights).sum(axis=1))
 
 
 def log_transform(data: PanelDataset, spec: TransformSpec) -> PanelDataset:

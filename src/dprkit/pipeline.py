@@ -41,6 +41,7 @@ from .regression import (
     PenaltySpec,
     RankDeficiencyError,
     _fit_metrics,
+    _linear_predictor,
     add_training_metrics,
     check_alpha,
     check_lambda,
@@ -246,11 +247,6 @@ def _fold_blocks(n: int, folds: int) -> list[np.ndarray]:
     return [np.arange(edges[b], edges[b + 1]) for b in range(folds)]
 
 
-def _predict_standardized(model: FittedModel, X: np.ndarray) -> np.ndarray:
-    # rows already live in the standardized design space
-    return model.intercept + X @ model.coefficients
-
-
 def require_fit(model: FittedModel | None, what: str) -> FittedModel:
     """``model`` if its fit succeeded; a None fit is rank-deficient, an unconverged one fails.
 
@@ -351,7 +347,7 @@ def cross_validate(dm: DesignMatrix, folds: int, lambda_grid, alpha_grid) -> CvR
                 mse = r2 = math.nan
                 # NA unless the fit succeeds and converges
                 if m is not None and m.diagnostics["converged"]:
-                    mse, r2 = _fit_metrics(yv, _predict_standardized(m, Xv))
+                    mse, r2 = _fit_metrics(yv, _linear_predictor(m.intercept, Xv, m.coefficients))
                 out[(lam, alpha)] = (mse, math.nan if r2 is None else r2)
         return out
 
@@ -758,7 +754,7 @@ def write_report(report: RunReport, out_dir) -> None:
     write_coefficients(model, out / "coefficients.csv")
 
     rows = dm.source_rows.tolist()
-    a, f = dm.y, _predict_standardized(model, dm.X)
+    a, f = dm.y, _linear_predictor(model.intercept, dm.X, model.coefficients)
     write_table(
         out / "fitted.csv",
         ["entity", "period", "actual_log", "predicted_log", "residual"],

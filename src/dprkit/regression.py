@@ -625,9 +625,23 @@ def add_training_metrics(model: FittedModel, dm: DesignMatrix) -> FittedModel:
 
     ``fit_elastic_net`` leaves them out: cross-validation never reads them.
     """
-    mse, r2 = _fit_metrics(dm.y, model.intercept + dm.X @ model.coefficients)
+    mse, r2 = _fit_metrics(dm.y, _linear_predictor(model.intercept, dm.X, model.coefficients))
     model.diagnostics = {"r2": r2, "mse": mse, **model.diagnostics}
     return model
+
+
+def _linear_predictor(intercept: float, X: np.ndarray, coefficients: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """``intercept + X @ coefficients``, each row of ``X`` summed on its own.
+
+    A BLAS product sums a row in an order that depends on where the row falls
+    in its batch, so a row's last digits would depend on the other rows.  For
+    a C-ordered ``X`` numpy sums each row in one pass over it, the same for a
+    row alone as among many (an F-ordered ``X`` is summed column by column,
+    and a single row is not).  The products go to ``out`` when given: ``X``
+    itself, to multiply in place.
+    """
+    return intercept + np.multiply(X, coefficients, out=out).sum(axis=1)
 
 
 def predict(model: FittedModel, rows) -> np.ndarray:
@@ -645,10 +659,10 @@ def predict(model: FittedModel, rows) -> np.ndarray:
     if not np.all(np.isfinite(rows)):
         raise ValidationError("prediction rows contain non-finite values")
     active = ~model.zero_variance
-    z = rows[:, active]  # a copy: the mask indexes it
+    z = rows.compress(active, axis=1)  # a C-ordered copy; a mask index copies in F order
     z -= model.column_means[active]
     z /= model.column_stds[active]
-    return model.intercept + z @ model.coefficients[active]
+    return _linear_predictor(model.intercept, z, model.coefficients[active], out=z)
 
 
 def metric_mse(y, yhat) -> float:

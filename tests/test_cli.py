@@ -107,68 +107,20 @@ def test_synth_spec_repeated_key_exits_1(capsys, tmp_path):
     assert not out.exists()
 
 
-def test_ingest_renames_columns(capsys, tmp_path):
-    raw = tmp_path / "raw.csv"
-    raw.write_text(
-        "prov;yr;co2;coal;oil\nB;2001;4.0;2.0;1.0\nA;2000;1.5;1.0;3.0\n"
-    )
-    out = tmp_path / "canon.csv"
-    code, stdout, _ = run_cli(
-        capsys, "ingest", "--input", str(raw), "--output", str(out),
-        "--entity-column", "prov", "--period-column", "yr",
-        "--target-column", "co2", "--delimiter", ";",
-    )
-    assert code == 0
-    assert "ingest ok rows=2" in stdout
-    rows = list(csv.reader(out.open()))
-    assert rows[0] == ["entity", "period", "target", "coal", "oil"]
-    assert rows[1][:2] == ["A", "2000"]
-
-
-@pytest.mark.parametrize("delimiter", ["", ";;", '"', "\r", "\n"],
-                         ids=["empty", "two-characters", "quote", "return", "newline"])
-def test_ingest_refuses_a_delimiter_that_is_not_one_cell_boundary(capsys, tmp_path, delimiter):
-    # the first two ended in csv's TypeError traceback
-    raw = tmp_path / "raw.csv"
-    raw.write_text("entity,period,target,coal\nA,2000,1.0,2.0\n")
-    out = tmp_path / "canon.csv"
-    code, stdout, err = run_cli(capsys, "ingest", "--input", str(raw), "--output", str(out),
-                                "--delimiter", delimiter)
-    assert (code, stdout) == (1, "")
-    assert err.splitlines() == ["error: delimiter must be one character other than '\"', "
-                                f"'\\r' and '\\n', got {delimiter!r}"]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("columns", [
-    ["--target-column", "a", "--features", "a,b"],  # put the target among the features
-    ["--features", "a,target"],  # wrote target twice in its header
-], ids=["target-as-feature", "feature-as-target"])
-def test_ingest_refuses_a_column_claimed_twice(capsys, tmp_path, columns):
-    raw = tmp_path / "raw.csv"
-    raw.write_text("entity,period,target,a,b\nA,2000,1.0,2.0,3.0\n")
-    out = tmp_path / "canon.csv"
-    code, stdout, err = run_cli(capsys, "ingest", "--input", str(raw), "--output", str(out),
-                                *columns)
-    name = "a" if "a,b" in columns else "target"
-    assert (code, stdout) == (1, "")
-    assert err.splitlines() == [f"error: schema claims column '{name}' twice"]
-    assert not out.exists()
-
-
 def test_ingest_with_factor_table(capsys, tmp_path):
+    # a raw file without a target column: the factors supply every target
     raw = tmp_path / "raw.csv"
     raw.write_text("entity,period,coal,oil\nA,2000,2.0,1.0\n")
     factors = tmp_path / "factors.csv"
     factors.write_text("feature,factor\ncoal,2.5\noil,3.0\n")
     out = tmp_path / "canon.csv"
     code, stdout, _ = run_cli(
-        capsys, "ingest", "--input", str(raw), "--output", str(out),
-        "--target-column", "", "--factors", str(factors),
+        capsys, "ingest", "--input", str(raw), "--output", str(out), "--factors", str(factors),
     )
-    # empty target name means: no target column in the raw file
     assert code == 0
+    assert stdout == "ingest ok rows=1 entities=1 periods=1 features=2\n"
     rows = list(csv.reader(out.open()))
+    assert rows[0] == ["entity", "period", "target", "coal", "oil"]
     assert float(rows[1][2]) == 2.0 * 2.5 + 1.0 * 3.0
 
 
@@ -526,6 +478,46 @@ def test_forecast_of_any_subset_of_rows_writes_those_rows_of_the_full_forecast(c
         assert forecast(keep, name) == want, name
 
 
+def test_a_forecast_row_is_the_same_bytes_in_any_batch(capsys, tmp_path):
+    """On the paper's shape (17 features and 16 categories: a design well over 11 columns
+    wide) a row's forecast line is the same whatever other rows, and in whatever order,
+    its file holds."""
+    panel = _synth(capsys, tmp_path, seed=1,
+                   spec="n_entities=46,n_periods=20,n_features=17,n_clusters=16")
+    code, _, err = run_cli(
+        capsys, "run", "--input", str(panel), "--output-dir", str(tmp_path / "run"),
+        "--eps", "0.1", "--min-pts", "4", "--penalty", "lasso",
+        "--lambda-grid", "logspace:-4:-2:3", "--train-count", "13", "--folds", "3",
+    )
+    assert code == 0, err
+    loaded = load_panel(panel)
+    write_panel(loaded.subset_by_periods(loaded.periods[13:]), tmp_path / "test.csv")
+    header, *rows = (tmp_path / "test.csv").read_text().splitlines(keepends=True)
+
+    def forecast(lines, name):
+        """forecast.csv's data lines for a panel file of ``lines``, by (entity, period)."""
+        (tmp_path / f"{name}.csv").write_text(header + "".join(lines))
+        code, _, err = run_cli(capsys, "forecast", "--input", str(tmp_path / f"{name}.csv"),
+                               "--model", str(tmp_path / "run" / "model.json"),
+                               "--output", str(tmp_path / f"{name}-fc.csv"))
+        assert code == 0, err
+        out = (tmp_path / f"{name}-fc.csv").read_text().splitlines(keepends=True)[1:]
+        assert len(out) == len(lines)
+        return {tuple(line.split(",", 2)[:2]): line for line in out}
+
+    full = forecast(rows, "full")
+    assert ((tmp_path / "full-fc.csv").read_bytes()
+            == (tmp_path / "run" / "forecast.csv").read_bytes())
+    rng = np.random.default_rng(0)
+    batches = [rows[:m] for m in range(1, 10)] + [rows[-m:] for m in (1, 3, 5, 7)]
+    batches += [[rows[i] for i in rng.choice(len(rows), size=m, replace=False)]
+                for m in rng.integers(1, 60, size=12)]
+    batches += [[rows[i] for i in rng.permutation(len(rows))] for _ in range(3)]
+    for b, lines in enumerate(batches):
+        got = forecast(lines, f"batch{b}")
+        assert got == {key: full[key] for key in got}, f"batch {b} of {len(lines)} rows"
+
+
 def test_forecast_reads_new_observations_without_a_target_column(capsys, tmp_path):
     """A panel without a target column forecasts as one whose target cells are all empty."""
     panel = _synth(capsys, tmp_path, seed=5)
@@ -560,14 +552,15 @@ def test_forecast_reads_new_observations_without_a_target_column(capsys, tmp_pat
             == (tmp_path / "empty_target_fc.csv").read_bytes())
     with open(tmp_path / "no_target_fc.csv", newline="") as fh:
         assert {r["actual_log"] for r in csv.DictReader(fh)} == {"NA"}
-    # run still requires the target column
+    # run refuses it at its design stage, as it refuses an all-empty target column
     code, out, err = run_cli(
         capsys, "run", "--input", str(tmp_path / "no_target.csv"),
         "--output-dir", str(tmp_path / "no_target_run"), "--eps", "0.2", "--min-pts", "3",
         "--penalty", "lasso", "--train-count", "1", "--folds", "2",
     )
     assert (code, out) == (1, "")
-    assert err.startswith("error: target column 'target' missing from header ")
+    assert len(err.splitlines()) == 1
+    assert "stage design" in err and "lack a target" in err
     assert not (tmp_path / "no_target_run").exists()
 
 
@@ -1099,9 +1092,10 @@ _SUBCOMMANDS = ("'ingest', 'synth', 'run', 'forecast'", "ingest, synth, run, for
 
 
 # Every spelling the CLI once took and takes no more: deleted settings as run flags and
-# config keys, settings of the deleted stage subcommands, those subcommands, and deleted
-# value spellings. A deleted setting is refused whatever its value, never read as a
-# malformed value; a deleted value spelling is a malformed value of its setting.
+# config keys, settings of the deleted stage subcommands, those subcommands, deleted
+# value spellings, and ingest's schema flags. A deleted setting is refused whatever its
+# value, never read as a malformed value; a deleted value spelling is a malformed value of
+# its setting.
 @pytest.mark.parametrize("argv, config, message", [
     # the strict core rule is min_pts + 1
     (["--core-strict", "true"], None, "unrecognized arguments: --core-strict true"),
@@ -1135,15 +1129,30 @@ _SUBCOMMANDS = ("'ingest', 'synth', 'run', 'forecast'", "ingest, synth, run, for
        f"argument command: invalid choice: '{command}' (choose from {{}})")
       for flag, value in (("--core-strict", "true"), ("--mix", "perfeaturemax"))
       for command in ("cluster", "scan")],
+    # a panel has one layout: entity, period, optional target, every other column a feature
+    *[(["ingest", flag, value], None, f"unrecognized arguments: {flag} {value}")
+      for flag, value in (("--entity-column", "prov"), ("--period-column", "year"),
+                          ("--target-column", "co2"), ("--features", "f00,f01"),
+                          ("--delimiter", ";"))],
+    # ingest sets each target from the factors; a bare ingest leaves --factors out
+    (["ingest"], None, "the following arguments are required: --factors"),
 ], ids=["core_strict-flag", "core_strict-flag-maybe", "core_strict-config", "mix-flag",
         "mix-config", "baseline-flag", "baseline-config", "fold_mode-flag", "lam-flag",
         "alpha-flag", "cluster_model-flag", "lam-config", "alpha-config",
         "cluster_model-config", "range-grid", "cluster", "scan", "fit", "cv", "path",
-        "cluster-core_strict", "scan-core_strict", "cluster-mix", "scan-mix"])
+        "cluster-core_strict", "scan-core_strict", "cluster-mix", "scan-mix",
+        "ingest-entity_column", "ingest-period_column", "ingest-target_column",
+        "ingest-features", "ingest-delimiter", "ingest-without-factors"])
 def test_retired_spellings_are_refused(capsys, tmp_path, argv, config, message):
     panel = _synth(capsys, tmp_path, seed=3)
     out = tmp_path / "out"
-    if argv and not argv[0].startswith("--"):  # a subcommand
+    if argv[:1] == ["ingest"]:
+        factors = tmp_path / "factors.csv"
+        factors.write_text("feature,factor\n" + "".join(
+            f"{name},0.5\n" for name in load_panel(panel).feature_names))
+        argv = ["ingest", "--input", str(panel), "--output", str(out),
+                *(["--factors", str(factors)] if argv[1:] else []), *argv[1:]]
+    elif argv and not argv[0].startswith("--"):  # a subcommand
         argv = [argv[0], "--input", str(panel), "--output-dir", str(out), *argv[1:]]
     else:
         argv = _run_argv(panel, out) + argv

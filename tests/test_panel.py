@@ -13,11 +13,9 @@ from dprkit.errors import ValidationError
 from dprkit.panel import (
     EmissionFactorTable,
     PanelDataset,
-    PanelSchema,
     TransformSpec,
     compute_emissions,
     energy_mix_features,
-    header_names,
     invert_log,
     load_panel,
     log_transform,
@@ -39,7 +37,7 @@ B,2001,3.5,1.5,0.5
 
 
 def test_load_sorts_canonically():
-    panel = load_panel(_csv(BASIC), PanelSchema())
+    panel = load_panel(_csv(BASIC))
     assert panel.entities == ["A", "B"]
     assert panel.periods == [2000, 2001]
     assert panel.row_keys() == [("A", 2000), ("A", 2001), ("B", 2000), ("B", 2001)]
@@ -55,7 +53,7 @@ entity,period,target,coal
 A,9,1.0,1.0
 A,10,2.0,2.0
 """
-    panel = load_panel(_csv(text), PanelSchema())
+    panel = load_panel(_csv(text))
     assert panel.periods == [9, 10]
 
 
@@ -65,7 +63,7 @@ entity,period,target,coal
 A,2000Q2,1.0,1.0
 A,2000Q1,2.0,2.0
 """
-    panel = load_panel(_csv(text), PanelSchema())
+    panel = load_panel(_csv(text))
     assert panel.periods == ["2000Q1", "2000Q2"]
 
 
@@ -76,7 +74,7 @@ A,2000,,1.0
 A,2001,NA,2.0
 A,2002,3.0,3.0
 """
-    panel = load_panel(_csv(text), PanelSchema())
+    panel = load_panel(_csv(text))
     assert math.isnan(panel.targets[0])
     assert math.isnan(panel.targets[1])
     assert panel.targets[2] == 3.0
@@ -84,36 +82,22 @@ A,2002,3.0,3.0
 
 def test_load_errors_name_the_problem():
     with pytest.raises(ValidationError, match="entity"):
-        load_panel(_csv("period,target,coal\n2000,1.0,1.0"), PanelSchema())
+        load_panel(_csv("period,target,coal\n2000,1.0,1.0"))
     with pytest.raises(ValidationError, match="line 3"):
-        load_panel(
-            _csv("entity,period,target,coal\nA,2000,1.0,1.0\nA,2000,2.0,2.0"),
-            PanelSchema(),
-        )
+        load_panel(_csv("entity,period,target,coal\nA,2000,1.0,1.0\nA,2000,2.0,2.0"))
     with pytest.raises(ValidationError, match="coal"):
-        load_panel(_csv("entity,period,target,coal\nA,2000,1.0,bad"), PanelSchema())
+        load_panel(_csv("entity,period,target,coal\nA,2000,1.0,bad"))
     with pytest.raises(ValidationError, match="negative"):
-        load_panel(_csv("entity,period,target,coal\nA,2000,1.0,-2.0"), PanelSchema())
+        load_panel(_csv("entity,period,target,coal\nA,2000,1.0,-2.0"))
     with pytest.raises(ValidationError):
-        load_panel(_csv("entity,period,target,coal"), PanelSchema())
-
-
-def test_schema_feature_subset_and_renamed_columns():
-    text = """
-prov,year,co2,coal,gas,junk
-A,2000,1.0,2.0,3.0,xyz
-"""
-    schema = PanelSchema(entity="prov", period="year", target="co2", features=["gas", "coal"])
-    panel = load_panel(_csv(text), schema)
-    assert panel.feature_names == ["gas", "coal"]
-    np.testing.assert_allclose(panel.features[0], [3.0, 2.0])
+        load_panel(_csv("entity,period,target,coal"))
 
 
 def test_write_then_load_round_trips(tmp_path):
-    panel = load_panel(_csv(BASIC), PanelSchema())
+    panel = load_panel(_csv(BASIC))
     out = tmp_path / "panel.csv"
     write_panel(panel, out)
-    again = load_panel(out, PanelSchema())
+    again = load_panel(out)
     assert again == panel
     # and the write itself is byte-stable
     first = out.read_bytes()
@@ -139,7 +123,7 @@ def test_out_of_order_rows_construct_and_duplicates_are_named():
 
 
 def test_subset_by_periods():
-    panel = load_panel(_csv(BASIC), PanelSchema())
+    panel = load_panel(_csv(BASIC))
     train = panel.subset_by_periods([2000])
     assert train.periods == [2000]
     assert train.row_keys() == [("A", 2000), ("B", 2000)]
@@ -148,7 +132,7 @@ def test_subset_by_periods():
 
 
 def test_log_transform_and_inverse():
-    panel = load_panel(_csv(BASIC), PanelSchema())
+    panel = load_panel(_csv(BASIC))
     spec = TransformSpec(log_offset=1.0)
     logged = log_transform(panel, spec)
     np.testing.assert_allclose(logged.features, np.log(panel.features + 1.0))
@@ -162,7 +146,7 @@ def test_log_transform_and_inverse():
 
 def test_log_transform_rejects_nonpositive_shift():
     text = "entity,period,target,coal\nA,2000,1.0,0.0"
-    panel = load_panel(_csv(text), PanelSchema())
+    panel = load_panel(_csv(text))
     with pytest.raises(ValidationError):
         log_transform(panel, TransformSpec(log_offset=0.0))
 
@@ -175,7 +159,7 @@ def test_transform_spec_validation():
 
 
 def test_emission_factors_product():
-    panel = load_panel(_csv(BASIC), PanelSchema())
+    panel = load_panel(_csv(BASIC))
     table = EmissionFactorTable(factor_per_feature={"coal": 2.0, "gas": 0.5})
     out = compute_emissions(panel, table)
     np.testing.assert_allclose(out.targets[0], 3.0 * 2.0 + 5.0 * 0.5)
@@ -184,7 +168,7 @@ def test_emission_factors_product():
 
 
 def test_emission_factors_must_cover_features():
-    panel = load_panel(_csv(BASIC), PanelSchema())
+    panel = load_panel(_csv(BASIC))
     with pytest.raises(ValidationError, match="gas"):
         compute_emissions(panel, EmissionFactorTable(factor_per_feature={"coal": 2.0}))
 
@@ -201,7 +185,7 @@ def test_emission_factor_table_csv(tmp_path):
 
 def test_raw_shares_mix():
     text = "entity,period,target,coal,gas\nA,2000,1.0,2.0,2.0"
-    panel = load_panel(_csv(text), PanelSchema())
+    panel = load_panel(_csv(text))
     mix, flagged = energy_mix_features(panel)
     np.testing.assert_allclose(mix[0], [0.5, 0.5])
     assert flagged == []
@@ -209,7 +193,7 @@ def test_raw_shares_mix():
 
 def test_raw_shares_zero_row_flagged():
     text = "entity,period,target,coal,gas\nA,2000,1.0,0.0,0.0\nA,2001,1.0,1.0,3.0"
-    panel = load_panel(_csv(text), PanelSchema())
+    panel = load_panel(_csv(text))
     mix, flagged = energy_mix_features(panel)
     np.testing.assert_allclose(mix[0], [0.0, 0.0])
     np.testing.assert_allclose(mix[1], [0.25, 0.75])
@@ -235,20 +219,25 @@ def test_mix_divides_rows_with_a_positive_sum_and_zeroes_the_rest(second_row, fl
 
 
 def test_header_names_reads_the_header_as_load_panel_does(tmp_path):
-    text = " entity ;period; target ;coal\nA;2000;1.0;2.0\n"
-    stream = io.StringIO(text)
-    assert header_names(stream, ";") == ["entity", "period", "target", "coal"]
-    assert stream.read() == "A;2000;1.0;2.0\n"
+    """Header names are stripped; a stream or a path without a header row is one error."""
+    text = " entity ,period, target ,coal , gas\nA,2000,1.0,2.0,3.0\n"
     path = tmp_path / "panel.csv"
     path.write_text(text)
-    assert header_names(path, ";") == ["entity", "period", "target", "coal"]
-    assert header_names(path) == [h.strip() for h in text.splitlines()[0].split(",")]
+    for source in (io.StringIO(text, newline=""), path):
+        panel = load_panel(source)
+        assert panel.feature_names == ["coal", "gas"]
+        assert (panel.row_keys(), panel.targets.tolist()) == ([("A", 2000)], [1.0])
     path.write_text("")
-    with pytest.raises(ValidationError, match="panel file is empty") as fault:
-        header_names(path)
-    with pytest.raises(ValidationError) as loaded:
-        load_panel(path)
-    assert str(fault.value) == str(loaded.value)
+    for source in (io.StringIO(""), path):
+        with pytest.raises(ValidationError, match="^panel file is empty: header row is required$"):
+            load_panel(source)
+
+
+def test_a_file_without_a_target_column_reads_as_all_targets_missing():
+    with_target = load_panel(_csv("entity,period,target,coal\nA,2001,,1.5\nA,2000,NA,2.0"))
+    without = load_panel(_csv("entity,period,coal\nA,2001,1.5\nA,2000,2.0"))
+    assert without == with_target
+    assert np.isnan(without.targets).all()
 
 
 # ---------------------------------------------------------------- round trips
@@ -285,7 +274,7 @@ def test_write_then_load_round_trips_any_panel(panel):
     buf = io.StringIO()
     write_panel(panel, buf)
     text = buf.getvalue()
-    again = load_panel(io.StringIO(text, newline=""), PanelSchema())
+    again = load_panel(io.StringIO(text, newline=""))
     assert again == panel
     # a missing target is an empty cell, not NA
     assert ",NA," not in text
@@ -363,7 +352,7 @@ def panel_lines(draw):
 def test_load_reports_the_first_fault_in_file_order(text):
     expected = _reference_error(text)
     try:
-        load_panel(io.StringIO(text, newline=""), PanelSchema())
+        load_panel(io.StringIO(text, newline=""))
     except ValidationError as exc:
         if expected is None:
             assert "no data rows" in str(exc)
@@ -409,7 +398,7 @@ def test_load_fault_messages(rows, message, trailing):
     clean = [f"T{i},2000,1,1,1" for i in range(trailing)]
     text = "\n".join([",".join(HEADER)] + rows + clean) + "\n"
     with pytest.raises(ValidationError) as info:
-        load_panel(io.StringIO(text, newline=""), PanelSchema())
+        load_panel(io.StringIO(text, newline=""))
     assert str(info.value) == message
 
 
@@ -449,7 +438,7 @@ def test_load_matches_float_bit_for_bit(values, spelling, blank):
             lines.append(blank)  # blank or whitespace only: the C reader still takes the file
     text = "\n".join(lines) + "\n"
     with mock.patch.object(panel_module, "_read_rows", wraps=panel_module._read_rows) as by_csv:
-        panel = load_panel(io.StringIO(text, newline=""), PanelSchema())
+        panel = load_panel(io.StringIO(text, newline=""))
     assert not by_csv.called
     features, targets = _reference_values(text)
     np.testing.assert_array_equal(_bits(panel.features), _bits(features))
@@ -479,7 +468,7 @@ def test_spellings_that_still_load(rows, entity, coal, target, by_csv):
     """Cells ``float()`` accepts load on either path; loadtxt's rejects reach the row reader."""
     text = "\n".join([",".join(HEADER)] + rows) + "\n"
     with mock.patch.object(panel_module, "_read_rows", wraps=panel_module._read_rows) as csv_path:
-        panel = load_panel(io.StringIO(text, newline=""), PanelSchema())
+        panel = load_panel(io.StringIO(text, newline=""))
     assert csv_path.called == by_csv
     assert panel.entities == [entity]
     assert panel.features[0, 0] == coal
@@ -489,7 +478,7 @@ def test_spellings_that_still_load(rows, entity, coal, target, by_csv):
 def _by_row_reader(text: str) -> PanelDataset:
     """The panel that the csv.reader path reads from ``text``."""
     with mock.patch.object(panel_module, "_parse_lines", return_value=None):
-        return load_panel(io.StringIO(text, newline=""), PanelSchema())
+        return load_panel(io.StringIO(text, newline=""))
 
 
 def _many_rows() -> list[str]:
@@ -512,7 +501,7 @@ def _many_rows() -> list[str]:
 def test_key_spellings_load_as_the_row_reader_reads_them(rows, entities, periods):
     """Each distinct key cell is stripped and converted once; the panel is the row reader's."""
     text = "\n".join([",".join(HEADER)] + rows) + "\n"
-    panel = load_panel(io.StringIO(text, newline=""), PanelSchema())
+    panel = load_panel(io.StringIO(text, newline=""))
     assert panel == _by_row_reader(text)
     assert (panel.entities, panel.periods) == (entities, periods)
     assert panel.n_obs == len(rows)
@@ -520,7 +509,7 @@ def test_key_spellings_load_as_the_row_reader_reads_them(rows, entities, periods
 
 def test_two_spellings_of_one_int_period_are_a_duplicate():
     text = "\n".join([",".join(HEADER), "A,2000,1,1,1", "A,02000,1,1,1"]) + "\n"
-    for read in (lambda: load_panel(io.StringIO(text, newline=""), PanelSchema()),
+    for read in (lambda: load_panel(io.StringIO(text, newline="")),
                  lambda: _by_row_reader(text)):
         with pytest.raises(ValidationError,
                            match="^duplicate observation for entity 'A', period 2000$"):
@@ -536,20 +525,12 @@ def test_target_cells_keep_their_outcomes(cell, by_csv):
         if cell == "nan":
             with pytest.raises(ValidationError,
                                match="^line 3, column 'target': non-finite value 'nan'$"):
-                load_panel(io.StringIO(text, newline=""), PanelSchema())
+                load_panel(io.StringIO(text, newline=""))
         else:
-            panel = load_panel(io.StringIO(text, newline=""), PanelSchema())
+            panel = load_panel(io.StringIO(text, newline=""))
             want = 1.5 if cell.strip() == "1.5" else math.nan
             np.testing.assert_array_equal(panel.targets, [1.0, want])
     assert rows.called == by_csv
-
-
-def test_a_key_column_can_also_be_a_feature():
-    text = "entity,period,target,coal\nA,2001,1,3\nA,2000,1,2\n"
-    schema = PanelSchema(features=("period", "coal"))
-    panel = load_panel(io.StringIO(text, newline=""), schema)
-    assert panel.periods == [2000, 2001]
-    np.testing.assert_array_equal(panel.features, [[2000.0, 2.0], [2001.0, 3.0]])
 
 
 @pytest.mark.parametrize("header, name", [
@@ -559,20 +540,4 @@ def test_a_key_column_can_also_be_a_feature():
 ], ids=["feature", "target", "key"])
 def test_a_header_that_names_a_column_twice_is_refused(header, name):
     with pytest.raises(ValidationError, match=f"^header names column '{name}' twice$"):
-        load_panel(_csv(f"{header}\nA,2000,1,2,3"), PanelSchema())
-
-
-@pytest.mark.parametrize("fields, name", [
-    ({"target": "a", "features": ("a", "b")}, "a"),  # the target among the features
-    ({"features": ("a", "target")}, "target"),
-    ({"features": ("a", "b", "a")}, "a"),
-    ({"entity": "k", "period": "k"}, "k"),
-    ({"period": "target"}, "target"),
-], ids=["target-as-feature", "feature-as-target", "feature-twice", "entity-as-period",
-        "period-as-target"])
-def test_a_schema_that_claims_a_column_twice_is_refused(fields, name):
-    with pytest.raises(ValidationError, match=f"^schema claims column '{name}' twice$"):
-        PanelSchema(**fields)
-    # a key column may still be a feature, and a panel without a target has no target role
-    assert PanelSchema(features=("period", "a")).features == ("period", "a")
-    assert PanelSchema(target=None, features=("target",)).features == ("target",)
+        load_panel(_csv(f"{header}\nA,2000,1,2,3"))

@@ -369,8 +369,10 @@ def test_predict_scales_one_copy_in_place_with_the_same_arithmetic():
     rows = rng.uniform(0, 10, size=(20_000, 12))
     active = ~model.zero_variance
     z = (rows[:, active] - model.column_means[active]) / model.column_stds[active]
-    np.testing.assert_array_equal(predict(model, rows),
-                                  model.intercept + z @ model.coefficients[active])
+    # each row summed on its own, so that no row's value depends on the other rows
+    np.testing.assert_array_equal(
+        predict(model, rows),
+        [model.intercept + np.sum(zi * model.coefficients[active]) for zi in z])
     del z
     tracemalloc.start()
     try:
@@ -380,6 +382,24 @@ def test_predict_scales_one_copy_in_place_with_the_same_arithmetic():
         tracemalloc.stop()
     # the scaled copy of the active columns plus two length-n vectors
     assert peak < 1.25 * rows.nbytes, f"peak {peak} bytes against rows of {rows.nbytes}"
+
+
+@pytest.mark.parametrize("p", [6, 11, 17, 23, 200])
+def test_a_predicted_row_does_not_depend_on_its_batch(p):
+    # a BLAS product sums a row in an order set by where the row falls in its batch
+    rng = np.random.default_rng(p)
+    zero_variance = np.zeros(p, dtype=bool)
+    zero_variance[1] = True
+    model = FittedModel(
+        intercept=0.3, coefficients=np.where(zero_variance, 0.0, rng.normal(size=p)),
+        penalty=PenaltySpec(0.01, 0.5), column_names=[f"x{j}" for j in range(p)],
+        column_means=rng.uniform(0, 2, size=p), column_stds=rng.uniform(0.5, 2, size=p),
+        zero_variance=zero_variance)
+    rows = rng.uniform(0, 10, size=(59, p))
+    full = predict(model, rows)
+    for m in range(1, rows.shape[0]):
+        np.testing.assert_array_equal(predict(model, rows[:m]), full[:m])
+        np.testing.assert_array_equal(predict(model, rows[-m:]), full[-m:])
 
 
 def test_unpenalized_intercept_tracks_target_shift():
