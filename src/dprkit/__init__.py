@@ -13,7 +13,6 @@ from .clustering import (
     NOISE,
     ClusterModel,
     DbscanParams,
-    ScanRow,
     assign_by_nearest_core,
     dbscan,
     k_distance_profile,
@@ -92,7 +91,6 @@ __all__ = [
     "PenaltySpec",
     "RankDeficiencyError",
     "RunReport",
-    "ScanRow",
     "SplitSpec",
     "TransformSpec",
     "ValidationError",

@@ -31,8 +31,9 @@ Sander, PAKDD 2013), and at a fixed eps a lower min_pts only adds core
 points.  So the scan makes one component pass over the points, for its
 first cell, and labels every later distinct (eps, core set) by merging its
 predecessor's clusters along the pairs new to it: a component pass over the
-clusters, not the points (``_merge``).  The silhouette and the k-distance
-profile read the vector in blocks of rows of its upper triangle.
+clusters, not the points (``_merge``).  ``dbscan`` is the scan's one-cell
+case, so one path labels and scores every cell.  The silhouette and the
+k-distance profile read the vector in blocks of rows of its upper triangle.
 
 New rows are assigned to their nearest core through a ``cKDTree`` built with
 the sliding-midpoint split (``balanced_tree=False``; Maneewongvatana and
@@ -85,7 +86,7 @@ class DbscanParams:
 
 @dataclass
 class ClusterModel:
-    """Result of one dbscan run; labels use -1 for noise."""
+    """DBSCAN's labels and scores at one cell; labels use -1 for noise."""
 
     params: DbscanParams
     labels: np.ndarray
@@ -280,29 +281,15 @@ def _score(
     return sc, sse(pts, labels)
 
 
-def dbscan(points, params: DbscanParams, distances: np.ndarray | None = None) -> ClusterModel:
-    """Cluster ``points`` and score the result.
+def dbscan(points, params: DbscanParams) -> ClusterModel:
+    """Cluster ``points`` at one (eps, min_pts) cell and score the result.
 
-    ``distances``, when given, is ``pairwise_distances(points)``: the
-    condensed vector of n(n - 1)/2 pair distances; a vector of another
-    length is refused.  ``sc`` is None when the silhouette is undefined
-    (fewer than two clusters, or no cluster with at least two members).
-    ``sse`` is always defined; noise contributes zero.
+    The one-cell case of ``scan_params``: the same labelling and scoring.
+    ``sc`` is None when the silhouette is undefined (fewer than two
+    clusters, or no cluster with at least two members).  ``sse`` is always
+    defined; noise contributes zero.
     """
-    pts = _as_points(points)
-    n = pts.shape[0]
-    if distances is None:
-        d = pairwise_distances(pts)
-    else:
-        d = np.asarray(distances)
-        if d.shape != (n * (n - 1) // 2,):
-            raise ValidationError(
-                f"distances must be the condensed vector of {n * (n - 1) // 2} pair "
-                f"distances of {n} points, got shape {d.shape}"
-            )
-    [(labels, k, core)] = _label_cells(d, n, [params])
-    sc, total = _score(pts, d, labels, k)
-    return ClusterModel(params=params, labels=labels, k=k, sc=sc, sse=total, core_mask=core)
+    return scan_params(points, [params.eps], [params.min_pts])[0]
 
 
 def _silhouette_from_distances(d: np.ndarray, labels: np.ndarray, k: int) -> float:
@@ -461,29 +448,20 @@ def _label_cells(
     return [labelled[p.eps, p.min_pts] for p in cells]
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    eps: float
-    min_pts: int
-    k: int
-    sc: float | None
-    sse: float
-
-
 def scan_params(
     points,
     eps_grid: Sequence[float],
     minpts_grid: Sequence[int],
-) -> list[ScanRow]:
-    """Evaluate dbscan over the full eps x min_pts grid.
+) -> list[ClusterModel]:
+    """Cluster and score ``points`` at every cell of the eps x min_pts grid.
 
-    One row per combination of distinct grid values, eps varying slowest, in
-    first-occurrence order; a repeated value adds no row.  Rows where the
-    silhouette is undefined carry ``sc=None``.  The neighbour pairs are
-    found once, grouped by eps, and each distinct eps counts neighbours from
-    the pairs new to it.  The first cell is one component pass; each later
-    distinct (eps, core set) merges a predecessor's clusters, and each
-    distinct labelling is scored once.
+    One ``ClusterModel`` per combination of distinct grid values, eps varying
+    slowest, in first-occurrence order; a repeated value adds no cell.  Cells
+    where the silhouette is undefined carry ``sc=None``.  The neighbour pairs
+    are found once, grouped by eps, and each distinct eps counts neighbours
+    from the pairs new to it.  The first cell is one component pass; each
+    later distinct (eps, core set) merges a predecessor's clusters, and each
+    distinct labelling is scored once.  Cells may share their arrays.
     """
     pts = _as_points(points)
     if len(eps_grid) == 0 or len(minpts_grid) == 0:
@@ -498,19 +476,19 @@ def scan_params(
     distinct = {labels.tobytes(): (labels, k) for labels, k, _ in labelled}
     scores = {key: _score(pts, d, *lk) for key, lk in distinct.items()}
     return [
-        ScanRow(p.eps, p.min_pts, k, *scores[labels.tobytes()])
-        for p, (labels, k, _) in zip(cells, labelled)
+        ClusterModel(p, labels, k, *scores[labels.tobytes()], core_mask=core)
+        for p, (labels, k, core) in zip(cells, labelled)
     ]
 
 
-def suggest_params(rows: Sequence[ScanRow]) -> ScanRow | None:
-    """The SC-maximizing row; first in grid order on ties, None if SC never defined."""
-    best: ScanRow | None = None
-    for row in rows:
-        if row.sc is None:
+def suggest_params(cells: Sequence[ClusterModel]) -> ClusterModel | None:
+    """The SC-maximizing cell; first in grid order on ties, None if SC never defined."""
+    best: ClusterModel | None = None
+    for cell in cells:
+        if cell.sc is None:
             continue
-        if best is None or row.sc > best.sc:
-            best = row
+        if best is None or cell.sc > best.sc:
+            best = cell
     return best
 
 

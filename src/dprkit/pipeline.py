@@ -25,7 +25,6 @@ from .clustering import (
     NOISE,
     ClusterModel,
     DbscanParams,
-    ScanRow,
     _check_eps,
     assign_by_nearest_core,
     dbscan,
@@ -503,7 +502,7 @@ class DprModel:
         return {
             "format": MODEL_FORMAT,
             "regression": self.model.to_dict(),
-            # normalize_mode is read by perfbench's forecast check; goes with ROADMAP item 2
+            # normalize_mode is read by perfbench's forecast check; goes with ROADMAP item 21
             "transform": {"log_offset": self.transform.log_offset, "normalize_mode": "rawshares"},
             "features": list(self.features),
             "clustering": {
@@ -594,7 +593,7 @@ class RunReport:
     split: SplitSpec
     penalty_kind: str
     clusters: ClusterModel
-    scan_rows: list[ScanRow] | None
+    scan_rows: list[ClusterModel] | None
     cv: CvResult
     design: DesignMatrix
     path_lambdas: list[float]
@@ -642,17 +641,17 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
         mix_train, zero_rows = energy_mix_features(train_p)
 
     with _stage("cluster"):
-        scan_rows: list[ScanRow] | None = None
-        eps, min_pts = config.eps, config.min_pts
-        if eps is None:
+        scan_rows: list[ClusterModel] | None = None
+        if config.eps is None:
             scan_rows = scan_params(mix_train, config.eps_grid, config.minpts_grid)
             suggestion = suggest_params(scan_rows)
             if suggestion is None:
                 raise NumericalError(
                     "no scan cell had a defined silhouette; adjust the grids"
                 )
-            eps, min_pts = suggestion.eps, suggestion.min_pts
-        params = DbscanParams(eps, min_pts)
+            params = suggestion.params
+        else:
+            params = DbscanParams(config.eps, config.min_pts)
         cmodel = dbscan(mix_train, params)
 
     with _stage("transform"):
@@ -772,7 +771,7 @@ def write_report(report: RunReport, out_dir) -> None:
         "clustering": {
             "eps": clusters.params.eps,
             "min_pts": clusters.params.min_pts,
-            "core_strict": False,  # read by perfbench's DBSCAN check; goes with ROADMAP item 2
+            "core_strict": False,  # read by perfbench's DBSCAN check; goes with ROADMAP item 21
             "k": clusters.k,
             "sc": clusters.sc,
             "sse": clusters.sse,
@@ -808,12 +807,12 @@ def write_report(report: RunReport, out_dir) -> None:
     write_json(out / "model.json", report.dpr_model.to_bundle())
 
 
-def write_scan_table(rows: list[ScanRow], dest) -> None:
+def write_scan_table(rows: list[ClusterModel], dest) -> None:
     """The parameter scan table (``scan.csv``) of a ``run`` that scans."""
     write_table(
         dest,
         ["eps", "min_pts", "k", "sc", "sse"],
-        [[r.eps for r in rows], [r.min_pts for r in rows], [r.k for r in rows],
+        [[r.params.eps for r in rows], [r.params.min_pts for r in rows], [r.k for r in rows],
          [r.sc for r in rows], [r.sse for r in rows]],
     )
 

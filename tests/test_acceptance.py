@@ -217,12 +217,12 @@ def test_criterion_5_parameter_scan_recovers_planted_clusters():
     rows = scan_params(mix, (0.03, 0.05, 0.1, 0.15, 0.2), (3, 4, 5))
     best = suggest_params(rows)
     assert best is not None
-    model = dbscan(mix, DbscanParams(eps=best.eps, min_pts=best.min_pts))
+    model = dbscan(mix, DbscanParams(eps=best.params.eps, min_pts=best.params.min_pts))
     ari = testkit.adjusted_rand_index(truth.labels[train_rows], model.labels)
     assert ari >= 0.9
     _report(
         5,
-        f"scan chose eps={best.eps} minPts={best.min_pts} -> k={model.k}, "
+        f"scan chose eps={best.params.eps} minPts={best.params.min_pts} -> k={model.k}, "
         f"ARI {ari:.3f} >= 0.9 against the planted partition",
     )
 

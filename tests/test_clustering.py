@@ -284,18 +284,20 @@ def test_scan_matches_single_runs_and_suggests_max_sc():
     rows = scan_params(pts, eps_grid, minpts_grid)
     assert len(rows) == 6
     for row in rows:
-        solo = dbscan(pts, DbscanParams(eps=row.eps, min_pts=row.min_pts))
+        solo = dbscan(pts, DbscanParams(eps=row.params.eps, min_pts=row.params.min_pts))
         assert row.k == solo.k
         assert row.sse == solo.sse
         assert (row.sc is None) == (solo.sc is None)
         if row.sc is not None:
             assert abs(row.sc - solo.sc) < 1e-15
+        np.testing.assert_array_equal(row.labels, solo.labels)
+        np.testing.assert_array_equal(row.core_mask, solo.core_mask)
     best = suggest_params(rows)
     defined = [r for r in rows if r.sc is not None]
     assert best.sc == max(r.sc for r in defined)
     # first cell on ties: scan order is eps-major
     ties = [r for r in defined if r.sc == best.sc]
-    assert (best.eps, best.min_pts) == (ties[0].eps, ties[0].min_pts)
+    assert (best.params.eps, best.params.min_pts) == (ties[0].params.eps, ties[0].params.min_pts)
 
 
 def test_assign_by_nearest_core():
@@ -378,20 +380,19 @@ def _core_by_count(pts, params):
     return counts >= params.min_pts
 
 
-def _assert_cells_match_per_cell_runs_and_oracle(pts, eps_grid, minpts_grid):
-    from dprkit.clustering import _label_cells
+def _assert_cell_matches_its_run_and_oracle(pts, cell):
+    solo = dbscan(pts, cell.params)
+    assert (cell.k, cell.sc, cell.sse) == (solo.k, solo.sc, solo.sse)
+    np.testing.assert_array_equal(cell.labels, solo.labels)
+    np.testing.assert_array_equal(cell.labels, brute_force_dbscan(pts, cell.params))
+    np.testing.assert_array_equal(cell.core_mask, solo.core_mask)
+    np.testing.assert_array_equal(cell.core_mask, _core_by_count(pts, cell.params))
 
+
+def _assert_cells_match_per_cell_runs_and_oracle(pts, eps_grid, minpts_grid):
     for strict in (0, 1):  # a strict rule is min_pts + 1
-        rows = scan_params(pts, eps_grid, [m + strict for m in minpts_grid])
-        cells = [DbscanParams(r.eps, r.min_pts) for r in rows]
-        labelled = _label_cells(pairwise_distances(pts), pts.shape[0], cells)
-        for row, params, (labels, k, core) in zip(rows, cells, labelled):
-            solo = dbscan(pts, params)
-            assert (row.k, row.sc, row.sse) == (solo.k, solo.sc, solo.sse)
-            assert k == solo.k
-            np.testing.assert_array_equal(labels, brute_force_dbscan(pts, params))
-            np.testing.assert_array_equal(core, solo.core_mask)
-            np.testing.assert_array_equal(core, _core_by_count(pts, params))
+        for cell in scan_params(pts, eps_grid, [m + strict for m in minpts_grid]):
+            _assert_cell_matches_its_run_and_oracle(pts, cell)
 
 
 def test_shared_pair_list_matches_per_cell_runs_and_oracle():
@@ -531,13 +532,15 @@ def test_assign_by_nearest_core_with_a_single_core():
 
 
 def test_dbscan_and_silhouette_copy_no_distance_matrix():
+    # dbscan builds its own condensed vector; beyond it, it holds under a quarter of one
     pts = _spread_blobs(150)
-    D = pairwise_distances(pts)
+    n = pts.shape[0]
+    vector = n * (n - 1) // 2 * 8
     params = DbscanParams(eps=0.3, min_pts=3)
     dbscan(pts[:20], params)  # the first call imports scipy; keep that out of the trace
-    model, peak = _traced_peak(lambda: dbscan(pts, params, distances=D))
+    model, peak = _traced_peak(lambda: dbscan(pts, params))
     assert model.k >= 2 and model.sc is not None  # the silhouette ran
-    assert peak < D.nbytes / 4, f"peak {peak} bytes against a condensed vector of {D.nbytes}"
+    assert peak - vector < vector / 4, f"peak {peak} bytes against a condensed vector of {vector}"
 
 
 def _lattice(step, size, min_size=1, max_size=40):
@@ -581,15 +584,6 @@ def test_scan_and_k_distance_hold_one_condensed_vector(reader):
     result, peak = _traced_peak(lambda: calls[reader](pts))
     assert len(result) == (4 if reader == "scan_params" else n)
     assert peak < 1.5 * vector, f"peak {peak} bytes against a condensed vector of {vector}"
-
-
-def test_dbscan_refuses_distances_of_another_length():
-    pts = _col([0.0, 1.0, 3.0])
-    d = pairwise_distances(pts)
-    assert dbscan(pts, DbscanParams(1.0, 2), distances=d).k == 1
-    for bad in (d[:2], np.append(d, 1.0), squareform(d)):
-        with pytest.raises(ValidationError, match="^distances must be the condensed vector"):
-            dbscan(pts, DbscanParams(1.0, 2), distances=bad)
 
 
 @settings(max_examples=100, deadline=None)
@@ -742,19 +736,11 @@ def test_assign_by_nearest_core_to_a_single_core_on_the_paper_shape():
        minpts_grid=st.lists(st.integers(1, 6), min_size=1, max_size=4),
        strict=st.booleans())
 def test_scan_cells_match_per_cell_runs_and_oracle(pts, eps_grid, minpts_grid, strict):
-    from dprkit.clustering import _label_cells
-
     minpts_grid = [m + strict for m in minpts_grid]  # strict: one more point
     rows = scan_params(pts, eps_grid, minpts_grid)
     # one cell per distinct value, in first-occurrence order
     cells = [DbscanParams(e, m)
              for e in dict.fromkeys(eps_grid) for m in dict.fromkeys(minpts_grid)]
-    assert [(r.eps, r.min_pts) for r in rows] == [(p.eps, p.min_pts) for p in cells]
-    labelled = _label_cells(pairwise_distances(pts), pts.shape[0], cells)
-    for row, params, (labels, k, core) in zip(rows, cells, labelled):
-        solo = dbscan(pts, params)
-        assert (row.k, row.sc, row.sse) == (solo.k, solo.sc, solo.sse)
-        assert k == solo.k
-        np.testing.assert_array_equal(labels, brute_force_dbscan(pts, params))
-        np.testing.assert_array_equal(core, solo.core_mask)
-        np.testing.assert_array_equal(core, _core_by_count(pts, params))
+    assert [r.params for r in rows] == cells
+    for row in rows:
+        _assert_cell_matches_its_run_and_oracle(pts, row)

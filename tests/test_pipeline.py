@@ -542,8 +542,12 @@ def test_run_scan_mode_picks_sc_maximum(tmp_path):
     report = run_dpr(panel, cfg, split)
     assert report.scan_rows is not None
     best = max((r for r in report.scan_rows if r.sc is not None), key=lambda r: r.sc)
-    assert report.clusters.params.eps == best.eps
-    assert report.clusters.params.min_pts == best.min_pts
+    chosen = report.clusters
+    assert chosen.params.eps == best.params.eps
+    assert chosen.params.min_pts == best.params.min_pts
+    assert (chosen.k, chosen.sc, chosen.sse) == (best.k, best.sc, best.sse)
+    np.testing.assert_array_equal(chosen.labels, best.labels)
+    np.testing.assert_array_equal(chosen.core_mask, best.core_mask)
     write_report(report, tmp_path)
     assert (tmp_path / "scan.csv").exists()
 
