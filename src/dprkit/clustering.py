@@ -383,10 +383,7 @@ def k_distance_profile(points, k: int) -> np.ndarray:
         cols = np.concatenate([best[start + 1:], block.T], axis=1)
         cols.partition(k - 1, axis=1)
         best[start + 1:] = cols[:, :k]
-        # the block is this call's own: its rows are cut to their k smallest in place
-        if block.shape[1] > k:
-            block.partition(k - 1, axis=1)
-        rows = np.concatenate([best[start:stop], block[:, :k]], axis=1)
+        rows = np.concatenate([best[start:stop], block], axis=1)
         rows.partition(k - 1, axis=1)
         best[start:stop] = rows[:, :k]
     return np.sort(best[:, k - 1])[::-1].copy()

@@ -64,9 +64,12 @@ class EmissionFactorTable:
 
     @classmethod
     def from_csv(cls, source) -> "EmissionFactorTable":
-        """Read comma-separated ``feature,factor`` rows (header required)."""
+        """Read comma-separated ``feature,factor`` rows (header required).
+
+        A path is read as UTF-8, with or without a byte-order mark.
+        """
         if isinstance(source, (str, Path)):
-            with open(source, "r", encoding="utf-8", newline="") as fh:
+            with open(source, "r", encoding="utf-8-sig", newline="") as fh:
                 return cls.from_csv(fh)
         reader = csv.reader(source)
         try:
@@ -373,10 +376,11 @@ def load_panel(source) -> PanelDataset:
     cannot take them line for line.  Header names and key cells are stripped;
     key cells are converted once per distinct spelling: ``" E1 "`` and
     ``"E1"`` are one entity, and periods are ints when every spelling is one
-    (``"2000"``, ``"+2000"``), else the stripped strings.
+    (``"2000"``, ``"+2000"``), else the stripped strings.  A path is read as
+    UTF-8, with or without a byte-order mark.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return load_panel(fh)
 
     row = next(csv.reader(source), None)  # the stream is left at its first data row

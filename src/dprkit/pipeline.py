@@ -167,21 +167,19 @@ def design_from_panel(panel: PanelDataset) -> DesignMatrix:
         y=panel.targets.copy(),
         column_names=list(panel.feature_names),
         standardized=False,
-        source_rows=np.arange(panel.n_obs),
     )
 
 
-def augment_with_dummies(dm: DesignMatrix, labels, policy: str = UNIQUE_DUMMY) -> DesignMatrix:
+def augment_with_dummies(dm: DesignMatrix, labels) -> DesignMatrix:
     """Append 0/1 cluster-membership columns against cluster 0, the baseline.
 
-    Clusters 0..k-1 produce the k-1 columns ``cluster_1`` ... ``cluster_<k-1>``.
-    Noise rows are handled per policy: ``unique_dummy`` gives each its own
-    singleton column ``noise_<row>``, ``exclude`` drops the rows (the dropped
-    identities stay visible through ``source_rows``).
+    Clusters 0..k-1 produce the k-1 columns ``cluster_1`` ... ``cluster_<k-1>``,
+    and each noise row r of ``dm`` gets its own singleton column ``noise_<r>``.
+    Which training rows enter the design is the outlier policy's call, made
+    by :func:`run_dpr` before it calls this.
     """
     if dm.standardized:
         raise ValidationError("augment_with_dummies expects an unstandardized design")
-    _check_outlier_policy(policy)
     labels = np.asarray(labels, dtype=np.intp)
     if labels.shape != (dm.n,):
         raise ValidationError(f"labels length {labels.shape} does not match {dm.n} rows")
@@ -189,21 +187,13 @@ def augment_with_dummies(dm: DesignMatrix, labels, policy: str = UNIQUE_DUMMY) -
         raise ValidationError("labels must be cluster ids >= 0 or -1 for noise")
 
     ids = sorted(int(c) for c in np.unique(labels[labels != NOISE]))
-    rowids = dm.source_rows if dm.source_rows is not None else np.arange(dm.n)
-    X, y = dm.X, dm.y
-    if policy == EXCLUDE:
-        keep = labels != NOISE
-        if not keep.any():
-            raise ValidationError("outlier policy 'exclude' removed every row")
-        X, y, labels, rowids = X[keep], y[keep], labels[keep], rowids[keep]
     names = [f"cluster_{c}" for c in ids if c != 0]
-    names += [f"noise_{r}" for r in rowids[labels == NOISE].tolist()]
+    names += [f"noise_{r}" for r in np.flatnonzero(labels == NOISE).tolist()]
     return DesignMatrix(
-        X=np.hstack([X, dummy_columns(names, labels, rowids)]),
-        y=y.copy(),
+        X=np.hstack([dm.X, dummy_columns(names, labels, np.arange(dm.n))]),
+        y=dm.y.copy(),
         column_names=list(dm.column_names) + names,
         standardized=False,
-        source_rows=rowids.copy(),
     )
 
 
@@ -579,14 +569,15 @@ class DprModel:
 class RunReport:
     """Everything one run produced; ``write_report`` lays it out as a directory.
 
-    ``design`` is the standardized training design the model was fit on; the
-    final model, with its penalty, is ``dpr_model.model``, the path's fit at
-    the chosen lambda.  ``entities`` and ``periods`` are the training rows'
-    keys in row order, two columns; the test rows' keys are the columns
-    ``forecast.entities`` and ``forecast.periods``, and their cluster ids
-    ``forecast.cluster``.  ``zero_mix_rows`` are the indices of the training
-    rows whose features sum to zero.  summary.json's chosen kind is
-    ``penalty_kind``.
+    ``design`` is the standardized training design the model was fit on, and
+    ``design_rows`` the training row of each of its rows: every row, or under
+    ``exclude`` the rows DBSCAN did not call noise.  The final model, with its
+    penalty, is ``dpr_model.model``, the path's fit at the chosen lambda.
+    ``entities`` and ``periods`` are the training rows' keys in row order, two
+    columns; the test rows' keys are the columns ``forecast.entities`` and
+    ``forecast.periods``, and their cluster ids ``forecast.cluster``.
+    ``zero_mix_rows`` are the indices of the training rows whose features sum
+    to zero.  summary.json's chosen kind is ``penalty_kind``.
     A path fit that is None (rank-deficient at alpha=0) counts as unconverged.
     """
 
@@ -596,6 +587,7 @@ class RunReport:
     scan_rows: list[ClusterModel] | None
     cv: CvResult
     design: DesignMatrix
+    design_rows: np.ndarray
     path_lambdas: list[float]
     path_models: list[FittedModel | None]
     dpr_model: DprModel
@@ -624,10 +616,10 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
 
     Stages: chronological split, clustering features from the source-unit
     training panel, dbscan (given parameters or the SC-maximizing scan cell),
-    log transform, dummy augmentation, standardization, cross-validated
-    hyperparameter choice, a coefficient path at the chosen alpha whose fit
-    at the chosen lambda is the final model, and test-period forecasting with
-    nearest-core cluster assignment.
+    log transform, the outlier policy's design rows and dummy augmentation,
+    standardization, cross-validated hyperparameter choice, a coefficient path
+    at the chosen alpha whose fit at the chosen lambda is the final model, and
+    test-period forecasting with nearest-core cluster assignment.
     Any stage failure aborts with the stage named in the error; a final model
     that is rank-deficient or did not converge fails stage ``path``.
     """
@@ -659,10 +651,15 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
 
     with _stage("design"):
         dm0 = design_from_panel(train_log)
-        dm1 = augment_with_dummies(dm0, cmodel.labels, policy=config.outlier_policy)
+        design_rows = np.arange(dm0.n)
+        if config.outlier_policy == EXCLUDE:
+            design_rows = np.flatnonzero(cmodel.labels != NOISE)
+            if not design_rows.size:
+                raise ValidationError("outlier policy 'exclude' removed every row")
+        dm1 = augment_with_dummies(dm0.subset_rows(design_rows), cmodel.labels[design_rows])
 
     with _stage("standardize"):
-        dmS = standardize(dm1.X, dm1.y, dm1.column_names, source_rows=dm1.source_rows)
+        dmS = standardize(dm1.X, dm1.y, dm1.column_names)
 
     with _stage("cv"):
         alphas = (_PENALTY_ALPHAS[config.penalty_kind] if config.alpha_grid is None
@@ -714,6 +711,7 @@ def run_dpr(data: PanelDataset, config: DprConfig, split: SplitSpec) -> RunRepor
             scan_rows=scan_rows,
             cv=cv,
             design=dmS,
+            design_rows=design_rows,
             path_lambdas=path_lams,
             path_models=path_models,
             dpr_model=dpr_model,
@@ -752,7 +750,7 @@ def write_report(report: RunReport, out_dir) -> None:
 
     write_coefficients(model, out / "coefficients.csv")
 
-    rows = dm.source_rows.tolist()
+    rows = report.design_rows.tolist()
     a, f = dm.y, _linear_predictor(model.intercept, dm.X, model.coefficients)
     write_table(
         out / "fitted.csv",

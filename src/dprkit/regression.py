@@ -90,8 +90,7 @@ class DesignMatrix:
 
     ``zero_variance`` marks constant columns; they are left untouched by
     standardization and their coefficients are forced to zero by every
-    fit.  ``source_rows`` traces each row back to the originating panel
-    observation when the matrix was built by the pipeline.
+    fit.
     """
 
     X: np.ndarray
@@ -101,7 +100,6 @@ class DesignMatrix:
     column_means: np.ndarray | None = None
     column_stds: np.ndarray | None = None
     zero_variance: np.ndarray | None = None
-    source_rows: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -154,17 +152,16 @@ class DesignMatrix:
         return active, means, ybar, Xc.T @ Xc, Xc.T @ (self.y - ybar)
 
     def subset_rows(self, rows) -> "DesignMatrix":
-        """Row subset sharing the parent's column stats and flags (used by CV)."""
+        """Row subset sharing the parent's column stats and flags (CV folds, ``exclude``)."""
         rows = np.asarray(rows)
         return DesignMatrix(
-            X=self.X[rows].copy(),
-            y=self.y[rows].copy(),
+            X=self.X[rows],
+            y=self.y[rows],
             column_names=list(self.column_names),
             standardized=self.standardized,
             column_means=self.column_means,
             column_stds=self.column_stds,
             zero_variance=self.zero_variance.copy(),
-            source_rows=None if self.source_rows is None else self.source_rows[rows].copy(),
         )
 
 
@@ -174,8 +171,7 @@ def _constant_columns(X: np.ndarray) -> np.ndarray:
     return np.all(X == X[0, :], axis=0)
 
 
-def standardize(X, y, column_names: list[str] | None = None,
-                source_rows: np.ndarray | None = None) -> DesignMatrix:
+def standardize(X, y, column_names: list[str] | None = None) -> DesignMatrix:
     """Center and scale each column to sample mean 0 and sample std 1 (ddof=1).
 
     The target is left unscaled.  Constant columns cannot be scaled: they are
@@ -209,7 +205,6 @@ def standardize(X, y, column_names: list[str] | None = None,
         column_means=means,
         column_stds=stds,
         zero_variance=zv,
-        source_rows=source_rows,
     )
 
 

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import math
@@ -103,6 +104,14 @@ def test_write_then_load_round_trips(tmp_path):
     first = out.read_bytes()
     write_panel(again, out)
     assert out.read_bytes() == first
+
+
+def test_a_byte_order_mark_is_encoding_not_header_text(tmp_path):
+    # a spreadsheet's "CSV UTF-8" starts the file with one
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_panel(load_panel(_csv(BASIC)), plain)
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    assert load_panel(marked) == load_panel(plain)
 
 
 def test_out_of_order_rows_construct_and_duplicates_are_named():

@@ -82,7 +82,7 @@ def test_design_from_panel_rejects_missing_targets():
 def _toy_design(n=9):
     X = np.arange(n, dtype=float).reshape(-1, 1)
     y = np.linspace(0.0, 1.0, n)
-    return DesignMatrix(X=X, y=y, column_names=["f"], source_rows=np.arange(n))
+    return DesignMatrix(X=X, y=y, column_names=["f"])
 
 
 def test_augment_unique_dummy_policy():
@@ -94,15 +94,6 @@ def test_augment_unique_dummy_policy():
     np.testing.assert_array_equal(out.X[:, 2], [0, 0, 0, 0, 1, 0])
     np.testing.assert_array_equal(out.X[:, 3], [0, 0, 0, 0, 0, 1])
     assert out.n == 6
-
-
-def test_augment_exclude_policy_drops_noise_rows():
-    dm = _toy_design(5)
-    labels = np.array([0, NOISE, 0, 1, NOISE])
-    out = augment_with_dummies(dm, labels, policy="exclude")
-    assert out.n == 3
-    assert out.column_names == ["f", "cluster_1"]
-    np.testing.assert_array_equal(out.source_rows, [0, 2, 3])
 
 
 def test_augment_rejects_standardized_input():
@@ -136,7 +127,7 @@ def test_cv_winner_minimizes_mean_mse():
     panel, _ = _panel(n_entities=10, n_periods=6, n_features=4, noise_sd=0.03)
     logged = log_transform(panel, TransformSpec())
     dm0 = design_from_panel(logged)
-    dm = standardize(dm0.X, dm0.y, dm0.column_names, source_rows=dm0.source_rows)
+    dm = standardize(dm0.X, dm0.y, dm0.column_names)
     grid = [1e-4, 1e-3, 1e-2, 1e-1, 1.0]
     res = cross_validate(dm, 4, grid, [1.0])
     by_hand = {}
@@ -159,7 +150,7 @@ def _cv_design(seed=3):
     panel, _ = _panel(n_entities=10, n_periods=6, n_features=5, noise_sd=0.05, seed=seed)
     logged = log_transform(panel, TransformSpec())
     dm0 = design_from_panel(logged)
-    return standardize(dm0.X, dm0.y, dm0.column_names, source_rows=dm0.source_rows)
+    return standardize(dm0.X, dm0.y, dm0.column_names)
 
 
 def test_cv_alpha_walk_warm_starts_within_each_fold(monkeypatch):
@@ -249,7 +240,7 @@ def test_cv_unconverged_cells_become_na(monkeypatch):
     panel, _ = _panel(n_entities=10, n_periods=6, n_features=4, noise_sd=0.03)
     logged = log_transform(panel, TransformSpec())
     dm0 = design_from_panel(logged)
-    dm = standardize(dm0.X, dm0.y, dm0.column_names, source_rows=dm0.source_rows)
+    dm = standardize(dm0.X, dm0.y, dm0.column_names)
     grid = [10.0, 1.0, 1e-2, 1e-4]
     fit = pipeline.fit_elastic_net
     with monkeypatch.context() as m:
@@ -566,7 +557,7 @@ def test_baseline_choice_barely_matters_at_tiny_penalty():
     def forecast(lam, relabel):
         # relabel[c] is cluster c's new id; index -1 (NOISE) takes the last entry, NOISE
         dm = augment_with_dummies(design, relabel[report.clusters.labels])
-        dm = standardize(dm.X, dm.y, dm.column_names, source_rows=dm.source_rows)
+        dm = standardize(dm.X, dm.y, dm.column_names)
         model = fit_elastic_net(dm, PenaltySpec(lam, 1.0))
         return forecast_report(model, test, TransformSpec(),
                                labels=relabel[report.forecast.cluster]).predicted_log
@@ -720,6 +711,33 @@ def test_report_tables_read_the_test_keys_from_forecast_rows(tmp_path):
     ]
     with open(tmp_path / "forecast.csv", newline="") as fh:
         assert keys(csv.DictReader(fh)) == fc.rows
+
+
+def test_exclude_policy_fits_the_non_noise_training_rows(tmp_path):
+    # the outlier policy is run_dpr's: under exclude the design rows are the training
+    # rows DBSCAN did not call noise, in order, and no noise_<r> column is built
+    panel, split, config = _noise_run()
+    default = run_dpr(panel, config, split)
+    np.testing.assert_array_equal(default.design_rows, np.arange(len(default.entities)))
+    assert any(name.startswith("noise_") for name in default.design.column_names)
+
+    report = run_dpr(panel, dataclasses.replace(config, outlier_policy="exclude"), split)
+    kept = np.flatnonzero(report.clusters.labels != NOISE)
+    assert 0 < kept.size < len(report.entities)
+    np.testing.assert_array_equal(report.design_rows, kept)
+    assert report.design.n == kept.size
+    assert not any(name.startswith("noise_") for name in report.design.column_names)
+    np.testing.assert_array_equal(report.design.y, default.design.y[kept])
+    write_report(report, tmp_path)
+    with open(tmp_path / "fitted.csv", newline="") as fh:
+        assert [(r["entity"], int(r["period"])) for r in csv.DictReader(fh)] == [
+            (report.entities[i], report.periods[i]) for i in kept
+        ]
+
+    all_noise = dataclasses.replace(config, outlier_policy="exclude", min_pts=100)
+    with pytest.raises(ValidationError, match="^stage design: outlier policy 'exclude' "
+                                              "removed every row$"):
+        run_dpr(panel, all_noise, split)
 
 
 @pytest.mark.parametrize("whole", [float, np.int64])
