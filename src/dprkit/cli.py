@@ -125,11 +125,11 @@ def _ok(stage: str, **kv) -> None:
     print(" ".join(parts))
 
 
-def _read_bundle(path, parse):
-    """``parse`` of a JSON file; its ValidationError names the file."""
+def _read_model(path) -> pipeline.DprModel:
+    """The run model of a ``model.json`` file; its ValidationError names the file."""
     p = _require_input(path)
     try:
-        return parse(json.loads(p.read_text(encoding="utf-8")))
+        return pipeline.DprModel.from_bundle(json.loads(p.read_text(encoding="utf-8")))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     except ValidationError as exc:
@@ -150,23 +150,23 @@ def _as_int_grid(text: str) -> tuple:
     return tuple(int(v) for v in grid)
 
 
-# Every setting of `run`, as a flag and as a config key: key -> (parser of its text, argparse
-# keywords of its flag).  A flag's dest is its key and it defaults to None (unset); an unset
-# setting takes the default of the field it fills.
+# Every setting of `run`, as a flag and as a config key: key -> parser of its text.  A flag's
+# dest is its key and it defaults to None (unset); an unset setting takes the default of the
+# field it fills, and the field's own check judges a parsed value from either source.
 _SETTINGS = {
-    "penalty": (str, {}),
-    "lambda_grid": (_as_grid, {}),
-    "alpha_grid": (_as_grid, {}),
-    "eps": (float, {}),
-    "min_pts": (int, {}),
-    "eps_grid": (_as_grid, {}),
-    "minpts_grid": (_as_int_grid, {}),
-    "log_offset": (float, {}),
-    "outlier_policy": (str, {"choices": list(pipeline.OUTLIER_POLICIES)}),
-    "folds": (int, {}),
-    "train_periods": (str, {}),
-    "test_periods": (str, {}),
-    "train_count": (int, {}),
+    "penalty": str,
+    "lambda_grid": _as_grid,
+    "alpha_grid": _as_grid,
+    "eps": float,
+    "min_pts": int,
+    "eps_grid": _as_grid,
+    "minpts_grid": _as_int_grid,
+    "log_offset": float,
+    "outlier_policy": str,
+    "folds": int,
+    "train_periods": str,
+    "test_periods": str,
+    "train_count": int,
 }
 
 
@@ -175,7 +175,7 @@ def _parse_settings(texts: dict[str, str]) -> dict:
     settings = {}
     for key, text in texts.items():
         try:
-            settings[key] = _SETTINGS[key][0](text)
+            settings[key] = _SETTINGS[key](text)
         except (ValueError, ValidationError) as exc:
             raise ValidationError(f"bad value {key}={text!r}: {exc}") from exc
     return settings
@@ -318,7 +318,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_forecast(args) -> int:
     panel = load_panel(_require_input(args.input))  # without a target column, every actual is NA
-    model = _read_bundle(args.model, pipeline.DprModel.from_bundle)
+    model = _read_model(args.model)
     try:
         result = model.forecast(panel)
     except NumericalError as exc:  # named as run names its forecast stage
@@ -379,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("run", help="full clustering + fit + forecast flow")
     sp.add_argument("--input", required=True)
     sp.add_argument("--output-dir", required=True)
-    for key, (_, flag_keywords) in _SETTINGS.items():
-        sp.add_argument("--" + key.replace("_", "-"), default=None, **flag_keywords)
+    for key in _SETTINGS:
+        sp.add_argument("--" + key.replace("_", "-"), default=None)
     sp.add_argument("--config", default=None, help="key=value file; flags override")
     sp.add_argument("--plots", action="store_true")
     sp.set_defaults(handler=_cmd_run)

@@ -33,7 +33,7 @@ from .clustering import (
     suggest_params,
 )
 from .errors import ConvergenceError, NumericalError, ValidationError, require_int
-from .panel import PanelDataset, TransformSpec, energy_mix_features, invert_log, log_transform
+from .panel import PanelDataset, TransformSpec, energy_mix_features, log_transform
 from .regression import (
     DesignMatrix,
     FittedModel,
@@ -440,11 +440,8 @@ def forecast_report(model: FittedModel, test: PanelDataset, transform: Transform
 
     y = test_log.targets
     have = ~np.isnan(y)
-    # math.exp, not np.exp: the two differ in the last digit for some inputs
-    exp_y = np.fromiter(map(math.exp, y[have].tolist()), dtype=np.float64)
-    exp_yhat = np.fromiter(map(math.exp, yhat[have].tolist()), dtype=np.float64)
-    relative_error = np.full(test.n_obs, math.nan)
-    relative_error[have] = np.abs(exp_yhat - exp_y) / exp_y
+    # one exp per value, so at log_offset 0 the error is |predicted - actual| / actual
+    exp_y, exp_yhat = np.exp(y), np.exp(yhat)
     if have.any():
         e = yhat[have] - y[have]
         mean_error = float(e.mean())
@@ -459,9 +456,9 @@ def forecast_report(model: FittedModel, test: PanelDataset, transform: Transform
         cluster=labels,
         actual_log=y,
         predicted_log=yhat,
-        actual_source=invert_log(y, transform),
-        predicted_source=invert_log(yhat, transform),
-        relative_error=relative_error,
+        actual_source=exp_y - transform.log_offset,
+        predicted_source=exp_yhat - transform.log_offset,
+        relative_error=np.abs(exp_yhat - exp_y) / exp_y,
         mean_error=mean_error,
         error_variance=error_variance,
     )
@@ -489,9 +486,21 @@ class DprModel:
 
     def to_bundle(self) -> dict:
         """The ``MODEL_FORMAT`` record that ``run`` writes as ``model.json``."""
+        m = self.model
         return {
             "format": MODEL_FORMAT,
-            "regression": self.model.to_dict(),
+            "regression": {
+                "penalty": {"lambda": m.penalty.lam, "alpha": m.penalty.alpha},
+                "intercept": m.intercept,
+                "coefficients": [float(b) for b in m.coefficients],
+                "source_intercept": m.source_intercept,
+                "source_coefficients": [float(b) for b in m.source_coefficients],
+                "column_names": list(m.column_names),
+                "column_means": [float(v) for v in m.column_means],
+                "column_stds": [float(v) for v in m.column_stds],
+                "zero_variance": [bool(v) for v in m.zero_variance],
+                "diagnostics": dict(m.diagnostics),
+            },
             # normalize_mode is read by perfbench's forecast check; goes with ROADMAP item 21
             "transform": {"log_offset": self.transform.log_offset, "normalize_mode": "rawshares"},
             "features": list(self.features),
@@ -515,9 +524,29 @@ class DprModel:
             raise ValidationError(f"bad field 'format': expected {MODEL_FORMAT!r}, got "
                                   f"{bundle.get('format')!r}; rerun dprkit run to write one")
         get = partial(bundle_field, bundle)
-        model = get("regression", FittedModel.from_dict)
+        get("regression", lambda v: v)  # first, so its absence is named 'regression', not a field
+        names = get("regression.column_names", strings)
+        model = FittedModel(
+            intercept=get("regression.intercept", number),
+            coefficients=get("regression.coefficients", numbers),
+            penalty=get("regression.penalty", lambda p: PenaltySpec(p["lambda"], p["alpha"])),
+            column_names=names,
+            column_means=get("regression.column_means", numbers),
+            column_stds=get("regression.column_stds", numbers),
+            zero_variance=get("regression.zero_variance", lambda v: np.asarray(v, dtype=bool)),
+            diagnostics=get("regression.diagnostics", dict),
+        )
+        for name in ("intercept", "coefficients", "column_means", "column_stds", "zero_variance"):
+            value = getattr(model, name)
+            shape = () if name == "intercept" else (len(names),)
+            if np.shape(value) != shape or not np.isfinite(value).all():
+                raise ValidationError(f"bad field 'regression.{name}': expected " + (
+                    f"{len(names)} finite entries" if shape else "a finite number"))
+        stds = model.column_stds
+        if not np.where(model.zero_variance, stds == 0, stds > 0).all():
+            raise ValidationError("bad field 'regression.column_stds': expected 0 where "
+                                  "zero_variance is true and > 0 elsewhere")
         features = get("features", strings)
-        names = model.column_names
         try:
             if names[:len(features)] != features:
                 raise ValidationError("the features do not come first")

@@ -35,18 +35,19 @@ right-hand side grow in place with it.  The tolerance and step cap apply
 to the active-set solver alone; the pipeline fits at ``DEFAULT_TOL`` and
 ``DEFAULT_MAX_ITER``.  The fits leave the training r2 and mse out;
 ``add_training_metrics`` adds them to a fit whose metrics are reported.
+A FittedModel is only the solver's result: ``pipeline.DprModel`` alone writes
+and reads it, as ``model.json``'s ``regression`` record.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConvergenceError, RankDeficiencyError, ValidationError, as_real, require_int
-from .tables import bundle_field, number, numbers, strings
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
@@ -243,49 +244,6 @@ class FittedModel:
             np.dot(self.coefficients[active], self.column_means[active] / self.column_stds[active])
         )
         return self.intercept - shift
-
-    def to_dict(self) -> dict:
-        return {
-            "penalty": {"lambda": self.penalty.lam, "alpha": self.penalty.alpha},
-            "intercept": self.intercept,
-            "coefficients": [float(b) for b in self.coefficients],
-            "source_intercept": self.source_intercept,
-            "source_coefficients": [float(b) for b in self.source_coefficients],
-            "column_names": list(self.column_names),
-            "column_means": [float(v) for v in self.column_means],
-            "column_stds": [float(v) for v in self.column_stds],
-            "zero_variance": [bool(v) for v in self.zero_variance],
-            "diagnostics": dict(self.diagnostics),
-        }
-
-    @classmethod
-    def from_dict(cls, d) -> "FittedModel":
-        """Read back a ``to_dict`` record, a ``model.json``'s ``regression`` field; a
-        malformed one is a ValidationError naming the field as ``regression.<name>``."""
-        get = partial(bundle_field, {"regression": d})
-        names = get("regression.column_names", strings)
-        model = cls(
-            intercept=get("regression.intercept", number),
-            coefficients=get("regression.coefficients", numbers),
-            penalty=get("regression.penalty",
-                        lambda p: PenaltySpec(p["lambda"], p["alpha"])),
-            column_names=names,
-            column_means=get("regression.column_means", numbers),
-            column_stds=get("regression.column_stds", numbers),
-            zero_variance=get("regression.zero_variance", lambda v: np.asarray(v, dtype=bool)),
-            diagnostics=get("regression.diagnostics", dict),
-        )
-        for name in ("intercept", "coefficients", "column_means", "column_stds", "zero_variance"):
-            value = getattr(model, name)
-            shape = () if name == "intercept" else (len(names),)
-            if np.shape(value) != shape or not np.isfinite(value).all():
-                raise ValidationError(f"bad field 'regression.{name}': expected " + (
-                    f"{len(names)} finite entries" if shape else "a finite number"))
-        stds = model.column_stds
-        if not np.where(model.zero_variance, stds == 0, stds > 0).all():
-            raise ValidationError("bad field 'regression.column_stds': expected 0 where "
-                                  "zero_variance is true and > 0 elsewhere")
-        return model
 
 
 def soft_threshold(z: float, gamma: float) -> float:

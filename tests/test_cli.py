@@ -306,6 +306,12 @@ _STDS_VS_ZV = ("bad field 'regression.column_stds': expected 0 where zero_varian
      "bad field 'regression.zero_variance': expected 5 finite entries"),
     (_set("regression.intercept", lambda v: INF),
      "bad field 'regression.intercept': expected a finite number"),
+    (_set("regression.column_means", lambda v: v[:1] + [float("nan")] + v[2:]),
+     "bad field 'regression.column_means': expected 5 finite entries"),
+    (_set("regression.column_names", lambda v: "abc"),
+     "bad field 'regression.column_names': TypeError('expected a list of strings')"),
+    (_set("regression.penalty", lambda v: None), "bad field 'regression.penalty': "
+     "TypeError(\"'NoneType' object is not subscriptable\")"),
     # these were accepted with a different forecast
     (_set("regression.column_stds", lambda v: [0.0] + v[1:]), _STDS_VS_ZV),
     (_set("regression.column_stds", lambda v: [-1.0] + v[1:]), _STDS_VS_ZV),
@@ -331,7 +337,8 @@ _STDS_VS_ZV = ("bad field 'regression.column_stds': expected 0 where zero_varian
         "model-bad-dummy-name", "model-features-not-first",
         "model-core-labels-inf", "model-core-label-k",
         "model-core-label-negative", "model-coefficients-short", "model-column-stds-short",
-        "model-zero-variance-empty", "model-intercept-inf", "model-column-std-zero",
+        "model-zero-variance-empty", "model-intercept-inf", "model-column-mean-nan",
+        "model-column-names-text", "model-penalty-null", "model-column-std-zero",
         "model-column-std-negative", "model-zero-variance-flipped", "model-core-point-inf",
         "model-intercept-true", "model-coefficient-true", "model-eps-true",
         "model-outlier-policy-text", "model-outlier-policy-number"])
@@ -1232,6 +1239,20 @@ def test_an_unknown_penalty_is_the_same_error_on_every_subcommand(capsys, tmp_pa
         assert code == 1 and stdout == ""
         assert err == ("error: penalty must be one of ('ridge', 'lasso', 'elastic_net'), "
                        "got 'huber'\n")
+        assert not out.exists()
+
+
+def test_an_unknown_outlier_policy_is_the_same_error_from_flag_and_config(capsys, tmp_path):
+    # DprConfig alone checks the policy, whether its text came from the flag or the file
+    panel = _synth(capsys, tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("outlier_policy = bogus\n")
+    for extra in (["--outlier-policy", "bogus"], ["--config", str(cfg)]):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *_run_argv(panel, out), *extra)
+        assert (code, stdout) == (1, "")
+        assert err == ("error: outlier_policy must be one of ('unique_dummy', 'exclude'), "
+                       "got 'bogus'\n")
         assert not out.exists()
 
 

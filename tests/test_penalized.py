@@ -414,41 +414,6 @@ def test_unpenalized_intercept_tracks_target_shift():
     assert m2.intercept - m1.intercept == pytest.approx(100.0, abs=1e-9)
 
 
-def test_model_dict_round_trip():
-    rng = np.random.default_rng(14)
-    dm = _random_design(rng, n=30, p=3)
-    model = fit_elastic_net(dm, PenaltySpec(0.05, 0.4))
-    clone = FittedModel.from_dict(model.to_dict())
-    np.testing.assert_array_equal(clone.coefficients, model.coefficients)
-    assert clone.intercept == model.intercept
-    assert clone.penalty == model.penalty
-    assert clone.column_names == model.column_names
-    X = rng.uniform(size=(5, 3))
-    np.testing.assert_array_equal(predict(clone, X), predict(model, X))
-
-
-@pytest.mark.parametrize("edit, message", [
-    ({"intercept": True}, "bad field 'regression.intercept': "
-     "TypeError('expected numbers, got bool')"),
-    ({"coefficients": [0.0]}, "bad field 'regression.coefficients': expected 3 finite entries"),
-    ({"column_means": [0.0, math.nan, 0.0]},
-     "bad field 'regression.column_means': expected 3 finite entries"),
-    ({"column_stds": [0.0, 1.0, 1.0]}, "bad field 'regression.column_stds': expected 0 where "
-     "zero_variance is true and > 0 elsewhere"),
-    ({"column_names": "abc"}, "bad field 'regression.column_names': "
-     "TypeError('expected a list of strings')"),
-    ({"penalty": None}, "bad field 'regression.penalty': "
-     "TypeError(\"'NoneType' object is not subscriptable\")"),
-])
-def test_model_dict_is_read_by_the_bundle_rules(edit, message):
-    # dprkit fit's model.json is read through from_dict alone
-    model = fit_elastic_net(_random_design(np.random.default_rng(14), n=30, p=3),
-                            PenaltySpec(0.05, 0.4))
-    with pytest.raises(ValidationError) as exc:
-        FittedModel.from_dict({**model.to_dict(), **edit})
-    assert str(exc.value) == message
-
-
 def test_penalty_spec_validation():
     with pytest.raises(ValidationError):
         PenaltySpec(lam=-0.1, alpha=0.0)

@@ -34,6 +34,7 @@ from dprkit.regression import (
     FittedModel,
     PenaltySpec,
     fit_elastic_net,
+    predict,
     standardize,
 )
 from dprkit import cli, pipeline, testkit
@@ -636,7 +637,6 @@ def test_forecast_columns_match_the_row_formulas():
     targets = panel.targets.copy()
     targets[::7] = math.nan
     panel = dataclasses.replace(panel, targets=targets)
-    spec = TransformSpec(log_offset=0.5)
     rng = np.random.default_rng(0)
     model = FittedModel(
         intercept=0.3, coefficients=rng.normal(size=3),
@@ -645,20 +645,27 @@ def test_forecast_columns_match_the_row_formulas():
         zero_variance=np.zeros(3, dtype=bool), diagnostics={},
     )
     labels = rng.integers(-1, 3, size=panel.n_obs)
-    res = forecast_report(model, panel, spec, labels=labels)
-    y = np.log(targets + 0.5)
-    assert len(res.rows) == panel.n_obs
-    assert res.rows == panel.row_keys()
-    for i in range(panel.n_obs):
-        yhat = res.predicted_log[i]
-        assert res.cluster[i] == labels[i] and res.is_noise[i] == (labels[i] == NOISE)
-        assert res.predicted_source[i] == float(invert_log(np.array(yhat), spec))
-        if math.isnan(y[i]):
-            assert np.isnan([res.actual_log[i], res.actual_source[i], res.relative_error[i]]).all()
-            continue
-        assert res.actual_log[i] == y[i]
-        assert res.actual_source[i] == float(invert_log(np.array(y[i]), spec))
-        assert res.relative_error[i] == abs(math.exp(yhat) - math.exp(y[i])) / math.exp(y[i])
+    for spec in (TransformSpec(log_offset=0.5), TransformSpec(log_offset=0.0)):
+        res = forecast_report(model, panel, spec, labels=labels)
+        y = np.log(targets + spec.log_offset)
+        assert len(res.rows) == panel.n_obs
+        assert res.rows == panel.row_keys()
+        for i in range(panel.n_obs):
+            yhat = res.predicted_log[i]
+            assert res.cluster[i] == labels[i] and res.is_noise[i] == (labels[i] == NOISE)
+            assert res.predicted_source[i] == float(invert_log(np.array(yhat), spec))
+            if math.isnan(y[i]):
+                assert np.isnan([res.actual_log[i], res.actual_source[i],
+                                 res.relative_error[i]]).all()
+                continue
+            assert res.actual_log[i] == y[i]
+            assert res.actual_source[i] == float(invert_log(np.array(y[i]), spec))
+            exp_y, exp_yhat = np.exp(y[i]), np.exp(yhat)
+            assert res.relative_error[i] == abs(exp_yhat - exp_y) / exp_y
+            if spec.log_offset == 0.0:
+                # the source columns are those exps, so the error is theirs to the last bit
+                source = res.actual_source[i]
+                assert res.relative_error[i] == abs(res.predicted_source[i] - source) / source
 
 
 def test_dpr_model_bundle_round_trips():
@@ -666,7 +673,11 @@ def test_dpr_model_bundle_round_trips():
     split = SplitSpec(tuple(panel.periods[:4]), tuple(panel.periods[4:]), cv_folds=3)
     report = run_dpr(panel, _default_config(), split)
     bundle = report.dpr_model.to_bundle()
-    assert DprModel.from_bundle(json.loads(json.dumps(bundle))).to_bundle() == bundle
+    clone = DprModel.from_bundle(json.loads(json.dumps(bundle)))
+    assert clone.to_bundle() == bundle
+    model = report.dpr_model.model
+    X = np.random.default_rng(14).uniform(size=(5, len(model.column_names)))
+    np.testing.assert_array_equal(predict(clone.model, X), predict(model, X))
 
 
 def test_write_report_is_byte_stable(tmp_path):
