@@ -20,7 +20,8 @@ from dprkit.regression import (
     _feature_sign,
     standardize,
 )
-from dprkit.pipeline import regularization_path
+from dprkit.panel import TransformSpec
+from dprkit.pipeline import DprModel, regularization_path
 from dprkit.testkit import kkt_residuals, reference_objective_min
 
 
@@ -412,6 +413,52 @@ def test_unpenalized_intercept_tracks_target_shift():
                          tol=1e-12)
     np.testing.assert_allclose(m1.coefficients, m2.coefficients, atol=1e-9)
     assert m2.intercept - m1.intercept == pytest.approx(100.0, abs=1e-9)
+
+
+def _bundle_of(model):
+    """model.json's record of ``model``, its columns the features of one cluster."""
+    return DprModel(
+        model=model, transform=TransformSpec(), features=list(model.column_names),
+        eps=0.5, k=1, outlier_policy="exclude",
+        core_points=np.zeros((1, len(model.column_names))), core_labels=np.zeros(1, np.intp),
+    ).to_bundle()
+
+
+def test_model_dict_round_trip():
+    rng = np.random.default_rng(14)
+    dm = _random_design(rng, n=30, p=3)
+    model = fit_elastic_net(dm, PenaltySpec(0.05, 0.4))
+    clone = DprModel.from_bundle(_bundle_of(model)).model
+    np.testing.assert_array_equal(clone.coefficients, model.coefficients)
+    assert clone.intercept == model.intercept
+    assert clone.penalty == model.penalty
+    assert clone.column_names == model.column_names
+    X = rng.uniform(size=(5, 3))
+    np.testing.assert_array_equal(predict(clone, X), predict(model, X))
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"intercept": True}, "bad field 'regression.intercept': "
+     "TypeError('expected numbers, got bool')"),
+    ({"coefficients": [0.0]}, "bad field 'regression.coefficients': expected 3 finite entries"),
+    ({"column_means": [0.0, math.nan, 0.0]},
+     "bad field 'regression.column_means': expected 3 finite entries"),
+    ({"column_stds": [0.0, 1.0, 1.0]}, "bad field 'regression.column_stds': expected 0 where "
+     "zero_variance is true and > 0 elsewhere"),
+    ({"column_names": "abc"}, "bad field 'regression.column_names': "
+     "TypeError('expected a list of strings')"),
+    ({"penalty": None}, "bad field 'regression.penalty': "
+     "TypeError(\"'NoneType' object is not subscriptable\")"),
+])
+def test_model_dict_is_read_by_the_bundle_rules(edit, message):
+    # a fitted model's record in model.json is read through DprModel.from_bundle alone
+    model = fit_elastic_net(_random_design(np.random.default_rng(14), n=30, p=3),
+                            PenaltySpec(0.05, 0.4))
+    bundle = _bundle_of(model)
+    bundle["regression"].update(edit)
+    with pytest.raises(ValidationError) as exc:
+        DprModel.from_bundle(bundle)
+    assert str(exc.value) == message
 
 
 def test_penalty_spec_validation():
