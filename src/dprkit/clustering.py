@@ -327,26 +327,6 @@ def _silhouette_from_distances(d: np.ndarray, labels: np.ndarray, k: int) -> flo
     return float(s.mean())
 
 
-def silhouette_sc(points, labels) -> float:
-    """Mean silhouette over non-noise points.
-
-    Noise is excluded entirely; a singleton member scores 0, as does any
-    point whose max(a, b) is 0.  Raises when fewer than two clusters remain
-    after noise removal.
-    """
-    pts = _as_points(points)
-    labels = np.asarray(labels, dtype=np.intp)
-    if labels.shape != (pts.shape[0],):
-        raise ValidationError("labels length does not match points")
-    ids = np.unique(labels[labels != NOISE])
-    if ids.size < 2:
-        raise ValidationError(
-            f"silhouette undefined: {ids.size} cluster(s) after noise removal"
-        )
-    canon, k = _canonical_relabel(labels)
-    return _silhouette_from_distances(pairwise_distances(pts), canon, k)
-
-
 def sse(points, labels) -> float:
     """Sum of squared distances to each cluster's centroid; noise adds 0."""
     pts = _as_points(points)

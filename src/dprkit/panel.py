@@ -484,11 +484,6 @@ def log_transform(data: PanelDataset, spec: TransformSpec) -> PanelDataset:
     )
 
 
-def invert_log(values: np.ndarray, spec: TransformSpec):
-    """Inverse of the log transform: ``exp(v) - offset``."""
-    return np.exp(values) - spec.log_offset
-
-
 def energy_mix_features(data: PanelDataset) -> tuple[np.ndarray, list[int]]:
     """Clustering features from the consumption mix: each row divided by its sum.
 

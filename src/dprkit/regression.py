@@ -246,16 +246,6 @@ class FittedModel:
         return self.intercept - shift
 
 
-def soft_threshold(z: float, gamma: float) -> float:
-    """sign(z) * max(|z| - gamma, 0); gamma must be >= 0."""
-    if gamma < 0:
-        raise ValidationError(f"soft threshold requires gamma >= 0, got {gamma}")
-    az = abs(z) - gamma
-    if az <= 0.0:
-        return 0.0
-    return math.copysign(az, z)
-
-
 def _fit_metrics(y: np.ndarray, yhat: np.ndarray) -> tuple[float, float | None]:
     """Mean squared residual and 1 - RSS/TSS (None when ``y`` has zero variance)."""
     sq = y - yhat

@@ -39,6 +39,7 @@ from dprkit.regression import (
     metric_sparsity,
     standardize,
 )
+from oracles import brute_force_dbscan, kkt_residuals, reference_objective_min
 
 
 def _report(num: int, detail: str) -> None:
@@ -68,7 +69,7 @@ def test_criterion_1_clustering_matches_brute_force_oracle():
             min_pts=int(rng.integers(2, 7)) + int(rng.integers(0, 2)),
         )
         got = dbscan(pts, params).labels
-        want = testkit.brute_force_dbscan(pts, params)
+        want = brute_force_dbscan(pts, params)
         np.testing.assert_array_equal(got, want)
         checked += 1
     elapsed = time.perf_counter() - t0
@@ -95,7 +96,7 @@ def test_criterion_2_solver_satisfies_kkt_and_reference_objective():
 
         model = fit_elastic_net(dm, PenaltySpec(lam, alpha), tol=1e-12,
                                 max_iter=300000)
-        g, bound = testkit.kkt_residuals(
+        g, bound = kkt_residuals(
             dm.X, dm.y, model.intercept, model.coefficients, lam, alpha
         )
         assert np.all(np.abs(g) <= bound + 1e-6)
@@ -110,7 +111,7 @@ def test_criterion_2_solver_satisfies_kkt_and_reference_objective():
         worst_kkt = max(worst_kkt, max(inactive_excess, 0.0))
 
         ours = enet_objective(dm.X, dm.y, model.intercept, model.coefficients, lam, alpha)
-        _, _, ref = testkit.reference_objective_min(
+        _, _, ref = reference_objective_min(
             dm.X, dm.y, PenaltySpec(lam=lam, alpha=alpha)
         )
         assert ours <= ref + 1e-6

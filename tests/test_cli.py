@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
@@ -816,7 +817,7 @@ def test_unset_run_settings_take_the_dataclass_defaults():
 
 
 _MALFORMED = [("eps", "0.2x"), ("min_pts", "3.5"), ("log_offset", "one"),
-              ("folds", "3.0"), ("train_count", "six")]
+              ("folds", "3.0"), ("train_count", "six"), ("minpts_grid", "1.5")]
 
 
 @pytest.mark.parametrize("key, bad, source", [
@@ -835,7 +836,8 @@ def test_malformed_run_setting_exits_1_naming_it(capsys, tmp_path, key, bad, sou
         argv += ["--config", str(cfg)]
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 1 and stdout == ""
-    assert f"bad value {key}={bad!r}" in err
+    [line] = err.splitlines()
+    assert line.startswith(f"error: bad value {key}={bad!r}: ")
     assert not out.exists()
 
 
@@ -974,6 +976,24 @@ def test_cli_and_testkit_imports_leave_out_scipy_optimize():
     assert out.strip() == "[]", f"importing dprkit loaded {out.strip()}"
 
 
+def test_python_dash_m_dprkit_runs_the_command_line(tmp_path):
+    # __main__ and cli.entry, the installed command's entry point: its exit code is main's;
+    # the child imports the dprkit these tests import
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+
+    def dprkit(*argv):
+        return subprocess.run([sys.executable, "-m", "dprkit", *argv], capture_output=True,
+                              text=True, cwd=tmp_path, env=env)
+
+    shown = dprkit("synth", "--help")
+    assert (shown.returncode, shown.stderr) == (0, "")
+    assert shown.stdout.startswith("usage: dprkit synth")
+    retired = dprkit("cluster", "--input", "x")
+    assert (retired.returncode, retired.stdout) == (1, "")
+    assert len(retired.stderr.splitlines()) == 1
+    assert retired.stderr.startswith("error: argument command: invalid choice: 'cluster'")
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("kind", ["ridge", "lasso"])
 def test_run_rejects_an_alpha_grid_unless_elastic_net(capsys, tmp_path, kind, source):
@@ -1028,7 +1048,8 @@ def test_repeated_grid_values_are_fitted_and_listed_once(capsys, tmp_path, monke
     ("true_coefficients=0.5", "synth field 'true_coefficients' cannot be set from --spec"),
     ("n_entities=3.5", "synth field n_entities='3.5' must be int"),
     ("noise_sd=low", "synth field noise_sd='low' must be float"),
-], ids=["mix_profiles", "true_coefficients", "int-field", "float-field"])
+    ("n_rows=5", "unknown synth spec field 'n_rows'"),
+], ids=["mix_profiles", "true_coefficients", "int-field", "float-field", "unknown-field"])
 def test_synth_spec_takes_the_type_of_each_fields_default(capsys, tmp_path, spec, message):
     out = tmp_path / "p.csv"
     code, stdout, err = run_cli(capsys, "synth", "--output", str(out), "--spec", spec)
@@ -1254,6 +1275,40 @@ def test_an_unknown_outlier_policy_is_the_same_error_from_flag_and_config(capsys
         assert err == ("error: outlier_policy must be one of ('unique_dummy', 'exclude'), "
                        "got 'bogus'\n")
         assert not out.exists()
+
+
+_PERIODS = {"eps": "0.2", "min_pts": "3", "penalty": "lasso", "lambda_grid": "0.01,0.1",
+            "folds": "3"}
+
+
+# Each fault is refused by one raise of the command's input checks: the config file, the
+# model file, the period lists and the panel's header.
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--input", "{panel}", "--output-dir", "{out}", "--config", "{tmp}/missing.cfg",
+      *_as_flags(_RUN)],
+     "config file not found: {tmp}/missing.cfg"),
+    (["forecast", "--input", "{panel}", "--model", "{tmp}/model.json", "--output", "{out}"],
+     "{tmp}/model.json: not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    (["run", "--input", "{panel}", "--output-dir", "{out}", *_as_flags(_PERIODS),
+      "--train-periods", "2000,x", "--test-periods", "2006,2007"],
+     "period 'x' is not an integer"),
+    (["run", "--input", "{panel}", "--output-dir", "{out}", *_as_flags(_PERIODS),
+      "--train-periods", "2000-x", "--test-periods", "2006-2007"],
+     "cannot parse period range '2000-x'"),
+    (["run", "--input", "{tmp}/targets_only.csv", "--output-dir", "{out}", *_as_flags(_RUN)],
+     "no feature columns in header ['entity', 'period', 'target']"),
+], ids=["config-not-found", "model-not-json", "period-not-integer", "period-range-unparseable",
+        "header-without-features"])
+def test_an_input_fault_is_one_error_line_and_writes_nothing(capsys, tmp_path, argv, message):
+    panel = _synth(capsys, tmp_path)
+    (tmp_path / "model.json").write_text("model = lasso\n")
+    (tmp_path / "targets_only.csv").write_text("entity,period,target\nA,2000,1.0\n")
+    out = tmp_path / "out"
+    where = {"panel": panel, "out": out, "tmp": tmp_path}
+    code, stdout, err = run_cli(capsys, *(arg.format(**where) for arg in argv))
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {message.format(**where)}\n"
+    assert not out.exists()
 
 
 def test_forecast_of_a_panel_with_other_features_names_both_lists(capsys, tmp_path):

@@ -10,17 +10,18 @@ from dprkit.clustering import (
     NOISE,
     DbscanParams,
     _row_distances,
+    _silhouette_from_distances,
     assign_by_nearest_core,
     dbscan,
     k_distance_profile,
     pairwise_distances,
     scan_params,
-    silhouette_sc,
     sse,
     suggest_params,
 )
 from dprkit.errors import ValidationError
-from dprkit.testkit import adjusted_rand_index, brute_force_dbscan
+from dprkit.testkit import adjusted_rand_index
+from oracles import brute_force_dbscan
 
 
 def _col(values):
@@ -173,29 +174,25 @@ def test_a_tie_at_exactly_eps_off_the_lattice(seed, p, scale, min_pts):
                                   [model.labels[near]])
 
 
+def _silhouette(pts, labels):
+    # the formula that scores every scan cell, on canonical labels of two or more clusters
+    return _silhouette_from_distances(pairwise_distances(pts), labels, int(labels.max()) + 1)
+
+
 def test_silhouette_perfect_and_degenerate():
     # two tight pairs far apart: a=0, b large, s=1 for every point
     pts = _col([0.0, 0.0, 100.0, 100.0])
     labels = np.array([0, 0, 1, 1])
-    assert silhouette_sc(pts, labels) == 1.0
+    assert _silhouette(pts, labels) == 1.0
     # everything coincident: a=b=0 -> s defined as 0
     pts2 = _col([3.0, 3.0, 3.0, 3.0])
-    assert silhouette_sc(pts2, labels) == 0.0
-
-
-def test_silhouette_requires_two_clusters():
-    pts = _col([0.0, 1.0, 2.0])
-    with pytest.raises(ValidationError):
-        silhouette_sc(pts, np.array([0, 0, 0]))
-    # noise is excluded before the check
-    with pytest.raises(ValidationError):
-        silhouette_sc(pts, np.array([0, 0, NOISE]))
+    assert _silhouette(pts2, labels) == 0.0
 
 
 def test_singleton_cluster_scores_zero():
     pts = _col([0.0, 0.1, 50.0])
     labels = np.array([0, 0, 1])
-    sc = silhouette_sc(pts, labels)
+    sc = _silhouette(pts, labels)
     a01 = 0.1
     b0 = 50.0
     b1 = 49.9
@@ -231,8 +228,8 @@ def test_silhouette_adds_the_upper_triangle_and_its_transpose(rows, monkeypatch)
     # rows; 3 clusters and 3 noise rows; 2 clusters
     for params in (DbscanParams(0.5, 1), DbscanParams(0.5, 4), DbscanParams(1.5, 2),
                    DbscanParams(2.5, 4)):
-        labels = dbscan(pts, params).labels
-        assert abs(silhouette_sc(pts, labels) - _silhouette_by_loop(pts, labels)) < 1e-12
+        model = dbscan(pts, params)
+        assert abs(model.sc - _silhouette_by_loop(pts, model.labels)) < 1e-12
 
 
 def test_model_sc_none_until_meaningful():

@@ -16,13 +16,12 @@ from dprkit.regression import (
     metric_r2,
     metric_sparsity,
     predict,
-    soft_threshold,
     _feature_sign,
     standardize,
 )
 from dprkit.panel import TransformSpec
 from dprkit.pipeline import DprModel, regularization_path
-from dprkit.testkit import kkt_residuals, reference_objective_min
+from oracles import kkt_residuals, reference_objective_min, soft_threshold
 
 
 def _random_design(rng, n=60, p=6, noise=0.1, sparse=True):

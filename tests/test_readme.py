@@ -1,5 +1,6 @@
 """The README's Python API example runs as written on the quick-start panel, every
-call its Python API section names exists, and its list of setting flags is the CLI's."""
+call its Python API section names exists, the package exports exactly the names that
+section documents, and its list of setting flags is the CLI's."""
 
 import importlib
 import pkgutil
@@ -13,9 +14,18 @@ from dprkit.cli import _SETTINGS, main
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _api_example() -> str:
+def _api_section() -> str:
     section = README.read_text(encoding="utf-8").split("## Python API", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return section.split("\n## ", 1)[0]
+
+
+def _api_example() -> str:
+    return re.search(r"```python\n(.*?)```", _api_section(), re.S).group(1)
+
+
+def _modules() -> list:
+    return [importlib.import_module(f"dprkit.{m.name}")
+            for m in pkgutil.iter_modules(dprkit.__path__) if m.name != "__main__"]
 
 
 def _files(root: Path) -> dict:
@@ -48,14 +58,37 @@ def test_readme_api_section_names_only_callables_the_package_has():
     # a `name(` or `module.name(` call in the Python API section must resolve
     # in dprkit or in one of its modules, so a deleted function cannot stay
     # documented
-    section = README.read_text(encoding="utf-8").split("## Python API", 1)[1]
-    section = section.split("\n## ", 1)[0]
-    modules = [dprkit] + [importlib.import_module(f"dprkit.{m.name}")
-                          for m in pkgutil.iter_modules(dprkit.__path__)
-                          if m.name != "__main__"]
+    section = _api_section()
+    modules = [dprkit] + _modules()
     names = set(re.findall(r"`([A-Za-z_][\w.]*)\(", section))
     assert "regularization_path" in names
     missing = [name for name in sorted(names) if not any(
         callable(reduce(lambda node, part: getattr(node, part, None), name.split("."), module))
         for module in modules)]
     assert missing == []
+
+
+def _documented_names() -> set:
+    # a function or class of some dprkit module that the section writes in backticks,
+    # bare or called (`name`, `name(...)`, `name[...]`; `module.name` and `.field` are
+    # not the name), or that its example imports from dprkit
+    section = _api_section()
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    written = {m.group(1) for span in re.findall(r"`([^`]+)`", prose)
+               if (m := re.match(r"([A-Za-z_]\w*)(?![\w.])", span))}
+    for block in re.findall(r"from dprkit import ([^\n]+)", section):
+        written |= {name.strip() for name in block.split(",")}
+    defined = {name for module in _modules() for name, obj in vars(module).items()
+               if not name.startswith("_")
+               and (getattr(obj, "__module__", None) or "").startswith("dprkit")}
+    return written & defined
+
+
+def test_the_exports_are_the_names_the_readme_api_section_documents():
+    documented = _documented_names()
+    exported = set(dprkit.__all__)
+    assert len(dprkit.__all__) == len(exported)
+    undocumented, unexported = sorted(exported - documented), sorted(documented - exported)
+    assert not undocumented, f"exported but not documented: {undocumented}"
+    assert not unexported, f"documented but not exported: {unexported}"
+    assert [name for name in dprkit.__all__ if not hasattr(dprkit, name)] == []

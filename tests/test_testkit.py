@@ -8,15 +8,8 @@ from dprkit.clustering import DbscanParams, dbscan
 from dprkit.errors import ValidationError
 from dprkit.panel import PanelDataset
 from dprkit.regression import PenaltySpec, enet_objective, fit_elastic_net, standardize
-from dprkit.testkit import (
-    GroundTruth,
-    SyntheticSpec,
-    adjusted_rand_index,
-    brute_force_dbscan,
-    generate_panel,
-    kkt_residuals,
-    reference_objective_min,
-)
+from dprkit.testkit import GroundTruth, SyntheticSpec, adjusted_rand_index, generate_panel
+from oracles import brute_force_dbscan, kkt_residuals, reference_objective_min
 
 
 def test_ari_hand_cases():
